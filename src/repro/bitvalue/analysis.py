@@ -123,13 +123,15 @@ def _meet_states(accumulator, incoming, width):
     changed = False
     for reg, vector in incoming.items():
         current = accumulator.get(reg)
+        if current is vector:
+            continue        # meet is idempotent (states share vectors)
         if current is None:
             accumulator[reg] = vector
             if vector != BitVector.bottom(width):
                 changed = True
             continue
         merged = current.meet(vector)
-        if merged != current:
+        if merged is not current:
             accumulator[reg] = merged
             changed = True
     return changed

@@ -197,13 +197,16 @@ class BitVector:
     # -- lattice operations -----------------------------------------------------
 
     def meet(self, other):
-        """Per-bit ∧ of two vectors (paper Fig. 3b)."""
+        """Per-bit ∧ of two vectors (paper Fig. 3b); *self* itself when
+        *other* adds nothing to it."""
         self._check_width(other)
         ones = (self.ones & (other.ones | other.bot)) | \
                (other.ones & self.bot)
         zeros = (self.zeros & (other.zeros | other.bot)) | \
                 (other.zeros & self.bot)
         bot = self.bot & other.bot
+        if ones == self.ones and zeros == self.zeros and bot == self.bot:
+            return self
         return BitVector(self.width, ones=ones, zeros=zeros, bot=bot)
 
     def le(self, other):

@@ -60,37 +60,25 @@ def tf_not(a):
 
 
 def tf_add(a, b, carry_in=0):
-    """Known-bits addition via exact per-bit carry propagation.
+    """Known-bits addition with exact carry tracking.
 
-    ``carry_in`` may be 0, 1 (used by ``sub``) — the carry lattice value
-    is tracked as a set of possible carries.
+    The carry into each bit grows monotonically with the operands' lower
+    bits, so it is known exactly when the two extreme sums — every
+    unknown bit 0, every unknown bit 1 — agree on it.  A sum bit is known
+    when both operand bits and its carry are, which makes the result the
+    most precise one.  ``carry_in`` is 1 for ``sub``.
     """
     undefined = _bottom_if_undefined(a, b)
     if undefined:
         return undefined
     width = a.width
-    ones = zeros = 0
-    carries = {carry_in}
-    for index in range(width):
-        probe = 1 << index
-        a_set = _bit_domain(a, probe)
-        b_set = _bit_domain(b, probe)
-        sums = {x + y + c for x in a_set for y in b_set for c in carries}
-        result_bits = {s & 1 for s in sums}
-        if result_bits == {0}:
-            zeros |= probe
-        elif result_bits == {1}:
-            ones |= probe
-        carries = {s >> 1 for s in sums}
-    return BitVector(width, ones=ones, zeros=zeros)
-
-
-def _bit_domain(vector, probe):
-    if vector.ones & probe:
-        return (1,)
-    if vector.zeros & probe:
-        return (0,)
-    return (0, 1)
+    full = width_mask(width)
+    high_a, high_b = full & ~a.zeros, full & ~b.zeros
+    low = a.ones + b.ones + carry_in
+    low_carries = low ^ a.ones ^ b.ones
+    high_carries = (high_a + high_b + carry_in) ^ high_a ^ high_b
+    known = a.known & b.known & ~(low_carries ^ high_carries)
+    return BitVector(width, ones=low & known, zeros=~low & known)
 
 
 def tf_sub(a, b):

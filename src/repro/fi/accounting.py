@@ -51,34 +51,63 @@ BitInstance = namedtuple(
 
 
 class _ChainWalker:
-    """Carries corruption chains through one golden trace."""
+    """The static half of the walk: one row per program point, built on
+    first visit, so the per-cycle loop only indexes tuples.
 
-    def __init__(self, function, bec):
+    A row is ``(ports, windows, accesses)``:
+
+    * ``ports`` — ``(reg, targets)`` per register read whose port
+      re-materializes in a written window; ``targets[bit]`` is the
+      tuple of ``(written_reg, bit)`` windows ``port_flow`` gives it;
+    * ``windows`` — ``(reg, classes)`` per accessed register the walk
+      yields; ``classes[bit]`` is the window bit's static class, and
+      killed windows (walked only with ``include_killed``) read 0;
+    * ``accesses`` — every accessed register (each closes its chains).
+    """
+
+    def __init__(self, function, bec, liveness, include_killed):
         self.function = function
         self.width = function.bit_width
         self.bec = bec
-        self._flows = {}
-        self._groups = itertools.count()
+        self.liveness = liveness
+        self.include_killed = include_killed
+        self._rows = {}
 
-    def flow(self, pp):
+    def row(self, pp):
+        row = self._rows.get(pp)
+        if row is None:
+            row = self._rows[pp] = self._build_row(pp)
+        return row
+
+    def _flow(self, pp, instruction):
         """The ``port -> (targets, masked)`` map of instruction *pp*."""
-        cached = self._flows.get(pp)
-        if cached is None:
-            instruction = self.function.instruction_at(pp)
-            bit_values = self.bec.bit_values
-            before = {u: bit_values.before(pp, u)
-                      for u in instruction.data_reads()}
-            rules = getattr(self.bec.coalescing, "rules", None)
-            if bit_values.is_executable(pp):
-                cached = port_flow(instruction, before, self.width,
-                                   rules=rules)
-            else:
-                cached = {}
-            self._flows[pp] = cached
-        return cached
+        bit_values = self.bec.bit_values
+        if not bit_values.is_executable(pp):
+            return {}
+        before = {u: bit_values.before(pp, u)
+                  for u in instruction.data_reads()}
+        rules = getattr(self.bec.coalescing, "rules", None)
+        return port_flow(instruction, before, self.width, rules=rules)
 
-    def new_group(self):
-        return next(self._groups)
+    def _build_row(self, pp):
+        instruction = self.function.instruction_at(pp)
+        flow = self._flow(pp, instruction)
+        bits = range(self.width)
+        ports = []
+        for reg in dict.fromkeys(instruction.data_reads()):
+            targets = tuple(flow.get((reg, bit), ((), False))[0]
+                            for bit in bits)
+            if any(targets):
+                ports.append((reg, targets))
+        live_after = self.liveness.live_after(pp)
+        accesses = instruction.data_accesses()
+        windows = []
+        for reg in accesses:
+            if reg in live_after:
+                windows.append((reg, self.bec.window_classes(pp, reg)))
+            elif self.include_killed:
+                windows.append((reg, (0,) * self.width))
+        return tuple(ports), tuple(windows), accesses
 
 
 def iter_bit_instances(function, trace, bec, liveness=None,
@@ -88,43 +117,39 @@ def iter_bit_instances(function, trace, bec, liveness=None,
 
     ``emit`` is True when a bit-level campaign must inject this instance
     (it starts a new dynamic equivalence group); the ``epoch`` field
-    carries the group id, unique across the whole trace.  Masked
-    instances have ``rep == 0`` and are never emitted.  With
-    ``include_killed`` the windows of killed accesses (statically masked
-    at initialization) are walked too, which the validation harness uses.
+    carries the group id, unique across the whole trace and numbered in
+    walk order.  Masked instances have ``rep == 0`` and are never
+    emitted.  With ``include_killed`` the windows of killed accesses
+    (statically masked at initialization) are walked too, which the
+    validation harness uses.
     """
     liveness = liveness or bec.liveness or compute_liveness(function)
     width = function.bit_width
-    walker = _ChainWalker(function, bec)
-    pending = {}        # (reg, bit) -> (rep, group) of the open chain
+    row = _ChainWalker(function, bec, liveness, include_killed).row
+    groups = itertools.count()
+    pending = {}        # reg -> per-bit (rep, group) of its open chains
     for cycle, pp in enumerate(trace.executed):
-        instruction = function.instruction_at(pp)
-        live_after = liveness.live_after(pp)
-        flow = walker.flow(pp)
+        ports, windows, accesses = row(pp)
 
         # Chains arriving through this instruction's reads.
         incoming = {}   # (target_reg, bit) -> (chain_rep, group)
-        for reg in instruction.data_reads():
-            for bit in range(width):
-                chain = pending.get((reg, bit))
-                if chain is None:
-                    continue
-                targets, _masked = flow.get((reg, bit), ((), False))
-                for target in targets:
-                    incoming.setdefault(target, chain)
+        for reg, port_targets in ports:
+            chains = pending.get(reg)
+            if chains is None:
+                continue
+            for chain, targets in zip(chains, port_targets):
+                if chain is not None:
+                    for target in targets:
+                        incoming.setdefault(target, chain)
 
         # Every access closes the register's previous windows.
-        for reg in instruction.data_accesses():
-            for bit in range(width):
-                pending.pop((reg, bit), None)
+        for reg in accesses:
+            pending.pop(reg, None)
 
         group_of_class = {}   # rep -> group opened this cycle
-        for reg in instruction.data_accesses():
-            live = reg in live_after
-            if not live and not include_killed:
-                continue
-            for bit in range(width):
-                rep = bec.class_of(pp, reg, bit) if live else 0
+        for reg, classes in windows:
+            chains = [None] * width
+            for bit, rep in enumerate(classes):
                 if rep == 0:
                     yield BitInstance(cycle, pp, reg, bit, 0, False, None)
                     continue
@@ -136,10 +161,11 @@ def iter_bit_instances(function, trace, bec, liveness=None,
                     group = group_of_class[rep]
                 emit = group is None
                 if emit:
-                    group = walker.new_group()
+                    group = next(groups)
                 group_of_class.setdefault(rep, group)
                 yield BitInstance(cycle, pp, reg, bit, rep, emit, group)
-                pending[(reg, bit)] = (rep, group)
+                chains[bit] = (rep, group)
+            pending[reg] = chains
 
 
 def count_window_instances(function, trace, liveness):

@@ -10,6 +10,11 @@ Three campaign granularities, matching the paper's comparison:
 * :func:`plan_bec` — the pruned plan: one injection per non-masked
   equivalence class per epoch ("Live in bits").
 
+Each has a generator twin (``iter_plan_*``) that builds runs as they
+are consumed, so a capped plan (``islice(iter_plan_bec(...), n)``)
+costs only its first *n* runs.  Group ids come from one monotonic
+counter, so the capped prefix equals ``plan_bec(...)[:n]`` exactly.
+
 :func:`run_campaign` executes a plan against the machine and classifies
 each run against the golden trace.
 """
@@ -38,41 +43,52 @@ EFFECT_CLASSES = (EFFECT_MASKED, EFFECT_SDC, EFFECT_DETECTED, EFFECT_TRAP,
                   EFFECT_TIMEOUT, EFFECT_BENIGN)
 
 
-def plan_exhaustive(function, trace, registers=None):
-    """Every (cycle, register, bit) of the register file (Table I)."""
+def iter_plan_exhaustive(function, trace, registers=None):
+    """Every (cycle, register, bit) of the register file (Table I), in
+    plan order, built as consumed."""
     registers = list(registers or function.registers())
     width = function.bit_width
-    plan = []
     for cycle, pp in enumerate(trace.executed):
         for reg in registers:
             for bit in range(width):
-                plan.append(PlannedRun(Injection(cycle, reg, bit), pp,
-                                       None, None))
-    return plan
+                yield PlannedRun(Injection(cycle, reg, bit), pp, None, None)
 
 
-def plan_inject_on_read(function, trace, liveness=None):
-    """One injection per bit of each dynamic live window."""
+def iter_plan_inject_on_read(function, trace, liveness=None):
+    """One injection per bit of each dynamic live window, in plan
+    order, built as consumed."""
     liveness = liveness or compute_liveness(function)
     width = function.bit_width
-    plan = []
     for cycle, pp in enumerate(trace.executed):
         for reg in liveness.live_windows(pp):
             for bit in range(width):
-                plan.append(PlannedRun(Injection(cycle, reg, bit), pp,
-                                       None, None))
-    return plan
+                yield PlannedRun(Injection(cycle, reg, bit), pp, None, None)
+
+
+def iter_plan_bec(function, trace, bec):
+    """The BEC-pruned plan, in plan order: only class-leader instances
+    are injected.  The trace is walked only as far as the runs taken,
+    so ``islice(iter_plan_bec(...), n)`` costs the first *n* runs."""
+    for instance in iter_bit_instances(function, trace, bec):
+        if instance.emit:
+            yield PlannedRun(
+                Injection(instance.cycle, instance.reg, instance.bit),
+                instance.pp, instance.rep, instance.epoch)
+
+
+def plan_exhaustive(function, trace, registers=None):
+    """:func:`iter_plan_exhaustive` as a list."""
+    return list(iter_plan_exhaustive(function, trace, registers))
+
+
+def plan_inject_on_read(function, trace, liveness=None):
+    """:func:`iter_plan_inject_on_read` as a list."""
+    return list(iter_plan_inject_on_read(function, trace, liveness))
 
 
 def plan_bec(function, trace, bec):
-    """The BEC-pruned plan: only class-leader instances are injected."""
-    plan = []
-    for instance in iter_bit_instances(function, trace, bec):
-        if instance.emit:
-            plan.append(PlannedRun(
-                Injection(instance.cycle, instance.reg, instance.bit),
-                instance.pp, instance.rep, instance.epoch))
-    return plan
+    """:func:`iter_plan_bec` as a list."""
+    return list(iter_plan_bec(function, trace, bec))
 
 
 class Aggregates:

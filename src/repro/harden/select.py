@@ -43,6 +43,7 @@ def vulnerability_benefit(function, golden, bec):
     liveness = bec.liveness
     benefit = Counter()
     defpoint = {}
+    eligible = set(eligible_pps(function))
     unmasked_cache = {}
     for pp in golden.executed:
         instruction = function.instruction_at(pp)
@@ -50,9 +51,7 @@ def vulnerability_benefit(function, golden, bec):
             defpoint[reg] = pp
         for reg in liveness.live_after(pp):
             def_pp = defpoint.get(reg)
-            if def_pp is None:
-                continue
-            if not is_eligible(function.instruction_at(def_pp)):
+            if def_pp not in eligible:
                 continue
             key = (def_pp, reg)
             unmasked = unmasked_cache.get(key)

@@ -17,11 +17,15 @@ smoke grids in CI and tests can sweep tiny programs.
 
 import time
 from collections import namedtuple
+from itertools import islice
 
 from repro import obs
 from repro.bec.analysis import run_bec
-from repro.fi.campaign import (plan_bec, plan_exhaustive,
-                               plan_inject_on_read)
+from repro.fi.campaign import (iter_plan_bec, iter_plan_exhaustive,
+                               iter_plan_inject_on_read)
+# Bound for callers that patch this module's planner name
+# (perfbench/layers.py); cells plan through the iterators above.
+from repro.fi.campaign import plan_bec  # noqa: F401
 from repro.fi.deadline import wall_clock_deadline
 from repro.fi.machine import Machine
 from repro.store.runner import CachingRunner
@@ -38,12 +42,13 @@ CellOutcome = namedtuple(
 #: Base seconds between cell re-attempts (doubles per retry).
 CELL_RETRY_BACKOFF = 0.05
 
+#: Mode -> lazy planner over a cell's (function, golden, bec).
 _PLANNERS = {
-    "bec": lambda function, golden, bec: plan_bec(function, golden, bec),
-    "ior": lambda function, golden, bec: plan_inject_on_read(function,
-                                                             golden),
-    "exhaustive": lambda function, golden, bec: plan_exhaustive(function,
-                                                                golden),
+    "bec": iter_plan_bec,
+    "ior": lambda function, golden, bec: iter_plan_inject_on_read(
+        function, golden, liveness=bec.liveness),
+    "exhaustive": lambda function, golden, bec: iter_plan_exhaustive(
+        function, golden),
 }
 
 
@@ -147,14 +152,13 @@ class SweepRunner:
         return variant
 
     def _plan(self, cell, variant):
+        """The cell's plan, capped at ``max_runs``: only the kept prefix
+        is ever built (``islice`` with ``None`` takes the whole plan)."""
         key = (cell.kernel, cell.harden, cell.budget, cell.mode)
         if key not in self._plans:
-            plan = _PLANNERS[cell.mode](variant["function"],
-                                        variant["golden"],
-                                        variant["bec"])
-            if self.spec.max_runs is not None:
-                plan = plan[:self.spec.max_runs]
-            self._plans[key] = plan
+            runs = _PLANNERS[cell.mode](variant["function"],
+                                        variant["golden"], variant["bec"])
+            self._plans[key] = list(islice(runs, self.spec.max_runs))
         return self._plans[key]
 
     def cell_setup(self, cell):

@@ -124,6 +124,25 @@ def test_abstract_branch_sound(opcode):
                     assert branch_taken(opcode, x, y, WIDTH) is decision
 
 
+@pytest.mark.parametrize("opcode", [Opcode.ADD, Opcode.SUB],
+                         ids=lambda opcode: opcode.value)
+def test_add_sub_are_exact(opcode):
+    """Every bit the concrete results agree on is known: the carry
+    tracking loses nothing (checked over all operand pairs)."""
+    full = (1 << WIDTH) - 1
+    for a in ALL_VECTORS:
+        for b in ALL_VECTORS:
+            ones, zeros = full, full
+            for x in concretize(a):
+                for y in concretize(b):
+                    result = alu(opcode, x, y, WIDTH)
+                    ones &= result
+                    zeros &= ~result
+            abstract = transfer_binary(opcode, a, b)
+            assert (abstract.ones, abstract.zeros) == (ones, zeros & full), \
+                f"{opcode.value}: {a} op {b} gave {abstract}"
+
+
 class TestAndTable:
     """Paper Fig. 3c: the abstract bit-wise and."""
 

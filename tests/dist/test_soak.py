@@ -87,10 +87,16 @@ def test_three_workers_under_chaos_drain_exactly_once(tmp_path):
         inserted = queue.enqueue(spec, max_attempts=5)
         assert len(inserted) == 6
 
-    workers = [
-        # Killed on its first cell after computing, before committing.
-        launch_worker("soak-kill", queue_path, store_path,
-                      ["kill_cell=0"], tmp_path),
+    # Killed on its first cell after computing, before committing.  It
+    # starts alone: the cells are tiny, so survivors started with it
+    # could drain the queue before it leases one.  The lease it dies
+    # holding must expire and be reclaimed by a survivor.
+    killed = launch_worker("soak-kill", queue_path, store_path,
+                           ["kill_cell=0"], tmp_path)
+    # The chaos kill is a real SIGKILL, not an exception.
+    assert killed.wait(timeout=240) == -signal.SIGKILL
+
+    survivors = [
         # Forfeits its first lease mid-cell, then keeps going.
         launch_worker("soak-expire", queue_path, store_path,
                       ["expire_lease=0"], tmp_path),
@@ -98,12 +104,7 @@ def test_three_workers_under_chaos_drain_exactly_once(tmp_path):
         launch_worker("soak-forge", queue_path, store_path,
                       ["forge_envelope=0"], tmp_path),
     ]
-    outcomes = [worker.wait(timeout=240) for worker in workers]
-
-    # The chaos kill is a real SIGKILL, not an exception.
-    assert outcomes[0] == -signal.SIGKILL
-    assert outcomes[1] == 0
-    assert outcomes[2] == 0
+    assert [worker.wait(timeout=240) for worker in survivors] == [0, 0]
 
     with WorkQueue(queue_path) as queue:
         status = queue.status()

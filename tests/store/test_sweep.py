@@ -379,3 +379,70 @@ class TestCellDeadline:
                            max_wall_seconds=0.2)
         assert report.cells_failed == 1
         assert "CellTimeout" in report.outcomes[0].error
+
+
+class TestCappedPlans:
+    """``engine.max_runs`` builds only the kept prefix of a cell's plan,
+    and that prefix is byte-identical to slicing the whole plan — so
+    content keys (and every store built before lazy planning) hold."""
+
+    @staticmethod
+    def _full_plan(mode, variant):
+        from repro.fi.campaign import (plan_bec, plan_exhaustive,
+                                       plan_inject_on_read)
+
+        function, golden = variant["function"], variant["golden"]
+        if mode == "bec":
+            return plan_bec(function, golden, variant["bec"])
+        if mode == "ior":
+            return plan_inject_on_read(function, golden)
+        return plan_exhaustive(function, golden)
+
+    @pytest.mark.parametrize("mode", ["bec", "ior", "exhaustive"])
+    def test_capped_plan_is_the_sliced_plan(self, loop_mc, store, mode):
+        from repro.store.keys import plan_rows
+        from repro.store.sweep import SweepRunner
+
+        spec = spec_for([loop_mc], modes=[mode], max_runs=40)
+        (cell,) = spec.cells()
+        _machine, plan, variant = SweepRunner(spec, store).cell_setup(cell)
+        full = self._full_plan(mode, variant)
+        assert len(full) > 40
+        assert plan_rows(plan) == plan_rows(full[:40])
+
+    @pytest.mark.parametrize("mode, key", [
+        ("bec", "06cf8ad154b1e90af5a9751c88db7f10"),
+        ("ior", "f6fd637f6275ec995099b3a74327a21d"),
+        ("exhaustive", "a56a56d5a25478eaaa4aefff7dbfe8d8"),
+    ])
+    def test_cell_keys_are_pinned(self, loop_mc, store, mode, key):
+        """Keys recorded from the eager planners: a store they filled
+        must still hit."""
+        report = run_sweep(spec_for([loop_mc], modes=[mode], max_runs=40),
+                           store)
+        assert report.outcomes[0].key == key
+
+    def test_capped_cell_walks_a_small_prefix(self, store, monkeypatch):
+        import repro.fi.campaign
+        from repro.store.sweep import SweepRunner
+
+        walked = [0]
+        walk = repro.fi.campaign.iter_bit_instances
+
+        def counting(*args, **kwargs):
+            for instance in walk(*args, **kwargs):
+                walked[0] += 1
+                yield instance
+
+        monkeypatch.setattr(repro.fi.campaign, "iter_bit_instances",
+                            counting)
+        counts = {}
+        for max_runs in (40, None):
+            spec = spec_for(["bitcount"], max_runs=max_runs)
+            (cell,) = spec.cells()
+            walked[0] = 0
+            _machine, plan, _variant = \
+                SweepRunner(spec, store).cell_setup(cell)
+            counts[max_runs] = walked[0]
+        assert len(plan) > 40
+        assert 0 < counts[40] < 0.05 * counts[None]
