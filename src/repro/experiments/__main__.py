@@ -85,6 +85,7 @@ def main(argv=None):
                   f"cells from cache, {runner.misses} executed "
                   f"({runner.simulator_runs} simulator runs)")
         return 0
+    status = 0
     for name in names:
         module = EXPERIMENTS[name]
         start = time.perf_counter()
@@ -93,7 +94,10 @@ def main(argv=None):
         print(module.render(result))
         print(f"[{name} finished in {elapsed:.1f} s]")
         print()
-    return 0
+        # Table II is a soundness gate: an unsound case fails the run.
+        if isinstance(result, dict) and result.get("total_unsound"):
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -119,7 +119,8 @@ class Snapshot:
     (immutable once the golden run finishes) golden trace plus the
     prefix lengths, and :meth:`Machine.run_from` slices the prefix per
     resumed run.  ``memory`` is stored as immutable :class:`bytes` so
-    each restore is a single copy.
+    each restore is a single copy, and consecutive snapshots of one run
+    whose memory did not change share one ``bytes`` object.
     """
 
     __slots__ = ("cycle", "pc", "registers", "memory", "trace",
@@ -184,6 +185,16 @@ def _sorted_upsets(injection):
     if isinstance(injection, (list, tuple)):
         return sorted(injection, key=lambda upset: upset.cycle)
     return [injection]
+
+
+def _snapshot_image(memory, previous):
+    """Immutable copy of *memory* for a snapshot, reusing the previous
+    snapshot's image when memory has not changed since (kernels store
+    rarely, so most snapshots of a run then share a handful of
+    images)."""
+    if previous is not None and previous == memory:
+        return previous
+    return bytes(memory)
 
 
 def _register_lists_match(current, reference):
@@ -568,6 +579,7 @@ class Machine:
         capture = (snapshot_interval is not None and snapshots is not None
                    and not upsets)
         next_capture = cycle if capture else None
+        image = None        # memory of the latest snapshot (shared)
         converge_index = 0
         converge_cycle = converge[0].cycle if converge else None
         inject_cycle = upsets[0].cycle if upsets else None
@@ -614,8 +626,9 @@ class Machine:
                     trace.outcome = OUTCOME_TIMEOUT
                     break
                 if next_capture is not None and cycle == next_capture:
+                    image = _snapshot_image(memory, image)
                     snapshots.append(Snapshot(cycle, pc, registers[:],
-                                              bytes(memory), trace,
+                                              image, trace,
                                               reg_names=self._reg_of))
                     next_capture += snapshot_interval
                 if converge_cycle is not None and cycle == converge_cycle:
@@ -671,6 +684,7 @@ class Machine:
             register_log = trace.register_log = []
         capture = (snapshot_interval is not None and snapshots is not None
                    and not upsets)
+        image = None        # memory of the latest snapshot (shared)
         converge_index = 0
         converge_cycle = converge[0].cycle if converge else None
         inject_cycle = upsets[0].cycle if upsets else None
@@ -692,8 +706,9 @@ class Machine:
                     trace.outcome = OUTCOME_TIMEOUT
                     break
                 if capture and cycle % snapshot_interval == 0:
+                    image = _snapshot_image(memory, image)
                     snapshots.append(Snapshot(cycle, pc, dict(registers),
-                                              bytes(memory), trace))
+                                              image, trace))
                 if converge_cycle is not None and cycle == converge_cycle:
                     candidate = converge[converge_index]
                     if pc == candidate.pc \

@@ -12,14 +12,24 @@ then checked:
   produce identical traces are *sound but imprecise* (expected, e.g.
   when dynamic information such as inputs is unavailable statically).
 
+Validation is an ordinary campaign: the instances become a plan, the
+:class:`repro.fi.engine.CampaignEngine` executes it (snapshot resume,
+golden reconvergence, whichever core the machine has), and a streaming
+:class:`ValidationSink` checks the claims as the plan-ordered records
+retire.
+
 The paper reports zero unsound cases; the test suite asserts the same
 for every program it validates.
 """
 
+import itertools
 from collections import namedtuple
 
 from repro.fi.accounting import iter_bit_instances
+from repro.fi.campaign import PlannedRun
+from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Injection
+from repro.fi.sink import RunSink
 
 ValidationReport = namedtuple("ValidationReport", [
     "instances",            # total window-bit instances validated
@@ -33,75 +43,110 @@ ValidationReport = namedtuple("ValidationReport", [
 ])
 
 
+class ValidationSink(RunSink):
+    """Checks the BEC claims on a validation campaign's record stream.
+
+    Each plan entry carries its instance's ``pp``, class (``rep``) and
+    group id (``epoch``).  Per equivalence group only the first
+    signature, the member count and an unsound flag are kept.  Imprecise
+    pairs are counted per ``(cycle, pp, reg)`` window; records arrive in
+    non-decreasing cycle order, so a cycle's windows are dropped as soon
+    as the stream moves past it.  :attr:`report` holds the
+    :class:`ValidationReport` after ``finish``.
+    """
+
+    def __init__(self):
+        self.report = None
+        self._golden_signature = None
+        self._groups = {}           # (rep, epoch) -> [first sig, n, unsound]
+        self._cycle = None
+        self._windows = {}          # (pp, reg, sig) -> [n, {rep: n}]
+        self._runs = 0
+        self._masked_checked = 0
+        self._unsound_masked = 0
+        self._imprecise_pairs = 0
+
+    def begin(self, meta):
+        self._golden_signature = meta["golden"].signature()
+
+    def consume(self, chunk):
+        groups = self._groups
+        for planned, _, signature, _ in chunk:
+            self._runs += 1
+            injection = planned.injection
+            if injection.cycle != self._cycle:
+                self._cycle = injection.cycle
+                self._windows = {}
+            rep = planned.rep
+            # Earlier instances of this window with the same trace but
+            # another class are imprecise pairs.
+            window = self._windows.setdefault(
+                (planned.pp, injection.reg, signature), [0, {}])
+            self._imprecise_pairs += window[0] - window[1].get(rep, 0)
+            window[0] += 1
+            window[1][rep] = window[1].get(rep, 0) + 1
+            if rep == 0:
+                self._masked_checked += 1
+                if signature != self._golden_signature:
+                    self._unsound_masked += 1
+                continue
+            group = groups.get((rep, planned.epoch))
+            if group is None:
+                groups[(rep, planned.epoch)] = [signature, 1, False]
+            else:
+                group[1] += 1
+                if signature != group[0]:
+                    group[2] = True
+
+    def finish(self, summary):
+        equivalence_groups = 0
+        unsound_equivalences = 0
+        sound_precise_pairs = 0
+        for _, members, unsound in self._groups.values():
+            if members < 2:
+                continue
+            equivalence_groups += 1
+            if unsound:
+                unsound_equivalences += 1
+            else:
+                sound_precise_pairs += members - 1
+        self.report = ValidationReport(
+            instances=self._runs,
+            masked_checked=self._masked_checked,
+            unsound_masked=self._unsound_masked,
+            equivalence_groups=equivalence_groups,
+            unsound_equivalences=unsound_equivalences,
+            sound_precise_pairs=sound_precise_pairs,
+            imprecise_pairs=self._imprecise_pairs,
+            runs=self._runs,
+        )
+
+
 def validate_bec(function, machine, bec, regs=None, golden=None,
-                      max_cycles=None, cycle_limit=None):
+                 max_cycles=None, cycle_limit=None):
     """Exhaustively validate BEC claims on one function.
 
-    ``cycle_limit`` optionally restricts validation to the first N cycles
-    of the golden trace (keeps big traces tractable).  Returns a
-    :class:`ValidationReport`.
+    Every window-bit instance of the golden trace (killed windows
+    included) becomes one planned injection.  ``cycle_limit``
+    optionally restricts validation to the instances of the first N
+    cycles (keeps big traces tractable; the injected runs still execute
+    to their end).  The plan runs on *machine*'s own core with snapshot
+    resume.  Returns a :class:`ValidationReport`.
     """
     if golden is None:
         golden = machine.run(regs=regs)
-    if max_cycles is None:
-        max_cycles = max(4 * golden.cycles + 256, 1024)
-    golden_signature = golden.signature()
-
-    groups = {}
-    instances = 0
-    masked_checked = 0
-    unsound_masked = 0
-    runs = 0
-    per_window = {}
-
-    for instance in iter_bit_instances(function, golden, bec,
-                                       include_killed=True):
-        if cycle_limit is not None and instance.cycle >= cycle_limit:
-            continue
-        instances += 1
-        injection = Injection(instance.cycle, instance.reg, instance.bit)
-        injected = machine.run(regs=regs, injection=injection,
-                               max_cycles=max_cycles)
-        runs += 1
-        signature = injected.signature()
-        key = (instance.cycle, instance.pp, instance.reg)
-        per_window.setdefault(key, []).append((instance, signature))
-        if instance.rep == 0:
-            masked_checked += 1
-            if signature != golden_signature:
-                unsound_masked += 1
-            continue
-        groups.setdefault((instance.rep, instance.epoch), []).append(
-            (instance, signature))
-
-    equivalence_groups = 0
-    unsound_equivalences = 0
-    sound_precise_pairs = 0
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        equivalence_groups += 1
-        reference = members[0][1]
-        if any(signature != reference for _, signature in members[1:]):
-            unsound_equivalences += 1
-        else:
-            sound_precise_pairs += len(members) - 1
-
-    imprecise_pairs = 0
-    for members in per_window.values():
-        for index, (left, left_signature) in enumerate(members):
-            for right, right_signature in members[index + 1:]:
-                if left.rep != right.rep and \
-                        left_signature == right_signature:
-                    imprecise_pairs += 1
-
-    return ValidationReport(
-        instances=instances,
-        masked_checked=masked_checked,
-        unsound_masked=unsound_masked,
-        equivalence_groups=equivalence_groups,
-        unsound_equivalences=unsound_equivalences,
-        sound_precise_pairs=sound_precise_pairs,
-        imprecise_pairs=imprecise_pairs,
-        runs=runs,
-    )
+    instances = iter_bit_instances(function, golden, bec,
+                                   include_killed=True)
+    if cycle_limit is not None:
+        # The walk yields instances in non-decreasing cycle order, so
+        # the first instance past the limit ends the plan.
+        instances = itertools.takewhile(
+            lambda instance: instance.cycle < cycle_limit, instances)
+    plan = [PlannedRun(Injection(instance.cycle, instance.reg, instance.bit),
+                       instance.pp, instance.rep, instance.epoch)
+            for instance in instances]
+    sink = ValidationSink()
+    CampaignEngine(machine, plan, regs=regs, golden=golden,
+                   max_cycles=max_cycles).run(
+        checkpoint_interval=auto_checkpoint_interval(golden), sink=sink)
+    return sink.report

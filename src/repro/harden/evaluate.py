@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC, plan_inject_on_read
-from repro.fi.engine import CampaignEngine
+from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
 from repro.harden import harden
 
@@ -128,7 +128,7 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
     """
     bec = bec or run_bec(function)
     if checkpoint_interval is None:
-        checkpoint_interval = max(1, golden.cycles // 32)
+        checkpoint_interval = auto_checkpoint_interval(golden)
     plan = strided_plan(function, golden, target_runs)
     common = dict(regs=regs, memory_image=memory_image,
                   memory_size=memory_size, bec=bec, workers=workers,

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 from repro.dist.queue import WorkQueue
 from repro.store import ResultStore, parse_spec, run_sweep
@@ -57,6 +58,13 @@ def launch_worker(name, queue, store, chaos, tmp_path):
                             stdout=log, stderr=subprocess.STDOUT)
 
 
+def forged(queue_path):
+    """True once the queue has quarantined a forged envelope."""
+    with WorkQueue(queue_path) as queue:
+        return any("bad signature" in reason
+                   for _, _, reason in queue.quarantined())
+
+
 def archive_rows(store):
     chunks = store._connection.execute(
         "SELECT key, chunk_index, payload, digest FROM campaign_chunks "
@@ -96,13 +104,22 @@ def test_three_workers_under_chaos_drain_exactly_once(tmp_path):
     # The chaos kill is a real SIGKILL, not an exception.
     assert killed.wait(timeout=240) == -signal.SIGKILL
 
+    # Submits one forged envelope, which must be rejected.  It also
+    # starts alone, until the forgery is on record: a survivor started
+    # with it could drain the tiny cells before it leases one.
+    forger = launch_worker("soak-forge", queue_path, store_path,
+                           ["forge_envelope=0"], tmp_path)
+    deadline = time.monotonic() + 240
+    while not forged(queue_path):
+        assert forger.poll() is None or forged(queue_path), \
+            "forging worker exited without a rejected envelope"
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
     survivors = [
+        forger,
         # Forfeits its first lease mid-cell, then keeps going.
         launch_worker("soak-expire", queue_path, store_path,
                       ["expire_lease=0"], tmp_path),
-        # Submits one forged envelope, which must be rejected.
-        launch_worker("soak-forge", queue_path, store_path,
-                      ["forge_envelope=0"], tmp_path),
     ]
     assert [worker.wait(timeout=240) for worker in survivors] == [0, 0]
 
@@ -114,9 +131,6 @@ def test_three_workers_under_chaos_drain_exactly_once(tmp_path):
         # Every cell is done exactly once: 6 done rows total, however
         # they were shared between the survivors.
         assert sum(status["workers"].values()) == 6
-        # The forged envelope left evidence.
-        assert any("bad signature" in reason
-                   for _, _, reason in queue.quarantined())
 
     with ResultStore(store_path) as store:
         assert store.verify()["ok"]

@@ -167,3 +167,14 @@ class TestTable2:
 
     def test_render(self, result):
         assert "NO UNSOUND CASES" in table2.render(result)
+
+    @pytest.mark.parametrize("unsound,status", [(0, 0), (2, 1)])
+    def test_unsound_cases_fail_the_command(self, result, monkeypatch,
+                                            capsys, unsound, status):
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setattr(table2, "run_experiment",
+                            lambda: dict(result, total_unsound=unsound))
+        assert main(["table2"]) == status
+        assert ("UNSOUND CASES FOUND" in capsys.readouterr().out) \
+            == bool(unsound)

@@ -328,6 +328,52 @@ bb.entry:
         assert resumed.key() == expected.key()
         assert resumed.key() == golden.key()
 
+    @pytest.mark.parametrize("core", ["threaded", "reference"])
+    def test_snapshots_share_unchanged_memory(self, motivating_function,
+                                              core):
+        """A run without stores keeps one memory image for all of its
+        snapshots, and resuming from any of them is unchanged."""
+        machine = Machine(motivating_function, memory_size=256, core=core)
+        golden, snapshots = machine.run_with_snapshots(interval=8)
+        assert not golden.stores
+        assert len(snapshots) > 2
+        assert len({id(snapshot.memory) for snapshot in snapshots}) == 1
+        for snapshot in snapshots:
+            injection = Injection(snapshot.cycle, "v", 1)
+            resumed = machine.run_from(snapshot, injection=injection,
+                                       converge=snapshots)
+            assert resumed.key() == machine.run(injection=injection).key()
+
+    @pytest.mark.parametrize("core", ["threaded", "reference"])
+    def test_snapshots_copy_changed_memory(self, core):
+        """Each store gives the following snapshot its own image, equal
+        to memory at that cycle."""
+        function = parse_function("""
+func f width=32
+bb.entry:
+    li a, 7
+    sw a, 16(zero)
+    li b, 9
+    sw b, 20(zero)
+    lw c, 16(zero)
+    lw d, 20(zero)
+    add e, c, d
+    ret e
+""")
+        machine = Machine(function, memory_size=64, core=core)
+        golden, snapshots = machine.run_with_snapshots(interval=1)
+        images = [snapshot.memory for snapshot in snapshots]
+        # A snapshot at cycle N precedes instruction N: cycles 0-1 see
+        # the initial memory, 2-3 the first store, 4 onwards both.
+        assert images[0] is images[1]
+        assert images[2] is images[3] and images[2] is not images[1]
+        assert all(image is images[4] for image in images[4:])
+        assert images[4] is not images[3]
+        assert images[2][16] == 7 and images[2][20] == 0
+        assert images[4][20] == 9
+        for snapshot in snapshots:
+            assert machine.run_from(snapshot).key() == golden.key()
+
     def test_cross_core_snapshot_restore(self, motivating_function,
                                          motivating_golden):
         """A snapshot taken by one core can seed the other core's

@@ -1,9 +1,75 @@
 """Tests for the Table II soundness validator."""
 
+import pytest
+
+import repro.fi.validate
 from repro.ir.parser import parse_function
 from repro.bec.analysis import run_bec
+from repro.experiments.common import benchmark_run
 from repro.fi.machine import Machine
 from repro.fi.validate import validate_bec
+
+from tests.bec.program_gen import random_function
+
+
+class TestTableTwoRow:
+    def test_rsa_prefix_matches_pinned_row(self):
+        # The Table II row recorded before validation ran on the engine.
+        run = benchmark_run("RSA")
+        report = validate_bec(run.function, run.machine, run.bec,
+                              regs=run.regs, golden=run.golden,
+                              cycle_limit=120)
+        assert report._asdict() == {
+            "instances": 5248, "masked_checked": 1452, "unsound_masked": 0,
+            "equivalence_groups": 384, "unsound_equivalences": 0,
+            "sound_precise_pairs": 732, "imprecise_pairs": 5047,
+            "runs": 5248}
+
+    def test_walk_stops_at_cycle_limit(self, monkeypatch):
+        walked = []
+        walk = repro.fi.validate.iter_bit_instances
+
+        def counting_walk(*args, **kwargs):
+            for instance in walk(*args, **kwargs):
+                walked.append(instance)
+                yield instance
+
+        monkeypatch.setattr(repro.fi.validate, "iter_bit_instances",
+                            counting_walk)
+        run = benchmark_run("bitcount")
+        report = validate_bec(run.function, run.machine, run.bec,
+                              regs=run.regs, golden=run.golden,
+                              cycle_limit=10)
+        assert report.instances > 0
+        assert len(walked) <= report.instances + 1
+
+
+class TestCoreParity:
+    """Validation runs on the caller's core; every core must give the
+    same report."""
+
+    @staticmethod
+    def _reports(function, memory_size):
+        bec = run_bec(function)
+        return [validate_bec(function,
+                             Machine(function, memory_size=memory_size,
+                                     core=core), bec)
+                for core in Machine.CORES]
+
+    def test_motivating(self, motivating_function):
+        threaded, reference, batched = self._reports(motivating_function,
+                                                     256)
+        assert threaded.instances == 348
+        assert reference == threaded
+        assert batched == threaded
+
+    @pytest.mark.parametrize("seed", [27, 73, 148])
+    def test_random_programs(self, seed):
+        threaded, reference, batched = self._reports(random_function(seed),
+                                                     64)
+        assert threaded.instances > 0
+        assert reference == threaded
+        assert batched == threaded
 
 
 class TestMotivatingValidation:
