@@ -21,13 +21,9 @@ tail is about half the trace — the configuration where checkpointing's
 O(runs × avg-tail) bound shows up directly.  Aggregate equality with
 the serial baseline is asserted on every row.
 
-Run standalone (prints a table and the speedup factors)::
+Run it (prints a table and the speedup factors)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
-
-or under pytest-benchmark::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_engine.py -q
 """
 
 import time
@@ -92,32 +88,6 @@ def execute(mode, machine, regs, golden, plan):
         return engine.run(workers=WORKERS)
     return engine.run(workers=WORKERS,
                       checkpoint_interval=interval_for(golden))
-
-
-# -- pytest-benchmark harness -------------------------------------------------
-
-
-try:
-    import pytest
-except ImportError:                                  # standalone mode
-    pytest = None
-
-if pytest is not None:
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("name", PROGRAMS)
-    def test_engine_mode(benchmark, name, mode):
-        machine, regs, golden, plan = prepare(name)
-        baseline = execute("serial", machine, regs, golden, plan)
-        result = benchmark.pedantic(
-            execute, args=(mode, machine, regs, golden, plan),
-            rounds=1, iterations=1)
-        assert result.effect_counts() == baseline.effect_counts()
-        assert result.distinct_traces == baseline.distinct_traces
-        benchmark.extra_info.update({
-            "runs": len(plan),
-            "trace_cycles": golden.cycles,
-            "effects": result.effect_counts(),
-        })
 
 
 # -- standalone report --------------------------------------------------------

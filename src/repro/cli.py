@@ -61,7 +61,6 @@ import time
 
 from repro.bec.analysis import run_bec
 from repro.bec.intra import RuleSet
-from repro.errors import ReproError
 from repro.fi.accounting import fault_injection_accounting
 from repro.fi.campaign import (plan_bec, plan_exhaustive,
                                plan_inject_on_read, run_campaign)
@@ -473,20 +472,11 @@ def cmd_sweep(options):
                   f"core={cell.core} ({outcome.plan_runs} runs)",
                   file=sys.stderr)
     with ResultStore(options.store) as store:
-        try:
-            report = run_sweep(spec, store, workers=options.workers,
-                               force=options.force, progress=progress,
-                               run_progress=run_progress,
-                               max_retries=options.max_retries,
-                               continue_on_error=True,
-                               max_wall_seconds=options.cell_timeout)
-        except (KeyError, OSError, ValueError, RuntimeError,
-                ReproError) as error:
-            # Unknown registry kernel, unreadable/uncompilable kernel
-            # file, an args/params mismatch, or a failed golden run.
-            # Cells finished before the failure are already archived,
-            # so a corrected re-run resumes from them.
-            raise SystemExit(f"sweep failed: {error}")
+        report = run_sweep(spec, store, workers=options.workers,
+                           force=options.force, progress=progress,
+                           run_progress=run_progress,
+                           max_retries=options.max_retries,
+                           max_wall_seconds=options.cell_timeout)
         stats = store.stats()
     print(report.summary())
     print(f"store {options.store}: {stats['results']} archived results "
@@ -1008,11 +998,12 @@ def build_parser():
                      help="print one line per finished cell to stderr")
     sub.add_argument("--max-retries", type=int, default=None,
                      metavar="N",
-                     help="re-attempts per failing cell before it is "
-                          "recorded as FAILED (default: the spec's "
-                          "engine.max_retries, else 0); any cell that "
-                          "ultimately fails makes the sweep exit "
-                          "nonzero after finishing the rest")
+                     help="extra lease attempts per failing cell before "
+                          "it is poisoned and recorded as FAILED "
+                          "(default: the spec's engine.max_retries, "
+                          "else 0); any cell that ultimately fails "
+                          "makes the sweep exit nonzero after "
+                          "finishing the rest")
     sub.add_argument("--cell-timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="per-cell wall-clock deadline: a hung cell "

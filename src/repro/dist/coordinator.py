@@ -67,7 +67,8 @@ def commit_envelope(store, queue, envelope, chunks, secret=None):
     ``(blob, n_records, raw_size)`` triples (empty for a cache-hit
     envelope).  Returns a dict whose ``status`` is ``"committed"``
     (archived and retired), ``"superseded"`` (archived, but the lease
-    had moved on), or ``"rejected"`` (nothing touched the store).
+    had moved on), or ``"rejected"`` (nothing touched the store);
+    accepted commits also say whether the cell was a ``cached`` hit.
     """
     if isinstance(envelope, str):
         try:
@@ -127,7 +128,7 @@ def commit_envelope(store, queue, envelope, chunks, secret=None):
                       worker=envelope.worker, status=status,
                       key=envelope.result_key)
     return {"status": status, "key": envelope.result_key,
-            "cell": envelope.cell_id}
+            "cell": envelope.cell_id, "cached": envelope.cached}
 
 
 def queue_status(queue):

@@ -248,7 +248,9 @@ class WorkQueue:
     # -- leasing -----------------------------------------------------------
 
     def claim(self, worker, lease_seconds=DEFAULT_LEASE_SECONDS):
-        """Atomically lease the oldest eligible cell to *worker*.
+        """Atomically lease the oldest eligible cell to *worker*
+        (insertion order breaks ties, so one spec's cells are claimed
+        in spec order).
 
         Eligible: pending, or leased past its deadline — both only
         while attempts remain.  Returns a :class:`Lease` or ``None``
@@ -265,7 +267,7 @@ class WorkQueue:
             f"lease_token = ?, lease_expires = ?, "
             f"attempts = attempts + 1 "
             f"WHERE cell_id = (SELECT cell_id FROM dist_queue "
-            f"WHERE {eligible} ORDER BY enqueued_at, cell_id LIMIT 1) "
+            f"WHERE {eligible} ORDER BY enqueued_at, rowid LIMIT 1) "
             f"AND {eligible}",
             (worker, token, now + lease_seconds, now, now))
         if not cursor.rowcount:
@@ -488,7 +490,7 @@ class WorkQueue:
                 f"SELECT cell_id, spec_digest, cell, state, attempts, "
                 f"worker, result_key, last_error, cached, sim_runs, "
                 f"completed_at FROM dist_queue WHERE 1=1{scope} "
-                f"ORDER BY enqueued_at, cell_id", params):
+                f"ORDER BY enqueued_at, rowid", params):
             rows.append({"cell_id": row[0], "spec_digest": row[1],
                          "cell": _decode_cell(row[2]), "state": row[3],
                          "attempts": row[4], "worker": row[5],

@@ -5,15 +5,15 @@ One ``repro dist work`` process is a loop over
 
 1. **Lease** the oldest eligible cell (atomic; the lease token is this
    worker's proof of ownership).
-2. **Execute** it through the exact machinery a serial sweep uses —
-   :meth:`repro.store.sweep.SweepRunner.cell_setup` builds the same
-   machine/plan/variant, :class:`repro.store.runner.CachingRunner`
-   computes the same content address — so a distributed sweep's
-   aggregates are bit-identical to a serial one's.  The store-writer
-   sink is suppressed (``commit=False``); instead a
-   :class:`ChunkCaptureSink` spools the archive-encoded chunk stream
-   locally.  The engine's per-chunk progress callback doubles as the
-   **heartbeat**, renewing the lease at a third of its duration.
+2. **Execute** it through :meth:`repro.store.sweep.SweepRunner.run_cell`,
+   the one engine call every sweep cell makes (a local ``repro sweep``
+   is this loop with one worker over an in-memory queue), so a
+   distributed sweep's keys and aggregates are bit-identical to a
+   serial one's.  ``run_cell`` suppresses the store-writer sink;
+   instead a :class:`ChunkCaptureSink` spools the archive-encoded
+   chunk stream locally.  The engine's per-chunk
+   progress callback doubles as the **heartbeat**, renewing the lease
+   at a third of its duration.
 3. **Prove**: wrap the capture in a signed
    :class:`repro.dist.envelope.ResultEnvelope` binding content (chunk
    digests + aggregate meta) to identity (worker, lease token).
@@ -22,8 +22,9 @@ One ``repro dist work`` process is a loop over
 
 Failure modes map onto queue states: an execution error (including a
 :class:`repro.fi.deadline.CellTimeout`) fails the lease back to
-``pending``; a SIGKILL leaves the lease to expire and be reclaimed; a
-lost lease (heartbeat returns False) finishes anyway and takes
+``pending`` (``poisoned`` once its attempts are spent); a SIGKILL
+leaves the lease to expire and be reclaimed; a lost lease (heartbeat
+returns False) finishes anyway and takes
 ``superseded`` — the archive write is idempotent, the state
 transition just happened elsewhere.  A rejected envelope also fails
 the lease, so the cell retries promptly instead of waiting out the
@@ -44,7 +45,7 @@ from repro import obs
 from repro.fi.chaos import ChaosPolicy
 from repro.fi.deadline import wall_clock_deadline
 from repro.fi.sink import RunSink
-from repro.store.db import DEFAULT_CHUNK_SIZE, encode_chunk
+from repro.store.db import DEFAULT_CHUNK_SIZE, chunk_digest, encode_chunk
 from repro.store.sweep import SweepRunner
 
 from repro.dist import envelope as envelope_module
@@ -149,11 +150,16 @@ class DistWorker:
         #: worker's cell lifecycle (``cell_claimed`` /
         #: ``cell_progress`` / ``cell_done`` / ``cell_superseded`` /
         #: ``cell_rejected`` / ``cell_failed``) — the campaign
-        #: service's progress-stream and audit-trail hook.  Event
-        #: delivery must never sink a cell, so callback errors are
-        #: swallowed.
+        #: service's progress-stream and audit-trail hook.
+        #: The events of an executed cell (``cell_done`` /
+        #: ``cell_superseded`` / ``cell_rejected``) also carry its
+        #: :class:`repro.store.sweep.CellOutcome` as ``outcome``.
+        #: Event delivery must never sink a cell, so callback errors
+        #: are swallowed.
         self.events = events
-        self._sweep_runners = {}        # spec digest -> SweepRunner
+        #: spec digest -> the :class:`SweepRunner` executing its cells
+        #: (a local sweep seeds its own runner here).
+        self.runners = {}
         self.stats = {"done": 0, "superseded": 0, "failed": 0,
                       "rejected": 0}
 
@@ -173,19 +179,19 @@ class DistWorker:
             pass
 
     def _sweep_runner(self, digest):
-        if digest not in self._sweep_runners:
+        if digest not in self.runners:
             spec = self.queue.load_spec(digest)
-            self._sweep_runners[digest] = SweepRunner(
+            self.runners[digest] = SweepRunner(
                 spec, self.store, workers=self.engine_workers)
-        return self._sweep_runners[digest]
+        return self.runners[digest]
 
     # -- one cell ----------------------------------------------------------
 
     def _execute(self, lease, ordinal):
-        """Run one leased cell and return the commit outcome dict."""
+        """Run one leased cell; returns ``(commit, outcome)``: the
+        :func:`commit_envelope` dict and the cell's
+        :class:`repro.store.sweep.CellOutcome`."""
         runner = self._sweep_runner(lease.spec_digest)
-        spec = runner.spec
-        machine, plan, variant = runner.cell_setup(lease.cell)
 
         forfeited = self._fire("dist.expire_lease", ordinal=ordinal)
         if forfeited:
@@ -213,18 +219,11 @@ class DistWorker:
                                      worker=self.worker_id)
 
         capture = ChunkCaptureSink()
-        deadline = self.cell_timeout
-        if deadline is None:
-            deadline = getattr(spec, "max_wall_seconds", None)
+        deadline = runner.max_wall_seconds if self.cell_timeout is None \
+            else self.cell_timeout
         with wall_clock_deadline(deadline, what=f"cell {lease.cell_id}"):
-            result = runner.runner.run(
-                machine, plan, regs=variant["regs"],
-                golden=variant["golden"], workers=self.engine_workers,
-                checkpoint_interval=spec.checkpoint_interval or None,
-                prune=spec.prune, batch_lanes=spec.batch_lanes,
-                harden=lease.cell.harden, budget=lease.cell.budget,
-                progress=heartbeat, chunk_size=spec.chunk_size,
-                sink=capture, commit=False)
+            result, outcome = runner.run_cell(lease.cell, sink=capture,
+                                              progress=heartbeat)
 
         # The kill-mid-cell fault: computed, not yet committed — the
         # worst crash point the reclaim path must absorb.
@@ -243,10 +242,8 @@ class DistWorker:
             "vectorized": result.vectorized,
             "wall_time": result.wall_time,
             "chunk_size": (capture.meta or {}).get(
-                "chunk_size", spec.chunk_size or DEFAULT_CHUNK_SIZE),
+                "chunk_size", runner.spec.chunk_size or DEFAULT_CHUNK_SIZE),
         }
-        from repro.store.db import chunk_digest
-
         digests = [chunk_digest(blob) for blob, _, _ in chunks]
         envelope = ResultEnvelope(
             cell_id=lease.cell_id,
@@ -269,8 +266,50 @@ class DistWorker:
             corrupted[len(corrupted) // 2] ^= 0xFF
             chunks[0] = (bytes(corrupted), n_records, raw_size)
 
-        return commit_envelope(self.store, self.queue, envelope,
-                               chunks, secret=self.secret)
+        commit = commit_envelope(self.store, self.queue, envelope,
+                                 chunks, secret=self.secret)
+        return commit, outcome
+
+    def _attempt(self, lease, ordinal):
+        """Execute and commit one leased cell, settling its queue row;
+        returns the ``sweep.cells`` status (``hit``/``run``/
+        ``failed``)."""
+        registry = obs.metrics()
+        try:
+            commit, outcome = self._execute(lease, ordinal)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            state = self.queue.fail(lease.token, error)
+            self.stats["failed"] += 1
+            registry.counter("dist.cells", status="failed",
+                             worker=self.worker_id).inc()
+            obs.logger().error("dist.cell_failed", cell=lease.cell_id,
+                               worker=self.worker_id, state=state,
+                               error=error)
+            self._emit("cell_failed", cell_id=lease.cell_id,
+                       spec_digest=lease.spec_digest, state=state,
+                       error=error)
+            return "failed"
+        status = commit["status"]
+        if status == "rejected":
+            # Fail the lease so the cell retries promptly instead of
+            # waiting out the lease clock.
+            self.queue.fail(lease.token,
+                            f"envelope rejected: {commit['reason']}")
+            self.stats["rejected"] += 1
+        elif status == "superseded":
+            self.stats["superseded"] += 1
+        else:
+            self.stats["done"] += 1
+        registry.counter("dist.cells", status=status,
+                         worker=self.worker_id).inc()
+        self._emit(f"cell_{status}" if status != "committed"
+                   else "cell_done",
+                   cell_id=lease.cell_id, spec_digest=lease.spec_digest,
+                   key=commit.get("key"), outcome=outcome)
+        if status == "rejected":
+            return "failed"
+        return "hit" if commit["cached"] else "run"
 
     # -- the loop ----------------------------------------------------------
 
@@ -304,41 +343,13 @@ class DistWorker:
                        spec_digest=lease.spec_digest,
                        attempt=lease.attempts)
             started = time.perf_counter()
-            try:
-                outcome = self._execute(lease, ordinal)
-            except Exception as exc:
-                state = self.queue.fail(
-                    lease.token, f"{type(exc).__name__}: {exc}")
-                self.stats["failed"] += 1
-                registry.counter("dist.cells", status="failed",
-                                 worker=self.worker_id).inc()
-                obs.logger().error("dist.cell_failed",
-                                   cell=lease.cell_id,
-                                   worker=self.worker_id, state=state,
-                                   error=f"{type(exc).__name__}: {exc}")
-                self._emit("cell_failed", cell_id=lease.cell_id,
-                           spec_digest=lease.spec_digest, state=state,
-                           error=f"{type(exc).__name__}: {exc}")
-            else:
-                status = outcome["status"]
-                if status == "rejected":
-                    # Fail the lease so the cell retries promptly
-                    # instead of waiting out the lease clock.
-                    self.queue.fail(
-                        lease.token,
-                        f"envelope rejected: {outcome['reason']}")
-                    self.stats["rejected"] += 1
-                elif status == "superseded":
-                    self.stats["superseded"] += 1
-                else:
-                    self.stats["done"] += 1
-                registry.counter("dist.cells", status=status,
-                                 worker=self.worker_id).inc()
-                self._emit(f"cell_{status}" if status != "committed"
-                           else "cell_done",
-                           cell_id=lease.cell_id,
-                           spec_digest=lease.spec_digest,
-                           key=outcome.get("key"))
+            cell = lease.cell
+            with obs.tracer().span(
+                    "sweep.cell", kernel=cell.kernel, mode=cell.mode,
+                    harden=cell.harden, core=cell.core) as span:
+                status = self._attempt(lease, ordinal)
+                span.set("status", status)
+            registry.counter("sweep.cells", status=status).inc()
             cell_seconds.observe(time.perf_counter() - started)
             ordinal += 1
         return dict(self.stats)

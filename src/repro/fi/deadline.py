@@ -2,9 +2,8 @@
 
 A hung cell — an interpreter bug spinning past ``max_cycles``, a
 worker pipe that never closes, a store that blocks forever — must
-*fail* so the sweep's retry / continue-on-error machinery
-(:mod:`repro.store.sweep`) and the distributed lease protocol
-(:mod:`repro.dist`) can handle it, instead of blocking the whole
+*fail* so the lease protocol (:mod:`repro.dist`, which local sweeps
+drain too) can retry or poison it, instead of blocking the whole
 campaign.  :func:`wall_clock_deadline` is the shared primitive: a
 context manager that raises :class:`CellTimeout` inside the guarded
 block once *seconds* of wall time elapse.

@@ -92,7 +92,9 @@ class CampaignService:
     # -- worker events -> broker + audit -----------------------------------
 
     def _worker_event(self, kind, worker=None, cell_id=None,
-                      spec_digest=None, **fields):
+                      spec_digest=None, outcome=None, **fields):
+        # *outcome* (a CellOutcome) is for in-process observers; the
+        # service's events and audit rows stay JSON fields.
         if spec_digest is not None:
             self.broker.publish(spec_digest, kind, worker=worker,
                                 cell_id=cell_id, **fields)

@@ -1,14 +1,10 @@
 """Dependency-free asyncio HTTP/1.1 server and router.
 
-The service mirrors the repo's optional-NumPy pattern at the web
-layer: production deployments may front the app with any ASGI server
-they already run (:func:`asgi_app` is a plain ASGI callable with zero
-imports beyond the stdlib), while the built-in :func:`serve` speaks
-just enough HTTP/1.1 — one request per connection, ``Connection:
-close`` — to run the whole campaign service with no framework
-installed at all.  Both paths funnel through the same
-:class:`Dispatcher`, so auth, routing, metrics and error shaping are
-identical whichever transport carries the bytes.
+The built-in :func:`serve` speaks just enough HTTP/1.1 — one request
+per connection, ``Connection: close`` — to run the whole campaign
+service with no framework installed at all.  Requests funnel through
+one :class:`Dispatcher`, which owns auth, routing, metrics and error
+shaping.
 
 Server-sent events: a handler may return an :class:`EventStream`
 instead of a :class:`Response`; its async generator yields
@@ -305,52 +301,3 @@ async def serve(dispatcher, host, port):
         connection_handler(dispatcher), host, port,
         limit=MAX_HEAD)
 
-
-def asgi_app(dispatcher):
-    """*dispatcher* as an ASGI 3 application.
-
-    Lets the same service run under uvicorn/hypercorn/daphne when one
-    is installed, without this module importing any of them.
-    """
-
-    async def app(scope, receive, send):
-        if scope["type"] != "http":
-            raise RuntimeError(
-                "unsupported ASGI scope: %s" % scope["type"])
-        headers = {name.decode("latin-1").lower():
-                   value.decode("latin-1")
-                   for name, value in scope.get("headers", [])}
-        body = b""
-        while True:
-            message = await receive()
-            body += message.get("body", b"")
-            if not message.get("more_body"):
-                break
-        if len(body) > MAX_BODY:
-            result = Response.json(
-                {"error": "request body too large"}, 413)
-        else:
-            request = Request(
-                scope["method"], scope["path"], headers, body,
-                _parse_query(
-                    scope.get("query_string", b"").decode("latin-1")))
-            result = await dispatcher.dispatch(request)
-        if isinstance(result, EventStream):
-            await send({"type": "http.response.start",
-                        "status": result.status,
-                        "headers": [(b"content-type",
-                                     b"text/event-stream")]})
-            async for event, payload in result.events:
-                await send({"type": "http.response.body",
-                            "body": _sse_chunk(event, payload),
-                            "more_body": True})
-            await send({"type": "http.response.body", "body": b""})
-            return
-        await send({"type": "http.response.start",
-                    "status": result.status,
-                    "headers": [(b"content-type",
-                                 result.content_type.encode())]})
-        await send({"type": "http.response.body",
-                    "body": result.body})
-
-    return app

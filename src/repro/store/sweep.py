@@ -4,11 +4,16 @@ Expands a :class:`repro.store.spec.SweepSpec` into cells
 (kernel × fault model × protection policy × budget × core), computes
 each cell's content address, returns archived results for hits and
 shards the misses across processes through the campaign engine
-(:class:`repro.store.runner.CachingRunner`).  Because every finished
-cell is committed to the store individually, an interrupted sweep
-resumes for free: re-running the same spec against the same store
-re-executes only the missing cells, and a fully warm store re-runs
-zero (``SweepReport.simulator_runs == 0``).
+(:class:`repro.store.runner.CachingRunner`).  A local sweep is the
+one-worker case of :mod:`repro.dist`: the grid is enqueued into an
+in-memory lease queue and drained by one
+:class:`repro.dist.worker.DistWorker`, so ``repro sweep``,
+``repro dist work`` and ``repro serve`` execute, retry and fail cells
+the same way.  Because every finished cell is committed to the store
+individually, an interrupted sweep resumes for free: re-running the
+same spec against the same store re-executes only the missing cells,
+and a fully warm store re-runs zero
+(``SweepReport.simulator_runs == 0``).
 
 Kernels are either names from the evaluation-benchmark registry
 (:mod:`repro.bench.programs`) or paths to ``.mc``/``.ir`` files, so
@@ -26,21 +31,17 @@ from repro.fi.campaign import (iter_plan_bec, iter_plan_exhaustive,
 # Bound for callers that patch this module's planner name
 # (perfbench/layers.py); cells plan through the iterators above.
 from repro.fi.campaign import plan_bec  # noqa: F401
-from repro.fi.deadline import wall_clock_deadline
 from repro.fi.machine import Machine
 from repro.store.runner import CachingRunner
 
-#: One finished (or cache-hit, or — with ``continue_on_error`` —
-#: permanently failed) grid cell.  ``error`` is ``None`` on success
-#: and a ``"ExcType: message"`` string when every attempt failed.
+#: One finished (or cache-hit, or poisoned) grid cell.  ``error`` is
+#: ``None`` on success and the poisoned queue row's
+#: ``"ExcType: message"`` when every lease attempt failed.
 CellOutcome = namedtuple(
     "CellOutcome",
     ["cell", "key", "cached", "plan_runs", "pruned_runs", "effects",
      "distinct_traces", "archived_bytes", "wall_time", "golden_cycles",
      "overhead", "error"], defaults=(None,))
-
-#: Base seconds between cell re-attempts (doubles per retry).
-CELL_RETRY_BACKOFF = 0.05
 
 #: Mode -> lazy planner over a cell's (function, golden, bec).
 _PLANNERS = {
@@ -82,31 +83,25 @@ def _load_kernel(ref):
 class SweepRunner:
     """Executes one spec against one store.
 
-    Cell failures are governed by a retry policy: each failing cell is
-    re-attempted up to *max_retries* times (default: the spec's
-    ``engine.max_retries``, itself defaulting to 0) with exponential
-    backoff.  When a cell exhausts its attempts, the default is to
-    re-raise (one bad cell aborts the sweep, preserving historical
-    behavior); with ``continue_on_error=True`` the sweep records the
-    failure as a :class:`CellOutcome` carrying ``error`` and keeps
-    going, so one poisoned cell cannot sink a nightly grid.
+    Cell failures follow the lease queue's model: a failing cell is
+    re-leased at once, up to *max_retries* more times (default: the
+    spec's ``engine.max_retries``, itself defaulting to 0), and is then
+    poisoned.  A poisoned cell is reported as a :class:`CellOutcome`
+    carrying ``error`` while the sweep finishes the rest, so one bad
+    cell cannot sink a nightly grid.
 
-    Each cell additionally runs under a wall-clock deadline
-    (*max_wall_seconds*, default the spec's ``engine.max_wall_seconds``)
-    so a hung cell *fails* — into the same retry / continue-on-error
-    machinery — instead of blocking the sweep forever.
+    Each attempt runs under a wall-clock deadline (*max_wall_seconds*,
+    default the spec's ``engine.max_wall_seconds``), so a hung cell
+    *fails* like any other instead of blocking the sweep forever.
     """
 
     def __init__(self, spec, store, workers=None, force=False,
-                 max_retries=None, retry_backoff=CELL_RETRY_BACKOFF,
-                 continue_on_error=False, max_wall_seconds=None):
+                 max_retries=None, max_wall_seconds=None):
         self.spec = spec
         self.store = store
         self.workers = spec.workers if workers is None else workers
         self.max_retries = spec.max_retries if max_retries is None \
             else max_retries
-        self.retry_backoff = retry_backoff
-        self.continue_on_error = continue_on_error
         self.max_wall_seconds = getattr(spec, "max_wall_seconds", None) \
             if max_wall_seconds is None else max_wall_seconds
         self.runner = CachingRunner(store, force=force)
@@ -163,10 +158,7 @@ class SweepRunner:
 
     def cell_setup(self, cell):
         """Everything a cell needs before execution: the (possibly
-        hardened) machine, the fault plan, and the variant dict.  The
-        shared entry point for local execution (:meth:`run_cell`) and
-        distributed workers (:mod:`repro.dist.worker`), so both paths
-        execute byte-identical campaigns."""
+        hardened) machine, the fault plan, and the variant dict."""
         variant = self._variant(cell.kernel, cell.harden, cell.budget)
         plan = self._plan(cell, variant)
         machine = Machine(variant["function"],
@@ -174,7 +166,14 @@ class SweepRunner:
                           core=cell.core)
         return machine, plan, variant
 
-    def run_cell(self, cell, progress=None):
+    def run_cell(self, cell, sink, progress=None):
+        """Execute one cell, or fetch it from the store, and return its
+        ``(CampaignResult, CellOutcome)``.
+
+        The one engine call every sweep cell makes, local or not.  The
+        store-writer sink is suppressed: *sink* (the queue worker's
+        chunk capture) receives the chunk stream, and the worker
+        archives it through a signed envelope."""
         machine, plan, variant = self.cell_setup(cell)
         result = self.runner.run(
             machine, plan, regs=variant["regs"],
@@ -182,13 +181,13 @@ class SweepRunner:
             checkpoint_interval=self.spec.checkpoint_interval or None,
             prune=self.spec.prune, batch_lanes=self.spec.batch_lanes,
             harden=cell.harden, budget=cell.budget, progress=progress,
-            chunk_size=self.spec.chunk_size)
+            chunk_size=self.spec.chunk_size, sink=sink, commit=False)
         overhead = None
         if cell.harden != "none":
             base = self._variant(cell.kernel, "none", None)["golden"]
             if base.cycles:
                 overhead = variant["golden"].cycles / base.cycles - 1
-        return CellOutcome(
+        outcome = CellOutcome(
             cell=cell, key=self.runner.last_key,
             cached=result.cached, plan_runs=len(plan),
             pruned_runs=result.pruned_runs,
@@ -197,75 +196,62 @@ class SweepRunner:
             archived_bytes=result.archived_bytes,
             wall_time=result.wall_time,
             golden_cycles=variant["golden"].cycles, overhead=overhead)
-
-    def _execute_cell(self, cell, progress=None):
-        """:meth:`run_cell` under the retry policy.
-
-        Exhausted attempts re-raise, or — under ``continue_on_error``
-        — yield a failed :class:`CellOutcome` (``error`` set, zeroed
-        counters) so the sweep records exactly which cell died and
-        why."""
-        attempt = 0
-        while True:
-            try:
-                with wall_clock_deadline(
-                        self.max_wall_seconds,
-                        what=f"cell {cell.kernel}/{cell.mode}/"
-                             f"{cell.harden}/{cell.core}"):
-                    return self.run_cell(cell, progress=progress)
-            except Exception as exc:
-                if attempt >= self.max_retries:
-                    obs.logger().error(
-                        "sweep.cell_failed", kernel=cell.kernel,
-                        mode=cell.mode, harden=cell.harden,
-                        core=cell.core, attempts=attempt + 1,
-                        error=f"{type(exc).__name__}: {exc}")
-                    if not self.continue_on_error:
-                        raise
-                    return CellOutcome(
-                        cell=cell, key=None, cached=False, plan_runs=0,
-                        pruned_runs=0, effects={}, distinct_traces=0,
-                        archived_bytes=0, wall_time=0.0,
-                        golden_cycles=None, overhead=None,
-                        error=f"{type(exc).__name__}: {exc}")
-                attempt += 1
-                time.sleep(self.retry_backoff * (1 << (attempt - 1)))
+        return result, outcome
 
     def run(self, progress=None, run_progress=None):
-        """Execute every cell.  ``progress(done, total, outcome)`` fires
-        per finished cell; ``run_progress(cell, done, total)`` streams
-        run-level advancement *within* each executing cell (wired to
-        the engine's :class:`repro.fi.sink.ProgressSink`, so cache hits
-        and pruned runs report too)."""
+        """Execute every cell: enqueue the grid into an in-memory
+        :class:`repro.dist.queue.WorkQueue` and drain it with one
+        :class:`repro.dist.worker.DistWorker` that shares this runner
+        (its caches, ``force`` and hit/miss/run counters).
+
+        ``progress(done, total, outcome)`` fires per finished or
+        poisoned cell, in spec order; ``run_progress(cell, done,
+        total)`` streams run-level advancement *within* each executing
+        cell (the worker's heartbeat, fed by the engine's
+        :class:`repro.fi.sink.ProgressSink`).  Both are delivered as
+        worker events, which must never sink a cell, so an exception
+        either callback raises is ignored: the cell and the sweep carry
+        on and the report is complete."""
+        from repro.dist.queue import WorkQueue, cell_id, spec_digest
+        from repro.dist.worker import DistWorker
+
         start = time.perf_counter()
         registry = obs.metrics()
         mark = registry.mark()
         cells = self.spec.cells()
-        outcomes = []
-        with obs.tracer().span("sweep", spec=self.spec.name,
-                               cells=len(cells)):
-            for index, cell in enumerate(cells):
-                cell_progress = None
+        digest = spec_digest(self.spec)
+        by_id = {cell_id(digest, cell): cell for cell in cells}
+        finished = {}        # cell id -> CellOutcome
+
+        def on_event(kind, cell_id=None, done=None, total=None,
+                     state=None, error=None, outcome=None, **_fields):
+            cell = by_id[cell_id]
+            if kind == "cell_progress":
                 if run_progress is not None:
-                    def cell_progress(done, total, _cell=cell):
-                        run_progress(_cell, done, total)
-                with obs.tracer().span(
-                        "sweep.cell", kernel=cell.kernel,
-                        mode=cell.mode, harden=cell.harden,
-                        core=cell.core) as span:
-                    outcome = self._execute_cell(
-                        cell, progress=cell_progress)
-                    status = ("failed" if outcome.error is not None
-                              else "hit" if outcome.cached else "run")
-                    span.set("status", status)
-                registry.counter("sweep.cells", status=status).inc()
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(index + 1, len(cells), outcome)
+                    run_progress(cell, done, total)
+                return
+            if kind == "cell_failed" and state == "poisoned":
+                outcome = CellOutcome(
+                    cell=cell, key=None, cached=False, plan_runs=0,
+                    pruned_runs=0, effects={}, distinct_traces=0,
+                    archived_bytes=0, wall_time=0.0, golden_cycles=None,
+                    overhead=None, error=error)
+            elif kind != "cell_done":
+                return
+            finished[cell_id] = outcome
+            if progress is not None:
+                progress(len(finished), len(cells), outcome)
+
+        with WorkQueue(":memory:") as queue, obs.tracer().span(
+                "sweep", spec=self.spec.name, cells=len(cells)):
+            queue.enqueue(self.spec, max_attempts=self.max_retries + 1)
+            worker = DistWorker(queue, self.store, events=on_event)
+            worker.runners[digest] = self
+            worker.run()
         return SweepReport(
             spec_name=self.spec.name, store_path=self.store.path,
-            outcomes=outcomes, hits=self.runner.hits,
-            misses=self.runner.misses,
+            outcomes=[finished[identity] for identity in by_id],
+            hits=self.runner.hits, misses=self.runner.misses,
             simulator_runs=self.runner.simulator_runs,
             wall_time=time.perf_counter() - start,
             store_stats=self.store.stats(),
@@ -273,12 +259,10 @@ class SweepRunner:
 
 
 def run_sweep(spec, store, workers=None, force=False, progress=None,
-              run_progress=None, max_retries=None,
-              continue_on_error=False, max_wall_seconds=None):
+              run_progress=None, max_retries=None, max_wall_seconds=None):
     """Expand *spec*, execute/skip every cell, return the report."""
     return SweepRunner(spec, store, workers=workers, force=force,
                        max_retries=max_retries,
-                       continue_on_error=continue_on_error,
                        max_wall_seconds=max_wall_seconds).run(
                            progress=progress, run_progress=run_progress)
 

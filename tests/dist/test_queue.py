@@ -76,6 +76,19 @@ class TestLeasing:
         assert first.cell_id != second.cell_id
         assert queue.claim("w2") is None    # nothing left to claim
 
+    def test_claims_follow_spec_order(self, queue):
+        """One spec's cells share an ``enqueued_at``; ties break by
+        insertion order, not by cell-id hash."""
+        spec = make_spec(kernels=("bitcount", "CRC32", "AES"))
+        cells = spec.cells()
+        digest = spec_digest(spec)
+        assert sorted(cells, key=lambda cell: cell_id(digest, cell)) \
+            != cells
+        queue.enqueue(spec)
+        claimed = [queue.claim("w0").cell for _ in cells]
+        assert claimed == cells
+        assert [row["cell"] for row in queue.cells()] == cells
+
     def test_renew_extends_only_the_held_lease(self, queue):
         queue.enqueue(make_spec())
         lease = queue.claim("w0", lease_seconds=1)

@@ -1,4 +1,4 @@
-"""The dependency-free HTTP layer: router, dispatcher, ASGI adapter."""
+"""The dependency-free HTTP layer: router and dispatcher."""
 
 import asyncio
 import json
@@ -7,7 +7,7 @@ import pytest
 
 from repro.service.auth import Authenticator
 from repro.service.httpd import (Dispatcher, HTTPError, Request,
-                                 Response, Router, asgi_app)
+                                 Response, Router)
 
 
 def run(coroutine):
@@ -124,41 +124,3 @@ class TestDispatcher:
         assert result.status == 404
         assert "error" in json.loads(result.body)
 
-
-class TestASGIAdapter:
-    """The optional-framework path: the same dispatcher as a plain
-    ASGI callable, driven with fake receive/send — no server, no
-    framework installed."""
-
-    def call(self, dispatcher, method="GET", path="/open",
-             headers=(), body=b""):
-        app = asgi_app(dispatcher)
-        sent = []
-
-        async def receive():
-            return {"type": "http.request", "body": body,
-                    "more_body": False}
-
-        async def send(message):
-            sent.append(message)
-
-        scope = {"type": "http", "method": method, "path": path,
-                 "headers": [(name.encode(), value.encode())
-                             for name, value in headers],
-                 "query_string": b""}
-        run(app(scope, receive, send))
-        return sent
-
-    def test_open_route(self):
-        sent = self.call(make_dispatcher())
-        assert sent[0]["status"] == 200
-        assert json.loads(sent[1]["body"]) == {"ok": True}
-
-    def test_401_without_key(self):
-        sent = self.call(make_dispatcher(), path="/locked")
-        assert sent[0]["status"] == 401
-
-    def test_bearer_header_authenticates(self):
-        sent = self.call(make_dispatcher(), path="/locked",
-                         headers=[("Authorization", "Bearer k1")])
-        assert sent[0]["status"] == 200

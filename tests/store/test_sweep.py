@@ -222,6 +222,20 @@ class TestSweep:
                   seen.append((done, total, outcome.cell.mode)))
         assert seen == [(1, 2, "bec"), (2, 2, "ior")]
 
+    def test_callback_errors_are_ignored(self, tiny_ir, store):
+        """Callbacks are worker events: a raising one neither fails a
+        cell nor stops the sweep."""
+        def broken(*_args):
+            raise RuntimeError("broken callback")
+
+        spec = spec_for([tiny_ir], modes=["bec", "ior"], max_runs=40)
+        report = run_sweep(spec, store, progress=broken,
+                           run_progress=broken)
+        assert report.cells_run == 2
+        assert report.cells_failed == 0
+        assert [outcome.cell.mode for outcome in report.outcomes] \
+            == ["bec", "ior"]
+
     def test_registry_kernel(self, store):
         spec = spec_for(["bitcount"], max_runs=20)
         report = run_sweep(spec, store)
@@ -245,22 +259,26 @@ class TestSweep:
         assert warm.simulator_runs == 0
 
     def test_mc_kernel_missing_args_fails_loudly(self, tmp_path, store):
+        """A cell that cannot load is a failed outcome, not a crash."""
         path = tmp_path / "needs.mc"
         path.write_text("int main(int n) { return n; }")
         spec = spec_for([str(path)], max_runs=10)
-        with pytest.raises(ValueError):
-            run_sweep(spec, store)
+        report = run_sweep(spec, store)
+        assert report.cells_failed == 1
+        assert report.outcomes[0].error.startswith("ValueError: ")
 
-    def test_unknown_registry_kernel_raises(self, store):
+    def test_unknown_registry_kernel_fails_its_cell(self, store):
         spec = spec_for(["not-a-kernel"], max_runs=10)
-        with pytest.raises(KeyError):
-            run_sweep(spec, store)
+        report = run_sweep(spec, store)
+        (failed,) = report.failed
+        assert failed.error.startswith("KeyError: ")
+        assert failed.key is None
 
 
 class TestSweepResilience:
-    """Cell-level retries and continue-on-error: a flaky cell is
-    re-attempted, a hopeless one is reported (not fatal) when the
-    caller opts in, and the reports carry the failures."""
+    """A sweep is a one-worker drain of the lease queue: a retry is a
+    lease attempt, and a cell whose attempts run out is poisoned and
+    reported (``outcome.error``) while the rest of the grid finishes."""
 
     def test_spec_parses_max_retries(self):
         spec = parse_spec({"grid": {"kernels": ["bitcount"]},
@@ -273,46 +291,58 @@ class TestSweepResilience:
                         "engine": {"max_retries": -1}})
 
     def test_flaky_cell_is_retried(self, tiny_ir, store, monkeypatch):
+        """The first attempt fails; lease attempt 2 succeeds."""
         from repro.store.sweep import SweepRunner
 
         spec = spec_for([tiny_ir], max_runs=40)
         original = SweepRunner.run_cell
         calls = []
 
-        def flaky(self, cell, progress=None):
+        def flaky(self, cell, **kwargs):
             calls.append(cell.kernel)
             if len(calls) == 1:
                 raise RuntimeError("transient (chaos)")
-            return original(self, cell, progress=progress)
+            return original(self, cell, **kwargs)
 
         monkeypatch.setattr(SweepRunner, "run_cell", flaky)
         report = run_sweep(spec, store, max_retries=2)
         assert len(calls) == 2
+        assert report.metrics["dist.lease_reclaims"] == 1
         assert report.cells_failed == 0
         assert report.cells_run == 1
         assert report.outcomes[0].error is None
 
-    def test_exhausted_retries_raise_by_default(self, store):
-        spec = spec_for(["not-a-kernel"], max_runs=10)
-        with pytest.raises(KeyError):
-            run_sweep(spec, store, max_retries=1)
+    def test_exhausted_retries_poison_the_cell(self, tiny_ir, store,
+                                               monkeypatch):
+        from repro.store.sweep import SweepRunner
 
-    def test_continue_on_error_reports_failed_cells(self, tiny_ir,
-                                                    store):
+        calls = []
+
+        def broken(self, cell, **kwargs):
+            calls.append(cell.kernel)
+            raise RuntimeError(f"attempt {len(calls)} failed")
+
+        monkeypatch.setattr(SweepRunner, "run_cell", broken)
+        report = run_sweep(spec_for([tiny_ir], max_runs=40), store,
+                           max_retries=1)
+        assert len(calls) == 2
+        assert report.metrics["dist.poisoned"] == 1
+        (failed,) = report.failed
+        assert failed.error == "RuntimeError: attempt 2 failed"
+
+    def test_failed_cell_does_not_sink_the_sweep(self, tiny_ir, store):
         spec = spec_for(["not-a-kernel", tiny_ir], max_runs=40)
-        report = run_sweep(spec, store, continue_on_error=True)
+        report = run_sweep(spec, store)
         assert report.cells_failed == 1
         assert report.cells_run == 1
         failed, good = report.outcomes
-        assert failed.error is not None
         assert "KeyError" in failed.error
-        assert failed.key is None
         assert good.error is None
         assert good.effects
 
     def test_failed_cells_in_reports(self, tiny_ir, store):
         spec = spec_for(["not-a-kernel", tiny_ir], max_runs=40)
-        report = run_sweep(spec, store, continue_on_error=True)
+        report = run_sweep(spec, store)
         data = report.to_json()
         json.dumps(data)
         assert data["totals"]["cells_failed"] == 1
@@ -327,8 +357,8 @@ class TestSweepResilience:
         """A failure archives nothing, so a later sweep re-attempts
         exactly the failed cell."""
         spec = spec_for(["not-a-kernel", tiny_ir], max_runs=40)
-        run_sweep(spec, store, continue_on_error=True)
-        again = run_sweep(spec, store, continue_on_error=True)
+        run_sweep(spec, store)
+        again = run_sweep(spec, store)
         assert again.cells_failed == 1
         assert again.cells_cached == 1
 
@@ -370,13 +400,12 @@ class TestCellDeadline:
         if not deadline_supported():
             pytest.skip("no SIGALRM on this platform")
 
-        def hang(self, cell, progress=None):
+        def hang(self, cell, **kwargs):
             time_module.sleep(30.0)
 
         monkeypatch.setattr(SweepRunner, "run_cell", hang)
         spec = spec_for([tiny_ir], max_runs=10)
-        report = run_sweep(spec, store, continue_on_error=True,
-                           max_wall_seconds=0.2)
+        report = run_sweep(spec, store, max_wall_seconds=0.2)
         assert report.cells_failed == 1
         assert "CellTimeout" in report.outcomes[0].error
 
