@@ -4,8 +4,8 @@ predecessors, across the six evaluation kernels and two plan families.
 Four engine generations are timed on identical plans, with identical
 aggregates asserted on every row:
 
-* ``serial``        — ``run_campaign`` on the threaded core, from
-                      cycle 0, no knobs (the PR 2 state);
+* ``serial``        — ``CampaignEngine.run()`` on the threaded core,
+                      from cycle 0, no knobs;
 * ``engine``        — threaded core + checkpoint/resume + golden
                       reconvergence splicing, serial (the PR 1+2
                       engine — the comparison baseline);
@@ -49,8 +49,8 @@ import tracemalloc
 from repro import obs
 from repro.bec.analysis import run_bec
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import plan_bec, plan_exhaustive, run_campaign
-from repro.fi.engine import CampaignEngine
+from repro.fi.campaign import plan_bec, plan_exhaustive
+from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
 
 #: The evaluation kernels (paper §VI, presentation order).
@@ -95,11 +95,6 @@ def sliced(plan, target):
     return plan[::stride]
 
 
-def interval_for(golden):
-    """Checkpoint every ~1/32nd of the trace (the README default)."""
-    return max(1, golden.cycles // 32)
-
-
 def timed(thunk):
     start = time.perf_counter()
     result = thunk()
@@ -126,11 +121,10 @@ def bench_row(name, family, mode):
     if name == "RSA":
         target *= RSA_SCALE
     plan = sliced(full_plan, target)
-    interval = interval_for(golden)
+    interval = auto_checkpoint_interval(golden)
 
-    base, serial_s = timed(lambda: run_campaign(
-        threaded, plan, regs=regs, golden=golden))
     engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
+    base, serial_s = timed(engine.run)
     engined, engine_s = timed(lambda: engine.run(
         checkpoint_interval=interval))
     vector = CampaignEngine(batched, plan, regs=regs, golden=golden)
@@ -184,7 +178,7 @@ def obs_overhead_smoke(name="bitcount", repeats=5):
     function, threaded, _, regs, golden = prepare(name)
     plan = sliced(plan_exhaustive(function, golden),
                   TARGET_RUNS[("exhaustive", "smoke")])
-    interval = interval_for(golden)
+    interval = auto_checkpoint_interval(golden)
     engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
     engine.run(checkpoint_interval=interval)        # warm-up
     tracer = obs.tracer()

@@ -5,8 +5,8 @@ ways on the ``motivating``, ``CRC32`` and ``bitcount`` programs:
 
 * ``reference``    — the retained reference interpreter, serial, from
                      cycle 0 (the pre-engine, pre-threaded-core state);
-* ``serial``       — the legacy ``run_campaign`` path on the threaded
-                     core (from cycle 0, one process);
+* ``serial``       — ``CampaignEngine.run()`` with no knobs on the
+                     threaded core (from cycle 0, one process);
 * ``checkpointed`` — snapshot/resume only (one process);
 * ``parallel``     — ``workers=4`` only;
 * ``combined``     — both knobs.
@@ -29,8 +29,8 @@ Run it (prints a table and the speedup factors)::
 import time
 
 from repro.bench.motivating import count_years
-from repro.fi.campaign import plan_exhaustive, run_campaign
-from repro.fi.engine import CampaignEngine
+from repro.fi.campaign import plan_exhaustive
+from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
 
 def reference_machine(machine):
@@ -66,28 +66,22 @@ def prepare(name):
     return machine, regs, golden, plan
 
 
-def interval_for(golden):
-    """Checkpoint every ~1/32nd of the trace: 32 snapshots bound the
-    memory cost while keeping the average resumed tail short."""
-    return max(1, golden.cycles // 32)
-
-
 MODES = ("reference", "serial", "checkpointed", "parallel", "combined")
 
 
 def execute(mode, machine, regs, golden, plan):
     if mode == "reference":
-        return run_campaign(reference_machine(machine), plan, regs=regs,
-                            golden=golden)
-    if mode == "serial":
-        return run_campaign(machine, plan, regs=regs, golden=golden)
+        machine = reference_machine(machine)
     engine = CampaignEngine(machine, plan, regs=regs, golden=golden)
+    if mode in ("reference", "serial"):
+        return engine.run()
     if mode == "checkpointed":
-        return engine.run(checkpoint_interval=interval_for(golden))
+        return engine.run(
+            checkpoint_interval=auto_checkpoint_interval(golden))
     if mode == "parallel":
         return engine.run(workers=WORKERS)
     return engine.run(workers=WORKERS,
-                      checkpoint_interval=interval_for(golden))
+                      checkpoint_interval=auto_checkpoint_interval(golden))
 
 
 # -- standalone report --------------------------------------------------------

@@ -33,8 +33,8 @@ import math
 import time
 
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import plan_exhaustive, run_campaign
-from repro.fi.engine import CampaignEngine
+from repro.fi.campaign import plan_exhaustive
+from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
 
 #: The single-run subjects (paper §VI kernels, presentation order).
@@ -111,10 +111,11 @@ def bench_campaign(mode):
     full = plan_exhaustive(fast.function, golden)
     stride = max(1, len(full) // CAMPAIGN_RUNS[mode])
     plan = full[::stride]
-    interval = max(1, golden.cycles // 32)
+    interval = auto_checkpoint_interval(golden)
 
     start = time.perf_counter()
-    base = run_campaign(reference, plan, regs=regs, golden=golden)
+    base = CampaignEngine(reference, plan, regs=regs,
+                          golden=golden).run()
     baseline_s = time.perf_counter() - start
 
     engine = CampaignEngine(fast, plan, regs=regs, golden=golden)

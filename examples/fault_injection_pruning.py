@@ -13,8 +13,8 @@ Run with::
 
 from repro.bench.programs import compile_benchmark, get_benchmark
 from repro.bec import run_bec
-from repro.fi import (Machine, fault_injection_accounting, plan_bec,
-                      plan_inject_on_read, run_campaign)
+from repro.fi import (CampaignEngine, Machine, fault_injection_accounting,
+                      plan_bec, plan_inject_on_read)
 
 #: How many planned runs of each campaign to actually execute here
 #: (the full campaigns take minutes; the accounting covers them all).
@@ -47,10 +47,10 @@ def main():
     regs = program.initial_regs(*spec.args)
 
     print(f"Executing the first {EXECUTED_SLICE} runs of each plan...")
-    value_result = run_campaign(machine, value_plan[:EXECUTED_SLICE],
-                                regs=regs, golden=golden)
-    bit_result = run_campaign(machine, bit_plan[:EXECUTED_SLICE],
-                              regs=regs, golden=golden)
+    value_result = CampaignEngine(machine, value_plan[:EXECUTED_SLICE],
+                                  regs=regs, golden=golden).run()
+    bit_result = CampaignEngine(machine, bit_plan[:EXECUTED_SLICE],
+                                regs=regs, golden=golden).run()
     print(f"  value-level slice: {value_result.effect_counts()} "
           f"in {value_result.wall_time:.2f}s")
     print(f"  bit-level slice  : {bit_result.effect_counts()} "

@@ -14,9 +14,9 @@ Run with::
 """
 
 from repro.bec import run_bec
-from repro.fi import (Machine, MemoryInjection, memory_fault_accounting,
-                      plan_memory_bec, plan_memory_inject_on_read,
-                      run_memory_campaign)
+from repro.fi import (CampaignEngine, Machine, MemoryInjection,
+                      memory_fault_accounting, plan_memory_bec,
+                      plan_memory_inject_on_read)
 from repro.minic.compiler import compile_source
 
 #: A parity-of-table-entries kernel: each table entry is read, reduced
@@ -58,10 +58,10 @@ def main():
     #    vulnerabilities as the full sweep.
     full_plan = plan_memory_inject_on_read(program.function, golden)
     pruned_plan = plan_memory_bec(program.function, golden, bec)
-    full = run_memory_campaign(machine, full_plan, regs=regs,
-                               golden=golden)
-    pruned = run_memory_campaign(machine, pruned_plan, regs=regs,
-                                 golden=golden)
+    full = CampaignEngine(machine, full_plan, regs=regs,
+                          golden=golden).run()
+    pruned = CampaignEngine(machine, pruned_plan, regs=regs,
+                            golden=golden).run()
     print(f"full campaign:   {len(full_plan):4d} runs, "
           f"{full.vulnerable_runs():4d} vulnerable")
     print(f"pruned campaign: {len(pruned_plan):4d} runs, "

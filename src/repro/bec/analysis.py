@@ -63,10 +63,6 @@ class BECAnalysis:
 
     # -- summaries -------------------------------------------------------------------
 
-    def masked_site_count(self):
-        """Total statically masked window-bit sites."""
-        return len(self.coalescing.masked_sites())
-
     def summary(self):
         """Aggregate static statistics as a dict (stable keys)."""
         width = self.function.bit_width

@@ -96,9 +96,3 @@ class FaultSpace:
             for reg in regs:
                 if reg in live_after:
                     yield pp, reg
-
-    def window_regs(self, pp):
-        return self._window_regs[pp]
-
-    def is_live_window(self, pp, reg):
-        return reg in self.liveness.live_after(pp)

@@ -48,10 +48,6 @@ BENCHMARK_ORDER = ("bitcount", "dijkstra", "CRC32", "adpcm_enc",
 _compiled_cache = {}
 
 
-def benchmark_names():
-    return list(BENCHMARK_ORDER)
-
-
 def get_benchmark(name):
     try:
         return BENCHMARKS[name]

@@ -63,11 +63,11 @@ from repro.bec.analysis import run_bec
 from repro.bec.intra import RuleSet
 from repro.fi.accounting import fault_injection_accounting
 from repro.fi.campaign import (plan_bec, plan_exhaustive,
-                               plan_inject_on_read, run_campaign)
+                               plan_inject_on_read)
+from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
-                             plan_memory_inject_on_read,
-                             run_memory_campaign)
+                             plan_memory_inject_on_read)
 from repro.fi.sampling import estimate_avf
 from repro.fi.validate import validate_bec
 from repro.ir.parser import parse_function
@@ -237,13 +237,15 @@ def cmd_campaign(options):
                 print(f"store hit: replayed archived aggregates from "
                       f"{options.store}")
         else:
-            result = run_campaign(machine, slice_,
-                                  regs=_initial_regs(program, options.args),
-                                  golden=golden, workers=options.workers,
-                                  checkpoint_interval=options.checkpoint_interval,
-                                  progress=progress, prune=prune,
-                                  batch_lanes=options.batch_lanes,
-                                  chunk_size=options.chunk_size)
+            engine = CampaignEngine(
+                machine, slice_, regs=_initial_regs(program, options.args),
+                golden=golden)
+            result = engine.run(
+                workers=options.workers,
+                checkpoint_interval=options.checkpoint_interval,
+                progress=progress, prune=prune,
+                batch_lanes=options.batch_lanes,
+                chunk_size=options.chunk_size)
         if options.progress and sys.stderr.isatty():
             print(file=sys.stderr)    # terminate the rewritten line
         core_label = options.core
@@ -374,8 +376,8 @@ def cmd_memory(options):
         full = plan_memory_inject_on_read(program.function, golden)
         pruned = plan_memory_bec(program.function, golden, bec)
         regs = _initial_regs(program, options.args)
-        result = run_memory_campaign(machine, pruned, regs=regs,
-                                     golden=golden)
+        result = CampaignEngine(machine, pruned, regs=regs,
+                                golden=golden).run()
         print(f"pruned campaign: {len(pruned)}/{len(full)} runs, "
               f"effects {result.effect_counts()}")
     return 0
@@ -948,12 +950,12 @@ def build_parser():
                                         "batched"),
                      default="threaded",
                      help="execution core; 'batched' classifies all "
-                          "unique sampled sites in one lockstep pass "
-                          "(needs --checkpoint-interval)")
+                          "unique sampled sites in one lockstep pass")
     sub.add_argument("--checkpoint-interval", type=int, default=0,
                      metavar="CYCLES",
                      help="resume sampled runs from golden-run "
-                          "snapshots (0 = off)")
+                          "snapshots (0 = off; the batched core picks "
+                          "an interval itself)")
     add_obs_arguments(sub)
     sub.add_argument("--args", nargs="*", type=lambda v: int(v, 0),
                      default=[])

@@ -27,11 +27,9 @@ and the cell is retried elsewhere.
 
 from repro import obs
 from repro.store.db import chunk_digest
-from repro.store.spec import parse_spec
 
 from repro.dist.envelope import EnvelopeError, ResultEnvelope
 from repro.dist.envelope import payload_digest as derive_payload_digest
-from repro.dist.queue import WorkQueue
 
 
 def enqueue_spec(queue, spec, max_attempts=None):
@@ -131,12 +129,6 @@ def commit_envelope(store, queue, envelope, chunks, secret=None):
             "cell": envelope.cell_id, "cached": envelope.cached}
 
 
-def queue_status(queue):
-    """Progress derived from queue state alone (``repro dist
-    status``)."""
-    return queue.status()
-
-
 def status_payload(queue, spec_digest=None):
     """The one queue-status JSON shape every consumer serves.
 
@@ -158,13 +150,3 @@ def status_payload(queue, spec_digest=None):
 def reap(queue):
     """One explicit maintenance sweep (``repro dist reap``)."""
     return queue.reap()
-
-
-def open_queue(path, chaos=None):
-    """The :class:`WorkQueue` at *path* (convenience for the CLI)."""
-    return WorkQueue(path, chaos=chaos)
-
-
-def spec_from_payload(payload):
-    """Rebuild a spec from a queue payload dict (tests)."""
-    return parse_spec(payload["data"], name=payload["name"])

@@ -5,16 +5,15 @@ from repro.fi.accounting import (BitInstance, fault_injection_accounting,
                                  iter_bit_instances)
 from repro.fi.campaign import (EFFECT_BENIGN, EFFECT_MASKED, EFFECT_SDC,
                                EFFECT_TIMEOUT, EFFECT_TRAP, CampaignResult,
-                               classify_effect, golden_run, plan_bec,
-                               plan_exhaustive, plan_inject_on_read,
-                               run_campaign)
+                               classify_effect, plan_bec, plan_exhaustive,
+                               plan_inject_on_read)
 from repro.fi.chaos import ChaosError, ChaosPolicy
+from repro.fi.engine import CampaignEngine
 from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
                               MemoryInjection)
 from repro.fi.prune import LivenessPruner
 from repro.fi.memory import (iter_memory_bit_reads, memory_fault_accounting,
-                             plan_memory_bec, plan_memory_inject_on_read,
-                             run_memory_campaign)
+                             plan_memory_bec, plan_memory_inject_on_read)
 from repro.fi.sampling import (AVFEstimate, estimate_avf, exhaustive_avf,
                                inject_on_read_population, wilson_interval)
 from repro.fi.trace import Trace
@@ -23,6 +22,7 @@ from repro.fi.validate import ValidationReport, validate_bec
 __all__ = [
     "AVFEstimate",
     "BitInstance",
+    "CampaignEngine",
     "CampaignResult",
     "ChaosError",
     "ChaosPolicy",
@@ -42,7 +42,6 @@ __all__ = [
     "estimate_avf",
     "exhaustive_avf",
     "fault_injection_accounting",
-    "golden_run",
     "inject_on_read_population",
     "iter_bit_instances",
     "iter_memory_bit_reads",
@@ -52,8 +51,6 @@ __all__ = [
     "plan_inject_on_read",
     "plan_memory_bec",
     "plan_memory_inject_on_read",
-    "run_campaign",
-    "run_memory_campaign",
     "validate_bec",
     "wilson_interval",
 ]

@@ -15,15 +15,16 @@ are consumed, so a capped plan (``islice(iter_plan_bec(...), n)``)
 costs only its first *n* runs.  Group ids come from one monotonic
 counter, so the capped prefix equals ``plan_bec(...)[:n]`` exactly.
 
-:func:`run_campaign` executes a plan against the machine and classifies
-each run against the golden trace.
+:class:`repro.fi.engine.CampaignEngine` executes a plan against the
+machine; :func:`classify_effect` sorts each injected run against the
+golden trace, and :class:`CampaignResult` holds the outcome.
 """
 
 from collections import namedtuple
 
 from repro.ir.liveness import compute_liveness
 from repro.fi.accounting import iter_bit_instances
-from repro.fi.machine import Injection, Machine
+from repro.fi.machine import Injection
 from repro.fi.trace import OUTCOME_OK, OUTCOME_TRAP, TRAP_DETECTED
 
 PlannedRun = namedtuple("PlannedRun", ["injection", "pp", "rep", "epoch"])
@@ -221,41 +222,3 @@ def classify_effect(golden, injected):
     if injected.architectural_key() == golden.architectural_key():
         return EFFECT_BENIGN
     return EFFECT_SDC
-
-
-def run_campaign(machine, plan, regs=None, golden=None, max_cycles=None,
-                 workers=1, checkpoint_interval=None, progress=None,
-                 prune=None, batch_lanes=None, sink=None, chunk_size=None,
-                 chaos=None):
-    """Execute every planned run; returns a :class:`CampaignResult`.
-
-    ``machine`` must wrap the same function the plan was made for; the
-    golden trace is recomputed unless supplied.  Thin wrapper over
-    :class:`repro.fi.engine.CampaignEngine` — ``workers``,
-    ``checkpoint_interval``, ``prune`` and (on a ``core="batched"``
-    machine) lockstep vectorization opt into accelerated execution
-    with bit-identical aggregates; ``sink``/``chunk_size`` stream the
-    record chunks to a :class:`repro.fi.sink.RunSink` as they retire;
-    ``chaos`` threads a :class:`repro.fi.chaos.ChaosPolicy` through the
-    pipeline for deterministic self-fault-injection.
-    """
-    from repro.fi.engine import CampaignEngine
-
-    engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
-                            max_cycles=max_cycles)
-    return engine.run(workers=workers,
-                      checkpoint_interval=checkpoint_interval,
-                      progress=progress, prune=prune,
-                      batch_lanes=batch_lanes, sink=sink,
-                      chunk_size=chunk_size, chaos=chaos)
-
-
-def golden_run(function, regs=None, memory_image=None, memory_size=1 << 16,
-               max_cycles=None):
-    """Convenience: build a machine and produce the golden trace."""
-    machine = Machine(function, memory_size=memory_size,
-                      memory_image=memory_image)
-    kwargs = {}
-    if max_cycles is not None:
-        kwargs["max_cycles"] = max_cycles
-    return machine, machine.run(regs=regs, **kwargs)

@@ -1,9 +1,12 @@
 """Checkpointed, parallel, vectorized fault-injection campaign engine.
 
-:func:`repro.fi.campaign.run_campaign` executes every planned injection
-serially and from cycle 0 — O(runs × trace-length) simulator work even
-though every injected run shares the golden prefix up to its injection
-cycle.  This module is the production engine behind it:
+:class:`CampaignEngine` is the one executor every campaign runs on:
+``repro campaign``, ``repro memory``, ``repro sample``, sweep cells,
+Table II validation and the benchmarks.  With no options it executes
+every planned injection serially and from cycle 0 — O(runs ×
+trace-length) simulator work even though every injected run shares the
+golden prefix up to its injection cycle.  The options below accelerate
+it without changing a single record:
 
 * **Checkpointing** (``checkpoint_interval=N``): the golden run is
   re-executed once with :meth:`Machine.run_with_snapshots`; each
@@ -122,8 +125,7 @@ def pick_snapshot(snapshots, cycle):
 def run_injection(machine, injection, regs, snapshots, max_cycles):
     """Execute one injected run, resuming from the deepest usable
     snapshot when there is one (the single resume protocol shared by
-    campaign workers, the sampling estimator and the batched core's
-    escape queue)."""
+    the engine's scalar path and the batched core's escape queue)."""
     snapshot = pick_snapshot(snapshots, injection.cycle)
     if snapshot is not None:
         return machine.run_from(snapshot, injection=injection,
@@ -459,7 +461,7 @@ class CampaignEngine:
     ``CampaignEngine(machine, plan).run(workers=4,
     checkpoint_interval=64)`` returns the same :class:`CampaignResult`
     (modulo ``wall_time``) as the serial, uncheckpointed
-    :func:`repro.fi.campaign.run_campaign`.
+    ``CampaignEngine(machine, plan).run()`` on a threaded machine.
     """
 
     def __init__(self, machine, plan, regs=None, golden=None,

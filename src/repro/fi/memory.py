@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from repro.ir.instructions import Opcode
 from repro.ir.registers import ZERO
-from repro.fi.campaign import PlannedRun, run_campaign
+from repro.fi.campaign import PlannedRun
 from repro.fi.machine import MemoryInjection
 
 #: One dynamic observation of a memory bit by a load.
@@ -199,10 +199,3 @@ def plan_memory_bec(function, trace, bec):
                                        None, None))
     return plan
 
-
-def run_memory_campaign(machine, plan, regs=None, golden=None,
-                        max_cycles=None):
-    """Execute a memory fault-injection plan (delegates to
-    :func:`repro.fi.campaign.run_campaign`)."""
-    return run_campaign(machine, plan, regs=regs, golden=golden,
-                        max_cycles=max_cycles)

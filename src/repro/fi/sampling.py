@@ -20,6 +20,8 @@ universe):
   sampling while performing a fraction of the simulator runs.
 
 The ground truth for tests and benches is :func:`exhaustive_avf`.
+Both estimators and the ground truth execute their simulator runs as
+one :class:`repro.fi.engine.CampaignEngine` campaign each.
 """
 
 import math
@@ -29,8 +31,9 @@ from collections import namedtuple
 from repro import obs
 from repro.ir.liveness import compute_liveness
 from repro.fi.accounting import iter_bit_instances
-from repro.fi.campaign import (EFFECT_MASKED, classify_effect,
-                               plan_inject_on_read, run_campaign)
+from repro.fi.campaign import (EFFECT_MASKED, PlannedRun,
+                               plan_inject_on_read)
+from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection
 
 AVFEstimate = namedtuple(
@@ -144,33 +147,6 @@ def inject_on_read_population(function, trace, bec=None, liveness=None):
 # -- estimators ----------------------------------------------------------------
 
 
-def _batched_outcome_cache(machine, sampled, regs, golden, snapshots,
-                           max_cycles):
-    """Classify every unique sampled site in one lockstep pass
-    (:mod:`repro.fi.batch`) and return the ``key -> vulnerable`` cache
-    the sequential estimator loop would have built — same outcomes,
-    same number of simulator runs, a fraction of the wall clock.
-    Returns ``None`` when the setup is not batchable."""
-    from repro.fi import batch
-    from repro.fi.campaign import PlannedRun
-
-    if not (batch.numpy_available()
-            and batch.batchable(machine, golden, snapshots or [],
-                                max_cycles)):
-        return None
-    unique = {}
-    for site in sampled:
-        if not site.masked and site.key not in unique:
-            unique[site.key] = site.injection
-    plan = [PlannedRun(injection, None, None, None)
-            for injection in unique.values()]
-    classifier = batch.BatchClassifier(machine, plan, regs, golden,
-                                       snapshots, max_cycles)
-    records = classifier.classify_indices(range(len(plan)))
-    return {key: effect != EFFECT_MASKED
-            for key, (effect, _, _) in zip(unique, records)}
-
-
 def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
                  bec=None, golden=None, confidence=0.95,
                  checkpoint_interval=None):
@@ -180,53 +156,35 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
     population of *trace*.  With *bec* the outcome of each equivalence
     class epoch is computed once and reused (and masked sites are free),
     which cuts simulator runs without changing the estimator's
-    distribution.  With *checkpoint_interval* each simulator run resumes
-    from the deepest golden-run snapshot before its injection cycle
-    (identical outcomes, shorter runs).  On a ``core="batched"``
-    machine (with checkpointing) all unique sampled sites are
-    classified in one lockstep pass instead of one run at a time — the
-    estimate and ``simulator_runs`` are identical by construction.
+    distribution.  The first sampled injection of every unmasked key
+    runs as one :class:`repro.fi.engine.CampaignEngine` campaign, so
+    *checkpoint_interval* (snapshot resume) and a ``core="batched"``
+    machine (lockstep lanes) accelerate it exactly as they do any other
+    campaign; the estimate and ``simulator_runs`` never depend on them.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     golden = golden or machine.run(regs=regs)
-    max_cycles = 4 * golden.cycles + 1024
-    snapshots = None
-    if checkpoint_interval:
-        from repro.fi.engine import run_injection
-        _, snapshots = machine.run_with_snapshots(
-            regs=regs, interval=checkpoint_interval,
-            max_cycles=max_cycles)
     population = inject_on_read_population(function, trace, bec=bec)
     if not population:
         raise ValueError("empty fault population; nothing to sample")
     rng = random.Random(seed)
     sampled = [population[rng.randrange(len(population))]
                for _ in range(budget)]
-    cache = None
-    simulator_runs = 0
-    if machine.core == "batched" and snapshots:
-        cache = _batched_outcome_cache(machine, sampled, regs, golden,
-                                       snapshots, max_cycles)
-        if cache is not None:
-            simulator_runs = len(cache)
-    if cache is None:
-        cache = {}
-        for site in sampled:
-            if site.masked or site.key in cache:
-                continue
-            if snapshots:
-                injected = run_injection(machine, site.injection, regs,
-                                         snapshots, max_cycles)
-            else:
-                injected = machine.run(regs=regs,
-                                       injection=site.injection,
-                                       max_cycles=max_cycles)
-            cache[site.key] = classify_effect(golden, injected) \
-                != EFFECT_MASKED
-            simulator_runs += 1
-    vulnerable = sum(1 for site in sampled
-                     if not site.masked and cache[site.key])
+    first = {}
+    for site in sampled:
+        if not site.masked and site.key not in first:
+            first[site.key] = site.injection
+    plan = [PlannedRun(injection, None, None, None)
+            for injection in first.values()]
+    engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
+                            max_cycles=4 * golden.cycles + 1024)
+    result = engine.run(checkpoint_interval=checkpoint_interval)
+    vulnerable_keys = {key for key, (_, effect, _)
+                       in zip(first, result.runs)
+                       if effect != EFFECT_MASKED}
+    vulnerable = sum(1 for site in sampled if site.key in vulnerable_keys)
+    simulator_runs = len(plan)
     registry = obs.metrics()
     registry.counter("sample.trials",
                      help="AVF estimator samples drawn").inc(budget)
@@ -244,11 +202,9 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
 def exhaustive_avf(machine, function, trace, regs=None, golden=None,
                    workers=1, checkpoint_interval=None):
     """Ground-truth AVF: run the full inject-on-read campaign."""
-    golden = golden or machine.run(regs=regs)
     plan = plan_inject_on_read(function, trace)
-    result = run_campaign(machine, plan, regs=regs, golden=golden,
-                          workers=workers,
-                          checkpoint_interval=checkpoint_interval)
     if not plan:
         raise ValueError("empty fault population; nothing to inject")
+    result = CampaignEngine(machine, plan, regs=regs, golden=golden).run(
+        workers=workers, checkpoint_interval=checkpoint_interval)
     return result.vulnerable_runs() / len(plan)

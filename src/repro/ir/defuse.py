@@ -27,9 +27,6 @@ class UseChains:
         bits = self._after_masks.get((pp, reg), 0)
         return _mask_to_tuple(bits)
 
-    def use_mask(self, pp, reg):
-        return self._after_masks.get((pp, reg), 0)
-
 
 def _mask_to_tuple(bits):
     result = []

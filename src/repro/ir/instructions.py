@@ -293,10 +293,6 @@ class Instruction:
 
     # -- misc -----------------------------------------------------------------
 
-    def replace_label(self, old, new):
-        if self.label == old:
-            self.label = new
-
     def copy(self):
         """A fresh, un-finalized copy of this instruction."""
         return Instruction(self.opcode, rd=self.rd, rs1=self.rs1,

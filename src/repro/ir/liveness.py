@@ -32,9 +32,6 @@ class LivenessInfo:
         """Registers live immediately before program point *pp*."""
         return self._live_before[pp]
 
-    def is_live_after(self, pp, reg):
-        return reg in self._live_after[pp]
-
     def kill(self, pp):
         """Registers accessed at *pp* that are not live after it
         (the paper's ``kill(p)``)."""

@@ -21,17 +21,3 @@ SAVED_REGS = tuple(f"s{i}" for i in range(12))
 
 #: Default allocatable pool for the register allocator.
 DEFAULT_ALLOC_POOL = TEMP_REGS + SAVED_REGS + ARG_REGS
-
-
-def is_zero(reg):
-    """Return True if *reg* is the hard-wired zero register."""
-    return reg == ZERO
-
-
-def check_reg_name(name):
-    """Validate a register name; returns the name for chaining."""
-    if not name or not isinstance(name, str):
-        raise ValueError(f"invalid register name: {name!r}")
-    if name[0].isdigit() or any(ch.isspace() for ch in name):
-        raise ValueError(f"invalid register name: {name!r}")
-    return name

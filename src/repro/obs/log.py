@@ -18,7 +18,6 @@ their ``RuntimeWarning`` alongside the event.
 """
 
 import collections
-import sys
 import time
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
@@ -33,12 +32,6 @@ class StructLogger:
     def __init__(self, capacity=DEFAULT_CAPACITY, stream=None,
                  level="info"):
         self.records = collections.deque(maxlen=capacity)
-        self.stream = stream
-        self.level = level
-
-    def set_stream(self, stream, level="info"):
-        """Attach (or with ``None`` detach) a text stream; events at or
-        above *level* render as one line each."""
         self.stream = stream
         self.level = level
 
@@ -78,8 +71,3 @@ class StructLogger:
 
     def clear(self):
         self.records.clear()
-
-
-def stderr_stream():
-    """The conventional stream argument for CLI verbosity."""
-    return sys.stderr

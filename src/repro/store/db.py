@@ -12,13 +12,11 @@ and readers replay hits as a lazy chunk iterator
 (:class:`StoredRuns`), so neither side ever materializes a whole
 campaign: peak resident records stay O(chunk_size) on both paths.
 
-Layout v1 — the whole run list as one monolithic JSON payload in the
-meta row — remains readable: :meth:`ResultStore.get` decodes v1 rows
-with the retained legacy codec (:func:`decode_result`) and treats a
-corrupt payload as a clean miss, never a crash.  Because the *key*
-recipe is versioned separately (:data:`repro.store.keys.KEY_VERSION`),
-a store written before the v2 bump keeps serving hits under the same
-addresses.
+A row written under any other payload layout — including v1, which
+held the whole run list as one JSON payload in the meta row — misses
+cleanly and is recomputed, never a crash.  The *key* recipe is
+versioned separately (:data:`repro.store.keys.KEY_VERSION`), so a
+rewritten result lands under the same address.
 
 The store is a plain file; concurrent sweeps on one host are safe
 because a result's meta row is committed only after all of its chunks,
@@ -54,11 +52,6 @@ from repro import obs
 from repro.fi.campaign import Aggregates, CampaignResult, PlannedRun
 from repro.fi.machine import Injection
 from repro.store.keys import SCHEMA_VERSION
-
-#: Payload layout versions :meth:`ResultStore.get` can decode.  A row
-#: written by any other version misses cleanly (and is invisible to
-#: ``in`` / ``len`` / ``keys()`` / ``stats()``).
-READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 #: Records per archived chunk when the writer is not told otherwise
 #: (matches the engine's default streaming granularity).
@@ -179,7 +172,7 @@ class CachedCampaignResult(CampaignResult):
     golden trace is not archived; recompute it if you need it).
     ``wall_time`` reports the wall time of the *original* execution,
     so time-reporting consumers render the same numbers either way.
-    On a v2 hit ``runs`` is a lazy :class:`StoredRuns` chunk iterator
+    On a hit ``runs`` is a lazy :class:`StoredRuns` chunk iterator
     bound to the open store — drain it (or copy what you need) before
     closing the store.
     """
@@ -216,47 +209,6 @@ def decode_chunk(blob):
     """The ``(planned, effect, signature)`` records of one chunk."""
     return [_decode_row(row)
             for row in json.loads(zlib.decompress(blob))]
-
-
-def encode_result(result):
-    """Legacy v1 codec: the whole result as one JSON payload.
-
-    Kept for reading stores written before the chunked layout (and as
-    the round-trip reference the chunked parity tests compare
-    against); new archives are written chunked by :class:`ChunkWriter`.
-    """
-    sizes = {signature.hex(): size
-             for signature, size in result.trace_sizes().items()}
-    runs = []
-    for planned, effect, signature in result.runs:
-        runs.append([planned.injection.cycle, planned.injection.reg,
-                     planned.injection.bit, planned.pp, planned.rep,
-                     planned.epoch, effect, signature.hex()])
-    return json.dumps({
-        "runs": runs,
-        "sizes": sizes,
-        "pruned_runs": result.pruned_runs,
-        "vectorized": result.vectorized,
-        "wall_time": result.wall_time,
-    }, sort_keys=True, separators=(",", ":"))
-
-
-def decode_result(payload):
-    """Rebuild a :class:`CachedCampaignResult` from a legacy (v1)
-    whole-campaign payload."""
-    data = json.loads(payload)
-    sizes = data["sizes"]
-    result = CachedCampaignResult(golden=None)
-    for cycle, reg, bit, pp, rep, epoch, effect, signature_hex \
-            in data["runs"]:
-        signature = bytes.fromhex(signature_hex)
-        result.record(PlannedRun(Injection(cycle, reg, bit), pp, rep,
-                                 epoch),
-                      effect, signature, sizes[signature_hex])
-    result.pruned_runs = data["pruned_runs"]
-    result.vectorized = data["vectorized"]
-    result.wall_time = data["wall_time"]
-    return result
 
 
 class StoredRuns:
@@ -358,15 +310,7 @@ class ChunkWriter:
         """Archive the next plan-ordered chunk of
         ``(planned, effect, signature[, byte_size])`` records."""
         blob, raw_size = encode_chunk(records)
-        self._store._connection.execute(
-            "INSERT INTO campaign_chunks "
-            "(key, chunk_index, payload, digest) VALUES (?, ?, ?, ?)",
-            (self._key, self._n_chunks, blob, chunk_digest(blob)))
-        self._n_chunks += 1
-        self._n_runs += len(records)
-        self._uncompressed += raw_size
-        self._compressed += len(blob)
-        obs.metrics().counter("store.bytes_in").inc(len(blob))
+        self.write_encoded(blob, len(records), raw_size)
 
     def write_encoded(self, blob, n_records, raw_size):
         """Archive one *already encoded* chunk blob (the distributed
@@ -522,11 +466,6 @@ class ResultStore:
         if row is None:
             return None
         version, payload, n_runs, wall_time = row
-        if version == 1:
-            try:
-                return decode_result(payload)
-            except _DECODE_ERRORS:
-                return None              # corrupt legacy payload: miss
         if version != SCHEMA_VERSION:
             return None
         try:
@@ -550,7 +489,7 @@ class ResultStore:
             return None                  # corrupt meta row: miss
 
     def _chunks_intact(self, key, n_chunks):
-        """Up-front integrity check of a v2 archive before handing out
+        """Up-front integrity check of an archive before handing out
         a hit: every promised chunk present, every digest matching
         (payloads hashed one row at a time — O(1) resident chunks).
         Damage is quarantined and the key misses; rows already in
@@ -614,17 +553,11 @@ class ResultStore:
 
         n_results = 0
         n_chunks = 0
-        for key, version, payload, n_runs in self._connection.execute(
-                "SELECT key, schema_version, payload, n_runs "
-                "FROM campaign_results WHERE schema_version IN (?, ?) "
-                "ORDER BY key", READABLE_VERSIONS).fetchall():
+        for key, payload, n_runs in self._connection.execute(
+                "SELECT key, payload, n_runs FROM campaign_results "
+                "WHERE schema_version = ? ORDER BY key",
+                (SCHEMA_VERSION,)).fetchall():
             n_results += 1
-            if version == 1:
-                try:
-                    decode_result(payload)
-                except _DECODE_ERRORS as exc:
-                    flag(key, -1, f"corrupt v1 payload: {exc}")
-                continue
             try:
                 meta = json.loads(payload)
                 expected_chunks = meta["n_chunks"]
@@ -680,35 +613,6 @@ class ResultStore:
         (the sink protocol's store endpoint)."""
         return ChunkWriter(self, key, chunk_size)
 
-    def put(self, key, result, chunk_size=DEFAULT_CHUNK_SIZE):
-        """Archive a finished *result* under *key* with provenance.
-
-        Streams the run list through a :class:`ChunkWriter` in
-        ``chunk_size`` groups, so archiving a spooled result never
-        materializes it.
-        """
-        with obs.tracer().span("store.put", key=key,
-                               runs=len(result.runs)):
-            writer = self.open_writer(key, chunk_size)
-            try:
-                buffer = []
-                for record in result.runs:
-                    buffer.append(record)
-                    if len(buffer) >= chunk_size:
-                        writer.write_chunk(buffer)
-                        buffer = []
-                if buffer:
-                    writer.write_chunk(buffer)
-                aggregates = Aggregates.restore(
-                    result.effect_counts(), result.vulnerable_runs(),
-                    result.trace_sizes(), len(result.runs))
-                writer.commit(aggregates, pruned_runs=result.pruned_runs,
-                              vectorized=result.vectorized,
-                              wall_time=result.wall_time)
-            except BaseException:
-                writer.abort()
-                raise
-
     def provenance(self, key):
         """Provenance dict for *key* (``None`` when absent)."""
         row = self._connection.execute(
@@ -728,8 +632,7 @@ class ResultStore:
     def __contains__(self, key):
         row = self._connection.execute(
             "SELECT 1 FROM campaign_results WHERE key = ? "
-            "AND schema_version IN (?, ?)",
-            (key, *READABLE_VERSIONS)).fetchone()
+            "AND schema_version = ?", (key, SCHEMA_VERSION)).fetchone()
         return row is not None
 
     def __len__(self):
@@ -738,23 +641,22 @@ class ResultStore:
         as they are to :meth:`get` and ``in``)."""
         (count,) = self._connection.execute(
             "SELECT COUNT(*) FROM campaign_results "
-            "WHERE schema_version IN (?, ?)",
-            READABLE_VERSIONS).fetchone()
+            "WHERE schema_version = ?", (SCHEMA_VERSION,)).fetchone()
         return count
 
     def keys(self):
         return [key for (key,) in self._connection.execute(
             "SELECT key FROM campaign_results "
-            "WHERE schema_version IN (?, ?) ORDER BY created_at",
-            READABLE_VERSIONS)]
+            "WHERE schema_version = ? ORDER BY created_at",
+            (SCHEMA_VERSION,))]
 
     def stats(self):
         """Aggregate store statistics for reporting.
 
         ``uncompressed_bytes`` / ``compressed_bytes`` sum the archived
-        payload sizes before and after chunk compression (v1 rows,
-        stored uncompressed, count their payload length as both), so
-        reports can state the store-size reduction directly.
+        payload sizes before and after chunk compression (rows archived
+        before those columns existed count their meta payload length as
+        both), so reports can state the store-size reduction directly.
         """
         row = self._connection.execute(
             "SELECT COUNT(*), COALESCE(SUM(n_runs), 0), "
@@ -763,8 +665,8 @@ class ResultStore:
             "                      LENGTH(payload))), 0), "
             "COALESCE(SUM(COALESCE(compressed_bytes, "
             "                      LENGTH(payload))), 0) "
-            "FROM campaign_results WHERE schema_version IN (?, ?)",
-            READABLE_VERSIONS).fetchone()
+            "FROM campaign_results WHERE schema_version = ?",
+            (SCHEMA_VERSION,)).fetchone()
         return {"results": row[0], "archived_runs": row[1],
                 "archived_wall_time": row[2],
                 "uncompressed_bytes": row[3],

@@ -38,11 +38,11 @@ from repro.ir.printer import format_function
 #: Version stamp of the key recipe (the digested payload below).
 KEY_VERSION = 1
 
-#: Version stamp of the stored payload layout.  v1: one monolithic
-#: JSON run list per row; v2: chunked, zlib-compressed run segments in
-#: ``campaign_chunks`` with an aggregate meta row.  The store reads
-#: both (see :data:`repro.store.db.READABLE_VERSIONS`) and writes the
-#: newest.
+#: Version stamp of the stored payload layout.  v2: chunked,
+#: zlib-compressed run segments in ``campaign_chunks`` with an
+#: aggregate meta row.  The store reads and writes only this layout; a
+#: row stamped with any other version (such as v1, one monolithic JSON
+#: run list per row) misses and is recomputed.
 SCHEMA_VERSION = 2
 
 #: Engine knobs excluded from the key: campaign aggregates are

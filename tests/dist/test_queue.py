@@ -210,7 +210,7 @@ class TestClockSkew:
 def _claim_worker(path, results):
     with WorkQueue(path) as queue:
         lease = queue.claim("racer", lease_seconds=30)
-        results.put(None if lease is None else lease.cell_id)
+        results.put_nowait(None if lease is None else lease.cell_id)
 
 
 class TestConcurrency:

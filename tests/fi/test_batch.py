@@ -14,8 +14,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.common import benchmark_run
 from repro.fi import batch
-from repro.fi.campaign import (PlannedRun, plan_bec, plan_exhaustive,
-                               run_campaign)
+from repro.fi.campaign import PlannedRun, plan_bec, plan_exhaustive
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.fi.prune import LivenessPruner
@@ -232,10 +231,10 @@ class TestLivenessPrune:
         registers = run.function.registers()[::5]
         plan = strided_exhaustive_plan(run.function, run.golden, 389,
                                        registers, (5,))
-        base = run_campaign(run.machine, plan, regs=run.regs,
-                            golden=run.golden)
-        pruned = run_campaign(run.machine, plan, regs=run.regs,
-                              golden=run.golden, prune="liveness")
+        engine = CampaignEngine(run.machine, plan, regs=run.regs,
+                                golden=run.golden)
+        base = engine.run()
+        pruned = engine.run(prune="liveness")
         assert pruned.pruned_runs > 0
         assert_identical(base, pruned)
 

@@ -3,7 +3,8 @@
 
 from repro.fi.campaign import (EFFECT_MASKED, EFFECT_SDC, classify_effect,
                                plan_bec, plan_exhaustive,
-                               plan_inject_on_read, run_campaign)
+                               plan_inject_on_read)
+from repro.fi.engine import CampaignEngine
 from repro.fi.trace import Trace
 
 
@@ -81,8 +82,8 @@ class TestRunningCampaigns:
                                         motivating_bec):
         plan = plan_bec(motivating_function, motivating_golden,
                         motivating_bec)
-        result = run_campaign(motivating_machine, plan,
-                              golden=motivating_golden)
+        result = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden).run()
         assert len(result.runs) == 225
         counts = result.effect_counts()
         assert sum(counts.values()) == 225
@@ -100,14 +101,14 @@ class TestRunningCampaigns:
 
         plan = plan_bec(motivating_function, motivating_golden,
                         motivating_bec)[:5]
-        result = run_campaign(motivating_machine, plan,
-                              golden=motivating_golden)
+        result = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden).run()
         counts = result.effect_counts()
         assert set(counts) == set(EFFECT_CLASSES)
         assert counts["detected"] == 0
         assert counts["timeout"] == 0
-        empty = run_campaign(motivating_machine, [],
-                             golden=motivating_golden)
+        empty = CampaignEngine(motivating_machine, [],
+                               golden=motivating_golden).run()
         assert empty.effect_counts() \
             == {effect: 0 for effect in EFFECT_CLASSES}
 
@@ -116,8 +117,8 @@ class TestRunningCampaigns:
                                      motivating_golden, motivating_bec):
         plan = plan_bec(motivating_function, motivating_golden,
                         motivating_bec)
-        result = run_campaign(motivating_machine, plan,
-                              golden=motivating_golden)
+        result = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden).run()
         assert 1 <= result.distinct_traces <= len(result.runs)
         assert result.archived_bytes > 0
         assert result.wall_time > 0

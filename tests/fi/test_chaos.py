@@ -15,6 +15,7 @@ from repro.fi.campaign import plan_exhaustive
 from repro.fi.chaos import (ChaosError, ChaosPolicy, ChaosSink,
                             corrupt_chunk, drop_chunk, truncate_chunk)
 from repro.fi.engine import CampaignEngine
+from repro.fi.sink import StoreWriterSink
 
 
 def assert_identical(base, other):
@@ -158,32 +159,33 @@ class TestSinkChaos:
 
 
 class TestStoreChaos:
-    def _result(self, baseline):
-        return baseline[1]
-
     def test_locked_commits_are_absorbed(self, tmp_path, baseline):
         from repro.store import ResultStore
 
+        engine, base = baseline
         policy = ChaosPolicy().lock_store(times=2)
         with ResultStore(str(tmp_path / "s.sqlite"),
                          chaos=policy) as store:
-            store.put("key", self._result(baseline), chunk_size=64)
+            engine.run(chunk_size=64, sink=StoreWriterSink(store, "key"))
             assert policy.fired == 2          # two attempts retried
             cached = store.get("key")
             assert cached is not None
-            assert cached.effect_counts() \
-                == self._result(baseline).effect_counts()
+            assert cached.effect_counts() == base.effect_counts()
 
     def test_lock_exhaustion_propagates_and_rolls_back(self, tmp_path,
                                                        baseline):
+        from repro.fi.campaign import Aggregates
         from repro.store import ResultStore
         from repro.store.db import COMMIT_RETRIES
 
         policy = ChaosPolicy().lock_store(times=COMMIT_RETRIES + 10)
         with ResultStore(str(tmp_path / "s.sqlite"),
                          chaos=policy) as store:
+            writer = store.open_writer("key", chunk_size=64)
+            writer.write_chunk(baseline[1].runs[:64])
             with pytest.raises(sqlite3.OperationalError, match="locked"):
-                store.put("key", self._result(baseline), chunk_size=64)
+                writer.commit(Aggregates())
+            writer.abort()
             assert policy.fired == COMMIT_RETRIES + 1
             assert store.get("key") is None   # rolled back, not partial
 
@@ -194,7 +196,7 @@ class TestAtRestCorruption:
         from repro.store import ResultStore
 
         store = ResultStore(str(tmp_path / "s.sqlite"))
-        store.put("key", baseline[1], chunk_size=64)
+        baseline[0].run(chunk_size=64, sink=StoreWriterSink(store, "key"))
         yield store
         store.close()
 

@@ -9,7 +9,8 @@ on run order, per-run effects, ``effect_counts()``,
 import pytest
 
 from repro.errors import SimulationError
-from repro.fi.campaign import (plan_exhaustive, plan_bec, run_campaign)
+from repro.fi.campaign import (CampaignResult, classify_effect,
+                               plan_exhaustive, plan_bec)
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine
 from repro.experiments.common import benchmark_run
@@ -97,16 +98,22 @@ class TestSnapshots:
 
 
 class TestEngineParityMotivating:
-    def test_serial_engine_equals_run_campaign(self, motivating_function,
-                                               motivating_machine,
-                                               motivating_golden,
-                                               motivating_bec):
+    def test_serial_engine_equals_scalar_reference(
+            self, motivating_function, motivating_machine,
+            motivating_golden, motivating_bec):
+        """The engine's serial path records exactly what one plain
+        from-cycle-0 ``Machine.run`` per planned injection yields."""
         plan = plan_bec(motivating_function, motivating_golden,
                         motivating_bec)
-        base = run_campaign(motivating_machine, plan,
-                            golden=motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
+        base = CampaignResult(motivating_golden)
+        for planned in plan:
+            injected = motivating_machine.run(
+                injection=planned.injection, max_cycles=engine.max_cycles)
+            base.record(planned,
+                        classify_effect(motivating_golden, injected),
+                        injected.signature(), injected.byte_size())
         assert_identical(base, engine.run())
 
     @pytest.mark.parametrize("kwargs", [

@@ -5,10 +5,10 @@ import pytest
 from repro.bec.analysis import run_bec
 from repro.errors import SimulationError
 from repro.fi.campaign import EFFECT_MASKED
+from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine, MemoryInjection
 from repro.fi.memory import (iter_memory_bit_reads, memory_fault_accounting,
-                             plan_memory_bec, plan_memory_inject_on_read,
-                             run_memory_campaign)
+                             plan_memory_bec, plan_memory_inject_on_read)
 from repro.ir.parser import parse_function
 
 
@@ -191,12 +191,12 @@ class TestPruningSoundness:
         """The pruned campaign finds a vulnerability iff the full
         campaign does."""
         function, machine, regs, golden, bec = prepared
-        full = run_memory_campaign(
+        full = CampaignEngine(
             machine, plan_memory_inject_on_read(function, golden),
-            regs=regs, golden=golden)
-        pruned = run_memory_campaign(
+            regs=regs, golden=golden).run()
+        pruned = CampaignEngine(
             machine, plan_memory_bec(function, golden, bec),
-            regs=regs, golden=golden)
+            regs=regs, golden=golden).run()
         assert (full.vulnerable_runs() > 0) == \
             (pruned.vulnerable_runs() > 0)
         # Distinct non-golden traces must all be discovered by the

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.bec.analysis import run_bec
+from repro.fi import batch
 from repro.fi.machine import Machine
-from repro.fi.sampling import (estimate_avf, exhaustive_avf,
+from repro.fi.sampling import (AVFEstimate, estimate_avf, exhaustive_avf,
                                inject_on_read_population,
                                inverse_normal_cdf, wilson_interval)
 from repro.ir.parser import parse_function
@@ -157,6 +159,51 @@ class TestEstimateAVF:
         second = estimate_avf(machine, function, golden, budget=100,
                               seed=42, regs=regs, golden=golden)
         assert first == second
+
+    @pytest.mark.parametrize("use_bec", [False, True])
+    @pytest.mark.parametrize("checkpoint_interval", [None, 8])
+    @pytest.mark.parametrize("core", ["threaded", "batched"])
+    def test_estimate_independent_of_execution_path(
+            self, prepared, core, checkpoint_interval, use_bec):
+        """Core and checkpointing only change how the sampled runs
+        execute: every combination reports the same estimate, and the
+        same simulator runs, as the scalar from-cycle-0 estimator."""
+        if core == "batched" and not batch.numpy_available():
+            pytest.skip("NumPy not installed")
+        function, _, regs, golden, bec, _ = prepared
+        machine = Machine(function, core=core)
+        estimate = estimate_avf(machine, function, golden, budget=300,
+                                seed=3, regs=regs, golden=golden,
+                                bec=bec if use_bec else None,
+                                checkpoint_interval=checkpoint_interval)
+        assert estimate == AVFEstimate(
+            avf=0.8533333333333334, low=0.808837487735619,
+            high=0.8888948125848115, trials=300, vulnerable=256,
+            simulator_runs=188 if use_bec else 212, population=408)
+
+    def test_all_masked_sample_needs_no_simulator_run(self, prepared):
+        function, machine, regs, golden, bec, _ = prepared
+        # Seed 1007 draws two statically masked sites (8 of the 408).
+        estimate = estimate_avf(machine, function, golden, budget=2,
+                                seed=1007, regs=regs, golden=golden,
+                                bec=bec)
+        assert estimate == AVFEstimate(
+            avf=0.0, low=0.0, high=0.6576197728563925, trials=2,
+            vulnerable=0, simulator_runs=0, population=408)
+
+
+class TestExhaustiveAVF:
+    def test_empty_population_rejected_before_any_run(self):
+        function = parse_function(
+            "func f width=8\nbb.entry:\n    ret zero\n")
+        machine = Machine(function)
+        golden = machine.run()
+        registry = obs.metrics()
+        mark = registry.mark()
+        with pytest.raises(ValueError, match="empty fault population"):
+            exhaustive_avf(machine, function, golden, golden=golden)
+        delta = registry.totals(registry.delta_since(mark))
+        assert delta.get("engine.campaigns", 0) == 0
 
 
 class TestPopulation:

@@ -13,10 +13,11 @@ import pytest
 
 from repro import obs
 from repro.fi import batch
-from repro.fi.campaign import plan_exhaustive, run_campaign
+from repro.fi.campaign import plan_exhaustive
 from repro.fi.chaos import corrupt_chunk
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
+from repro.fi.sink import StoreWriterSink
 from repro.store import ResultStore, load_spec, run_sweep
 
 
@@ -39,8 +40,8 @@ class TestEngineMetrics:
     def test_serial_campaign_counts_runs(self, motivating_machine,
                                          motivating_golden, small_plan,
                                          mark):
-        run_campaign(motivating_machine, small_plan,
-                     golden=motivating_golden)
+        CampaignEngine(motivating_machine, small_plan,
+                       golden=motivating_golden).run()
         totals = delta_totals(mark)
         assert totals["engine.runs_executed"] == len(small_plan)
         assert totals["engine.campaigns"] == 1
@@ -48,9 +49,9 @@ class TestEngineMetrics:
     def test_forked_workers_merge_their_delta(self, motivating_machine,
                                               motivating_golden,
                                               small_plan, mark):
-        run_campaign(motivating_machine, small_plan,
-                     golden=motivating_golden, workers=2,
-                     checkpoint_interval=8)
+        CampaignEngine(motivating_machine, small_plan,
+                       golden=motivating_golden).run(
+            workers=2, checkpoint_interval=8)
         totals = delta_totals(mark)
         assert totals["engine.runs_executed"] == len(small_plan)
         assert totals["engine.worker_spawns"] >= 2
@@ -72,8 +73,8 @@ class TestEngineMetrics:
         tracer = obs.tracer()
         tracer.start()
         try:
-            run_campaign(motivating_machine, small_plan,
-                         golden=motivating_golden, chunk_size=16)
+            CampaignEngine(motivating_machine, small_plan,
+                           golden=motivating_golden).run(chunk_size=16)
         finally:
             tracer.stop()
         records = tracer.records()
@@ -91,11 +92,11 @@ class TestStoreMetrics:
                                         motivating_machine,
                                         motivating_golden, small_plan,
                                         mark):
-        result = run_campaign(motivating_machine, small_plan,
-                              golden=motivating_golden)
+        engine = CampaignEngine(motivating_machine, small_plan,
+                                golden=motivating_golden)
         with ResultStore(str(tmp_path / "s.sqlite")) as store:
             assert store.get("k") is None
-            store.put("k", result)
+            engine.run(sink=StoreWriterSink(store, "k"))
             assert store.get("k") is not None
         totals = delta_totals(mark)
         assert totals["store.misses"] == 1
@@ -105,11 +106,11 @@ class TestStoreMetrics:
     def test_quarantine_emits_structured_event_and_warning(
             self, tmp_path, motivating_machine, motivating_golden,
             small_plan, mark):
-        result = run_campaign(motivating_machine, small_plan,
-                              golden=motivating_golden)
+        engine = CampaignEngine(motivating_machine, small_plan,
+                                golden=motivating_golden)
         path = str(tmp_path / "s.sqlite")
         with ResultStore(path) as store:
-            store.put("k", result)
+            engine.run(sink=StoreWriterSink(store, "k"))
             corrupt_chunk(store, "k", chunk_index=0)
             before = len(obs.logger().events(name="store.quarantine"))
             with pytest.warns(RuntimeWarning, match="quarantined"):
@@ -175,8 +176,8 @@ class TestBatchMetrics:
         machine = Machine(motivating_function, memory_size=256,
                           core="batched")
         plan = plan_exhaustive(motivating_function, motivating_golden)
-        run_campaign(machine, plan, golden=motivating_golden,
-                     checkpoint_interval=8)
+        CampaignEngine(machine, plan, golden=motivating_golden).run(
+            checkpoint_interval=8)
         registry = obs.metrics()
         delta = registry.delta_since(mark)
         retired = {dict(key).get("outcome"): value for key, value

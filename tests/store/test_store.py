@@ -5,9 +5,11 @@ import pytest
 from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years
 from repro.fi.campaign import plan_bec, plan_exhaustive
+from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
+from repro.fi.sink import StoreWriterSink
 from repro.store import CachingRunner, ResultStore
-from repro.store.db import decode_result, encode_result
+from repro.store.db import decode_chunk, encode_chunk
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +43,13 @@ def assert_same_aggregates(base, other):
     assert other.distinct_traces == base.distinct_traces
     assert other.archived_bytes == base.archived_bytes
     assert other.vulnerable_runs() == base.vulnerable_runs()
-    assert len(other.runs) == len(base.runs)
+    assert_same_records(base.runs, other.runs)
+
+
+def assert_same_records(base, other):
+    assert len(other) == len(base)
     for (planned_a, effect_a, sig_a), (planned_b, effect_b, sig_b) \
-            in zip(base.runs, other.runs):
+            in zip(base, other):
         assert effect_a == effect_b
         assert sig_a == sig_b
         assert planned_a.injection.cycle == planned_b.injection.cycle
@@ -55,14 +61,10 @@ def assert_same_aggregates(base, other):
 
 class TestRoundtrip:
     def test_encode_decode_is_lossless(self, machine, plan, golden):
-        from repro.fi.engine import CampaignEngine
         result = CampaignEngine(machine, plan, golden=golden).run()
-        decoded = decode_result(encode_result(result))
-        assert_same_aggregates(result, decoded)
-        assert decoded.cached
-        assert decoded.wall_time == result.wall_time
-        assert decoded.pruned_runs == result.pruned_runs
-        assert decoded.vectorized == result.vectorized
+        blob, raw_size = encode_chunk(result.runs)
+        assert 0 < len(blob) < raw_size
+        assert_same_records(list(result.runs), decode_chunk(blob))
 
     def test_store_persists_across_reopen(self, tmp_path, machine, plan,
                                           golden):
@@ -154,78 +156,37 @@ class TestCachingRunner:
 class TestSchemaVersioning:
     def test_incompatible_schema_misses(self, store, machine, plan,
                                         golden):
+        """Rows stamped with any other payload layout — a future one,
+        or the retired monolithic v1 — miss and are recomputed."""
         runner = CachingRunner(store)
         runner.run(machine, plan, golden=golden)
         key = runner.key_for(machine, plan)
-        store._connection.execute(
-            "UPDATE campaign_results SET schema_version = 0")
-        store._connection.commit()
-        assert store.get(key) is None
-        assert key not in store
-        rerun = runner.run(machine, plan, golden=golden)
-        assert not rerun.cached
-
-
-def _downgrade_to_v1(store, key):
-    """Rewrite *key*'s archive in the pre-chunking v1 layout: one
-    monolithic ``encode_result`` payload in the meta row, no chunk
-    rows, no compression accounting — what a store written before the
-    schema bump looks like on disk."""
-    payload = encode_result(store.get(key))     # before dropping chunks
-    store._connection.execute(
-        "DELETE FROM campaign_chunks WHERE key = ?", (key,))
-    store._connection.execute(
-        "UPDATE campaign_results SET schema_version = 1, payload = ?, "
-        "uncompressed_bytes = NULL, compressed_bytes = NULL "
-        "WHERE key = ?", (payload, key))
-    store._connection.commit()
+        for version in (0, 1):
+            store._connection.execute(
+                "UPDATE campaign_results SET schema_version = ?",
+                (version,))
+            store._connection.commit()
+            assert store.get(key) is None
+            assert key not in store and len(store) == 0
+            rerun = runner.run(machine, plan, golden=golden)
+            assert not rerun.cached
+            assert key in store
 
 
 class TestSchemaMigration:
-    """A store written before the chunked-payload bump keeps working:
-    same keys, clean hits, zero re-execution — and a corrupt legacy
-    payload degrades to a miss, never a crash."""
+    """The chunked payload layout: archived records and aggregates
+    replay exactly, and the compression accounting is recorded."""
 
-    def test_v1_row_is_a_hit_with_zero_reruns(self, store, machine,
-                                              plan, golden):
-        populate = CachingRunner(store)
-        fresh = populate.run(machine, plan, golden=golden)
-        key = populate.key_for(machine, plan)
-        _downgrade_to_v1(store, key)
-        assert key in store and len(store) == 1
-        warm = CachingRunner(store)
-        cached = warm.run(machine, plan, golden=golden)
-        assert cached.cached
-        assert warm.simulator_runs == 0
-        assert (warm.hits, warm.misses) == (1, 0)
-        assert_same_aggregates(fresh, cached)
-
-    def test_corrupt_v1_payload_misses_cleanly(self, store, machine,
-                                               plan, golden):
-        populate = CachingRunner(store)
-        fresh = populate.run(machine, plan, golden=golden)
-        key = populate.key_for(machine, plan)
-        _downgrade_to_v1(store, key)
-        store._connection.execute(
-            "UPDATE campaign_results SET payload = ? WHERE key = ?",
-            ('{"runs": [[]], "sizes": {}}', key))
-        store._connection.commit()
-        assert store.get(key) is None
-        rerun = CachingRunner(store).run(machine, plan, golden=golden)
-        assert not rerun.cached
-        assert_same_aggregates(fresh, rerun)
-
-    def test_chunked_roundtrip_matches_legacy_encoder(
+    def test_chunked_roundtrip_matches_engine_result(
             self, store, machine, plan, golden):
-        from repro.fi.engine import CampaignEngine
-        result = CampaignEngine(machine, plan, golden=golden).run()
-        store.put("chunked", result, chunk_size=7)
-        legacy = decode_result(encode_result(result))
+        result = CampaignEngine(machine, plan, golden=golden).run(
+            chunk_size=7, sink=StoreWriterSink(store, "chunked"))
         chunked = store.get("chunked")
-        assert_same_aggregates(legacy, chunked)
-        assert chunked.pruned_runs == legacy.pruned_runs
-        assert chunked.vectorized == legacy.vectorized
-        assert chunked.wall_time == legacy.wall_time
+        assert chunked.cached
+        assert_same_aggregates(result, chunked)
+        assert chunked.pruned_runs == result.pruned_runs
+        assert chunked.vectorized == result.vectorized
+        assert chunked.wall_time == result.wall_time
 
     def test_compression_accounting(self, store, machine, plan, golden):
         runner = CachingRunner(store)
