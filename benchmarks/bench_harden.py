@@ -46,6 +46,7 @@ import json
 import time
 
 from repro.experiments.common import benchmark_run
+from repro.fi.engine import auto_checkpoint_interval
 from repro.harden.evaluate import (ladder_comparison, run_variant,
                                    strided_plan)
 
@@ -78,7 +79,7 @@ def bench_kernel(name, mode, workers):
     if mode == "smoke":
         plan = strided_plan(run.function, run.golden,
                             TARGET_RUNS[mode])
-        interval = max(1, run.golden.cycles // 32)
+        interval = auto_checkpoint_interval(run.golden)
         # Engine-parity smoke: serial vs workers=4 on the hardened
         # binary must agree bit-for-bit.
         serial = run_variant(run.function, "bec", plan, run.golden,

@@ -17,9 +17,8 @@ Run with::
 from repro.bec import run_bec
 from repro.bench.motivating import count_years
 from repro.fi import Machine
-from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC
-from repro.harden import harden
-from repro.harden.evaluate import compare_protection
+from repro.harden import harden_checked
+from repro.harden.evaluate import ladder_comparison
 from repro.ir import format_function
 
 
@@ -27,23 +26,24 @@ def main():
     # 1. The program under protection, its golden run and its BEC
     #    analysis (which will guide the selection).
     function = count_years()
-    machine = Machine(function, memory_size=256)
-    golden = machine.run()
+    golden = Machine(function, memory_size=256).run()
     bec = run_bec(function)
 
     # 2. Harden with a 30 % overhead budget.  The transform duplicates
     #    the most vulnerable instructions into shadow registers and
     #    inserts `check` instructions at synchronization points; a
     #    check that observes a divergence traps with kind
-    #    "detected-fault".
-    result = harden(function, "bec", budget=0.3, golden=golden, bec=bec)
+    #    "detected-fault".  `harden_checked` also runs the hardened
+    #    binary fault-free and rejects it unless it retraces the
+    #    original golden path.
+    result, _, hardened_golden = harden_checked(
+        function, "bec", golden, budget=0.3, bec=bec, memory_size=256)
     print("BEC-guided hardening at a 30% budget protects "
           f"{len(result.protected)} instructions "
           f"({result.n_shadow} shadows, {result.n_check} checkers):\n")
     print(format_function(result.function))
 
     # 3. The hardened binary behaves identically on fault-free runs.
-    hardened_golden = Machine(result.function, memory_size=256).run()
     assert hardened_golden.outputs == golden.outputs
     assert hardened_golden.returned == golden.returned
     print(f"Fault-free behaviour unchanged; dynamic overhead "
@@ -51,30 +51,27 @@ def main():
           f"({golden.cycles} -> {hardened_golden.cycles} cycles)\n")
 
     # 4. Replay one fault plan against all three protection levels.
-    #    `compare_protection` maps every planned fault through the
+    #    `ladder_comparison` maps every planned fault through the
     #    hardened golden trace, so each variant faces the *same*
     #    physical upsets.
-    comparison = compare_protection(function, golden, memory_size=256,
-                                    bec=bec, budget=0.3, target_runs=200)
-    print(f"Fault plan: {comparison.plan_size} injections, "
-          f"{comparison.baseline_sdc} cause silent data corruption "
-          f"in the unprotected binary\n")
-    print(f"{'strategy':<10} {'overhead':>9} {'detected':>9} "
+    row = ladder_comparison(function, golden, memory_size=256, bec=bec,
+                            budgets=(0.3,), target_runs=200)
+    baseline_sdc = row["baseline_sdc"]
+    print(f"Fault plan: {row['plan_runs']} injections, {baseline_sdc} "
+          f"cause silent data corruption in the unprotected binary\n")
+    print(f"{'strategy':<10} {'overhead':>9} {'converted':>10} "
           f"{'residual SDC':>13}")
-    for strategy in ("none", "full", "bec"):
-        outcome = comparison.variants[strategy]
-        counts = outcome.campaign.effect_counts()
-        print(f"{strategy:<10} {outcome.overhead:>+8.1%} "
-              f"{counts[EFFECT_DETECTED]:>9} {counts[EFFECT_SDC]:>13}")
-    full = comparison.conversions["full"]
-    bec_guided = comparison.conversions["bec"]
-    print(f"\nFull duplication converts {full}/{comparison.baseline_sdc} "
-          f"SDCs at {comparison.variants['full'].overhead:+.0%} overhead;")
-    print(f"BEC-guided selection converts {bec_guided} of them at "
-          f"{comparison.variants['bec'].overhead:+.0%} — "
-          f"{bec_guided / full:.0%} of full duplication's coverage for "
-          f"about a third of its cost.")
-
+    print(f"{'none':<10} {0.0:>+8.1%} {0:>10} {baseline_sdc:>13}")
+    full, bec_guided = row["full"], row["bec"][0]
+    for strategy, entry in (("full", full), ("bec", bec_guided)):
+        print(f"{strategy:<10} {entry['overhead']:>+8.1%} "
+              f"{entry['converted']:>10} {entry['residual_sdc']:>13}")
+    print(f"\nFull duplication converts {full['converted']}/{baseline_sdc} "
+          f"SDCs at {full['overhead']:+.0%} overhead;")
+    print(f"BEC-guided selection converts {bec_guided['converted']} of "
+          f"them at {bec_guided['overhead']:+.0%} — "
+          f"{bec_guided['converted'] / full['converted']:.0%} of full "
+          f"duplication's coverage for about a third of its cost.")
 
 if __name__ == "__main__":
     main()

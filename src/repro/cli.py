@@ -61,6 +61,7 @@ import time
 
 from repro.bec.analysis import run_bec
 from repro.bec.intra import RuleSet
+from repro.errors import ReproError
 from repro.fi.accounting import fault_injection_accounting
 from repro.fi.campaign import (plan_bec, plan_exhaustive,
                                plan_inject_on_read)
@@ -70,6 +71,7 @@ from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
                              plan_memory_inject_on_read)
 from repro.fi.sampling import estimate_avf
 from repro.fi.validate import validate_bec
+from repro.harden import eligible_pps, harden_checked
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.minic.compiler import compile_source
@@ -121,6 +123,20 @@ def _golden(program, args, core="threaded"):
         raise SystemExit(f"golden run failed: {trace.outcome} "
                          f"({trace.trap_kind or ''})")
     return machine, trace
+
+
+def _harden_checked(program, strategy, budget, golden, args,
+                    core="threaded"):
+    """:func:`repro.harden.harden_checked` on a loaded program; a
+    hardened variant that fails its golden checks exits the command."""
+    try:
+        return harden_checked(program.function, strategy, golden,
+                              budget=budget,
+                              regs=_initial_regs(program, args),
+                              memory_image=program.memory_image,
+                              core=core)
+    except ReproError as error:
+        raise SystemExit(str(error))
 
 
 def cmd_compile(options):
@@ -177,29 +193,26 @@ def cmd_campaign(options):
         raise SystemExit("--chunk-size must be >= 1")
     program = load_program(options.file, optimize=_opt_level(options))
     machine, golden = _golden(program, options.args, core=options.core)
+    function = program.function
     if options.harden != "none":
-        from repro.harden import harden
-
-        result = harden(program.function, options.harden,
-                        budget=options.budget, golden=golden)
-        original_cycles = golden.cycles
-        program = LoadedProgram(result.function, program.memory_image,
-                                program.param_regs)
-        machine, golden = _golden(program, options.args,
-                                  core=options.core)
+        result, machine, hardened_golden = _harden_checked(
+            program, options.harden, options.budget, golden,
+            options.args, core=options.core)
+        function = result.function
         print(f"hardened ({options.harden}): "
               f"{len(result.protected)} protected instructions, "
               f"{result.n_check} checkers, "
-              f"overhead {golden.cycles / original_cycles - 1:+.1%} "
-              f"({original_cycles} -> {golden.cycles} cycles)")
-    bec = run_bec(program.function)
+              f"overhead {hardened_golden.cycles / golden.cycles - 1:+.1%} "
+              f"({golden.cycles} -> {hardened_golden.cycles} cycles)")
+        golden = hardened_golden
+    bec = run_bec(function)
     if options.mode == "bec":
-        plan = plan_bec(program.function, golden, bec)
+        plan = plan_bec(function, golden, bec)
     elif options.mode == "ior":
-        plan = plan_inject_on_read(program.function, golden)
+        plan = plan_inject_on_read(function, golden)
     else:
-        plan = plan_exhaustive(program.function, golden)
-    accounting = fault_injection_accounting(program.function, golden, bec)
+        plan = plan_exhaustive(function, golden)
+    accounting = fault_injection_accounting(function, golden, bec)
     print(f"golden trace: {golden.cycles} cycles ({options.core} core)")
     print(f"plan ({options.mode}): {len(plan)} fault-injection runs")
     print(f"accounting: {accounting}")
@@ -298,19 +311,9 @@ POLICIES = {
 
 def cmd_harden(options):
     program = load_program(options.file, optimize=_opt_level(options))
-    from repro.harden import harden
-    from repro.harden.select import eligible_pps
-
     _, golden = _golden(program, options.args)
-    result = harden(program.function, options.strategy,
-                    budget=options.budget, golden=golden)
-    hardened_program = LoadedProgram(result.function,
-                                     program.memory_image,
-                                     program.param_regs)
-    _, hardened_golden = _golden(hardened_program, options.args)
-    if result.projected_path(hardened_golden) != golden.executed:
-        raise SystemExit("internal error: hardened run does not project "
-                         "onto the original golden path")
+    result, _, hardened_golden = _harden_checked(
+        program, options.strategy, options.budget, golden, options.args)
     overhead = hardened_golden.cycles / golden.cycles - 1 \
         if golden.cycles else 0.0
     print(f"strategy {options.strategy}: "

@@ -4,13 +4,10 @@ One :class:`BenchmarkRun` per benchmark bundles the compiled program,
 its golden trace and the BEC analysis; results are cached per process
 because several experiments share them.
 
-Campaign-executing experiments go through :meth:`BenchmarkRun.run_plan`
-so the engine knobs apply uniformly; ``REPRO_WORKERS``,
-``REPRO_CHECKPOINT_INTERVAL`` and ``REPRO_CORE`` set process-wide
-defaults (e.g. ``REPRO_CORE=batched REPRO_CHECKPOINT_INTERVAL=64`` to
-speed up ``python -m repro.experiments`` with the lockstep core)
-without changing any experiment's results — the engine guarantees
-bit-identical aggregates.
+Campaign-executing experiments go through :meth:`BenchmarkRun.run_plan`,
+which runs the plan serially on the threaded core (the engine
+guarantees bit-identical aggregates for any worker count, checkpoint
+interval or core, so none of them is an experiment setting).
 
 ``REPRO_STORE=<path>`` (or :func:`set_store`) binds the harnesses to a
 content-addressed result store (:mod:`repro.store`): every campaign a
@@ -28,13 +25,6 @@ from repro.bench.programs import (BENCHMARK_ORDER, compile_benchmark,
 from repro.bec.analysis import run_bec
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
-
-
-def _env_int(name, default):
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 _runner = None
@@ -78,9 +68,7 @@ class BenchmarkRun:
         self.program = compile_benchmark(name)
         self.function = self.program.function
         self.machine = Machine(self.function,
-                               memory_image=self.program.memory_image,
-                               core=os.environ.get("REPRO_CORE",
-                                                   "threaded"))
+                               memory_image=self.program.memory_image)
         self.regs = self.program.initial_regs(*self.benchmark.args)
         self.golden = self.machine.run(regs=self.regs)
         if self.golden.outcome != "ok":
@@ -88,32 +76,18 @@ class BenchmarkRun:
                 f"{name}: golden run failed ({self.golden.outcome})")
         self.bec = run_bec(self.function)
 
-    def run_plan(self, plan, golden=None, workers=None,
-                 checkpoint_interval=None, max_cycles=None):
-        """Execute *plan* through the campaign engine.
-
-        ``workers``/``checkpoint_interval`` default to the
-        ``REPRO_WORKERS`` / ``REPRO_CHECKPOINT_INTERVAL`` environment
-        variables (serial, uncheckpointed when unset).  With a bound
-        result store (``REPRO_STORE`` / :func:`set_store`) the plan is
-        served from the store when its cell is archived.
+    def run_plan(self, plan):
+        """Execute *plan* against this benchmark's golden run through
+        the campaign engine.  With a bound result store
+        (``REPRO_STORE`` / :func:`set_store`) the plan is served from
+        the store when its cell is archived.
         """
-        if workers is None:
-            workers = _env_int("REPRO_WORKERS", 1)
-        if checkpoint_interval is None:
-            checkpoint_interval = _env_int("REPRO_CHECKPOINT_INTERVAL", 0)
-        golden = self.golden if golden is None else golden
         runner = campaign_runner()
         if runner is not None:
             return runner.run(self.machine, plan, regs=self.regs,
-                              golden=golden, max_cycles=max_cycles,
-                              workers=workers,
-                              checkpoint_interval=checkpoint_interval
-                              or None)
-        engine = CampaignEngine(self.machine, plan, regs=self.regs,
-                                golden=golden, max_cycles=max_cycles)
-        return engine.run(workers=workers,
-                          checkpoint_interval=checkpoint_interval or None)
+                              golden=self.golden)
+        return CampaignEngine(self.machine, plan, regs=self.regs,
+                              golden=self.golden).run()
 
 
 _cache = {}

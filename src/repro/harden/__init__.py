@@ -24,12 +24,20 @@ Three protection strategies:
     instruction overhead budget (``budget=0.3`` means at most 30 %
     extra dynamic instructions).
 
+Every consumer of a hardened variant (sweep cells, ``repro campaign
+--harden``, ``repro harden`` and :mod:`repro.harden.evaluate`) builds it
+through :func:`harden_checked`, which also runs the hardened golden
+trace and enforces the validity rule every protection number rests on:
+the fault-free run finishes ``ok`` and, with inserted instructions
+dropped, retraces the original golden path.
+
 The transform machinery lives in :mod:`repro.harden.transform`, the
 budget selection in :mod:`repro.harden.select` and the end-to-end
 fault-injection evaluation harness in :mod:`repro.harden.evaluate`.
 """
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, SimulationError
+from repro.fi.machine import Machine
 from repro.harden.select import eligible_pps, select_bec
 from repro.harden.transform import HardenResult, harden_function
 
@@ -66,5 +74,36 @@ def harden(function, strategy="bec", budget=0.3, golden=None, bec=None):
     return harden_function(function, protected)
 
 
-__all__ = ["STRATEGIES", "HardenResult", "harden", "harden_function",
-           "eligible_pps", "select_bec"]
+def harden_checked(function, strategy, golden, budget=0.3, bec=None,
+                   regs=None, memory_image=None, memory_size=1 << 16,
+                   core="threaded"):
+    """Harden *function* and run the hardened golden trace; returns
+    ``(result, machine, hardened_golden)``.
+
+    *golden* is the original function's golden trace.  Raises
+    :class:`~repro.errors.SimulationError` when the hardened golden run
+    does not finish ``ok``, and :class:`~repro.errors.AnalysisError`
+    when its projected path differs from ``golden.executed`` — a
+    transform that changed fault-free behaviour must never reach a
+    campaign.
+    """
+    result = harden(function, strategy, budget=budget, golden=golden,
+                    bec=bec)
+    machine = Machine(result.function, memory_size=memory_size,
+                      memory_image=memory_image, core=core)
+    hardened_golden = machine.run(regs=regs)
+    if hardened_golden.outcome != "ok":
+        raise SimulationError(
+            f"hardened golden run failed: {hardened_golden.outcome} "
+            f"({hardened_golden.trap_kind or ''})")
+    projected = result.projected_path(hardened_golden)
+    if projected != golden.executed:
+        raise AnalysisError(
+            f"internal error: hardened run does not project onto the "
+            f"original golden path ({strategy}: {len(projected)} vs "
+            f"{len(golden.executed)} original instructions)")
+    return result, machine, hardened_golden
+
+
+__all__ = ["STRATEGIES", "HardenResult", "harden", "harden_checked",
+           "harden_function", "eligible_pps", "select_bec"]

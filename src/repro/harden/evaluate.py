@@ -7,14 +7,15 @@ hardened binary, and the change of its effect class observed.
 :class:`HardenResult.map_plan` provides exactly that replay (the
 hardened golden trace interleaves the original instruction stream with
 shadows and checkers, so every original cycle has a unique hardened
-counterpart), and this module packages it into the campaign comparison
-used by ``experiments/protection.py``, ``benchmarks/bench_harden.py``
-and the tests:
+counterpart), and this module packages it into
+:func:`ladder_comparison`, the one protocol used by
+``experiments/protection.py``, ``benchmarks/bench_harden.py``, the
+``selective_hardening`` example and the tests:
 
 * build one fault plan against the *original* program (a cycle-spanning
   stride of the inject-on-read population);
-* run it against every variant (``none``/``full``/``bec``) through the
-  campaign engine;
+* run it against the baseline (``none``), full duplication and ``bec``
+  at a ladder of budgets through the campaign engine;
 * count, pairwise against the baseline, how many silent data
   corruptions each variant *converts* to the ``detected`` class, and
   what dynamic instruction overhead it pays for them.
@@ -25,17 +26,12 @@ from collections import namedtuple
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC, plan_inject_on_read
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
-from repro.fi.machine import Machine
-from repro.harden import harden
+from repro.harden import eligible_pps, harden_checked
 
 VariantOutcome = namedtuple(
     "VariantOutcome",
     ["strategy", "result", "campaign", "golden", "overhead",
      "protected_count", "eligible_count"])
-
-ProtectionComparison = namedtuple(
-    "ProtectionComparison",
-    ["plan_size", "baseline_sdc", "variants", "conversions"])
 
 
 def strided_plan(function, golden, target_runs):
@@ -57,26 +53,14 @@ def run_variant(function, strategy, plan, golden, regs=None,
     campaign from the result store when its cell is archived.
 
     *plan* and *golden* belong to the original *function*; the plan is
-    translated through the hardened golden trace before execution.  The
-    projected hardened path is asserted against the original golden
-    path, so a transform that changed fault-free behaviour fails loudly
-    here rather than corrupting the comparison.
+    translated through the hardened golden trace before execution.
+    :func:`repro.harden.harden_checked` rejects a variant whose
+    fault-free run does not retrace the original, so it can never
+    corrupt the comparison.
     """
-    result = harden(function, strategy, budget=budget, golden=golden,
-                    bec=bec)
-    machine = Machine(result.function, memory_size=memory_size,
-                      memory_image=memory_image, core=core)
-    hardened_golden = machine.run(regs=regs)
-    if hardened_golden.outcome != "ok":
-        raise RuntimeError(
-            f"hardened golden run failed: {hardened_golden.outcome} "
-            f"({hardened_golden.trap_kind or ''})")
-    projected = result.projected_path(hardened_golden)
-    if projected != golden.executed:
-        raise RuntimeError(
-            f"hardened golden path does not project onto the original "
-            f"({strategy}: {len(projected)} vs {len(golden.executed)} "
-            f"original instructions)")
+    result, machine, hardened_golden = harden_checked(
+        function, strategy, golden, budget=budget, bec=bec, regs=regs,
+        memory_image=memory_image, memory_size=memory_size, core=core)
     mapped = result.map_plan(plan, hardened_golden)
     if runner is not None:
         campaign = runner.run(machine, mapped, regs=regs,
@@ -90,7 +74,6 @@ def run_variant(function, strategy, plan, golden, regs=None,
                               checkpoint_interval=checkpoint_interval)
     overhead = hardened_golden.cycles / golden.cycles - 1 \
         if golden.cycles else 0.0
-    from repro.harden.select import eligible_pps
     return VariantOutcome(
         strategy=strategy, result=result, campaign=campaign,
         golden=hardened_golden, overhead=overhead,
@@ -112,8 +95,9 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
                       budgets=(0.3, 0.6, 0.85), target_runs=160,
                       workers=1, checkpoint_interval=None,
                       coverage_target=0.9, runner=None):
-    """The shared evaluation protocol of ``experiments/protection.py``
-    and ``benchmarks/bench_harden.py``: one strided fault plan replayed
+    """The shared evaluation protocol of ``experiments/protection.py``,
+    ``benchmarks/bench_harden.py`` and the ``selective_hardening``
+    example: one strided fault plan replayed
     against baseline, full duplication and ``bec`` at a ladder of
     budgets.
 
@@ -169,34 +153,3 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
         row["bec"][-1])
     return row
 
-
-def compare_protection(function, golden, regs=None, memory_image=None,
-                       memory_size=1 << 16, bec=None, budget=0.3,
-                       target_runs=240, workers=1,
-                       checkpoint_interval=None, strategies=("none",
-                                                             "full",
-                                                             "bec"),
-                       runner=None):
-    """Run the full three-way comparison; returns a
-    :class:`ProtectionComparison` whose ``variants`` dict maps strategy
-    name to :class:`VariantOutcome` and whose ``conversions`` dict maps
-    non-baseline strategies to their SDC-to-detected conversion count.
-    """
-    bec = bec or run_bec(function)
-    plan = strided_plan(function, golden, target_runs)
-    variants = {}
-    for strategy in strategies:
-        variants[strategy] = run_variant(
-            function, strategy, plan, golden, regs=regs,
-            memory_image=memory_image, memory_size=memory_size, bec=bec,
-            budget=budget, workers=workers,
-            checkpoint_interval=checkpoint_interval, runner=runner)
-    baseline = variants["none"]
-    conversions = {strategy: count_conversions(baseline, outcome)
-                   for strategy, outcome in variants.items()
-                   if strategy != "none"}
-    return ProtectionComparison(
-        plan_size=len(plan),
-        baseline_sdc=baseline.campaign.effect_counts()[EFFECT_SDC],
-        variants=variants,
-        conversions=conversions)

@@ -32,6 +32,7 @@ from repro.fi.campaign import (iter_plan_bec, iter_plan_exhaustive,
 # (perfbench/layers.py); cells plan through the iterators above.
 from repro.fi.campaign import plan_bec  # noqa: F401
 from repro.fi.machine import Machine
+from repro.harden import harden_checked
 from repro.store.runner import CachingRunner
 
 #: One finished (or cache-hit, or poisoned) grid cell.  ``error`` is
@@ -126,20 +127,19 @@ class SweepRunner:
         if key in self._variants:
             return self._variants[key]
         function, memory_image, regs = self._kernel(name)
-        if strategy != "none":
-            from repro.harden import harden
-
+        if strategy == "none":
+            golden = Machine(function, memory_image=memory_image).run(
+                regs=regs)
+            if golden.outcome != "ok":
+                raise RuntimeError(
+                    f"{name}: golden run failed ({golden.outcome})")
+        else:
             base = self._variant(name, "none", None)
-            result = harden(function, strategy,
-                            budget=0.3 if budget is None else budget,
-                            golden=base["golden"], bec=base["bec"])
+            result, _, golden = harden_checked(
+                function, strategy, base["golden"],
+                budget=0.3 if budget is None else budget, bec=base["bec"],
+                regs=regs, memory_image=memory_image)
             function = result.function
-        machine = Machine(function, memory_image=memory_image)
-        golden = machine.run(regs=regs)
-        if golden.outcome != "ok":
-            raise RuntimeError(
-                f"{name} [{strategy}]: golden run failed "
-                f"({golden.outcome})")
         variant = {"function": function, "memory_image": memory_image,
                    "regs": regs, "golden": golden,
                    "bec": run_bec(function)}

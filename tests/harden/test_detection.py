@@ -14,7 +14,7 @@ from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection, Machine
 from repro.fi.trace import TRAP_DETECTED
 from repro.harden import harden
-from repro.harden.evaluate import (compare_protection, count_conversions,
+from repro.harden.evaluate import (count_conversions, ladder_comparison,
                                    run_variant, strided_plan)
 from repro.ir.parser import parse_function
 
@@ -168,18 +168,17 @@ class TestCampaignAggregates:
 class TestCompareProtection:
     def test_three_way_comparison(self, motivating_function,
                                   motivating_golden, motivating_bec):
-        comparison = compare_protection(
+        row = ladder_comparison(
             motivating_function, motivating_golden, memory_size=256,
-            bec=motivating_bec, budget=0.3, target_runs=200)
-        assert comparison.baseline_sdc > 0
-        full = comparison.conversions["full"]
-        bec = comparison.conversions["bec"]
-        assert full == comparison.baseline_sdc    # full catches them all
-        assert 0 < bec <= full
-        none_variant = comparison.variants["none"]
-        assert none_variant.overhead == 0.0
-        assert comparison.variants["full"].overhead \
-            > comparison.variants["bec"].overhead > 0.0
+            bec=motivating_bec, budgets=(0.3,), target_runs=200)
+        assert row["baseline_sdc"] > 0
+        full, bec = row["full"], row["bec"][0]
+        # Full duplication catches them all.
+        assert full["converted"] == row["baseline_sdc"]
+        assert full["residual_sdc"] == 0
+        assert 0 < bec["converted"] <= full["converted"]
+        assert bec["residual_sdc"] < row["baseline_sdc"]
+        assert full["overhead"] > bec["overhead"] > 0.0
 
     def test_full_conversion_on_accumulator(self):
         function = parse_function(ACCUMULATE)
@@ -189,6 +188,7 @@ class TestCompareProtection:
                                regs={"n": 6})
         full = run_variant(function, "full", plan, golden,
                            regs={"n": 6})
+        assert baseline.overhead == 0.0
         sdc = baseline.campaign.effect_counts()[EFFECT_SDC]
         assert sdc > 0
         assert count_conversions(baseline, full) == sdc

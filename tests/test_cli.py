@@ -643,3 +643,27 @@ class TestCampaignStore:
                              if "distinguishable" in line
                              or line.startswith("executed")]
         assert pick(warm) == pick(cold)
+
+    @pytest.mark.parametrize("harden", [["none"], ["bec", "--budget", "0.3"]])
+    def test_campaign_and_sweep_share_one_archive(
+            self, harden_minic_file, tmp_path, capsys, harden):
+        """A `campaign --store` cell, hardened or not, is a hit for the
+        matching one-cell sweep: both front doors build the variant the
+        same way and key it the same way."""
+        import json as json_module
+
+        store = str(tmp_path / "store.sqlite")
+        assert main(["campaign", harden_minic_file, "--execute", "50",
+                     "--args", "6", "--store", store,
+                     "--harden", *harden]) == 0
+        grid = {"kernels": [{"path": harden_minic_file, "args": [6]}],
+                "harden": [harden[0]]}
+        if harden[0] == "bec":
+            grid["budgets"] = [0.3]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json_module.dumps(
+            {"grid": grid, "engine": {"max_runs": 50}}))
+        capsys.readouterr()
+        assert main(["sweep", str(spec), "--store", store]) == 0
+        assert "1 cells (0 executed, 1 from cache)" \
+            in capsys.readouterr().out
