@@ -14,7 +14,13 @@ CI can track the perf trajectory:
                    pre-engine way (reference core, serial, no
                    checkpoints) vs the full stack (threaded core,
                    workers + checkpoints), with identical aggregates
-                   asserted.
+                   asserted;
+* ``resume_parity`` — injected runs resumed from golden snapshots
+                   (``run_from`` with reconvergence) on the warmed
+                   threaded core, asserted trace-identical to the
+                   reference core's full runs;
+* ``provenance`` — where the numbers come from: git SHA, Python and
+                   NumPy versions, CPU count and mode.
 
 Run standalone (writes ``BENCH_interp.json`` next to this file's
 working directory and prints a table)::
@@ -30,12 +36,16 @@ gate on the speedup (shared CI runners are too noisy for that).
 import argparse
 import json
 import math
+import os
+import platform
+import subprocess
 import time
 
 from repro.bench.programs import compile_benchmark, get_benchmark
 from repro.fi.campaign import plan_exhaustive
-from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
-from repro.fi.machine import Machine
+from repro.fi.engine import (CampaignEngine, auto_checkpoint_interval,
+                             pick_snapshot)
+from repro.fi.machine import Injection, Machine
 
 #: The single-run subjects (paper §VI kernels, presentation order).
 PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
@@ -49,6 +59,9 @@ CAMPAIGN_RUNS = {"full": 96, "smoke": 16}
 MIN_MEASURE = {"full": 0.5, "smoke": 0.05}
 
 GATE_GEOMEAN = 3.0
+
+#: Injected runs per program in the resume-parity check.
+PARITY_RUNS = 6
 
 
 def prepare(name):
@@ -79,8 +92,36 @@ def measure(machine, regs, min_seconds):
     return trace, best
 
 
+def check_resume_parity(machines, regs, golden):
+    """Injected ``run_from`` runs (resumed from golden snapshots, with
+    reconvergence) on the threaded core must match the reference
+    core's full runs; returns how many were checked."""
+    threaded, reference = machines["threaded"], machines["reference"]
+    _, snapshots = threaded.run_with_snapshots(
+        regs=regs, interval=auto_checkpoint_interval(golden))
+    max_cycles = 4 * golden.cycles + 256
+    registers = threaded.function.registers()
+    width = threaded.function.bit_width
+    for index in range(PARITY_RUNS):
+        cycle = (2 * index + 1) * golden.cycles // (2 * PARITY_RUNS)
+        injection = Injection(cycle, registers[index % len(registers)],
+                              (7 * index) % width)
+        resumed = threaded.run_from(pick_snapshot(snapshots, cycle),
+                                    injection=injection,
+                                    max_cycles=max_cycles,
+                                    converge=snapshots)
+        full = reference.run(regs=regs, injection=injection,
+                             max_cycles=max_cycles)
+        assert resumed.key() == full.key(), (injection, "trace")
+        assert resumed.cycles == full.cycles, (injection, "cycles")
+        assert resumed.loads == full.loads, (injection, "loads")
+        assert resumed.signature() == full.signature(), injection
+    return PARITY_RUNS
+
+
 def bench_single_runs(mode):
     rows = []
+    parity = 0
     for name in PROGRAMS:
         machines, regs = prepare(name)
         reference_trace, reference_s = measure(machines["reference"], regs,
@@ -89,6 +130,7 @@ def bench_single_runs(mode):
                                              MIN_MEASURE[mode])
         assert threaded_trace.key() == reference_trace.key(), name
         assert threaded_trace.cycles == reference_trace.cycles, name
+        parity += check_resume_parity(machines, regs, threaded_trace)
         cycles = threaded_trace.cycles
         rows.append({
             "program": name,
@@ -99,7 +141,7 @@ def bench_single_runs(mode):
             "threaded_ips": cycles / threaded_s,
             "speedup": reference_s / threaded_s,
         })
-    return rows
+    return rows, parity
 
 
 def bench_campaign(mode):
@@ -136,6 +178,32 @@ def bench_campaign(mode):
     }
 
 
+def provenance(mode):
+    """Where the numbers were measured (the checkout's SHA, marked
+    ``-dirty`` when it has uncommitted changes)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def git(*args):
+        try:
+            return subprocess.run(["git", *args], cwd=root, check=True,
+                                  capture_output=True,
+                                  text=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    sha = git("rev-parse", "HEAD")
+    if sha and git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {"git_sha": sha, "python": platform.python_version(),
+            "numpy": numpy_version, "cpu_count": os.cpu_count(),
+            "mode": mode}
+
+
 def geomean(values):
     return math.exp(sum(math.log(value) for value in values) / len(values))
 
@@ -150,7 +218,7 @@ def main(argv=None):
     mode = "smoke" if options.smoke else "full"
     output = options.output
 
-    rows = bench_single_runs(mode)
+    rows, parity = bench_single_runs(mode)
     campaign = bench_campaign(mode)
     gate = geomean([row["speedup"] for row in rows])
 
@@ -168,6 +236,8 @@ def main(argv=None):
           f"reference-serial {campaign['reference_serial_s']:.3f}s vs "
           f"threaded+engine {campaign['threaded_engine_s']:.3f}s — "
           f"{campaign['compound_speedup']:.2f}x compounded")
+    print(f"resume parity: {parity} injected run_from runs identical to "
+          f"the reference core")
 
     report = {
         "mode": mode,
@@ -175,6 +245,8 @@ def main(argv=None):
         "gate_geomean": GATE_GEOMEAN,
         "programs": rows,
         "campaign": campaign,
+        "resume_parity": parity,
+        "provenance": provenance(mode),
     }
     with open(output, "w") as handle:
         json.dump(report, handle, indent=2)

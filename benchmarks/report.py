@@ -51,6 +51,10 @@ def report_interp(data):
     if campaign:
         print(f"  compounded campaign win ({campaign['program']}): "
               f"{campaign['compound_speedup']:.2f}x vs reference-serial")
+    where = data.get("provenance")
+    if where:
+        print(f"  measured at {where['git_sha']} (Python {where['python']}, "
+              f"NumPy {where['numpy']}, {where['cpu_count']} CPUs)")
 
 
 def report_harden(data):

@@ -496,8 +496,12 @@ class BatchClassifier:
         # On-path dirty lanes share the golden executed path, stores
         # and outcome; the forge hashes that prefix once and forks the
         # signature per lane with its recorded outputs/return value.
-        self._forge = SignatureForge(golden.executed, golden.stores,
-                                     golden.outcome, golden.trap_kind)
+        # The packed images are the snapshots' golden trace's, the
+        # ones the scalar escapes' signatures slice their prefixes from.
+        path, stores = snapshots[0].trace.packed()
+        self._forge = SignatureForge(len(golden.executed), (path,),
+                                     (stores,), golden.outcome,
+                                     golden.trap_kind)
         self.snap_cycles = [snapshot.cycle for snapshot in snapshots]
         self._snap_cols = {}
         # Per-classify_indices tallies, flushed to the metrics registry
@@ -827,9 +831,12 @@ class BatchClassifier:
                                  at_end=True)
         sched.clear()
 
-        for index in escapes:
-            results[index] = self._classify_scalar(
-                self.plan[index].injection)
-            retire(1)
+        # Scalar-escape time in its own span, apart from the lockstep
+        # pass that nests it (`repro obs summarize`).
+        with obs.tracer().span("batch.escape_queue", lanes=len(escapes)):
+            for index in escapes:
+                results[index] = self._classify_scalar(
+                    self.plan[index].injection)
+                retire(1)
         leftovers.extend(queue[qi:])
         return leftovers

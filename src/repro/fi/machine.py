@@ -13,9 +13,11 @@ bit-identical traces:
 * the **threaded core** (the default): registers live in a dense
   ``list`` indexed by decode-time slot numbers, and every instruction is
   compiled once into a specialized closure by
-  :mod:`repro.fi.threaded` — the hot loop is one closure call per
-  cycle, with injections, snapshots and convergence checks handled at
-  precomputed cycle boundaries between tight runs;
+  :mod:`repro.fi.threaded`; hot block starts are further compiled into
+  straight-line superblocks and basic blocks.  Injections, snapshots,
+  convergence checks and the cycle budget are handled at precomputed
+  cycle boundaries, and between two of them the loop runs the largest
+  compiled tier that fits — else one closure call per cycle;
 * the **reference core** (``core="reference"``): the original
   tuple-tag interpreter, kept as the differential-testing oracle
   (``tests/fuzz/test_interp_differential.py``) and as the host of
@@ -264,6 +266,7 @@ class Machine:
         # (record_registers and cross-core snapshots pull in the other
         # core on demand).
         self._ops = None
+        self._tiers = None
         self._program = None
 
     def _threaded_ops(self):
@@ -277,6 +280,9 @@ class Machine:
             self._ops = threaded.compile_ops(self.function, self._slot,
                                              self._first_pp,
                                              self.memory_size)
+            self._tiers = threaded.Tiers(self.function, self._ops,
+                                         self._slot, self._first_pp,
+                                         self.memory_size)
         return self._ops
 
     def _reference_program(self):
@@ -358,8 +364,7 @@ class Machine:
     # -- execution ---------------------------------------------------------------
 
     def run(self, regs=None, injection=None, max_cycles=DEFAULT_MAX_CYCLES,
-            record_executed=True, record_registers=False,
-            snapshot_interval=None, snapshots=None):
+            record_registers=False, snapshot_interval=None, snapshots=None):
         """Execute from the entry block; returns a :class:`Trace`.
 
         ``regs`` provides initial register values (parameters).
@@ -387,8 +392,8 @@ class Machine:
             snapshot_interval = snapshots = None
         if self.core == "reference" or record_registers:
             return self._run_reference(regs, upsets, max_cycles,
-                                       record_executed, record_registers,
-                                       snapshot_interval, snapshots)
+                                       record_registers, snapshot_interval,
+                                       snapshots)
         self._threaded_ops()
         value_mask = self._value_mask
         if regs:
@@ -407,12 +412,12 @@ class Machine:
         while upsets and upsets[0].cycle == -1:
             _apply_slot_upset(upsets.pop(0), slot_of, registers, memory)
         return self._execute_threaded(registers, memory, trace, 0, 0,
-                                      upsets, max_cycles, record_executed,
+                                      upsets, max_cycles,
                                       snapshot_interval=snapshot_interval,
                                       snapshots=snapshots)
 
-    def _run_reference(self, regs, upsets, max_cycles, record_executed,
-                       record_registers, snapshot_interval, snapshots):
+    def _run_reference(self, regs, upsets, max_cycles, record_registers,
+                       snapshot_interval, snapshots):
         value_mask = self._value_mask
         registers = {}
         if regs:
@@ -424,8 +429,7 @@ class Machine:
         while upsets and upsets[0].cycle == -1:
             _apply_upset(upsets.pop(0), registers, memory, value_mask)
         return self._execute_reference(registers, memory, trace, 0, 0,
-                                       upsets, max_cycles, record_executed,
-                                       record_registers,
+                                       upsets, max_cycles, record_registers,
                                        snapshot_interval=snapshot_interval,
                                        snapshots=snapshots)
 
@@ -444,8 +448,7 @@ class Machine:
         return trace, snapshots
 
     def run_from(self, snapshot, injection=None,
-                 max_cycles=DEFAULT_MAX_CYCLES, record_executed=True,
-                 converge=None):
+                 max_cycles=DEFAULT_MAX_CYCLES, converge=None):
         """Resume from *snapshot* and execute only the tail.
 
         Produces a trace bit-identical to a full :meth:`run` with the
@@ -472,14 +475,14 @@ class Machine:
         memory = bytearray(snapshot.memory)
         trace = Trace()
         source = snapshot.trace
+        trace.resumed_from = snapshot
         trace.executed = source.executed[:snapshot.n_executed]
         trace.outputs = source.outputs[:snapshot.n_outputs]
         trace.stores = source.stores[:snapshot.n_stores]
         trace.loads = source.loads[:snapshot.n_loads]
-        last_upset = max((upset.cycle for upset in upsets),
-                         default=snapshot.cycle)
+        horizon = max([upset.cycle for upset in upsets] + [snapshot.cycle])
         converge = [candidate for candidate in converge or ()
-                    if candidate.cycle > max(last_upset, snapshot.cycle)]
+                    if candidate.cycle > horizon]
         if self.core == "reference":
             registers = self._snapshot_register_dict(snapshot)
             while upsets and upsets[0].cycle == -1:
@@ -487,8 +490,7 @@ class Machine:
                              self._value_mask)
             return self._execute_reference(registers, memory, trace,
                                            snapshot.pc, snapshot.cycle,
-                                           upsets, max_cycles,
-                                           record_executed, False,
+                                           upsets, max_cycles, False,
                                            converge=converge)
         self._threaded_ops()
         registers = self._snapshot_register_list(snapshot)
@@ -497,8 +499,7 @@ class Machine:
             _apply_slot_upset(upsets.pop(0), slot_of, registers, memory)
         return self._execute_threaded(registers, memory, trace,
                                       snapshot.pc, snapshot.cycle, upsets,
-                                      max_cycles, record_executed,
-                                      converge=converge)
+                                      max_cycles, converge=converge)
 
     def _snapshot_register_list(self, snapshot):
         """Slot-indexed register file restored from *snapshot* (which
@@ -544,12 +545,12 @@ class Machine:
                 if reg != ZERO}
 
     @staticmethod
-    def _splice_golden_suffix(trace, snapshot, record_executed):
+    def _splice_golden_suffix(trace, snapshot):
         """State reconverged with the golden run at *snapshot*: the
         remaining trace is the golden suffix, verbatim."""
         source = snapshot.trace
-        if record_executed:
-            trace.executed.extend(source.executed[snapshot.n_executed:])
+        trace.spliced_at = snapshot
+        trace.executed.extend(source.executed[snapshot.n_executed:])
         trace.outputs.extend(source.outputs[snapshot.n_outputs:])
         trace.stores.extend(source.stores[snapshot.n_stores:])
         trace.loads.extend(source.loads[snapshot.n_loads:])
@@ -562,19 +563,28 @@ class Machine:
     # -- the threaded core -------------------------------------------------------
 
     def _execute_threaded(self, registers, memory, trace, pc, cycle,
-                          upsets, max_cycles, record_executed,
-                          snapshot_interval=None, snapshots=None,
-                          converge=None):
+                          upsets, max_cycles, snapshot_interval=None,
+                          snapshots=None, converge=None):
         """The threaded-code interpreter loop.
 
-        The per-cycle overhead is one closure call.  Everything that is
-        *conditional* per cycle in the reference core — injections, the
-        cycle budget, snapshot capture, convergence checks — is turned
-        into a precomputed stop cycle, and the inner loop runs
-        check-free up to it.
+        Everything that is *conditional* per cycle in the reference
+        core — injections, the cycle budget, snapshot capture,
+        convergence checks — is turned into a precomputed stop cycle,
+        and the inner loop runs check-free up to it.  Between stops it
+        runs the largest compiled tier that fits before the stop: a
+        hot start's superblock, else its basic block, else one
+        per-instruction closure (:mod:`repro.fi.threaded`).  A tier
+        returns ``(next_pc, path, len(path))``; the executed path is
+        recorded with one ``extend`` of that precomputed tuple.
         """
         ops = self._ops
+        tiers = self._tiers
+        super_len = tiers.super_len
+        super_code = tiers.super_code
+        block_len = tiers.block_len
+        block_code = tiers.block_code
         executed_append = trace.executed.append
+        executed_extend = trace.executed.extend
         slot_of = self._slot_of
         capture = (snapshot_interval is not None and snapshots is not None
                    and not upsets)
@@ -593,8 +603,15 @@ class Machine:
                     stop = next_capture
                 if converge_cycle is not None and converge_cycle < stop:
                     stop = converge_cycle
-                if record_executed:
-                    while cycle < stop:
+                while cycle < stop:
+                    room = stop - cycle
+                    if super_len[pc] <= room:
+                        pc, path, length = super_code[pc](
+                            registers, memory, trace, cycle)
+                    elif block_len[pc] <= room:
+                        pc, path, length = block_code[pc](
+                            registers, memory, trace, cycle)
+                    else:
                         executed_append(pc)
                         next_pc = ops[pc](registers, memory, trace, cycle)
                         cycle += 1
@@ -603,15 +620,12 @@ class Machine:
                             pc = None
                             break
                         pc = next_pc
-                else:
-                    while cycle < stop:
-                        next_pc = ops[pc](registers, memory, trace, cycle)
-                        cycle += 1
-                        if next_pc is None:
-                            ended_at = pc
-                            pc = None
-                            break
-                        pc = next_pc
+                        continue
+                    executed_extend(path)
+                    cycle += length
+                    if pc is None:
+                        ended_at = path[-1]
+                        break
                 if pc is None:
                     break
                 # Event order matches the reference core: upsets fire at
@@ -641,12 +655,18 @@ class Machine:
                             and candidate.reg_names is self._reg_of \
                             and _register_lists_match(registers, creg) \
                             and memory == candidate.memory:
-                        return self._splice_golden_suffix(
-                            trace, candidate, record_executed)
+                        return self._splice_golden_suffix(trace, candidate)
                     converge_index += 1
                     converge_cycle = (converge[converge_index].cycle
                                       if converge_index < len(converge)
                                       else None)
+        except threaded.BlockTrap as trap:
+            # Raised inside a compiled tier: its path runs through the
+            # trapping instruction, which executed but did not complete.
+            executed_extend(trap.path)
+            cycle += len(trap.path) - 1
+            trace.outcome = OUTCOME_TRAP
+            trace.trap_kind = trap.kind
         except MachineTrap as trap:
             trace.outcome = OUTCOME_TRAP
             trace.trap_kind = trap.kind
@@ -660,17 +680,17 @@ class Machine:
             # check before noticing the return); match it bit-for-bit.
             trace.outcome = OUTCOME_TIMEOUT
         if _PROFILER.enabled and trace.executed:
-            # Sampled post-run, so the per-cycle closure loop above
-            # stays untouched; zero cost while the profiler is off.
+            # Sampled post-run, so the inner loop above stays
+            # untouched; zero cost while the profiler is off.
             _PROFILER.observe(self.function, trace.executed)
         return trace
 
     # -- the reference core ------------------------------------------------------
 
     def _execute_reference(self, registers, memory, trace, pc, cycle,
-                           upsets, max_cycles, record_executed,
-                           record_registers, snapshot_interval=None,
-                           snapshots=None, converge=None):
+                           upsets, max_cycles, record_registers,
+                           snapshot_interval=None, snapshots=None,
+                           converge=None):
         """The original tuple-tag interpreter loop, retained as the
         differential oracle; mutates and returns *trace*."""
         width = self.width
@@ -715,16 +735,14 @@ class Machine:
                             and isinstance(candidate.registers, dict) \
                             and registers == candidate.registers \
                             and memory == candidate.memory:
-                        return self._splice_golden_suffix(
-                            trace, candidate, record_executed)
+                        return self._splice_golden_suffix(trace, candidate)
                     converge_index += 1
                     converge_cycle = (converge[converge_index].cycle
                                       if converge_index < len(converge)
                                       else None)
                 decoded = program[pc]
                 kind = decoded[0]
-                if record_executed:
-                    executed.append(pc)
+                executed.append(pc)
                 if kind == "alu":
                     _, opcode, rd, rs1, rs2, next_pp = decoded
                     value = alu(opcode, read(rs1), read(rs2), width)

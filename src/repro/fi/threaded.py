@@ -20,23 +20,41 @@ into *threaded code* once, at decode time:
   shared "goto" closure.
 
 Every closure has the uniform signature ``step(regs, memory, trace,
-cycle) -> next_pp`` (``None`` ends the run), so the interpreter loop in
+cycle) -> next_pp`` (``None`` ends the run), so single-stepping in
 :meth:`repro.fi.machine.Machine._execute_threaded` is nothing but
 ``pc = ops[pc](regs, memory, trace, cycle)``.
 
-The arithmetic closures are generated from expression tables with
-``exec`` (the :func:`collections.namedtuple` technique), so each opcode
-family is written once and instantiated for the register-register,
-immediate and zero-compare forms.  Bit-for-bit equivalence with
-:mod:`repro.ir.concrete` — and hence with the retained reference
-interpreter — is enforced by the differential fuzz suite in
-``tests/fuzz/test_interp_differential.py``.
+Hot code is compiled further, into **tiers** (:class:`Tiers`): a block
+start entered :data:`HOT_ENTRIES` times becomes one generated function
+of straight-line code — a *superblock* along the statically predicted
+path (backward branches and branches into a loop taken, other forward
+ones not, mispredictions leave through side exits) — and its plain
+*basic block*, for use near a stop, on its own :data:`HOT_ENTRIES`-th
+use.
+A tier returns ``(next_pp, path, len(path))`` with the path
+precomputed per exit, and raises :class:`BlockTrap` (carrying the path
+through the trapping instruction) instead of :class:`MachineTrap`.
+Straight-line code that runs only a few times is never compiled.
+
+The arithmetic closures and the tiers are generated from the same
+expression tables with ``exec`` (the :func:`collections.namedtuple`
+technique), so each opcode family is written once and instantiated for
+the register-register, immediate and zero-compare forms.  Bit-for-bit
+equivalence with :mod:`repro.ir.concrete` — and hence with the retained
+reference interpreter — is enforced by the differential suites in
+``tests/fuzz/test_interp_differential.py`` and
+``tests/fi/test_superblocks.py``.
 """
+
+import functools
+import re
+import sys
 
 from repro.errors import MachineTrap, SimulationError
 from repro.fi.trace import TRAP_DETECTED
 from repro.ir.concrete import _div_signed, _rem_signed, mask
 from repro.ir.instructions import Format, Opcode
+from repro.ir.registers import ZERO
 
 # -- expression tables --------------------------------------------------------
 #
@@ -343,3 +361,395 @@ def compile_ops(function, slot, first_pp, memory_size):
         else:
             raise SimulationError(f"cannot compile {instruction}")
     return ops
+
+
+# -- compiled tiers: basic blocks and superblocks ----------------------------
+#
+# A tier is one generated function of straight-line code along a path
+# of program points, ``tier(regs, memory, trace, cycle) -> (next_pp,
+# path, len(path))``: every exit returns a precomputed triple whose
+# ``path`` is the prefix executed up to that exit, so the interpreter
+# loop records it with one ``extend``.  Register writes go through to
+# ``regs`` (so exits need no write-back); a value a later instruction
+# of the tier reads again is also kept in a local, and ``li`` constants
+# are propagated as literals.
+
+#: Entries after which a tier is compiled (cold code — most of a single
+#: golden run's straight-line code — never pays for compilation).
+HOT_ENTRIES = 64
+
+#: Instruction cap of one tier.
+SUPERBLOCK_CAP = 32
+
+#: Tier length of program points without compiled code: never fits
+#: before a stop, so the loop single-steps them.
+NEVER = sys.maxsize
+
+
+class BlockTrap(MachineTrap):
+    """A trap raised inside a compiled tier.  ``path`` is the tier's
+    executed path through the trapping instruction, which executed but
+    did not complete (so it is recorded, but not counted as a cycle)."""
+
+    def __init__(self, kind, detail, path):
+        super().__init__(kind, detail)
+        self.path = path
+
+
+def tier_path(function, first_pp, start, follow):
+    """Program points of the tier compiled at block start *start*.
+
+    With *follow* the tier is a superblock: it runs through jumps and
+    through conditional branches along their static prediction (see
+    :func:`_predicted_taken`); a branch that goes against the
+    prediction is a side exit.  Without *follow* the tier is the plain
+    basic block, ending at the first control transfer.  Either ends at
+    ``ret``, at the end of the function, on reaching a program point it
+    already contains, or at :data:`SUPERBLOCK_CAP`.
+    """
+    instructions = function.instructions
+    path = []
+    pp = start
+    while True:
+        instruction = instructions[pp]
+        path.append(pp)
+        if instruction.opcode is Opcode.RET:
+            return path
+        following = pp + 1 if pp + 1 < len(instructions) else None
+        if instruction.is_terminator:
+            if not follow:
+                return path
+            target = first_pp[instruction.label]
+            if instruction.opcode is Opcode.J \
+                    or _predicted_taken(function, first_pp, path, target):
+                following = target
+        if following is None or following in path \
+                or len(path) >= SUPERBLOCK_CAP:
+            return path
+        pp = following
+
+
+def _predicted_taken(function, first_pp, path, target):
+    """Static prediction of the conditional branch ending *path*:
+    backward branches are taken and forward ones fall through, except
+    that a forward branch into a loop is taken too.  The compiler emits
+    head-tested loops (``head: blt i, n, body; j end``) whose
+    loop-continue branch is forward, so plain backward-taken /
+    forward-not-taken would leave the loop on every iteration.  A
+    forward branch enters a loop when its target is already on the
+    path (the loop closes) or when straight-line flow from the target
+    — falling through conditional branches, following jumps — jumps
+    back into the branch's own block."""
+    pp = path[-1]
+    if target <= pp or target in path:
+        return True
+    instructions = function.instructions
+    head = first_pp[instructions[pp].block.label]
+    at = target
+    for _ in range(len(instructions)):
+        instruction = instructions[at]
+        if instruction.opcode is Opcode.J:
+            at = first_pp[instruction.label]
+            if head <= at <= pp:
+                return True
+        elif instruction.opcode is Opcode.RET or at + 1 == len(instructions):
+            return False
+        else:
+            at += 1
+    return False
+
+
+def _register_events(instruction, slot):
+    """``(reads, write)``: the register slots tier code reads for
+    *instruction*, and the one it writes (or ``None``).  The zero
+    register is neither; an instruction other than a load that writes
+    it is never evaluated, so it reads nothing."""
+    if instruction.rd == ZERO and not instruction.is_load:
+        return (), None
+    written = instruction.data_writes()
+    return (tuple(slot(name) for name in instruction.data_reads()),
+            slot(written[0]) if written else None)
+
+
+#: The detail expression of an out-of-bounds trap (as in the closures).
+_ADDRESS = 'f"address {address}"'
+
+_NAMES = re.compile(r"\b(a|b|m|sign|shift_mask|width)\b")
+
+
+def _tier_source(function, slot, first_pp, memory_size, path):
+    """``(source, globals)`` of the tier along *path* (from
+    :func:`tier_path`); *globals* binds the exit triples and trap paths
+    under the names the source uses."""
+    instructions = [function.instruction_at(pp) for pp in path]
+    width = function.bit_width
+    m = mask(width)
+    names = {"m": str(m), "sign": str(1 << (width - 1)),
+             "shift_mask": str(width - 1), "width": str(width)}
+    # Which reads and writes a later instruction of the tier reads again
+    # (before overwriting): those values are worth keeping in locals.
+    events = [_register_events(instruction, slot)
+              for instruction in instructions]
+    keep_read = [None] * len(path)
+    keep_write = [False] * len(path)
+    future = {}
+    for k in range(len(path) - 1, -1, -1):
+        reads, written = events[k]
+        if written is not None:
+            keep_write[k] = future.get(written) == "read"
+            future[written] = "write"
+        keep_read[k] = {read for read in reads if future.get(read) == "read"}
+        for read in reads:
+            future[read] = "read"
+    appends = {}
+    for instruction in instructions:
+        kind = ("loads" if instruction.is_load
+                else "stores" if instruction.is_store
+                else "outputs" if instruction.opcode is Opcode.OUT
+                else None)
+        appends[kind] = appends.get(kind, 0) + 1
+    lines = []
+    bound = {"BlockTrap": BlockTrap}
+    cached = {}                         # slot -> local name or literal
+    hoisted = set()
+
+    def constant(value):
+        name = f"K{len(bound)}"
+        bound[name] = value
+        return name
+
+    def leave(k, target):
+        executed = tuple(path[:k + 1])
+        return f"return {constant((target, executed, len(executed)))}"
+
+    def trap(k, kind, detail):
+        return (f"raise BlockTrap({kind!r}, {detail}, "
+                f"{constant(tuple(path[:k + 1]))})")
+
+    def read(k, name):
+        index = slot(name)
+        if not index:
+            return "0"
+        text = cached.get(index)
+        if text is None:
+            text = f"regs[{index}]"
+            if index in keep_read[k]:
+                lines.append(f"r{index} = {text}")
+                text = cached[index] = f"r{index}"
+        return text
+
+    def write(k, index, value, literal=False):
+        if not keep_write[k]:
+            cached.pop(index, None)
+            lines.append(f"regs[{index}] = {value}")
+        elif literal:
+            cached[index] = value
+            lines.append(f"regs[{index}] = {value}")
+        else:
+            cached[index] = f"r{index}"
+            lines.append(f"r{index} = regs[{index}] = {value}")
+
+    def append(kind, record):
+        if appends[kind] < 2:
+            lines.append(f"trace.{kind}.append({record})")
+            return
+        if kind not in hoisted:
+            hoisted.add(kind)
+            lines.append(f"{kind}_append = trace.{kind}.append")
+        lines.append(f"{kind}_append({record})")
+
+    def address(k, instruction):
+        base = read(k, instruction.rs1)
+        lines.append(f"address = ({base} + {instruction.imm}) & {m}"
+                     if instruction.imm else f"address = {base}")
+
+    last = len(path) - 1
+    for k, (pp, instruction) in enumerate(zip(path, instructions)):
+        opcode = instruction.opcode
+        fmt = instruction.format
+        nxt = pp + 1 if pp + 1 < len(function.instructions) else None
+        if fmt is Format.BRANCH or fmt is Format.BRANCHZ:
+            target = first_pp[instruction.label]
+            if target == nxt:
+                if k == last:
+                    lines.append(leave(k, nxt))
+                continue
+            other = read(k, instruction.rs2) if fmt is Format.BRANCH \
+                else "0"
+            taken = _inline(_BRANCH_EXPR[opcode],
+                            read(k, instruction.rs1), other, names)
+            if k == last:
+                lines += [f"if {taken}:", f"    {leave(k, target)}",
+                          leave(k, nxt)]
+            elif path[k + 1] == target:
+                lines += [f"if not ({taken}):", f"    {leave(k, nxt)}"]
+            else:
+                lines += [f"if {taken}:", f"    {leave(k, target)}"]
+            continue
+        if fmt is Format.JUMP:
+            if k == last:
+                lines.append(leave(k, first_pp[instruction.label]))
+            continue
+        if opcode is Opcode.RET:
+            value = "None" if instruction.rs1 is None \
+                else read(k, instruction.rs1)
+            lines += [f"trace.returned = {value}", leave(k, None)]
+            break
+        if opcode is Opcode.OUT:
+            append("outputs", read(k, instruction.rs1))
+        elif opcode is Opcode.CHECK:
+            detail = repr(f"{instruction.rs1} != {instruction.rs2}")
+            lines += [f"if {read(k, instruction.rs1)} != "
+                      f"{read(k, instruction.rs2)}:",
+                      f"    {trap(k, TRAP_DETECTED, detail)}"]
+        elif opcode is Opcode.LI:
+            rd = slot(instruction.rd)
+            if rd:
+                write(k, rd, str(instruction.imm & m), literal=True)
+        elif fmt is Format.RR or fmt is Format.RRR or fmt is Format.RRI:
+            rd = slot(instruction.rd)
+            if rd:
+                a = read(k, instruction.rs1)
+                if fmt is Format.RR:
+                    value = _inline(_UNARY_EXPR[opcode], a, None, names)
+                else:
+                    b = read(k, instruction.rs2) if fmt is Format.RRR \
+                        else str(instruction.imm & m)
+                    value = _inline(_BINARY_EXPR[opcode], a, b, names)
+                write(k, rd, value)
+        elif instruction.is_load:
+            address(k, instruction)
+            if opcode is Opcode.LW:
+                lines += [f"if address > {memory_size - 4}:",
+                          f"    {trap(k, 'load-oob', _ADDRESS)}",
+                          "value = int.from_bytes("
+                          "memory[address:address + 4], 'little')"]
+                size, narrow = 4, width < 32
+            else:
+                lines += [f"if address >= {memory_size}:",
+                          f"    {trap(k, 'load-oob', _ADDRESS)}",
+                          "value = memory[address]"]
+                if opcode is Opcode.LB:
+                    lines.append(f"if value >= 128: value |= {m & ~0xFF}")
+                size, narrow = 1, width < 8
+            cycle = f"cycle + {k}" if k else "cycle"
+            append("loads", f"({cycle}, {pp}, address, {size}, "
+                            f"{instruction.rd!r})")
+            rd = slot(instruction.rd)
+            if rd:
+                write(k, rd, f"value & {m}" if narrow else "value")
+        elif instruction.is_store:
+            address(k, instruction)
+            value = read(k, instruction.rs2)
+            if opcode is Opcode.SW:
+                word = f"({value} & 4294967295)" if width > 32 \
+                    else f"({value})"
+                lines += [f"if address > {memory_size - 4}:",
+                          f"    {trap(k, 'store-oob', _ADDRESS)}",
+                          f"memory[address:address + 4] = "
+                          f"{word}.to_bytes(4, 'little')"]
+                append("stores", f"(address, {value}, 4)")
+            else:
+                lines += [f"if address >= {memory_size}:",
+                          f"    {trap(k, 'store-oob', _ADDRESS)}",
+                          f"memory[address] = {value} & 255"]
+                append("stores", f"(address, {value}, 1)")
+        elif opcode is not Opcode.NOP:
+            raise SimulationError(f"cannot compile {instruction}")
+        if k == last:
+            lines.append(leave(k, nxt))
+    source = "def tier(regs, memory, trace, cycle):\n" + "".join(
+        f"    {line}\n" for line in lines)
+    return source, bound
+
+
+def _inline(expr, a, b, names):
+    """*expr* with its operands and width constants spelled out."""
+    names = dict(names, a=a, b=b)
+    return _NAMES.sub(lambda match: names[match.group(1)], expr)
+
+
+@functools.lru_cache(maxsize=512)
+def _compiled(source):
+    """Bytecode of a tier's source.  Cached per process: machines of
+    the same program (a golden run's and a campaign's) generate the
+    same sources and differ only in the bound constants."""
+    return compile(source, "<tier>", "exec")
+
+
+def compile_tier(function, slot, first_pp, memory_size, path):
+    """The tier function along *path* (see :func:`_tier_source`)."""
+    source, namespace = _tier_source(function, slot, first_pp,
+                                     memory_size, path)
+    namespace.update(_EXEC_GLOBALS)
+    exec(_compiled(source), namespace)  # noqa: S102 - generated code
+    return namespace["tier"]
+
+
+class Tiers:
+    """The compiled tiers of one machine's program, indexed by pp.
+
+    ``super_code[pp]``/``block_code[pp]`` hold the superblock and the
+    basic block compiled at block start *pp*, and ``super_len`` /
+    ``block_len`` their maximum path lengths (:data:`NEVER` where there
+    is no code).  A tier starts out as a one-instruction counting stub;
+    on its :data:`HOT_ENTRIES`-th entry it is compiled and installed in
+    place, so a start that turns hot mid-run takes effect from its next
+    entry.  A start's basic block only matters near a stop, so it gets
+    its own stub once the superblock is compiled (unless the two are
+    the same code).
+    """
+
+    __slots__ = ("super_len", "super_code", "block_len", "block_code",
+                 "_function", "_ops", "_slot", "_first_pp",
+                 "_memory_size")
+
+    def __init__(self, function, ops, slot, first_pp, memory_size):
+        self._function = function
+        self._ops = ops
+        self._slot = slot
+        self._first_pp = first_pp
+        self._memory_size = memory_size
+        self.super_len = [NEVER] * len(ops)
+        self.super_code = [None] * len(ops)
+        self.block_len = [NEVER] * len(ops)
+        self.block_code = [None] * len(ops)
+        for start in set(first_pp.values()):
+            self.super_len[start] = 1
+            self.super_code[start] = self._counter(start, True)
+
+    def _counter(self, start, follow):
+        step = self._ops[start]
+        path = (start,)
+        entries = 0
+
+        def tier(regs, memory, trace, cycle):
+            nonlocal entries
+            entries += 1
+            if entries >= HOT_ENTRIES:
+                self.compile(start, follow)
+            try:
+                return step(regs, memory, trace, cycle), path, 1
+            except MachineTrap as trap:
+                raise BlockTrap(trap.kind, trap.detail, path) from None
+        return tier
+
+    def compile(self, start, follow):
+        """Compile and install the superblock (*follow*) or the basic
+        block of block start *start*."""
+        path = tier_path(self._function, self._first_pp, start, follow)
+        code = compile_tier(self._function, self._slot, self._first_pp,
+                            self._memory_size, path)
+        if not follow:
+            self.block_len[start] = len(path)
+            self.block_code[start] = code
+            return
+        self.super_len[start] = len(path)
+        self.super_code[start] = code
+        if path == tier_path(self._function, self._first_pp, start,
+                             False):
+            self.block_len[start] = len(path)
+            self.block_code[start] = code
+        else:
+            self.block_len[start] = 1
+            self.block_code[start] = self._counter(start, False)

@@ -13,6 +13,7 @@ archived" trick from §V / Table I.
 """
 
 import hashlib
+import itertools
 import struct
 
 OUTCOME_OK = "ok"
@@ -26,29 +27,64 @@ OUTCOME_TIMEOUT = "timeout"
 TRAP_DETECTED = "detected-fault"
 
 
+#: Bytes per packed path entry and per packed store record.
+PATH_ENTRY = 4
+STORE_RECORD = 17
+
+
+def pack_path(executed):
+    """The byte form of an executed path that signatures hash: one
+    little-endian int32 per program point, packed in one bulk call.
+    The ``Struct`` is built per call rather than through ``struct``'s
+    format cache, which would otherwise fill with one entry per
+    distinct length."""
+    return struct.Struct(f"<{len(executed)}i").pack(*executed)
+
+
+def pack_stores(stores):
+    """The byte form of store records that signatures hash: ``"<qqB"``
+    per ``(address, value, size)`` record, packed in one bulk call."""
+    return struct.Struct("<" + "qqB" * len(stores)).pack(
+        *itertools.chain.from_iterable(stores))
+
+
+def _resumed_pieces(records, pack, width, head, start, tail, n_tail):
+    """Packed pieces of *records* whose first *start* records are the
+    prefix of the golden image *head* and, when a *tail* image is
+    given, whose last *n_tail* records are its suffix: only the records
+    in between — the ones the run simulated — are packed."""
+    prefix = memoryview(head)[:width * start]
+    if tail is None:
+        return (prefix, pack(records[start:]))
+    end = len(records) - n_tail
+    return (prefix, pack(records[start:end]),
+            memoryview(tail)[len(tail) - width * n_tail:])
+
+
 class SignatureForge:
     """Incremental form of :meth:`Trace.signature` for families of
     traces that share an executed path, store records and outcome —
     the lockstep-vectorized core's on-path lanes
     (:mod:`repro.fi.batch`): the path prefix is hashed once and forked
     per member with its own outputs and return value.
+
+    The path and the store records arrive packed, as pieces whose
+    concatenations are :func:`pack_path` and :func:`pack_stores` of
+    them (plus the path length), so callers can feed slices of cached
+    golden images instead of re-packing shared records.
     :meth:`Trace.signature` itself routes through this class, so the
     digest's byte layout is defined in exactly one place.
     """
 
     __slots__ = ("_prefix", "_stores", "_suffix")
 
-    def __init__(self, executed, stores, outcome, trap_kind):
+    def __init__(self, n_executed, path, stores, outcome, trap_kind):
         digest = hashlib.blake2b(digest_size=16)
-        digest.update(struct.pack("<q", len(executed)))
-        # Bulk pack: one struct call for the whole path (identical byte
-        # stream to packing "<i" per entry, ~10x fewer Python calls).
-        digest.update(struct.pack(f"<{len(executed)}i", *executed))
+        digest.update(struct.pack("<q", n_executed))
+        for piece in path:
+            digest.update(piece)
         self._prefix = digest
-        blob = bytearray(b"|stores")
-        for address, value, size in stores:
-            blob += struct.pack("<qqB", address, value, size)
-        self._stores = bytes(blob)
+        self._stores = (b"|stores",) + tuple(stores)
         self._suffix = outcome.encode() + (trap_kind or "").encode()
 
     def signature(self, outputs, returned):
@@ -56,7 +92,8 @@ class SignatureForge:
         digest = self._prefix.copy()
         digest.update(b"|outputs")
         digest.update(struct.pack(f"<{len(outputs)}q", *outputs))
-        digest.update(self._stores)
+        for piece in self._stores:
+            digest.update(piece)
         digest.update(b"|ret")
         digest.update(repr(returned).encode())
         digest.update(self._suffix)
@@ -67,7 +104,8 @@ class Trace:
     """Record of one (possibly fault-injected) program execution."""
 
     __slots__ = ("executed", "outputs", "stores", "loads", "returned",
-                 "outcome", "trap_kind", "cycles", "register_log")
+                 "outcome", "trap_kind", "cycles", "register_log",
+                 "resumed_from", "spliced_at", "_images")
 
     def __init__(self):
         self.executed = []      # program points in execution order
@@ -82,6 +120,9 @@ class Trace:
         self.cycles = 0
         self.register_log = None  # with record_registers: one register-
         #                           file snapshot per executed instruction
+        self.resumed_from = None  # Snapshot a resumed run started from
+        self.spliced_at = None    # Snapshot whose golden suffix it spliced
+        self._images = None       # cached packed path and stores
 
     def key(self):
         """Full comparison key (everything observable)."""
@@ -106,11 +147,47 @@ class Trace:
         return (tuple(self.outputs), tuple(self.stores), self.returned,
                 self.outcome, self.trap_kind)
 
+    def packed(self):
+        """``(pack_path(executed), pack_stores(stores))``, cached:
+        golden traces share theirs with every run resumed from their
+        snapshots."""
+        images = self._images
+        if images is None \
+                or len(images[0]) != PATH_ENTRY * len(self.executed) \
+                or len(images[1]) != STORE_RECORD * len(self.stores):
+            images = self._images = (pack_path(self.executed),
+                                     pack_stores(self.stores))
+        return images
+
+    def _packed_pieces(self):
+        """Packed path and store pieces.  Only the records this run
+        simulated are packed: a resumed run's prefix, and a spliced
+        run's suffix, are slices of the golden trace's cached images."""
+        resume = self.resumed_from
+        if resume is None:
+            return (pack_path(self.executed),), (pack_stores(self.stores),)
+        head_path, head_stores = resume.trace.packed()
+        splice = self.spliced_at
+        tail_path = tail_stores = None
+        path_tail = store_tail = 0
+        if splice is not None:
+            golden = splice.trace
+            tail_path, tail_stores = golden.packed()
+            path_tail = len(golden.executed) - splice.n_executed
+            store_tail = len(golden.stores) - splice.n_stores
+        return (_resumed_pieces(self.executed, pack_path, PATH_ENTRY,
+                                head_path, resume.n_executed, tail_path,
+                                path_tail),
+                _resumed_pieces(self.stores, pack_stores, STORE_RECORD,
+                                head_stores, resume.n_stores, tail_stores,
+                                store_tail))
+
     def signature(self):
         """Stable 16-byte digest of :meth:`key` (for archiving)."""
-        return SignatureForge(self.executed, self.stores, self.outcome,
-                              self.trap_kind).signature(self.outputs,
-                                                        self.returned)
+        path, stores = self._packed_pieces()
+        return SignatureForge(len(self.executed), path, stores,
+                              self.outcome, self.trap_kind).signature(
+                                  self.outputs, self.returned)
 
     def byte_size(self):
         """Approximate archived size of the full trace in bytes
