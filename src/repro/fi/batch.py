@@ -366,8 +366,10 @@ def _make_store(src, base, offset, m, np):
 def compile_batch_ops(function, slot, first_pp, memory_size, golden_returned):
     """Compile *function* into lockstep step closures, one per program
     point (``None`` where the instruction can neither write state nor
-    diverge).  Mirrors :func:`repro.fi.threaded.compile_ops`; ``slot``
-    is the owning machine's register-slot mapper."""
+    diverge).  The per-opcode semantics are those of the threaded
+    core's tier generator (:func:`repro.fi.threaded._tier_source`),
+    vectorized across lanes; ``slot`` is the owning machine's
+    register-slot mapper."""
     np = _np
     width = function.bit_width
     m = np.uint64((1 << width) - 1)
@@ -485,7 +487,6 @@ class BatchClassifier:
         self.snapshots = snapshots
         self.max_cycles = max_cycles
         self.lanes = lanes
-        machine._threaded_ops()          # program registers -> slot table
         self._masked_record = (EFFECT_MASKED, golden.signature(),
                                golden.byte_size())
         self._decode_entries()

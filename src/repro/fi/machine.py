@@ -11,13 +11,14 @@ Three execution cores share the machine's public API and produce
 bit-identical traces:
 
 * the **threaded core** (the default): registers live in a dense
-  ``list`` indexed by decode-time slot numbers, and every instruction is
-  compiled once into a specialized closure by
-  :mod:`repro.fi.threaded`; hot block starts are further compiled into
-  straight-line superblocks and basic blocks.  Injections, snapshots,
-  convergence checks and the cycle budget are handled at precomputed
-  cycle boundaries, and between two of them the loop runs the largest
-  compiled tier that fits — else one closure call per cycle;
+  ``list`` indexed by decode-time slot numbers, and code runs as
+  *tiers* generated by :mod:`repro.fi.threaded` — straight-line Python
+  functions along a path of instructions: one instruction (a single
+  step, compiled the first time it runs), and, for hot block starts, a
+  superblock and a basic block.  Injections, snapshots, convergence
+  checks and the cycle budget are handled at precomputed cycle
+  boundaries, and between two of them the loop runs the largest tier
+  that fits — else a single step;
 * the **reference core** (``core="reference"``): the original
   tuple-tag interpreter, kept as the differential-testing oracle
   (``tests/fuzz/test_interp_differential.py``) and as the host of
@@ -33,12 +34,11 @@ bit-identical traces:
 
 All arithmetic is bit-accurate; the reference core routes it through
 :mod:`repro.ir.concrete`, the same definitions the static analyses use,
-and the threaded core inlines those semantics at decode time.
+and the threaded core inlines those semantics in the code it generates.
 """
 
 from repro.errors import MachineTrap, SimulationError
 from repro.fi import threaded
-from repro.obs.profile import PROFILER as _PROFILER
 from repro.fi.trace import (OUTCOME_OK, OUTCOME_TIMEOUT, OUTCOME_TRAP,
                             TRAP_DETECTED, Trace)
 from repro.ir.concrete import alu, branch_taken, mask, unary
@@ -261,29 +261,28 @@ class Machine:
         self._reg_of = [ZERO]
         for param in function.params:
             self._slot(param)
+        # Every register the program names gets its slot now, so code
+        # compiled lazily mid-run never grows the table under a sized
+        # register file (only injections and inputs naming registers
+        # the program never touches still do, before a file is sized).
+        for instruction in function.instructions:
+            for reg in instruction.writes() + instruction.reads():
+                self._slot(reg)
         # Each core's program is compiled on first use: a reference
-        # machine never pays for the threaded closures and vice versa
+        # machine never pays for the threaded tiers and vice versa
         # (record_registers and cross-core snapshots pull in the other
         # core on demand).
-        self._ops = None
         self._tiers = None
         self._program = None
 
     def _threaded_ops(self):
-        """The threaded-code program, compiled on first use.
-
-        Must run before sizing any slot register file: compilation may
-        grow the slot table with registers the program names but no
-        injection or input has touched yet.
-        """
-        if self._ops is None:
-            self._ops = threaded.compile_ops(self.function, self._slot,
-                                             self._first_pp,
-                                             self.memory_size)
-            self._tiers = threaded.Tiers(self.function, self._ops,
-                                         self._slot, self._first_pp,
-                                         self.memory_size)
-        return self._ops
+        """The threaded core's :class:`~repro.fi.threaded.Tiers`,
+        built on first use."""
+        if self._tiers is None:
+            self._tiers = threaded.Tiers(self.function,
+                                         self._slot_of.__getitem__,
+                                         self._first_pp, self.memory_size)
+        return self._tiers
 
     def _reference_program(self):
         """The original tuple-tag decode, kept for the reference core
@@ -571,19 +570,20 @@ class Machine:
         core — injections, the cycle budget, snapshot capture,
         convergence checks — is turned into a precomputed stop cycle,
         and the inner loop runs check-free up to it.  Between stops it
-        runs the largest compiled tier that fits before the stop: a
-        hot start's superblock, else its basic block, else one
-        per-instruction closure (:mod:`repro.fi.threaded`).  A tier
+        runs the largest tier that fits before the stop: a hot start's
+        superblock, else its basic block, else the single step of the
+        current instruction (:mod:`repro.fi.threaded`).  Every tier
         returns ``(next_pc, path, len(path))``; the executed path is
-        recorded with one ``extend`` of that precomputed tuple.
+        recorded with one ``extend`` of that precomputed tuple.  A trap
+        is a :class:`~repro.fi.threaded.BlockTrap` carrying the path
+        through the trapping instruction.
         """
-        ops = self._ops
         tiers = self._tiers
         super_len = tiers.super_len
         super_code = tiers.super_code
         block_len = tiers.block_len
         block_code = tiers.block_code
-        executed_append = trace.executed.append
+        step_code = tiers.step_code
         executed_extend = trace.executed.extend
         slot_of = self._slot_of
         capture = (snapshot_interval is not None and snapshots is not None
@@ -606,21 +606,12 @@ class Machine:
                 while cycle < stop:
                     room = stop - cycle
                     if super_len[pc] <= room:
-                        pc, path, length = super_code[pc](
-                            registers, memory, trace, cycle)
+                        code = super_code[pc]
                     elif block_len[pc] <= room:
-                        pc, path, length = block_code[pc](
-                            registers, memory, trace, cycle)
+                        code = block_code[pc]
                     else:
-                        executed_append(pc)
-                        next_pc = ops[pc](registers, memory, trace, cycle)
-                        cycle += 1
-                        if next_pc is None:
-                            ended_at = pc
-                            pc = None
-                            break
-                        pc = next_pc
-                        continue
+                        code = step_code[pc]
+                    pc, path, length = code(registers, memory, trace, cycle)
                     executed_extend(path)
                     cycle += length
                     if pc is None:
@@ -661,13 +652,10 @@ class Machine:
                                       if converge_index < len(converge)
                                       else None)
         except threaded.BlockTrap as trap:
-            # Raised inside a compiled tier: its path runs through the
-            # trapping instruction, which executed but did not complete.
+            # The tier's path runs through the trapping instruction,
+            # which executed but did not complete.
             executed_extend(trap.path)
             cycle += len(trap.path) - 1
-            trace.outcome = OUTCOME_TRAP
-            trace.trap_kind = trap.kind
-        except MachineTrap as trap:
             trace.outcome = OUTCOME_TRAP
             trace.trap_kind = trap.kind
         trace.cycles = cycle
@@ -679,10 +667,6 @@ class Machine:
             # budgeted cycle as a timeout (its loop re-enters the budget
             # check before noticing the return); match it bit-for-bit.
             trace.outcome = OUTCOME_TIMEOUT
-        if _PROFILER.enabled and trace.executed:
-            # Sampled post-run, so the inner loop above stays
-            # untouched; zero cost while the profiler is off.
-            _PROFILER.observe(self.function, trace.executed)
         return trace
 
     # -- the reference core ------------------------------------------------------

@@ -1,48 +1,38 @@
 """Threaded-code compilation for the ISA simulator.
 
-The legacy interpreter in :mod:`repro.fi.machine` pays a per-cycle tax
-for decisions that never change between cycles: a ``kind`` string
+The reference interpreter in :mod:`repro.fi.machine` pays a per-cycle
+tax for decisions that never change between cycles: a ``kind`` string
 compare per instruction, a ``read()`` closure call (with a zero-register
 test and a dict lookup) per operand, and :func:`repro.ir.concrete.alu`'s
-per-call opcode dispatch.  This module compiles a finalized function
-into *threaded code* once, at decode time:
+per-call opcode dispatch.  This module removes that tax with one code
+generator, :func:`_tier_source`, which turns a path of program points
+into one Python function of straight-line code (a *tier*):
 
-* every register is mapped to a dense **slot index** into a plain
-  ``list`` register file (slot 0 is the hard-wired zero register, never
-  written, so zero-reads are ordinary list reads);
-* every instruction becomes one **specialized closure** over its
-  decoded constants — operand slots, pre-masked immediates, pre-bound
-  branch targets and fall-through program points — with the opcode's
-  arithmetic inlined in the closure body (no ``alu()`` dispatch, no
-  re-masking of operands, which the register file keeps masked by
-  construction);
-* writes to the zero register, ``nop`` and ``j`` all collapse to a
-  shared "goto" closure.
+* every register is a dense **slot index** into a plain ``list``
+  register file (slot 0 is the hard-wired zero register, never written,
+  so zero-reads are the literal ``0``);
+* each opcode's arithmetic is inlined from the expression tables below,
+  with operand slots and pre-masked immediates spelled out as literals,
+  and only results that can overflow re-masked (the register file stays
+  masked by construction);
+* writes to the zero register, ``nop`` and ``j`` emit no code.
 
-Every closure has the uniform signature ``step(regs, memory, trace,
-cycle) -> next_pp`` (``None`` ends the run), so single-stepping in
-:meth:`repro.fi.machine.Machine._execute_threaded` is nothing but
-``pc = ops[pc](regs, memory, trace, cycle)``.
+Every tier has the signature ``tier(regs, memory, trace, cycle) ->
+(next_pp, path, len(path))`` (``next_pp`` is ``None`` when the run
+ends), with the executed path precomputed per exit, and raises
+:class:`BlockTrap` carrying the path through the trapping instruction.
+:class:`Tiers` holds three kinds per program: a **single step** is the
+one-instruction tier of a pp, compiled the first time that pp runs; a
+block start entered :data:`HOT_ENTRIES` times is compiled into a
+**superblock** along the statically predicted path (backward branches
+and branches into a loop taken, other forward ones not, mispredictions
+leave through side exits), and its plain **basic block**, for use near
+a stop, on its own :data:`HOT_ENTRIES`-th use.  Straight-line code that
+runs only a few times is never compiled beyond single steps.
 
-Hot code is compiled further, into **tiers** (:class:`Tiers`): a block
-start entered :data:`HOT_ENTRIES` times becomes one generated function
-of straight-line code — a *superblock* along the statically predicted
-path (backward branches and branches into a loop taken, other forward
-ones not, mispredictions leave through side exits) — and its plain
-*basic block*, for use near a stop, on its own :data:`HOT_ENTRIES`-th
-use.
-A tier returns ``(next_pp, path, len(path))`` with the path
-precomputed per exit, and raises :class:`BlockTrap` (carrying the path
-through the trapping instruction) instead of :class:`MachineTrap`.
-Straight-line code that runs only a few times is never compiled.
-
-The arithmetic closures and the tiers are generated from the same
-expression tables with ``exec`` (the :func:`collections.namedtuple`
-technique), so each opcode family is written once and instantiated for
-the register-register, immediate and zero-compare forms.  Bit-for-bit
-equivalence with :mod:`repro.ir.concrete` — and hence with the retained
-reference interpreter — is enforced by the differential suites in
-``tests/fuzz/test_interp_differential.py`` and
+Bit-for-bit equivalence with :mod:`repro.ir.concrete` — and hence with
+the retained reference interpreter — is enforced by the differential
+suites in ``tests/fuzz/test_interp_differential.py`` and
 ``tests/fi/test_superblocks.py``.
 """
 
@@ -113,257 +103,11 @@ _BRANCH_EXPR = {
     Opcode.BGEU: "a >= b",
 }
 
-# -- closure factories (exec-generated families) ------------------------------
-
-_RRR_TEMPLATE = """\
-def _make(rd, rs1, rs2, nxt, m, width, sign, shift_mask):
-    def step(regs, memory, trace, cycle):
-        a = regs[rs1]
-        b = regs[rs2]
-        regs[rd] = {expr}
-        return nxt
-    return step
-"""
-
-_RRI_TEMPLATE = """\
-def _make(rd, rs1, b, nxt, m, width, sign, shift_mask):
-    def step(regs, memory, trace, cycle):
-        a = regs[rs1]
-        regs[rd] = {expr}
-        return nxt
-    return step
-"""
-
-_UNARY_TEMPLATE = """\
-def _make(rd, rs1, nxt, m, width, sign, shift_mask):
-    def step(regs, memory, trace, cycle):
-        a = regs[rs1]
-        regs[rd] = {expr}
-        return nxt
-    return step
-"""
-
-_BRANCH_TEMPLATE = """\
-def _make(rs1, rs2, target, nxt, m, width, sign, shift_mask):
-    def step(regs, memory, trace, cycle):
-        a = regs[rs1]
-        b = regs[rs2]
-        return target if {expr} else nxt
-    return step
-"""
-
 #: Helpers the generated code may call (the rare slow-path opcodes).
 _EXEC_GLOBALS = {"div_signed": _div_signed, "rem_signed": _rem_signed}
 
 
-def _build(template, expr):
-    namespace = dict(_EXEC_GLOBALS)
-    exec(template.format(expr=expr), namespace)  # noqa: S102 - static templates
-    return namespace["_make"]
-
-
-_RRR_MAKERS = {op: _build(_RRR_TEMPLATE, expr)
-               for op, expr in _BINARY_EXPR.items()}
-_RRI_MAKERS = {op: _build(_RRI_TEMPLATE, expr)
-               for op, expr in _BINARY_EXPR.items()}
-_UNARY_MAKERS = {op: _build(_UNARY_TEMPLATE, expr)
-                 for op, expr in _UNARY_EXPR.items()}
-_BRANCH_MAKERS = {op: _build(_BRANCH_TEMPLATE, expr)
-                  for op, expr in _BRANCH_EXPR.items()}
-
-
-# -- closure factories (hand-written singles) ---------------------------------
-
-
-def _make_goto(nxt):
-    """Fall-through-only step: ``nop``, ``j`` and discarded writes."""
-    def step(regs, memory, trace, cycle):
-        return nxt
-    return step
-
-
-def _make_li(rd, value, nxt):
-    def step(regs, memory, trace, cycle):
-        regs[rd] = value
-        return nxt
-    return step
-
-
-def _make_out(rs, nxt):
-    def step(regs, memory, trace, cycle):
-        trace.outputs.append(regs[rs])
-        return nxt
-    return step
-
-
-def _make_check(rs1, rs2, rs1_name, rs2_name, nxt):
-    def step(regs, memory, trace, cycle):
-        if regs[rs1] != regs[rs2]:
-            raise MachineTrap(TRAP_DETECTED, f"{rs1_name} != {rs2_name}")
-        return nxt
-    return step
-
-
-def _make_ret(rs):
-    if rs is None:
-        def step(regs, memory, trace, cycle):
-            trace.returned = None
-            return None
-    else:
-        def step(regs, memory, trace, cycle):
-            trace.returned = regs[rs]
-            return None
-    return step
-
-
-def _make_load(opcode, rd, rd_name, base, offset, nxt, pp, m, memory_size):
-    # Sign extension of `lb` fills every register bit above bit 7 at the
-    # machine's actual width (a 32-bit constant here would be wrong for
-    # any other width); the final mask keeps sub-byte widths correct.
-    sign_fill = m & ~0xFF
-    if opcode is Opcode.LW:
-        def step(regs, memory, trace, cycle):
-            address = (regs[base] + offset) & m
-            end = address + 4
-            if end > memory_size:
-                raise MachineTrap("load-oob", f"address {address}")
-            value = int.from_bytes(memory[address:end], "little")
-            trace.loads.append((cycle, pp, address, 4, rd_name))
-            if rd:
-                regs[rd] = value & m
-            return nxt
-    elif opcode is Opcode.LB:
-        def step(regs, memory, trace, cycle):
-            address = (regs[base] + offset) & m
-            if address >= memory_size:
-                raise MachineTrap("load-oob", f"address {address}")
-            value = memory[address]
-            if value >= 0x80:
-                value |= sign_fill
-            trace.loads.append((cycle, pp, address, 1, rd_name))
-            if rd:
-                regs[rd] = value & m
-            return nxt
-    elif opcode is Opcode.LBU:
-        def step(regs, memory, trace, cycle):
-            address = (regs[base] + offset) & m
-            if address >= memory_size:
-                raise MachineTrap("load-oob", f"address {address}")
-            value = memory[address]
-            trace.loads.append((cycle, pp, address, 1, rd_name))
-            if rd:
-                regs[rd] = value & m
-            return nxt
-    else:
-        raise SimulationError(f"not a load opcode: {opcode}")
-    return step
-
-
-def _make_store(opcode, src, base, offset, nxt, m, memory_size):
-    if opcode is Opcode.SW:
-        def step(regs, memory, trace, cycle):
-            address = (regs[base] + offset) & m
-            end = address + 4
-            if end > memory_size:
-                raise MachineTrap("store-oob", f"address {address}")
-            value = regs[src]
-            memory[address:end] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-            trace.stores.append((address, value, 4))
-            return nxt
-    elif opcode is Opcode.SB:
-        def step(regs, memory, trace, cycle):
-            address = (regs[base] + offset) & m
-            if address >= memory_size:
-                raise MachineTrap("store-oob", f"address {address}")
-            value = regs[src]
-            memory[address] = value & 0xFF
-            trace.stores.append((address, value, 1))
-            return nxt
-    else:
-        raise SimulationError(f"not a store opcode: {opcode}")
-    return step
-
-
-# -- the compiler -------------------------------------------------------------
-
-
-def compile_ops(function, slot, first_pp, memory_size):
-    """Compile *function* into a list of step closures (threaded code).
-
-    ``slot`` maps a register name to its dense index, growing the
-    caller's slot table on first use; slot 0 must be the zero register.
-    ``first_pp`` maps block labels to the program point of their first
-    instruction.  Returns one closure per program point.
-    """
-    width = function.bit_width
-    m = mask(width)
-    sign = 1 << (width - 1)
-    shift_mask = width - 1
-    total = len(function.instructions)
-    ops = []
-    for instruction in function.instructions:
-        pp = instruction.pp
-        opcode = instruction.opcode
-        fmt = instruction.format
-        nxt = pp + 1 if pp + 1 < total else None
-        if fmt is Format.BRANCH:
-            ops.append(_BRANCH_MAKERS[opcode](
-                slot(instruction.rs1), slot(instruction.rs2),
-                first_pp[instruction.label], nxt, m, width, sign,
-                shift_mask))
-        elif fmt is Format.BRANCHZ:
-            # The z-forms compare against slot 0, which always reads 0.
-            ops.append(_BRANCH_MAKERS[opcode](
-                slot(instruction.rs1), 0,
-                first_pp[instruction.label], nxt, m, width, sign,
-                shift_mask))
-        elif fmt is Format.JUMP:
-            ops.append(_make_goto(first_pp[instruction.label]))
-        elif opcode is Opcode.RET:
-            rs = None if instruction.rs1 is None else slot(instruction.rs1)
-            ops.append(_make_ret(rs))
-        elif opcode is Opcode.OUT:
-            ops.append(_make_out(slot(instruction.rs1), nxt))
-        elif opcode is Opcode.CHECK:
-            ops.append(_make_check(slot(instruction.rs1),
-                                   slot(instruction.rs2),
-                                   instruction.rs1, instruction.rs2, nxt))
-        elif opcode is Opcode.LI:
-            rd = slot(instruction.rd)
-            ops.append(_make_li(rd, instruction.imm & m, nxt) if rd
-                       else _make_goto(nxt))
-        elif fmt is Format.RR:
-            rd = slot(instruction.rd)
-            ops.append(_UNARY_MAKERS[opcode](
-                rd, slot(instruction.rs1), nxt, m, width, sign,
-                shift_mask) if rd else _make_goto(nxt))
-        elif fmt is Format.RRR:
-            rd = slot(instruction.rd)
-            ops.append(_RRR_MAKERS[opcode](
-                rd, slot(instruction.rs1), slot(instruction.rs2), nxt,
-                m, width, sign, shift_mask) if rd else _make_goto(nxt))
-        elif fmt is Format.RRI:
-            rd = slot(instruction.rd)
-            ops.append(_RRI_MAKERS[opcode](
-                rd, slot(instruction.rs1), instruction.imm & m, nxt,
-                m, width, sign, shift_mask) if rd else _make_goto(nxt))
-        elif instruction.is_load:
-            ops.append(_make_load(
-                opcode, slot(instruction.rd), instruction.rd,
-                slot(instruction.rs1), instruction.imm, nxt, pp, m,
-                memory_size))
-        elif instruction.is_store:
-            ops.append(_make_store(
-                opcode, slot(instruction.rs2), slot(instruction.rs1),
-                instruction.imm, nxt, m, memory_size))
-        elif opcode is Opcode.NOP:
-            ops.append(_make_goto(nxt))
-        else:
-            raise SimulationError(f"cannot compile {instruction}")
-    return ops
-
-
-# -- compiled tiers: basic blocks and superblocks ----------------------------
+# -- tiers: single steps, basic blocks and superblocks ------------------------
 #
 # A tier is one generated function of straight-line code along a path
 # of program points, ``tier(regs, memory, trace, cycle) -> (next_pp,
@@ -374,20 +118,21 @@ def compile_ops(function, slot, first_pp, memory_size):
 # of the tier reads again is also kept in a local, and ``li`` constants
 # are propagated as literals.
 
-#: Entries after which a tier is compiled (cold code — most of a single
-#: golden run's straight-line code — never pays for compilation).
+#: Entries after which a block start's superblock, and then its basic
+#: block, is compiled (cold code — most of a single golden run's
+#: straight-line code — runs as single steps).
 HOT_ENTRIES = 64
 
 #: Instruction cap of one tier.
 SUPERBLOCK_CAP = 32
 
-#: Tier length of program points without compiled code: never fits
-#: before a stop, so the loop single-steps them.
+#: Tier length where a program point has no superblock or basic block:
+#: never fits before a stop, so the loop single-steps it.
 NEVER = sys.maxsize
 
 
 class BlockTrap(MachineTrap):
-    """A trap raised inside a compiled tier.  ``path`` is the tier's
+    """A trap raised inside a tier.  ``path`` is the tier's
     executed path through the trapping instruction, which executed but
     did not complete (so it is recorded, but not counted as a cycle)."""
 
@@ -471,7 +216,7 @@ def _register_events(instruction, slot):
             slot(written[0]) if written else None)
 
 
-#: The detail expression of an out-of-bounds trap (as in the closures).
+#: The detail expression of an out-of-bounds trap (as in the reference core).
 _ADDRESS = 'f"address {address}"'
 
 _NAMES = re.compile(r"\b(a|b|m|sign|shift_mask|width)\b")
@@ -669,11 +414,21 @@ def _inline(expr, a, b, names):
     return _NAMES.sub(lambda match: names[match.group(1)], expr)
 
 
-@functools.lru_cache(maxsize=512)
+#: Bytecode cache entries.  Measured distinct tier sources in one
+#: process: 736 for golden runs of the 8 evaluation kernels, 869 in a
+#: cold nightly sweep's parent, 1031 in the perfbench ``campaign`` job,
+#: at about 1.3 KB each; twice the largest keeps every one-instruction
+#: tier of those jobs cached.
+_CACHED_SOURCES = 2048
+
+
+@functools.lru_cache(maxsize=_CACHED_SOURCES)
 def _compiled(source):
     """Bytecode of a tier's source.  Cached per process: machines of
     the same program (a golden run's and a campaign's) generate the
-    same sources and differ only in the bound constants."""
+    same sources and differ only in the bound constants, and
+    one-instruction tiers of the same operation on the same slots share
+    one source across programs."""
     return compile(source, "<tier>", "exec")
 
 
@@ -689,38 +444,55 @@ def compile_tier(function, slot, first_pp, memory_size, path):
 class Tiers:
     """The compiled tiers of one machine's program, indexed by pp.
 
-    ``super_code[pp]``/``block_code[pp]`` hold the superblock and the
-    basic block compiled at block start *pp*, and ``super_len`` /
-    ``block_len`` their maximum path lengths (:data:`NEVER` where there
-    is no code).  A tier starts out as a one-instruction counting stub;
-    on its :data:`HOT_ENTRIES`-th entry it is compiled and installed in
-    place, so a start that turns hot mid-run takes effect from its next
-    entry.  A start's basic block only matters near a stop, so it gets
-    its own stub once the superblock is compiled (unless the two are
-    the same code).
+    ``step_code[pp]`` runs the single instruction at *pp*: it starts out
+    as a stub that compiles the one-instruction tier on its first call
+    and installs it in place.  ``super_code[pp]``/``block_code[pp]``
+    hold the superblock and the basic block compiled at block start
+    *pp*, and ``super_len``/``block_len`` their maximum path lengths
+    (:data:`NEVER` where there is none).  A block start's superblock
+    starts out as a counting stub that single-steps; on its
+    :data:`HOT_ENTRIES`-th entry the superblock is compiled and
+    installed in place, so a start that turns hot mid-run takes effect
+    from its next entry.  A start's basic block only matters near a
+    stop, so it gets its own counting stub once the superblock is
+    compiled (unless the two are the same code).
+
+    ``slot`` maps a register name to its slot and must already cover
+    every register the program names: compilation is lazy and must
+    never grow a register file that has been sized.
     """
 
     __slots__ = ("super_len", "super_code", "block_len", "block_code",
-                 "_function", "_ops", "_slot", "_first_pp",
+                 "step_code", "_function", "_slot", "_first_pp",
                  "_memory_size")
 
-    def __init__(self, function, ops, slot, first_pp, memory_size):
+    def __init__(self, function, slot, first_pp, memory_size):
         self._function = function
-        self._ops = ops
         self._slot = slot
         self._first_pp = first_pp
         self._memory_size = memory_size
-        self.super_len = [NEVER] * len(ops)
-        self.super_code = [None] * len(ops)
-        self.block_len = [NEVER] * len(ops)
-        self.block_code = [None] * len(ops)
+        total = len(function.instructions)
+        self.step_code = [self._first_step(pp) for pp in range(total)]
+        self.super_len = [NEVER] * total
+        self.super_code = [None] * total
+        self.block_len = [NEVER] * total
+        self.block_code = [None] * total
         for start in set(first_pp.values()):
             self.super_len[start] = 1
             self.super_code[start] = self._counter(start, True)
 
+    def _compile(self, path):
+        return compile_tier(self._function, self._slot, self._first_pp,
+                            self._memory_size, path)
+
+    def _first_step(self, pp):
+        def tier(regs, memory, trace, cycle):
+            code = self.step_code[pp] = self._compile([pp])
+            return code(regs, memory, trace, cycle)
+        return tier
+
     def _counter(self, start, follow):
-        step = self._ops[start]
-        path = (start,)
+        step_code = self.step_code
         entries = 0
 
         def tier(regs, memory, trace, cycle):
@@ -728,18 +500,14 @@ class Tiers:
             entries += 1
             if entries >= HOT_ENTRIES:
                 self.compile(start, follow)
-            try:
-                return step(regs, memory, trace, cycle), path, 1
-            except MachineTrap as trap:
-                raise BlockTrap(trap.kind, trap.detail, path) from None
+            return step_code[start](regs, memory, trace, cycle)
         return tier
 
     def compile(self, start, follow):
         """Compile and install the superblock (*follow*) or the basic
         block of block start *start*."""
         path = tier_path(self._function, self._first_pp, start, follow)
-        code = compile_tier(self._function, self._slot, self._first_pp,
-                            self._memory_size, path)
+        code = self._compile(path)
         if not follow:
             self.block_len[start] = len(path)
             self.block_code[start] = code

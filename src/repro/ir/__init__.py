@@ -7,7 +7,7 @@ from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.liveness import LivenessInfo, compute_liveness
 from repro.ir.parser import parse_function, parse_instruction, parse_module
-from repro.ir.printer import format_function, format_module
+from repro.ir.printer import format_function
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
 from repro.ir.registers import ZERO
 from repro.ir.validate import validate_function
@@ -27,7 +27,6 @@ __all__ = [
     "compute_use_chains",
     "ddg_to_dot",
     "format_function",
-    "format_module",
     "generate_function",
     "parse_function",
     "parse_instruction",

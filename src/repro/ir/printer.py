@@ -21,7 +21,3 @@ def format_function(function, show_pp=False):
             else:
                 lines.append(f"    {instruction}")
     return "\n".join(lines) + "\n"
-
-
-def format_module(functions, show_pp=False):
-    return "\n".join(format_function(f, show_pp=show_pp) for f in functions)

@@ -2,19 +2,16 @@
 
 One process-wide registry of counters/gauges/histograms
 (:mod:`repro.obs.metrics`), one span tracer with Chrome trace-event
-export (:mod:`repro.obs.spans`), one structured key-value event log
-(:mod:`repro.obs.log`), and an optional sampled per-opcode profiler
-for the threaded core (:mod:`repro.obs.profile`).  The engine, the
-batched core, the sink fan-out, the result store and the sweep
-orchestrator all report into these singletons; the CLI surfaces them
-as ``--trace FILE.json`` / ``--metrics [FILE|-]`` plus
-``repro obs summarize``.
+export (:mod:`repro.obs.spans`) and one structured key-value event log
+(:mod:`repro.obs.log`).  The engine, the batched core, the sink
+fan-out, the result store and the sweep orchestrator all report into
+these singletons; the CLI surfaces them as ``--trace FILE.json`` /
+``--metrics [FILE|-]`` plus ``repro obs summarize``.
 
 Cost model: the metrics registry and event ring are always on (their
-events are chunk/lifecycle-granular), while spans and the profiler
-are off by default — a disabled ``tracer().span(...)`` returns a
-shared no-op singleton, so instrumented paths stay near-free until a
-caller opts in.
+events are chunk/lifecycle-granular), while spans are off by default —
+a disabled ``tracer().span(...)`` returns a shared no-op singleton, so
+instrumented paths stay near-free until a caller opts in.
 
 Typical use::
 
@@ -26,19 +23,15 @@ Typical use::
     print(obs.metrics().to_prometheus())    # scrape surface
 """
 
-import os
-
 from repro.obs.log import StructLogger
 from repro.obs.metrics import (DEFAULT_BUCKETS, MetricsRegistry,
                                parse_exposition, prometheus_name)
-from repro.obs.profile import PROFILER, OpcodeProfiler
 from repro.obs.spans import NULL_SPAN, Span, Tracer, to_chrome
 
 __all__ = [
-    "DEFAULT_BUCKETS", "MetricsRegistry", "NULL_SPAN", "OpcodeProfiler",
-    "PROFILER", "Span", "StructLogger", "Tracer", "logger", "metrics",
-    "parse_exposition", "profiler", "prometheus_name", "to_chrome",
-    "tracer",
+    "DEFAULT_BUCKETS", "MetricsRegistry", "NULL_SPAN", "Span",
+    "StructLogger", "Tracer", "logger", "metrics", "parse_exposition",
+    "prometheus_name", "to_chrome", "tracer",
 ]
 
 _REGISTRY = MetricsRegistry()
@@ -59,24 +52,3 @@ def tracer():
 def logger():
     """The process-wide :class:`StructLogger`."""
     return _LOGGER
-
-
-def profiler():
-    """The threaded core's :class:`OpcodeProfiler` singleton."""
-    return PROFILER
-
-
-def _env_profile():
-    """Honor ``REPRO_OBS_PROFILE=<stride>`` at import (0/empty = off)."""
-    raw = os.environ.get("REPRO_OBS_PROFILE", "").strip()
-    if not raw:
-        return
-    try:
-        stride = int(raw)
-    except ValueError:
-        return
-    if stride > 0:
-        PROFILER.enable(stride=stride)
-
-
-_env_profile()

@@ -11,8 +11,7 @@ The registry is deliberately always-on: increments happen at
 chunk/lifecycle granularity (never per simulated cycle), so the cost
 of a live registry is a dict lookup and a lock per event — invisible
 next to a 2048-run chunk.  What *is* guarded behind explicit opt-in
-is the span tracer and the opcode profiler (:mod:`repro.obs.spans`,
-:mod:`repro.obs.profile`).
+is the span tracer (:mod:`repro.obs.spans`).
 
 Concurrency model:
 

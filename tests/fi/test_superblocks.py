@@ -1,16 +1,20 @@
-"""Differential tests of the threaded core's compiled tiers.
+"""Differential tests of the threaded core's tiers.
 
-Hot block starts run as generated straight-line code — superblocks
-along the statically predicted path, and plain basic blocks near a stop
-(:mod:`repro.fi.threaded`).  Every test here compares the threaded
-core against the reference interpreter trace for trace: executed path,
-side effects, loads, outcome, trap kind, cycle count and signature.
-Most tests compile every block start on its first entry
-(``HOT_ENTRIES = 1``), so the tiers, not the per-instruction closures,
-execute the code under test.
+All threaded code is generated straight-line code from one generator
+(:mod:`repro.fi.threaded`): single steps (one-instruction tiers), and
+for hot block starts superblocks along the statically predicted path
+and plain basic blocks near a stop.  Every test here compares the
+threaded core against the reference interpreter trace for trace:
+executed path, side effects, loads, outcome, trap kind, cycle count
+and signature.  Most tests compile every block start on its first
+entry (``HOT_ENTRIES = 1``), so superblocks and basic blocks execute
+the code under test; :class:`TestSingleSteps` also runs with no start
+ever hot (``HOT_ENTRIES = sys.maxsize``), where single steps execute
+all of it.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.fi.machine import Injection, Machine
 from repro.fi.trace import SignatureForge, Trace, pack_path, pack_stores
 from repro.ir.parser import parse_function
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
+from repro.ir.registers import ZERO
 
 from hypothesis import given, settings, strategies as st
 
@@ -403,6 +408,75 @@ class TestHotness:
         # Workers compile in their own memory, so the loop's tiers in
         # the parent come from its snapshot run, before the fork.
         assert fast._tiers.super_len[_start(fast, "bb.loop")] > 1
+
+
+@pytest.fixture(params=(1, sys.maxsize), ids=("hot", "cold"))
+def hot_entries(request, monkeypatch):
+    """Every block start compiled on its first entry, or never."""
+    monkeypatch.setattr(threaded, "HOT_ENTRIES", request.param)
+    return request.param
+
+
+class TestSingleSteps:
+    """Traps and the cycle budget whether a block start's code runs as
+    one superblock or as single steps only."""
+
+    def test_trap_at_every_offset(self, hot_entries):
+        reference, fast = _machines(TRAPS)
+        regs = {"n": 6}
+        golden = fast.run(regs=regs)
+        assert_identical(reference.run(regs=regs), golden)
+        start = _start(fast, "bb.loop")
+        back_edge = [cycle for cycle, pp in enumerate(golden.executed)
+                     if pp == start + 9][1]
+        for offset, register, kind in TRAP_SITES:
+            injection = Injection(back_edge, register, 20)
+            actual = fast.run(regs=regs, injection=injection,
+                              max_cycles=BUDGET)
+            assert actual.trap_kind == kind
+            assert actual.executed[-1] == start + offset
+            assert_identical(reference.run(regs=regs, injection=injection,
+                                           max_cycles=BUDGET),
+                             actual, register)
+        cold = hot_entries == sys.maxsize
+        assert fast._tiers.super_len[start] == (1 if cold else 10)
+
+    def test_max_cycles_boundary(self, hot_entries):
+        reference, fast = _machines(TRAPS)
+        regs = {"n": 3}
+        golden = fast.run(regs=regs)
+        for budget in range(1, golden.cycles + 3):
+            assert_identical(reference.run(regs=regs, max_cycles=budget),
+                             fast.run(regs=regs, max_cycles=budget),
+                             budget)
+        assert fast.run(regs=regs,
+                        max_cycles=golden.cycles).outcome == "timeout"
+        assert fast.run(regs=regs,
+                        max_cycles=golden.cycles + 1).outcome == "ok"
+
+    def test_slot_table_names_every_program_register(self):
+        """Steps compile lazily, so the slot table must already hold
+        the registers of code that has not run yet (``x`` and ``y`` on
+        the rare path) before the first register file is sized."""
+        reference, fast = _machines("""
+func rare width=32 params=n
+bb.entry:
+    beqz n, bb.rare
+bb.common:
+    addi a, n, 1
+    ret a
+bb.rare:
+    li x, 7
+    sw x, 4(y)
+    ret x
+""")
+        program = {ZERO, *fast.function.registers()}
+        assert program == {ZERO, "n", "a", "x", "y"}
+        assert set(fast._reg_of) == program
+        for n in (1, 0):
+            assert_identical(reference.run(regs={"n": n}),
+                             fast.run(regs={"n": n}), n)
+            assert set(fast._reg_of) == program
 
 
 _RANDOM = (GeneratorConfig(width=8, registers=5, params=2, structures=3,

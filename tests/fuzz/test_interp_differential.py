@@ -1,12 +1,13 @@
 """Differential fuzzing of the execution cores.
 
-The threaded core (slot-indexed registers, pre-specialized instruction
-closures) must be *trace-for-trace* identical to the retained reference
-interpreter — same executed path, side effects, loads, outcome and
-cycle count — on arbitrary programs, clean and faulted.  Random
-programs from :mod:`repro.ir.randgen` exercise every opcode family;
-injections corrupt address and counter registers, so the trap and
-timeout paths are covered as well.
+The threaded core (slot-indexed registers, code generated as
+straight-line tiers: single steps, basic blocks and superblocks) must
+be *trace-for-trace* identical to the retained reference interpreter —
+same executed path, side effects, loads, outcome and cycle count — on
+arbitrary programs, clean and faulted.  Random programs from
+:mod:`repro.ir.randgen` exercise every opcode family; injections
+corrupt address and counter registers, so the trap and timeout paths
+are covered as well.
 
 The campaign fuzzer extends the comparison **three ways**: whole
 fault-injection campaigns are executed on the reference, threaded and
