@@ -37,7 +37,8 @@ Run standalone (writes ``BENCH_campaign.json`` and prints a table)::
     PYTHONPATH=src python benchmarks/bench_campaign.py --smoke  # CI mode
 
 ``benchmarks/report.py`` prints the cross-PR perf trajectory from all
-checked-in ``BENCH_*.json`` reports.
+checked-in ``BENCH_*.json`` reports, each with the ``provenance`` block
+(:func:`report.provenance`) its script wrote.
 """
 
 import argparse
@@ -52,6 +53,7 @@ from repro.bench.programs import compile_benchmark, get_benchmark
 from repro.fi.campaign import plan_bec, plan_exhaustive
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
+from report import provenance
 
 #: The evaluation kernels (paper §VI, presentation order).
 PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
@@ -269,6 +271,7 @@ def main(argv=None):
         "geomean_batched_vs_engine": by_family,
         "obs_overhead": overhead,
         "rows": rows,
+        "provenance": provenance(mode),
     }
     with open(options.output, "w") as handle:
         json.dump(report, handle, indent=2)

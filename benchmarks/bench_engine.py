@@ -21,17 +21,21 @@ tail is about half the trace — the configuration where checkpointing's
 O(runs × avg-tail) bound shows up directly.  Aggregate equality with
 the serial baseline is asserted on every row.
 
-Run it (prints a table and the speedup factors)::
+Run it (prints a table, the speedup factors and where they were
+measured — :func:`report.provenance`)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
 """
 
+import json
 import time
 
 from repro.bench.motivating import count_years
 from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
+from report import provenance
+
 
 def reference_machine(machine):
     """A reference-core twin of *machine*."""
@@ -124,6 +128,7 @@ def main():
     worst = min(speedup for _, speedup in gated)
     print(f"\nworst gated speedup (traces >= {GATE_MIN_CYCLES} cycles): "
           f"{worst:.2f}x (need >= 2.0x)")
+    print(f"provenance: {json.dumps(provenance('full'), sort_keys=True)}")
     return 0 if worst >= 2.0 else 1
 
 

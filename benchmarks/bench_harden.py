@@ -38,7 +38,8 @@ Smoke mode shrinks the kernel set and the fault plan so the script
 finishes in seconds; it still asserts the budget gate and that campaign
 aggregates are bit-identical between serial and ``workers=4`` execution
 (the engine-parity contract on hardened binaries), but does not gate
-coverage (tiny plans are too coarse).
+coverage (tiny plans are too coarse).  Like every ``BENCH_*.json``,
+the report carries a ``provenance`` block (:func:`report.provenance`).
 """
 
 import argparse
@@ -49,6 +50,7 @@ from repro.experiments.common import benchmark_run
 from repro.fi.engine import auto_checkpoint_interval
 from repro.harden.evaluate import (ladder_comparison, run_variant,
                                    strided_plan)
+from report import provenance
 
 PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
 SMOKE_PROGRAMS = ("bitcount", "RSA")
@@ -185,6 +187,7 @@ def main(argv=None):
         },
         "programs": rows,
         "aggregate": total,
+        "provenance": provenance(mode),
     }
     with open(options.output, "w") as handle:
         json.dump(report, handle, indent=2)

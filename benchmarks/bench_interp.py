@@ -36,9 +36,6 @@ gate on the speedup (shared CI runners are too noisy for that).
 import argparse
 import json
 import math
-import os
-import platform
-import subprocess
 import time
 
 from repro.bench.programs import compile_benchmark, get_benchmark
@@ -46,6 +43,7 @@ from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import (CampaignEngine, auto_checkpoint_interval,
                              pick_snapshot)
 from repro.fi.machine import Injection, Machine
+from report import provenance
 
 #: The single-run subjects (paper §VI kernels, presentation order).
 PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
@@ -176,32 +174,6 @@ def bench_campaign(mode):
         "compound_speedup": baseline_s / stacked_s,
         "effects": base.effect_counts(),
     }
-
-
-def provenance(mode):
-    """Where the numbers were measured (the checkout's SHA, marked
-    ``-dirty`` when it has uncommitted changes)."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-    def git(*args):
-        try:
-            return subprocess.run(["git", *args], cwd=root, check=True,
-                                  capture_output=True,
-                                  text=True).stdout.strip()
-        except (OSError, subprocess.CalledProcessError):
-            return None
-
-    sha = git("rev-parse", "HEAD")
-    if sha and git("status", "--porcelain", "--untracked-files=no"):
-        sha += "-dirty"
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {"git_sha": sha, "python": platform.python_version(),
-            "numpy": numpy_version, "cpu_count": os.cpu_count(),
-            "mode": mode}
 
 
 def geomean(values):

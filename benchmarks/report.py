@@ -22,13 +22,44 @@ This script renders them all as one trajectory table::
     PYTHONPATH=src python benchmarks/report.py [--dir REPO_ROOT]
 
 Unknown ``BENCH_*.json`` files are listed with their top-level keys, so
-future PRs extend the trajectory without editing this script.
+future PRs extend the trajectory without editing this script.  Every
+benchmark script records where it measured through :func:`provenance`
+(git SHA, Python/NumPy versions, CPU count, smoke or full mode), and
+the trajectory prints that block for every report that has one.
 """
 
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
+
+
+def provenance(mode):
+    """Where the numbers were measured (the checkout's SHA, marked
+    ``-dirty`` when it has uncommitted changes)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def git(*args):
+        try:
+            return subprocess.run(["git", *args], cwd=root, check=True,
+                                  capture_output=True,
+                                  text=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    sha = git("rev-parse", "HEAD")
+    if sha and git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    try:
+        import numpy
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {"git_sha": sha, "python": platform.python_version(),
+            "numpy": numpy_version, "cpu_count": os.cpu_count(),
+            "mode": mode}
 
 
 def _load(path):
@@ -51,10 +82,6 @@ def report_interp(data):
     if campaign:
         print(f"  compounded campaign win ({campaign['program']}): "
               f"{campaign['compound_speedup']:.2f}x vs reference-serial")
-    where = data.get("provenance")
-    if where:
-        print(f"  measured at {where['git_sha']} (Python {where['python']}, "
-              f"NumPy {where['numpy']}, {where['cpu_count']} CPUs)")
 
 
 def report_harden(data):
@@ -196,6 +223,11 @@ def main(argv=None):
         else:
             print(f"{label} · {headline} ({name})")
             renderer(data)
+        where = data.get("provenance")
+        if where:
+            print(f"  measured at {where['git_sha']} "
+                  f"(Python {where['python']}, NumPy {where['numpy']}, "
+                  f"{where['cpu_count']} CPUs, {where['mode']} mode)")
         print()
     return 0
 

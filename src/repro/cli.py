@@ -187,10 +187,6 @@ def cmd_campaign(options):
         raise SystemExit("--workers must be >= 1")
     if options.checkpoint_interval < 0:
         raise SystemExit("--checkpoint-interval must be >= 0 (0 = off)")
-    if options.batch_lanes is not None and options.batch_lanes < 1:
-        raise SystemExit("--batch-lanes must be >= 1")
-    if options.chunk_size is not None and options.chunk_size < 1:
-        raise SystemExit("--chunk-size must be >= 1")
     program = load_program(options.file, optimize=_opt_level(options))
     machine, golden = _golden(program, options.args, core=options.core)
     function = program.function
@@ -243,9 +239,7 @@ def cmd_campaign(options):
                     golden=golden, workers=options.workers,
                     checkpoint_interval=options.checkpoint_interval,
                     progress=progress, prune=prune,
-                    batch_lanes=options.batch_lanes,
-                    harden=options.harden, budget=options.budget,
-                    chunk_size=options.chunk_size)
+                    harden=options.harden, budget=options.budget)
             if result.cached:
                 print(f"store hit: replayed archived aggregates from "
                       f"{options.store}")
@@ -256,9 +250,7 @@ def cmd_campaign(options):
             result = engine.run(
                 workers=options.workers,
                 checkpoint_interval=options.checkpoint_interval,
-                progress=progress, prune=prune,
-                batch_lanes=options.batch_lanes,
-                chunk_size=options.chunk_size)
+                progress=progress, prune=prune)
         if options.progress and sys.stderr.isatty():
             print(file=sys.stderr)    # terminate the rewritten line
         core_label = options.core
@@ -892,16 +884,6 @@ def build_parser():
                      help="pre-classify injections provably overwritten"
                           "-before-read on the golden path as masked, "
                           "without simulation (aggregates stay "
-                          "bit-identical)")
-    sub.add_argument("--batch-lanes", type=int, default=None,
-                     metavar="N",
-                     help="lockstep lane count for --core batched "
-                          "(default 256)")
-    sub.add_argument("--chunk-size", type=int, default=None,
-                     metavar="N",
-                     help="records per streamed chunk — bounds the "
-                          "campaign's resident per-run memory "
-                          "(default 2048; aggregates stay "
                           "bit-identical)")
     sub.add_argument("--progress", action="store_true",
                      help="print a progress line to stderr")

@@ -45,15 +45,13 @@ Everything the queue does is counted through :mod:`repro.obs`
 
 import hashlib
 import json
-import os
-import sqlite3
 import time
 import uuid
 from collections import namedtuple
 from datetime import datetime, timezone
 
 from repro import obs
-from repro.store.db import default_busy_timeout
+from repro.store.db import connect
 from repro.store.spec import SweepCell, parse_spec
 
 #: Seconds a fresh lease lasts before anyone else may reclaim the
@@ -137,23 +135,12 @@ class WorkQueue:
     caller ever holds a transaction open across process boundaries.
     """
 
-    def __init__(self, path, chaos=None, busy_timeout=None):
+    def __init__(self, path, chaos=None):
         self.path = path
         self.chaos = chaos
-        if busy_timeout is None:
-            busy_timeout = default_busy_timeout()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
         # Autocommit: each statement is its own transaction, so the
         # claim UPDATE is atomic without explicit BEGIN/COMMIT.
-        self._connection = sqlite3.connect(
-            path, timeout=busy_timeout, isolation_level=None)
-        self._connection.execute(
-            "PRAGMA busy_timeout = %d" % int(busy_timeout * 1000))
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:
-            pass
+        self._connection = connect(path, isolation_level=None)
         self._connection.executescript(_SCHEMA)
         self._migrate()
 

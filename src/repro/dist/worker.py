@@ -44,8 +44,9 @@ import time
 from repro import obs
 from repro.fi.chaos import ChaosPolicy
 from repro.fi.deadline import wall_clock_deadline
+from repro.fi.engine import DEFAULT_CHUNK_SIZE
 from repro.fi.sink import RunSink
-from repro.store.db import DEFAULT_CHUNK_SIZE, chunk_digest, encode_chunk
+from repro.store.db import chunk_digest, encode_chunk
 from repro.store.sweep import SweepRunner
 
 from repro.dist import envelope as envelope_module
@@ -241,8 +242,8 @@ class DistWorker:
             "pruned_runs": result.pruned_runs,
             "vectorized": result.vectorized,
             "wall_time": result.wall_time,
-            "chunk_size": (capture.meta or {}).get(
-                "chunk_size", runner.spec.chunk_size or DEFAULT_CHUNK_SIZE),
+            "chunk_size": (capture.meta or {}).get("chunk_size",
+                                                   DEFAULT_CHUNK_SIZE),
         }
         digests = [chunk_digest(blob) for blob, _, _ in chunks]
         envelope = ResultEnvelope(

@@ -66,10 +66,10 @@ try:                                       # soft dependency
 except ImportError:                        # pragma: no cover - env without numpy
     _np = None
 
-#: Default lane count per batch.  Wide enough to amortize the ~1 us
+#: Lane count per batch.  Wide enough to amortize the ~1 us
 #: NumPy dispatch per vector op across many faults, small enough that a
 #: batch's register matrix stays cache-resident.
-DEFAULT_LANES = 256
+LANES = 256
 
 #: Widths the uint64 lane arithmetic is exact for (``mul``/``mulhu``
 #: need the full product to fit in 64 bits).
@@ -472,12 +472,9 @@ class BatchClassifier:
     bit-identical to the scalar engine's.
     """
 
-    def __init__(self, machine, plan, regs, golden, snapshots, max_cycles,
-                 lanes=DEFAULT_LANES):
+    def __init__(self, machine, plan, regs, golden, snapshots, max_cycles):
         if _np is None:
             raise SimulationError("the batched core requires NumPy")
-        if lanes < 1:
-            raise SimulationError("lane count must be positive")
         if not batchable(machine, golden, snapshots, max_cycles):
             raise SimulationError("campaign setup is not batchable")
         self.machine = machine
@@ -486,7 +483,6 @@ class BatchClassifier:
         self.golden = golden
         self.snapshots = snapshots
         self.max_cycles = max_cycles
-        self.lanes = lanes
         self._masked_record = (EFFECT_MASKED, golden.signature(),
                                golden.byte_size())
         self._decode_entries()
@@ -674,7 +670,7 @@ class BatchClassifier:
         golden = self.golden
         n_slots = len(machine._reg_of)
         n_cycles = golden.cycles
-        lanes = self.lanes
+        lanes = LANES
         ops = self.ops
         executed = golden.executed
         snap_cycles = self.snap_cycles

@@ -180,13 +180,13 @@ class _WorkerContext:
 #: pathological cases.
 SUPERVISOR_POLL_INTERVAL = 0.25
 
-#: Default respawn budget per strided chunk before the supervisor
-#: degrades that chunk to serial in-parent execution.
-DEFAULT_WORKER_RETRIES = 2
+#: Respawn budget per strided chunk before the supervisor degrades
+#: that chunk to serial in-parent execution.
+WORKER_RETRIES = 2
 
 #: Base of the exponential respawn backoff, in seconds (doubles per
 #: retry of the same chunk).
-DEFAULT_RETRY_BACKOFF = 0.05
+RETRY_BACKOFF = 0.05
 
 
 def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
@@ -263,22 +263,18 @@ class _Supervisor:
     closes its pipe, so death is observed as an EOF (or a truncated
     message) rather than an eternal ``queue.get()``.  Unfinished
     segments of a dead worker are re-run by a respawned worker —
-    ``worker_retries`` times with exponential backoff — and finally
+    :data:`WORKER_RETRIES` times with exponential backoff — and finally
     in-parent, serially, so the campaign always terminates with the
     full plan-ordered record stream intact."""
 
     def __init__(self, context, n_chunks, chunk_size, assembler,
-                 undealer, chaos=None,
-                 worker_retries=DEFAULT_WORKER_RETRIES,
-                 retry_backoff=DEFAULT_RETRY_BACKOFF):
+                 undealer, chaos=None):
         self.context = context
         self.n_chunks = n_chunks
         self.chunk_size = chunk_size
         self.assembler = assembler
         self.undealer = undealer
         self.chaos = chaos
-        self.worker_retries = worker_retries
-        self.retry_backoff = retry_backoff
         self.mp = multiprocessing.get_context("fork")
         self.chunks = []
         for index in range(n_chunks):
@@ -414,10 +410,10 @@ class _Supervisor:
         with exponential backoff, then serial in-parent execution."""
         self.recoveries += 1
         obs.metrics().counter("engine.recoveries").inc()
-        if state.attempt > self.worker_retries:
+        if state.attempt > WORKER_RETRIES:
             self._finish_serially(state)
             return
-        time.sleep(self.retry_backoff * (1 << (state.attempt - 1)))
+        time.sleep(RETRY_BACKOFF * (1 << (state.attempt - 1)))
         self._spawn(state)
 
     def _finish_serially(self, state):
@@ -497,9 +493,7 @@ class CampaignEngine:
         return self._degraded_counter.value - self._degraded_mark
 
     def run(self, workers=1, checkpoint_interval=None, progress=None,
-            prune=None, batch_lanes=None, sink=None, chunk_size=None,
-            chaos=None, worker_retries=DEFAULT_WORKER_RETRIES,
-            retry_backoff=DEFAULT_RETRY_BACKOFF):
+            prune=None, sink=None, chunk_size=None, chaos=None):
         """Execute the whole plan; returns a :class:`CampaignResult`.
 
         ``workers`` > 1 forks that many supervised processes;
@@ -507,25 +501,22 @@ class CampaignEngine:
         granularity (auto-enabled on a batched machine, which needs the
         snapshots as lane join points); ``prune="liveness"``
         pre-classifies provably overwritten-before-read injections
-        without simulation; ``batch_lanes`` sets the lockstep lane
-        count; ``progress`` is an optional ``callable(done, total)``
-        invoked as chunks retire; ``sink`` is an optional extra
-        :class:`repro.fi.sink.RunSink` receiving the plan-ordered
-        record stream (e.g. a store writer); ``chunk_size`` bounds
-        resident records per streamed chunk (default
-        :data:`DEFAULT_CHUNK_SIZE`) — a parity knob, never an
+        without simulation; ``progress`` is an optional
+        ``callable(done, total)`` invoked as chunks retire; ``sink`` is
+        an optional extra :class:`repro.fi.sink.RunSink` receiving the
+        plan-ordered record stream (e.g. a store writer);
+        ``chunk_size`` bounds resident records per streamed chunk
+        (default :data:`DEFAULT_CHUNK_SIZE`) — a parity knob, never an
         aggregate-changing one.  ``chaos`` threads a deterministic
         :class:`repro.fi.chaos.ChaosPolicy` through the workers and the
-        sink fan-out; ``worker_retries`` bounds how often a dead
-        worker's chunk is respawned (with ``retry_backoff``-seconds
-        exponential backoff) before the engine degrades that chunk to
-        serial in-parent execution — recovery knobs never change
-        aggregates.
+        sink fan-out.  A dead worker's chunk is respawned up to
+        :data:`WORKER_RETRIES` times (with :data:`RETRY_BACKOFF`-second
+        exponential backoff) before the engine finishes it serially
+        in-parent; the batched core runs :data:`repro.fi.batch.LANES`
+        lockstep lanes.  Neither changes aggregates.
         """
         if prune not in PRUNE_MODES:
             raise SimulationError(f"unknown prune mode {prune!r}")
-        if batch_lanes is not None and batch_lanes < 1:
-            raise SimulationError("lane count must be positive")
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
         elif chunk_size < 1:
@@ -539,12 +530,10 @@ class CampaignEngine:
         with obs.tracer().span("engine.campaign", runs=len(self.plan),
                                core=self.machine.core, workers=workers):
             return self._run(workers, checkpoint_interval, progress,
-                             prune, batch_lanes, sink, chunk_size,
-                             chaos, worker_retries, retry_backoff)
+                             prune, sink, chunk_size, chaos)
 
-    def _run(self, workers, checkpoint_interval, progress, prune,
-             batch_lanes, sink, chunk_size, chaos, worker_retries,
-             retry_backoff):
+    def _run(self, workers, checkpoint_interval, progress, prune, sink,
+             chunk_size, chaos):
         start = time.perf_counter()
         batched = (self.machine.core == "batched"
                    and batch.numpy_available())
@@ -579,8 +568,7 @@ class CampaignEngine:
                 self.machine, self.golden, snapshots, self.max_cycles):
             classifier = batch.BatchClassifier(
                 self.machine, self.plan, self.regs, self.golden,
-                snapshots, self.max_cycles,
-                lanes=batch_lanes or batch.DEFAULT_LANES)
+                snapshots, self.max_cycles)
         # Distinguishes the lockstep core actually engaging from the
         # silent scalar fallback (NumPy missing, non-batchable setup).
         # A plan fully pre-classified by pruning left nothing to
@@ -610,8 +598,7 @@ class CampaignEngine:
             if workers and workers > 1 and len(todo) > 1 \
                     and "fork" in multiprocessing.get_all_start_methods():
                 self._run_parallel(context, workers, chunk_size,
-                                   assembler, chaos, worker_retries,
-                                   retry_backoff)
+                                   assembler, chaos)
             else:
                 self._run_serial(context, chunk_size, assembler)
             assembler.close()
@@ -641,7 +628,7 @@ class CampaignEngine:
                 assembler.push(context.classify_indices(indices))
 
     def _run_parallel(self, context, workers, chunk_size, assembler,
-                      chaos, worker_retries, retry_backoff):
+                      chaos):
         pending = len(context.todo)
         n_chunks = max(1, min(workers, pending))
         # Segments arrive out of order across workers; the un-dealer
@@ -649,7 +636,5 @@ class CampaignEngine:
         # the parent's residency at O(chunk_size × workers).
         undealer = StridedUndealer(pending, n_chunks, chunk_size)
         supervisor = _Supervisor(context, n_chunks, chunk_size,
-                                 assembler, undealer, chaos=chaos,
-                                 worker_retries=worker_retries,
-                                 retry_backoff=retry_backoff)
+                                 assembler, undealer, chaos=chaos)
         supervisor.run()

@@ -34,25 +34,16 @@ iterable at the same bound.
 
 Built-in sinks compose with :class:`TeeSink`; anything matching the
 three-call protocol (duck-typed, no inheritance required) can join the
-fan-out — :class:`repro.store.db.ResultStore` plugs in through
-:class:`StoreWriterSink` without this module importing the store.
+fan-out — :class:`repro.store.db.StoreWriterSink` archives the stream
+into the result store without this module importing the store.
 """
 
 import pickle
-import sqlite3
 import tempfile
 import time
-import warnings
 
 from repro import obs
 from repro.fi.campaign import Aggregates
-
-
-def _is_lock_error(exc):
-    """True for SQLite's transient contention errors (the retryable
-    family: another writer holds the lock right now)."""
-    message = str(exc)
-    return "database is locked" in message or "database is busy" in message
 
 
 class RunSink:
@@ -286,65 +277,6 @@ class SpoolSink(RunSink):
         if self._view is None:
             raise RuntimeError("spool view requested before finish()")
         return self._view
-
-
-class StoreWriterSink(RunSink):
-    """Streams retiring chunks straight into a result store.
-
-    Duck-typed against :meth:`repro.store.db.ResultStore.open_writer`
-    (this module never imports the store): ``begin`` opens a chunked
-    writer under *key*, each ``consume`` appends one archived chunk,
-    and ``finish`` commits the meta row — aggregates, provenance —
-    atomically, so readers never observe a partially archived
-    campaign.  On an engine failure call :meth:`abort` to roll the
-    partial write back.
-    """
-
-    def __init__(self, store, key):
-        self.store = store
-        self.key = key
-        self._writer = None
-        self._aggregates = Aggregates()
-        self._meta = None
-
-    def begin(self, meta):
-        self._meta = meta
-        self._writer = self.store.open_writer(self.key, meta["chunk_size"])
-
-    def consume(self, chunk):
-        add = self._aggregates.add
-        for _, effect, signature, byte_size in chunk:
-            add(effect, signature, byte_size)
-        self._writer.write_chunk(chunk)
-
-    def finish(self, summary):
-        try:
-            self._writer.commit(self._aggregates,
-                                pruned_runs=self._meta["pruned_runs"],
-                                vectorized=self._meta["vectorized"],
-                                wall_time=summary["wall_time"])
-        except sqlite3.OperationalError as exc:
-            # Archiving is an optimization, not the campaign: if the
-            # store stayed locked past the writer's own retries, drop
-            # the archive and let the computed result stand — the cell
-            # simply misses next time instead of failing the run.
-            if not _is_lock_error(exc):
-                raise
-            self._writer.abort()
-            obs.logger().warning("store.archive_dropped", key=self.key,
-                                 error=str(exc))
-            obs.metrics().counter("store.archives_dropped").inc()
-            warnings.warn(
-                f"result store stayed locked; campaign not archived "
-                f"under {self.key} ({exc})", RuntimeWarning,
-                stacklevel=2)
-        self._writer = None
-
-    def abort(self):
-        """Roll back a partial archive after an engine failure."""
-        if self._writer is not None:
-            self._writer.abort()
-            self._writer = None
 
 
 class ChunkAssembler:

@@ -1,6 +1,6 @@
 """``repro.obs`` — unified telemetry for the campaign pipeline.
 
-One process-wide registry of counters/gauges/histograms
+One process-wide registry of counters/histograms
 (:mod:`repro.obs.metrics`), one span tracer with Chrome trace-event
 export (:mod:`repro.obs.spans`) and one structured key-value event log
 (:mod:`repro.obs.log`).  The engine, the batched core, the sink

@@ -1,4 +1,4 @@
-"""Process-local metrics registry: counters, gauges, histograms.
+"""Process-local metrics registry: counters and histograms.
 
 One :class:`MetricsRegistry` per process (the module-level singleton
 lives in :mod:`repro.obs`) holds named metric *families*; a family
@@ -21,7 +21,7 @@ Concurrency model:
   :meth:`MetricsRegistry.dump` mark right after the fork, does its
   work, and ships :meth:`delta_since` that mark back over its result
   pipe; the parent :meth:`merge`\\ s the delta.  Counter and histogram
-  deltas add exactly; gauges carry last-write-wins semantics.
+  deltas add exactly.
 
 Export surfaces:
 
@@ -125,32 +125,6 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """Set/inc/dec child value (last write wins across merges)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, lock):
-        self._lock = lock
-        self._value = 0
-
-    def set(self, value):
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount=1):
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self):
-        return self._value
-
-
 class Histogram:
     """Fixed-bucket child histogram (count, sum, per-bucket counts).
 
@@ -213,8 +187,6 @@ class _Family:
                 if child is None:
                     if self.kind == "counter":
                         child = Counter(self._lock)
-                    elif self.kind == "gauge":
-                        child = Gauge(self._lock)
                     else:
                         child = Histogram(self._lock, self.buckets)
                     self.children[key] = child
@@ -224,7 +196,7 @@ class _Family:
 class MetricsRegistry:
     """Named metric families with labeled children.
 
-    ``registry.counter(name, **labels)`` (and ``gauge``/``histogram``)
+    ``registry.counter(name, **labels)`` (and ``histogram``)
     returns the same child object for the same name+labels every time,
     so call sites can cache it or re-resolve it cheaply.
     """
@@ -251,9 +223,6 @@ class MetricsRegistry:
 
     def counter(self, name, help=None, **labels):
         return self._family(name, "counter", help=help).child(labels)
-
-    def gauge(self, name, help=None, **labels):
-        return self._family(name, "gauge", help=help).child(labels)
 
     def histogram(self, name, help=None, buckets=None, **labels):
         family = self._family(name, "histogram", help=help,
@@ -337,8 +306,7 @@ class MetricsRegistry:
 
     def delta_since(self, mark):
         """What happened since *mark* (a prior :meth:`dump`), in dump
-        shape: counters/histograms subtract exactly; gauges report the
-        current value (merged last-write-wins)."""
+        shape: counters and histograms subtract exactly."""
         now = self.dump()
         delta = {}
         for name, family in now.items():
@@ -350,8 +318,6 @@ class MetricsRegistry:
                     value = state - (old or 0)
                     if value:
                         children[key] = value
-                elif family["kind"] == "gauge":
-                    children[key] = state
                 else:
                     old = old or {"count": 0, "sum": 0.0,
                                   "counts": [0] * len(state["counts"])}
@@ -371,15 +337,13 @@ class MetricsRegistry:
 
     def merge(self, dump):
         """Fold a :meth:`dump`/:meth:`delta_since` state in: counters
-        and histograms add, gauges set."""
+        and histograms add."""
         for name, family in dump.items():
             kind = family["kind"]
             for key, state in family["children"].items():
                 labels = dict(key)
                 if kind == "counter":
                     self.counter(name, **labels).inc(state)
-                elif kind == "gauge":
-                    self.gauge(name, **labels).set(state)
                 else:
                     child = self.histogram(
                         name, buckets=family["buckets"], **labels)

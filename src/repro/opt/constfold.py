@@ -22,7 +22,7 @@ from repro.bitvalue.transfer import abstract_branch
 from repro.ir.instructions import Format, Instruction, Opcode
 from repro.ir.registers import ZERO
 from repro.bitvalue.lattice import BitVector
-from repro.opt.rewrite import copy_structure, rewrite_instructions
+from repro.opt.rewrite import drop_unreachable, rewrite_instructions
 
 #: Formats whose only effect is writing a register: safe to replace with li.
 _PURE_FORMATS = (Format.RRR, Format.RRI, Format.RR, Format.RI)
@@ -55,11 +55,8 @@ def fold_constants(function):
             return None
         return [Instruction(Opcode.LI, rd=written[0], imm=result.value)]
 
-    folded, changed = rewrite_instructions(function, transform)
-    pruned = _drop_unreachable(folded)
-    if pruned is not None:
-        return pruned
-    return folded if changed else function
+    folded, _ = rewrite_instructions(function, transform)
+    return drop_unreachable(folded)
 
 
 def _fold_branch(instruction, values, width):
@@ -81,23 +78,3 @@ def _fold_branch(instruction, values, width):
     if decision:
         return [Instruction(Opcode.J, label=instruction.label)]
     return []                   # fall through to the layout successor
-
-
-def _drop_unreachable(function):
-    """Remove blocks unreachable from the entry; None if there are none.
-
-    Safe because a reachable block can only fall through into a block
-    that is itself reachable — removal never breaks layout fall-through.
-    """
-    reachable = set()
-    stack = [function.entry]
-    while stack:
-        block = stack.pop()
-        if block.label in reachable:
-            continue
-        reachable.add(block.label)
-        stack.extend(block.succs)
-    if len(reachable) == len(function.blocks):
-        return None
-    return copy_structure(function,
-                          keep=lambda block: block.label in reachable)

@@ -9,7 +9,7 @@ backend performs before the paper's analysis would see the code.
 from repro.ir.concrete import mask as width_mask
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.registers import ZERO
-from repro.opt.rewrite import rewrite_instructions
+from repro.opt.rewrite import li, rewrite_instructions
 
 #: Branches comparing a register to itself that are always taken.
 _SELF_TAKEN = {Opcode.BEQ, Opcode.BGE, Opcode.BGEU}
@@ -17,15 +17,11 @@ _SELF_TAKEN = {Opcode.BEQ, Opcode.BGE, Opcode.BGEU}
 _SELF_NOT_TAKEN = {Opcode.BNE, Opcode.BLT, Opcode.BLTU}
 
 
-def _li(rd, imm):
-    return [Instruction(Opcode.LI, rd=rd, imm=imm)]
-
-
 def _mv(rd, rs):
     if rd == rs:
         return []
     if rs == ZERO:
-        return _li(rd, 0)
+        return li(rd, 0)
     return [Instruction(Opcode.MV, rd=rd, rs1=rs)]
 
 
@@ -44,16 +40,16 @@ def run_peephole(function):
         if opcode is Opcode.ADDI and imm == 0:
             return _mv(rd, x)
         if opcode is Opcode.ADDI and x == ZERO:
-            return _li(rd, imm & full)
+            return li(rd, imm & full)
         if opcode in (Opcode.XORI, Opcode.ORI) and imm == 0:
             return _mv(rd, x)
         if opcode is Opcode.ANDI:
             if imm & full == 0:
-                return _li(rd, 0)
+                return li(rd, 0)
             if imm & full == full:
                 return _mv(rd, x)
         if opcode is Opcode.ORI and imm & full == full:
-            return _li(rd, full)
+            return li(rd, full)
         if opcode in (Opcode.SLLI, Opcode.SRLI, Opcode.SRAI) and imm == 0:
             return _mv(rd, x)
 
@@ -65,25 +61,25 @@ def run_peephole(function):
         if opcode is Opcode.SUB and y == ZERO:
             return _mv(rd, x)
         if opcode in (Opcode.SUB, Opcode.XOR) and x == y:
-            return _li(rd, 0)
+            return li(rd, 0)
         if opcode in (Opcode.AND, Opcode.OR) and x == y:
             return _mv(rd, x)
         if opcode is Opcode.AND and ZERO in (x, y):
-            return _li(rd, 0)
+            return li(rd, 0)
         if opcode in (Opcode.SLL, Opcode.SRL, Opcode.SRA) and y == ZERO:
             return _mv(rd, x)
         if opcode in (Opcode.SLL, Opcode.SRL, Opcode.SRA, Opcode.MUL) \
                 and x == ZERO:
-            return _li(rd, 0)
+            return li(rd, 0)
         if opcode is Opcode.MUL and y == ZERO:
-            return _li(rd, 0)
+            return li(rd, 0)
 
         if opcode is Opcode.SEQZ and x == ZERO:
-            return _li(rd, 1)
+            return li(rd, 1)
         if opcode is Opcode.SNEZ and x == ZERO:
-            return _li(rd, 0)
+            return li(rd, 0)
         if opcode in (Opcode.NOT, Opcode.NEG) and x == ZERO:
-            return _li(rd, full if opcode is Opcode.NOT else 0)
+            return li(rd, full if opcode is Opcode.NOT else 0)
 
         if instruction.is_conditional_branch and x == y:
             if opcode in _SELF_TAKEN:

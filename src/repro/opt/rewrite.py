@@ -7,6 +7,12 @@ pass is just its rewrite rule.
 """
 
 from repro.ir.function import Function
+from repro.ir.instructions import Instruction, Opcode
+
+
+def li(rd, imm):
+    """The one-instruction replacement ``li rd, imm``."""
+    return [Instruction(Opcode.LI, rd=rd, imm=imm)]
 
 
 def rewrite_instructions(function, transform):
@@ -53,3 +59,24 @@ def copy_structure(function, keep=None):
             new_block.append(instruction.copy())
     rebuilt.compact()
     return rebuilt.finalize()
+
+
+def drop_unreachable(function):
+    """*function* without the blocks unreachable from its entry (the
+    function itself when every block is reachable).
+
+    Safe because a reachable block can only fall through into a block
+    that is itself reachable — removal never breaks layout fall-through.
+    """
+    reachable = set()
+    stack = [function.entry]
+    while stack:
+        block = stack.pop()
+        if block.label in reachable:
+            continue
+        reachable.add(block.label)
+        stack.extend(block.succs)
+    if len(reachable) == len(function.blocks):
+        return function
+    return copy_structure(function,
+                          keep=lambda block: block.label in reachable)

@@ -16,14 +16,14 @@ fault surface too.
 """
 
 from repro.ir.instructions import Opcode
-from repro.opt.rewrite import copy_structure
+from repro.opt.rewrite import copy_structure, drop_unreachable
 
 
 def simplify_cfg(function):
     """Return a (possibly new) finalized function with a cleaned CFG."""
     current = _thread_jumps(function)
     current = _drop_redundant_jumps(current)
-    current = _remove_unreachable(current)
+    current = drop_unreachable(current)
     return current
 
 
@@ -87,18 +87,3 @@ def _drop_redundant_jumps(function):
         block.instructions = keep
     rebuilt.compact()
     return rebuilt.finalize()
-
-
-def _remove_unreachable(function):
-    reachable = set()
-    stack = [function.entry]
-    while stack:
-        block = stack.pop()
-        if block.label in reachable:
-            continue
-        reachable.add(block.label)
-        stack.extend(block.succs)
-    if len(reachable) == len(function.blocks):
-        return function
-    return copy_structure(function,
-                          keep=lambda block: block.label in reachable)

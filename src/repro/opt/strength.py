@@ -22,7 +22,7 @@ strictly stronger than a peephole over literal immediates.
 from repro.bitvalue.analysis import compute_bit_values
 from repro.ir.instructions import Instruction, Opcode
 from repro.ir.registers import ZERO
-from repro.opt.rewrite import rewrite_instructions
+from repro.opt.rewrite import li, rewrite_instructions
 
 
 def _power_of_two_log(value):
@@ -32,13 +32,9 @@ def _power_of_two_log(value):
     return None
 
 
-def _li(rd, imm):
-    return [Instruction(Opcode.LI, rd=rd, imm=imm)]
-
-
 def _mv(rd, rs):
     if rs == ZERO:
-        return _li(rd, 0)
+        return li(rd, 0)
     return [Instruction(Opcode.MV, rd=rd, rs1=rs)]
 
 
@@ -75,7 +71,7 @@ def reduce_strength(function):
             if cy is None:
                 return None
             if cy == 0:
-                return _li(rd, 0)
+                return li(rd, 0)
             if cy == 1:
                 return _mv(rd, x)
             shift = _power_of_two_log(cy)
@@ -87,7 +83,7 @@ def reduce_strength(function):
             if 0 in (cx, cy) or (cx == 1 and cy is not None) \
                     or (cy == 1 and cx is not None):
                 # high word of 0*y, x*0, 1*c or c*1 is 0 for width-bounded c
-                return _li(rd, 0)
+                return li(rd, 0)
             return None
 
         # Division and remainder: only a constant divisor helps.
@@ -109,7 +105,7 @@ def reduce_strength(function):
             return None
         # rem / remu
         if cy == 1:
-            return _li(rd, 0)
+            return li(rd, 0)
         shift = _power_of_two_log(cy)
         if shift is not None:
             return [Instruction(Opcode.ANDI, rd=rd, rs1=x, imm=cy - 1)]

@@ -17,12 +17,11 @@ so the connection is shared under a lock with WAL journaling.
 """
 
 import json
-import sqlite3
 import threading
 from datetime import datetime, timezone
 
 from repro import obs
-from repro.store.db import default_busy_timeout
+from repro.store.db import connect
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS service_audit (
@@ -41,20 +40,11 @@ CREATE INDEX IF NOT EXISTS service_audit_job
 class AuditLog:
     """The append-only ``service_audit`` table in the store DB."""
 
-    def __init__(self, path, busy_timeout=None):
+    def __init__(self, path):
         self.path = path
-        if busy_timeout is None:
-            busy_timeout = default_busy_timeout()
         self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            path, timeout=busy_timeout, isolation_level=None,
-            check_same_thread=False)
-        self._connection.execute(
-            "PRAGMA busy_timeout = %d" % int(busy_timeout * 1000))
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:
-            pass
+        self._connection = connect(path, isolation_level=None,
+                                   check_same_thread=False)
         self._connection.executescript(_SCHEMA)
 
     def close(self):

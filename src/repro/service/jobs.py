@@ -14,13 +14,12 @@ describes) only records submission metadata the queue cannot —
 submission counts, timestamps, webhooks.
 """
 
-import sqlite3
 import threading
 import time
 
 from repro.dist.coordinator import status_payload
 from repro.dist.queue import cell_id, spec_digest
-from repro.store.db import default_busy_timeout
+from repro.store.db import connect
 from repro.store.spec import parse_spec
 
 _SCHEMA = """
@@ -49,20 +48,11 @@ class JobNotFound(KeyError):
 class JobsTable:
     """Submission metadata, shared across service threads."""
 
-    def __init__(self, path, busy_timeout=None):
+    def __init__(self, path):
         self.path = path
-        if busy_timeout is None:
-            busy_timeout = default_busy_timeout()
         self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            path, timeout=busy_timeout, isolation_level=None,
-            check_same_thread=False)
-        self._connection.execute(
-            "PRAGMA busy_timeout = %d" % int(busy_timeout * 1000))
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:
-            pass
+        self._connection = connect(path, isolation_level=None,
+                                   check_same_thread=False)
         self._connection.executescript(_SCHEMA)
 
     def close(self):

@@ -7,7 +7,7 @@ like :func:`repro.harden.evaluate.count_conversions` work identically
 on cached results — archived as **chunked, zlib-compressed segments**
 in ``campaign_chunks`` (``(key, chunk_index)`` rows, payload layout
 v2).  Writers stream chunks in as the engine retires them
-(:class:`ChunkWriter`, fed by :class:`repro.fi.sink.StoreWriterSink`)
+(:class:`ChunkWriter`, fed by :class:`StoreWriterSink`)
 and readers replay hits as a lazy chunk iterator
 (:class:`StoredRuns`), so neither side ever materializes a whole
 campaign: peak resident records stay O(chunk_size) on both paths.
@@ -23,9 +23,11 @@ because a result's meta row is committed only after all of its chunks,
 in one transaction — readers never observe a partially archived
 campaign, and two writers racing on one key write the same aggregates
 by the engine's parity invariants.  Contention is absorbed rather than
-surfaced: connections open in WAL mode with a busy timeout, and commit
-paths retry ``database is locked`` with exponential backoff
-(:data:`COMMIT_RETRIES` attempts) before giving up.
+surfaced: connections open through :func:`connect` (WAL mode, a busy
+timeout), and commit paths retry ``database is locked`` with
+exponential backoff (:data:`COMMIT_RETRIES` attempts) before giving
+up.  The dist queue and the service tables open their databases
+through the same :func:`connect`.
 
 Integrity is checked, not assumed.  Every archived chunk carries a
 blake2b digest of its compressed payload, verified on replay; a chunk
@@ -51,19 +53,15 @@ import repro
 from repro import obs
 from repro.fi.campaign import Aggregates, CampaignResult, PlannedRun
 from repro.fi.machine import Injection
+from repro.fi.sink import RunSink
 from repro.store.keys import SCHEMA_VERSION
-
-#: Records per archived chunk when the writer is not told otherwise
-#: (matches the engine's default streaming granularity).
-DEFAULT_CHUNK_SIZE = 2048
 
 #: Lock-contention absorption: seconds SQLite itself blocks on a busy
 #: database before raising, and how often the store then retries a
 #: failed commit (exponential backoff doubling from
 #: :data:`COMMIT_BACKOFF` seconds).  The busy timeout is overridable
-#: per-store (``ResultStore(busy_timeout=...)``) or per-environment
-#: (:data:`TIMEOUT_ENV` seconds) — many-worker hosts want more than
-#: the single-sweep default.
+#: per environment (:data:`TIMEOUT_ENV` seconds) — many-worker hosts
+#: want more than the single-sweep default.
 BUSY_TIMEOUT = 5.0
 COMMIT_RETRIES = 5
 COMMIT_BACKOFF = 0.05
@@ -73,9 +71,9 @@ TIMEOUT_ENV = "REPRO_STORE_TIMEOUT"
 
 
 def default_busy_timeout():
-    """The busy timeout stores open with when the constructor is not
-    told otherwise: ``$REPRO_STORE_TIMEOUT`` seconds when set and
-    parseable, else :data:`BUSY_TIMEOUT`."""
+    """The busy timeout every database opens with:
+    ``$REPRO_STORE_TIMEOUT`` seconds when set and parseable, else
+    :data:`BUSY_TIMEOUT`."""
     raw = os.environ.get(TIMEOUT_ENV)
     if raw:
         try:
@@ -83,8 +81,28 @@ def default_busy_timeout():
         except ValueError:
             warnings.warn(
                 f"ignoring unparseable {TIMEOUT_ENV}={raw!r}",
-                RuntimeWarning, stacklevel=2)
+                RuntimeWarning, stacklevel=3)
     return BUSY_TIMEOUT
+
+
+def connect(path, **sqlite_options):
+    """Open the SQLite database at *path* the way every repro database
+    opens (result store, dist queue, service jobs and audit tables):
+    parent directory created, :func:`default_busy_timeout` applied as
+    both the connect timeout and ``PRAGMA busy_timeout``, WAL journaling
+    where the filesystem supports it.  *sqlite_options*
+    (``isolation_level``, ``check_same_thread``) pass through to the
+    :mod:`sqlite3` connection."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    timeout = default_busy_timeout()
+    connection = sqlite3.connect(path, timeout=timeout, **sqlite_options)
+    connection.execute("PRAGMA busy_timeout = %d" % int(timeout * 1000))
+    try:
+        connection.execute("PRAGMA journal_mode=WAL")
+    except sqlite3.OperationalError:
+        pass          # e.g. filesystem without WAL support
+    return connection
+
 
 #: blake2b digest width for per-chunk payload digests (hex doubles it).
 _DIGEST_SIZE = 16
@@ -138,6 +156,8 @@ def chunk_digest(blob):
 
 
 def _is_lock_error(exc):
+    """True for SQLite's transient contention errors (the retryable
+    family: another writer holds the lock right now)."""
     message = str(exc)
     return "database is locked" in message or "database is busy" in message
 
@@ -363,40 +383,80 @@ class ChunkWriter:
         self._store._connection.rollback()
 
 
+class StoreWriterSink(RunSink):
+    """Streams retiring chunks straight into a :class:`ResultStore`.
+
+    ``begin`` opens a :class:`ChunkWriter` under *key*, each
+    ``consume`` appends one archived chunk, and ``finish`` commits the
+    meta row — aggregates, provenance — atomically, so readers never
+    observe a partially archived campaign.  On an engine failure call
+    :meth:`abort` to roll the partial write back.
+    """
+
+    def __init__(self, store, key):
+        self.store = store
+        self.key = key
+        self._writer = None
+        self._aggregates = Aggregates()
+        self._meta = None
+
+    def begin(self, meta):
+        self._meta = meta
+        self._writer = self.store.open_writer(self.key, meta["chunk_size"])
+
+    def consume(self, chunk):
+        add = self._aggregates.add
+        for _, effect, signature, byte_size in chunk:
+            add(effect, signature, byte_size)
+        self._writer.write_chunk(chunk)
+
+    def finish(self, summary):
+        try:
+            self._writer.commit(self._aggregates,
+                                pruned_runs=self._meta["pruned_runs"],
+                                vectorized=self._meta["vectorized"],
+                                wall_time=summary["wall_time"])
+        except sqlite3.OperationalError as exc:
+            # Archiving is an optimization, not the campaign: if the
+            # store stayed locked past the writer's own retries, drop
+            # the archive and let the computed result stand — the cell
+            # simply misses next time instead of failing the run.
+            if not _is_lock_error(exc):
+                raise
+            self._writer.abort()
+            obs.logger().warning("store.archive_dropped", key=self.key,
+                                 error=str(exc))
+            obs.metrics().counter("store.archives_dropped").inc()
+            warnings.warn(
+                f"result store stayed locked; campaign not archived "
+                f"under {self.key} ({exc})", RuntimeWarning,
+                stacklevel=2)
+        self._writer = None
+
+    def abort(self):
+        """Roll back a partial archive after an engine failure."""
+        if self._writer is not None:
+            self._writer.abort()
+            self._writer = None
+
+
 class ResultStore:
     """Content-addressed campaign-result store backed by SQLite.
 
-    Opens in WAL mode with a *busy_timeout* so concurrent sweeps
-    contend at the SQLite level instead of surfacing ``database is
-    locked``; commits that still fail retry with exponential backoff.
-    Contention knobs are configurable: *busy_timeout* defaults to
-    ``$REPRO_STORE_TIMEOUT`` seconds (else :data:`BUSY_TIMEOUT`), and
-    *commit_retries* / *commit_backoff* tune the retry loop for hosts
-    running many concurrent writers.  *chaos* threads a
-    :class:`repro.fi.chaos.ChaosPolicy` whose ``store.commit`` rules
-    fire once per commit attempt, so the retry path is testable
-    without a second real writer.
+    Opens through :func:`connect` (WAL mode, a busy timeout of
+    ``$REPRO_STORE_TIMEOUT`` seconds, else :data:`BUSY_TIMEOUT`) so
+    concurrent sweeps contend at the SQLite level instead of surfacing
+    ``database is locked``; commits that still fail retry
+    :data:`COMMIT_RETRIES` times with exponential backoff.  *chaos*
+    threads a :class:`repro.fi.chaos.ChaosPolicy` whose
+    ``store.commit`` rules fire once per commit attempt, so the retry
+    path is testable without a second real writer.
     """
 
-    def __init__(self, path, busy_timeout=None, chaos=None,
-                 commit_retries=COMMIT_RETRIES,
-                 commit_backoff=COMMIT_BACKOFF):
+    def __init__(self, path, chaos=None):
         self.path = path
         self.chaos = chaos
-        if busy_timeout is None:
-            busy_timeout = default_busy_timeout()
-        self.busy_timeout = busy_timeout
-        self.commit_retries = commit_retries
-        self.commit_backoff = commit_backoff
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._connection = sqlite3.connect(path, timeout=busy_timeout)
-        self._connection.execute(
-            "PRAGMA busy_timeout = %d" % int(busy_timeout * 1000))
-        try:
-            self._connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.OperationalError:
-            pass          # e.g. filesystem without WAL support
+        self._connection = connect(path)
         self._connection.executescript(_SCHEMA)
         for statement in _MIGRATIONS:
             try:
@@ -405,30 +465,27 @@ class ResultStore:
                 pass                     # column already present
         self._connection.commit()
 
-    def _commit(self, retries=None, backoff=None):
+    def _commit(self):
         """Commit, absorbing transient lock contention.
 
         Fires the ``store.commit`` chaos point once per attempt, then
         retries ``database is locked`` with exponential backoff; the
-        exception propagates only once *retries* extra attempts are
-        exhausted.  Returns the number of attempts that failed."""
-        if retries is None:
-            retries = self.commit_retries
-        if backoff is None:
-            backoff = self.commit_backoff
-        for attempt in range(retries + 1):
+        exception propagates only once :data:`COMMIT_RETRIES` extra
+        attempts are exhausted.  Returns the number of attempts that
+        failed."""
+        for attempt in range(COMMIT_RETRIES + 1):
             try:
                 if self.chaos is not None:
                     self.chaos.fire("store.commit", attempt=attempt)
                 self._connection.commit()
                 return attempt
             except sqlite3.OperationalError as exc:
-                if not _is_lock_error(exc) or attempt >= retries:
+                if not _is_lock_error(exc) or attempt >= COMMIT_RETRIES:
                     raise
-                obs.metrics().counter("store.commit_retries").inc()
+                obs.metrics().counter("store.lock_retries").inc()
                 obs.logger().warning("store.commit_retry",
                                      attempt=attempt, error=str(exc))
-                time.sleep(backoff * (1 << attempt))
+                time.sleep(COMMIT_BACKOFF * (1 << attempt))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -608,7 +665,7 @@ class ResultStore:
         self._connection.commit()
         return cursor.rowcount
 
-    def open_writer(self, key, chunk_size=DEFAULT_CHUNK_SIZE):
+    def open_writer(self, key, chunk_size):
         """A :class:`ChunkWriter` streaming a new archive under *key*
         (the sink protocol's store endpoint)."""
         return ChunkWriter(self, key, chunk_size)

@@ -5,10 +5,10 @@ the program, its inputs, the fault plan — and of the handful of engine
 knobs that select genuinely different semantics (the hardening
 transform baked into the program, the effect-class bookkeeping of
 ``prune``, the timeout budget).  They are **not** a function of *how*
-the simulation is scheduled: PR 1-4's parity invariants guarantee
-bit-identical aggregates across ``workers``, ``checkpoint_interval``
-and ``batch_lanes``, so those knobs are deliberately excluded from the
-key — a result produced by one schedule is valid under every other.
+the simulation is scheduled: the engine's parity invariants guarantee
+bit-identical aggregates across ``workers`` and
+``checkpoint_interval``, so those knobs are deliberately excluded from
+the key — a result produced by one schedule is valid under every other.
 
 :func:`campaign_key` digests the canonical JSON encoding of
 
@@ -48,7 +48,7 @@ SCHEMA_VERSION = 2
 #: Engine knobs excluded from the key: campaign aggregates are
 #: bit-identical across them (the engine's parity invariants), so one
 #: cached result serves every setting.
-PARITY_KNOBS = ("workers", "checkpoint_interval", "batch_lanes")
+PARITY_KNOBS = ("workers", "checkpoint_interval")
 
 #: Engine knobs that *do* participate in the key.
 KEY_KNOBS = ("core", "prune", "harden", "budget", "max_cycles")

@@ -6,18 +6,20 @@ consumer shares (``repro sweep``, the experiment harnesses, the CLI's
 cell, return the archived result on a hit, otherwise execute the plan
 through :class:`repro.fi.engine.CampaignEngine` and archive the
 outcome.  Because the key excludes the parity knobs (``workers``,
-``checkpoint_interval``, ``batch_lanes``, ``chunk_size``), a result
-computed serially is a hit for a 16-worker request and vice versa.
+``checkpoint_interval``), a result computed serially is a hit for a
+16-worker request and vice versa.
 
 Both directions of the store dataflow stream: a miss attaches a
-:class:`repro.fi.sink.StoreWriterSink` so chunks archive as the engine
-retires them (rolled back if the campaign fails mid-flight), and a hit
+:class:`repro.store.db.StoreWriterSink` so chunks of the engine's
+:data:`repro.fi.engine.DEFAULT_CHUNK_SIZE` records archive as they
+retire (rolled back if the campaign fails mid-flight), and a hit
 replays the archive as a lazy chunk iterator — neither path holds more
-than O(chunk_size) records.
+than one chunk of records.
 """
 
 from repro.fi.engine import CampaignEngine
-from repro.fi.sink import StoreWriterSink, TeeSink
+from repro.fi.sink import TeeSink
+from repro.store.db import StoreWriterSink
 from repro.store.keys import campaign_key
 
 
@@ -51,8 +53,8 @@ class CachingRunner:
 
     def run(self, machine, plan, regs=None, golden=None, max_cycles=None,
             workers=1, checkpoint_interval=None, prune=None,
-            batch_lanes=None, harden="none", budget=None, progress=None,
-            chunk_size=None, sink=None, commit=True):
+            harden="none", budget=None, progress=None, sink=None,
+            commit=True):
         """Cached :class:`repro.fi.campaign.CampaignResult` for the
         cell, executing (and archiving) it on a miss.
 
@@ -88,8 +90,7 @@ class CachingRunner:
                                 progress=progress,
                                 prune=None if prune in (None, "none")
                                 else prune,
-                                batch_lanes=batch_lanes, sink=engine_sink,
-                                chunk_size=chunk_size)
+                                sink=engine_sink)
         except BaseException:
             if engine_sink is not None:
                 abort = getattr(engine_sink, "abort", None)

@@ -18,8 +18,6 @@ canonical shape::
     checkpoint_interval = 64               # snapshot/resume granularity
     prune = "none"                         # or "liveness"
     max_runs = 200                         # cap each cell's plan
-    batch_lanes = 256                      # lockstep lanes (batched core)
-    chunk_size = 2048                      # streamed records per chunk
     max_retries = 1                        # re-attempts per failing cell
     max_wall_seconds = 300.0               # per-cell wall-clock deadline
 
@@ -134,8 +132,7 @@ class SweepSpec:
         self.cores = _listed(grid, "cores", ("threaded",), Machine.CORES)
         engine = data.get("engine", {})
         unknown = set(engine) - {"workers", "checkpoint_interval",
-                                 "prune", "max_runs", "batch_lanes",
-                                 "chunk_size", "max_retries",
+                                 "prune", "max_runs", "max_retries",
                                  "max_wall_seconds"}
         if unknown:
             raise SweepSpecError(
@@ -152,14 +149,6 @@ class SweepSpec:
             self.max_runs = int(self.max_runs)
             if self.max_runs < 1:
                 raise SweepSpecError("engine.max_runs must be >= 1")
-        self.batch_lanes = engine.get("batch_lanes")
-        if self.batch_lanes is not None:
-            self.batch_lanes = int(self.batch_lanes)
-        self.chunk_size = engine.get("chunk_size")
-        if self.chunk_size is not None:
-            self.chunk_size = int(self.chunk_size)
-            if self.chunk_size < 1:
-                raise SweepSpecError("engine.chunk_size must be >= 1")
         self.max_retries = int(engine.get("max_retries", 0))
         if self.max_retries < 0:
             raise SweepSpecError("engine.max_retries must be >= 0")

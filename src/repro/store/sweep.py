@@ -179,9 +179,8 @@ class SweepRunner:
             machine, plan, regs=variant["regs"],
             golden=variant["golden"], workers=self.workers,
             checkpoint_interval=self.spec.checkpoint_interval or None,
-            prune=self.spec.prune, batch_lanes=self.spec.batch_lanes,
-            harden=cell.harden, budget=cell.budget, progress=progress,
-            chunk_size=self.spec.chunk_size, sink=sink, commit=False)
+            prune=self.spec.prune, harden=cell.harden, budget=cell.budget,
+            progress=progress, sink=sink, commit=False)
         overhead = None
         if cell.harden != "none":
             base = self._variant(cell.kernel, "none", None)["golden"]

@@ -54,15 +54,6 @@ class TestBatchedMachine:
         with pytest.raises(SimulationError):
             Machine(motivating_function, core="simd")
 
-    def test_bad_lane_count_rejected(self, motivating_function,
-                                     motivating_golden,
-                                     motivating_batched):
-        plan = plan_exhaustive(motivating_function, motivating_golden)
-        engine = CampaignEngine(motivating_batched, plan,
-                                golden=motivating_golden)
-        with pytest.raises(SimulationError):
-            engine.run(batch_lanes=0)
-
     def test_invalid_site_fails_loudly(self, motivating_function,
                                        motivating_golden,
                                        motivating_batched):
@@ -76,19 +67,23 @@ class TestBatchedMachine:
 class TestBatchedEngineParity:
     @pytest.mark.parametrize("kwargs", [
         {},
-        {"batch_lanes": 1},
-        {"batch_lanes": 7},
+        {"lanes": 1},
+        {"lanes": 7},
         {"checkpoint_interval": 4},
-        {"checkpoint_interval": 29, "batch_lanes": 17},
+        {"checkpoint_interval": 29, "lanes": 17},
         {"workers": 4},
-        {"workers": 3, "batch_lanes": 5},
+        {"workers": 3, "lanes": 5},
         {"prune": "liveness"},
         {"prune": "liveness", "workers": 4, "checkpoint_interval": 8},
     ])
     def test_motivating_exhaustive(self, motivating_batched,
                                    motivating_golden,
-                                   motivating_reference_result, kwargs):
+                                   motivating_reference_result, kwargs,
+                                   monkeypatch):
         plan, base = motivating_reference_result
+        kwargs = dict(kwargs)
+        if "lanes" in kwargs:
+            monkeypatch.setattr(batch, "LANES", kwargs.pop("lanes"))
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
         result = engine.run(**kwargs)

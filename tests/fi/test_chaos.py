@@ -14,8 +14,9 @@ import pytest
 from repro.fi.campaign import plan_exhaustive
 from repro.fi.chaos import (ChaosError, ChaosPolicy, ChaosSink,
                             corrupt_chunk, drop_chunk, truncate_chunk)
+from repro.fi import engine as engine_module
 from repro.fi.engine import CampaignEngine
-from repro.fi.sink import StoreWriterSink
+from repro.store.db import StoreWriterSink
 
 
 def assert_identical(base, other):
@@ -97,11 +98,14 @@ def baseline(motivating_function, motivating_machine, motivating_golden):
 
 
 class TestWorkerKill:
+    @pytest.fixture(autouse=True)
+    def fast_backoff(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.01)
+
     def test_killed_worker_recovers_bit_identical(self, baseline):
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=0, segment=1)
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(workers=4, chunk_size=16, chaos=policy)
         assert engine.recoveries >= 1
         assert engine.serial_degraded_chunks == 0
         assert_identical(base, healed)
@@ -111,19 +115,19 @@ class TestWorkerKill:
         policy = (ChaosPolicy()
                   .kill_worker(chunk=0, segment=0)
                   .kill_worker(chunk=2, segment=3))
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(workers=4, chunk_size=16, chaos=policy)
         assert engine.recoveries >= 2
         assert_identical(base, healed)
 
-    def test_unrecoverable_worker_degrades_to_serial(self, baseline):
+    def test_unrecoverable_worker_degrades_to_serial(self, baseline,
+                                                     monkeypatch):
         """A chunk whose worker dies on every respawn must exhaust the
         retry budget and finish in-parent — slower, never wrong."""
+        monkeypatch.setattr(engine_module, "WORKER_RETRIES", 1)
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0,
                                            attempt=None)
-        healed = engine.run(workers=2, chunk_size=16, chaos=policy,
-                            worker_retries=1, retry_backoff=0.01)
+        healed = engine.run(workers=2, chunk_size=16, chaos=policy)
         assert engine.serial_degraded_chunks >= 1
         assert_identical(base, healed)
 
@@ -132,8 +136,7 @@ class TestWorkerKill:
         them when the respawned worker re-runs the remainder."""
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=1, segment=4)
-        healed = engine.run(workers=2, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(workers=2, chunk_size=16, chaos=policy)
         assert engine.recoveries >= 1
         assert_identical(base, healed)
 

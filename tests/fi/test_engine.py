@@ -260,21 +260,28 @@ class TestKillRecoveryParity:
 
     def test_motivating_killed_worker_parity(self, motivating_function,
                                              motivating_machine,
-                                             motivating_golden):
+                                             motivating_golden,
+                                             monkeypatch):
+        from repro.fi import engine as engine_module
         from repro.fi.chaos import ChaosPolicy
+
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.01)
 
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
         base = engine.run()
         policy = ChaosPolicy().kill_worker(chunk=1, segment=2)
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy,
-                            retry_backoff=0.01)
+        healed = engine.run(workers=4, chunk_size=16, chaos=policy)
         assert engine.recoveries >= 1
         assert_identical(base, healed)
 
-    def test_benchmark_killed_worker_parity_with_checkpoints(self):
+    def test_benchmark_killed_worker_parity_with_checkpoints(
+            self, monkeypatch):
+        from repro.fi import engine as engine_module
         from repro.fi.chaos import ChaosPolicy
+
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.01)
 
         run = benchmark_run("bitcount")
         registers = run.function.registers()[::5]
@@ -286,8 +293,7 @@ class TestKillRecoveryParity:
         interval = max(1, run.golden.cycles // 16)
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0)
         healed = engine.run(workers=4, chunk_size=8,
-                            checkpoint_interval=interval, chaos=policy,
-                            retry_backoff=0.01)
+                            checkpoint_interval=interval, chaos=policy)
         assert engine.recoveries >= 1
         assert_identical(base, healed)
 

@@ -17,6 +17,7 @@ and the per-run ``(effect, signature)`` records must agree exactly.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -237,9 +238,10 @@ def assert_campaigns_identical(function, plan, regs, memory_image=b"",
     assert _campaign_records(
         batched, plan, regs, golden,
         checkpoint_interval=interval) == expected, seed
-    assert _campaign_records(
-        batched, plan, regs, golden, checkpoint_interval=interval,
-        batch_lanes=5, prune="liveness") == expected, seed
+    with mock.patch.object(batch, "LANES", 5):
+        assert _campaign_records(
+            batched, plan, regs, golden, checkpoint_interval=interval,
+            prune="liveness") == expected, seed
 
 
 @pytest.mark.skipif(not batch.numpy_available(),

@@ -44,17 +44,10 @@ class TestFamilies:
         b = registry.counter("c", y="2", x="1")
         assert a is b
 
-    def test_gauge_set_inc_dec(self, registry):
-        gauge = registry.gauge("engine.workers_alive")
-        gauge.set(4)
-        gauge.dec()
-        gauge.inc(2)
-        assert gauge.value == 5
-
     def test_kind_conflict_rejected(self, registry):
         registry.counter("x")
         with pytest.raises(ValueError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_histogram_buckets_and_rollup(self, registry):
         histogram = registry.histogram("t", buckets=(0.1, 1.0))
@@ -143,13 +136,6 @@ class TestDeltaProtocol:
         assert registry.totals()["engine.runs_executed"] == 105
         assert registry.totals()["h.count"] == 1
 
-    def test_merge_gauges_last_write_wins(self, registry):
-        registry.gauge("g").set(3)
-        other = MetricsRegistry()
-        other.gauge("g").set(9)
-        registry.merge(other.dump())
-        assert registry.gauge("g").value == 9
-
     def test_dump_round_trips_through_totals(self, registry):
         registry.counter("a").inc(2)
         registry.counter("a", k="v").inc(3)
@@ -170,7 +156,7 @@ class TestExports:
     def test_exposition_round_trip(self, registry):
         registry.counter("store.hits").inc(3)
         registry.counter("batch.escapes", pp="12", opcode="BEQ").inc(2)
-        registry.gauge("g").set(-1)
+        registry.histogram("g", buckets=(1.0,)).observe(-1)
         registry.histogram("lat", buckets=(0.1, 1.0)).observe(0.05)
         text = registry.to_prometheus()
         types, samples = parse_exposition(text)
@@ -180,7 +166,7 @@ class TestExports:
         assert samples[("repro_batch_escapes",
                         frozenset({("pp", "12"),
                                    ("opcode", "BEQ")}))] == 2
-        assert samples[("repro_g", frozenset())] == -1
+        assert samples[("repro_g_sum", frozenset())] == -1
         assert samples[("repro_lat_count", frozenset())] == 1
         assert samples[("repro_lat_bucket",
                         frozenset({("le", "+Inf")}))] == 1

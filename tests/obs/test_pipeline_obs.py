@@ -17,8 +17,8 @@ from repro.fi.campaign import plan_exhaustive
 from repro.fi.chaos import corrupt_chunk
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
-from repro.fi.sink import StoreWriterSink
 from repro.store import ResultStore, load_spec, run_sweep
+from repro.store.db import StoreWriterSink
 
 
 @pytest.fixture

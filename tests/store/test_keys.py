@@ -34,8 +34,7 @@ class TestCanonicalConfig:
                           "max_cycles": "auto"}
 
     def test_parity_knobs_dropped(self):
-        assert canonical_config({"workers": 8, "checkpoint_interval": 64,
-                                 "batch_lanes": 512}) \
+        assert canonical_config({"workers": 8, "checkpoint_interval": 64}) \
             == canonical_config({})
 
     def test_unknown_knob_rejected(self):
@@ -61,8 +60,7 @@ class TestCampaignKey:
         base = campaign_key(function, plan, config={})
         assert campaign_key(
             function, plan,
-            config={"workers": 4, "checkpoint_interval": 16,
-                    "batch_lanes": 64}) == base
+            config={"workers": 4, "checkpoint_interval": 16}) == base
 
     def test_key_knobs_change_the_key(self, function, plan):
         base = campaign_key(function, plan)

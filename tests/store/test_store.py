@@ -4,12 +4,12 @@ import pytest
 
 from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years
+from repro.fi import engine as engine_module
 from repro.fi.campaign import plan_bec, plan_exhaustive
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
-from repro.fi.sink import StoreWriterSink
 from repro.store import CachingRunner, ResultStore
-from repro.store.db import decode_chunk, encode_chunk
+from repro.store.db import StoreWriterSink, decode_chunk, encode_chunk
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +38,26 @@ def store(tmp_path):
         yield opened
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Campaigns archive in 7-record chunks, so a small plan spans
+    several ``campaign_chunks`` rows."""
+    monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 7)
+
+
 def assert_same_aggregates(base, other):
     assert other.effect_counts() == base.effect_counts()
     assert other.distinct_traces == base.distinct_traces
     assert other.archived_bytes == base.archived_bytes
     assert other.vulnerable_runs() == base.vulnerable_runs()
     assert_same_records(base.runs, other.runs)
+
+
+def pragmas(connection):
+    """``(journal_mode, busy_timeout in ms)`` of an open connection."""
+    (mode,) = connection.execute("PRAGMA journal_mode").fetchone()
+    (timeout,) = connection.execute("PRAGMA busy_timeout").fetchone()
+    return mode, timeout
 
 
 def assert_same_records(base, other):
@@ -206,10 +220,11 @@ class TestIntegrity:
     quarantined clean miss (and a re-execution that heals the store),
     never a crash — and ``verify()`` must report exactly the bad row."""
 
-    def _populate(self, store, machine, plan, golden, chunk_size=7):
+    pytestmark = pytest.mark.usefixtures("small_chunks")
+
+    def _populate(self, store, machine, plan, golden):
         runner = CachingRunner(store)
-        fresh = runner.run(machine, plan, golden=golden,
-                           chunk_size=chunk_size)
+        fresh = runner.run(machine, plan, golden=golden)
         return fresh, runner.key_for(machine, plan)
 
     def test_chunks_carry_digests(self, store, machine, plan, golden):
@@ -234,8 +249,7 @@ class TestIntegrity:
         assert store.quarantined() == [(key, 1, "digest mismatch")]
         # The clean miss makes the caching runner re-execute; the
         # rewrite replaces the damaged archive and clears quarantine.
-        rerun = CachingRunner(store).run(machine, plan, golden=golden,
-                                         chunk_size=7)
+        rerun = CachingRunner(store).run(machine, plan, golden=golden)
         assert not rerun.cached
         assert_same_aggregates(fresh, rerun)
         assert store.quarantined() == []
@@ -288,7 +302,7 @@ class TestIntegrity:
         _, key = self._populate(store, machine, plan, golden)
         other = plan_exhaustive(function, golden)[:40]
         runner = CachingRunner(store)
-        runner.run(machine, other, golden=golden, chunk_size=7)
+        runner.run(machine, other, golden=golden)
         corrupt_chunk(store, key, chunk_index=2)
         with pytest.warns(RuntimeWarning):
             report = store.verify()
@@ -311,11 +325,8 @@ class TestIntegrity:
                 "reason": "missing chunk"} in report["corrupt"]
 
     def test_wal_and_busy_timeout_active(self, store):
-        (mode,) = store._connection.execute(
-            "PRAGMA journal_mode").fetchone()
+        mode, timeout = pragmas(store._connection)
         assert mode == "wal"
-        (timeout,) = store._connection.execute(
-            "PRAGMA busy_timeout").fetchone()
         assert timeout >= 1000
 
 
@@ -365,22 +376,31 @@ class TestConcurrentWriters:
 
 
 class TestStoreKnobs:
-    """Operator knobs: the busy-timeout override chain (constructor >
-    $REPRO_STORE_TIMEOUT > built-in default) and quarantine clearing."""
+    """Operator knobs: the busy timeout ($REPRO_STORE_TIMEOUT, else the
+    built-in default) and quarantine clearing."""
 
     def test_env_timeout_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_TIMEOUT", "12.5")
         with ResultStore(str(tmp_path / "env.sqlite")) as store:
-            assert store.busy_timeout == 12.5
-            (timeout,) = store._connection.execute(
-                "PRAGMA busy_timeout").fetchone()
-            assert timeout == 12500
+            assert pragmas(store._connection) == ("wal", 12500)
 
-    def test_constructor_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_TIMEOUT", "12.5")
-        with ResultStore(str(tmp_path / "ctor.sqlite"),
-                         busy_timeout=2.0) as store:
-            assert store.busy_timeout == 2.0
+    @pytest.mark.parametrize("opener", ["queue", "jobs", "audit"])
+    def test_every_database_opens_alike(self, tmp_path, monkeypatch,
+                                        opener):
+        """The dist queue and the service tables open through the same
+        ``connect`` as the store: WAL, and $REPRO_STORE_TIMEOUT."""
+        from repro.dist.queue import WorkQueue
+        from repro.service.audit import AuditLog
+        from repro.service.jobs import JobsTable
+
+        monkeypatch.setenv("REPRO_STORE_TIMEOUT", "7.25")
+        cls = {"queue": WorkQueue, "jobs": JobsTable,
+               "audit": AuditLog}[opener]
+        table = cls(str(tmp_path / "sub" / f"{opener}.sqlite"))
+        try:
+            assert pragmas(table._connection) == ("wal", 7250)
+        finally:
+            table.close()
 
     def test_unparseable_env_warns_and_falls_back(self, tmp_path,
                                                   monkeypatch):
@@ -390,10 +410,10 @@ class TestStoreKnobs:
         with pytest.warns(RuntimeWarning, match="REPRO_STORE_TIMEOUT"):
             store = ResultStore(str(tmp_path / "bad.sqlite"))
         with store:
-            assert store.busy_timeout == BUSY_TIMEOUT
+            assert pragmas(store._connection)[1] == BUSY_TIMEOUT * 1000
 
     def test_clear_quarantine_workflow(self, store, machine, plan,
-                                       golden):
+                                       golden, small_chunks):
         """The post-repair loop: corruption quarantines a key; once the
         damaged rows are repaired (here: deleted), ``verify
         --clear-quarantine`` gives the store a clean bill instead of
@@ -401,7 +421,7 @@ class TestStoreKnobs:
         from repro.fi.chaos import corrupt_chunk
 
         runner = CachingRunner(store)
-        runner.run(machine, plan, golden=golden, chunk_size=7)
+        runner.run(machine, plan, golden=golden)
         key = runner.key_for(machine, plan)
         corrupt_chunk(store, key, chunk_index=1)
         with pytest.warns(RuntimeWarning):

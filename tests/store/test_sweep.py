@@ -53,7 +53,7 @@ def spec_for(kernels, **overrides):
                  if key in ("modes", "harden", "budgets", "cores")})
     engine = {key: value for key, value in overrides.items()
               if key in ("workers", "checkpoint_interval", "prune",
-                         "max_runs", "batch_lanes")}
+                         "max_runs")}
     return parse_spec({"grid": grid, "engine": engine}, name="test")
 
 
@@ -99,6 +99,14 @@ class TestSpec:
     def test_validation(self, broken):
         with pytest.raises(SweepSpecError):
             parse_spec(broken)
+
+    @pytest.mark.parametrize("key", ["batch_lanes", "chunk_size"])
+    def test_engine_constants_are_not_spec_keys(self, key):
+        """Lane count and chunk size are engine constants, so a spec
+        that sets them is rejected by name, not silently ignored."""
+        with pytest.raises(SweepSpecError, match=key):
+            parse_spec({"grid": {"kernels": ["k"]},
+                        "engine": {key: 64}})
 
     def test_load_json(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -125,10 +125,14 @@ class TestCampaign:
                             or "distinguishable traces" in line])
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_batched_with_prune_and_lanes(self, minic_file, capsys):
+    def test_batched_with_prune_and_lanes(self, minic_file, capsys,
+                                          monkeypatch):
+        from repro.fi import batch
+
+        monkeypatch.setattr(batch, "LANES", 9)
         assert main(["campaign", minic_file, "--mode", "exhaustive",
                      "--execute", "80", "--core", "batched",
-                     "--prune", "liveness", "--batch-lanes", "9"]) == 0
+                     "--prune", "liveness"]) == 0
         output = capsys.readouterr().out
         assert "prune=liveness" in output
         assert "runs pre-classified" in output
