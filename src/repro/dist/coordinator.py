@@ -16,13 +16,16 @@ hands over is checked **before any store commit**:
    a valid signature;
 3. each chunk's own digest, checked again as archive rows are staged.
 
-Only then does a :class:`repro.store.db.ChunkWriter` stage the chunks
-and commit — meta row last, one transaction — and only after the
-store commit does the queue transition (``complete``), so a crash
-between the two leaves a committed result and a reclaimable lease:
-the re-executing worker's commit is an idempotent overwrite of
-identical bytes.  Rejections never raise; the lease simply runs out
-and the cell is retried elsewhere.
+Only then does :meth:`repro.store.db.ResultStore.archive` write the
+chunks and the envelope's meta row in one transaction — the same call
+a direct caller's miss makes, so both paths store identical bytes —
+and only after the store commit does the queue transition
+(``complete``), so a crash between the two leaves a committed result
+and a reclaimable lease: the re-executing worker's commit is an
+idempotent overwrite of identical bytes.  Rejections never raise; the
+lease simply runs out and the cell is retried elsewhere.  A store that
+stays locked does raise, and the worker fails the lease so the cell is
+retried.
 """
 
 from repro import obs
@@ -94,26 +97,7 @@ def commit_envelope(store, queue, envelope, chunks, secret=None):
             return _reject(queue, envelope,
                            "cache-hit envelope for an absent key")
     else:
-        meta = envelope.meta
-        writer = store.open_writer(envelope.result_key,
-                                   meta["chunk_size"])
-        try:
-            for blob, n_records, raw_size in chunks:
-                writer.write_encoded(blob, n_records, raw_size)
-            from repro.fi.campaign import Aggregates
-
-            sizes = {bytes.fromhex(hex_signature): size
-                     for hex_signature, size in meta["sizes"].items()}
-            aggregates = Aggregates.restore(
-                meta["effects"], meta["vulnerable"], sizes,
-                envelope.n_runs)
-            writer.commit(aggregates,
-                          pruned_runs=meta["pruned_runs"],
-                          vectorized=meta["vectorized"],
-                          wall_time=meta["wall_time"])
-        except BaseException:
-            writer.abort()
-            raise
+        store.archive(envelope.result_key, chunks, envelope.meta)
 
     sim_runs = 0 if envelope.cached else max(
         0, envelope.n_runs - int(envelope.meta.get("pruned_runs", 0)))

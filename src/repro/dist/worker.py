@@ -9,16 +9,18 @@ One ``repro dist work`` process is a loop over
    the one engine call every sweep cell makes (a local ``repro sweep``
    is this loop with one worker over an in-memory queue), so a
    distributed sweep's keys and aggregates are bit-identical to a
-   serial one's.  ``run_cell`` suppresses the store-writer sink;
-   instead a :class:`ChunkCaptureSink` spools the archive-encoded
-   chunk stream locally.  The engine's per-chunk
-   progress callback doubles as the **heartbeat**, renewing the lease
-   at a third of its duration.
+   serial one's.  ``run_cell`` does not archive: the caching runner
+   leaves the compressed chunk stream in its
+   :class:`repro.store.db.ChunkCapture` (empty on a cache hit).  The
+   engine's per-chunk progress callback doubles as the **heartbeat**,
+   renewing the lease at a third of its duration.
 3. **Prove**: wrap the capture in a signed
    :class:`repro.dist.envelope.ResultEnvelope` binding content (chunk
-   digests + aggregate meta) to identity (worker, lease token).
+   digests + the :func:`repro.store.db.archive_meta` dict) to identity
+   (worker, lease token).
 4. **Commit** through :func:`repro.dist.coordinator.commit_envelope`,
-   which verifies everything before the store sees a byte.
+   which verifies everything before
+   :meth:`repro.store.db.ResultStore.archive` writes a byte.
 
 Failure modes map onto queue states: an execution error (including a
 :class:`repro.fi.deadline.CellTimeout`) fails the lease back to
@@ -28,7 +30,8 @@ returns False) finishes anyway and takes
 ``superseded`` — the archive write is idempotent, the state
 transition just happened elsewhere.  A rejected envelope also fails
 the lease, so the cell retries promptly instead of waiting out the
-lease clock.
+lease clock; so does an archive the store stayed locked for (unlike a
+direct caller's miss, a sweep cell is not done until it is archived).
 
 Chaos points (see :mod:`repro.fi.chaos`) are consulted at each step —
 ``dist.cell`` (claim/run phases, kill action), ``dist.expire_lease``,
@@ -44,9 +47,7 @@ import time
 from repro import obs
 from repro.fi.chaos import ChaosPolicy
 from repro.fi.deadline import wall_clock_deadline
-from repro.fi.engine import DEFAULT_CHUNK_SIZE
-from repro.fi.sink import RunSink
-from repro.store.db import chunk_digest, encode_chunk
+from repro.store.db import archive_meta, chunk_digest
 from repro.store.sweep import SweepRunner
 
 from repro.dist import envelope as envelope_module
@@ -61,36 +62,6 @@ POLL_SECONDS = 0.2
 #: Give up after this long without claiming anything (safety valve for
 #: orphaned workers; the queue being drained exits immediately).
 DEFAULT_MAX_IDLE_SECONDS = 120.0
-
-
-class ChunkCaptureSink(RunSink):
-    """Spools the engine's chunk stream, archive-encoded, in memory.
-
-    Each retired chunk is compressed with the store's own codec
-    (:func:`repro.store.db.encode_chunk`), so the blobs the envelope
-    signs are byte-for-byte what the coordinator archives — no
-    re-encoding between verification and commit.
-    """
-
-    def __init__(self):
-        self.chunks = []          # [(blob, n_records, raw_size)]
-        self.meta = None
-        self.wall_time = 0.0
-
-    def begin(self, meta):
-        self.meta = meta
-        self.chunks = []
-
-    def consume(self, chunk):
-        blob, raw_size = encode_chunk(chunk)
-        self.chunks.append((blob, len(chunk), raw_size))
-
-    def finish(self, summary):
-        self.wall_time = summary["wall_time"]
-
-    def abort(self):
-        self.chunks = []
-        self.meta = None
 
 
 def default_worker_id():
@@ -219,32 +190,19 @@ class DistWorker:
                                      cell=lease.cell_id,
                                      worker=self.worker_id)
 
-        capture = ChunkCaptureSink()
         deadline = runner.max_wall_seconds if self.cell_timeout is None \
             else self.cell_timeout
         with wall_clock_deadline(deadline, what=f"cell {lease.cell_id}"):
-            result, outcome = runner.run_cell(lease.cell, sink=capture,
+            result, outcome = runner.run_cell(lease.cell,
                                               progress=heartbeat)
 
         # The kill-mid-cell fault: computed, not yet committed — the
         # worst crash point the reclaim path must absorb.
         self._fire("dist.cell", ordinal=ordinal, phase="run")
 
-        if result.cached:
-            chunks = []
-        else:
-            chunks = capture.chunks
-        meta = {
-            "effects": result.effect_counts(),
-            "vulnerable": result.vulnerable_runs(),
-            "sizes": {signature.hex(): size for signature, size
-                      in result.trace_sizes().items()},
-            "pruned_runs": result.pruned_runs,
-            "vectorized": result.vectorized,
-            "wall_time": result.wall_time,
-            "chunk_size": (capture.meta or {}).get("chunk_size",
-                                                   DEFAULT_CHUNK_SIZE),
-        }
+        capture = runner.runner.last_capture
+        chunks = capture.chunks
+        meta = archive_meta(result, capture.chunk_size)
         digests = [chunk_digest(blob) for blob, _, _ in chunks]
         envelope = ResultEnvelope(
             cell_id=lease.cell_id,

@@ -155,21 +155,22 @@ class CampaignResult:
     A thin facade over two streaming products of the engine: aggregates
     come from an incrementally updated :class:`Aggregates` accumulator,
     and ``runs`` is whatever record sequence the caller supplies — an
-    in-memory list (the default, and what :meth:`record` appends to), a
-    disk-spool view (:class:`repro.fi.sink.SpooledRuns`) on streamed
-    campaigns, or a chunk-reading store view on cached results.  Every
+    in-memory list (the default, and what :meth:`record` appends to), or
+    a lazy :class:`repro.fi.sink.ChunkedRuns` view over the disk spool
+    of a streamed campaign or the chunks of a cached result.  Every
     consumer-facing accessor (``effect_counts()``, ``distinct_traces``,
     ``vulnerable_runs()``, ``archived_bytes``, iteration over ``runs``)
     behaves identically across the three, so downstream code cannot
     tell how the records are held.
     """
 
-    #: True on results decoded from :mod:`repro.store` instead of
-    #: being executed (the store's subclass overrides this).
-    cached = False
-
     def __init__(self, golden, runs=None, aggregates=None):
         self.golden = golden
+        #: True on results decoded from :mod:`repro.store` instead of
+        #: being executed (``golden`` is then ``None``: the golden
+        #: trace is not archived, and ``wall_time`` is the original
+        #: execution's).
+        self.cached = False
         #: (PlannedRun, effect, signature) per run — list or lazy view.
         self.runs = [] if runs is None else runs
         self.wall_time = 0.0

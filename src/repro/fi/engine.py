@@ -53,9 +53,9 @@ it without changing a single record:
   stream, so peak resident per-run records are O(chunk_size) on the
   serial path and O(chunk_size × workers) on the parallel path —
   independent of plan length.  If a sink raises mid-stream (disk
-  full, a failing store) the engine tears every sink down through its
-  ``abort()`` hook before re-raising, so aborted campaigns leak no
-  spool files or partial archives.
+  full, say) the engine tears every sink down through its ``abort()``
+  hook before re-raising, so aborted campaigns leak no spool files or
+  captured chunks.
 * **Chaos injection** (``chaos=ChaosPolicy()``): the engine consults a
   deterministic :class:`repro.fi.chaos.ChaosPolicy` at named points —
   workers fire ``worker.segment`` (where a rule can SIGKILL them) and
@@ -504,7 +504,7 @@ class CampaignEngine:
         without simulation; ``progress`` is an optional
         ``callable(done, total)`` invoked as chunks retire; ``sink`` is
         an optional extra :class:`repro.fi.sink.RunSink` receiving the
-        plan-ordered record stream (e.g. a store writer);
+        plan-ordered record stream (e.g. the store's chunk capture);
         ``chunk_size`` bounds resident records per streamed chunk
         (default :data:`DEFAULT_CHUNK_SIZE`) — a parity knob, never an
         aggregate-changing one.  ``chaos`` threads a deterministic
@@ -610,7 +610,7 @@ class CampaignEngine:
             tee.finish({"wall_time": result.wall_time})
         except BaseException:
             # A failed campaign must not leak sink state: close spool
-            # temp files, roll partial store archives back.
+            # temp files, drop captured chunks.
             for failed_sink in sinks:
                 abort = getattr(failed_sink, "abort", None)
                 if abort is not None:

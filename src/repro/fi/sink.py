@@ -34,8 +34,8 @@ iterable at the same bound.
 
 Built-in sinks compose with :class:`TeeSink`; anything matching the
 three-call protocol (duck-typed, no inheritance required) can join the
-fan-out — :class:`repro.store.db.StoreWriterSink` archives the stream
-into the result store without this module importing the store.
+fan-out — :class:`repro.store.db.ChunkCapture` encodes the stream for
+the result store without this module importing the store.
 """
 
 import pickle
@@ -90,15 +90,6 @@ class TeeSink(RunSink):
         for sink in self.sinks:
             sink.finish(summary)
 
-    def abort(self):
-        """Tear down every child that supports aborting (the engine
-        aborts the *outermost* sink on failure; without this delegation
-        a wrapped store writer would leak its open transaction)."""
-        for sink in self.sinks:
-            abort = getattr(sink, "abort", None)
-            if abort is not None:
-                abort()
-
 
 class AggregateSink(RunSink):
     """Incremental aggregates with zero per-run retention.
@@ -147,78 +138,56 @@ class ProgressSink(RunSink):
         self.callback(self._total, self._total)
 
 
-class SpooledRuns:
-    """Lazy, re-iterable view of spooled run records.
+class ChunkedRuns:
+    """Lazy, re-iterable view of a run list held as fixed-size chunks.
 
     Looks like the list ``CampaignResult.runs`` used to be — ``len``,
-    iteration, indexing, ``zip`` with another result's runs — but holds
-    at most one chunk of records in memory at a time, loading chunks
-    from the spool file on demand.  Small campaigns (one chunk) stay
-    in memory with no file at all.
+    iteration, indexing and slicing, ``zip`` with another result's
+    runs — but holds at most one chunk of ``(planned, effect,
+    signature)`` records in memory, fetched on demand through
+    ``load(chunk_index)``: frames of the engine's disk spool
+    (:class:`SpoolSink`) or digest-checked rows of the result store
+    (:class:`repro.store.db.ResultStore`).  Every chunk holds
+    *chunk_size* records except the last.
     """
 
-    def __init__(self, plan, chunk_size, memory_records=None, spool=None,
-                 frames=None):
-        self._plan = plan
+    def __init__(self, n_runs, chunk_size, load):
+        self._n_runs = n_runs
         self._chunk_size = chunk_size
-        self._memory = memory_records       # list[(effect, sig)] or None
-        self._spool = spool                 # file object or None
-        self._frames = frames or []         # [(offset, length, n_records)]
-        if memory_records is not None:
-            self._length = len(memory_records)
-        else:
-            self._length = sum(count for _, _, count in self._frames)
+        self._load_chunk = load
         self._cache_index = None
         self._cache = None
 
     def __len__(self):
-        return self._length
+        return self._n_runs
 
-    def _load(self, frame_index):
-        """Records of one spool frame (seek+read back-to-back, so
-        interleaved iterators over the same view stay consistent)."""
-        if frame_index == self._cache_index:
-            return self._cache
-        offset, length, _ = self._frames[frame_index]
-        self._spool.seek(offset)
-        records = pickle.loads(self._spool.read(length))
-        self._cache_index = frame_index
-        self._cache = records
-        return records
+    def _load(self, chunk_index):
+        if chunk_index != self._cache_index:
+            self._cache = self._load_chunk(chunk_index)
+            self._cache_index = chunk_index
+        return self._cache
 
     def __iter__(self):
-        if self._memory is not None:
-            for index, (effect, signature) in enumerate(self._memory):
-                yield (self._plan[index], effect, signature)
-            return
-        base = 0
-        for frame_index in range(len(self._frames)):
-            for offset, (effect, signature) \
-                    in enumerate(self._load(frame_index)):
-                yield (self._plan[base + offset], effect, signature)
-            base += self._frames[frame_index][2]
+        for chunk_index in range(-(-self._n_runs // self._chunk_size)):
+            yield from self._load(chunk_index)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[position]
-                    for position in range(*index.indices(self._length))]
+                    for position in range(*index.indices(self._n_runs))]
         if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
+            index += self._n_runs
+        if not 0 <= index < self._n_runs:
             raise IndexError("run index out of range")
-        if self._memory is not None:
-            effect, signature = self._memory[index]
-        else:
-            effect, signature = self._load(
-                index // self._chunk_size)[index % self._chunk_size]
-        return (self._plan[index], effect, signature)
+        return self._load(index // self._chunk_size)[
+            index % self._chunk_size]
 
 
 class SpoolSink(RunSink):
     """Spills per-run records to a disk spool, one frame per chunk.
 
     Only ``(effect, signature)`` pairs are spooled — the plan is
-    already resident in the engine, so the :class:`SpooledRuns` view
+    already resident in the engine, so the :class:`ChunkedRuns` view
     re-zips records with their :class:`PlannedRun` entries on read.  A
     campaign that fits in a single chunk never touches the disk.
     """
@@ -257,9 +226,26 @@ class SpoolSink(RunSink):
         registry.counter("sink.spool_frames").inc()
 
     def finish(self, summary):
-        self._view = SpooledRuns(self._plan, self._chunk_size,
-                                 memory_records=self._memory,
-                                 spool=self._spool, frames=self._frames)
+        if self._memory is not None:
+            length = len(self._memory)
+        else:
+            length = sum(count for _, _, count in self._frames)
+        self._view = ChunkedRuns(length, self._chunk_size, self._read)
+
+    def _read(self, chunk_index):
+        """Records of one chunk, re-zipped with their plan entries (a
+        frame's seek and read run back to back, so interleaved
+        iterators over the same view stay consistent)."""
+        if self._memory is not None:
+            pairs = self._memory
+        else:
+            offset, length, _ = self._frames[chunk_index]
+            self._spool.seek(offset)
+            pairs = pickle.loads(self._spool.read(length))
+        base = chunk_index * self._chunk_size
+        plan = self._plan[base:base + len(pairs)]
+        return [(planned, effect, signature)
+                for planned, (effect, signature) in zip(plan, pairs)]
 
     def abort(self):
         """Tear the spool down after a failed campaign: close (and
@@ -273,7 +259,7 @@ class SpoolSink(RunSink):
         self._view = None
 
     def view(self):
-        """The finished :class:`SpooledRuns`; valid after ``finish``."""
+        """The finished :class:`ChunkedRuns`; valid after ``finish``."""
         if self._view is None:
             raise RuntimeError("spool view requested before finish()")
         return self._view

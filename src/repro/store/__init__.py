@@ -16,7 +16,7 @@ so they are stored once under a content address
   consolidated report.
 """
 
-from repro.store.db import CachedCampaignResult, ResultStore
+from repro.store.db import ResultStore
 from repro.store.keys import (PARITY_KNOBS, SCHEMA_VERSION, campaign_key,
                               canonical_config)
 from repro.store.runner import CachingRunner
@@ -26,7 +26,6 @@ from repro.store.sweep import (CellOutcome, SweepReport, SweepRunner,
                                run_sweep)
 
 __all__ = [
-    "CachedCampaignResult",
     "CachingRunner",
     "CellOutcome",
     "PARITY_KNOBS",

@@ -6,11 +6,15 @@ record list — effects *and* trace signatures, so pairwise consumers
 like :func:`repro.harden.evaluate.count_conversions` work identically
 on cached results — archived as **chunked, zlib-compressed segments**
 in ``campaign_chunks`` (``(key, chunk_index)`` rows, payload layout
-v2).  Writers stream chunks in as the engine retires them
-(:class:`ChunkWriter`, fed by :class:`StoreWriterSink`)
-and readers replay hits as a lazy chunk iterator
-(:class:`StoredRuns`), so neither side ever materializes a whole
-campaign: peak resident records stay O(chunk_size) on both paths.
+v2).  Every write takes one path: a :class:`ChunkCapture` sink
+compresses the engine's chunk stream as it retires, and
+:meth:`ResultStore.archive` commits the captured blobs plus the
+:func:`archive_meta` row in one transaction (the caching runner does
+so directly, a distributed sweep after verifying the worker's signed
+envelope).  Readers replay hits as a lazy
+:class:`repro.fi.sink.ChunkedRuns` view, so per-run records stay
+O(chunk_size) on both paths; a writer holds only the compressed blobs
+until its commit.
 
 A row written under any other payload layout — including v1, which
 held the whole run list as one JSON payload in the meta row — misses
@@ -52,8 +56,9 @@ from datetime import datetime, timezone
 import repro
 from repro import obs
 from repro.fi.campaign import Aggregates, CampaignResult, PlannedRun
+from repro.fi.engine import DEFAULT_CHUNK_SIZE
 from repro.fi.machine import Injection
-from repro.fi.sink import RunSink
+from repro.fi.sink import ChunkedRuns, RunSink
 from repro.store.keys import SCHEMA_VERSION
 
 #: Lock-contention absorption: seconds SQLite itself blocks on a busy
@@ -155,7 +160,7 @@ def chunk_digest(blob):
     return hashlib.blake2b(blob, digest_size=_DIGEST_SIZE).hexdigest()
 
 
-def _is_lock_error(exc):
+def is_lock_error(exc):
     """True for SQLite's transient contention errors (the retryable
     family: another writer holds the lock right now)."""
     message = str(exc)
@@ -180,24 +185,6 @@ def _quarantine(connection, key, chunk_index, reason, digest=None):
     warnings.warn(
         f"quarantined corrupt archive row (key={key}, "
         f"chunk={chunk_index}): {reason}", RuntimeWarning, stacklevel=3)
-
-
-class CachedCampaignResult(CampaignResult):
-    """A :class:`CampaignResult` decoded from the store.
-
-    Indistinguishable from a freshly executed result for every
-    aggregate consumer — ``runs``, ``effect_counts()``,
-    ``distinct_traces``, ``archived_bytes``, ``vulnerable_runs()`` —
-    except that ``cached`` is true and ``golden`` is ``None`` (the
-    golden trace is not archived; recompute it if you need it).
-    ``wall_time`` reports the wall time of the *original* execution,
-    so time-reporting consumers render the same numbers either way.
-    On a hit ``runs`` is a lazy :class:`StoredRuns` chunk iterator
-    bound to the open store — drain it (or copy what you need) before
-    closing the store.
-    """
-
-    cached = True
 
 
 def _encode_rows(records):
@@ -231,89 +218,65 @@ def decode_chunk(blob):
             for row in json.loads(zlib.decompress(blob))]
 
 
-class StoredRuns:
-    """Lazy chunk-iterating view of an archived run list.
+def archive_meta(result, chunk_size):
+    """The meta dict *result* archives under (and a distributed worker
+    signs): aggregates — the sizes map and effect counts, so cached
+    hits restore them without a run scan — provenance and the chunk
+    size its records were captured in."""
+    return {
+        "effects": result.effect_counts(),
+        "vulnerable": result.vulnerable_runs(),
+        "sizes": {signature.hex(): size for signature, size
+                  in result.trace_sizes().items()},
+        "pruned_runs": result.pruned_runs,
+        "vectorized": result.vectorized,
+        "wall_time": result.wall_time,
+        "chunk_size": chunk_size,
+    }
 
-    Mirrors the list ``CampaignResult.runs`` used to be — ``len``,
-    iteration, indexing, ``zip`` against a live result's runs — while
-    keeping at most one decoded chunk in memory, fetched from
-    ``campaign_chunks`` on demand.  Requires the owning store to stay
-    open while iterated.
+
+class ChunkCapture(RunSink):
+    """Spools the engine's chunk stream, archive-encoded, in memory.
+
+    Each retired chunk is compressed with the store's own codec
+    (:func:`encode_chunk`) into a ``(blob, n_records, raw_size)``
+    triple, the input of :meth:`ResultStore.archive` — and of a
+    distributed worker's signed envelope, whose blobs are archived
+    byte for byte, never re-encoded.
     """
 
-    def __init__(self, connection, key, n_runs, n_chunks, chunk_size):
-        self._connection = connection
-        self._key = key
-        self._n_runs = n_runs
-        self._n_chunks = n_chunks
-        self._chunk_size = chunk_size
-        self._cache_index = None
-        self._cache = None
+    def __init__(self):
+        self.chunks = []
+        self.chunk_size = DEFAULT_CHUNK_SIZE
 
-    def __len__(self):
-        return self._n_runs
+    def begin(self, meta):
+        self.chunks = []
+        self.chunk_size = meta["chunk_size"]
 
-    def _load(self, chunk_index):
-        if chunk_index == self._cache_index:
-            return self._cache
-        row = self._connection.execute(
-            "SELECT payload, digest FROM campaign_chunks "
-            "WHERE key = ? AND chunk_index = ?",
-            (self._key, chunk_index)).fetchone()
-        if row is None:
-            raise KeyError(
-                f"missing chunk {chunk_index} of {self._key}")
-        blob, digest = row
-        if digest is not None and chunk_digest(blob) != digest:
-            _quarantine(self._connection, self._key, chunk_index,
-                        "digest mismatch", digest=digest)
-            raise KeyError(
-                f"corrupt chunk {chunk_index} of {self._key} "
-                "(digest mismatch; quarantined)")
-        try:
-            records = decode_chunk(blob)
-        except _DECODE_ERRORS as exc:
-            _quarantine(self._connection, self._key, chunk_index,
-                        f"undecodable payload: {exc}", digest=digest)
-            raise KeyError(
-                f"corrupt chunk {chunk_index} of {self._key} "
-                "(quarantined)") from exc
-        obs.metrics().counter("store.bytes_out").inc(len(blob))
-        self._cache_index = chunk_index
-        self._cache = records
-        return records
+    def consume(self, chunk):
+        blob, raw_size = encode_chunk(chunk)
+        self.chunks.append((blob, len(chunk), raw_size))
 
-    def __iter__(self):
-        for chunk_index in range(self._n_chunks):
-            yield from self._load(chunk_index)
+    def abort(self):
+        self.chunks = []
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[position]
-                    for position in range(*index.indices(self._n_runs))]
-        if index < 0:
-            index += self._n_runs
-        if not 0 <= index < self._n_runs:
-            raise IndexError("run index out of range")
-        return self._load(index // self._chunk_size)[
-            index % self._chunk_size]
+
+#: The :func:`archive_meta` fields the meta row's payload keeps
+#: (``wall_time`` has a column of its own).
+_PAYLOAD_FIELDS = ("effects", "vulnerable", "sizes", "pruned_runs",
+                   "vectorized", "chunk_size")
 
 
 class ChunkWriter:
-    """Streams one campaign into the store, chunk by chunk.
+    """Writes one archive into the store's open transaction: any prior
+    archive under the key is deleted, chunks insert in order, and
+    :meth:`commit` adds the meta row and commits everything at once
+    (driven by :meth:`ResultStore.archive`, which rolls back on
+    failure)."""
 
-    All writes ride a single transaction: any prior archive under the
-    key is deleted, chunks insert as they arrive, and the meta row —
-    aggregates, provenance, compression accounting — lands at
-    :meth:`commit`, which commits everything at once.  Until then
-    readers of the store see the previous state; :meth:`abort` rolls a
-    partial write back.
-    """
-
-    def __init__(self, store, key, chunk_size):
+    def __init__(self, store, key):
         self._store = store
         self._key = key
-        self._chunk_size = chunk_size
         self._n_chunks = 0
         self._n_runs = 0
         self._uncompressed = 0
@@ -326,16 +289,9 @@ class ChunkWriter:
         connection.execute(
             "DELETE FROM campaign_quarantine WHERE key = ?", (key,))
 
-    def write_chunk(self, records):
-        """Archive the next plan-ordered chunk of
-        ``(planned, effect, signature[, byte_size])`` records."""
-        blob, raw_size = encode_chunk(records)
-        self.write_encoded(blob, len(records), raw_size)
-
-    def write_encoded(self, blob, n_records, raw_size):
-        """Archive one *already encoded* chunk blob (the distributed
-        commit path, which verified the bytes against the envelope's
-        digests and must archive them unchanged)."""
+    def write_chunk(self, blob, n_records, raw_size):
+        """Insert the next plan-ordered chunk: *blob* encodes
+        *n_records* records in *raw_size* uncompressed bytes."""
         self._store._connection.execute(
             "INSERT INTO campaign_chunks "
             "(key, chunk_index, payload, digest) VALUES (?, ?, ?, ?)",
@@ -346,98 +302,33 @@ class ChunkWriter:
         self._compressed += len(blob)
         obs.metrics().counter("store.bytes_in").inc(len(blob))
 
-    def commit(self, aggregates, pruned_runs=0, vectorized=False,
-               wall_time=0.0):
-        """Write the meta row and commit the whole archive atomically.
-
-        *aggregates* is the campaign's
-        :class:`repro.fi.campaign.Aggregates` (the sizes map and effect
-        counts are archived so cached hits restore aggregates without a
-        run scan).
-        """
-        meta = json.dumps({
-            "effects": aggregates.effect_counts(),
-            "vulnerable": aggregates.vulnerable,
-            "sizes": {signature.hex(): size for signature, size
-                      in aggregates.trace_sizes().items()},
-            "pruned_runs": pruned_runs,
-            "vectorized": vectorized,
-            "n_chunks": self._n_chunks,
-            "chunk_size": self._chunk_size,
-        }, sort_keys=True, separators=(",", ":"))
+    def commit(self, meta):
+        """Write the meta row for *meta* (an :func:`archive_meta` dict)
+        and commit the whole archive atomically."""
+        payload = {field: meta[field] for field in _PAYLOAD_FIELDS}
+        payload["n_chunks"] = self._n_chunks
         self._store._connection.execute(
             "INSERT INTO campaign_results "
             "(key, schema_version, payload, n_runs, wall_time, host, "
             " repro_version, created_at, uncompressed_bytes, "
             " compressed_bytes) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (self._key, SCHEMA_VERSION, meta, self._n_runs, wall_time,
-             platform.node(), repro.__version__,
-             datetime.now(timezone.utc).isoformat(),
+            (self._key, SCHEMA_VERSION,
+             json.dumps(payload, sort_keys=True, separators=(",", ":")),
+             self._n_runs, meta["wall_time"], platform.node(),
+             repro.__version__, datetime.now(timezone.utc).isoformat(),
              self._uncompressed, self._compressed))
         with obs.tracer().span("store.commit", key=self._key,
                                chunks=self._n_chunks):
             self._store._commit()
 
-    def abort(self):
-        """Discard everything written since the writer opened."""
-        self._store._connection.rollback()
 
+class CorruptChunk(KeyError):
+    """A damaged archive chunk, already quarantined under *reason*."""
 
-class StoreWriterSink(RunSink):
-    """Streams retiring chunks straight into a :class:`ResultStore`.
-
-    ``begin`` opens a :class:`ChunkWriter` under *key*, each
-    ``consume`` appends one archived chunk, and ``finish`` commits the
-    meta row — aggregates, provenance — atomically, so readers never
-    observe a partially archived campaign.  On an engine failure call
-    :meth:`abort` to roll the partial write back.
-    """
-
-    def __init__(self, store, key):
-        self.store = store
-        self.key = key
-        self._writer = None
-        self._aggregates = Aggregates()
-        self._meta = None
-
-    def begin(self, meta):
-        self._meta = meta
-        self._writer = self.store.open_writer(self.key, meta["chunk_size"])
-
-    def consume(self, chunk):
-        add = self._aggregates.add
-        for _, effect, signature, byte_size in chunk:
-            add(effect, signature, byte_size)
-        self._writer.write_chunk(chunk)
-
-    def finish(self, summary):
-        try:
-            self._writer.commit(self._aggregates,
-                                pruned_runs=self._meta["pruned_runs"],
-                                vectorized=self._meta["vectorized"],
-                                wall_time=summary["wall_time"])
-        except sqlite3.OperationalError as exc:
-            # Archiving is an optimization, not the campaign: if the
-            # store stayed locked past the writer's own retries, drop
-            # the archive and let the computed result stand — the cell
-            # simply misses next time instead of failing the run.
-            if not _is_lock_error(exc):
-                raise
-            self._writer.abort()
-            obs.logger().warning("store.archive_dropped", key=self.key,
-                                 error=str(exc))
-            obs.metrics().counter("store.archives_dropped").inc()
-            warnings.warn(
-                f"result store stayed locked; campaign not archived "
-                f"under {self.key} ({exc})", RuntimeWarning,
-                stacklevel=2)
-        self._writer = None
-
-    def abort(self):
-        """Roll back a partial archive after an engine failure."""
-        if self._writer is not None:
-            self._writer.abort()
-            self._writer = None
+    def __init__(self, key, chunk_index, reason):
+        super().__init__(
+            f"chunk {chunk_index} of {key}: {reason} (quarantined)")
+        self.reason = reason
 
 
 class ResultStore:
@@ -480,7 +371,7 @@ class ResultStore:
                 self._connection.commit()
                 return attempt
             except sqlite3.OperationalError as exc:
-                if not _is_lock_error(exc) or attempt >= COMMIT_RETRIES:
+                if not is_lock_error(exc) or attempt >= COMMIT_RETRIES:
                     raise
                 obs.metrics().counter("store.lock_retries").inc()
                 obs.logger().warning("store.commit_retry",
@@ -534,16 +425,53 @@ class ResultStore:
                                             n_runs)
             if not self._chunks_intact(key, meta["n_chunks"]):
                 return None              # damaged archive: clean miss
-            runs = StoredRuns(self._connection, key, n_runs,
-                              meta["n_chunks"], meta["chunk_size"])
-            result = CachedCampaignResult(golden=None, runs=runs,
-                                          aggregates=aggregates)
+            runs = ChunkedRuns(
+                n_runs, meta["chunk_size"],
+                lambda chunk_index: self._load_chunk(key, chunk_index))
+            result = CampaignResult(golden=None, runs=runs,
+                                    aggregates=aggregates)
+            result.cached = True
             result.pruned_runs = meta["pruned_runs"]
             result.vectorized = meta["vectorized"]
             result.wall_time = wall_time
             return result
         except _DECODE_ERRORS:
             return None                  # corrupt meta row: miss
+
+    def _checked_chunk(self, key, chunk_index, decode=True):
+        """Fetch one archived chunk and check it: present, its digest
+        matching (rows archived before digests existed skip this), and
+        — when *decode* — its payload decoding.  Returns ``(blob,
+        records)`` (``records`` is ``None`` without *decode*); damage
+        is quarantined and raised as :class:`CorruptChunk`."""
+        row = self._connection.execute(
+            "SELECT payload, digest FROM campaign_chunks "
+            "WHERE key = ? AND chunk_index = ?",
+            (key, chunk_index)).fetchone()
+        digest = None
+        if row is None:
+            reason = "missing chunk"
+        else:
+            blob, digest = row
+            if digest is not None and chunk_digest(blob) != digest:
+                reason = "digest mismatch"
+            elif not decode:
+                return blob, None
+            else:
+                try:
+                    return blob, decode_chunk(blob)
+                except _DECODE_ERRORS as exc:
+                    reason = f"undecodable payload: {exc}"
+        _quarantine(self._connection, key, chunk_index, reason,
+                    digest=digest)
+        raise CorruptChunk(key, chunk_index, reason)
+
+    def _load_chunk(self, key, chunk_index):
+        """The records of one chunk of a hit's archive (the
+        :class:`repro.fi.sink.ChunkedRuns` loader)."""
+        blob, records = self._checked_chunk(key, chunk_index)
+        obs.metrics().counter("store.bytes_out").inc(len(blob))
+        return records
 
     def _chunks_intact(self, key, n_chunks):
         """Up-front integrity check of an archive before handing out
@@ -556,28 +484,11 @@ class ResultStore:
             (key,)).fetchone()
         if already:
             return False
-        present = {}
-        for chunk_index, digest in self._connection.execute(
-                "SELECT chunk_index, digest FROM campaign_chunks "
-                "WHERE key = ?", (key,)):
-            present[chunk_index] = digest
-        for chunk_index in range(n_chunks):
-            if chunk_index not in present:
-                _quarantine(self._connection, key, chunk_index,
-                            "missing chunk")
-                return False
-        for chunk_index in range(n_chunks):
-            digest = present[chunk_index]
-            if digest is None:
-                continue                 # pre-digest row: checked on load
-            (blob,) = self._connection.execute(
-                "SELECT payload FROM campaign_chunks "
-                "WHERE key = ? AND chunk_index = ?",
-                (key, chunk_index)).fetchone()
-            if chunk_digest(blob) != digest:
-                _quarantine(self._connection, key, chunk_index,
-                            "digest mismatch", digest=digest)
-                return False
+        try:
+            for chunk_index in range(n_chunks):
+                self._checked_chunk(key, chunk_index, decode=False)
+        except CorruptChunk:
+            return False
         return True
 
     def verify(self, clear_quarantine=False):
@@ -623,22 +534,16 @@ class ResultStore:
                 continue
             decoded_runs = 0
             for chunk_index in range(expected_chunks):
-                row = self._connection.execute(
-                    "SELECT payload, digest FROM campaign_chunks "
-                    "WHERE key = ? AND chunk_index = ?",
-                    (key, chunk_index)).fetchone()
-                if row is None:
-                    flag(key, chunk_index, "missing chunk")
+                try:
+                    _, records = self._checked_chunk(key, chunk_index)
+                except CorruptChunk as exc:
+                    corrupt.append({"key": key, "chunk_index": chunk_index,
+                                    "reason": exc.reason})
+                    if exc.reason != "missing chunk":
+                        n_chunks += 1
                     continue
                 n_chunks += 1
-                blob, digest = row
-                if digest is not None and chunk_digest(blob) != digest:
-                    flag(key, chunk_index, "digest mismatch")
-                    continue
-                try:
-                    decoded_runs += len(decode_chunk(blob))
-                except _DECODE_ERRORS as exc:
-                    flag(key, chunk_index, f"undecodable payload: {exc}")
+                decoded_runs += len(records)
             if decoded_runs != n_runs and not any(
                     entry["key"] == key for entry in corrupt):
                 flag(key, -1,
@@ -665,10 +570,23 @@ class ResultStore:
         self._connection.commit()
         return cursor.rowcount
 
-    def open_writer(self, key, chunk_size):
-        """A :class:`ChunkWriter` streaming a new archive under *key*
-        (the sink protocol's store endpoint)."""
-        return ChunkWriter(self, key, chunk_size)
+    def archive(self, key, chunks, meta):
+        """Archive one campaign under *key*, replacing any prior
+        archive: *chunks* are its captured ``(blob, n_records,
+        raw_size)`` triples in plan order (:class:`ChunkCapture`),
+        *meta* its :func:`archive_meta` dict.  Chunks and meta row
+        commit in one transaction, so readers never observe a partial
+        archive; on any failure — a lock that outlasted
+        :data:`COMMIT_RETRIES` included — the write is rolled back and
+        the error re-raised."""
+        writer = ChunkWriter(self, key)
+        try:
+            for blob, n_records, raw_size in chunks:
+                writer.write_chunk(blob, n_records, raw_size)
+            writer.commit(meta)
+        except BaseException:
+            self._connection.rollback()
+            raise
 
     def provenance(self, key):
         """Provenance dict for *key* (``None`` when absent)."""

@@ -9,17 +9,22 @@ outcome.  Because the key excludes the parity knobs (``workers``,
 ``checkpoint_interval``), a result computed serially is a hit for a
 16-worker request and vice versa.
 
-Both directions of the store dataflow stream: a miss attaches a
-:class:`repro.store.db.StoreWriterSink` so chunks of the engine's
-:data:`repro.fi.engine.DEFAULT_CHUNK_SIZE` records archive as they
-retire (rolled back if the campaign fails mid-flight), and a hit
-replays the archive as a lazy chunk iterator — neither path holds more
-than one chunk of records.
+A miss captures the engine's chunk stream compressed
+(:class:`repro.store.db.ChunkCapture`, chunks of
+:data:`repro.fi.engine.DEFAULT_CHUNK_SIZE` records) and archives it
+with one :meth:`repro.store.db.ResultStore.archive` call after the
+campaign finishes, so a failed campaign writes nothing and the store's
+write lock is held only for that commit.  A hit replays the archive as
+a lazy chunk view.  Neither path holds more than one chunk of
+records.
 """
 
+import sqlite3
+import warnings
+
+from repro import obs
 from repro.fi.engine import CampaignEngine
-from repro.fi.sink import TeeSink
-from repro.store.db import StoreWriterSink
+from repro.store.db import ChunkCapture, archive_meta, is_lock_error
 from repro.store.keys import campaign_key
 
 
@@ -39,6 +44,9 @@ class CachingRunner:
         self.misses = 0
         self.simulator_runs = 0
         self.last_key = None    # content address of the latest run()
+        #: The latest ``commit=False`` run's :class:`ChunkCapture`
+        #: (empty on a hit), for the caller to archive.
+        self.last_capture = None
 
     def key_for(self, machine, plan, regs=None, prune=None,
                 harden="none", budget=None, max_cycles=None):
@@ -53,23 +61,25 @@ class CachingRunner:
 
     def run(self, machine, plan, regs=None, golden=None, max_cycles=None,
             workers=1, checkpoint_interval=None, prune=None,
-            harden="none", budget=None, progress=None, sink=None,
-            commit=True):
+            harden="none", budget=None, progress=None, commit=True):
         """Cached :class:`repro.fi.campaign.CampaignResult` for the
         cell, executing (and archiving) it on a miss.
 
         ``result.cached`` tells the caller which path was taken.
-        *sink* joins the engine's fan-out on a miss (a distributed
-        worker's local chunk capture, say); ``commit=False`` drops the
-        store-writer sink entirely, so the miss executes without
-        touching the store — the caller owns archiving (the envelope
-        commit path).
+        ``commit=False`` executes a miss without touching the store and
+        leaves its chunk stream in :attr:`last_capture` — the caller
+        owns archiving (the distributed worker's signed envelope).  A
+        committed miss whose store stays locked past the commit retries
+        is not archived: the computed result stands, the cell simply
+        misses next time (a warning and ``store.archives_dropped``).
         """
         plan = list(plan)
         key = self.key_for(machine, plan, regs=regs, prune=prune,
                            harden=harden, budget=budget,
                            max_cycles=max_cycles)
         self.last_key = key
+        capture = ChunkCapture()
+        self.last_capture = None if commit else capture
         if not self.force:
             cached = self.store.get(key)
             if cached is not None:
@@ -77,26 +87,31 @@ class CachingRunner:
                 return cached
         engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
                                 max_cycles=max_cycles)
-        sinks = []
-        if commit:
-            sinks.append(StoreWriterSink(self.store, key))
-        if sink is not None:
-            sinks.append(sink)
-        engine_sink = sinks[0] if len(sinks) == 1 else (
-            TeeSink(sinks) if sinks else None)
-        try:
-            result = engine.run(workers=workers,
-                                checkpoint_interval=checkpoint_interval,
-                                progress=progress,
-                                prune=None if prune in (None, "none")
-                                else prune,
-                                sink=engine_sink)
-        except BaseException:
-            if engine_sink is not None:
-                abort = getattr(engine_sink, "abort", None)
-                if abort is not None:
-                    abort()
-            raise
+        result = engine.run(workers=workers,
+                            checkpoint_interval=checkpoint_interval,
+                            progress=progress,
+                            prune=None if prune in (None, "none")
+                            else prune,
+                            sink=capture)
         self.misses += 1
         self.simulator_runs += len(plan) - result.pruned_runs
+        if commit:
+            self._archive(key, capture, result)
         return result
+
+    def _archive(self, key, capture, result):
+        try:
+            self.store.archive(key, capture.chunks,
+                               archive_meta(result, capture.chunk_size))
+        except sqlite3.OperationalError as exc:
+            # Archiving is an optimization, not the campaign: if the
+            # store stayed locked past its own retries, drop the
+            # archive and let the computed result stand.
+            if not is_lock_error(exc):
+                raise
+            obs.logger().warning("store.archive_dropped", key=key,
+                                 error=str(exc))
+            obs.metrics().counter("store.archives_dropped").inc()
+            warnings.warn(
+                f"result store stayed locked; campaign not archived "
+                f"under {key} ({exc})", RuntimeWarning, stacklevel=3)

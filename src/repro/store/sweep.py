@@ -166,21 +166,21 @@ class SweepRunner:
                           core=cell.core)
         return machine, plan, variant
 
-    def run_cell(self, cell, sink, progress=None):
+    def run_cell(self, cell, progress=None):
         """Execute one cell, or fetch it from the store, and return its
         ``(CampaignResult, CellOutcome)``.
 
         The one engine call every sweep cell makes, local or not.  The
-        store-writer sink is suppressed: *sink* (the queue worker's
-        chunk capture) receives the chunk stream, and the worker
-        archives it through a signed envelope."""
+        cell is not archived here: the queue worker takes the chunk
+        capture from ``self.runner.last_capture`` and archives it
+        through a signed envelope."""
         machine, plan, variant = self.cell_setup(cell)
         result = self.runner.run(
             machine, plan, regs=variant["regs"],
             golden=variant["golden"], workers=self.workers,
             checkpoint_interval=self.spec.checkpoint_interval or None,
             prune=self.spec.prune, harden=cell.harden, budget=cell.budget,
-            progress=progress, sink=sink, commit=False)
+            progress=progress, commit=False)
         overhead = None
         if cell.harden != "none":
             base = self._variant(cell.kernel, "none", None)["golden"]

@@ -16,7 +16,16 @@ from repro.fi.chaos import (ChaosError, ChaosPolicy, ChaosSink,
                             corrupt_chunk, drop_chunk, truncate_chunk)
 from repro.fi import engine as engine_module
 from repro.fi.engine import CampaignEngine
-from repro.store.db import StoreWriterSink
+from repro.store.db import ChunkCapture, archive_meta, encode_chunk
+
+
+def archive_run(engine, store, key):
+    """Run *engine* in 64-record chunks and archive it under *key*."""
+    capture = ChunkCapture()
+    result = engine.run(chunk_size=64, sink=capture)
+    store.archive(key, capture.chunks,
+                  archive_meta(result, capture.chunk_size))
+    return result
 
 
 def assert_identical(base, other):
@@ -169,7 +178,7 @@ class TestStoreChaos:
         policy = ChaosPolicy().lock_store(times=2)
         with ResultStore(str(tmp_path / "s.sqlite"),
                          chaos=policy) as store:
-            engine.run(chunk_size=64, sink=StoreWriterSink(store, "key"))
+            archive_run(engine, store, "key")
             assert policy.fired == 2          # two attempts retried
             cached = store.get("key")
             assert cached is not None
@@ -177,20 +186,22 @@ class TestStoreChaos:
 
     def test_lock_exhaustion_propagates_and_rolls_back(self, tmp_path,
                                                        baseline):
-        from repro.fi.campaign import Aggregates
         from repro.store import ResultStore
         from repro.store.db import COMMIT_RETRIES
 
+        result = baseline[1]
+        blob, raw_size = encode_chunk(result.runs[:64])
         policy = ChaosPolicy().lock_store(times=COMMIT_RETRIES + 10)
         with ResultStore(str(tmp_path / "s.sqlite"),
                          chaos=policy) as store:
-            writer = store.open_writer("key", chunk_size=64)
-            writer.write_chunk(baseline[1].runs[:64])
             with pytest.raises(sqlite3.OperationalError, match="locked"):
-                writer.commit(Aggregates())
-            writer.abort()
+                store.archive("key", [(blob, 64, raw_size)],
+                              archive_meta(result, 64))
             assert policy.fired == COMMIT_RETRIES + 1
             assert store.get("key") is None   # rolled back, not partial
+            (chunk_rows,) = store._connection.execute(
+                "SELECT COUNT(*) FROM campaign_chunks").fetchone()
+            assert chunk_rows == 0
 
 
 class TestAtRestCorruption:
@@ -199,7 +210,7 @@ class TestAtRestCorruption:
         from repro.store import ResultStore
 
         store = ResultStore(str(tmp_path / "s.sqlite"))
-        baseline[0].run(chunk_size=64, sink=StoreWriterSink(store, "key"))
+        archive_run(baseline[0], store, "key")
         yield store
         store.close()
 

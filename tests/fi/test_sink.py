@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import CampaignEngine
@@ -157,17 +158,19 @@ class TestSpoolSink:
                           for index in range(
                               low, min(low + chunk_size, n_records))])
         sink.finish({})
-        return plan, sink.view()
+        return plan, sink
 
     def test_single_chunk_stays_in_memory(self):
-        plan, view = self._spool(5, 8)
-        assert view._spool is None
+        plan, sink = self._spool(5, 8)
+        view = sink.view()
+        assert sink._spool is None
         assert len(view) == 5
         assert [record[0] for record in view] == plan
 
     def test_multi_chunk_spills_to_disk(self):
-        plan, view = self._spool(25, 4)
-        assert view._spool is not None
+        plan, sink = self._spool(25, 4)
+        view = sink.view()
+        assert sink._spool is not None
         assert len(view) == 25
         expected = [(plan[index],) + fake_record(index)[:2]
                     for index in range(25)]
@@ -358,8 +361,11 @@ class TestBoundedMemory:
                                  16)
         peak_small_plan, _ = self._peak(motivating_machine,
                                         motivating_golden, small, 64)
+        registry = obs.metrics()
+        mark = registry.mark()
         peak_large_plan, result = self._peak(motivating_machine,
                                              motivating_golden, large, 64)
+        spooled = registry.totals(registry.delta_since(mark))
         # 4x the plan must not grow the streamed peak materially (the
         # generous factor absorbs allocator noise, not a linear term:
         # a materializing engine would grow ~4x here).
@@ -372,4 +378,5 @@ class TestBoundedMemory:
         assert_identical(resident, result)
         # The streamed result spilled to disk yet still replays fully.
         assert len(result.runs) == len(large)
-        assert result.runs._spool is not None
+        assert spooled["sink.spool_frames"] == -(-len(large) // 64)
+        assert spooled["sink.spool_bytes"] > 0

@@ -17,8 +17,7 @@ from repro.fi.campaign import plan_exhaustive
 from repro.fi.chaos import corrupt_chunk
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
-from repro.store import ResultStore, load_spec, run_sweep
-from repro.store.db import StoreWriterSink
+from repro.store import CachingRunner, ResultStore, load_spec, run_sweep
 
 
 @pytest.fixture
@@ -92,12 +91,12 @@ class TestStoreMetrics:
                                         motivating_machine,
                                         motivating_golden, small_plan,
                                         mark):
-        engine = CampaignEngine(motivating_machine, small_plan,
-                                golden=motivating_golden)
         with ResultStore(str(tmp_path / "s.sqlite")) as store:
-            assert store.get("k") is None
-            engine.run(sink=StoreWriterSink(store, "k"))
-            assert store.get("k") is not None
+            runner = CachingRunner(store)
+            assert not runner.run(motivating_machine, small_plan,
+                                  golden=motivating_golden).cached
+            assert runner.run(motivating_machine, small_plan,
+                              golden=motivating_golden).cached
         totals = delta_totals(mark)
         assert totals["store.misses"] == 1
         assert totals["store.hits"] == 1
@@ -106,19 +105,20 @@ class TestStoreMetrics:
     def test_quarantine_emits_structured_event_and_warning(
             self, tmp_path, motivating_machine, motivating_golden,
             small_plan, mark):
-        engine = CampaignEngine(motivating_machine, small_plan,
-                                golden=motivating_golden)
         path = str(tmp_path / "s.sqlite")
         with ResultStore(path) as store:
-            engine.run(sink=StoreWriterSink(store, "k"))
-            corrupt_chunk(store, "k", chunk_index=0)
+            runner = CachingRunner(store)
+            runner.run(motivating_machine, small_plan,
+                       golden=motivating_golden)
+            key = runner.last_key
+            corrupt_chunk(store, key, chunk_index=0)
             before = len(obs.logger().events(name="store.quarantine"))
             with pytest.warns(RuntimeWarning, match="quarantined"):
-                assert store.get("k") is None     # API compat: a miss
+                assert store.get(key) is None     # API compat: a miss
         events = obs.logger().events(name="store.quarantine")
         assert len(events) == before + 1
         fields = events[-1]["fields"]
-        assert fields["key"] == "k"
+        assert fields["key"] == key
         assert fields["chunk"] == 0
         assert fields["reason"] == "digest mismatch"
         assert fields["digest"]          # expected digest is carried

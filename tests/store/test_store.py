@@ -9,7 +9,8 @@ from repro.fi.campaign import plan_bec, plan_exhaustive
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.store import CachingRunner, ResultStore
-from repro.store.db import StoreWriterSink, decode_chunk, encode_chunk
+from repro.store.db import (ChunkCapture, archive_meta, decode_chunk,
+                            encode_chunk)
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +194,12 @@ class TestSchemaMigration:
 
     def test_chunked_roundtrip_matches_engine_result(
             self, store, machine, plan, golden):
+        capture = ChunkCapture()
         result = CampaignEngine(machine, plan, golden=golden).run(
-            chunk_size=7, sink=StoreWriterSink(store, "chunked"))
+            chunk_size=7, sink=capture)
+        assert len(capture.chunks) > 1
+        store.archive("chunked", capture.chunks,
+                      archive_meta(result, capture.chunk_size))
         chunked = store.get("chunked")
         assert chunked.cached
         assert_same_aggregates(result, chunked)
@@ -331,25 +336,24 @@ class TestIntegrity:
 
 
 def _hammer_store(path, worker_id, iterations):
-    """One concurrent-writer process: stream many small archives into
+    """One concurrent-writer process: archive many small campaigns into
     a shared store.  Any surfaced ``database is locked`` kills the
     process, which the parent test observes as a nonzero exitcode."""
-    from repro.fi.campaign import Aggregates, PlannedRun
+    from repro.fi.campaign import CampaignResult, PlannedRun
     from repro.fi.machine import Injection
     from repro.store import ResultStore
 
     records = [(PlannedRun(Injection(0, "r", bit), 0, None, None),
                 "masked", bytes([bit])) for bit in range(4)]
+    result = CampaignResult(golden=None)
+    for planned, effect, signature in records:
+        result.record(planned, effect, signature, 1)
+    chunks = [(blob, 2, raw_size) for blob, raw_size
+              in (encode_chunk(records[:2]), encode_chunk(records[2:]))]
     with ResultStore(path) as store:
         for iteration in range(iterations):
-            writer = store.open_writer(
-                f"key-{worker_id}-{iteration % 3}", 2)
-            writer.write_chunk(records[:2])
-            writer.write_chunk(records[2:])
-            aggregates = Aggregates()
-            for _, effect, signature in records:
-                aggregates.add(effect, signature, 1)
-            writer.commit(aggregates)
+            store.archive(f"key-{worker_id}-{iteration % 3}", chunks,
+                          archive_meta(result, 2))
 
 
 class TestConcurrentWriters:

@@ -483,3 +483,107 @@ class TestCappedPlans:
             counts[max_runs] = walked[0]
         assert len(plan) > 40
         assert 0 < counts[40] < 0.05 * counts[None]
+
+
+def archive_rows(store, key):
+    """The ``campaign_results`` row (minus provenance) and the
+    ``campaign_chunks`` rows archived under *key*."""
+    result = store._connection.execute(
+        "SELECT payload, n_runs, uncompressed_bytes, compressed_bytes "
+        "FROM campaign_results WHERE key = ?", (key,)).fetchone()
+    chunks = store._connection.execute(
+        "SELECT chunk_index, payload, digest FROM campaign_chunks "
+        "WHERE key = ? ORDER BY chunk_index", (key,)).fetchall()
+    return result, chunks
+
+
+def direct_run(runner, cell):
+    """Run *cell* the way a direct caller does: through the caching
+    runner with the sweep's own arguments, archived on a miss."""
+    machine, plan, variant = runner.cell_setup(cell)
+    return runner.runner.run(
+        machine, plan, regs=variant["regs"], golden=variant["golden"],
+        prune=runner.spec.prune, harden=cell.harden, budget=cell.budget)
+
+
+class TestArchiveIdentity:
+    """A direct caller's miss (``CachingRunner.run``, committed) and a
+    sweep cell (worker capture → signed envelope → commit) archive
+    through the same ``ResultStore.archive`` call, so they store
+    byte-identical rows."""
+
+    def test_runner_and_sweep_write_identical_rows(
+            self, tmp_path, loop_mc, monkeypatch):
+        from repro.fi import engine as engine_module
+        from repro.store.sweep import SweepRunner
+
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 16)
+        spec = spec_for([loop_mc], max_runs=100)
+        (cell,) = spec.cells()
+        with ResultStore(str(tmp_path / "swept.sqlite")) as swept, \
+                ResultStore(str(tmp_path / "direct.sqlite")) as direct:
+            (outcome,) = run_sweep(spec, swept).outcomes
+            assert not outcome.cached and outcome.error is None
+            runner = SweepRunner(spec, direct)
+            assert not direct_run(runner, cell).cached
+            assert runner.runner.last_key == outcome.key
+            row, chunks = archive_rows(swept, outcome.key)
+            assert row is not None and len(chunks) > 1
+            assert archive_rows(direct, outcome.key) == (row, chunks)
+
+
+class TestLockPolicy:
+    """A store whose commit stays locked past ``COMMIT_RETRIES``: a
+    direct caller's miss drops the archive and keeps its result, while
+    a sweep cell fails its lease (the cell is retried, never marked
+    done unarchived)."""
+
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        from repro.store import db
+
+        monkeypatch.setattr(db, "COMMIT_BACKOFF", 0.0)
+
+    @staticmethod
+    def locked_store(tmp_path):
+        from repro.fi.chaos import ChaosPolicy
+        from repro.store.db import COMMIT_RETRIES
+
+        policy = ChaosPolicy().lock_store(times=COMMIT_RETRIES + 1)
+        return ResultStore(str(tmp_path / "locked.sqlite"), chaos=policy)
+
+    def test_caching_runner_drops_the_archive(self, tmp_path, loop_mc):
+        from repro import obs
+        from repro.fi.engine import CampaignEngine
+        from repro.store.sweep import SweepRunner
+
+        spec = spec_for([loop_mc], max_runs=100)
+        (cell,) = spec.cells()
+        registry = obs.metrics()
+        with self.locked_store(tmp_path) as store:
+            runner = SweepRunner(spec, store)
+            mark = registry.mark()
+            with pytest.warns(RuntimeWarning, match="stayed locked"):
+                result = direct_run(runner, cell)
+            totals = registry.totals(registry.delta_since(mark))
+            assert totals["store.archives_dropped"] == 1
+            assert not result.cached
+            machine, plan, variant = runner.cell_setup(cell)
+            expected = CampaignEngine(machine, plan, regs=variant["regs"],
+                                      golden=variant["golden"]).run()
+            assert result.effect_counts() == expected.effect_counts()
+            assert result.distinct_traces == expected.distinct_traces
+            assert result.vulnerable_runs() == expected.vulnerable_runs()
+            assert runner.runner.last_key not in store
+            assert len(store) == 0
+
+    def test_sweep_cell_fails_its_lease(self, tmp_path, loop_mc):
+        spec = spec_for([loop_mc], max_runs=100)
+        with self.locked_store(tmp_path) as store:
+            report = run_sweep(spec, store)
+            assert report.metrics.get("store.archives_dropped", 0) == 0
+            assert report.metrics["dist.poisoned"] == 1
+            (failed,) = report.failed
+            assert failed.error == \
+                "OperationalError: database is locked"
+            assert len(store) == 0
