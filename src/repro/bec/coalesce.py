@@ -41,10 +41,18 @@ so per-read local evidence composes.  Three rules implement this:
    the two ports fall into the same component of the *direct* (port/s0
    only) relation: either the same eval-rule outcome group (both flips
    provably take the same branch / produce the same comparison result —
-   the paper's Fig. 4 ``beqz`` coalescing) or both directly invisible.
+   the paper's Fig. 4 ``beqz`` coalescing) or both directly invisible —
+   provided ``v`` does not *survive* any of those reads (each one
+   overwrites ``v`` or leaves it dead, rule 2's side condition).
    Outcome equality keeps the two runs in lockstep at every read, and
-   the residual difference (bit i vs bit j of ``v``) dies at the next
-   write of ``v`` or at exit.
+   the residual difference (bit i vs bit j of ``v``) dies there.  A
+   surviving ``v`` carries the difference into its next
+   window, whose reads may tell the bits apart.  Counterexample (width
+   4): ``li r1, 5; andi r3, r1, 6; slt r0, r3, r1; slt r1, r0, r1;
+   out r1; ret r0``.  Flipping bit 2 or bit 3 of ``r1`` after the
+   ``andi`` gives the same first ``slt`` (``4 < 1`` and ``4 < -3`` are
+   both false), but ``r1`` survives it, and the second ``slt`` compares
+   ``0 < 1`` against ``0 < -3``, so the outputs differ.
 
 Every step only merges equivalence classes, so the relation rises
 monotonically in the (complete) lattice of equivalence relations and the
@@ -326,7 +334,10 @@ def coalesce(function, bit_values, use_chains, fault_space=None,
                     if uf.union(site, rep):
                         changed = True
             # Rule 3 (bit tie): group bits by their direct-relation
-            # component signature across all uses.
+            # component signature across all uses, unless a read lets
+            # the difference survive into the next window.
+            if any(survives(q, reg) for q in uses):
+                continue
             signatures = {}
             for bit in range(width):
                 signature = tuple(relation.port_direct_root(reg, bit)

@@ -56,6 +56,7 @@ import bisect
 
 from repro import obs
 from repro.errors import SimulationError
+from repro.fi import threaded
 from repro.fi.campaign import EFFECT_MASKED, EFFECT_SDC, classify_effect
 from repro.fi.machine import Injection
 from repro.fi.trace import OUTCOME_OK, SignatureForge
@@ -99,59 +100,30 @@ def batchable(machine, golden, snapshots, max_cycles):
 
 # -- vectorized expression tables ---------------------------------------------
 #
-# Mirror of repro.fi.threaded's tables with NumPy semantics: operands
-# ``a``/``b`` are uint64 arrays (or a uint64 scalar immediate) already
-# truncated to the machine width.  ``m``, ``sign`` and ``shift_mask``
-# are uint64 scalars.  Arithmetic right shift uses the fill trick
-# (logical shift with the top ``sh`` bits set for negative values)
-# because uint64 ``>>`` is logical; signed division/remainder run in
-# int64, exact for widths <= 32.
+# The threaded core's tables (repro.fi.threaded) with NumPy semantics:
+# operands ``a``/``b`` are uint64 arrays (or a uint64 scalar immediate)
+# already truncated to the machine width, and ``m``, ``sign`` and
+# ``shift_mask`` are uint64 scalars.  Most entries read the same either
+# way; these are the NumPy spellings of the rest.  Arithmetic right
+# shift uses the fill trick (logical shift with the top ``sh`` bits set
+# for negative values) because uint64 ``>>`` is logical; signed
+# division/remainder run in int64, exact for widths <= 32.
 
-_BINARY_EXPR = {
-    Opcode.ADD: "(a + b) & m",
-    Opcode.ADDI: "(a + b) & m",
-    Opcode.SUB: "(a - b) & m",
-    Opcode.AND: "a & b",
-    Opcode.ANDI: "a & b",
-    Opcode.OR: "a | b",
-    Opcode.ORI: "a | b",
-    Opcode.XOR: "a ^ b",
-    Opcode.XORI: "a ^ b",
-    Opcode.SLL: "(a << (b & shift_mask)) & m",
-    Opcode.SLLI: "(a << (b & shift_mask)) & m",
-    Opcode.SRL: "a >> (b & shift_mask)",
-    Opcode.SRLI: "a >> (b & shift_mask)",
+_NUMPY_EXPR = {
     Opcode.SRA: "vsra(a, b & shift_mask, m, sign, np)",
     Opcode.SRAI: "vsra(a, b & shift_mask, m, sign, np)",
     Opcode.SLT: "((a ^ sign) < (b ^ sign)).astype(np.uint64)",
     Opcode.SLTI: "((a ^ sign) < (b ^ sign)).astype(np.uint64)",
     Opcode.SLTU: "(a < b).astype(np.uint64)",
     Opcode.SLTIU: "(a < b).astype(np.uint64)",
-    Opcode.MUL: "(a * b) & m",
     Opcode.MULHU: "(a * b) >> width64",
     Opcode.DIV: "vdiv(a, b, m, width, np)",
     Opcode.DIVU: "np.where(b == 0, m, a // np.where(b == 0, one, b))",
     Opcode.REM: "vrem(a, b, m, width, np)",
     Opcode.REMU: "np.where(b == 0, a, a % np.where(b == 0, one, b))",
-}
-
-_UNARY_EXPR = {
-    Opcode.MV: "a",
-    Opcode.NOT: "a ^ m",
     Opcode.NEG: "(m + one - a) & m",
     Opcode.SEQZ: "(a == 0).astype(np.uint64)",
     Opcode.SNEZ: "(a != 0).astype(np.uint64)",
-}
-
-_BRANCH_EXPR = {
-    Opcode.BEQ: "a == b",
-    Opcode.BEQZ: "a == b",
-    Opcode.BNE: "a != b",
-    Opcode.BNEZ: "a != b",
-    Opcode.BLT: "(a ^ sign) < (b ^ sign)",
-    Opcode.BGE: "(a ^ sign) >= (b ^ sign)",
-    Opcode.BLTU: "a < b",
-    Opcode.BGEU: "a >= b",
 }
 
 
@@ -252,14 +224,17 @@ def _build(template, expr):
     return namespace["_make"]
 
 
-_RRR_MAKERS = {op: _build(_RRR_TEMPLATE, expr)
-               for op, expr in _BINARY_EXPR.items()}
-_RRI_MAKERS = {op: _build(_RRI_TEMPLATE, expr)
-               for op, expr in _BINARY_EXPR.items()}
-_UNARY_MAKERS = {op: _build(_UNARY_TEMPLATE, expr)
-                 for op, expr in _UNARY_EXPR.items()}
-_BRANCH_MAKERS = {op: _build(_BRANCH_TEMPLATE, expr)
-                  for op, expr in _BRANCH_EXPR.items()}
+def _makers(template, table):
+    """One closure factory per opcode of *table*, compiled once at
+    import (the slots are bound per program point by calling it)."""
+    return {op: _build(template, _NUMPY_EXPR.get(op, expr))
+            for op, expr in table.items()}
+
+
+_RRR_MAKERS = _makers(_RRR_TEMPLATE, threaded._BINARY_EXPR)
+_RRI_MAKERS = _makers(_RRI_TEMPLATE, threaded._BINARY_EXPR)
+_UNARY_MAKERS = _makers(_UNARY_TEMPLATE, threaded._UNARY_EXPR)
+_BRANCH_MAKERS = _makers(_BRANCH_TEMPLATE, threaded._BRANCH_EXPR)
 
 
 def _make_li(rd, value, np):
@@ -486,7 +461,8 @@ class BatchClassifier:
         self._masked_record = (EFFECT_MASKED, golden.signature(),
                                golden.byte_size())
         self._decode_entries()
-        self.ops = compile_batch_ops(machine.function, machine._slot,
+        self.ops = compile_batch_ops(machine.function,
+                                     machine._slot_of.__getitem__,
                                      machine._first_pp,
                                      machine.memory_size, golden.returned)
         self._build_meta()
@@ -510,26 +486,23 @@ class BatchClassifier:
 
     def _decode_entries(self):
         """Validate every planned site (loudly, like the scalar path)
-        and split the plan into lockstep entries and scalar indices.
-        Registers named only by injections are interned into the slot
-        table *now*, before any worker forks, so every process shares
-        one slot layout."""
+        and give each one a lockstep lane can run its entry."""
         machine = self.machine
+        slot_of = machine._slot_of
         n_cycles = self.golden.cycles
+        # Memory faults, multi-event upsets, post-trace flips and
+        # registers outside the slot table get no entry: they keep the
+        # scalar resume protocol.
         self._entries = {}               # plan index -> (cycle, slot, bit)
-        self._scalar = set()
         for index, planned in enumerate(self.plan):
             injection = planned.injection
             machine._prepare_upsets(injection)
             if (type(injection) is Injection
-                    and -1 <= injection.cycle < n_cycles):
+                    and -1 <= injection.cycle < n_cycles
+                    and injection.reg in slot_of):
                 self._entries[index] = (injection.cycle,
-                                        machine._slot_of[injection.reg],
+                                        slot_of[injection.reg],
                                         1 << injection.bit)
-            else:
-                # Memory faults, multi-event upsets and post-trace
-                # flips keep the scalar resume protocol.
-                self._scalar.add(index)
 
     def _build_meta(self):
         """Per-golden-cycle event records for the step closures."""
@@ -573,16 +546,11 @@ class BatchClassifier:
                 self.golden.byte_size())
 
     def _snap_col(self, index):
-        """Snapshot *index*'s register file as a padded uint64 column
-        (grown slots beyond the snapshot's length are zero, matching
-        the scalar reconvergence compare)."""
-        n_slots = len(self.machine._reg_of)
+        """Snapshot *index*'s register file as a uint64 column."""
         column = self._snap_cols.get(index)
-        if column is None or len(column) != n_slots:
-            registers = self.snapshots[index].registers
-            column = _np.zeros(n_slots, dtype=_np.uint64)
-            column[:len(registers)] = registers
-            self._snap_cols[index] = column
+        if column is None:
+            column = self._snap_cols[index] = _np.array(
+                self.snapshots[index].registers, dtype=_np.uint64)
         return column
 
     def _snapshot_memory(self, index):

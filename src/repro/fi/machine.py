@@ -20,10 +20,12 @@ bit-identical traces:
   boundaries, and between two of them the loop runs the largest tier
   that fits — else a single step;
 * the **reference core** (``core="reference"``): the original
-  tuple-tag interpreter, kept as the differential-testing oracle
+  tuple-tag interpreter over a ``{name: value}`` register file, kept as
+  the differential-testing oracle
   (``tests/fuzz/test_interp_differential.py``) and as the host of
   ``record_registers`` runs, whose per-cycle register dictionaries it
-  defines;
+  defines.  It resumes from a snapshot by re-executing the whole tail,
+  so it checks convergence splicing instead of using it;
 * the **batched core** (``core="batched"``): a campaign-level core —
   :class:`repro.fi.engine.CampaignEngine` executes the whole plan with
   NumPy-vectorized lockstep lanes (:mod:`repro.fi.batch`, one lane per
@@ -31,6 +33,14 @@ bit-identical traces:
   machine (:meth:`Machine.run`, :meth:`Machine.run_from`) execute on
   the threaded core, which is also where divergent lanes escape to,
   so per-run semantics are by construction identical.
+
+The slot table is fixed at decode: slot 0 is ``zero``, then the
+parameters, then every register an instruction names.  An injection or
+input naming a register outside it has no slot; no instruction reads
+such a register, so the threaded core drops it, the batched core runs
+its plan entry on the scalar path, and the reference core keeps it in
+its dict.  Every snapshot is a slot list in this layout, whichever core
+the machine uses: snapshots are always captured on the threaded core.
 
 All arithmetic is bit-accurate; the reference core routes it through
 :mod:`repro.ir.concrete`, the same definitions the static analyses use,
@@ -113,10 +123,10 @@ class Snapshot:
     and executes only the tail, which is what makes exhaustive
     campaigns O(runs × avg-tail) instead of O(runs × trace-length).
 
-    ``registers`` is the raw register file of the core that took the
-    snapshot: a slot-indexed list for the threaded core (restore is one
-    ``list()`` copy), a dict for the reference core.  Use
-    :meth:`register_dict` for core-independent introspection.  The trace
+    ``registers`` is the threaded core's slot-indexed register file,
+    laid out by ``reg_names`` (the machine's slot table, fixed at
+    decode), so any machine of the same function restores it with one
+    ``list()`` copy; :meth:`register_dict` gives it by name.  The trace
     prefix is not copied eagerly: a snapshot keeps a reference to the
     (immutable once the golden run finishes) golden trace plus the
     prefix lengths, and :meth:`Machine.run_from` slices the prefix per
@@ -129,8 +139,7 @@ class Snapshot:
                  "n_executed", "n_outputs", "n_stores", "n_loads",
                  "reg_names")
 
-    def __init__(self, cycle, pc, registers, memory, trace,
-                 reg_names=None):
+    def __init__(self, cycle, pc, registers, memory, trace, reg_names):
         self.cycle = cycle
         self.pc = pc
         self.registers = registers
@@ -143,11 +152,8 @@ class Snapshot:
         self.n_loads = len(trace.loads)
 
     def register_dict(self):
-        """Register file as a ``{name: value}`` dict, whichever core
-        took the snapshot (the zero register is omitted)."""
-        if isinstance(self.registers, dict):
-            return {reg: value for reg, value in self.registers.items()
-                    if reg != ZERO}
+        """Register file as a ``{name: value}`` dict (the zero register
+        is omitted)."""
         return {name: value
                 for name, value in zip(self.reg_names, self.registers)
                 if name != ZERO}
@@ -174,11 +180,15 @@ def _apply_upset(upset, registers, memory, value_mask):
 def _apply_slot_upset(upset, slot_of, registers, memory):
     """Flip the bit named by *upset* in a slot-indexed register file or
     memory.  Validation guarantees the bit is inside the register width
-    and the memory target is in bounds, so no masking is needed."""
+    and the memory target is in bounds, so no masking is needed; a
+    register outside the slot table is never read, so its flip is
+    dropped."""
     if isinstance(upset, MemoryInjection):
         memory[upset.address + upset.bit // 8] ^= 1 << (upset.bit % 8)
     else:
-        registers[slot_of[upset.reg]] ^= 1 << upset.bit
+        slot = slot_of.get(upset.reg)
+        if slot is not None:
+            registers[slot] ^= 1 << upset.bit
 
 
 def _sorted_upsets(injection):
@@ -197,18 +207,6 @@ def _snapshot_image(memory, previous):
     if previous is not None and previous == memory:
         return previous
     return bytes(memory)
-
-
-def _register_lists_match(current, reference):
-    """Slot-file equality, tolerating a file grown (by injections into
-    registers the program never names) past the snapshot's length: the
-    extra slots must simply still be zero."""
-    if len(current) == len(reference):
-        return current == reference
-    short, grown = ((reference, current)
-                    if len(reference) < len(current)
-                    else (current, reference))
-    return grown[:len(short)] == short and not any(grown[len(short):])
 
 
 class Machine:
@@ -240,37 +238,23 @@ class Machine:
 
     # -- decode ------------------------------------------------------------------
 
-    def _slot(self, reg):
-        """Dense slot index of *reg*, growing the slot table on first
-        use (injections and inputs may name registers the program never
-        touches)."""
-        slot = self._slot_of.get(reg)
-        if slot is None:
-            slot = len(self._reg_of)
-            self._slot_of[reg] = slot
-            self._reg_of.append(reg)
-        return slot
-
     def _decode(self):
         function = self.function
         self._first_pp = {}
         for block in function.blocks:
             if block.instructions:
                 self._first_pp[block.label] = block.instructions[0].pp
-        self._slot_of = {ZERO: 0}
-        self._reg_of = [ZERO]
-        for param in function.params:
-            self._slot(param)
-        # Every register the program names gets its slot now, so code
-        # compiled lazily mid-run never grows the table under a sized
-        # register file (only injections and inputs naming registers
-        # the program never touches still do, before a file is sized).
+        # The slot table is fixed here: code compiled lazily mid-run
+        # finds every register it names, and every snapshot of the
+        # function shares one layout.
+        names = [ZERO, *function.params]
         for instruction in function.instructions:
-            for reg in instruction.writes() + instruction.reads():
-                self._slot(reg)
+            names += instruction.writes() + instruction.reads()
+        self._reg_of = tuple(dict.fromkeys(names))
+        self._slot_of = {reg: slot for slot, reg in enumerate(self._reg_of)}
         # Each core's program is compiled on first use: a reference
         # machine never pays for the threaded tiers and vice versa
-        # (record_registers and cross-core snapshots pull in the other
+        # (record_registers runs and snapshot capture pull in the other
         # core on demand).
         self._tiers = None
         self._program = None
@@ -357,7 +341,6 @@ class Machine:
                     raise SimulationError(
                         f"injection bit {upset.bit} is outside the "
                         f"{self.width}-bit register {upset.reg!r}")
-                self._slot(upset.reg)
         return upsets
 
     # -- execution ---------------------------------------------------------------
@@ -381,7 +364,9 @@ class Machine:
         With ``snapshot_interval=N`` (clean runs only — snapshots of a
         faulted run would poison every resumed tail) a :class:`Snapshot`
         is appended to the ``snapshots`` list every N executed
-        instructions, starting at cycle 0.
+        instructions, starting at cycle 0.  Snapshots are captured on
+        the threaded core whichever core the machine uses (a
+        ``record_registers`` run takes none).
         """
         upsets = self._prepare_upsets(injection)
         if upsets:
@@ -389,25 +374,22 @@ class Machine:
             # upset would otherwise leave `upsets` empty by the time
             # the interpreter checks, poisoning every resumed tail.
             snapshot_interval = snapshots = None
-        if self.core == "reference" or record_registers:
+        if record_registers or (self.core == "reference"
+                                and snapshot_interval is None):
             return self._run_reference(regs, upsets, max_cycles,
-                                       record_registers, snapshot_interval,
-                                       snapshots)
+                                       record_registers)
         self._threaded_ops()
-        value_mask = self._value_mask
-        if regs:
-            for reg in regs:
-                if reg != ZERO:
-                    self._slot(reg)
         registers = [0] * len(self._reg_of)
+        slot_of = self._slot_of
         if regs:
+            value_mask = self._value_mask
             for reg, value in regs.items():
-                if reg != ZERO:
-                    registers[self._slot_of[reg]] = value & value_mask
+                slot = slot_of.get(reg)
+                if slot:        # neither zero nor outside the slot table
+                    registers[slot] = value & value_mask
         memory = bytearray(self.memory_size)
         memory[:len(self.memory_image)] = self.memory_image
         trace = Trace()
-        slot_of = self._slot_of
         while upsets and upsets[0].cycle == -1:
             _apply_slot_upset(upsets.pop(0), slot_of, registers, memory)
         return self._execute_threaded(registers, memory, trace, 0, 0,
@@ -415,8 +397,7 @@ class Machine:
                                       snapshot_interval=snapshot_interval,
                                       snapshots=snapshots)
 
-    def _run_reference(self, regs, upsets, max_cycles, record_registers,
-                       snapshot_interval, snapshots):
+    def _run_reference(self, regs, upsets, max_cycles, record_registers):
         value_mask = self._value_mask
         registers = {}
         if regs:
@@ -428,9 +409,7 @@ class Machine:
         while upsets and upsets[0].cycle == -1:
             _apply_upset(upsets.pop(0), registers, memory, value_mask)
         return self._execute_reference(registers, memory, trace, 0, 0,
-                                       upsets, max_cycles, record_registers,
-                                       snapshot_interval=snapshot_interval,
-                                       snapshots=snapshots)
+                                       upsets, max_cycles, record_registers)
 
     def run_with_snapshots(self, regs=None, interval=64,
                            max_cycles=DEFAULT_MAX_CYCLES):
@@ -463,7 +442,9 @@ class Machine:
         its remaining execution is provably identical to the golden
         run's, so the golden suffix is spliced onto the trace instead
         of being re-executed — masked runs then cost
-        O(fault-lifetime + interval) instead of O(tail).
+        O(fault-lifetime + interval) instead of O(tail).  The reference
+        core ignores it and re-executes the whole tail, so its traces
+        check the splicing instead of using it.
         """
         upsets = self._prepare_upsets(injection)
         if upsets and upsets[0].cycle < snapshot.cycle \
@@ -479,69 +460,25 @@ class Machine:
         trace.outputs = source.outputs[:snapshot.n_outputs]
         trace.stores = source.stores[:snapshot.n_stores]
         trace.loads = source.loads[:snapshot.n_loads]
-        horizon = max([upset.cycle for upset in upsets] + [snapshot.cycle])
-        converge = [candidate for candidate in converge or ()
-                    if candidate.cycle > horizon]
         if self.core == "reference":
-            registers = self._snapshot_register_dict(snapshot)
+            registers = snapshot.register_dict()
             while upsets and upsets[0].cycle == -1:
                 _apply_upset(upsets.pop(0), registers, memory,
                              self._value_mask)
             return self._execute_reference(registers, memory, trace,
                                            snapshot.pc, snapshot.cycle,
-                                           upsets, max_cycles, False,
-                                           converge=converge)
+                                           upsets, max_cycles, False)
+        horizon = max([upset.cycle for upset in upsets] + [snapshot.cycle])
+        converge = [candidate for candidate in converge or ()
+                    if candidate.cycle > horizon]
         self._threaded_ops()
-        registers = self._snapshot_register_list(snapshot)
+        registers = list(snapshot.registers)
         slot_of = self._slot_of
         while upsets and upsets[0].cycle == -1:
             _apply_slot_upset(upsets.pop(0), slot_of, registers, memory)
         return self._execute_threaded(registers, memory, trace,
                                       snapshot.pc, snapshot.cycle, upsets,
                                       max_cycles, converge=converge)
-
-    def _snapshot_register_list(self, snapshot):
-        """Slot-indexed register file restored from *snapshot* (which
-        may have been taken by either core)."""
-        source = snapshot.registers
-        if isinstance(source, dict):
-            for reg in source:
-                if reg != ZERO:
-                    self._slot(reg)
-            registers = [0] * len(self._reg_of)
-            for reg, value in source.items():
-                if reg != ZERO:
-                    registers[self._slot_of[reg]] = value
-            return registers
-        if snapshot.reg_names is self._reg_of:
-            # Taken by this machine: slots line up positionally (the
-            # slot table only ever grows, so at worst we pad).
-            registers = list(source)
-            if len(registers) < len(self._reg_of):
-                registers.extend([0] * (len(self._reg_of)
-                                        - len(registers)))
-            return registers
-        # Taken by another machine, whose slot order may differ (slot
-        # assignment depends on which injections ran first): remap by
-        # register name, never by position.
-        for reg in snapshot.reg_names[:len(source)]:
-            if reg != ZERO:
-                self._slot(reg)
-        registers = [0] * len(self._reg_of)
-        for reg, value in zip(snapshot.reg_names, source):
-            if reg != ZERO:
-                registers[self._slot_of[reg]] = value
-        return registers
-
-    def _snapshot_register_dict(self, snapshot):
-        """Dict register file restored from *snapshot* (which may have
-        been taken by either core)."""
-        source = snapshot.registers
-        if isinstance(source, dict):
-            return dict(source)
-        return {reg: value
-                for reg, value in zip(snapshot.reg_names, source)
-                if reg != ZERO}
 
     @staticmethod
     def _splice_golden_suffix(trace, snapshot):
@@ -620,8 +557,8 @@ class Machine:
                 if pc is None:
                     break
                 # Event order matches the reference core: upsets fire at
-                # the tail of the previous cycle, then the budget check,
-                # then capture, then convergence — all before the
+                # the tail of the previous cycle, then the budget check;
+                # capture and convergence follow, all before the
                 # instruction at `cycle` executes.
                 while upsets and upsets[0].cycle + 1 == cycle:
                     _apply_slot_upset(upsets.pop(0), slot_of, registers,
@@ -633,18 +570,12 @@ class Machine:
                 if next_capture is not None and cycle == next_capture:
                     image = _snapshot_image(memory, image)
                     snapshots.append(Snapshot(cycle, pc, registers[:],
-                                              image, trace,
-                                              reg_names=self._reg_of))
+                                              image, trace, self._reg_of))
                     next_capture += snapshot_interval
                 if converge_cycle is not None and cycle == converge_cycle:
                     candidate = converge[converge_index]
-                    creg = candidate.registers
-                    # Positional compare is only sound for snapshots of
-                    # this machine's own slot table; foreign candidates
-                    # conservatively never converge.
-                    if pc == candidate.pc and isinstance(creg, list) \
-                            and candidate.reg_names is self._reg_of \
-                            and _register_lists_match(registers, creg) \
+                    if pc == candidate.pc \
+                            and registers == candidate.registers \
                             and memory == candidate.memory:
                         return self._splice_golden_suffix(trace, candidate)
                     converge_index += 1
@@ -672,9 +603,7 @@ class Machine:
     # -- the reference core ------------------------------------------------------
 
     def _execute_reference(self, registers, memory, trace, pc, cycle,
-                           upsets, max_cycles, record_registers,
-                           snapshot_interval=None, snapshots=None,
-                           converge=None):
+                           upsets, max_cycles, record_registers):
         """The original tuple-tag interpreter loop, retained as the
         differential oracle; mutates and returns *trace*."""
         width = self.width
@@ -686,11 +615,6 @@ class Machine:
         register_log = None
         if record_registers:
             register_log = trace.register_log = []
-        capture = (snapshot_interval is not None and snapshots is not None
-                   and not upsets)
-        image = None        # memory of the latest snapshot (shared)
-        converge_index = 0
-        converge_cycle = converge[0].cycle if converge else None
         inject_cycle = upsets[0].cycle if upsets else None
 
         def read(reg):
@@ -709,21 +633,6 @@ class Machine:
                 if cycle >= max_cycles:
                     trace.outcome = OUTCOME_TIMEOUT
                     break
-                if capture and cycle % snapshot_interval == 0:
-                    image = _snapshot_image(memory, image)
-                    snapshots.append(Snapshot(cycle, pc, dict(registers),
-                                              image, trace))
-                if converge_cycle is not None and cycle == converge_cycle:
-                    candidate = converge[converge_index]
-                    if pc == candidate.pc \
-                            and isinstance(candidate.registers, dict) \
-                            and registers == candidate.registers \
-                            and memory == candidate.memory:
-                        return self._splice_golden_suffix(trace, candidate)
-                    converge_index += 1
-                    converge_cycle = (converge[converge_index].cycle
-                                      if converge_index < len(converge)
-                                      else None)
                 decoded = program[pc]
                 kind = decoded[0]
                 executed.append(pc)

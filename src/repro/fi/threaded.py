@@ -457,9 +457,10 @@ class Tiers:
     stop, so it gets its own counting stub once the superblock is
     compiled (unless the two are the same code).
 
-    ``slot`` maps a register name to its slot and must already cover
-    every register the program names: compilation is lazy and must
-    never grow a register file that has been sized.
+    ``slot`` maps a register name to its slot in the machine's slot
+    table, which is fixed at decode and names every register of the
+    program, so code compiled lazily mid-run fits the register file it
+    runs on.
     """
 
     __slots__ = ("super_len", "super_code", "block_len", "block_code",

@@ -14,6 +14,7 @@ from repro.bec.analysis import run_bec
 from repro.bec.intra import RuleSet
 from repro.fi.machine import Machine
 from repro.fi.validate import validate_bec
+from repro.ir.parser import parse_function
 
 from tests.bec.program_gen import random_function
 
@@ -82,3 +83,30 @@ class TestFixedSeeds:
         report = validate_seed(seed)
         assert report.instances > 0
         assert report.runs == report.instances
+
+
+class TestBitTieSurvival:
+    """Rule 3 must not tie bits of a register that survives its read:
+    the next window's reads may tell them apart."""
+
+    SOURCE = """
+func f width=4
+bb.entry:
+    li r1, 5
+    andi r3, r1, 6
+    slt r0, r3, r1
+    slt r1, r0, r1
+    out r1
+    ret r0
+"""
+
+    def test_surviving_register_keeps_bits_apart(self):
+        function = parse_function(self.SOURCE)
+        bec = run_bec(function)
+        # Bits 2 and 3 of r1 give the same first `slt`, but r1 survives
+        # it and the second `slt` compares 0 < 1 against 0 < -3.
+        assert bec.class_of(1, "r1", 2) != bec.class_of(1, "r1", 3)
+        report = validate_bec(function, Machine(function, memory_size=64),
+                              bec)
+        assert report.unsound_masked == 0
+        assert report.unsound_equivalences == 0

@@ -14,9 +14,11 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.common import benchmark_run
 from repro.fi import batch
-from repro.fi.campaign import PlannedRun, plan_bec, plan_exhaustive
+from repro.fi.campaign import (EFFECT_MASKED, PlannedRun, plan_bec,
+                               plan_exhaustive)
 from repro.fi.engine import CampaignEngine
-from repro.fi.machine import Injection, Machine, MemoryInjection
+from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
+                              MemoryInjection)
 from repro.fi.prune import LivenessPruner
 from repro.fi.sampling import estimate_avf
 from tests.fi.test_engine import assert_identical, strided_exhaustive_plan
@@ -139,6 +141,36 @@ class TestBatchedEngineParity:
                                 golden=motivating_golden)
         assert_identical(base, engine.run())
         assert_identical(base, engine.run(checkpoint_interval=8))
+
+    def test_off_program_injections_take_scalar_path(
+            self, motivating_function, motivating_golden,
+            motivating_batched):
+        """An injection into a register no instruction names has no
+        slot: its plan entry runs on the scalar path and classifies
+        masked, and the campaign equals the threaded engine's."""
+        plan = []
+        for cycle in (-1, 0, 9, 30, motivating_golden.cycles - 1):
+            plan.append(PlannedRun(Injection(cycle, "v2", 1),
+                                   None, None, None))
+            plan.append(PlannedRun(Injection(cycle, "offprogram", 2),
+                                   None, None, None))
+        threaded = Machine(motivating_function, memory_size=256)
+        base = CampaignEngine(threaded, plan,
+                              golden=motivating_golden).run()
+        assert all(effect == EFFECT_MASKED
+                   for _, effect, _ in base.runs[1::2])
+        engine = CampaignEngine(motivating_batched, plan,
+                                golden=motivating_golden)
+        result = engine.run()
+        assert result.vectorized
+        assert_identical(base, result)
+        assert_identical(base, engine.run(checkpoint_interval=8,
+                                          prune="liveness"))
+        _, snapshots = motivating_batched.run_with_snapshots(interval=8)
+        classifier = batch.BatchClassifier(
+            motivating_batched, plan, None, motivating_golden, snapshots,
+            DEFAULT_MAX_CYCLES)
+        assert sorted(classifier._entries) == list(range(0, len(plan), 2))
 
     def test_hardened_detected_class(self):
         """`check` traps (the hardened `detected` class) divergence-

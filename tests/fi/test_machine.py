@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.ir.parser import parse_function
 from repro.fi.machine import Injection, Machine
+from repro.ir.registers import ZERO
 
 
 def run_source(source, regs=None, injection=None, **kwargs):
@@ -278,20 +279,28 @@ class TestExecutionCores:
         assert actual.key() == expected.key()
 
     def test_snapshot_register_dict(self, motivating_machine):
+        """Snapshots are threaded-core slot lists whichever core the
+        machine uses, and register_dict names them as the reference
+        core's register file at that cycle."""
         _, snapshots = motivating_machine.run_with_snapshots(interval=8)
         reference = Machine(motivating_machine.function, memory_size=256,
                             core="reference")
         _, reference_snapshots = reference.run_with_snapshots(interval=8)
+        log = reference.run(record_registers=True).register_log
+        assert len(reference_snapshots) == len(snapshots)
         for fast_snapshot, reference_snapshot in zip(snapshots,
                                                      reference_snapshots):
-            fast_dict = fast_snapshot.register_dict()
-            reference_dict = reference_snapshot.register_dict()
-            # The slot file materializes never-written registers as 0;
-            # the dict file omits them.  Observable values must agree.
-            for reg, value in reference_dict.items():
-                assert fast_dict.get(reg, 0) == value
-            for reg, value in fast_dict.items():
-                assert reference_dict.get(reg, 0) == value
+            assert type(reference_snapshot.registers) is list
+            assert reference_snapshot.registers == fast_snapshot.registers
+            assert reference_snapshot.reg_names == reference._reg_of
+            registers = reference_snapshot.register_dict()
+            assert set(registers) == set(reference._reg_of) - {ZERO}
+            if reference_snapshot.cycle:
+                # The dict file omits never-written registers; the slot
+                # file holds them as 0.
+                before = log[reference_snapshot.cycle - 1]
+                assert registers == {reg: before.get(reg, 0)
+                                     for reg in registers}
 
     @pytest.mark.parametrize("budget", [3, 4, 5, 6, 100])
     def test_budget_boundary_outcomes_match(self, budget):
@@ -314,19 +323,33 @@ bb.entry:
         assert actual.key() == expected.key(), budget
         assert actual.cycles == expected.cycles, budget
 
-    def test_foreign_snapshot_restored_by_name(self, motivating_function):
-        """Slot order depends on which injections a machine saw first;
-        restoring another machine's snapshot must remap by register
-        name, never by position."""
-        skewed = Machine(motivating_function, memory_size=256)
-        # Force an off-program register into the lowest non-zero slot.
-        skewed.run(injection=Injection(0, "offprogram", 1))
-        donor = Machine(motivating_function, memory_size=256)
-        golden, snapshots = donor.run_with_snapshots(interval=8)
-        expected = donor.run_from(snapshots[3])
-        resumed = skewed.run_from(snapshots[3])
+    def test_slot_table_fixed_at_decode(self, motivating_function,
+                                        motivating_golden):
+        """Machines of one function share one slot table, which no
+        off-program injection or input changes, so each resumes the
+        other's snapshots positionally."""
+        first = Machine(motivating_function, memory_size=256)
+        second = Machine(motivating_function, memory_size=256)
+        assert first._reg_of == second._reg_of
+        for core in Machine.CORES:
+            machine = Machine(motivating_function, memory_size=256,
+                              core=core)
+            for cycle in (-1, 0, 17):
+                trace = machine.run(injection=Injection(cycle, "offprogram",
+                                                        1))
+                assert trace.key() == motivating_golden.key(), (core, cycle)
+            assert machine.run(regs={"offprogram": 5}).key() \
+                == motivating_golden.key(), core
+            assert machine._reg_of == first._reg_of
+            assert "offprogram" not in machine._slot_of
+        golden, snapshots = first.run_with_snapshots(interval=8)
+        injection = Injection(20, "v1", 2)
+        expected = first.run(injection=injection)
+        for snapshot in snapshots:
+            assert second.run_from(snapshot).key() == golden.key()
+        resumed = second.run_from(snapshots[2], injection=injection,
+                                  converge=snapshots)
         assert resumed.key() == expected.key()
-        assert resumed.key() == golden.key()
 
     @pytest.mark.parametrize("core", ["threaded", "reference"])
     def test_snapshots_share_unchanged_memory(self, motivating_function,
@@ -376,22 +399,30 @@ bb.entry:
 
     def test_cross_core_snapshot_restore(self, motivating_function,
                                          motivating_golden):
-        """A snapshot taken by one core can seed the other core's
-        run_from (the register file is converted through the slot
-        mapping)."""
+        """Either core resumes either machine's snapshots.  A reference
+        run_from re-executes the whole tail (it never splices) and
+        matches a full reference run, as the threaded core's spliced
+        resumes do."""
         reference = Machine(motivating_function, memory_size=256,
                             core="reference")
         fast = Machine(motivating_function, memory_size=256)
-        injection = Injection(20, "v", 2)
-        expected = reference.run(injection=injection)
         _, fast_snapshots = fast.run_with_snapshots(interval=8)
         _, reference_snapshots = reference.run_with_snapshots(interval=8)
         from repro.fi.engine import pick_snapshot
-        fast_resumed = fast.run_from(
-            pick_snapshot(reference_snapshots, injection.cycle),
-            injection=injection)
-        reference_resumed = reference.run_from(
-            pick_snapshot(fast_snapshots, injection.cycle),
-            injection=injection)
-        assert fast_resumed.key() == expected.key()
-        assert reference_resumed.key() == expected.key()
+        spliced = 0
+        for cycle in (-1, 3, 20, motivating_golden.cycles - 1):
+            for bit in range(motivating_function.bit_width):
+                injection = Injection(cycle, "v1", bit)
+                expected = reference.run(injection=injection)
+                for snapshots in (fast_snapshots, reference_snapshots):
+                    snapshot = pick_snapshot(snapshots, cycle)
+                    resumed = reference.run_from(snapshot,
+                                                 injection=injection,
+                                                 converge=snapshots)
+                    assert resumed.key() == expected.key(), (cycle, bit)
+                    assert resumed.spliced_at is None
+                    resumed = fast.run_from(snapshot, injection=injection,
+                                            converge=snapshots)
+                    assert resumed.key() == expected.key(), (cycle, bit)
+                    spliced += resumed.spliced_at is not None
+        assert spliced

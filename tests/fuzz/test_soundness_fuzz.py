@@ -13,7 +13,7 @@ generated* programs:
   paper's Table II classification).
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bec.analysis import run_bec
 from repro.bitvalue.analysis import compute_bit_values
@@ -55,6 +55,10 @@ def test_bit_value_analysis_is_sound(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
+# Seeds 1700 and 2254 tied bits of a register that survives its read
+# (the coalescer's rule 3 counterexample).
+@example(seed=1700)
+@example(seed=2254)
 def test_coalescing_is_sound_under_exhaustive_injection(seed):
     function = generate_function(seed, _SMALL)
     machine = Machine(function)
