@@ -51,16 +51,6 @@ class BECAnalysis:
         return sum(1 for bit in range(self.function.bit_width)
                    if not self.is_masked(pp, reg, bit))
 
-    def distinct_live_classes(self, pp, reg):
-        """Number of *distinct* non-masked classes among the window's
-        bits: the fault-injection runs this window needs at bit level."""
-        classes = set()
-        for bit in range(self.function.bit_width):
-            rep = self.class_of(pp, reg, bit)
-            if rep != 0:
-                classes.add(rep)
-        return len(classes)
-
     # -- summaries -------------------------------------------------------------------
 
     def summary(self):

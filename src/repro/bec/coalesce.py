@@ -6,8 +6,12 @@ applies monotone refinements until a fixed point.
 
 **Intra-instruction coalescing** — every instruction ``q`` contributes a
 static set of constraint pairs over its read *ports* and written
-*windows* (:mod:`repro.bec.intra`, Algorithm 3).  ``R'_q`` is the current
-relation ``R`` extended with these local merges.
+*windows* (:func:`instruction_pairs`, :mod:`repro.bec.intra`,
+Algorithm 3).  ``R'_q`` is the current relation ``R`` extended with
+these local merges.  :class:`LocalRelation` is its one builder: the
+fixpoint resolves windows to their R-representatives, and the trace
+walker (:mod:`repro.fi.accounting`) reads the same relation unresolved
+to chain dynamic window instances along the very edges merged here.
 
 **Inter-instruction coalescing** (Algorithm 2, line 12) merges a window
 site ``w = (p, v, i)`` only when every read ``q ∈ use(p, v)`` agrees.
@@ -65,53 +69,56 @@ corresponding algorithm only at the pseudo-code level.
 
 from repro.bec.equivalence import UnionFind
 from repro.bec.intra import S0, intra_constraints
-from repro.bec.sites import FaultSpace
 
 
-class _LocalRelation:
-    """``R'_q``: the relation R extended with one instruction's pairs.
+#: Passes after which a still-changing fixpoint is a bug (every kernel
+#: converges in 2).
+MAX_ITERATIONS = 100
+
+
+def instruction_pairs(instruction, bit_values, width, rules):
+    """The ``R'_q`` constraint pairs of *instruction* under the
+    bit-value fixpoint *bit_values*.
+
+    Statically unreachable code contributes no evidence; its ports stay
+    unconstrained, which vetoes merges (sound).
+    """
+    pp = instruction.pp
+    if not bit_values.is_executable(pp):
+        return []
+    before = {u: bit_values.before(pp, u) for u in instruction.data_reads()}
+    return intra_constraints(instruction, before, width, rules=rules)
+
+
+class LocalRelation:
+    """``R'_q``: one instruction's constraint pairs closed into classes.
 
     Maintains two views:
 
-    * the **full** relation (ports, windows resolved to their current
-      R-representatives, and s0) — used by the single-use propagation
-      rule;
+    * the **full** relation over every node — read through
+      :meth:`component`;
     * the **direct** relation over ports and s0 only (window-mediated
       pairs ignored) — used by the masking and bit-tie rules, whose
       soundness requires same-instruction outcome evidence.
 
-    Built against a snapshot of R's representatives; rebuilt each pass.
-    Components are tiny, so dict-based union-finds keyed by token are
-    plenty.
+    ``resolve`` maps each token to its node.  The coalescing fixpoint
+    maps a window to its current R-representative and s0 to 0, which
+    makes the full relation R extended with the pairs (rebuilt each
+    pass).  The trace walker passes none and reads the windows
+    themselves.  Components are tiny, so dict-based union-finds keyed by
+    node are plenty.
     """
 
-    def __init__(self, fault_space, uf, pp, pairs):
+    def __init__(self, pairs, resolve=None):
         self._parent = {}
         self._members = {}
         self._direct_parent = {}
-        resolve = {}
+        self._s0 = resolve(S0) if resolve else S0
         for a, b in pairs:
-            ra = self._resolve(fault_space, uf, pp, a, resolve)
-            rb = self._resolve(fault_space, uf, pp, b, resolve)
-            self._union(self._parent, ra, rb, track=True)
+            na, nb = (resolve(a), resolve(b)) if resolve else (a, b)
+            self._union(self._parent, na, nb, track=True)
             if _is_direct(a) and _is_direct(b):
-                self._union(self._direct_parent, ra, rb, track=False)
-
-    @staticmethod
-    def _resolve(fault_space, uf, pp, token, cache):
-        """Map a token to a node key; persistent tokens become R-reps."""
-        if token in cache:
-            return cache[token]
-        if token == S0:
-            node = ("rep", 0)
-        elif token[0] == "win":
-            _, reg, bit = token
-            site = fault_space.site_id(pp, reg, bit)
-            node = ("rep", uf.find(site))
-        else:
-            node = token
-        cache[token] = node
-        return node
+                self._union(self._direct_parent, na, nb, track=False)
 
     def _find(self, parent, node):
         root = node
@@ -130,22 +137,15 @@ class _LocalRelation:
             members = self._members.setdefault(ra, {ra})
             members.update(self._members.pop(rb, {rb}))
 
-    # -- full relation -------------------------------------------------------
-
-    def port_persistent(self, reg, bit):
-        """R-representatives in the port's full component (frozenset)."""
-        node = ("port", reg, bit)
-        root = self._find(self._parent, node)
-        return frozenset(key[1]
-                         for key in self._members.get(root, {root})
-                         if key[0] == "rep")
-
-    # -- direct (port/s0-only) relation ------------------------------------------
+    def component(self, reg, bit):
+        """Nodes in the full component of the port ``(reg, bit)``."""
+        root = self._find(self._parent, ("port", reg, bit))
+        return self._members.get(root, {root})
 
     def port_directly_masked(self, reg, bit):
         """Is the port tied to s0 by same-instruction evidence?"""
         return self._find(self._direct_parent, ("port", reg, bit)) == \
-            self._find(self._direct_parent, ("rep", 0))
+            self._find(self._direct_parent, self._s0)
 
     def port_direct_root(self, reg, bit):
         return self._find(self._direct_parent, ("port", reg, bit))
@@ -173,12 +173,6 @@ class CoalescingResult:
         """True if a fault at this site is provably without effect."""
         return self.class_of(pp, reg, bit) == 0
 
-    def equivalent(self, site_a, site_b):
-        """Are two (pp, reg, bit) sites in the same class?"""
-        return self._uf.same(
-            self.fault_space.site_id(*site_a),
-            self.fault_space.site_id(*site_b))
-
     def classes(self):
         """Map representative -> list of (pp, reg, bit) members.
 
@@ -191,12 +185,6 @@ class CoalescingResult:
             result[rep] = [self.fault_space.site(m) if m else None
                            for m in members]
         return result
-
-    def masked_sites(self):
-        """All masked (pp, reg, bit) sites."""
-        return [self.fault_space.site(node)
-                for node in range(1, self.fault_space.site_count + 1)
-                if self._uf.find(node) == 0]
 
 
 def _compute_must_observe(function):
@@ -255,14 +243,13 @@ def _compute_must_observe(function):
     return result
 
 
-def coalesce(function, bit_values, use_chains, fault_space=None,
-             rules=None, max_iterations=100):
+def coalesce(function, bit_values, use_chains, fault_space, rules=None):
     """Run Algorithm 2 to its fixed point; returns :class:`CoalescingResult`.
 
-    ``bit_values`` is a :class:`repro.bitvalue.BitValueResult` and
-    ``use_chains`` a :class:`repro.ir.UseChains` for the same function.
+    ``bit_values`` is a :class:`repro.bitvalue.BitValueResult`,
+    ``use_chains`` a :class:`repro.ir.UseChains` and ``fault_space`` the
+    :class:`~repro.bec.sites.FaultSpace` of the same function.
     """
-    fault_space = fault_space or FaultSpace(function)
     width = function.bit_width
     uf = UnionFind(fault_space.site_count + 1)
 
@@ -279,16 +266,8 @@ def coalesce(function, bit_values, use_chains, fault_space=None,
         for q in use_chains.use(pp, reg):
             readers.add(q)
     for q in sorted(readers):
-        instruction = function.instruction_at(q)
-        before = {u: bit_values.before(q, u)
-                  for u in instruction.data_reads()}
-        if not bit_values.is_executable(q):
-            # Statically unreachable code contributes no evidence; its
-            # ports stay unconstrained, which vetoes merges (sound).
-            constraints[q] = []
-            continue
-        constraints[q] = intra_constraints(instruction, before, width,
-                                           rules=rules)
+        constraints[q] = instruction_pairs(function.instruction_at(q),
+                                           bit_values, width, rules)
 
     liveness = fault_space.liveness
     must_observe = _compute_must_observe(function)
@@ -300,14 +279,24 @@ def coalesce(function, bit_values, use_chains, fault_space=None,
             return False
         return reg in liveness.live_after(q)
 
+    def resolver(q):
+        """Window tokens of *q* to their R-representatives, s0 to 0."""
+        def resolve(token):
+            if token == S0:
+                return 0
+            if token[0] == "win":
+                return uf.find(fault_space.site_id(q, token[1], token[2]))
+            return token
+        return resolve
+
     iterations = 0
     changed = True
     while changed:
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > MAX_ITERATIONS:
             raise RuntimeError("fault-index coalescing did not converge")
         changed = False
-        local = {q: _LocalRelation(fault_space, uf, q, constraints[q])
+        local = {q: LocalRelation(constraints[q], resolver(q))
                  for q in readers}
         for pp, reg in live_windows:
             uses = use_chains.use(pp, reg)
@@ -326,11 +315,16 @@ def coalesce(function, bit_values, use_chains, fault_space=None,
                         changed = True
                     continue
                 # Rule 2 (propagation): single consuming read observed
-                # on all paths.
+                # on all paths.  The representatives are visited as a
+                # frozenset of ints, whose order decides union-by-size
+                # ties and hence the class ids that enter content keys.
                 if single_use is None or not consumed or not observed:
                     continue
                 site = fault_space.site_id(pp, reg, bit)
-                for rep in single_use.port_persistent(reg, bit):
+                reps = frozenset(node for node in
+                                 single_use.component(reg, bit)
+                                 if type(node) is int)
+                for rep in reps:
                     if uf.union(site, rep):
                         changed = True
             # Rule 3 (bit tie): group bits by their direct-relation

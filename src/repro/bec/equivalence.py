@@ -46,9 +46,6 @@ class UnionFind:
         self._size[ra] += self._size[rb]
         return True
 
-    def same(self, a, b):
-        return self.find(a) == self.find(b)
-
     def classes(self):
         """Map representative -> sorted list of members."""
         result = {}

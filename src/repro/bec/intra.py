@@ -15,19 +15,28 @@ for ``mv``/``xor`` (and ``not``, which is an xor with all-ones), bit-value
 guarded propagation/masking for ``and``/``or``, constant and
 minimum-shift-amount rules for shifts, and the ``eval`` rule for
 comparisons and branches (two operand bits whose flips provably produce
-the same outcome are tied).
+the same outcome are tied).  The eval rule evaluates the instruction
+with the bit-value analysis's own ``abstract_value`` and
+``abstract_decision``, so a flipped operand is judged by the same
+transfer functions as the fixpoint.
 
-``RuleSet.extended`` additionally enables two sound rules the paper
-leaves on the table: carry-free low-bit propagation through ``add`` and
-an ``eval``-vs-fault-free masking rule for comparisons.  Both are off by
-default so the default configuration matches the paper exactly.
+``RuleSet.extended`` additionally enables sound rules the paper leaves
+on the table: carry-free low-bit propagation through ``add`` (and
+borrow-free propagation through ``sub``) and an ``eval``-vs-fault-free
+masking rule for comparisons.  They are off by default so the default
+configuration matches the paper exactly.
+
+The pairs are closed into ``R'_q`` by one class,
+:class:`repro.bec.coalesce.LocalRelation`, for both of its consumers:
+the coalescing fixpoint and the trace walker
+(:mod:`repro.fi.accounting`).
 """
 
 from repro.ir.instructions import Format, Opcode
 from repro.ir.registers import ZERO
+from repro.bitvalue.analysis import (abstract_decision, abstract_value,
+                                     state_reader)
 from repro.bitvalue.lattice import BitVector
-from repro.bitvalue.transfer import (abstract_branch, transfer_binary,
-                                     transfer_unary)
 
 S0 = ("s0",)
 
@@ -227,14 +236,12 @@ def _eval_rule(instruction, before_values, pairs, width, rules):
     flip of bit ``i`` of operand ``v``; two bits with equal, defined
     outcomes are equivalent (Algorithm 3, lines 36-39).
     """
-    operands = _eval_operands(instruction, before_values, width)
+    operands = {reg: _value_of(reg, before_values, width)
+                for reg in instruction.data_reads()}
     baseline = None
     if rules.extended:
-        baseline = _eval_outcome(instruction,
-                                 {r: v for r, v in operands.items()}, width)
+        baseline = _eval_outcome(instruction, operands, width)
     for reg, bits in operands.items():
-        if reg == ZERO:
-            continue
         outcomes = {}
         for bit in range(width):
             flipped = _flip_known_bit(bits, bit)
@@ -256,14 +263,6 @@ def _eval_rule(instruction, before_values, pairs, width, rules):
             first = bits_with_same[0]
             for other in bits_with_same[1:]:
                 pairs.append((port(reg, first), port(reg, other)))
-
-
-def _eval_operands(instruction, before_values, width):
-    """Ordered mapping register -> abstract value for the eval rule."""
-    operands = {}
-    for reg in instruction.data_reads():
-        operands[reg] = _value_of(reg, before_values, width)
-    return operands
 
 
 def _flip_known_bit(bits, bit):
@@ -288,31 +287,12 @@ def _eval_outcome(instruction, values, width):
     For branches the outcome is the taken/not-taken decision; for
     comparison results it is the written constant.  None = undecidable.
     """
-    opcode = instruction.opcode
-
-    def value_of(reg):
-        if reg == ZERO:
-            return BitVector.const(width, 0)
-        return values[reg]
-
-    if opcode in (Opcode.SEQZ, Opcode.SNEZ):
-        result = transfer_unary(opcode, value_of(instruction.rs1))
-        return ("value", result.value) if result.is_constant else None
-    if opcode in (Opcode.SLT, Opcode.SLTU):
-        result = transfer_binary(opcode, value_of(instruction.rs1),
-                                 value_of(instruction.rs2))
-        return ("value", result.value) if result.is_constant else None
-    if opcode in (Opcode.SLTI, Opcode.SLTIU):
-        result = transfer_binary(opcode, value_of(instruction.rs1),
-                                 BitVector.const(width, instruction.imm))
-        return ("value", result.value) if result.is_constant else None
-    if opcode in (Opcode.BEQZ, Opcode.BNEZ):
-        decision = abstract_branch(opcode, value_of(instruction.rs1),
-                                   BitVector.const(width, 0))
-    else:
-        decision = abstract_branch(opcode, value_of(instruction.rs1),
-                                   value_of(instruction.rs2))
-    return ("branch", decision) if decision is not None else None
+    read = state_reader(values, width)
+    if instruction.is_conditional_branch:
+        decision = abstract_decision(instruction, read, width)
+        return ("branch", decision) if decision is not None else None
+    result = abstract_value(instruction, read, width)
+    return ("value", result.value) if result.is_constant else None
 
 
 # -- extended rules ----------------------------------------------------------------------
@@ -377,67 +357,3 @@ def _value_of(reg, before_values, width):
     if value is None:
         return BitVector.top(width)
     return value
-
-
-# -- runtime flow view of the constraints --------------------------------------
-
-
-def port_flow(instruction, before_values, width, rules=None):
-    """Per-port view of the local relation ``R'_q``, for dynamic pairing.
-
-    Returns ``{(reg, bit): (targets, masked)}`` where *targets* is a
-    tuple of ``(written_reg, bit)`` windows the port's full component
-    contains (where a corruption arriving on the port re-materializes),
-    and *masked* says whether the port is tied to ``s0`` by direct
-    (port/s0-only) evidence — the read observes nothing, so the
-    corruption survives unobserved in its register.
-
-    The trace-directed accounting (:mod:`repro.fi.accounting`) uses this
-    to chain dynamic window instances exactly along the edges the
-    coalescing analysis merged.
-    """
-    pairs = intra_constraints(instruction, before_values, width,
-                              rules=rules)
-    full_parent = {}
-    direct_parent = {}
-
-    def find(parent, node):
-        root = node
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(node, node) != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def union(parent, a, b):
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-
-    tokens = set()
-    for a, b in pairs:
-        tokens.update((a, b))
-        union(full_parent, a, b)
-        if _is_port_or_s0(a) and _is_port_or_s0(b):
-            union(direct_parent, a, b)
-
-    components = {}
-    for token in tokens:
-        components.setdefault(find(full_parent, token), []).append(token)
-
-    flow = {}
-    for token in tokens:
-        if token[0] != "port":
-            continue
-        members = components[find(full_parent, token)]
-        targets = tuple(sorted(
-            (member[1], member[2]) for member in members
-            if member[0] == "win"))
-        masked = find(direct_parent, token) == find(direct_parent, S0) \
-            if S0 in tokens else False
-        flow[(token[1], token[2])] = (targets, masked)
-    return flow
-
-
-def _is_port_or_s0(token):
-    return token == S0 or token[0] == "port"

@@ -57,14 +57,23 @@ class BitValueResult:
         return block.label in self.executable_blocks
 
 
-def _evaluate(instruction, state, width):
-    """Abstract value written by *instruction* under *state*, or None."""
+def state_reader(state, width):
+    """The ``read`` callable over a register -> BitVector map: the zero
+    register reads 0, a register absent from *state* reads bottom."""
+    zero = BitVector.const(width, 0)
+    bottom = BitVector.bottom(width)
 
     def read(reg):
         if reg == ZERO:
-            return BitVector.const(width, 0)
-        return state.get(reg, BitVector.bottom(width))
+            return zero
+        return state.get(reg, bottom)
 
+    return read
+
+
+def abstract_value(instruction, read, width):
+    """Abstract value written by *instruction* when each operand reads
+    as ``read(reg)``; None if it writes nothing."""
     opcode = instruction.opcode
     fmt = instruction.format
     if opcode is Opcode.LI:
@@ -86,25 +95,22 @@ def _evaluate(instruction, state, width):
     return None
 
 
-def _feasible_successors(instruction, state, width):
-    """Successor labels reachable given the abstract branch operands.
-
-    Returns None when all CFG successors are feasible.
-    """
-    if not instruction.is_conditional_branch:
-        return None
-
-    def read(reg):
-        if reg == ZERO:
-            return BitVector.const(width, 0)
-        return state.get(reg, BitVector.bottom(width))
-
-    a = read(instruction.rs1)
+def abstract_decision(instruction, read, width):
+    """Decision of conditional branch *instruction* when each operand
+    reads as ``read(reg)``: True (taken), False, or None (unknown)."""
     if instruction.format is Format.BRANCHZ:
         b = BitVector.const(width, 0)
     else:
         b = read(instruction.rs2)
-    decision = abstract_branch(instruction.opcode, a, b)
+    return abstract_branch(instruction.opcode, read(instruction.rs1), b)
+
+
+def _feasible_successors(instruction, read, width):
+    """Successor labels reachable given the abstract branch operands.
+
+    Returns None when all CFG successors are feasible.
+    """
+    decision = abstract_decision(instruction, read, width)
     if decision is None:
         return None
     block = instruction.block
@@ -151,14 +157,15 @@ def compute_bit_values(function):
         block = worklist.popleft()
         queued.discard(block.label)
         state = dict(block_in.get(block.label, {}))
+        read = state_reader(state, width)
         feasible = None
         for instruction in block.instructions:
-            written = _evaluate(instruction, state, width)
+            written = abstract_value(instruction, read, width)
             if written is not None:
                 for reg in instruction.data_writes():
                     state[reg] = written
             if instruction.is_conditional_branch:
-                feasible = _feasible_successors(instruction, state, width)
+                feasible = _feasible_successors(instruction, read, width)
         successors = block.succs
         if feasible is not None:
             allowed = set(feasible)
@@ -180,9 +187,10 @@ def compute_bit_values(function):
     after = [dict() for _ in range(total)]
     for block in function.blocks:
         state = dict(block_in.get(block.label, {}))
+        read = state_reader(state, width)
         for instruction in block.instructions:
             before[instruction.pp] = dict(state)
-            written = _evaluate(instruction, state, width)
+            written = abstract_value(instruction, read, width)
             if written is not None:
                 for reg in instruction.data_writes():
                     state[reg] = written

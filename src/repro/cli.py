@@ -1205,8 +1205,9 @@ def build_parser():
     sub.add_argument("--count", type=int, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--width", type=int, default=8)
-    sub.add_argument("--cycles", type=int, default=150,
-                     help="validate only the first N trace cycles")
+    sub.add_argument("--cycles", type=int, default=None,
+                     help="validate only the first N trace cycles "
+                          "(default: the whole trace)")
     sub.add_argument("--extended", action="store_true")
 
     return parser

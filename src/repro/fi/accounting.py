@@ -26,7 +26,11 @@ corruption *chain* through the trace:
 * a chain on register bit ``(v, i)`` continues into window ``(q, z, j)``
   when ``q`` is the next access of ``v`` and the local relation
   ``R'_q`` ties ``port(q, v, i)`` to ``window(q, z, j)`` (and the static
-  classes agree — which they do exactly when the analysis merged them);
+  classes agree — which they do exactly when the analysis merged them).
+  ``R'_q`` is the coalescing fixpoint's own
+  :class:`~repro.bec.coalesce.LocalRelation`, built from the same
+  :func:`~repro.bec.coalesce.instruction_pairs` but with windows left
+  unresolved;
 * same-cycle windows of one class (rule-3 bit ties, multi-target
   propagation) share one group;
 * anything else starts a new group, which costs one injection
@@ -43,7 +47,7 @@ import itertools
 from collections import namedtuple
 
 from repro.ir.liveness import compute_liveness
-from repro.bec.intra import port_flow
+from repro.bec.coalesce import LocalRelation, instruction_pairs
 
 BitInstance = namedtuple(
     "BitInstance",
@@ -58,7 +62,8 @@ class _ChainWalker:
 
     * ``ports`` — ``(reg, targets)`` per register read whose port
       re-materializes in a written window; ``targets[bit]`` is the
-      tuple of ``(written_reg, bit)`` windows ``port_flow`` gives it;
+      sorted tuple of ``(written_reg, bit)`` windows in the port's
+      component of ``R'_q``;
     * ``windows`` — ``(reg, classes)`` per accessed register the walk
       yields; ``classes[bit]`` is the window bit's static class, and
       killed windows (walked only with ``include_killed``) read 0;
@@ -79,24 +84,18 @@ class _ChainWalker:
             row = self._rows[pp] = self._build_row(pp)
         return row
 
-    def _flow(self, pp, instruction):
-        """The ``port -> (targets, masked)`` map of instruction *pp*."""
-        bit_values = self.bec.bit_values
-        if not bit_values.is_executable(pp):
-            return {}
-        before = {u: bit_values.before(pp, u)
-                  for u in instruction.data_reads()}
-        rules = getattr(self.bec.coalescing, "rules", None)
-        return port_flow(instruction, before, self.width, rules=rules)
-
     def _build_row(self, pp):
         instruction = self.function.instruction_at(pp)
-        flow = self._flow(pp, instruction)
+        relation = LocalRelation(instruction_pairs(
+            instruction, self.bec.bit_values, self.width,
+            self.bec.coalescing.rules))
         bits = range(self.width)
         ports = []
         for reg in dict.fromkeys(instruction.data_reads()):
-            targets = tuple(flow.get((reg, bit), ((), False))[0]
-                            for bit in bits)
+            targets = tuple(
+                tuple(sorted(node[1:] for node in relation.component(reg, bit)
+                             if node[0] == "win"))
+                for bit in bits)
             if any(targets):
                 ports.append((reg, targets))
         live_after = self.liveness.live_after(pp)

@@ -8,12 +8,12 @@ from repro.bec.equivalence import UnionFind
 class TestBasics:
     def test_initially_disjoint(self):
         uf = UnionFind(5)
-        assert not uf.same(1, 2)
+        assert uf.find(1) != uf.find(2)
 
     def test_union_merges(self):
         uf = UnionFind(5)
         assert uf.union(1, 2) is True
-        assert uf.same(1, 2)
+        assert uf.find(1) == uf.find(2)
 
     def test_union_idempotent(self):
         uf = UnionFind(5)
@@ -24,7 +24,7 @@ class TestBasics:
         uf = UnionFind(6)
         uf.union(1, 2)
         uf.union(2, 3)
-        assert uf.same(1, 3)
+        assert uf.find(1) == uf.find(3)
 
     def test_classes(self):
         uf = UnionFind(4)
@@ -58,7 +58,7 @@ class TestMaskedAnchor:
             uf.union(a, b)
         assert uf.find(0) == 0
         for node in range(20):
-            assert uf.same(node, 0) == (uf.find(node) == 0)
+            assert (uf.find(node) == uf.find(0)) == (uf.find(node) == 0)
 
     @given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
                     max_size=40))
@@ -67,7 +67,7 @@ class TestMaskedAnchor:
         for a, b in unions:
             uf.union(a, b)
         for a, b in unions:
-            assert uf.same(a, b)            # requested merges hold
+            assert uf.find(a) == uf.find(b)   # requested merges hold
         classes = uf.classes()
         members = [m for group in classes.values() for m in group]
         assert sorted(members) == list(range(15))   # partition

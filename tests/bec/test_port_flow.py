@@ -1,72 +1,90 @@
-"""Tests for the runtime port-flow view of the intra rules.
+"""Tests for ``R'_q``, the local relation both BEC consumers share.
 
-``port_flow`` is what the dynamic chain walker consumes: for each read
-port of an instruction, the windows a corruption re-materializes in and
-whether the read provably masks it.
+:class:`~repro.bec.coalesce.LocalRelation` closes one instruction's
+constraint pairs.  The trace walker builds it unresolved and reads, for
+each read port, the windows in the port's component (where a corruption
+re-materializes) and whether the read provably masks it.  The coalescing
+fixpoint builds the same relation with windows resolved to their R
+classes.
 """
 
 import pytest
 
-from repro.bec.intra import RuleSet, port_flow
+from repro.bec.coalesce import LocalRelation
+from repro.bec.intra import RuleSet, intra_constraints
 from repro.bitvalue.lattice import BitVector
 from repro.ir.parser import parse_function
 
 
-def _flow_of(body, values=None, width=4, rules=None,
-             params="params=x,y"):
+def _relation_of(body, values=None, width=4, rules=None,
+                 params="params=x,y", resolve=None):
     function = parse_function(
         f"func f width={width} {params}\nbb.entry:\n    {body}\n    ret x\n")
     instruction = function.instructions[0]
     before = dict(values or {})
     for reg in instruction.data_reads():
         before.setdefault(reg, BitVector.top(width))
-    return port_flow(instruction, before, width, rules=rules)
+    return LocalRelation(
+        intra_constraints(instruction, before, width, rules=rules),
+        resolve=resolve)
+
+
+def _targets(relation, reg, bit):
+    """Windows in the port's component, as the walker reads them."""
+    return tuple(sorted(node[1:] for node in relation.component(reg, bit)
+                        if node[0] == "win"))
+
+
+def _flow(relation, reg, bit):
+    return (_targets(relation, reg, bit),
+            relation.port_directly_masked(reg, bit))
+
+
+def _constrained(relation, reg, bit):
+    """Does any pair mention the port?"""
+    return len(relation.component(reg, bit)) > 1
 
 
 class TestPropagation:
     def test_mv_maps_every_bit(self):
-        flow = _flow_of("mv z, x")
+        relation = _relation_of("mv z, x")
         for bit in range(4):
-            targets, masked = flow[("x", bit)]
-            assert targets == (("z", bit),)
-            assert not masked
+            assert _flow(relation, "x", bit) == ((("z", bit),), False)
 
     def test_xor_maps_both_operands(self):
-        flow = _flow_of("xor z, x, y")
-        assert flow[("x", 2)][0] == (("z", 2),)
-        assert flow[("y", 2)][0] == (("z", 2),)
+        relation = _relation_of("xor z, x, y")
+        assert _targets(relation, "x", 2) == (("z", 2),)
+        assert _targets(relation, "y", 2) == (("z", 2),)
 
     def test_constant_shift_relocates(self):
-        flow = _flow_of("slli z, x, 2")
-        targets, masked = flow[("x", 0)]
-        assert targets == (("z", 2),)
+        relation = _relation_of("slli z, x, 2")
+        assert _flow(relation, "x", 0) == ((("z", 2),), False)
         # The top bits shift out: masked, no target.
-        targets, masked = flow[("x", 3)]
-        assert targets == ()
-        assert masked
+        assert _flow(relation, "x", 3) == ((), True)
 
     def test_srl_relocates_down(self):
-        flow = _flow_of("srli z, x, 1")
-        assert flow[("x", 3)][0] == (("z", 2),)
-        assert flow[("x", 0)] == ((), True)
+        relation = _relation_of("srli z, x, 1")
+        assert _targets(relation, "x", 3) == (("z", 2),)
+        assert _flow(relation, "x", 0) == ((), True)
 
 
 class TestMasking:
     def test_and_with_known_zero_masks(self):
         values = {"y": BitVector.from_string("0011")}
-        flow = _flow_of("and z, x, y", values=values)
-        assert flow[("x", 3)] == ((), True)        # y bit 3 known 0
-        assert flow[("x", 0)] == ((("z", 0),), False)  # y bit 0 known 1
+        relation = _relation_of("and z, x, y", values=values)
+        assert _flow(relation, "x", 3) == ((), True)    # y bit 3 known 0
+        assert _flow(relation, "x", 0) == ((("z", 0),), False)  # known 1
 
     def test_and_with_unknown_bit_neither(self):
-        flow = _flow_of("and z, x, y")
-        assert ("x", 1) not in flow   # no evidence either way
+        relation = _relation_of("and z, x, y")
+        assert not _constrained(relation, "x", 1)   # no evidence either way
+        assert _flow(relation, "x", 1) == ((), False)
 
     def test_or_with_known_one_masks(self):
         values = {"y": BitVector.from_string("1100")}
-        flow = _flow_of("or z, x, y", values=values)
-        assert flow[("x", 3)] == ((), True)
-        assert flow[("x", 0)] == ((("z", 0),), False)
+        relation = _relation_of("or z, x, y", values=values)
+        assert _flow(relation, "x", 3) == ((), True)
+        assert _flow(relation, "x", 0) == ((("z", 0),), False)
 
 
 class TestEvalPorts:
@@ -81,38 +99,64 @@ bb.target:
     ret x
 """)
         instruction = function.instructions[0]
-        flow = port_flow(instruction,
-                         {"x": BitVector.from_string("000x")}, 4)
+        relation = LocalRelation(intra_constraints(
+            instruction, {"x": BitVector.from_string("000x")}, 4))
         # Bits 1..3 tie to each other (same decided outcome) but to no
         # window, and they are not masked.
         for bit in (1, 2, 3):
-            assert flow[("x", bit)] == ((), False)
+            assert _flow(relation, "x", bit) == ((), False)
+        roots = {relation.port_direct_root("x", bit) for bit in (1, 2, 3)}
+        assert len(roots) == 1
+        assert relation.port_direct_root("x", 0) not in roots
 
 
 class TestExtendedRules:
     def test_add_low_bits_only_with_extended(self):
         values = {"y": BitVector.from_string("1100")}
-        base = _flow_of("add z, x, y", values=values)
-        assert ("x", 0) not in base
-        extended = _flow_of("add z, x, y", values=values,
-                            rules=RuleSet(extended=True))
-        assert extended[("x", 0)] == ((("z", 0),), False)
-        assert extended[("x", 1)] == ((("z", 1),), False)
-        assert ("x", 2) not in extended    # carry can reach bit 2
+        base = _relation_of("add z, x, y", values=values)
+        assert not _constrained(base, "x", 0)
+        extended = _relation_of("add z, x, y", values=values,
+                                rules=RuleSet(extended=True))
+        assert _flow(extended, "x", 0) == ((("z", 0),), False)
+        assert _flow(extended, "x", 1) == ((("z", 1),), False)
+        assert not _constrained(extended, "x", 2)   # a carry can reach bit 2
 
     def test_sub_minuend_low_bits(self):
         values = {"y": BitVector.from_string("1000")}
-        extended = _flow_of("sub z, x, y", values=values,
-                            rules=RuleSet(extended=True))
+        extended = _relation_of("sub z, x, y", values=values,
+                                rules=RuleSet(extended=True))
         for bit in range(3):
-            assert extended[("x", bit)] == ((("z", bit),), False)
-        assert ("x", 3) not in extended
+            assert _flow(extended, "x", bit) == ((("z", bit),), False)
+        assert not _constrained(extended, "x", 3)
 
     def test_sub_subtrahend_never_propagates(self):
         values = {"x": BitVector.from_string("0000")}
-        extended = _flow_of("sub z, x, y", values=values,
-                            rules=RuleSet(extended=True))
-        assert ("y", 0) not in extended
+        extended = _relation_of("sub z, x, y", values=values,
+                                rules=RuleSet(extended=True))
+        assert not _constrained(extended, "y", 0)
+
+
+class TestResolvedRelation:
+    """The fixpoint's view: windows resolve to their R classes."""
+
+    def test_windows_in_one_class_join_their_ports(self):
+        # xor ties x^0 to z^0 and y^1 to z^1: two separate components.
+        resolve_classes = {("win", "z", 0): 7, ("win", "z", 1): 7}
+
+        def resolve(token):
+            return resolve_classes.get(token, token)
+
+        unresolved = _relation_of("xor z, x, y")
+        assert ("port", "y", 1) not in unresolved.component("x", 0)
+
+        resolved = _relation_of("xor z, x, y", resolve=resolve)
+        # Both windows are class 7 in R, so R'_q ties the two ports.
+        component = resolved.component("x", 0)
+        assert ("port", "y", 1) in component
+        assert 7 in component
+        # Window evidence never enters the direct relation.
+        assert resolved.port_direct_root("x", 0) != \
+            resolved.port_direct_root("y", 1)
 
 
 class TestSubExtendedSoundness:

@@ -66,8 +66,7 @@ def test_coalescing_is_sound_under_exhaustive_injection(seed):
     golden = machine.run(regs=regs, max_cycles=50_000)
     assert golden.outcome == "ok"
     bec = run_bec(function)
-    report = validate_bec(function, machine, bec, regs=regs, golden=golden,
-                          cycle_limit=120)
+    report = validate_bec(function, machine, bec, regs=regs, golden=golden)
     assert report.unsound_masked == 0, seed
     assert report.unsound_equivalences == 0, seed
     assert report.instances > 0
