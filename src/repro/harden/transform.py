@@ -23,7 +23,9 @@ definition that is not protected leaves the shadow stale, and a checker
 comparing against a stale shadow would trap on fault-free runs.  The
 transform therefore runs a forward must-dataflow ("all reaching defs
 duplicated") over the CFG and consults it both when picking shadow
-operands and when placing checkers.  On a fault-free run the hardened
+operands and when placing checkers.  :meth:`OverheadModel.walk` is the
+one implementation of that dataflow; the selection loop scores its
+candidates with the same walk.  On a fault-free run the hardened
 program is therefore *architecturally identical* to the original: same
 outputs, same stores, same return value, same control-flow decisions.
 
@@ -78,52 +80,121 @@ def shadow_prefix(function):
     raise AnalysisError("could not find a collision-free shadow prefix")
 
 
-def shadow_validity(function, protected, with_inits):
-    """Forward must-analysis: per block, the set of registers whose
-    shadow is valid on entry (every reaching definition duplicated).
+class OverheadModel:
+    """Shadow validity and predicted overhead of one function, for any
+    protected set.
 
-    ``with_inits`` models the entry-block parameter shadow copies.
-    Returns ``{block label: set of registers}`` (state on block entry,
-    *before* the entry inits run — the per-instruction walk in the
-    transform re-applies them).
+    Built once per ``(function, exec_counts)``; a protected set is then
+    walked against two per-block tables instead of re-deriving them,
+    which matters because the selection loop scores every candidate:
+
+    * each block's *last writer* per register it writes — a block leaves
+      a register's shadow valid exactly when that writer is protected,
+      and passes the entry state through for registers it does not
+      write;
+    * one row per instruction, ``(instruction, pp, count, sync reads,
+      rd, writes)``: its golden-trace execution count (0 without
+      ``exec_counts``), the distinct registers a checker compares
+      before it, the register a protection shadows and the registers it
+      writes.
+
+    Register sets are int masks, register ``registers[i]`` being bit
+    ``i`` (:attr:`bit` maps names to bits).  :meth:`walk` is the one
+    shadow-validity dataflow: :meth:`extra_cycles` scores a protected
+    set with it and :func:`harden_function` emits the hardened code
+    from it.  A non-empty protected set also shadows the parameters by
+    entry inits.
     """
-    all_regs = frozenset(function.registers())
-    entry = function.entry
 
-    def transfer(block, valid):
-        valid = set(valid)
-        if with_inits and block is entry:
-            valid |= set(function.params)
-        for instruction in block.instructions:
-            if instruction.pp in protected:
-                valid.add(instruction.rd)
-            else:
-                for reg in instruction.data_writes():
-                    valid.discard(reg)
-        return valid
-
-    in_map = {}
-    out_map = {block.label: set(all_regs) for block in function.blocks}
-    changed = True
-    while changed:
-        changed = False
+    def __init__(self, function, exec_counts=None):
+        counts = exec_counts or {}
+        self.function = function
+        self.registers = function.registers()
+        self.bit = bit = {reg: 1 << index
+                          for index, reg in enumerate(self.registers)}
+        self._all = (1 << len(self.registers)) - 1
+        self._params = sum(bit.get(reg, 0) for reg in set(function.params))
+        self._blocks = []   # (pred indices, written mask, last writers, rows)
         for block in function.blocks:
-            if block is entry:
+            last, rows, written = {}, [], 0
+            for instruction in block.instructions:
+                writes = 0
+                for reg in instruction.data_writes():
+                    writes |= bit[reg]
+                    last[reg] = instruction.pp
+                sync = 0
+                if is_sync_point(instruction):
+                    for reg in instruction.data_reads():
+                        sync |= bit[reg]
+                written |= writes
+                rows.append((instruction, instruction.pp,
+                             counts.get(instruction.pp, 0), sync,
+                             bit.get(instruction.rd, 0), writes))
+            self._blocks.append((
+                [pred.index for pred in block.preds], written,
+                [(pp, bit[reg]) for reg, pp in last.items()], rows))
+        entry = function.entry
+        self._init_count = counts.get(entry.instructions[0].pp, 0) \
+            if entry.instructions else 0
+
+    def _valid_in(self, protected):
+        """Forward must-dataflow: per block, the mask of registers whose
+        shadow is valid on entry (every reaching definition duplicated),
+        *before* the entry inits run."""
+        gen = [sum(reg for pp, reg in last if pp in protected)
+               for _, _, last, _ in self._blocks]
+        out = [self._all] * len(self._blocks)
+        valid_in = [0] * len(self._blocks)
+        changed = True
+        while changed:
+            changed = False
+            for index, (preds, written, _, _) in enumerate(self._blocks):
                 # The function-start edge carries no valid shadows, so
-                # the entry meet is empty even when loops re-enter it.
-                in_state = set()
-            elif block.preds:
-                in_state = set(all_regs)
-                for pred in block.preds:
-                    in_state &= out_map[pred.label]
-            else:
-                in_state = set()
-            in_map[block.label] = in_state
-            out_state = transfer(block, in_state)
-            if out_state != out_map[block.label]:
-                out_map[block.label] = out_state
-                changed = True
-    return in_map
+                # the entry meet is empty even when loops re-enter it;
+                # so is an unreachable block's.
+                state = 0
+                if index and preds:
+                    state = self._all
+                    for pred in preds:
+                        state &= out[pred]
+                valid_in[index] = state
+                if protected and not index:
+                    state |= self._params
+                state = (state & ~written) | gen[index]
+                if state != out[index]:
+                    out[index] = state
+                    changed = True
+        return valid_in
+
+    def walk(self, protected):
+        """Yield ``(block index, row, valid)`` per instruction in program
+        order; ``valid`` is the mask of registers whose shadow is valid
+        right before the instruction (entry inits included)."""
+        valid_in = self._valid_in(protected)
+        for index, (_, _, _, rows) in enumerate(self._blocks):
+            valid = valid_in[index]
+            if protected and not index:
+                valid |= self._params
+            for row in rows:
+                yield index, row, valid
+                _, pp, _, _, rd, writes = row
+                if pp in protected:
+                    valid |= rd
+                else:
+                    valid &= ~writes
+
+    def extra_cycles(self, protected):
+        """Predicted extra dynamic instructions of protecting
+        *protected*: shadows and checkers weighted by their rows'
+        counts, plus the entry inits.  Matches
+        :meth:`HardenResult.predicted_extra_cycles` exactly."""
+        if not protected:
+            return 0
+        extra = len(self.function.params) * self._init_count
+        for _, (_, pp, count, sync, _, _), valid in self.walk(protected):
+            extra += count * ((sync & valid).bit_count()
+                              + (pp in protected))
+        return extra
 
 
 class HardenResult:
@@ -239,18 +310,18 @@ class HardenResult:
                 f"checks={self.n_check}>")
 
 
-def _shadow_source(reg, valid, shadow_of):
-    return shadow_of[reg] if reg != ZERO and reg in valid else reg
+def _shadow_source(reg, valid, bit, shadow_of):
+    return shadow_of[reg] if reg != ZERO and valid & bit[reg] else reg
 
 
-def _shadow_instruction(instruction, valid, shadow_of):
+def _shadow_instruction(instruction, valid, bit, shadow_of):
     """The shadow copy of a protected instruction (placed before it)."""
     copy = instruction.copy()
     copy.rd = shadow_of[instruction.rd]
-    copy.rs1 = _shadow_source(copy.rs1, valid, shadow_of) \
+    copy.rs1 = _shadow_source(copy.rs1, valid, bit, shadow_of) \
         if copy.rs1 is not None else None
     if instruction.format is Format.RRR:
-        copy.rs2 = _shadow_source(copy.rs2, valid, shadow_of)
+        copy.rs2 = _shadow_source(copy.rs2, valid, bit, shadow_of)
     return copy
 
 
@@ -269,55 +340,47 @@ def harden_function(function, protected):
                 f"program point p{pp} "
                 f"({function.instruction_at(pp)}) is not eligible for "
                 f"duplication")
-    with_inits = bool(protected)
     shadowed = {function.instruction_at(pp).rd for pp in protected}
-    if with_inits:
+    if protected:
         shadowed.update(function.params)
     prefix = shadow_prefix(function)
     shadow_of = {reg: prefix + reg for reg in sorted(shadowed)}
-    validity = shadow_validity(function, protected, with_inits)
+    model = OverheadModel(function)
+    bit = model.bit
 
     hardened = Function(function.name, bit_width=function.bit_width,
                         params=function.params)
+    new_blocks = [hardened.new_block(block.label)
+                  for block in function.blocks]
     origin = []            # original pp per emitted instruction
     attached = []          # attachment pp per emitted instruction
     n_shadow = n_check = n_init = 0
+
+    def emit(index, instruction, source_pp, attached_pp):
+        new_blocks[index].append(instruction)
+        origin.append(source_pp)
+        attached.append(attached_pp)
+
     entry = function.entry
-    for block in function.blocks:
-        new_block = hardened.new_block(block.label)
-
-        def emit(instruction, source_pp, attached_pp):
-            new_block.append(instruction)
-            origin.append(source_pp)
-            attached.append(attached_pp)
-
-        valid = set(validity[block.label])
-        if with_inits and block is entry:
-            entry_pp = block.instructions[0].pp if block.instructions \
-                else None
-            for param in function.params:
-                emit(mv(shadow_of[param], param), None, entry_pp)
-                n_init += 1
-            valid |= set(function.params)
-        for instruction in block.instructions:
-            if is_sync_point(instruction):
-                seen = set()
-                for reg in instruction.data_reads():
-                    if reg in valid and reg not in seen:
-                        seen.add(reg)
-                        emit(check(reg, shadow_of[reg]), None,
-                             instruction.pp)
-                        n_check += 1
-            if instruction.pp in protected:
-                emit(_shadow_instruction(instruction, valid, shadow_of),
-                     None, instruction.pp)
-                n_shadow += 1
-                emit(instruction.copy(), instruction.pp, instruction.pp)
-                valid.add(instruction.rd)
-            else:
-                emit(instruction.copy(), instruction.pp, instruction.pp)
-                for reg in instruction.data_writes():
-                    valid.discard(reg)
+    if protected:
+        entry_pp = entry.instructions[0].pp if entry.instructions else None
+        for param in function.params:
+            emit(0, mv(shadow_of[param], param), None, entry_pp)
+            n_init += 1
+    for index, (instruction, pp, _, sync, _, _), valid \
+            in model.walk(protected):
+        if sync & valid:
+            seen = set()
+            for reg in instruction.data_reads():
+                if valid & bit[reg] and reg not in seen:
+                    seen.add(reg)
+                    emit(index, check(reg, shadow_of[reg]), None, pp)
+                    n_check += 1
+        if pp in protected:
+            emit(index, _shadow_instruction(instruction, valid, bit,
+                                            shadow_of), None, pp)
+            n_shadow += 1
+        emit(index, instruction.copy(), pp, pp)
     hardened.finalize()
     attached_to = {pp: attached_pp
                    for pp, (source, attached_pp)
@@ -325,42 +388,3 @@ def harden_function(function, protected):
                    if source is None and attached_pp is not None}
     return HardenResult(hardened, function, protected, shadow_of,
                         origin, attached_to, n_shadow, n_check, n_init)
-
-
-def static_overhead(function, protected, exec_counts, with_inits=None):
-    """Predicted extra dynamic instructions of protecting *protected*,
-    without building the hardened IR (the selection loop calls this per
-    candidate).  ``exec_counts`` maps original program points to their
-    golden-trace execution counts.  Matches
-    :meth:`HardenResult.predicted_extra_cycles` exactly.
-    """
-    protected = frozenset(protected)
-    if with_inits is None:
-        with_inits = bool(protected)
-    if not protected and not with_inits:
-        return 0
-    validity = shadow_validity(function, protected, with_inits)
-    extra = 0
-    entry = function.entry
-    if with_inits and entry.instructions:
-        extra += len(function.params) \
-            * exec_counts.get(entry.instructions[0].pp, 0)
-    for block in function.blocks:
-        valid = set(validity[block.label])
-        if with_inits and block is entry:
-            valid |= set(function.params)
-        for instruction in block.instructions:
-            count = exec_counts.get(instruction.pp, 0)
-            if is_sync_point(instruction):
-                seen = set()
-                for reg in instruction.data_reads():
-                    if reg in valid and reg not in seen:
-                        seen.add(reg)
-                        extra += count
-            if instruction.pp in protected:
-                extra += count
-                valid.add(instruction.rd)
-            else:
-                for reg in instruction.data_writes():
-                    valid.discard(reg)
-    return extra

@@ -77,6 +77,7 @@ class Function:
         self._by_label = {}
         self._finalized = False
         self._instructions = []
+        self._registers = []
 
     # -- construction ----------------------------------------------------------
 
@@ -121,6 +122,12 @@ class Function:
                 instruction.block = block
                 self._instructions.append(instruction)
                 pp += 1
+        registers = set(self.params)
+        for instruction in self._instructions:
+            registers.update(instruction.data_reads())
+            registers.update(instruction.data_writes())
+        registers.discard(ZERO)
+        self._registers = sorted(registers)
         for index, block in enumerate(self.blocks):
             for successor in self._successor_blocks(index):
                 block.succs.append(successor)
@@ -182,15 +189,11 @@ class Function:
         """All data registers accessed anywhere in the function, sorted.
 
         This is the data-point universe V (excluding the hard-wired zero
-        register, which can never hold a fault).
+        register, which can never hold a fault).  Computed once by
+        :meth:`finalize`; each call returns a fresh list.
         """
         self._require_finalized()
-        regs = set(self.params)
-        for instruction in self._instructions:
-            regs.update(instruction.data_reads())
-            regs.update(instruction.data_writes())
-        regs.discard(ZERO)
-        return sorted(regs)
+        return list(self._registers)
 
     def compact(self):
         """Remove empty blocks, redirecting their labels to the next

@@ -8,7 +8,7 @@ from repro.fi.machine import Machine
 from repro.harden import harden
 from repro.harden.select import (eligible_pps, select_bec,
                                  vulnerability_benefit)
-from repro.harden.transform import is_eligible, static_overhead
+from repro.harden.transform import OverheadModel, is_eligible
 
 
 class TestEligibility:
@@ -45,7 +45,8 @@ class TestSelection:
         selected = select_bec(motivating_function, motivating_golden,
                               motivating_bec, budget=budget)
         counts = Counter(motivating_golden.executed)
-        extra = static_overhead(motivating_function, selected, counts)
+        extra = OverheadModel(motivating_function, counts).extra_cycles(
+            selected)
         assert extra <= budget * motivating_golden.cycles
         # And the measured run agrees with the static prediction.
         result = harden(motivating_function, "bec", budget=budget,

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import AnalysisError
 from repro.fi.machine import Machine
 from repro.harden import harden
-from repro.harden.transform import (harden_function, shadow_prefix,
-                                    shadow_validity, static_overhead)
+from repro.harden.transform import (OverheadModel, harden_function,
+                                    shadow_prefix)
 from repro.harden.select import eligible_pps
 from repro.ir.instructions import Opcode
 from repro.ir.parser import parse_function
@@ -174,9 +174,12 @@ class TestShadowValidity:
                 ret s
         """)
         protected = frozenset(eligible_pps(function))
-        validity = shadow_validity(function, protected, True)
-        assert "s" in validity["bb.loop"]
-        assert "n" in validity["bb.loop"]
+        model = OverheadModel(function)
+        loop = function.block("bb.loop").index
+        valid = next(valid for index, _, valid in model.walk(protected)
+                     if index == loop)
+        assert valid & model.bit["s"]
+        assert valid & model.bit["n"]
 
 
 class TestCleanRunEquivalence:
@@ -255,8 +258,8 @@ class TestOverheadPrediction:
         protected = frozenset(eligible_pps(motivating_function)[:4])
         result = harden_function(motivating_function, protected)
         counts = Counter(motivating_golden.executed)
-        assert static_overhead(motivating_function, protected, counts) \
-            == result.predicted_extra_cycles(motivating_golden)
+        assert OverheadModel(motivating_function, counts).extra_cycles(
+            protected) == result.predicted_extra_cycles(motivating_golden)
 
 
 class TestStructure:
