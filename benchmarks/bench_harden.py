@@ -97,8 +97,8 @@ def bench_kernel(name, mode, workers):
                                checkpoint_interval=interval)
         assert serial.campaign.effect_counts() \
             == parallel.campaign.effect_counts(), name
-        assert [record[1:] for record in serial.campaign.runs] \
-            == [record[1:] for record in parallel.campaign.runs], name
+        assert [record[1:] for record in serial.records] \
+            == [record[1:] for record in parallel.records], name
     return row
 
 

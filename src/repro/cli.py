@@ -411,6 +411,20 @@ def cmd_fuzz(options):
     return 0
 
 
+def _write_json(path, payload):
+    """The ``--json PATH`` output of a command: *payload* as indented,
+    key-sorted JSON, and a note of where it went (nothing without a
+    path)."""
+    if not path:
+        return
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
+
+
 def cmd_sweep(options):
     from repro.store import ResultStore, load_spec, run_sweep
 
@@ -479,13 +493,7 @@ def cmd_sweep(options):
     print(f"store {options.store}: {stats['results']} archived results "
           f"({stats['archived_runs']} runs, "
           f"{stats['archived_wall_time']:.1f}s of simulation)")
-    if options.json:
-        import json
-
-        with open(options.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {options.json}")
+    _write_json(options.json, report.to_json())
     if options.markdown:
         with open(options.markdown, "w", encoding="utf-8") as handle:
             handle.write(report.to_markdown())
@@ -532,13 +540,7 @@ def cmd_store_verify(options):
         print(f"  quarantined rows: {report['quarantined']} "
               f"(re-executing the affected cells rewrites and clears "
               f"them)")
-    if options.json:
-        import json
-
-        with open(options.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {options.json}")
+    _write_json(options.json, report)
     return 0 if report["ok"] else 1
 
 
@@ -612,13 +614,7 @@ def cmd_dist_status(options):
             print(f"    {entry['cell_id'][:12]} "
                   f"({entry['worker'] or '-'}): {entry['reason']}",
                   file=sys.stderr)
-    if options.json:
-        import json
-
-        with open(options.json, "w", encoding="utf-8") as handle:
-            json.dump(status, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {options.json}")
+    _write_json(options.json, status)
     healthy = status["drained"] and not states["poisoned"]
     return 0 if healthy else 1
 
@@ -673,16 +669,6 @@ def _service_client(options):
     return ServiceClient(options.url, api_key=api_key)
 
 
-def _client_dump(payload, options):
-    import json
-
-    if options.json:
-        with open(options.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {options.json}")
-
-
 def cmd_client_submit(options):
     from repro.service import ServiceClientError
 
@@ -701,9 +687,9 @@ def cmd_client_submit(options):
             states = status["states"]
             print(f"job {job} drained: {states['done']} done, "
                   f"{states['poisoned']} poisoned")
-            _client_dump(status, options)
+            _write_json(options.json, status)
             return 0 if not states["poisoned"] else 1
-        _client_dump(result, options)
+        _write_json(options.json, result)
     except ServiceClientError as error:
         raise SystemExit(f"client submit: {error}")
     return 0
@@ -722,7 +708,7 @@ def cmd_client_status(options):
           f"{states['done']} done, {states['pending']} pending, "
           f"{states['leased']} leased, {states['poisoned']} poisoned"
           + (" [drained]" if status["drained"] else ""))
-    _client_dump(status, options)
+    _write_json(options.json, status)
     healthy = status["drained"] and not states["poisoned"]
     return 0 if healthy else 1
 
@@ -739,7 +725,7 @@ def cmd_client_fetch(options):
     print(f"job {options.job}: {totals['cells']} cells "
           f"({totals['cells_run']} executed, {totals['cells_cached']} "
           f"from cache), {totals['simulator_runs']} simulator runs")
-    _client_dump(report, options)
+    _write_json(options.json, report)
     return 0 if not totals["cells_failed"] else 1
 
 

@@ -209,7 +209,7 @@ class DistWorker:
             result_key=runner.runner.last_key,
             worker=self.worker_id, lease_token=lease.token,
             payload_digest=envelope_module.payload_digest(digests, meta),
-            n_runs=len(result.runs), n_chunks=len(chunks), meta=meta,
+            n_runs=result.n_runs, n_chunks=len(chunks), meta=meta,
             cached=result.cached)
 
         secret = self.secret

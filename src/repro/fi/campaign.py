@@ -17,7 +17,8 @@ counter, so the capped prefix equals ``plan_bec(...)[:n]`` exactly.
 
 :class:`repro.fi.engine.CampaignEngine` executes a plan against the
 machine; :func:`classify_effect` sorts each injected run against the
-golden trace, and :class:`CampaignResult` holds the outcome.
+golden trace, and :class:`CampaignResult` holds the aggregate
+outcome.
 """
 
 from collections import namedtuple
@@ -82,9 +83,9 @@ def plan_exhaustive(function, trace, registers=None):
     return list(iter_plan_exhaustive(function, trace, registers))
 
 
-def plan_inject_on_read(function, trace, liveness=None):
+def plan_inject_on_read(function, trace):
     """:func:`iter_plan_inject_on_read` as a list."""
-    return list(iter_plan_inject_on_read(function, trace, liveness))
+    return list(iter_plan_inject_on_read(function, trace))
 
 
 def plan_bec(function, trace, bec):
@@ -150,38 +151,35 @@ class Aggregates:
 
 
 class CampaignResult:
-    """Outcome of a campaign: per-run effects plus aggregate stats.
+    """Outcome of a campaign: aggregate stats, no per-run records.
 
-    A thin facade over two streaming products of the engine: aggregates
-    come from an incrementally updated :class:`Aggregates` accumulator,
-    and ``runs`` is whatever record sequence the caller supplies — an
-    in-memory list (the default, and what :meth:`record` appends to), or
-    a lazy :class:`repro.fi.sink.ChunkedRuns` view over the disk spool
-    of a streamed campaign or the chunks of a cached result.  Every
-    consumer-facing accessor (``effect_counts()``, ``distinct_traces``,
-    ``vulnerable_runs()``, ``archived_bytes``, iteration over ``runs``)
-    behaves identically across the three, so downstream code cannot
-    tell how the records are held.
+    A thin facade over the :class:`Aggregates` accumulator the engine
+    feeds as runs retire (or the store restores from a meta row), so
+    every accessor — ``n_runs``, ``effect_counts()``,
+    ``distinct_traces``, ``vulnerable_runs()``, ``archived_bytes`` — is
+    O(1) in the run count and reads the same for an executed and a
+    cached result.  Per-run records reach a caller only through a
+    :class:`repro.fi.sink.RunSink` it attaches to the engine (or to
+    :meth:`repro.store.runner.CachingRunner.run`, which replays a
+    hit's archive into it).
     """
 
-    def __init__(self, golden, runs=None, aggregates=None):
+    def __init__(self, golden, aggregates):
         self.golden = golden
         #: True on results decoded from :mod:`repro.store` instead of
         #: being executed (``golden`` is then ``None``: the golden
         #: trace is not archived, and ``wall_time`` is the original
         #: execution's).
         self.cached = False
-        #: (PlannedRun, effect, signature) per run — list or lazy view.
-        self.runs = [] if runs is None else runs
         self.wall_time = 0.0
         self.pruned_runs = 0      # masked without simulation (liveness)
         self.vectorized = False   # lockstep core actually engaged
-        self._aggregates = Aggregates() if aggregates is None \
-            else aggregates
+        self._aggregates = aggregates
 
-    def record(self, planned, effect, signature, byte_size):
-        self.runs.append((planned, effect, signature))
-        self._aggregates.add(effect, signature, byte_size)
+    @property
+    def n_runs(self):
+        """Runs in the campaign, pruned ones included."""
+        return self._aggregates.n_runs
 
     @property
     def distinct_traces(self):

@@ -29,10 +29,10 @@ it without changing a single record:
   keeps failing the engine degrades gracefully and finishes the
   missing segments serially in the parent.  Every recovery path
   re-enters the same plan-order un-deal
-  (:class:`repro.fi.sink.StridedUndealer`), so the resulting
-  :class:`CampaignResult` — run order, ``effect_counts()``,
-  ``vulnerable_runs()``, ``distinct_traces`` — is bit-identical to the
-  serial baseline no matter which workers survived.  Platforms
+  (:class:`repro.fi.sink.StridedUndealer`), so the record stream and
+  the resulting :class:`CampaignResult` — ``effect_counts()``,
+  ``vulnerable_runs()``, ``distinct_traces`` — are bit-identical to
+  the serial baseline no matter which workers survived.  Platforms
   without the ``fork`` start method fall back to serial execution
   (same results, no speedup).
 * **Lockstep vectorization** (a machine built with
@@ -49,13 +49,14 @@ it without changing a single record:
 * **Streaming sinks** (``sink=...``, ``chunk_size=N``): records are
   pushed to :mod:`repro.fi.sink` consumers in plan-ordered chunks as
   they retire instead of being materialized first.  The engine's own
-  aggregates and the ``CampaignResult.runs`` disk spool ride the same
-  stream, so peak resident per-run records are O(chunk_size) on the
-  serial path and O(chunk_size × workers) on the parallel path —
-  independent of plan length.  If a sink raises mid-stream (disk
-  full, say) the engine tears every sink down through its ``abort()``
-  hook before re-raising, so aborted campaigns leak no spool files or
-  captured chunks.
+  aggregates ride the same stream and the :class:`CampaignResult`
+  keeps nothing per run, so peak resident per-run records are
+  O(chunk_size) on the serial path and O(chunk_size × workers) on the
+  parallel path — independent of plan length.  A caller that wants
+  the records attaches a sink that keeps them
+  (:class:`repro.fi.sink.CollectSink`).  A sink that raises mid-stream
+  (disk full, say) fails the campaign; no sink holds a resource that
+  outlives it.
 * **Chaos injection** (``chaos=ChaosPolicy()``): the engine consults a
   deterministic :class:`repro.fi.chaos.ChaosPolicy` at named points —
   workers fire ``worker.segment`` (where a rule can SIGKILL them) and
@@ -78,7 +79,7 @@ from repro.fi.campaign import (EFFECT_MASKED, CampaignResult,
                                classify_effect)
 from repro.fi.prune import LivenessPruner
 from repro.fi.sink import (AggregateSink, ChunkAssembler, ProgressSink,
-                           SpoolSink, StridedUndealer, TeeSink)
+                           StridedUndealer, TeeSink)
 
 #: Records per streamed chunk when the caller does not choose.  Large
 #: enough to amortize sink dispatch, IPC pickling and (on the batched
@@ -281,8 +282,6 @@ class _Supervisor:
             mine = context.todo[index::n_chunks]
             self.chunks.append(_ChunkState(
                 index, -(-len(mine) // chunk_size)))
-        self.recoveries = 0             # dead workers healed
-        self.serial_chunks = 0          # chunks finished in-parent
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -408,7 +407,6 @@ class _Supervisor:
     def _recover(self, state):
         """Re-assign a dead worker's missing segments: bounded respawn
         with exponential backoff, then serial in-parent execution."""
-        self.recoveries += 1
         obs.metrics().counter("engine.recoveries").inc()
         if state.attempt > WORKER_RETRIES:
             self._finish_serially(state)
@@ -420,7 +418,6 @@ class _Supervisor:
         """Last resort (and the no-fork fallback): classify the
         chunk's missing segments in the parent.  Identical records by
         construction — same indices, same classifier."""
-        self.serial_chunks += 1
         obs.metrics().counter("engine.serial_degraded_chunks").inc()
         obs.logger().warning("engine.serial_degrade", chunk=state.index,
                              attempts=state.attempt,
@@ -469,28 +466,6 @@ class CampaignEngine:
             else machine.run(regs=regs)
         self.max_cycles = max_cycles if max_cycles is not None \
             else max(4 * self.golden.cycles + 256, 1024)
-        # Supervision telemetry lives in the metrics registry
-        # (`engine.recoveries` / `engine.serial_degraded_chunks`); the
-        # engine keeps per-run marks so the historical attributes read
-        # as "healings of the latest run()" exactly as before.
-        registry = obs.metrics()
-        self._recoveries_counter = registry.counter("engine.recoveries")
-        self._degraded_counter = registry.counter(
-            "engine.serial_degraded_chunks")
-        self._recoveries_mark = self._recoveries_counter.value
-        self._degraded_mark = self._degraded_counter.value
-
-    @property
-    def recoveries(self):
-        """Dead workers healed during the latest :meth:`run` (a
-        read-through alias over the ``engine.recoveries`` counter)."""
-        return self._recoveries_counter.value - self._recoveries_mark
-
-    @property
-    def serial_degraded_chunks(self):
-        """Chunks the latest :meth:`run` finished in-parent (alias
-        over the ``engine.serial_degraded_chunks`` counter)."""
-        return self._degraded_counter.value - self._degraded_mark
 
     def run(self, workers=1, checkpoint_interval=None, progress=None,
             prune=None, sink=None, chunk_size=None, chaos=None):
@@ -521,11 +496,6 @@ class CampaignEngine:
             chunk_size = DEFAULT_CHUNK_SIZE
         elif chunk_size < 1:
             raise SimulationError("chunk size must be positive")
-        # Re-mark the supervision counters so the read-through aliases
-        # report the latest run only (observable by tests and
-        # reporting: how often did the run actually self-heal?).
-        self._recoveries_mark = self._recoveries_counter.value
-        self._degraded_mark = self._degraded_counter.value
         obs.metrics().counter("engine.campaigns").inc()
         with obs.tracer().span("engine.campaign", runs=len(self.plan),
                                core=self.machine.core, workers=workers):
@@ -578,8 +548,7 @@ class CampaignEngine:
                                  self.golden, snapshots, self.max_cycles,
                                  todo, classifier)
         aggregate = AggregateSink()
-        spool = SpoolSink()
-        sinks = [aggregate, spool]
+        sinks = [aggregate]
         if progress is not None:
             sinks.append(ProgressSink(progress))
         if sink is not None:
@@ -589,34 +558,23 @@ class CampaignEngine:
 
             sinks.append(ChaosSink(chaos))
         tee = TeeSink(sinks)
-        try:
-            tee.begin({"total_runs": total, "pruned_runs": pruned,
-                       "vectorized": vectorized, "chunk_size": chunk_size,
-                       "plan": self.plan, "golden": self.golden})
-            assembler = ChunkAssembler(self.plan, todo, masked, tee,
-                                       chunk_size)
-            if workers and workers > 1 and len(todo) > 1 \
-                    and "fork" in multiprocessing.get_all_start_methods():
-                self._run_parallel(context, workers, chunk_size,
-                                   assembler, chaos)
-            else:
-                self._run_serial(context, chunk_size, assembler)
-            assembler.close()
-            result = CampaignResult(self.golden,
-                                    aggregates=aggregate.aggregates)
-            result.pruned_runs = pruned
-            result.vectorized = vectorized
-            result.wall_time = time.perf_counter() - start
-            tee.finish({"wall_time": result.wall_time})
-        except BaseException:
-            # A failed campaign must not leak sink state: close spool
-            # temp files, drop captured chunks.
-            for failed_sink in sinks:
-                abort = getattr(failed_sink, "abort", None)
-                if abort is not None:
-                    abort()
-            raise
-        result.runs = spool.view()
+        tee.begin({"total_runs": total, "pruned_runs": pruned,
+                   "vectorized": vectorized, "chunk_size": chunk_size,
+                   "plan": self.plan, "golden": self.golden})
+        assembler = ChunkAssembler(self.plan, todo, masked, tee,
+                                   chunk_size)
+        if workers and workers > 1 and len(todo) > 1 \
+                and "fork" in multiprocessing.get_all_start_methods():
+            self._run_parallel(context, workers, chunk_size, assembler,
+                               chaos)
+        else:
+            self._run_serial(context, chunk_size, assembler)
+        assembler.close()
+        result = CampaignResult(self.golden, aggregates=aggregate.aggregates)
+        result.pruned_runs = pruned
+        result.vectorized = vectorized
+        result.wall_time = time.perf_counter() - start
+        tee.finish({"wall_time": result.wall_time})
         return result
 
     def _run_serial(self, context, chunk_size, assembler):

@@ -35,6 +35,7 @@ from repro.fi.campaign import (EFFECT_MASKED, PlannedRun,
                                plan_inject_on_read)
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection
+from repro.fi.sink import CollectSink
 
 AVFEstimate = namedtuple(
     "AVFEstimate",
@@ -113,7 +114,7 @@ def wilson_interval(successes, trials, confidence=0.95):
 SampledSite = namedtuple("SampledSite", ["injection", "key", "masked"])
 
 
-def inject_on_read_population(function, trace, bec=None, liveness=None):
+def inject_on_read_population(function, trace, bec=None):
     """The sampling population: one :class:`SampledSite` per bit of every
     dynamic live window in *trace*.
 
@@ -124,7 +125,7 @@ def inject_on_read_population(function, trace, bec=None, liveness=None):
     """
     population = []
     if bec is None:
-        liveness = liveness or compute_liveness(function)
+        liveness = compute_liveness(function)
         width = function.bit_width
         for cycle, pp in enumerate(trace.executed):
             for reg in liveness.live_windows(pp):
@@ -179,9 +180,10 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
             for injection in first.values()]
     engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
                             max_cycles=4 * golden.cycles + 1024)
-    result = engine.run(checkpoint_interval=checkpoint_interval)
-    vulnerable_keys = {key for key, (_, effect, _)
-                       in zip(first, result.runs)
+    outcomes = CollectSink()
+    engine.run(checkpoint_interval=checkpoint_interval, sink=outcomes)
+    vulnerable_keys = {key for key, (_, effect, _, _)
+                       in zip(first, outcomes.records)
                        if effect != EFFECT_MASKED}
     vulnerable = sum(1 for site in sampled if site.key in vulnerable_keys)
     simulator_runs = len(plan)
@@ -199,12 +201,10 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
                        population=len(population))
 
 
-def exhaustive_avf(machine, function, trace, regs=None, golden=None,
-                   workers=1, checkpoint_interval=None):
+def exhaustive_avf(machine, function, trace, regs=None, golden=None):
     """Ground-truth AVF: run the full inject-on-read campaign."""
     plan = plan_inject_on_read(function, trace)
     if not plan:
         raise ValueError("empty fault population; nothing to inject")
-    result = CampaignEngine(machine, plan, regs=regs, golden=golden).run(
-        workers=workers, checkpoint_interval=checkpoint_interval)
+    result = CampaignEngine(machine, plan, regs=regs, golden=golden).run()
     return result.vulnerable_runs() / len(plan)

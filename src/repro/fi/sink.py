@@ -5,9 +5,12 @@ per-run record before anything downstream saw one — O(plan) resident
 memory, and the store archived the finished list as one monolithic
 payload.  This module inverts that dataflow: the engine *pushes* run
 records to a :class:`RunSink` in bounded, plan-ordered chunks as they
-retire, and everything downstream — aggregates, the disk spool behind
-``CampaignResult.runs``, the SQLite archive, progress reporting —
-consumes the stream incrementally.
+retire, and everything downstream — aggregates, the SQLite archive,
+progress reporting, callers that keep records — consumes the stream
+incrementally.  A sink is the only way per-run records reach a caller:
+the engine's :class:`repro.fi.campaign.CampaignResult` carries
+aggregates alone, and a store hit replays its archive into the
+caller's sink (:meth:`repro.store.runner.CachingRunner.run`).
 
 The protocol is three calls, in order::
 
@@ -28,9 +31,8 @@ same byte-identical record stream the serial engine produces.
 
 Memory model: a sink that retains nothing per-run (like
 :class:`AggregateSink`) gives the whole pipeline O(chunk_size) peak
-resident records regardless of plan length; :class:`SpoolSink` spills
-chunks to a temporary file so ``CampaignResult.runs`` stays lazily
-iterable at the same bound.
+resident records regardless of plan length; :class:`CollectSink`
+keeps all of them, for callers that want them.
 
 Built-in sinks compose with :class:`TeeSink`; anything matching the
 three-call protocol (duck-typed, no inheritance required) can join the
@@ -38,8 +40,6 @@ fan-out — :class:`repro.store.db.ChunkCapture` encodes the stream for
 the result store without this module importing the store.
 """
 
-import pickle
-import tempfile
 import time
 
 from repro import obs
@@ -138,131 +138,21 @@ class ProgressSink(RunSink):
         self.callback(self._total, self._total)
 
 
-class ChunkedRuns:
-    """Lazy, re-iterable view of a run list held as fixed-size chunks.
-
-    Looks like the list ``CampaignResult.runs`` used to be — ``len``,
-    iteration, indexing and slicing, ``zip`` with another result's
-    runs — but holds at most one chunk of ``(planned, effect,
-    signature)`` records in memory, fetched on demand through
-    ``load(chunk_index)``: frames of the engine's disk spool
-    (:class:`SpoolSink`) or digest-checked rows of the result store
-    (:class:`repro.store.db.ResultStore`).  Every chunk holds
-    *chunk_size* records except the last.
-    """
-
-    def __init__(self, n_runs, chunk_size, load):
-        self._n_runs = n_runs
-        self._chunk_size = chunk_size
-        self._load_chunk = load
-        self._cache_index = None
-        self._cache = None
-
-    def __len__(self):
-        return self._n_runs
-
-    def _load(self, chunk_index):
-        if chunk_index != self._cache_index:
-            self._cache = self._load_chunk(chunk_index)
-            self._cache_index = chunk_index
-        return self._cache
-
-    def __iter__(self):
-        for chunk_index in range(-(-self._n_runs // self._chunk_size)):
-            yield from self._load(chunk_index)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[position]
-                    for position in range(*index.indices(self._n_runs))]
-        if index < 0:
-            index += self._n_runs
-        if not 0 <= index < self._n_runs:
-            raise IndexError("run index out of range")
-        return self._load(index // self._chunk_size)[
-            index % self._chunk_size]
-
-
-class SpoolSink(RunSink):
-    """Spills per-run records to a disk spool, one frame per chunk.
-
-    Only ``(effect, signature)`` pairs are spooled — the plan is
-    already resident in the engine, so the :class:`ChunkedRuns` view
-    re-zips records with their :class:`PlannedRun` entries on read.  A
-    campaign that fits in a single chunk never touches the disk.
-    """
+class CollectSink(RunSink):
+    """Keeps every record it consumes, in plan order: the way a caller
+    that needs per-run effects or signatures (AVF sampling, hardening
+    conversions, parity checks) reads them from a fresh campaign or a
+    store replay.  Retains O(plan) records, so attach it only where
+    they are wanted."""
 
     def __init__(self):
-        self._plan = None
-        self._chunk_size = None
-        self._total = 0
-        self._memory = None
-        self._spool = None
-        self._frames = []
-        self._view = None
+        self.records = []
 
     def begin(self, meta):
-        self._plan = meta["plan"]
-        self._chunk_size = meta["chunk_size"]
-        self._total = meta["total_runs"]
-        if self._total <= self._chunk_size:
-            self._memory = []
+        self.records = []
 
     def consume(self, chunk):
-        pairs = [(effect, signature)
-                 for _, effect, signature, _ in chunk]
-        if self._memory is not None:
-            self._memory.extend(pairs)
-            return
-        if self._spool is None:
-            self._spool = tempfile.TemporaryFile(
-                prefix="repro-campaign-spool-")
-        frame = pickle.dumps(pairs, protocol=pickle.HIGHEST_PROTOCOL)
-        offset = self._spool.seek(0, 2)
-        self._spool.write(frame)
-        self._frames.append((offset, len(frame), len(pairs)))
-        registry = obs.metrics()
-        registry.counter("sink.spool_bytes").inc(len(frame))
-        registry.counter("sink.spool_frames").inc()
-
-    def finish(self, summary):
-        if self._memory is not None:
-            length = len(self._memory)
-        else:
-            length = sum(count for _, _, count in self._frames)
-        self._view = ChunkedRuns(length, self._chunk_size, self._read)
-
-    def _read(self, chunk_index):
-        """Records of one chunk, re-zipped with their plan entries (a
-        frame's seek and read run back to back, so interleaved
-        iterators over the same view stay consistent)."""
-        if self._memory is not None:
-            pairs = self._memory
-        else:
-            offset, length, _ = self._frames[chunk_index]
-            self._spool.seek(offset)
-            pairs = pickle.loads(self._spool.read(length))
-        base = chunk_index * self._chunk_size
-        plan = self._plan[base:base + len(pairs)]
-        return [(planned, effect, signature)
-                for planned, (effect, signature) in zip(plan, pairs)]
-
-    def abort(self):
-        """Tear the spool down after a failed campaign: close (and
-        thereby delete) the temp file and drop the buffered records, so
-        an aborted run leaks neither descriptors nor disk."""
-        if self._spool is not None:
-            self._spool.close()
-            self._spool = None
-        self._memory = None
-        self._frames = []
-        self._view = None
-
-    def view(self):
-        """The finished :class:`ChunkedRuns`; valid after ``finish``."""
-        if self._view is None:
-            raise RuntimeError("spool view requested before finish()")
-        return self._view
+        self.records.extend(chunk)
 
 
 class ChunkAssembler:

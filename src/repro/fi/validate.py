@@ -123,7 +123,7 @@ class ValidationSink(RunSink):
 
 
 def validate_bec(function, machine, bec, regs=None, golden=None,
-                 max_cycles=None, cycle_limit=None):
+                 cycle_limit=None):
     """Exhaustively validate BEC claims on one function.
 
     Every window-bit instance of the golden trace (killed windows
@@ -146,7 +146,6 @@ def validate_bec(function, machine, bec, regs=None, golden=None,
                        instance.pp, instance.rep, instance.epoch)
             for instance in instances]
     sink = ValidationSink()
-    CampaignEngine(machine, plan, regs=regs, golden=golden,
-                   max_cycles=max_cycles).run(
+    CampaignEngine(machine, plan, regs=regs, golden=golden).run(
         checkpoint_interval=auto_checkpoint_interval(golden), sink=sink)
     return sink.report

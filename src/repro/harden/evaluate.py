@@ -26,11 +26,12 @@ from collections import namedtuple
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC, plan_inject_on_read
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
+from repro.fi.sink import CollectSink
 from repro.harden import eligible_pps, harden_checked
 
 VariantOutcome = namedtuple(
     "VariantOutcome",
-    ["strategy", "result", "campaign", "golden", "overhead",
+    ["strategy", "result", "campaign", "records", "golden", "overhead",
      "protected_count", "eligible_count"])
 
 
@@ -45,12 +46,14 @@ def strided_plan(function, golden, target_runs):
 def run_variant(function, strategy, plan, golden, regs=None,
                 memory_image=None, memory_size=1 << 16, bec=None,
                 budget=0.3, workers=1, checkpoint_interval=None,
-                core="threaded", runner=None):
+                runner=None):
     """Harden with *strategy*, replay *plan* against it; returns a
-    :class:`VariantOutcome`.
+    :class:`VariantOutcome` whose ``records`` are the campaign's
+    ``(planned, effect, signature, byte_size)`` records, in plan order.
 
     *runner* (a :class:`repro.store.CachingRunner`) serves the mapped
-    campaign from the result store when its cell is archived.
+    campaign from the result store when its cell is archived; the
+    records then come from the replayed archive.
 
     *plan* and *golden* belong to the original *function*; the plan is
     translated through the hardened golden trace before execution.
@@ -60,22 +63,25 @@ def run_variant(function, strategy, plan, golden, regs=None,
     """
     result, machine, hardened_golden = harden_checked(
         function, strategy, golden, budget=budget, bec=bec, regs=regs,
-        memory_image=memory_image, memory_size=memory_size, core=core)
+        memory_image=memory_image, memory_size=memory_size)
     mapped = result.map_plan(plan, hardened_golden)
+    records = CollectSink()
     if runner is not None:
         campaign = runner.run(machine, mapped, regs=regs,
                               golden=hardened_golden, workers=workers,
                               checkpoint_interval=checkpoint_interval,
-                              harden=strategy, budget=budget)
+                              harden=strategy, budget=budget, sink=records)
     else:
         engine = CampaignEngine(machine, mapped, regs=regs,
                                 golden=hardened_golden)
         campaign = engine.run(workers=workers,
-                              checkpoint_interval=checkpoint_interval)
+                              checkpoint_interval=checkpoint_interval,
+                              sink=records)
     overhead = hardened_golden.cycles / golden.cycles - 1 \
         if golden.cycles else 0.0
     return VariantOutcome(
         strategy=strategy, result=result, campaign=campaign,
+        records=records.records,
         golden=hardened_golden, overhead=overhead,
         protected_count=len(result.protected),
         eligible_count=len(eligible_pps(function)))
@@ -85,16 +91,15 @@ def count_conversions(baseline, variant):
     """Pairs (baseline run is SDC, variant run is detected), by plan
     index — the faults the variant's redundancy caught."""
     return sum(
-        1 for (_, base_effect, _), (_, variant_effect, _)
-        in zip(baseline.campaign.runs, variant.campaign.runs)
+        1 for (_, base_effect, _, _), (_, variant_effect, _, _)
+        in zip(baseline.records, variant.records)
         if base_effect == EFFECT_SDC and variant_effect == EFFECT_DETECTED)
 
 
 def ladder_comparison(function, golden, regs=None, memory_image=None,
                       memory_size=1 << 16, bec=None,
                       budgets=(0.3, 0.6, 0.85), target_runs=160,
-                      workers=1, checkpoint_interval=None,
-                      coverage_target=0.9, runner=None):
+                      workers=1, coverage_target=0.9, runner=None):
     """The shared evaluation protocol of ``experiments/protection.py``,
     ``benchmarks/bench_harden.py`` and the ``selective_hardening``
     example: one strided fault plan replayed
@@ -111,8 +116,7 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
     protocol.
     """
     bec = bec or run_bec(function)
-    if checkpoint_interval is None:
-        checkpoint_interval = auto_checkpoint_interval(golden)
+    checkpoint_interval = auto_checkpoint_interval(golden)
     plan = strided_plan(function, golden, target_runs)
     common = dict(regs=regs, memory_image=memory_image,
                   memory_size=memory_size, bec=bec, workers=workers,

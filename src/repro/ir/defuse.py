@@ -39,15 +39,13 @@ def _mask_to_tuple(bits):
     return tuple(result)
 
 
-def compute_use_chains(function, regs=None):
+def compute_use_chains(function):
     """Compute :class:`UseChains` for all registers of *function*.
 
     ``use(p, v)`` is materialized for every access point ``p`` of ``v``
     (read or write); other program points are not stored.
     """
-    if regs is None:
-        regs = function.registers()
-    regs = list(regs)
+    regs = list(function.registers())
     blocks = function.blocks
 
     # state[label][reg]: bitmask of upward-exposed reads at block entry.

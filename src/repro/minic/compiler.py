@@ -56,7 +56,7 @@ class CompiledProgram:
 
 
 def compile_source(source, entry="main", bit_width=32, pool=None,
-                   allocate=True, optimize=True):
+                   optimize=True):
     """Compile mini-C *source*; returns a :class:`CompiledProgram`.
 
     ``optimize`` selects the optimization level (see
@@ -75,15 +75,6 @@ def compile_source(source, entry="main", bit_width=32, pool=None,
     if level:
         virtual_function = optimize_function(virtual_function, level=level)
         validate_function(virtual_function)
-    if not allocate:
-        return CompiledProgram(
-            function=virtual_function,
-            virtual_function=virtual_function,
-            memory_image=image,
-            layout=layout,
-            param_regs=list(virtual_function.params),
-            data_end=generator.data_end,
-        )
     allocation = allocate_registers(virtual_function, pool=pool,
                                     spill_base=generator.data_end)
     validate_function(allocation.function)

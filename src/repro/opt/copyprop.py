@@ -65,14 +65,18 @@ class _Coalescer:
             self.neighbors[root].add(other)
 
 
-def coalesce_copies(function, max_rounds=4):
+#: Coalescing rounds :func:`coalesce_copies` runs at most.
+MAX_ROUNDS = 4
+
+
+def coalesce_copies(function):
     """Return a new finalized function with copies coalesced away.
 
     Coalescing one copy can expose further coalescable copies (chains),
-    so a few rounds are run until nothing changes.
+    so up to :data:`MAX_ROUNDS` rounds run until nothing changes.
     """
     current = function
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         replacement, changed = _coalesce_once(current)
         if not changed:
             return current

@@ -275,7 +275,7 @@ class JobService:
             result = (self.store.get(row["result_key"])
                       if row["result_key"] else None)
             if result is not None:
-                entry["plan_runs"] = len(result.runs)
+                entry["plan_runs"] = result.n_runs
                 entry["pruned_runs"] = result.pruned_runs
                 entry["effects"] = result.effect_counts()
                 entry["distinct_traces"] = result.distinct_traces

@@ -11,10 +11,12 @@ compresses the engine's chunk stream as it retires, and
 :meth:`ResultStore.archive` commits the captured blobs plus the
 :func:`archive_meta` row in one transaction (the caching runner does
 so directly, a distributed sweep after verifying the worker's signed
-envelope).  Readers replay hits as a lazy
-:class:`repro.fi.sink.ChunkedRuns` view, so per-run records stay
-O(chunk_size) on both paths; a writer holds only the compressed blobs
-until its commit.
+envelope).  A hit is read in two steps: :meth:`ResultStore.get`
+restores the aggregates from the meta row alone, and
+:meth:`ResultStore.replay` streams the archived chunks into a caller's
+:class:`repro.fi.sink.RunSink` exactly as the engine streamed them, so
+per-run records stay O(chunk_size) on both paths; a writer holds only
+the compressed blobs until its commit.
 
 A row written under any other payload layout — including v1, which
 held the whole run list as one JSON payload in the meta row — misses
@@ -58,7 +60,7 @@ from repro import obs
 from repro.fi.campaign import Aggregates, CampaignResult, PlannedRun
 from repro.fi.engine import DEFAULT_CHUNK_SIZE
 from repro.fi.machine import Injection
-from repro.fi.sink import ChunkedRuns, RunSink
+from repro.fi.sink import RunSink
 from repro.store.keys import SCHEMA_VERSION
 
 #: Lock-contention absorption: seconds SQLite itself blocks on a busy
@@ -257,9 +259,6 @@ class ChunkCapture(RunSink):
         blob, raw_size = encode_chunk(chunk)
         self.chunks.append((blob, len(chunk), raw_size))
 
-    def abort(self):
-        self.chunks = []
-
 
 #: The :func:`archive_meta` fields the meta row's payload keeps
 #: (``wall_time`` has a column of its own).
@@ -407,29 +406,37 @@ class ResultStore:
             "store.hits" if hit else "store.misses").inc()
         return result
 
-    def _get(self, key):
+    def _read_meta(self, key):
+        """``(meta, sizes, n_runs, wall_time)`` of *key*'s meta row
+        (``sizes`` keyed by signature bytes), or ``None`` when the key
+        is absent, written under another schema or its payload does
+        not decode."""
         row = self._connection.execute(
             "SELECT schema_version, payload, n_runs, wall_time "
             "FROM campaign_results WHERE key = ?", (key,)).fetchone()
-        if row is None:
+        if row is None or row[0] != SCHEMA_VERSION:
             return None
-        version, payload, n_runs, wall_time = row
-        if version != SCHEMA_VERSION:
-            return None
+        _, payload, n_runs, wall_time = row
         try:
             meta = json.loads(payload)
             sizes = {bytes.fromhex(signature_hex): size
                      for signature_hex, size in meta["sizes"].items()}
+        except _DECODE_ERRORS:
+            return None
+        return meta, sizes, n_runs, wall_time
+
+    def _get(self, key):
+        row = self._read_meta(key)
+        if row is None:
+            return None
+        meta, sizes, n_runs, wall_time = row
+        try:
             aggregates = Aggregates.restore(meta["effects"],
                                             meta["vulnerable"], sizes,
                                             n_runs)
             if not self._chunks_intact(key, meta["n_chunks"]):
                 return None              # damaged archive: clean miss
-            runs = ChunkedRuns(
-                n_runs, meta["chunk_size"],
-                lambda chunk_index: self._load_chunk(key, chunk_index))
-            result = CampaignResult(golden=None, runs=runs,
-                                    aggregates=aggregates)
+            result = CampaignResult(golden=None, aggregates=aggregates)
             result.cached = True
             result.pruned_runs = meta["pruned_runs"]
             result.vectorized = meta["vectorized"]
@@ -437,6 +444,34 @@ class ResultStore:
             return result
         except _DECODE_ERRORS:
             return None                  # corrupt meta row: miss
+
+    def replay(self, key, sink, plan, golden):
+        """Stream the archive of *key* — a hit :meth:`get` just served —
+        into *sink* as the engine streamed it: ``begin`` with the
+        engine's meta keys (the caller's *plan* and *golden*), one
+        ``consume`` per archived chunk in plan order, each chunk
+        digest-checked, then ``finish`` with the archived wall time.
+        Each record carries the caller's own *plan* entry (the key
+        covers the plan, so position ``i`` of the archive is
+        ``plan[i]``) and the ``byte_size`` of its signature from the
+        meta row's sizes map, so replayed records equal the miss's.
+        Damage found mid-replay is quarantined and raised as
+        :class:`CorruptChunk`."""
+        meta, sizes, n_runs, wall_time = self._read_meta(key)
+        planned_runs = iter(plan)
+        sink.begin({"total_runs": n_runs,
+                    "pruned_runs": meta["pruned_runs"],
+                    "vectorized": meta["vectorized"],
+                    "chunk_size": meta["chunk_size"],
+                    "plan": plan, "golden": golden})
+        bytes_out = obs.metrics().counter("store.bytes_out")
+        for chunk_index in range(meta["n_chunks"]):
+            blob, records = self._checked_chunk(key, chunk_index)
+            bytes_out.inc(len(blob))
+            sink.consume([(next(planned_runs), effect, signature,
+                           sizes[signature])
+                          for _, effect, signature in records])
+        sink.finish({"wall_time": wall_time})
 
     def _checked_chunk(self, key, chunk_index, decode=True):
         """Fetch one archived chunk and check it: present, its digest
@@ -465,13 +500,6 @@ class ResultStore:
         _quarantine(self._connection, key, chunk_index, reason,
                     digest=digest)
         raise CorruptChunk(key, chunk_index, reason)
-
-    def _load_chunk(self, key, chunk_index):
-        """The records of one chunk of a hit's archive (the
-        :class:`repro.fi.sink.ChunkedRuns` loader)."""
-        blob, records = self._checked_chunk(key, chunk_index)
-        obs.metrics().counter("store.bytes_out").inc(len(blob))
-        return records
 
     def _chunks_intact(self, key, n_chunks):
         """Up-front integrity check of an archive before handing out

@@ -14,9 +14,12 @@ A miss captures the engine's chunk stream compressed
 :data:`repro.fi.engine.DEFAULT_CHUNK_SIZE` records) and archives it
 with one :meth:`repro.store.db.ResultStore.archive` call after the
 campaign finishes, so a failed campaign writes nothing and the store's
-write lock is held only for that commit.  A hit replays the archive as
-a lazy chunk view.  Neither path holds more than one chunk of
-records.
+write lock is held only for that commit.  Per-run records reach the
+caller through the *sink* it passes, on either path: a miss tees the
+engine's stream into it next to the capture, and a hit replays the
+archive into it chunk by chunk (:meth:`ResultStore.replay`), so the
+sink cannot tell a cached campaign from a fresh one.  Neither path
+holds more than one chunk of records beyond what the sink keeps.
 """
 
 import sqlite3
@@ -24,6 +27,7 @@ import warnings
 
 from repro import obs
 from repro.fi.engine import CampaignEngine
+from repro.fi.sink import TeeSink
 from repro.store.db import ChunkCapture, archive_meta, is_lock_error
 from repro.store.keys import campaign_key
 
@@ -61,18 +65,28 @@ class CachingRunner:
 
     def run(self, machine, plan, regs=None, golden=None, max_cycles=None,
             workers=1, checkpoint_interval=None, prune=None,
-            harden="none", budget=None, progress=None, commit=True):
+            harden="none", budget=None, progress=None, sink=None,
+            commit=True):
         """Cached :class:`repro.fi.campaign.CampaignResult` for the
         cell, executing (and archiving) it on a miss.
 
         ``result.cached`` tells the caller which path was taken.
+        *sink*, a :class:`repro.fi.sink.RunSink`, receives the cell's
+        plan-ordered record stream either way: executed on a miss,
+        replayed from the archive (same chunks, records, byte sizes
+        and ``begin`` meta, with the caller's *plan* and *golden*) on
+        a hit.
         ``commit=False`` executes a miss without touching the store and
         leaves its chunk stream in :attr:`last_capture` — the caller
         owns archiving (the distributed worker's signed envelope).  A
         committed miss whose store stays locked past the commit retries
         is not archived: the computed result stands, the cell simply
         misses next time (a warning and ``store.archives_dropped``).
+        A *sink* needs the caller's *golden*: a hit cannot recompute
+        the trace a miss's engine would hand to ``begin``.
         """
+        if sink is not None and golden is None:
+            raise ValueError("CachingRunner.run(sink=...) needs golden=")
         plan = list(plan)
         key = self.key_for(machine, plan, regs=regs, prune=prune,
                            harden=harden, budget=budget,
@@ -84,6 +98,8 @@ class CachingRunner:
             cached = self.store.get(key)
             if cached is not None:
                 self.hits += 1
+                if sink is not None:
+                    self.store.replay(key, sink, plan=plan, golden=golden)
                 return cached
         engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
                                 max_cycles=max_cycles)
@@ -92,7 +108,8 @@ class CachingRunner:
                             progress=progress,
                             prune=None if prune in (None, "none")
                             else prune,
-                            sink=capture)
+                            sink=capture if sink is None
+                            else TeeSink([capture, sink]))
         self.misses += 1
         self.simulator_runs += len(plan) - result.pruned_runs
         if commit:

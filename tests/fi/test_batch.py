@@ -21,7 +21,8 @@ from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
                               MemoryInjection)
 from repro.fi.prune import LivenessPruner
 from repro.fi.sampling import estimate_avf
-from tests.fi.test_engine import assert_identical, strided_exhaustive_plan
+from tests.fi.test_engine import (assert_identical, collected,
+                                  strided_exhaustive_plan)
 
 pytestmark = pytest.mark.skipif(not batch.numpy_available(),
                                 reason="NumPy not installed")
@@ -37,8 +38,8 @@ def motivating_reference_result(motivating_function, motivating_golden):
     plan = plan_exhaustive(motivating_function, motivating_golden)
     machine = Machine(motivating_function, memory_size=256,
                       core="reference")
-    return plan, CampaignEngine(machine, plan,
-                                golden=motivating_golden).run()
+    return plan, collected(CampaignEngine(machine, plan,
+                                          golden=motivating_golden))
 
 
 class TestBatchedMachine:
@@ -88,8 +89,8 @@ class TestBatchedEngineParity:
             monkeypatch.setattr(batch, "LANES", kwargs.pop("lanes"))
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
-        result = engine.run(**kwargs)
-        assert result.vectorized
+        result = collected(engine, **kwargs)
+        assert result[0].vectorized
         assert_identical(base, result)
 
     def test_benchmark_strided_plan(self):
@@ -97,28 +98,29 @@ class TestBatchedEngineParity:
         registers = run.function.registers()[::5]
         plan = strided_exhaustive_plan(run.function, run.golden, 97,
                                        registers, (0, 13))
-        base = CampaignEngine(run.machine, plan, regs=run.regs,
-                              golden=run.golden).run()
+        base = collected(CampaignEngine(run.machine, plan, regs=run.regs,
+                                        golden=run.golden))
         batched = Machine(run.function, core="batched",
                           memory_image=run.machine.memory_image)
         engine = CampaignEngine(batched, plan, regs=run.regs,
                                 golden=run.golden)
         interval = max(1, run.golden.cycles // 16)
-        assert_identical(base, engine.run())
-        assert_identical(base, engine.run(checkpoint_interval=interval,
-                                          workers=4, prune="liveness"))
+        assert_identical(base, collected(engine))
+        assert_identical(base, collected(
+            engine, checkpoint_interval=interval, workers=4,
+            prune="liveness"))
 
     def test_benchmark_bec_plan(self):
         """The BEC plan is the non-masked residue — dominated by
         divergent lanes, i.e. the escape path."""
         run = benchmark_run("bitcount")
         plan = plan_bec(run.function, run.golden, run.bec)[::97]
-        base = CampaignEngine(run.machine, plan, regs=run.regs,
-                              golden=run.golden).run()
+        base = collected(CampaignEngine(run.machine, plan, regs=run.regs,
+                                        golden=run.golden))
         batched = Machine(run.function, core="batched",
                           memory_image=run.machine.memory_image)
-        assert_identical(base, CampaignEngine(
-            batched, plan, regs=run.regs, golden=run.golden).run())
+        assert_identical(base, collected(CampaignEngine(
+            batched, plan, regs=run.regs, golden=run.golden)))
 
     def test_memory_and_multi_upsets_take_scalar_path(
             self, motivating_function, motivating_golden,
@@ -135,12 +137,12 @@ class TestBatchedEngineParity:
         ]
         reference = Machine(motivating_function, memory_size=256,
                             core="reference")
-        base = CampaignEngine(reference, plan,
-                              golden=motivating_golden).run()
+        base = collected(CampaignEngine(reference, plan,
+                                        golden=motivating_golden))
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
-        assert_identical(base, engine.run())
-        assert_identical(base, engine.run(checkpoint_interval=8))
+        assert_identical(base, collected(engine))
+        assert_identical(base, collected(engine, checkpoint_interval=8))
 
     def test_off_program_injections_take_scalar_path(
             self, motivating_function, motivating_golden,
@@ -155,17 +157,17 @@ class TestBatchedEngineParity:
             plan.append(PlannedRun(Injection(cycle, "offprogram", 2),
                                    None, None, None))
         threaded = Machine(motivating_function, memory_size=256)
-        base = CampaignEngine(threaded, plan,
-                              golden=motivating_golden).run()
+        base = collected(CampaignEngine(threaded, plan,
+                                        golden=motivating_golden))
         assert all(effect == EFFECT_MASKED
-                   for _, effect, _ in base.runs[1::2])
+                   for _, effect, _, _ in base[1][1::2])
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
-        result = engine.run()
-        assert result.vectorized
+        result = collected(engine)
+        assert result[0].vectorized
         assert_identical(base, result)
-        assert_identical(base, engine.run(checkpoint_interval=8,
-                                          prune="liveness"))
+        assert_identical(base, collected(engine, checkpoint_interval=8,
+                                         prune="liveness"))
         _, snapshots = motivating_batched.run_with_snapshots(interval=8)
         classifier = batch.BatchClassifier(
             motivating_batched, plan, None, motivating_golden, snapshots,
@@ -186,13 +188,13 @@ class TestBatchedEngineParity:
         golden = machine.run(regs=run.regs)
         plan = result.map_plan(
             strided_plan(run.function, run.golden, 48), golden)
-        base = CampaignEngine(machine, plan, regs=run.regs,
-                              golden=golden).run()
-        assert base.effect_counts()["detected"] > 0
+        base = collected(CampaignEngine(machine, plan, regs=run.regs,
+                                        golden=golden))
+        assert base[0].effect_counts()["detected"] > 0
         batched = Machine(result.function, core="batched",
                           memory_image=run.machine.memory_image)
-        assert_identical(base, CampaignEngine(
-            batched, plan, regs=run.regs, golden=golden).run())
+        assert_identical(base, collected(CampaignEngine(
+            batched, plan, regs=run.regs, golden=golden)))
 
     def test_numpy_fallback_is_silent_and_identical(
             self, motivating_batched, motivating_golden,
@@ -202,11 +204,11 @@ class TestBatchedEngineParity:
         assert not batch.numpy_available()
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
-        fallback = engine.run()
-        assert not fallback.vectorized
+        fallback = collected(engine)
+        assert not fallback[0].vectorized
         assert_identical(base, fallback)
-        assert_identical(base, engine.run(workers=4,
-                                          checkpoint_interval=8))
+        assert_identical(base, collected(engine, workers=4,
+                                         checkpoint_interval=8))
 
 
 class TestLivenessPrune:
@@ -249,8 +251,8 @@ class TestLivenessPrune:
         machine = Machine(motivating_function, memory_size=256,
                           core=core)
         engine = CampaignEngine(machine, plan, golden=motivating_golden)
-        pruned = engine.run(prune="liveness")
-        assert pruned.pruned_runs > 0
+        pruned = collected(engine, prune="liveness")
+        assert pruned[0].pruned_runs > 0
         assert_identical(base, pruned)
 
     def test_pruned_benchmark_campaign_identical(self):
@@ -260,9 +262,9 @@ class TestLivenessPrune:
                                        registers, (5,))
         engine = CampaignEngine(run.machine, plan, regs=run.regs,
                                 golden=run.golden)
-        base = engine.run()
-        pruned = engine.run(prune="liveness")
-        assert pruned.pruned_runs > 0
+        base = collected(engine)
+        pruned = collected(engine, prune="liveness")
+        assert pruned[0].pruned_runs > 0
         assert_identical(base, pruned)
 
     def test_unknown_prune_mode_rejected(self, motivating_function,

@@ -17,6 +17,7 @@ from repro.fi.chaos import (ChaosError, ChaosPolicy, ChaosSink,
 from repro.fi import engine as engine_module
 from repro.fi.engine import CampaignEngine
 from repro.store.db import ChunkCapture, archive_meta, encode_chunk
+from tests.fi.test_engine import assert_identical, collected, supervised
 
 
 def archive_run(engine, store, key):
@@ -26,15 +27,6 @@ def archive_run(engine, store, key):
     store.archive(key, capture.chunks,
                   archive_meta(result, capture.chunk_size))
     return result
-
-
-def assert_identical(base, other):
-    assert [(effect, signature) for _, effect, signature in base.runs] \
-        == [(effect, signature) for _, effect, signature in other.runs]
-    assert base.effect_counts() == other.effect_counts()
-    assert base.vulnerable_runs() == other.vulnerable_runs()
-    assert base.distinct_traces == other.distinct_traces
-    assert base.archived_bytes == other.archived_bytes
 
 
 class TestChaosPolicy:
@@ -103,7 +95,7 @@ def baseline(motivating_function, motivating_machine, motivating_golden):
     plan = plan_exhaustive(motivating_function, motivating_golden)
     engine = CampaignEngine(motivating_machine, plan,
                             golden=motivating_golden)
-    return engine, engine.run()
+    return engine, collected(engine)
 
 
 class TestWorkerKill:
@@ -114,9 +106,10 @@ class TestWorkerKill:
     def test_killed_worker_recovers_bit_identical(self, baseline):
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=0, segment=1)
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy)
-        assert engine.recoveries >= 1
-        assert engine.serial_degraded_chunks == 0
+        healed, deltas = supervised(engine, workers=4, chunk_size=16,
+                                    chaos=policy)
+        assert deltas["engine.recoveries"] >= 1
+        assert deltas["engine.serial_degraded_chunks"] == 0
         assert_identical(base, healed)
 
     def test_multiple_killed_workers_recover(self, baseline):
@@ -124,8 +117,9 @@ class TestWorkerKill:
         policy = (ChaosPolicy()
                   .kill_worker(chunk=0, segment=0)
                   .kill_worker(chunk=2, segment=3))
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy)
-        assert engine.recoveries >= 2
+        healed, deltas = supervised(engine, workers=4, chunk_size=16,
+                                    chaos=policy)
+        assert deltas["engine.recoveries"] >= 2
         assert_identical(base, healed)
 
     def test_unrecoverable_worker_degrades_to_serial(self, baseline,
@@ -136,8 +130,9 @@ class TestWorkerKill:
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0,
                                            attempt=None)
-        healed = engine.run(workers=2, chunk_size=16, chaos=policy)
-        assert engine.serial_degraded_chunks >= 1
+        healed, deltas = supervised(engine, workers=2, chunk_size=16,
+                                    chaos=policy)
+        assert deltas["engine.serial_degraded_chunks"] >= 1
         assert_identical(base, healed)
 
     def test_kill_mid_stream_preserves_earlier_segments(self, baseline):
@@ -145,8 +140,9 @@ class TestWorkerKill:
         them when the respawned worker re-runs the remainder."""
         engine, base = baseline
         policy = ChaosPolicy().kill_worker(chunk=1, segment=4)
-        healed = engine.run(workers=2, chunk_size=16, chaos=policy)
-        assert engine.recoveries >= 1
+        healed, deltas = supervised(engine, workers=2, chunk_size=16,
+                                    chaos=policy)
+        assert deltas["engine.recoveries"] >= 1
         assert_identical(base, healed)
 
 
@@ -160,14 +156,14 @@ class TestSinkChaos:
         assert policy.fired == 1
         # The teardown left no poisoned state behind: the same engine
         # immediately runs a clean campaign with identical aggregates.
-        assert_identical(base, engine.run(chunk_size=16))
+        assert_identical(base, collected(engine, chunk_size=16))
 
     def test_failing_sink_with_workers_terminates(self, baseline):
         engine, base = baseline
         policy = ChaosPolicy().fail_sink(index=2)
         with pytest.raises(OSError):
             engine.run(workers=4, chunk_size=16, chaos=policy)
-        assert_identical(base, engine.run(workers=4, chunk_size=16))
+        assert_identical(base, collected(engine, workers=4, chunk_size=16))
 
 
 class TestStoreChaos:
@@ -182,15 +178,15 @@ class TestStoreChaos:
             assert policy.fired == 2          # two attempts retried
             cached = store.get("key")
             assert cached is not None
-            assert cached.effect_counts() == base.effect_counts()
+            assert cached.effect_counts() == base[0].effect_counts()
 
     def test_lock_exhaustion_propagates_and_rolls_back(self, tmp_path,
                                                        baseline):
         from repro.store import ResultStore
         from repro.store.db import COMMIT_RETRIES
 
-        result = baseline[1]
-        blob, raw_size = encode_chunk(result.runs[:64])
+        result, records = baseline[1]
+        blob, raw_size = encode_chunk(records[:64])
         policy = ChaosPolicy().lock_store(times=COMMIT_RETRIES + 10)
         with ResultStore(str(tmp_path / "s.sqlite"),
                          chaos=policy) as store:

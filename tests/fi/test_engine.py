@@ -8,11 +8,13 @@ on run order, per-run effects, ``effect_counts()``,
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
-from repro.fi.campaign import (CampaignResult, classify_effect,
-                               plan_exhaustive, plan_bec)
+from repro.fi.campaign import (Aggregates, CampaignResult,
+                               classify_effect, plan_exhaustive, plan_bec)
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine
+from repro.fi.sink import CollectSink
 from repro.experiments.common import benchmark_run
 
 
@@ -31,9 +33,31 @@ def strided_exhaustive_plan(function, golden, cycle_stride, registers,
     return plan
 
 
+def collected(engine, **kwargs):
+    """``(result, records)`` of one campaign run with a
+    :class:`CollectSink` attached."""
+    sink = CollectSink()
+    result = engine.run(sink=sink, **kwargs)
+    return result, sink.records
+
+
+def supervised(engine, **kwargs):
+    """:func:`collected` plus the ``engine.recoveries`` and
+    ``engine.serial_degraded_chunks`` counter deltas the run caused."""
+    registry = obs.metrics()
+    mark = registry.mark()
+    outcome = collected(engine, **kwargs)
+    totals = registry.totals(registry.delta_since(mark))
+    return outcome, {
+        name: totals.get(name, 0)
+        for name in ("engine.recoveries", "engine.serial_degraded_chunks")}
+
+
 def assert_identical(base, other):
-    assert [(effect, signature) for _, effect, signature in base.runs] \
-        == [(effect, signature) for _, effect, signature in other.runs]
+    """*base* and *other* are ``(result, records)`` pairs."""
+    (base, base_records), (other, other_records) = base, other
+    assert base_records == other_records
+    assert base.n_runs == other.n_runs == len(base_records)
     assert base.effect_counts() == other.effect_counts()
     assert base.vulnerable_runs() == other.vulnerable_runs()
     assert base.distinct_traces == other.distinct_traces
@@ -107,14 +131,17 @@ class TestEngineParityMotivating:
                         motivating_bec)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        base = CampaignResult(motivating_golden)
+        aggregates = Aggregates()
+        records = []
         for planned in plan:
             injected = motivating_machine.run(
                 injection=planned.injection, max_cycles=engine.max_cycles)
-            base.record(planned,
-                        classify_effect(motivating_golden, injected),
-                        injected.signature(), injected.byte_size())
-        assert_identical(base, engine.run())
+            record = (planned, classify_effect(motivating_golden, injected),
+                      injected.signature(), injected.byte_size())
+            records.append(record)
+            aggregates.add(*record[1:])
+        base = CampaignResult(motivating_golden, aggregates)
+        assert_identical((base, records), collected(engine))
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 4},
@@ -127,7 +154,7 @@ class TestEngineParityMotivating:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        assert_identical(engine.run(), engine.run(**kwargs))
+        assert_identical(collected(engine), collected(engine, **kwargs))
 
     def test_progress_callback(self, motivating_function,
                                motivating_machine, motivating_golden):
@@ -162,12 +189,13 @@ class TestEngineParityBenchmarks:
         run, plan = self._plans(name, cycle_stride, bits)
         engine = CampaignEngine(run.machine, plan, regs=run.regs,
                                 golden=run.golden)
-        base = engine.run()
+        base = collected(engine)
         interval = max(1, run.golden.cycles // 16)
-        assert_identical(base, engine.run(workers=4))
-        assert_identical(base, engine.run(checkpoint_interval=interval))
-        assert_identical(base, engine.run(workers=4,
-                                          checkpoint_interval=interval))
+        assert_identical(base, collected(engine, workers=4))
+        assert_identical(base, collected(engine,
+                                         checkpoint_interval=interval))
+        assert_identical(base, collected(engine, workers=4,
+                                         checkpoint_interval=interval))
 
 
 class TestEngineParityAcrossCores:
@@ -182,18 +210,19 @@ class TestEngineParityAcrossCores:
         reference_machine = Machine(motivating_function, memory_size=256,
                                     core="reference")
         fast_machine = Machine(motivating_function, memory_size=256)
-        base = CampaignEngine(reference_machine, plan,
-                              golden=motivating_golden).run()
+        base = collected(CampaignEngine(reference_machine, plan,
+                                        golden=motivating_golden))
         fast = CampaignEngine(fast_machine, plan,
                               golden=motivating_golden)
-        assert_identical(base, fast.run())
-        assert_identical(base, fast.run(workers=4, checkpoint_interval=8))
+        assert_identical(base, collected(fast))
+        assert_identical(base, collected(fast, workers=4,
+                                         checkpoint_interval=8))
         batched = CampaignEngine(
             Machine(motivating_function, memory_size=256, core="batched"),
             plan, golden=motivating_golden)
-        assert_identical(base, batched.run())
-        assert_identical(base, batched.run(workers=4,
-                                           checkpoint_interval=8))
+        assert_identical(base, collected(batched))
+        assert_identical(base, collected(batched, workers=4,
+                                         checkpoint_interval=8))
 
     def test_benchmark_campaign_identical_across_cores(self):
         run = benchmark_run("bitcount")
@@ -202,13 +231,13 @@ class TestEngineParityAcrossCores:
                                        registers, (0, 13))
         reference_machine = Machine(run.function, core="reference",
                                     memory_image=run.machine.memory_image)
-        base = CampaignEngine(reference_machine, plan, regs=run.regs,
-                              golden=run.golden).run()
+        base = collected(CampaignEngine(reference_machine, plan,
+                                        regs=run.regs, golden=run.golden))
         fast = CampaignEngine(run.machine, plan, regs=run.regs,
                               golden=run.golden)
         interval = max(1, run.golden.cycles // 16)
-        assert_identical(base, fast.run(workers=4,
-                                        checkpoint_interval=interval))
+        assert_identical(base, collected(fast, workers=4,
+                                         checkpoint_interval=interval))
 
 
 class TestHardenedEngineParity:
@@ -236,19 +265,18 @@ class TestHardenedEngineParity:
         run, result, machine, golden, plan = hardened_bitcount
         engine = CampaignEngine(machine, plan, regs=run.regs,
                                 golden=golden)
-        base = engine.run()
-        assert base.effect_counts()["detected"] > 0
+        base = collected(engine)
+        assert base[0].effect_counts()["detected"] > 0
         interval = max(1, golden.cycles // 16)
-        assert_identical(base, engine.run(workers=4))
-        assert_identical(base, engine.run(workers=4,
-                                          checkpoint_interval=interval))
+        assert_identical(base, collected(engine, workers=4))
+        assert_identical(base, collected(engine, workers=4,
+                                         checkpoint_interval=interval))
         reference = Machine(result.function, core="reference",
                             memory_image=run.machine.memory_image)
         reference_golden = reference.run(regs=run.regs)
         assert reference_golden.key() == golden.key()
-        assert_identical(base, CampaignEngine(
-            reference, plan, regs=run.regs,
-            golden=reference_golden).run())
+        assert_identical(base, collected(CampaignEngine(
+            reference, plan, regs=run.regs, golden=reference_golden)))
 
 
 class TestKillRecoveryParity:
@@ -270,10 +298,11 @@ class TestKillRecoveryParity:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        base = engine.run()
+        base = collected(engine)
         policy = ChaosPolicy().kill_worker(chunk=1, segment=2)
-        healed = engine.run(workers=4, chunk_size=16, chaos=policy)
-        assert engine.recoveries >= 1
+        healed, deltas = supervised(engine, workers=4, chunk_size=16,
+                                    chaos=policy)
+        assert deltas["engine.recoveries"] >= 1
         assert_identical(base, healed)
 
     def test_benchmark_killed_worker_parity_with_checkpoints(
@@ -289,12 +318,13 @@ class TestKillRecoveryParity:
                                        registers, (0, 13))
         engine = CampaignEngine(run.machine, plan, regs=run.regs,
                                 golden=run.golden)
-        base = engine.run()
+        base = collected(engine)
         interval = max(1, run.golden.cycles // 16)
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0)
-        healed = engine.run(workers=4, chunk_size=8,
-                            checkpoint_interval=interval, chaos=policy)
-        assert engine.recoveries >= 1
+        healed, deltas = supervised(engine, workers=4, chunk_size=8,
+                                    checkpoint_interval=interval,
+                                    chaos=policy)
+        assert deltas["engine.recoveries"] >= 1
         assert_identical(base, healed)
 
 

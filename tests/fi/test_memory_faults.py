@@ -9,6 +9,7 @@ from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine, MemoryInjection
 from repro.fi.memory import (iter_memory_bit_reads, memory_fault_accounting,
                              plan_memory_bec, plan_memory_inject_on_read)
+from repro.fi.sink import CollectSink
 from repro.ir.parser import parse_function
 
 
@@ -191,19 +192,20 @@ class TestPruningSoundness:
         """The pruned campaign finds a vulnerability iff the full
         campaign does."""
         function, machine, regs, golden, bec = prepared
+        full_records, pruned_records = CollectSink(), CollectSink()
         full = CampaignEngine(
             machine, plan_memory_inject_on_read(function, golden),
-            regs=regs, golden=golden).run()
+            regs=regs, golden=golden).run(sink=full_records)
         pruned = CampaignEngine(
             machine, plan_memory_bec(function, golden, bec),
-            regs=regs, golden=golden).run()
+            regs=regs, golden=golden).run(sink=pruned_records)
         assert (full.vulnerable_runs() > 0) == \
             (pruned.vulnerable_runs() > 0)
         # Distinct non-golden traces must all be discovered by the
         # pruned campaign as well.
-        full_signatures = {s for _, e, s in full.runs
+        full_signatures = {s for _, e, s, _ in full_records.records
                            if e != EFFECT_MASKED}
-        pruned_signatures = {s for _, e, s in pruned.runs
+        pruned_signatures = {s for _, e, s, _ in pruned_records.records
                              if e != EFFECT_MASKED}
         assert full_signatures == pruned_signatures
 

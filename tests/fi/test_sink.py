@@ -1,23 +1,24 @@
 """Tests for the streaming sink protocol and the bounded-memory bound.
 
 Three layers: unit tests of the sink building blocks (chunk assembly,
-strided un-dealing, progress adaptation, spooling), parity of the
+strided un-dealing, progress adaptation, collection), parity of the
 streamed engine across chunk sizes × workers × pruning (aggregates and
 run order must be bit-identical to the one-chunk path), and the
 tentpole's acceptance bound — peak resident memory under tracemalloc
 is governed by ``chunk_size``, not plan length.
 """
 
+import tempfile
 import tracemalloc
 
 import pytest
 
-from repro import obs
 from repro.errors import SimulationError
 from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import CampaignEngine
-from repro.fi.sink import (AggregateSink, ChunkAssembler, ProgressSink,
-                           RunSink, SpoolSink, StridedUndealer, TeeSink)
+from repro.fi.sink import (AggregateSink, ChunkAssembler, CollectSink,
+                           ProgressSink, RunSink, StridedUndealer, TeeSink)
+from tests.fi.test_engine import assert_identical, collected
 
 
 class RecordingSink(RunSink):
@@ -147,102 +148,53 @@ class TestProgressSink:
         assert self._drive(0, []) == [(0, 0)]
 
 
-class TestSpoolSink:
-    def _spool(self, n_records, chunk_size):
-        plan = [f"planned-{index}" for index in range(n_records)]
-        sink = SpoolSink()
-        sink.begin({"plan": plan, "chunk_size": chunk_size,
-                    "total_runs": n_records})
-        for low in range(0, n_records, chunk_size):
-            sink.consume([(plan[index],) + fake_record(index)
-                          for index in range(
-                              low, min(low + chunk_size, n_records))])
+class TestCollectSink:
+    def test_keeps_every_record_in_plan_order(self):
+        sink = CollectSink()
+        sink.begin({"total_runs": 5})
+        sink.consume([fake_record(index) for index in range(3)])
+        sink.consume([fake_record(index) for index in range(3, 5)])
         sink.finish({})
-        return plan, sink
+        assert sink.records == [fake_record(index) for index in range(5)]
+        sink.begin({"total_runs": 0})      # a new campaign starts empty
+        assert sink.records == []
 
-    def test_single_chunk_stays_in_memory(self):
-        plan, sink = self._spool(5, 8)
-        view = sink.view()
-        assert sink._spool is None
-        assert len(view) == 5
-        assert [record[0] for record in view] == plan
+    def test_multi_chunk_campaign_opens_no_temp_file(
+            self, monkeypatch, motivating_function, motivating_machine,
+            motivating_golden):
+        """Records of a campaign larger than its chunk size live only
+        in the sinks that keep them: nothing spills to disk."""
 
-    def test_multi_chunk_spills_to_disk(self):
-        plan, sink = self._spool(25, 4)
-        view = sink.view()
-        assert sink._spool is not None
-        assert len(view) == 25
-        expected = [(plan[index],) + fake_record(index)[:2]
-                    for index in range(25)]
-        assert list(view) == expected
-        # Random access, negative indices, slices.
-        assert view[0] == expected[0]
-        assert view[24] == expected[24]
-        assert view[-1] == expected[-1]
-        assert view[3:7] == expected[3:7]
-        with pytest.raises(IndexError):
-            view[25]
-        # Re-iteration and interleaved iteration both replay cleanly.
-        assert list(view) == expected
-        assert list(zip(view, view)) == list(zip(expected, expected))
+        def no_temp_file(*args, **kwargs):
+            raise AssertionError("campaign opened a temp file")
 
-    def test_view_before_finish_is_an_error(self):
-        sink = SpoolSink()
-        sink.begin({"plan": [], "chunk_size": 4, "total_runs": 0})
-        with pytest.raises(RuntimeError):
-            sink.view()
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_temp_file)
+        plan = plan_exhaustive(motivating_function, motivating_golden)
+        engine = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden)
+        sink = CollectSink()
+        result = engine.run(chunk_size=16, sink=sink)
+        assert len(plan) > 16
+        assert result.n_runs == len(plan) == len(sink.records)
+        assert [planned for planned, _, _, _ in sink.records] == plan
 
-    def test_abort_closes_and_deletes_the_spool_file(self):
-        """An aborted campaign must leak neither the descriptor nor
-        the temp file (the OS unlinks a TemporaryFile on close)."""
-        plan, chunk_size = list(range(24)), 4
-        sink = SpoolSink()
-        sink.begin({"plan": plan, "chunk_size": chunk_size,
-                    "total_runs": len(plan)})
-        for low in range(0, len(plan), chunk_size):
-            sink.consume([(plan[index],) + fake_record(index)
-                          for index in range(low, low + chunk_size)])
-        spool = sink._spool
-        assert spool is not None and not spool.closed
-        sink.abort()
-        assert spool.closed
-        assert sink._spool is None and sink._frames == []
-        with pytest.raises(RuntimeError):
-            sink.view()
-
-    def test_abort_before_spilling_is_a_no_op(self):
-        sink = SpoolSink()
-        sink.begin({"plan": [0], "chunk_size": 4, "total_runs": 1})
-        sink.consume([(0,) + fake_record(0)])
-        sink.abort()                     # in-memory only: nothing leaks
-        assert sink._memory is None
-
-    def test_engine_aborts_sinks_when_one_raises(
+    def test_raising_sink_fails_the_campaign_and_engine_recovers(
             self, motivating_function, motivating_machine,
             motivating_golden):
-        """Satellite: a sink failing mid-stream must tear the whole
-        fan-out down through abort() — the spool temp file included —
-        and re-raise, leaving the engine reusable."""
+        """A sink failing mid-stream propagates its error, and the
+        same engine then runs a clean campaign."""
 
         class ExplodingSink(RunSink):
-            def __init__(self):
-                self.aborted = False
-
             def consume(self, chunk):
                 raise OSError(28, "No space left on device")
-
-            def abort(self):
-                self.aborted = True
 
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        exploding = ExplodingSink()
         with pytest.raises(OSError):
-            engine.run(chunk_size=16, sink=exploding)
-        assert exploding.aborted
+            engine.run(chunk_size=16, sink=ExplodingSink())
         result = engine.run(chunk_size=16)
-        assert len(result.runs) == len(plan)
+        assert result.n_runs == len(plan)
 
 
 class TestAggregateSink:
@@ -274,15 +226,6 @@ class TestTeeSink:
             assert sink.summary == {"wall_time": 1.0}
 
 
-def assert_identical(base, other):
-    assert [(effect, signature) for _, effect, signature in base.runs] \
-        == [(effect, signature) for _, effect, signature in other.runs]
-    assert base.effect_counts() == other.effect_counts()
-    assert base.vulnerable_runs() == other.vulnerable_runs()
-    assert base.distinct_traces == other.distinct_traces
-    assert base.archived_bytes == other.archived_bytes
-
-
 class TestStreamingParity:
     """Chunk size is a parity knob: any value must reproduce the
     one-chunk aggregates and run order bit-identically, with or
@@ -294,7 +237,7 @@ class TestStreamingParity:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        return engine, engine.run(chunk_size=len(plan))
+        return engine, collected(engine, chunk_size=len(plan))
 
     @pytest.mark.parametrize("kwargs", [
         {"chunk_size": 1},
@@ -307,7 +250,7 @@ class TestStreamingParity:
     ])
     def test_chunked_equals_unchunked(self, campaign, kwargs):
         engine, base = campaign
-        assert_identical(base, engine.run(**kwargs))
+        assert_identical(base, collected(engine, **kwargs))
 
     def test_invalid_chunk_size(self, campaign):
         engine, _ = campaign
@@ -328,10 +271,8 @@ class TestStreamingParity:
         assert sink.summary == {"wall_time": result.wall_time}
         assert all(len(chunk) <= 50 for chunk in sink.chunks)
         assert [planned for planned, _, _, _ in sink.records] == plan
-        streamed = [(effect, signature)
-                    for _, effect, signature, _ in sink.records]
-        assert streamed == [(effect, signature)
-                            for _, effect, signature in result.runs]
+        _, serial = collected(engine, chunk_size=len(plan))
+        assert sink.records == serial
 
 
 class TestBoundedMemory:
@@ -347,10 +288,10 @@ class TestBoundedMemory:
     def _peak(self, machine, golden, plan, chunk_size):
         engine = CampaignEngine(machine, plan, golden=golden)
         tracemalloc.start()
-        result = engine.run(checkpoint_interval=8, chunk_size=chunk_size)
+        engine.run(checkpoint_interval=8, chunk_size=chunk_size)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        return peak, result
+        return peak
 
     def test_streamed_peak_is_bounded_by_chunk_size_not_plan(
             self, motivating_function, motivating_machine,
@@ -359,24 +300,23 @@ class TestBoundedMemory:
                                  4)
         large = self._tiled_plan(motivating_function, motivating_golden,
                                  16)
-        peak_small_plan, _ = self._peak(motivating_machine,
-                                        motivating_golden, small, 64)
-        registry = obs.metrics()
-        mark = registry.mark()
-        peak_large_plan, result = self._peak(motivating_machine,
-                                             motivating_golden, large, 64)
-        spooled = registry.totals(registry.delta_since(mark))
+        peak_small_plan = self._peak(motivating_machine,
+                                     motivating_golden, small, 64)
+        peak_large_plan = self._peak(motivating_machine,
+                                     motivating_golden, large, 64)
         # 4x the plan must not grow the streamed peak materially (the
         # generous factor absorbs allocator noise, not a linear term:
         # a materializing engine would grow ~4x here).
         assert peak_large_plan < 2 * peak_small_plan
         # The one-chunk (fully resident) run of the same large plan
         # costs a multiple of the streamed peak.
-        peak_resident, resident = self._peak(
-            motivating_machine, motivating_golden, large, len(large))
+        peak_resident = self._peak(motivating_machine, motivating_golden,
+                                   large, len(large))
         assert peak_large_plan < peak_resident / 2
-        assert_identical(resident, result)
-        # The streamed result spilled to disk yet still replays fully.
-        assert len(result.runs) == len(large)
-        assert spooled["sink.spool_frames"] == -(-len(large) // 64)
-        assert spooled["sink.spool_bytes"] > 0
+        # Outside the measured window: the streamed run's record
+        # stream equals the one-chunk run's, in plan order.
+        engine = CampaignEngine(motivating_machine, large,
+                                golden=motivating_golden)
+        assert_identical(
+            collected(engine, checkpoint_interval=8, chunk_size=len(large)),
+            collected(engine, checkpoint_interval=8, chunk_size=64))

@@ -22,6 +22,7 @@ from repro.fi import threaded
 from repro.fi.campaign import PlannedRun
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine
+from repro.fi.sink import CollectSink
 from repro.fi.trace import SignatureForge, Trace, pack_path, pack_stores
 from repro.ir.parser import parse_function
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
@@ -285,11 +286,12 @@ class TestStops:
                 for cycle in range(golden.cycles)
                 for register in ("acc", "i", "t")
                 for bit in (0, 5)]
+        expected_records, actual_records = CollectSink(), CollectSink()
         expected = CampaignEngine(reference, plan, regs=regs,
-                                  golden=golden).run()
-        actual = CampaignEngine(fast, plan, regs=regs, golden=golden).run(
-            checkpoint_interval=interval)
-        assert list(actual.runs) == list(expected.runs)
+                                  golden=golden).run(sink=expected_records)
+        CampaignEngine(fast, plan, regs=regs, golden=golden).run(
+            checkpoint_interval=interval, sink=actual_records)
+        assert actual_records.records == expected_records.records
         # Most of these faults are overwritten or cancel out, so the
         # resumed runs reconverge and splice the golden suffix.
         assert expected.effect_counts()["masked"] > len(plan) // 3
@@ -397,12 +399,14 @@ class TestHotness:
                                      rng.choice(("acc", "i", "u")),
                                      rng.randrange(32)), None, None, None)
                 for _ in range(120)]
+        serial_records, parallel_records = CollectSink(), CollectSink()
         serial = CampaignEngine(Machine(function, memory_size=MEMORY),
-                                plan, regs=regs, golden=golden).run()
+                                plan, regs=regs, golden=golden).run(
+            sink=serial_records)
         parallel = CampaignEngine(fast, plan, regs=regs,
                                   golden=golden).run(
-            workers=2, checkpoint_interval=16)
-        assert list(parallel.runs) == list(serial.runs)
+            workers=2, checkpoint_interval=16, sink=parallel_records)
+        assert parallel_records.records == serial_records.records
         assert parallel.effect_counts() == serial.effect_counts()
         assert parallel.distinct_traces == serial.distinct_traces
         # Workers compile in their own memory, so the loop's tiers in

@@ -25,6 +25,7 @@ from repro.fi import batch
 from repro.fi.campaign import PlannedRun
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine, MemoryInjection
+from repro.fi.sink import CollectSink
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
 
 from hypothesis import given, settings, strategies as st
@@ -214,9 +215,11 @@ def _random_plan(rng, function, golden, memory_faults=False):
 
 
 def _campaign_records(machine, plan, regs, golden, **kwargs):
-    result = CampaignEngine(machine, plan, regs=regs,
-                            golden=golden).run(**kwargs)
-    return [(effect, signature) for _, effect, signature in result.runs]
+    records = CollectSink()
+    CampaignEngine(machine, plan, regs=regs, golden=golden).run(
+        sink=records, **kwargs)
+    return [(effect, signature)
+            for _, effect, signature, _ in records.records]
 
 
 def assert_campaigns_identical(function, plan, regs, memory_image=b"",

@@ -12,6 +12,7 @@ from repro.fi.campaign import (EFFECT_CLASSES, EFFECT_DETECTED, EFFECT_SDC,
                                classify_effect)
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection, Machine
+from repro.fi.sink import CollectSink
 from repro.fi.trace import TRAP_DETECTED
 from repro.harden import harden
 from repro.harden.evaluate import (count_conversions, ladder_comparison,
@@ -142,10 +143,12 @@ class TestCampaignAggregates:
     def test_serial_equals_workers(self, hardened_setup):
         _, machine, golden, mapped = hardened_setup
         engine = CampaignEngine(machine, mapped, golden=golden)
-        serial = engine.run()
-        parallel = engine.run(workers=4, checkpoint_interval=8)
-        assert [record[1:] for record in serial.runs] \
-            == [record[1:] for record in parallel.runs]
+        serial_records, parallel_records = CollectSink(), CollectSink()
+        serial = engine.run(sink=serial_records)
+        parallel = engine.run(workers=4, checkpoint_interval=8,
+                              sink=parallel_records)
+        assert [record[1:] for record in serial_records.records] \
+            == [record[1:] for record in parallel_records.records]
         assert serial.effect_counts() == parallel.effect_counts()
         assert serial.distinct_traces == parallel.distinct_traces
         assert serial.effect_counts()[EFFECT_DETECTED] > 0
@@ -156,12 +159,14 @@ class TestCampaignAggregates:
                                     core="reference")
         reference_golden = reference_machine.run()
         assert reference_golden.key() == golden.key()
+        base_records, fast_records = CollectSink(), CollectSink()
         base = CampaignEngine(reference_machine, mapped,
-                              golden=reference_golden).run()
+                              golden=reference_golden).run(
+            sink=base_records)
         fast = CampaignEngine(machine, mapped, golden=golden).run(
-            workers=4, checkpoint_interval=8)
-        assert [record[1:] for record in base.runs] \
-            == [record[1:] for record in fast.runs]
+            workers=4, checkpoint_interval=8, sink=fast_records)
+        assert [record[1:] for record in base_records.records] \
+            == [record[1:] for record in fast_records.records]
         assert base.effect_counts() == fast.effect_counts()
 
 

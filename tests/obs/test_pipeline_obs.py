@@ -55,17 +55,29 @@ class TestEngineMetrics:
         assert totals["engine.runs_executed"] == len(small_plan)
         assert totals["engine.worker_spawns"] >= 2
 
-    def test_recovery_aliases_read_through_registry(
-            self, motivating_machine, motivating_golden, small_plan):
+    def test_recovery_counters_count_healings(
+            self, motivating_machine, motivating_golden, small_plan, mark,
+            monkeypatch):
+        """Supervision telemetry lives only in the registry: a clean
+        campaign adds nothing to ``engine.recoveries`` /
+        ``engine.serial_degraded_chunks``, a killed worker adds to
+        the former."""
+        from repro.fi import engine as engine_module
+        from repro.fi.chaos import ChaosPolicy
+
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.01)
         engine = CampaignEngine(motivating_machine, small_plan,
                                 golden=motivating_golden)
-        # Unrelated increments (another campaign in this process) must
-        # not leak into this engine's per-run view: run() re-marks.
-        obs.metrics().counter("engine.recoveries").inc(5)
-        obs.metrics().counter("engine.serial_degraded_chunks").inc(2)
-        engine.run()
-        assert engine.recoveries == 0
-        assert engine.serial_degraded_chunks == 0
+        engine.run(workers=2, chunk_size=8)
+        totals = delta_totals(mark)
+        assert totals.get("engine.recoveries", 0) == 0
+        assert totals.get("engine.serial_degraded_chunks", 0) == 0
+        healed_mark = obs.metrics().mark()
+        engine.run(workers=2, chunk_size=8,
+                   chaos=ChaosPolicy().kill_worker(chunk=0, segment=1))
+        totals = delta_totals(healed_mark)
+        assert totals["engine.recoveries"] >= 1
+        assert totals.get("engine.serial_degraded_chunks", 0) == 0
 
     def test_campaign_spans_nest(self, motivating_machine,
                                  motivating_golden, small_plan):

@@ -8,6 +8,7 @@ from repro.fi import engine as engine_module
 from repro.fi.campaign import plan_bec, plan_exhaustive
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
+from repro.fi.sink import CollectSink, RunSink, TeeSink
 from repro.store import CachingRunner, ResultStore
 from repro.store.db import (ChunkCapture, archive_meta, decode_chunk,
                             encode_chunk)
@@ -46,12 +47,31 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 7)
 
 
+class StreamSink(RunSink):
+    """Keeps the whole protocol interaction: ``begin`` meta, every
+    chunk as delivered, the ``finish`` summary."""
+
+    def __init__(self):
+        self.meta = None
+        self.chunks = []
+        self.summary = None
+
+    def begin(self, meta):
+        self.meta = meta
+
+    def consume(self, chunk):
+        self.chunks.append(list(chunk))
+
+    def finish(self, summary):
+        self.summary = summary
+
+
 def assert_same_aggregates(base, other):
+    assert other.n_runs == base.n_runs
     assert other.effect_counts() == base.effect_counts()
     assert other.distinct_traces == base.distinct_traces
     assert other.archived_bytes == base.archived_bytes
     assert other.vulnerable_runs() == base.vulnerable_runs()
-    assert_same_records(base.runs, other.runs)
 
 
 def pragmas(connection):
@@ -76,23 +96,27 @@ def assert_same_records(base, other):
 
 class TestRoundtrip:
     def test_encode_decode_is_lossless(self, machine, plan, golden):
-        result = CampaignEngine(machine, plan, golden=golden).run()
-        blob, raw_size = encode_chunk(result.runs)
+        records = CollectSink()
+        CampaignEngine(machine, plan, golden=golden).run(sink=records)
+        blob, raw_size = encode_chunk(records.records)
         assert 0 < len(blob) < raw_size
-        assert_same_records(list(result.runs), decode_chunk(blob))
+        assert_same_records([record[:3] for record in records.records],
+                            decode_chunk(blob))
 
     def test_store_persists_across_reopen(self, tmp_path, machine, plan,
                                           golden):
         path = str(tmp_path / "persist.sqlite")
+        executed, replayed = CollectSink(), CollectSink()
         with ResultStore(path) as store:
             runner = CachingRunner(store)
-            fresh = runner.run(machine, plan, golden=golden)
+            fresh = runner.run(machine, plan, golden=golden, sink=executed)
             assert not fresh.cached
         with ResultStore(path) as store:
             runner = CachingRunner(store)
-            cached = runner.run(machine, plan, golden=golden)
+            cached = runner.run(machine, plan, golden=golden, sink=replayed)
             assert cached.cached
             assert_same_aggregates(fresh, cached)
+        assert replayed.records == executed.records
 
     def test_missing_key_is_none(self, store):
         assert store.get("0" * 32) is None
@@ -103,21 +127,56 @@ class TestRoundtrip:
 class TestCachingRunner:
     def test_hit_miss_accounting(self, store, machine, plan, golden):
         runner = CachingRunner(store)
-        first = runner.run(machine, plan, golden=golden)
-        second = runner.run(machine, plan, golden=golden)
+        executed, replayed = CollectSink(), CollectSink()
+        first = runner.run(machine, plan, golden=golden, sink=executed)
+        second = runner.run(machine, plan, golden=golden, sink=replayed)
         assert (runner.hits, runner.misses) == (1, 1)
         assert runner.simulator_runs == len(plan)
         assert not first.cached and second.cached
         assert_same_aggregates(first, second)
+        assert replayed.records == executed.records
+
+    def test_sink_without_golden_is_rejected(self, store, machine, plan):
+        """A hit could not hand ``begin`` the golden trace a miss's
+        engine computes, so a sink needs the caller's golden."""
+        with pytest.raises(ValueError, match="golden"):
+            CachingRunner(store).run(machine, plan, sink=CollectSink())
+        assert len(store) == 0
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("prune", [None, "liveness"])
+    def test_hit_replays_the_miss_stream_into_the_sink(
+            self, store, machine, plan, golden, prune):
+        """A hit streams the archive into the caller's sink exactly as
+        the miss's engine streamed it: same begin meta, same chunking,
+        same ``(planned, effect, signature, byte_size)`` records."""
+        runner = CachingRunner(store)
+        executed, replayed = StreamSink(), StreamSink()
+        fresh = runner.run(machine, plan, golden=golden, prune=prune,
+                           sink=executed)
+        cached = runner.run(machine, plan, golden=golden, prune=prune,
+                            sink=replayed)
+        assert not fresh.cached and cached.cached
+        assert len(executed.chunks) > 1
+        assert replayed.chunks == executed.chunks
+        for field in ("total_runs", "pruned_runs", "vectorized",
+                      "chunk_size"):
+            assert replayed.meta[field] == executed.meta[field]
+        assert replayed.meta["plan"] == plan
+        assert replayed.meta["golden"] is golden
+        assert replayed.summary == {"wall_time": fresh.wall_time}
+        assert cached.n_runs == len(plan)
 
     def test_parity_knobs_share_one_cell(self, store, machine, plan,
                                          golden):
         runner = CachingRunner(store)
-        serial = runner.run(machine, plan, golden=golden)
+        executed, replayed = CollectSink(), CollectSink()
+        serial = runner.run(machine, plan, golden=golden, sink=executed)
         parallel = runner.run(machine, plan, golden=golden, workers=2,
-                              checkpoint_interval=8)
+                              checkpoint_interval=8, sink=replayed)
         assert parallel.cached
         assert_same_aggregates(serial, parallel)
+        assert replayed.records == executed.records
         assert len(store) == 1
 
     def test_different_plans_are_different_cells(self, store, machine,
@@ -194,9 +253,9 @@ class TestSchemaMigration:
 
     def test_chunked_roundtrip_matches_engine_result(
             self, store, machine, plan, golden):
-        capture = ChunkCapture()
+        capture, executed = ChunkCapture(), CollectSink()
         result = CampaignEngine(machine, plan, golden=golden).run(
-            chunk_size=7, sink=capture)
+            chunk_size=7, sink=TeeSink([capture, executed]))
         assert len(capture.chunks) > 1
         store.archive("chunked", capture.chunks,
                       archive_meta(result, capture.chunk_size))
@@ -206,6 +265,9 @@ class TestSchemaMigration:
         assert chunked.pruned_runs == result.pruned_runs
         assert chunked.vectorized == result.vectorized
         assert chunked.wall_time == result.wall_time
+        replayed = CollectSink()
+        store.replay("chunked", replayed, plan, golden)
+        assert replayed.records == executed.records
 
     def test_compression_accounting(self, store, machine, plan, golden):
         runner = CachingRunner(store)
@@ -227,9 +289,9 @@ class TestIntegrity:
 
     pytestmark = pytest.mark.usefixtures("small_chunks")
 
-    def _populate(self, store, machine, plan, golden):
+    def _populate(self, store, machine, plan, golden, sink=None):
         runner = CachingRunner(store)
-        fresh = runner.run(machine, plan, golden=golden)
+        fresh = runner.run(machine, plan, golden=golden, sink=sink)
         return fresh, runner.key_for(machine, plan)
 
     def test_chunks_carry_digests(self, store, machine, plan, golden):
@@ -247,20 +309,29 @@ class TestIntegrity:
             self, store, machine, plan, golden):
         from repro.fi.chaos import corrupt_chunk
 
-        fresh, key = self._populate(store, machine, plan, golden)
+        executed = CollectSink()
+        fresh, key = self._populate(store, machine, plan, golden,
+                                    sink=executed)
         corrupt_chunk(store, key, chunk_index=1)
         with pytest.warns(RuntimeWarning, match="digest mismatch"):
             assert store.get(key) is None
         assert store.quarantined() == [(key, 1, "digest mismatch")]
         # The clean miss makes the caching runner re-execute; the
         # rewrite replaces the damaged archive and clears quarantine.
-        rerun = CachingRunner(store).run(machine, plan, golden=golden)
+        rerun_records = CollectSink()
+        rerun = CachingRunner(store).run(machine, plan, golden=golden,
+                                         sink=rerun_records)
         assert not rerun.cached
         assert_same_aggregates(fresh, rerun)
+        assert rerun_records.records == executed.records
         assert store.quarantined() == []
         healed = store.get(key)
         assert healed is not None
         assert_same_aggregates(fresh, healed)
+        # The rewritten archive holds the fresh run's records.
+        replayed = CollectSink()
+        store.replay(key, replayed, plan, golden)
+        assert replayed.records == executed.records
 
     def test_quarantined_key_keeps_missing_without_rewarning(
             self, store, machine, plan, golden):
@@ -287,7 +358,7 @@ class TestIntegrity:
         assert result is not None
         with pytest.warns(RuntimeWarning, match="quarantined"):
             with pytest.raises(KeyError):
-                list(result.runs)
+                store.replay(key, CollectSink(), plan, golden)
         assert store.get(key) is None    # quarantine now blocks the hit
 
     def test_verify_clean_store(self, store, machine, plan, golden):
@@ -339,15 +410,16 @@ def _hammer_store(path, worker_id, iterations):
     """One concurrent-writer process: archive many small campaigns into
     a shared store.  Any surfaced ``database is locked`` kills the
     process, which the parent test observes as a nonzero exitcode."""
-    from repro.fi.campaign import CampaignResult, PlannedRun
+    from repro.fi.campaign import Aggregates, CampaignResult, PlannedRun
     from repro.fi.machine import Injection
     from repro.store import ResultStore
 
     records = [(PlannedRun(Injection(0, "r", bit), 0, None, None),
                 "masked", bytes([bit])) for bit in range(4)]
-    result = CampaignResult(golden=None)
-    for planned, effect, signature in records:
-        result.record(planned, effect, signature, 1)
+    aggregates = Aggregates()
+    for _, effect, signature in records:
+        aggregates.add(effect, signature, 1)
+    result = CampaignResult(golden=None, aggregates=aggregates)
     chunks = [(blob, 2, raw_size) for blob, raw_size
               in (encode_chunk(records[:2]), encode_chunk(records[2:]))]
     with ResultStore(path) as store:
