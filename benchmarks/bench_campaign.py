@@ -44,6 +44,7 @@ checked-in ``BENCH_*.json`` reports, each with the ``provenance`` block
 import argparse
 import json
 import math
+import statistics
 import time
 import tracemalloc
 
@@ -174,36 +175,76 @@ def bench_row(name, family, mode):
 #: the disabled path (the shared no-op span) is cheaper still.
 OBS_OVERHEAD_GATE_PCT = 2.0
 
+#: CPU seconds each side of one overhead pair runs for.  A 0.1 s
+#: campaign timed by wall clock (min of 5) swung by far more than the
+#: gate on a shared 2-CPU box: -0.1 %, +21 % and +23 % for one commit.
+OBS_OVERHEAD_SIDE_S = 1.0
 
-def obs_overhead_smoke(name="bitcount", repeats=5):
-    """Tracer-enabled vs tracer-disabled wall time on one exhaustive
-    smoke row, interleaved min-of-``repeats`` so clock drift cancels."""
+#: Interleaved tracer-off/tracer-on pairs; the gate reads the median
+#: of their ratios.
+OBS_OVERHEAD_PAIRS = 9
+
+
+def cpu_timed(thunk):
+    start = time.process_time()
+    thunk()
+    return time.process_time() - start
+
+
+def obs_overhead_smoke(name="bitcount"):
+    """Tracer-enabled vs tracer-disabled CPU time of one exhaustive
+    campaign sized to about :data:`OBS_OVERHEAD_SIDE_S` per side.
+    The two sides run in interleaved pairs, the order alternating from
+    pair to pair so drift cancels, and the overhead is the median of
+    the per-pair ratios: one slow side spoils one pair, not the gate."""
     function, threaded, _, regs, golden = prepare(name)
-    plan = sliced(plan_exhaustive(function, golden),
-                  TARGET_RUNS[("exhaustive", "smoke")])
+    full_plan = plan_exhaustive(function, golden)
     interval = auto_checkpoint_interval(golden)
-    engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
-    engine.run(checkpoint_interval=interval)        # warm-up
     tracer = obs.tracer()
-    disabled_s = enabled_s = math.inf
-    for _ in range(repeats):
-        _, elapsed = timed(lambda: engine.run(
-            checkpoint_interval=interval))
-        disabled_s = min(disabled_s, elapsed)
+
+    def untraced(engine):
+        return cpu_timed(lambda: engine.run(checkpoint_interval=interval))
+
+    def traced(engine):
         tracer.start()
         try:
-            _, elapsed = timed(lambda: engine.run(
-                checkpoint_interval=interval))
+            return untraced(engine)
         finally:
             tracer.stop()
-        enabled_s = min(enabled_s, elapsed)
-    overhead_pct = (enabled_s / disabled_s - 1.0) * 100.0
+
+    # Denser slices cost less per run (more runs reconverge), so the
+    # plan is sized in a few rounds.
+    plan = sliced(full_plan, TARGET_RUNS[("exhaustive", "smoke")])
+    while True:
+        engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
+        engine.run(checkpoint_interval=interval)    # warm-up
+        side_s = untraced(engine)
+        if side_s >= 0.8 * OBS_OVERHEAD_SIDE_S \
+                or len(plan) == len(full_plan):
+            break
+        plan = sliced(full_plan, int(
+            len(plan) * OBS_OVERHEAD_SIDE_S / max(side_s, 1e-3)))
+    # Millions of planned runs would otherwise stay resident (and be
+    # walked by every garbage collection) while the pairs are timed.
+    del full_plan
+    disabled_s = []
+    enabled_s = []
+    for pair in range(OBS_OVERHEAD_PAIRS):
+        if pair % 2:
+            enabled_s.append(traced(engine))
+            disabled_s.append(untraced(engine))
+        else:
+            disabled_s.append(untraced(engine))
+            enabled_s.append(traced(engine))
+    ratio = statistics.median(on / off
+                              for on, off in zip(enabled_s, disabled_s))
+    overhead_pct = (ratio - 1.0) * 100.0
     return {
         "program": name,
         "plan_runs": len(plan),
-        "repeats": repeats,
-        "disabled_s": disabled_s,
-        "enabled_s": enabled_s,
+        "pairs": OBS_OVERHEAD_PAIRS,
+        "disabled_s": statistics.median(disabled_s),
+        "enabled_s": statistics.median(enabled_s),
         "overhead_pct": overhead_pct,
         "gate_pct": OBS_OVERHEAD_GATE_PCT,
         "passed": overhead_pct < OBS_OVERHEAD_GATE_PCT,
@@ -257,8 +298,8 @@ def main(argv=None):
 
     overhead = obs_overhead_smoke()
     print(f"obs overhead ({overhead['program']}, "
-          f"{overhead['plan_runs']} runs, min of "
-          f"{overhead['repeats']}): tracer enabled "
+          f"{overhead['plan_runs']} runs, median of "
+          f"{overhead['pairs']} CPU-time pairs): tracer enabled "
           f"{overhead['enabled_s']:.3f}s vs disabled "
           f"{overhead['disabled_s']:.3f}s -> "
           f"{overhead['overhead_pct']:+.2f}% (gate < "

@@ -57,7 +57,7 @@ import bisect
 from repro import obs
 from repro.errors import SimulationError
 from repro.fi import threaded
-from repro.fi.campaign import EFFECT_MASKED, EFFECT_SDC, classify_effect
+from repro.fi.campaign import EFFECT_MASKED, EFFECT_SDC
 from repro.fi.machine import Injection
 from repro.fi.trace import OUTCOME_OK, SignatureForge
 from repro.ir.instructions import Format, Opcode
@@ -447,7 +447,8 @@ class BatchClassifier:
     bit-identical to the scalar engine's.
     """
 
-    def __init__(self, machine, plan, regs, golden, snapshots, max_cycles):
+    def __init__(self, machine, plan, regs, golden, snapshots, max_cycles,
+                 tails=None):
         if _np is None:
             raise SimulationError("the batched core requires NumPy")
         if not batchable(machine, golden, snapshots, max_cycles):
@@ -458,6 +459,7 @@ class BatchClassifier:
         self.golden = golden
         self.snapshots = snapshots
         self.max_cycles = max_cycles
+        self.tails = tails              # the campaign's TailMemo or None
         self._masked_record = (EFFECT_MASKED, golden.signature(),
                                golden.byte_size())
         self._decode_entries()
@@ -565,10 +567,9 @@ class BatchClassifier:
     def _classify_scalar(self, injection):
         from repro.fi.engine import run_injection
 
-        injected = run_injection(self.machine, injection, self.regs,
-                                 self.snapshots, self.max_cycles)
-        return (classify_effect(self.golden, injected),
-                injected.signature(), injected.byte_size())
+        return run_injection(self.machine, self.golden, injection,
+                             self.regs, self.snapshots, self.max_cycles,
+                             self.tails)
 
     def classify_indices(self, indices, progress=None):
         """Classify the plan entries at *indices*; returns one

@@ -15,6 +15,14 @@ it without changing a single record:
   O(runs × avg-tail).  This is the standard acceleration campaign tools
   built around SPIKE-style ISA simulators use to make exhaustive
   register-file sweeps (the paper's Table I baseline) tractable.
+  A resumed run that reaches a later snapshot with the golden state
+  splices the golden suffix; one that reaches a state an earlier run
+  of the campaign already had takes that run's record from the
+  campaign's :class:`repro.fi.tails.TailMemo` instead of simulating
+  its tail.  ``engine.runs_executed`` counts every run classified;
+  ``engine.tails_reused`` counts those answered from the memo, so a
+  ``--trace``/``repro obs summarize`` reading shows how much of the
+  campaign was reused rather than simulated.
 * **Supervised parallelism** (``workers=N``): the plan is dealt into
   strided (round-robin) chunks executed by ``fork``-ed worker
   processes, so the expensive early-cycle injections — whose resumed
@@ -77,9 +85,11 @@ from repro.errors import SimulationError
 from repro.fi import batch
 from repro.fi.campaign import (EFFECT_MASKED, CampaignResult,
                                classify_effect)
+from repro.fi.machine import Injection
 from repro.fi.prune import LivenessPruner
 from repro.fi.sink import (AggregateSink, ChunkAssembler, ProgressSink,
                            StridedUndealer, TeeSink)
+from repro.fi.tails import TailMemo
 
 #: Records per streamed chunk when the caller does not choose.  Large
 #: enough to amortize sink dispatch, IPC pickling and (on the batched
@@ -123,24 +133,42 @@ def pick_snapshot(snapshots, cycle):
     return snapshots[low - 1] if low else None
 
 
-def run_injection(machine, injection, regs, snapshots, max_cycles):
-    """Execute one injected run, resuming from the deepest usable
-    snapshot when there is one (the single resume protocol shared by
-    the engine's scalar path and the batched core's escape queue)."""
+def run_injection(machine, golden, injection, regs, snapshots, max_cycles,
+                  tails=None):
+    """The ``(effect, signature, byte_size)`` record of one injected
+    run, resuming from the deepest usable snapshot when there is one
+    (the single resume protocol shared by the engine's scalar path and
+    the batched core's escape queue).  A resumed register injection
+    probes and fills the campaign's :class:`repro.fi.tails.TailMemo`
+    *tails*; a memory injection never does."""
     snapshot = pick_snapshot(snapshots, injection.cycle)
-    if snapshot is not None:
-        return machine.run_from(snapshot, injection=injection,
-                                max_cycles=max_cycles,
-                                converge=snapshots)
-    return machine.run(regs=regs, injection=injection,
-                       max_cycles=max_cycles)
+    if snapshot is None or not isinstance(injection, Injection):
+        tails = None
+    if snapshot is None:
+        injected = machine.run(regs=regs, injection=injection,
+                               max_cycles=max_cycles)
+    else:
+        if tails is not None:
+            tails.begin(snapshot)
+        injected = machine.run_from(snapshot, injection=injection,
+                                    max_cycles=max_cycles,
+                                    converge=snapshots, tails=tails)
+    record = injected.reused
+    if record is None:
+        record = (classify_effect(golden, injected), injected.signature(),
+                  injected.byte_size())
+    else:
+        obs.metrics().counter("engine.tails_reused").inc()
+    if tails is not None:
+        tails.commit(record)
+    return record
 
 
 class _WorkerContext:
     """Everything a forked worker needs, inherited by reference."""
 
     def __init__(self, machine, plan, regs, golden, snapshots, max_cycles,
-                 todo, classifier=None):
+                 todo, tails=None, classifier=None):
         self.machine = machine
         self.plan = plan
         self.regs = regs
@@ -148,14 +176,13 @@ class _WorkerContext:
         self.snapshots = snapshots
         self.max_cycles = max_cycles
         self.todo = todo                # plan indices left to classify
+        self.tails = tails              # the campaign's TailMemo or None
         self.classifier = classifier    # BatchClassifier or None
 
     def classify(self, planned):
-        injected = run_injection(self.machine, planned.injection,
-                                 self.regs, self.snapshots,
-                                 self.max_cycles)
-        return (classify_effect(self.golden, injected),
-                injected.signature(), injected.byte_size())
+        return run_injection(self.machine, self.golden, planned.injection,
+                             self.regs, self.snapshots, self.max_cycles,
+                             self.tails)
 
     def classify_indices(self, indices, progress=None):
         """Records for the plan entries at *indices* (in order)."""
@@ -533,12 +560,16 @@ class CampaignEngine:
             pruned = total - len(todo)
             if pruned:
                 obs.metrics().counter("engine.runs_pruned").inc(pruned)
+        tails = None
+        if snapshots and self.machine.width <= 64:
+            # The memo's keys pack registers as 64-bit words.
+            tails = TailMemo(len(self.machine._reg_of))
         classifier = None
         if batched and todo and batch.batchable(
                 self.machine, self.golden, snapshots, self.max_cycles):
             classifier = batch.BatchClassifier(
                 self.machine, self.plan, self.regs, self.golden,
-                snapshots, self.max_cycles)
+                snapshots, self.max_cycles, tails)
         # Distinguishes the lockstep core actually engaging from the
         # silent scalar fallback (NumPy missing, non-batchable setup).
         # A plan fully pre-classified by pruning left nothing to
@@ -546,7 +577,7 @@ class CampaignEngine:
         vectorized = classifier is not None or (batched and not todo)
         context = _WorkerContext(self.machine, self.plan, self.regs,
                                  self.golden, snapshots, self.max_cycles,
-                                 todo, classifier)
+                                 todo, tails, classifier)
         aggregate = AggregateSink()
         sinks = [aggregate]
         if progress is not None:

@@ -426,7 +426,7 @@ class Machine:
         return trace, snapshots
 
     def run_from(self, snapshot, injection=None,
-                 max_cycles=DEFAULT_MAX_CYCLES, converge=None):
+                 max_cycles=DEFAULT_MAX_CYCLES, converge=None, tails=None):
         """Resume from *snapshot* and execute only the tail.
 
         Produces a trace bit-identical to a full :meth:`run` with the
@@ -442,9 +442,20 @@ class Machine:
         its remaining execution is provably identical to the golden
         run's, so the golden suffix is spliced onto the trace instead
         of being re-executed — masked runs then cost
-        O(fault-lifetime + interval) instead of O(tail).  The reference
-        core ignores it and re-executes the whole tail, so its traces
-        check the splicing instead of using it.
+        O(fault-lifetime + interval) instead of O(tail).
+
+        ``tails`` may pass the campaign's
+        :class:`repro.fi.tails.TailMemo` (with ``converge``, after its
+        ``begin(snapshot)``): at the first ``tails.stops`` of those
+        stops where the golden check fails, the run probes the memo
+        with its state.  On a hit an earlier run of the campaign
+        reached the same state with the same trace so far, so the rest
+        of the trace is that run's: the run stops there and the
+        returned trace carries the earlier run's ``(effect, signature,
+        byte_size)`` record in ``reused`` (its own fields then end at
+        the stop).  The reference core ignores ``converge`` and
+        ``tails`` and re-executes the whole tail, so its traces check
+        both shortcuts instead of using them.
         """
         upsets = self._prepare_upsets(injection)
         if upsets and upsets[0].cycle < snapshot.cycle \
@@ -478,7 +489,8 @@ class Machine:
             _apply_slot_upset(upsets.pop(0), slot_of, registers, memory)
         return self._execute_threaded(registers, memory, trace,
                                       snapshot.pc, snapshot.cycle, upsets,
-                                      max_cycles, converge=converge)
+                                      max_cycles, converge=converge,
+                                      tails=tails)
 
     @staticmethod
     def _splice_golden_suffix(trace, snapshot):
@@ -500,7 +512,7 @@ class Machine:
 
     def _execute_threaded(self, registers, memory, trace, pc, cycle,
                           upsets, max_cycles, snapshot_interval=None,
-                          snapshots=None, converge=None):
+                          snapshots=None, converge=None, tails=None):
         """The threaded-code interpreter loop.
 
         Everything that is *conditional* per cycle in the reference
@@ -513,7 +525,8 @@ class Machine:
         returns ``(next_pc, path, len(path))``; the executed path is
         recorded with one ``extend`` of that precomputed tuple.  A trap
         is a :class:`~repro.fi.threaded.BlockTrap` carrying the path
-        through the trapping instruction.
+        through the trapping instruction.  A failed convergence check
+        probes *tails* (the first ``tails.stops`` times).
         """
         tiers = self._tiers
         super_len = tiers.super_len
@@ -529,6 +542,7 @@ class Machine:
         image = None        # memory of the latest snapshot (shared)
         converge_index = 0
         converge_cycle = converge[0].cycle if converge else None
+        probes = tails.stops if tails is not None else 0
         inject_cycle = upsets[0].cycle if upsets else None
         ended_at = None     # pp of the instruction that ended the run
         try:
@@ -578,6 +592,14 @@ class Machine:
                             and registers == candidate.registers \
                             and memory == candidate.memory:
                         return self._splice_golden_suffix(trace, candidate)
+                    if probes:
+                        probes -= 1
+                        record = tails.probe(trace, candidate, pc,
+                                             registers)
+                        if record is not None:
+                            trace.reused = record
+                            trace.cycles = cycle
+                            return trace
                     converge_index += 1
                     converge_cycle = (converge[converge_index].cycle
                                       if converge_index < len(converge)

@@ -105,7 +105,7 @@ class Trace:
 
     __slots__ = ("executed", "outputs", "stores", "loads", "returned",
                  "outcome", "trap_kind", "cycles", "register_log",
-                 "resumed_from", "spliced_at", "_images")
+                 "resumed_from", "spliced_at", "reused", "_images")
 
     def __init__(self):
         self.executed = []      # program points in execution order
@@ -122,6 +122,9 @@ class Trace:
         #                           file snapshot per executed instruction
         self.resumed_from = None  # Snapshot a resumed run started from
         self.spliced_at = None    # Snapshot whose golden suffix it spliced
+        self.reused = None        # record of an earlier run whose state
+        #                           it reached (repro.fi.tails); the
+        #                           trace then stops at that state
         self._images = None       # cached packed path and stores
 
     def key(self):

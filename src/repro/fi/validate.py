@@ -122,19 +122,10 @@ class ValidationSink(RunSink):
         )
 
 
-def validate_bec(function, machine, bec, regs=None, golden=None,
-                 cycle_limit=None):
-    """Exhaustively validate BEC claims on one function.
-
-    Every window-bit instance of the golden trace (killed windows
-    included) becomes one planned injection.  ``cycle_limit``
-    optionally restricts validation to the instances of the first N
-    cycles (keeps big traces tractable; the injected runs still execute
-    to their end).  The plan runs on *machine*'s own core with snapshot
-    resume.  Returns a :class:`ValidationReport`.
-    """
-    if golden is None:
-        golden = machine.run(regs=regs)
+def validation_plan(function, golden, bec, cycle_limit=None):
+    """One :class:`PlannedRun` per window-bit instance of *golden*
+    (killed windows included), in non-decreasing cycle order; with
+    ``cycle_limit`` only the instances of the first N cycles."""
     instances = iter_bit_instances(function, golden, bec,
                                    include_killed=True)
     if cycle_limit is not None:
@@ -142,9 +133,25 @@ def validate_bec(function, machine, bec, regs=None, golden=None,
         # the first instance past the limit ends the plan.
         instances = itertools.takewhile(
             lambda instance: instance.cycle < cycle_limit, instances)
-    plan = [PlannedRun(Injection(instance.cycle, instance.reg, instance.bit),
+    return [PlannedRun(Injection(instance.cycle, instance.reg, instance.bit),
                        instance.pp, instance.rep, instance.epoch)
             for instance in instances]
+
+
+def validate_bec(function, machine, bec, regs=None, golden=None,
+                 cycle_limit=None):
+    """Exhaustively validate BEC claims on one function.
+
+    Every instance of :func:`validation_plan` becomes one planned
+    injection.  ``cycle_limit`` optionally restricts validation to the
+    instances of the first N cycles (keeps big traces tractable; the
+    injected runs still execute to their end).  The plan runs on
+    *machine*'s own core with snapshot resume.  Returns a
+    :class:`ValidationReport`.
+    """
+    if golden is None:
+        golden = machine.run(regs=regs)
+    plan = validation_plan(function, golden, bec, cycle_limit)
     sink = ValidationSink()
     CampaignEngine(machine, plan, regs=regs, golden=golden).run(
         checkpoint_interval=auto_checkpoint_interval(golden), sink=sink)

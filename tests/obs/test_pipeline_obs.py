@@ -7,7 +7,6 @@ escapes per divergence program point.
 """
 
 import json
-import warnings
 
 import pytest
 
