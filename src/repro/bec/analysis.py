@@ -77,13 +77,13 @@ class BECAnalysis:
         }
 
 
-def run_bec(function, rules=None):
+def run_bec(function):
     """Run the complete BEC analysis on a finalized *function*."""
     liveness = compute_liveness(function)
     use_chains = compute_use_chains(function)
     bit_values = compute_bit_values(function)
     fault_space = FaultSpace(function, liveness=liveness)
     coalescing = coalesce(function, bit_values, use_chains,
-                          fault_space=fault_space, rules=rules)
+                          fault_space=fault_space)
     return BECAnalysis(function, liveness, use_chains, bit_values,
                        coalescing)

@@ -76,7 +76,7 @@ from repro.bec.intra import S0, intra_constraints
 MAX_ITERATIONS = 100
 
 
-def instruction_pairs(instruction, bit_values, width, rules):
+def instruction_pairs(instruction, bit_values, width):
     """The ``R'_q`` constraint pairs of *instruction* under the
     bit-value fixpoint *bit_values*.
 
@@ -87,7 +87,7 @@ def instruction_pairs(instruction, bit_values, width, rules):
     if not bit_values.is_executable(pp):
         return []
     before = {u: bit_values.before(pp, u) for u in instruction.data_reads()}
-    return intra_constraints(instruction, before, width, rules=rules)
+    return intra_constraints(instruction, before, width)
 
 
 class LocalRelation:
@@ -158,12 +158,11 @@ def _is_direct(token):
 class CoalescingResult:
     """The equivalence relation R = S/~R over all fault sites."""
 
-    def __init__(self, function, fault_space, uf, iterations, rules=None):
+    def __init__(self, function, fault_space, uf, iterations):
         self.function = function
         self.fault_space = fault_space
         self._uf = uf
         self.iterations = iterations
-        self.rules = rules    # the RuleSet the relation was built with
 
     def class_of(self, pp, reg, bit):
         """Representative id of the site's class (0 = masked)."""
@@ -250,7 +249,7 @@ def _compute_must_observe(function):
     return result
 
 
-def coalesce(function, bit_values, use_chains, fault_space, rules=None):
+def coalesce(function, bit_values, use_chains, fault_space):
     """Run Algorithm 2 to its fixed point; returns :class:`CoalescingResult`.
 
     ``bit_values`` is a :class:`repro.bitvalue.BitValueResult`,
@@ -274,7 +273,7 @@ def coalesce(function, bit_values, use_chains, fault_space, rules=None):
             readers.add(q)
     for q in sorted(readers):
         constraints[q] = instruction_pairs(function.instruction_at(q),
-                                           bit_values, width, rules)
+                                           bit_values, width)
 
     liveness = fault_space.liveness
     must_observe = _compute_must_observe(function)
@@ -366,5 +365,4 @@ def coalesce(function, bit_values, use_chains, fault_space, rules=None):
                     if uf.union(first, other):
                         changed = True
 
-    return CoalescingResult(function, fault_space, uf, iterations,
-                            rules=rules)
+    return CoalescingResult(function, fault_space, uf, iterations)

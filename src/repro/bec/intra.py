@@ -10,7 +10,7 @@ relation ``R'_q``:
   after ``q`` writes it;
 * ``S0``             — the masked (no-effect) class.
 
-The rule set follows Algorithm 3 of the paper: unconditional propagation
+The rule set is exactly Algorithm 3 of the paper: unconditional propagation
 for ``mv``/``xor`` (and ``not``, which is an xor with all-ones), bit-value
 guarded propagation/masking for ``and``/``or``, constant and
 minimum-shift-amount rules for shifts, and the ``eval`` rule for
@@ -19,12 +19,6 @@ the same outcome are tied).  The eval rule evaluates the instruction
 with the bit-value analysis's own ``abstract_value`` and
 ``abstract_decision``, so a flipped operand is judged by the same
 transfer functions as the fixpoint.
-
-``RuleSet.extended`` additionally enables sound rules the paper leaves
-on the table: carry-free low-bit propagation through ``add`` (and
-borrow-free propagation through ``sub``) and an ``eval``-vs-fault-free
-masking rule for comparisons.  They are off by default so the default
-configuration matches the paper exactly.
 
 The pairs are closed into ``R'_q`` by one class,
 :class:`repro.bec.coalesce.LocalRelation`, for both of its consumers:
@@ -41,13 +35,6 @@ from repro.bitvalue.lattice import BitVector
 S0 = ("s0",)
 
 
-class RuleSet:
-    """Configuration of the intra-instruction rule set."""
-
-    def __init__(self, extended=False):
-        self.extended = extended
-
-
 def port(reg, bit):
     return ("port", reg, bit)
 
@@ -56,7 +43,7 @@ def window(reg, bit):
     return ("win", reg, bit)
 
 
-def intra_constraints(instruction, before_values, width, rules=None):
+def intra_constraints(instruction, before_values, width):
     """Compute the ``R'_q`` constraint pairs for *instruction*.
 
     ``before_values`` maps each read register to its abstract
@@ -65,7 +52,6 @@ def intra_constraints(instruction, before_values, width, rules=None):
 
     Returns a list of ``(token_a, token_b)`` pairs.
     """
-    rules = rules or RuleSet()
     opcode = instruction.opcode
     pairs = []
 
@@ -84,11 +70,7 @@ def intra_constraints(instruction, before_values, width, rules=None):
     elif opcode in (Opcode.SLL, Opcode.SLLI):
         _shift_rule(instruction, before_values, pairs, width, left=True)
     elif _is_eval_opcode(opcode):
-        _eval_rule(instruction, before_values, pairs, width, rules)
-    elif opcode in (Opcode.ADD, Opcode.ADDI) and rules.extended:
-        _add_low_bits_rule(instruction, before_values, pairs, width)
-    elif opcode is Opcode.SUB and rules.extended:
-        _sub_low_bits_rule(instruction, before_values, pairs, width)
+        _eval_rule(instruction, before_values, pairs, width)
 
     return pairs
 
@@ -229,7 +211,7 @@ def _shift_rule(instruction, before_values, pairs, width, left):
 # -- comparisons and branches (the eval rule) -----------------------------------------
 
 
-def _eval_rule(instruction, before_values, pairs, width, rules):
+def _eval_rule(instruction, before_values, pairs, width):
     """Tie operand bits whose flips provably lead to the same outcome.
 
     ``eval(p, v^i)`` partially evaluates the comparison/branch assuming a
@@ -238,9 +220,6 @@ def _eval_rule(instruction, before_values, pairs, width, rules):
     """
     operands = {reg: _value_of(reg, before_values, width)
                 for reg in instruction.data_reads()}
-    baseline = None
-    if rules.extended:
-        baseline = _eval_outcome(instruction, operands, width)
     for reg, bits in operands.items():
         outcomes = {}
         for bit in range(width):
@@ -253,9 +232,6 @@ def _eval_rule(instruction, before_values, pairs, width, rules):
             if outcome is None:
                 continue
             outcomes[bit] = outcome
-            if rules.extended and baseline is not None \
-                    and outcome == baseline:
-                pairs.append((port(reg, bit), S0))
         by_outcome = {}
         for bit, outcome in outcomes.items():
             by_outcome.setdefault(outcome, []).append(bit)
@@ -293,61 +269,6 @@ def _eval_outcome(instruction, values, width):
         return ("branch", decision) if decision is not None else None
     result = abstract_value(instruction, read, width)
     return ("value", result.value) if result.is_constant else None
-
-
-# -- extended rules ----------------------------------------------------------------------
-
-
-def _add_low_bits_rule(instruction, before_values, pairs, width):
-    """Carry-free propagation through addition (extension, off by default).
-
-    If the other addend's bits ``0..i`` are all known zero, no carry can
-    reach bit ``i``, so a flip of ``x^i`` before the add equals a flip of
-    ``z^i`` after it.
-    """
-    target = instruction.rd
-    x = instruction.rs1
-    if instruction.format is Format.RRI:
-        y = None
-        y_bits = BitVector.const(width, instruction.imm)
-    else:
-        y = instruction.rs2
-        if x == y:
-            return
-        y_bits = _value_of(y, before_values, width)
-    x_bits = _value_of(x, before_values, width)
-
-    def low_zero_prefix(bits):
-        return bits.trailing_known_zeros()
-
-    if x != ZERO:
-        prefix = low_zero_prefix(y_bits)
-        for bit in range(min(prefix, width)):
-            pairs.append((port(x, bit), window(target, bit)))
-    if y is not None and y != ZERO:
-        prefix = low_zero_prefix(x_bits)
-        for bit in range(min(prefix, width)):
-            pairs.append((port(y, bit), window(target, bit)))
-
-
-def _sub_low_bits_rule(instruction, before_values, pairs, width):
-    """Borrow-free propagation through subtraction (extension).
-
-    For ``z = sub x, y``: a borrow out of bit ``j`` requires a non-zero
-    bit of ``y`` at or below ``j``, so while ``y``'s bits ``0..i`` are
-    all known zero, bit ``i`` of ``z`` equals bit ``i`` of ``x`` and a
-    flip of ``x^i`` before the sub equals a flip of ``z^i`` after it.
-    Only the minuend propagates this way — flipping a bit of ``y``
-    changes the borrow chain, not a single result bit.
-    """
-    target = instruction.rd
-    x, y = instruction.rs1, instruction.rs2
-    if x == y or x == ZERO:
-        return          # z = 0 (peephole territory), or -y
-    y_bits = _value_of(y, before_values, width)
-    prefix = y_bits.trailing_known_zeros()
-    for bit in range(min(prefix, width)):
-        pairs.append((port(x, bit), window(target, bit)))
 
 
 def _value_of(reg, before_values, width):

@@ -4,7 +4,7 @@ Usage (``python -m repro <command> ...``)::
 
     compile  FILE.mc [-o OUT.ir] [-O{0,1,2}]   mini-C -> textual IR
     run      FILE.{mc,ir} [--args N ...]       simulate, print outputs
-    analyze  FILE.{mc,ir} [--extended]         BEC report per window
+    analyze  FILE.{mc,ir}                      BEC report per window
     campaign FILE.{mc,ir} [--mode bec|ior|exhaustive] [--execute N]
              [--harden none|full|bec] [--budget F]
              [--core threaded|reference|batched] [--prune liveness]
@@ -60,11 +60,9 @@ import sys
 import time
 
 from repro.bec.analysis import run_bec
-from repro.bec.intra import RuleSet
 from repro.errors import ReproError
 from repro.fi.accounting import fault_injection_accounting
-from repro.fi.campaign import (plan_bec, plan_exhaustive,
-                               plan_inject_on_read)
+from repro.fi.campaign import PLANNERS
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
@@ -164,8 +162,7 @@ def cmd_run(options):
 
 def cmd_analyze(options):
     program = load_program(options.file, optimize=_opt_level(options))
-    rules = RuleSet(extended=options.extended)
-    bec = run_bec(program.function, rules=rules)
+    bec = run_bec(program.function)
     summary = bec.summary()
     print(f"function {program.function.name}: "
           f"{len(program.function.instructions)} instructions, "
@@ -202,12 +199,7 @@ def cmd_campaign(options):
               f"({golden.cycles} -> {hardened_golden.cycles} cycles)")
         golden = hardened_golden
     bec = run_bec(function)
-    if options.mode == "bec":
-        plan = plan_bec(function, golden, bec)
-    elif options.mode == "ior":
-        plan = plan_inject_on_read(function, golden)
-    else:
-        plan = plan_exhaustive(function, golden)
+    plan = list(PLANNERS[options.mode](function, golden, bec))
     accounting = fault_injection_accounting(function, golden, bec)
     print(f"golden trace: {golden.cycles} cycles ({options.core} core)")
     print(f"plan ({options.mode}): {len(plan)} fault-injection runs")
@@ -272,8 +264,7 @@ def cmd_campaign(options):
 def cmd_validate(options):
     program = load_program(options.file)
     machine, golden = _golden(program, options.args)
-    bec = run_bec(program.function,
-                  rules=RuleSet(extended=options.extended))
+    bec = run_bec(program.function)
     report = validate_bec(program.function, machine, bec,
                           regs=_initial_regs(program, options.args),
                           golden=golden, cycle_limit=options.cycles)
@@ -392,8 +383,7 @@ def cmd_fuzz(options):
         if golden.outcome != "ok":
             print(f"seed {seed}: golden run {golden.outcome} — skipped")
             continue
-        bec = run_bec(function,
-                      rules=RuleSet(extended=options.extended))
+        bec = run_bec(function)
         report = validate_bec(function, machine, bec, regs=regs,
                               golden=golden,
                               cycle_limit=options.cycles)
@@ -830,15 +820,13 @@ def build_parser():
 
     sub = add("analyze", cmd_analyze, help="run the BEC analysis")
     add_opt_arguments(sub)
-    sub.add_argument("--extended", action="store_true",
-                     help="enable the extended (sound) rule set")
     sub.add_argument("--windows", action="store_true",
                      help="print per-window bit classes")
 
     sub = add("campaign", cmd_campaign,
               help="plan (and optionally execute) an FI campaign")
     add_opt_arguments(sub)
-    sub.add_argument("--mode", choices=("bec", "ior", "exhaustive"),
+    sub.add_argument("--mode", choices=tuple(PLANNERS),
                      default="bec")
     sub.add_argument("--harden", choices=("none", "full", "bec"),
                      default="none",
@@ -885,7 +873,6 @@ def build_parser():
               help="validate analysis claims by exhaustive injection")
     sub.add_argument("--cycles", type=int, default=None,
                      help="validate only the first N trace cycles")
-    sub.add_argument("--extended", action="store_true")
     sub.add_argument("--args", nargs="*", type=lambda v: int(v, 0),
                      default=[])
 
@@ -1194,7 +1181,6 @@ def build_parser():
     sub.add_argument("--cycles", type=int, default=None,
                      help="validate only the first N trace cycles "
                           "(default: the whole trace)")
-    sub.add_argument("--extended", action="store_true")
 
     return parser
 

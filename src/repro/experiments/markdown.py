@@ -23,10 +23,10 @@ Absolute numbers differ from the paper by design: the paper compiles
 the benchmarks with LLVM 16 for RISC-V hardware and traces them on
 SPIKE, while this reproduction compiles mini-C versions of the same
 kernels for a RISC-V-flavoured IR and traces them on a pure-Python
-simulator at reduced input scale (see DESIGN.md §2 for the substitution
-table).  What must carry over — and is asserted by
-`tests/experiments/` — is the *shape*: who wins, by roughly what
-factor, and where the outliers sit.
+simulator at reduced input scale (see the README's "Execution cores"
+and "Optimization pipeline" sections for the substitution).  What must
+carry over — and is asserted by `tests/experiments/` — is the *shape*:
+who wins, by roughly what factor, and where the outliers sit.
 """
 
 #: Per-experiment shape commentary recorded alongside the raw tables.

@@ -87,8 +87,7 @@ class _ChainWalker:
     def _build_row(self, pp):
         instruction = self.function.instruction_at(pp)
         relation = LocalRelation(instruction_pairs(
-            instruction, self.bec.bit_values, self.width,
-            self.bec.coalescing.rules))
+            instruction, self.bec.bit_values, self.width))
         bits = range(self.width)
         ports = []
         for reg in dict.fromkeys(instruction.data_reads()):

@@ -93,6 +93,16 @@ def plan_bec(function, trace, bec):
     return list(iter_plan_bec(function, trace, bec))
 
 
+#: Mode -> lazy planner over (function, golden trace, BEC analysis).
+PLANNERS = {
+    "bec": iter_plan_bec,
+    "ior": lambda function, golden, bec: iter_plan_inject_on_read(
+        function, golden, liveness=bec.liveness),
+    "exhaustive": lambda function, golden, bec: iter_plan_exhaustive(
+        function, golden),
+}
+
+
 class Aggregates:
     """Incremental campaign aggregates — everything a
     :class:`CampaignResult` reports without touching per-run records.

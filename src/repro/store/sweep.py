@@ -26,10 +26,9 @@ from itertools import islice
 
 from repro import obs
 from repro.bec.analysis import run_bec
-from repro.fi.campaign import (iter_plan_bec, iter_plan_exhaustive,
-                               iter_plan_inject_on_read)
+from repro.fi.campaign import PLANNERS
 # Bound for callers that patch this module's planner name
-# (perfbench/layers.py); cells plan through the iterators above.
+# (perfbench/layers.py); cells plan through PLANNERS.
 from repro.fi.campaign import plan_bec  # noqa: F401
 from repro.fi.machine import Machine
 from repro.harden import harden_checked
@@ -43,15 +42,6 @@ CellOutcome = namedtuple(
     ["cell", "key", "cached", "plan_runs", "pruned_runs", "effects",
      "distinct_traces", "archived_bytes", "wall_time", "golden_cycles",
      "overhead", "error"], defaults=(None,))
-
-#: Mode -> lazy planner over a cell's (function, golden, bec).
-_PLANNERS = {
-    "bec": iter_plan_bec,
-    "ior": lambda function, golden, bec: iter_plan_inject_on_read(
-        function, golden, liveness=bec.liveness),
-    "exhaustive": lambda function, golden, bec: iter_plan_exhaustive(
-        function, golden),
-}
 
 
 def _load_kernel(ref):
@@ -151,8 +141,8 @@ class SweepRunner:
         is ever built (``islice`` with ``None`` takes the whole plan)."""
         key = (cell.kernel, cell.harden, cell.budget, cell.mode)
         if key not in self._plans:
-            runs = _PLANNERS[cell.mode](variant["function"],
-                                        variant["golden"], variant["bec"])
+            runs = PLANNERS[cell.mode](variant["function"],
+                                       variant["golden"], variant["bec"])
             self._plans[key] = list(islice(runs, self.spec.max_runs))
         return self._plans[key]
 

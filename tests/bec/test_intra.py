@@ -2,18 +2,16 @@
 
 from repro.ir.parser import parse_instruction
 from repro.bitvalue.lattice import BitVector
-from repro.bec.intra import RuleSet, S0, intra_constraints, port, window
+from repro.bec.intra import S0, intra_constraints, port, window
 
 WIDTH = 4
 
 
-def constraints(text, values=None, extended=False):
+def constraints(text, values=None):
     instruction = parse_instruction(text)
     before = {reg: BitVector.from_string(bits)
               for reg, bits in (values or {}).items()}
-    return set(map(frozenset,
-                   intra_constraints(instruction, before, WIDTH,
-                                     rules=RuleSet(extended=extended))))
+    return set(map(frozenset, intra_constraints(instruction, before, WIDTH)))
 
 
 def pair(a, b):
@@ -145,30 +143,17 @@ class TestEvalRule:
         # Flipping any of a's low three bits keeps a < b.
         assert pair(port("a", 0), port("a", 1)) in pairs
 
-    def test_eval_vs_baseline_masks_only_when_extended(self):
-        # beqz on a known-nonzero value: flipping bit 0 keeps it nonzero
-        # => same outcome as fault-free, masked under the extended rules.
-        values = {"m": "0110"}
-        base = constraints("beqz m, somewhere", values)
-        extended = constraints("beqz m, somewhere", values, extended=True)
-        assert pair(port("m", 0), S0) not in base
-        assert pair(port("m", 0), S0) in extended
+    def test_eval_never_masks_against_baseline(self):
+        # beqz on a known-nonzero value: flipping bit 0 keeps it nonzero,
+        # the fault-free outcome, yet Algorithm 3's eval rule only ties
+        # flipped bits to each other and never masks one.
+        pairs = constraints("beqz m, somewhere", {"m": "0110"})
+        assert pair(port("m", 0), S0) not in pairs
 
 
-class TestExtendedAddRule:
-    def test_off_by_default(self):
+class TestArithmetic:
+    def test_add_gives_no_pairs(self):
+        # Algorithm 3 has no add rule, even when no carry can reach the
+        # low bits.
         pairs = constraints("add z, x, y", {"x": "xxxx", "y": "xx00"})
         assert pairs == set()
-
-    def test_carry_free_low_bits(self):
-        pairs = constraints("add z, x, y", {"x": "xxxx", "y": "xx00"},
-                            extended=True)
-        assert pair(port("x", 0), window("z", 0)) in pairs
-        assert pair(port("x", 1), window("z", 1)) in pairs
-        assert pair(port("x", 2), window("z", 2)) not in pairs
-
-    def test_addi_immediate(self):
-        pairs = constraints("addi z, x, 4", {"x": "xxxx"}, extended=True)
-        assert pair(port("x", 0), window("z", 0)) in pairs
-        assert pair(port("x", 1), window("z", 1)) in pairs
-        assert pair(port("x", 2), window("z", 2)) not in pairs

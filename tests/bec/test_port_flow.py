@@ -8,16 +8,14 @@ fixpoint builds the same relation with windows resolved to their R
 classes.
 """
 
-import pytest
-
 from repro.bec.coalesce import LocalRelation
-from repro.bec.intra import RuleSet, intra_constraints
+from repro.bec.intra import intra_constraints
 from repro.bitvalue.lattice import BitVector
 from repro.ir.parser import parse_function
 
 
-def _relation_of(body, values=None, width=4, rules=None,
-                 params="params=x,y", resolve=None):
+def _relation_of(body, values=None, width=4, params="params=x,y",
+                 resolve=None):
     function = parse_function(
         f"func f width={width} {params}\nbb.entry:\n    {body}\n    ret x\n")
     instruction = function.instructions[0]
@@ -25,7 +23,7 @@ def _relation_of(body, values=None, width=4, rules=None,
     for reg in instruction.data_reads():
         before.setdefault(reg, BitVector.top(width))
     return LocalRelation(
-        intra_constraints(instruction, before, width, rules=rules),
+        intra_constraints(instruction, before, width),
         resolve=resolve)
 
 
@@ -110,30 +108,11 @@ bb.target:
         assert relation.port_direct_root("x", 0) not in roots
 
 
-class TestExtendedRules:
-    def test_add_low_bits_only_with_extended(self):
+class TestArithmetic:
+    def test_add_constrains_no_port(self):
         values = {"y": BitVector.from_string("1100")}
-        base = _relation_of("add z, x, y", values=values)
-        assert not _constrained(base, "x", 0)
-        extended = _relation_of("add z, x, y", values=values,
-                                rules=RuleSet(extended=True))
-        assert _flow(extended, "x", 0) == ((("z", 0),), False)
-        assert _flow(extended, "x", 1) == ((("z", 1),), False)
-        assert not _constrained(extended, "x", 2)   # a carry can reach bit 2
-
-    def test_sub_minuend_low_bits(self):
-        values = {"y": BitVector.from_string("1000")}
-        extended = _relation_of("sub z, x, y", values=values,
-                                rules=RuleSet(extended=True))
-        for bit in range(3):
-            assert _flow(extended, "x", bit) == ((("z", bit),), False)
-        assert not _constrained(extended, "x", 3)
-
-    def test_sub_subtrahend_never_propagates(self):
-        values = {"x": BitVector.from_string("0000")}
-        extended = _relation_of("sub z, x, y", values=values,
-                                rules=RuleSet(extended=True))
-        assert not _constrained(extended, "y", 0)
+        relation = _relation_of("add z, x, y", values=values)
+        assert not _constrained(relation, "x", 0)
 
 
 class TestResolvedRelation:
@@ -158,28 +137,3 @@ class TestResolvedRelation:
         assert resolved.port_direct_root("x", 0) != \
             resolved.port_direct_root("y", 1)
 
-
-class TestSubExtendedSoundness:
-    """The borrow-free sub rule must survive exhaustive validation."""
-
-    @pytest.mark.parametrize("minuend", [0, 1, 7, 12, 15])
-    def test_flip_equivalence_holds(self, minuend):
-        from repro.bec.analysis import run_bec
-        from repro.fi.machine import Machine
-        from repro.fi.validate import validate_bec
-
-        function = parse_function("""
-func f width=4 params=x
-bb.entry:
-    li y, 8
-    sub z, x, y
-    out z
-    ret z
-""")
-        machine = Machine(function)
-        golden = machine.run(regs={"x": minuend})
-        bec = run_bec(function, rules=RuleSet(extended=True))
-        report = validate_bec(function, machine, bec,
-                              regs={"x": minuend}, golden=golden)
-        assert report.unsound_masked == 0
-        assert report.unsound_equivalences == 0

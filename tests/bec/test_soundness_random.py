@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bec.analysis import run_bec
-from repro.bec.intra import RuleSet
 from repro.fi.machine import Machine
 from repro.fi.validate import validate_bec
 from repro.ir.parser import parse_function
@@ -19,9 +18,9 @@ from repro.ir.parser import parse_function
 from tests.bec.program_gen import random_function
 
 
-def validate_seed(seed, rules=None, **kwargs):
+def validate_seed(seed, **kwargs):
     function = random_function(seed, **kwargs)
-    bec = run_bec(function, rules=rules)
+    bec = run_bec(function)
     machine = Machine(function, memory_size=64)
     report = validate_bec(function, machine, bec)
     assert report.unsound_masked == 0, \
@@ -37,12 +36,6 @@ class TestRandomPrograms:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_no_unsound_claims(self, seed):
         validate_seed(seed)
-
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_no_unsound_claims_extended_rules(self, seed):
-        validate_seed(seed, rules=RuleSet(extended=True))
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -98,7 +98,10 @@ class TestAnalyze:
         assert "andi b, a, 1" in output
 
     def test_extended_flag(self, ir_file, capsys):
-        assert main(["analyze", ir_file, "--extended"]) == 0
+        # One rule set, Algorithm 3's: there is nothing to switch on.
+        with pytest.raises(SystemExit) as error:
+            main(["analyze", ir_file, "--extended"])
+        assert error.value.code == 2
 
 
 class TestCampaign:
