@@ -39,10 +39,10 @@ import math
 import time
 
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import (CampaignEngine, auto_checkpoint_interval,
                              pick_snapshot)
 from repro.fi.machine import Injection, Machine
+from bench_campaign import sliced_exhaustive
 from report import provenance
 
 #: The single-run subjects (paper §VI kernels, presentation order).
@@ -148,9 +148,7 @@ def bench_campaign(mode):
     reference = machines["reference"]
     fast = machines["threaded"]
     golden = fast.run(regs=regs)
-    full = plan_exhaustive(fast.function, golden)
-    stride = max(1, len(full) // CAMPAIGN_RUNS[mode])
-    plan = full[::stride]
+    plan = sliced_exhaustive(fast.function, golden, CAMPAIGN_RUNS[mode])
     interval = auto_checkpoint_interval(golden)
 
     start = time.perf_counter()

@@ -50,15 +50,14 @@ def main():
     print(f"golden trace: {golden.cycles} cycles\n")
 
     start = time.perf_counter()
-    truth = exhaustive_avf(machine, program.function, golden, regs=regs,
-                           golden=golden)
+    truth = exhaustive_avf(machine, program.function, golden, regs=regs)
     exhaustive_time = time.perf_counter() - start
     print(f"ground truth AVF     {truth:6.4f}   "
           f"({exhaustive_time:6.1f} s, full sweep)")
 
     start = time.perf_counter()
     uniform = estimate_avf(machine, program.function, golden, BUDGET,
-                           seed=11, regs=regs, golden=golden)
+                           seed=11, regs=regs)
     uniform_time = time.perf_counter() - start
     print(f"uniform sampling     {uniform.avf:6.4f}   "
           f"[{uniform.low:.4f}, {uniform.high:.4f}]  "
@@ -67,7 +66,7 @@ def main():
     bec = run_bec(program.function)
     start = time.perf_counter()
     collapsed = estimate_avf(machine, program.function, golden, BUDGET,
-                             seed=11, regs=regs, golden=golden, bec=bec)
+                             seed=11, regs=regs, bec=bec)
     collapsed_time = time.perf_counter() - start
     print(f"BEC-collapsed        {collapsed.avf:6.4f}   "
           f"[{collapsed.low:.4f}, {collapsed.high:.4f}]  "

@@ -55,6 +55,7 @@ stdout).
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -63,7 +64,6 @@ from repro.bec.analysis import run_bec
 from repro.errors import ReproError
 from repro.fi.accounting import fault_injection_accounting
 from repro.fi.campaign import PLANNERS
-from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Machine
 from repro.fi.memory import (memory_fault_accounting, plan_memory_bec,
                              plan_memory_inject_on_read)
@@ -79,6 +79,7 @@ from repro.sched.policies import (BestReliability, OriginalOrder,
 from repro.sched.related import (LiveIntervalMinimizing,
                                  LookaheadCriticality)
 from repro.sched.vulnerability import live_fault_sites
+from repro.store import CachingRunner, ResultStore
 
 
 class LoadedProgram:
@@ -220,29 +221,17 @@ def cmd_campaign(options):
                     print(f"  {done}/{total} runs",
                           file=sys.stderr, flush=True)
         prune = None if options.prune == "none" else options.prune
-        if options.store:
-            from repro.store import CachingRunner, ResultStore
-
-            with ResultStore(options.store) as store:
-                runner = CachingRunner(store)
-                result = runner.run(
-                    machine, slice_,
-                    regs=_initial_regs(program, options.args),
-                    golden=golden, workers=options.workers,
-                    checkpoint_interval=options.checkpoint_interval,
-                    progress=progress, prune=prune,
-                    harden=options.harden, budget=options.budget)
-            if result.cached:
-                print(f"store hit: replayed archived aggregates from "
-                      f"{options.store}")
-        else:
-            engine = CampaignEngine(
+        with (ResultStore(options.store) if options.store
+              else contextlib.nullcontext()) as store:
+            result = CachingRunner(store).run(
                 machine, slice_, regs=_initial_regs(program, options.args),
-                golden=golden)
-            result = engine.run(
-                workers=options.workers,
+                golden=golden, workers=options.workers,
                 checkpoint_interval=options.checkpoint_interval,
-                progress=progress, prune=prune)
+                progress=progress, prune=prune,
+                harden=options.harden, budget=options.budget)
+        if result.cached:
+            print(f"store hit: replayed archived aggregates from "
+                  f"{options.store}")
         if options.progress and sys.stderr.isatty():
             print(file=sys.stderr)    # terminate the rewritten line
         core_label = options.core
@@ -334,8 +323,7 @@ def cmd_sample(options):
     estimate = estimate_avf(machine, program.function, golden,
                             options.budget, seed=options.seed,
                             regs=_initial_regs(program, options.args),
-                            golden=golden, bec=bec,
-                            confidence=options.confidence,
+                            bec=bec, confidence=options.confidence,
                             checkpoint_interval=options.checkpoint_interval)
     mode = "BEC-collapsed" if options.bec else "uniform"
     print(f"{mode} sampling: {estimate.trials} samples over "
@@ -362,8 +350,7 @@ def cmd_memory(options):
         full = plan_memory_inject_on_read(program.function, golden)
         pruned = plan_memory_bec(program.function, golden, bec)
         regs = _initial_regs(program, options.args)
-        result = CampaignEngine(machine, pruned, regs=regs,
-                                golden=golden).run()
+        result = CachingRunner().run(machine, pruned, regs=regs, golden=golden)
         print(f"pruned campaign: {len(pruned)}/{len(full)} runs, "
               f"effects {result.effect_counts()}")
     return 0
@@ -416,7 +403,7 @@ def _write_json(path, payload):
 
 
 def cmd_sweep(options):
-    from repro.store import ResultStore, load_spec, run_sweep
+    from repro.store import load_spec, run_sweep
 
     if options.workers is not None and options.workers < 1:
         raise SystemExit("--workers must be >= 1")
@@ -510,8 +497,6 @@ def cmd_obs_summarize(options):
 
 
 def cmd_store_verify(options):
-    from repro.store import ResultStore
-
     with ResultStore(options.db) as store:
         report = store.verify(
             clear_quarantine=options.clear_quarantine)
@@ -556,7 +541,6 @@ def cmd_dist_work(options):
     from repro.dist.queue import DEFAULT_LEASE_SECONDS, WorkQueue
     from repro.dist.worker import (DEFAULT_MAX_IDLE_SECONDS, DistWorker,
                                    policy_from_specs)
-    from repro.store import ResultStore
 
     try:
         policy = policy_from_specs(options.chaos)

@@ -80,7 +80,7 @@ def main(argv=None):
         markdown.generate(EXPERIMENTS, names, path)
         print(f"wrote {path}")
         runner = common.campaign_runner()
-        if runner is not None:
+        if runner.store is not None:
             print(f"store {runner.store.path}: {runner.hits} campaign "
                   f"cells from cache, {runner.misses} executed "
                   f"({runner.simulator_runs} simulator runs)")

@@ -29,9 +29,9 @@ import random
 from collections import namedtuple
 
 from repro import obs
-from repro.ir.liveness import compute_liveness
 from repro.fi.accounting import iter_bit_instances
 from repro.fi.campaign import (EFFECT_MASKED, PlannedRun,
+                               iter_plan_inject_on_read,
                                plan_inject_on_read)
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection
@@ -121,19 +121,15 @@ def inject_on_read_population(function, trace, bec=None):
     With *bec*, each site carries the ``(class, epoch)`` key the
     coalescing analysis proved outcome-equivalent, and statically masked
     sites are marked so the estimator can skip their simulator runs.
-    Without it every site gets a unique key (plain uniform sampling).
+    Without it the sites are the runs of
+    :func:`repro.fi.campaign.iter_plan_inject_on_read`, in plan order,
+    each with a unique key (plain uniform sampling).
     """
-    population = []
     if bec is None:
-        liveness = compute_liveness(function)
-        width = function.bit_width
-        for cycle, pp in enumerate(trace.executed):
-            for reg in liveness.live_windows(pp):
-                for bit in range(width):
-                    population.append(SampledSite(
-                        Injection(cycle, reg, bit),
-                        ("site", cycle, reg, bit), False))
-        return population
+        return [SampledSite(run.injection, ("site", index), False)
+                for index, run in enumerate(
+                    iter_plan_inject_on_read(function, trace))]
+    population = []
     for instance in iter_bit_instances(function, trace, bec):
         if instance.rep == 0:
             key = ("masked",)
@@ -149,23 +145,22 @@ def inject_on_read_population(function, trace, bec=None):
 
 
 def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
-                 bec=None, golden=None, confidence=0.95,
-                 checkpoint_interval=None):
+                 bec=None, confidence=0.95, checkpoint_interval=None):
     """Estimate the AVF of *function* by sampling *budget* fault sites.
 
     Samples uniformly with replacement from the inject-on-read
-    population of *trace*.  With *bec* the outcome of each equivalence
-    class epoch is computed once and reused (and masked sites are free),
-    which cuts simulator runs without changing the estimator's
-    distribution.  The first sampled injection of every unmasked key
-    runs as one :class:`repro.fi.engine.CampaignEngine` campaign, so
+    population of *trace*, the golden trace of *machine* run on *regs*.
+    With *bec* the outcome of each equivalence class epoch is computed
+    once and reused (and masked sites are free), which cuts simulator
+    runs without changing the estimator's distribution.  The first
+    sampled injection of every unmasked key runs as one
+    :class:`repro.fi.engine.CampaignEngine` campaign, so
     *checkpoint_interval* (snapshot resume) and a ``core="batched"``
     machine (lockstep lanes) accelerate it exactly as they do any other
     campaign; the estimate and ``simulator_runs`` never depend on them.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    golden = golden or machine.run(regs=regs)
     population = inject_on_read_population(function, trace, bec=bec)
     if not population:
         raise ValueError("empty fault population; nothing to sample")
@@ -178,8 +173,8 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
             first[site.key] = site.injection
     plan = [PlannedRun(injection, None, None, None)
             for injection in first.values()]
-    engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
-                            max_cycles=4 * golden.cycles + 1024)
+    engine = CampaignEngine(machine, plan, regs=regs, golden=trace,
+                            max_cycles=4 * trace.cycles + 1024)
     outcomes = CollectSink()
     engine.run(checkpoint_interval=checkpoint_interval, sink=outcomes)
     vulnerable_keys = {key for key, (_, effect, _, _)
@@ -201,10 +196,11 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
                        population=len(population))
 
 
-def exhaustive_avf(machine, function, trace, regs=None, golden=None):
-    """Ground-truth AVF: run the full inject-on-read campaign."""
+def exhaustive_avf(machine, function, trace, regs=None):
+    """Ground-truth AVF: run the full inject-on-read campaign against
+    *trace*, the golden trace of *machine* run on *regs*."""
     plan = plan_inject_on_read(function, trace)
     if not plan:
         raise ValueError("empty fault population; nothing to inject")
-    result = CampaignEngine(machine, plan, regs=regs, golden=golden).run()
+    result = CampaignEngine(machine, plan, regs=regs, golden=trace).run()
     return result.vulnerable_runs() / len(plan)

@@ -15,7 +15,8 @@ counterpart), and this module packages it into
 * build one fault plan against the *original* program (a cycle-spanning
   stride of the inject-on-read population);
 * run it against the baseline (``none``), full duplication and ``bec``
-  at a ladder of budgets through the campaign engine;
+  at a ladder of budgets through a :class:`repro.store.CachingRunner`
+  (cached when the caller's runner has a store, executed otherwise);
 * count, pairwise against the baseline, how many silent data
   corruptions each variant *converts* to the ``detected`` class, and
   what dynamic instruction overhead it pays for them.
@@ -25,9 +26,10 @@ from collections import namedtuple
 
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC, plan_inject_on_read
-from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
+from repro.fi.engine import auto_checkpoint_interval
 from repro.fi.sink import CollectSink
 from repro.harden import eligible_pps, harden_checked
+from repro.store import CachingRunner
 
 VariantOutcome = namedtuple(
     "VariantOutcome",
@@ -51,9 +53,10 @@ def run_variant(function, strategy, plan, golden, regs=None,
     :class:`VariantOutcome` whose ``records`` are the campaign's
     ``(planned, effect, signature, byte_size)`` records, in plan order.
 
-    *runner* (a :class:`repro.store.CachingRunner`) serves the mapped
-    campaign from the result store when its cell is archived; the
-    records then come from the replayed archive.
+    The mapped campaign runs through *runner* (a
+    :class:`repro.store.CachingRunner`; a storeless one by default),
+    which serves it from its result store when the cell is archived;
+    the records then come from the replayed archive.
 
     *plan* and *golden* belong to the original *function*; the plan is
     translated through the hardened golden trace before execution.
@@ -66,17 +69,10 @@ def run_variant(function, strategy, plan, golden, regs=None,
         memory_image=memory_image, memory_size=memory_size)
     mapped = result.map_plan(plan, hardened_golden)
     records = CollectSink()
-    if runner is not None:
-        campaign = runner.run(machine, mapped, regs=regs,
-                              golden=hardened_golden, workers=workers,
-                              checkpoint_interval=checkpoint_interval,
-                              harden=strategy, budget=budget, sink=records)
-    else:
-        engine = CampaignEngine(machine, mapped, regs=regs,
-                                golden=hardened_golden)
-        campaign = engine.run(workers=workers,
-                              checkpoint_interval=checkpoint_interval,
-                              sink=records)
+    campaign = (runner or CachingRunner()).run(
+        machine, mapped, regs=regs, golden=hardened_golden,
+        workers=workers, checkpoint_interval=checkpoint_interval,
+        harden=strategy, budget=budget, sink=records)
     overhead = hardened_golden.cycles / golden.cycles - 1 \
         if golden.cycles else 0.0
     return VariantOutcome(

@@ -1,13 +1,16 @@
 """Cache-or-execute front end to the campaign engine.
 
-:class:`CachingRunner` is the one integration point every store
-consumer shares (``repro sweep``, the experiment harnesses, the CLI's
-``campaign --store``): compute the content address of the requested
-cell, return the archived result on a hit, otherwise execute the plan
-through :class:`repro.fi.engine.CampaignEngine` and archive the
-outcome.  Because the key excludes the parity knobs (``workers``,
-``checkpoint_interval``), a result computed serially is a hit for a
-16-worker request and vice versa.
+:class:`CachingRunner` is the one campaign entry point above
+:mod:`repro.fi` (``repro sweep``, ``repro campaign``/``memory``, the
+experiment harnesses, :mod:`repro.harden.evaluate`) and the one place
+that decides whether a campaign is cached.  With a store it computes
+the content address of the requested cell, returns the archived result
+on a hit, otherwise executes the plan through
+:class:`repro.fi.engine.CampaignEngine` and archives the outcome;
+without one (``CachingRunner()``) it only executes.  Because the key
+excludes the parity knobs (``workers``, ``checkpoint_interval``), a
+result computed serially is a hit for a 16-worker request and vice
+versa.
 
 A miss captures the engine's chunk stream compressed
 (:class:`repro.store.db.ChunkCapture`, chunks of
@@ -33,7 +36,8 @@ from repro.store.keys import campaign_key
 
 
 class CachingRunner:
-    """Runs fault plans through a :class:`repro.store.db.ResultStore`.
+    """Runs fault plans, through a :class:`repro.store.db.ResultStore`
+    when *store* is given.
 
     Counters accumulate across calls so orchestrators can report cache
     behaviour: ``hits`` / ``misses`` per cell, and ``simulator_runs`` —
@@ -41,7 +45,7 @@ class CachingRunner:
     liveness-pruned entries contribute zero).
     """
 
-    def __init__(self, store, force=False):
+    def __init__(self, store=None, force=False):
         self.store = store
         self.force = force
         self.hits = 0
@@ -67,8 +71,10 @@ class CachingRunner:
             workers=1, checkpoint_interval=None, prune=None,
             harden="none", budget=None, progress=None, sink=None,
             commit=True):
-        """Cached :class:`repro.fi.campaign.CampaignResult` for the
-        cell, executing (and archiving) it on a miss.
+        """:class:`repro.fi.campaign.CampaignResult` for the cell:
+        cached when the store holds it, executed (and archived)
+        otherwise.  Without a store the campaign just executes: no key,
+        no capture, *sink* straight to the engine.
 
         ``result.cached`` tells the caller which path was taken.
         *sink*, a :class:`repro.fi.sink.RunSink`, receives the cell's
@@ -82,37 +88,37 @@ class CachingRunner:
         committed miss whose store stays locked past the commit retries
         is not archived: the computed result stands, the cell simply
         misses next time (a warning and ``store.archives_dropped``).
-        A *sink* needs the caller's *golden*: a hit cannot recompute
-        the trace a miss's engine would hand to ``begin``.
+        With a store, a *sink* needs the caller's *golden*: a hit
+        cannot recompute the trace a miss's engine would hand to
+        ``begin``.
         """
-        if sink is not None and golden is None:
-            raise ValueError("CachingRunner.run(sink=...) needs golden=")
-        plan = list(plan)
-        key = self.key_for(machine, plan, regs=regs, prune=prune,
-                           harden=harden, budget=budget,
-                           max_cycles=max_cycles)
-        self.last_key = key
-        capture = ChunkCapture()
-        self.last_capture = None if commit else capture
-        if not self.force:
-            cached = self.store.get(key)
-            if cached is not None:
-                self.hits += 1
-                if sink is not None:
-                    self.store.replay(key, sink, plan=plan, golden=golden)
-                return cached
+        capture = None
+        if self.store is not None:
+            if sink is not None and golden is None:
+                raise ValueError("CachingRunner.run(sink=...) needs golden=")
+            plan = list(plan)
+            key = self.key_for(machine, plan, regs=regs, prune=prune,
+                               harden=harden, budget=budget,
+                               max_cycles=max_cycles)
+            self.last_key = key
+            capture = ChunkCapture()
+            self.last_capture = None if commit else capture
+            if not self.force:
+                cached = self.store.get(key)
+                if cached is not None:
+                    self.hits += 1
+                    if sink is not None:
+                        self.store.replay(key, sink, plan=plan, golden=golden)
+                    return cached
+            sink = capture if sink is None else TeeSink([capture, sink])
         engine = CampaignEngine(machine, plan, regs=regs, golden=golden,
                                 max_cycles=max_cycles)
         result = engine.run(workers=workers,
                             checkpoint_interval=checkpoint_interval,
-                            progress=progress,
-                            prune=None if prune in (None, "none")
-                            else prune,
-                            sink=capture if sink is None
-                            else TeeSink([capture, sink]))
+                            progress=progress, prune=prune, sink=sink)
         self.misses += 1
-        self.simulator_runs += len(plan) - result.pruned_runs
-        if commit:
+        self.simulator_runs += len(engine.plan) - result.pruned_runs
+        if capture is not None and commit:
             self._archive(key, capture, result)
         return result
 

@@ -283,12 +283,10 @@ class TestBatchedSampling:
                                 use_bec):
         bec = motivating_bec if use_bec else None
         plain = estimate_avf(motivating_machine, motivating_function,
-                             motivating_golden, 250, seed=13,
-                             golden=motivating_golden, bec=bec,
+                             motivating_golden, 250, seed=13, bec=bec,
                              checkpoint_interval=8)
         batched = estimate_avf(motivating_batched, motivating_function,
-                               motivating_golden, 250, seed=13,
-                               golden=motivating_golden, bec=bec,
+                               motivating_golden, 250, seed=13, bec=bec,
                                checkpoint_interval=8)
         assert batched.avf == plain.avf
         assert batched.vulnerable == plain.vulnerable

@@ -335,11 +335,9 @@ class TestSamplingCheckpointParity:
                                                     motivating_golden):
         from repro.fi.sampling import estimate_avf
         plain = estimate_avf(motivating_machine, motivating_function,
-                             motivating_golden, 200, seed=7,
-                             golden=motivating_golden)
+                             motivating_golden, 200, seed=7)
         checked = estimate_avf(motivating_machine, motivating_function,
                                motivating_golden, 200, seed=7,
-                               golden=motivating_golden,
                                checkpoint_interval=8)
         assert checked.avf == plain.avf
         assert checked.vulnerable == plain.vulnerable

@@ -104,8 +104,7 @@ def prepared():
     regs = {"x": 0b10110101}
     golden = machine.run(regs=regs)
     bec = run_bec(function)
-    truth = exhaustive_avf(machine, function, golden, regs=regs,
-                           golden=golden)
+    truth = exhaustive_avf(machine, function, golden, regs=regs)
     return function, machine, regs, golden, bec, truth
 
 
@@ -113,7 +112,7 @@ class TestEstimateAVF:
     def test_estimate_close_to_ground_truth(self, prepared):
         function, machine, regs, golden, bec, truth = prepared
         estimate = estimate_avf(machine, function, golden, budget=400,
-                                seed=7, regs=regs, golden=golden)
+                                seed=7, regs=regs)
         assert abs(estimate.avf - truth) < 0.1
         assert estimate.low <= estimate.avf <= estimate.high
 
@@ -123,7 +122,7 @@ class TestEstimateAVF:
         seeds = range(10)
         for seed in seeds:
             estimate = estimate_avf(machine, function, golden, budget=300,
-                                    seed=seed, regs=regs, golden=golden)
+                                    seed=seed, regs=regs)
             if estimate.low <= truth <= estimate.high:
                 covered += 1
         assert covered >= 8   # 95 % nominal coverage, generous slack
@@ -131,17 +130,16 @@ class TestEstimateAVF:
     def test_bec_collapse_reduces_simulator_runs(self, prepared):
         function, machine, regs, golden, bec, truth = prepared
         uniform = estimate_avf(machine, function, golden, budget=300,
-                               seed=3, regs=regs, golden=golden)
+                               seed=3, regs=regs)
         collapsed = estimate_avf(machine, function, golden, budget=300,
-                                 seed=3, regs=regs, golden=golden, bec=bec)
+                                 seed=3, regs=regs, bec=bec)
         assert collapsed.simulator_runs < uniform.simulator_runs
         assert abs(collapsed.avf - truth) < 0.1
 
     def test_collapsed_estimate_is_unbiased_in_aggregate(self, prepared):
         function, machine, regs, golden, bec, truth = prepared
         estimates = [estimate_avf(machine, function, golden, budget=200,
-                                  seed=seed, regs=regs, golden=golden,
-                                  bec=bec).avf
+                                  seed=seed, regs=regs, bec=bec).avf
                      for seed in range(12)]
         mean = sum(estimates) / len(estimates)
         standard_error = math.sqrt(truth * (1 - truth) / 200 / 12) + 1e-9
@@ -155,9 +153,9 @@ class TestEstimateAVF:
     def test_deterministic_for_fixed_seed(self, prepared):
         function, machine, regs, golden, bec, truth = prepared
         first = estimate_avf(machine, function, golden, budget=100,
-                             seed=42, regs=regs, golden=golden)
+                             seed=42, regs=regs)
         second = estimate_avf(machine, function, golden, budget=100,
-                              seed=42, regs=regs, golden=golden)
+                              seed=42, regs=regs)
         assert first == second
 
     @pytest.mark.parametrize("use_bec", [False, True])
@@ -173,7 +171,7 @@ class TestEstimateAVF:
         function, _, regs, golden, bec, _ = prepared
         machine = Machine(function, core=core)
         estimate = estimate_avf(machine, function, golden, budget=300,
-                                seed=3, regs=regs, golden=golden,
+                                seed=3, regs=regs,
                                 bec=bec if use_bec else None,
                                 checkpoint_interval=checkpoint_interval)
         assert estimate == AVFEstimate(
@@ -185,8 +183,7 @@ class TestEstimateAVF:
         function, machine, regs, golden, bec, _ = prepared
         # Seed 1007 draws two statically masked sites (8 of the 408).
         estimate = estimate_avf(machine, function, golden, budget=2,
-                                seed=1007, regs=regs, golden=golden,
-                                bec=bec)
+                                seed=1007, regs=regs, bec=bec)
         assert estimate == AVFEstimate(
             avf=0.0, low=0.0, high=0.6576197728563925, trials=2,
             vulnerable=0, simulator_runs=0, population=408)
@@ -201,7 +198,7 @@ class TestExhaustiveAVF:
         registry = obs.metrics()
         mark = registry.mark()
         with pytest.raises(ValueError, match="empty fault population"):
-            exhaustive_avf(machine, function, golden, golden=golden)
+            exhaustive_avf(machine, function, golden)
         delta = registry.totals(registry.delta_since(mark))
         assert delta.get("engine.campaigns", 0) == 0
 

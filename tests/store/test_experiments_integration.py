@@ -75,12 +75,10 @@ def test_env_variable_binds_the_store(tmp_path, monkeypatch):
     path = str(tmp_path / "env.sqlite")
     monkeypatch.setenv("REPRO_STORE", path)
     common.set_store(None)
-    common._store_configured = False
+    assert common.campaign_runner().store is None
+    common._runner = None
     try:
         runner = common.campaign_runner()
-        assert runner is not None
         assert runner.store.path == path
     finally:
-        common._store_configured = False
         common.set_store(None)
-        common._store_configured = False

@@ -143,6 +143,27 @@ class TestCachingRunner:
             CachingRunner(store).run(machine, plan, sink=CollectSink())
         assert len(store) == 0
 
+    def test_storeless_runner_executes_without_keying(
+            self, monkeypatch, machine, plan, golden):
+        """Without a store the runner is the engine: no content key, no
+        chunk capture, the caller's sink fed directly."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a storeless runner keyed or encoded")
+
+        monkeypatch.setattr("repro.store.runner.campaign_key", forbidden)
+        monkeypatch.setattr("repro.store.db.encode_chunk", forbidden)
+        direct, through = CollectSink(), CollectSink()
+        expected = CampaignEngine(machine, plan, golden=golden).run(
+            sink=direct)
+        runner = CachingRunner()
+        result = runner.run(machine, plan, golden=golden, sink=through)
+        assert through.records == direct.records
+        assert_same_aggregates(result, expected)
+        assert result.cached is False
+        assert runner.misses == 1 and runner.hits == 0
+        assert runner.simulator_runs == len(plan)
+        assert runner.last_key is None and runner.last_capture is None
+
     @pytest.mark.usefixtures("small_chunks")
     @pytest.mark.parametrize("prune", [None, "liveness"])
     def test_hit_replays_the_miss_stream_into_the_sink(
