@@ -51,9 +51,9 @@ import tracemalloc
 from repro import obs
 from repro.bec.analysis import run_bec
 from repro.bench.programs import compile_benchmark, get_benchmark
-from repro.fi.campaign import PlannedRun, plan_bec
+from repro.fi.campaign import plan_bec, plan_exhaustive
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
-from repro.fi.machine import Injection, Machine
+from repro.fi.machine import Machine
 from repro.fi.sink import CollectSink
 from report import provenance
 
@@ -99,29 +99,6 @@ def sliced(plan, target):
     return plan[::stride]
 
 
-def exhaustive_runs(function, golden):
-    """``len(plan_exhaustive(function, golden))``."""
-    return len(golden.executed) * len(function.registers()) \
-        * function.bit_width
-
-
-def sliced_exhaustive(function, golden, target):
-    """``sliced(plan_exhaustive(function, golden), target)``, built by
-    index arithmetic over (cycle, register, bit): only the kept runs
-    are materialised, not the millions of the full plan."""
-    registers = function.registers()
-    width = function.bit_width
-    per_cycle = len(registers) * width
-    runs = exhaustive_runs(function, golden)
-    plan = []
-    for index in range(0, runs, max(1, runs // target)):
-        cycle, rest = divmod(index, per_cycle)
-        reg, bit = divmod(rest, width)
-        plan.append(PlannedRun(Injection(cycle, registers[reg], bit),
-                               golden.executed[cycle], None, None))
-    return plan
-
-
 def timed(thunk):
     start = time.perf_counter()
     result = thunk()
@@ -144,12 +121,10 @@ def bench_row(name, family, mode):
     if name == "RSA":
         target *= RSA_SCALE
     if family == "exhaustive":
-        full_plan_runs = exhaustive_runs(function, golden)
-        plan = sliced_exhaustive(function, golden, target)
+        full_plan = plan_exhaustive(function, golden)
     else:
         full_plan = plan_bec(function, golden, run_bec(function))
-        full_plan_runs = len(full_plan)
-        plan = sliced(full_plan, target)
+    plan = sliced(full_plan, target)
     interval = auto_checkpoint_interval(golden)
 
     # Every timed run collects its records (the same small cost in
@@ -179,7 +154,7 @@ def bench_row(name, family, mode):
         "program": name,
         "family": family,
         "plan_runs": len(plan),
-        "full_plan_runs": full_plan_runs,
+        "full_plan_runs": len(full_plan),
         "trace_cycles": golden.cycles,
         "checkpoint_interval": interval,
         "serial_s": serial_s,
@@ -223,7 +198,7 @@ def obs_overhead_smoke(name="bitcount"):
     pair to pair so drift cancels, and the overhead is the median of
     the per-pair ratios: one slow side spoils one pair, not the gate."""
     function, threaded, _, regs, golden = prepare(name)
-    full_plan_runs = exhaustive_runs(function, golden)
+    full_plan = plan_exhaustive(function, golden)
     interval = auto_checkpoint_interval(golden)
     tracer = obs.tracer()
 
@@ -239,16 +214,15 @@ def obs_overhead_smoke(name="bitcount"):
 
     # Denser slices cost less per run (more runs reconverge), so the
     # plan is sized in a few rounds.
-    plan = sliced_exhaustive(function, golden,
-                             TARGET_RUNS[("exhaustive", "smoke")])
+    plan = sliced(full_plan, TARGET_RUNS[("exhaustive", "smoke")])
     while True:
         engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
         engine.run(checkpoint_interval=interval)    # warm-up
         side_s = untraced(engine)
         if side_s >= 0.8 * OBS_OVERHEAD_SIDE_S \
-                or len(plan) == full_plan_runs:
+                or len(plan) == len(full_plan):
             break
-        plan = sliced_exhaustive(function, golden, int(
+        plan = sliced(full_plan, int(
             len(plan) * OBS_OVERHEAD_SIDE_S / max(side_s, 1e-3)))
     disabled_s = []
     enabled_s = []

@@ -31,9 +31,9 @@ import json
 import time
 
 from repro.bench.motivating import count_years
+from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
-from bench_campaign import sliced_exhaustive
 from report import provenance
 
 
@@ -64,7 +64,8 @@ def prepare(name):
         machine = Machine(function, memory_image=program.memory_image)
         regs = program.initial_regs(*benchmark.args)
     golden = machine.run(regs=regs)
-    plan = sliced_exhaustive(function, golden, TARGET_RUNS[name])
+    full = plan_exhaustive(function, golden)
+    plan = full[::max(1, len(full) // TARGET_RUNS[name])]
     return machine, regs, golden, plan
 
 

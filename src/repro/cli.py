@@ -200,7 +200,7 @@ def cmd_campaign(options):
               f"({golden.cycles} -> {hardened_golden.cycles} cycles)")
         golden = hardened_golden
     bec = run_bec(function)
-    plan = list(PLANNERS[options.mode](function, golden, bec))
+    plan = PLANNERS[options.mode](function, golden, bec)
     accounting = fault_injection_accounting(function, golden, bec)
     print(f"golden trace: {golden.cycles} cycles ({options.core} core)")
     print(f"plan ({options.mode}): {len(plan)} fault-injection runs")

@@ -19,7 +19,6 @@ import time
 
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import plan_exhaustive
-from repro.fi.trace import Trace
 from repro.experiments.common import benchmark_run
 from repro.experiments.reporting import format_bytes, render_table
 
@@ -43,10 +42,9 @@ def run_benchmark(name, cycle_limit=10, register_stride=3):
     """
     run = benchmark_run(name)
     golden = run.golden
-    prefix = Trace()
-    prefix.executed = golden.executed[:cycle_limit]
     registers = run.function.registers()[::register_stride]
-    plan = plan_exhaustive(run.function, prefix, registers=registers)
+    plan = plan_exhaustive(run.function, golden, registers=registers)[
+        :cycle_limit * len(registers) * run.function.bit_width]
 
     analysis_start = time.perf_counter()
     run_bec(run.function)

@@ -5,8 +5,8 @@ from repro.fi.accounting import (BitInstance, fault_injection_accounting,
                                  iter_bit_instances)
 from repro.fi.campaign import (EFFECT_BENIGN, EFFECT_MASKED, EFFECT_SDC,
                                EFFECT_TIMEOUT, EFFECT_TRAP, CampaignResult,
-                               classify_effect, plan_bec, plan_exhaustive,
-                               plan_inject_on_read)
+                               Plan, classify_effect, plan_bec,
+                               plan_exhaustive, plan_inject_on_read)
 from repro.fi.chaos import ChaosError, ChaosPolicy
 from repro.fi.engine import CampaignEngine
 from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
@@ -36,6 +36,7 @@ __all__ = [
     "LivenessPruner",
     "Machine",
     "MemoryInjection",
+    "Plan",
     "Trace",
     "ValidationReport",
     "classify_effect",

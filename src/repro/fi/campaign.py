@@ -10,10 +10,16 @@ Three campaign granularities, matching the paper's comparison:
 * :func:`plan_bec` — the pruned plan: one injection per non-masked
   equivalence class per epoch ("Live in bits").
 
-Each has a generator twin (``iter_plan_*``) that builds runs as they
-are consumed, so a capped plan (``islice(iter_plan_bec(...), n)``)
-costs only its first *n* runs.  Group ids come from one monotonic
-counter, so the capped prefix equals ``plan_bec(...)[:n]`` exactly.
+Each returns a :class:`Plan`: a read-only sequence of
+:class:`PlannedRun` rows that builds a row only when it is read.  An
+exhaustive plan is index arithmetic over (cycle, register, bit) on the
+golden path and stores nothing, so slicing a few thousand runs out of
+millions costs only the kept runs.  The other plans keep compact int
+columns, a few bytes per run; a slice of one copies its kept rows, so
+it does not hold on to the plan it came from.  ``max_runs`` caps a
+plan at its first runs: the BEC and inject-on-read planners then walk
+the trace no further than that prefix, and group ids come from one
+monotonic counter, so the capped plan equals ``plan[:max_runs]``.
 
 :class:`repro.fi.engine.CampaignEngine` executes a plan against the
 machine; :func:`classify_effect` sorts each injected run against the
@@ -21,6 +27,8 @@ golden trace, and :class:`CampaignResult` holds the aggregate
 outcome.
 """
 
+import itertools
+from array import array
 from collections import namedtuple
 
 from repro.ir.liveness import compute_liveness
@@ -29,6 +37,122 @@ from repro.fi.machine import Injection
 from repro.fi.trace import OUTCOME_OK, OUTCOME_TRAP, TRAP_DETECTED
 
 PlannedRun = namedtuple("PlannedRun", ["injection", "pp", "rep", "epoch"])
+
+#: Rows a :class:`Plan` builds per step when it is iterated.
+ROWS_PER_STEP = 4096
+
+
+class Plan:
+    """A fault plan: a read-only sequence of :class:`PlannedRun` rows.
+
+    A plan is a *source* of rows plus the ``range`` of source indices
+    it covers.  ``plan[i]`` builds one row, ``plan[a:b:c]`` is another
+    plan, ``rows(start, stop)`` builds the rows of a span, and
+    iteration builds them :data:`ROWS_PER_STEP` at a time.  Two plans
+    (or a plan and a list or tuple) are equal when their rows are.
+    """
+
+    __slots__ = ("_source", "_indices")
+
+    def __init__(self, source, indices=None):
+        self._source = source
+        self._indices = range(len(source)) if indices is None else indices
+
+    def __len__(self):
+        return len(self._indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._source.take(self._indices[key])
+        return self._source.row(self._indices[key])
+
+    def rows(self, start, stop):
+        """The :class:`PlannedRun` rows of ``plan[start:stop]``."""
+        return [self._source.row(index)
+                for index in self._indices[start:stop]]
+
+    def __iter__(self):
+        for start in range(0, len(self), ROWS_PER_STEP):
+            yield from self.rows(start, start + ROWS_PER_STEP)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Plan, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"<Plan of {len(self)} runs>"
+
+
+class _Exhaustive:
+    """Every (cycle, register, bit) of a trace, by index arithmetic:
+    index ``(cycle * len(registers) + register) * width + bit``."""
+
+    def __init__(self, executed, registers, width):
+        self.executed = executed
+        self.registers = registers
+        self.width = width
+        self.per_cycle = len(registers) * width
+
+    def __len__(self):
+        return len(self.executed) * self.per_cycle
+
+    def row(self, index):
+        cycle, rest = divmod(index, self.per_cycle)
+        reg, bit = divmod(rest, self.width)
+        return PlannedRun(Injection(cycle, self.registers[reg], bit),
+                          self.executed[cycle], None, None)
+
+    def take(self, indices):
+        return Plan(self, indices)
+
+
+class _Columns:
+    """Rows as int columns: cycle, pp, register (an index into
+    ``names``), bit and, when *ranked*, rep and epoch (-1 for a row
+    whose epoch is ``None``).  Unranked rows carry ``None`` for both."""
+
+    def __init__(self, names=(), ranked=True):
+        self.names = names
+        self.cycle = array("i")
+        self.pp = array("i")
+        self.reg = array("H")
+        self.bit = array("B")
+        self.rep = array("i") if ranked else None
+        self.epoch = array("i") if ranked else None
+
+    def __len__(self):
+        return len(self.cycle)
+
+    def row(self, index):
+        rep = epoch = None
+        if self.rep is not None:
+            rep = self.rep[index]
+            epoch = self.epoch[index]
+            if epoch < 0:
+                epoch = None
+        return PlannedRun(
+            Injection(self.cycle[index], self.names[self.reg[index]],
+                      self.bit[index]),
+            self.pp[index], rep, epoch)
+
+    def take(self, indices):
+        """The rows at *indices* (a range) as a plan of their own."""
+        taken = _Columns(self.names, self.rep is not None)
+        if indices:
+            # A descending range may stop at -1, which slices as "last".
+            key = slice(indices.start,
+                        None if indices.stop < 0 else indices.stop,
+                        indices.step)
+            for name in ("cycle", "pp", "reg", "bit", "rep", "epoch"):
+                column = getattr(self, name)
+                if column is not None:
+                    setattr(taken, name, column[key])
+        return Plan(taken)
+
 
 #: Classification of one fault-injection run against the golden trace.
 EFFECT_MASKED = "masked"          # identical trace
@@ -45,61 +169,78 @@ EFFECT_CLASSES = (EFFECT_MASKED, EFFECT_SDC, EFFECT_DETECTED, EFFECT_TRAP,
                   EFFECT_TIMEOUT, EFFECT_BENIGN)
 
 
-def iter_plan_exhaustive(function, trace, registers=None):
+def plan_exhaustive(function, trace, registers=None):
     """Every (cycle, register, bit) of the register file (Table I), in
-    plan order, built as consumed."""
-    registers = list(registers or function.registers())
-    width = function.bit_width
-    for cycle, pp in enumerate(trace.executed):
-        for reg in registers:
-            for bit in range(width):
-                yield PlannedRun(Injection(cycle, reg, bit), pp, None, None)
+    that order; the plan stores nothing."""
+    registers = tuple(registers or function.registers())
+    return Plan(_Exhaustive(trace.executed, registers, function.bit_width))
 
 
-def iter_plan_inject_on_read(function, trace, liveness=None):
+def plan_inject_on_read(function, trace, liveness=None, max_runs=None):
     """One injection per bit of each dynamic live window, in plan
-    order, built as consumed."""
+    order; with *max_runs*, only the first that many."""
     liveness = liveness or compute_liveness(function)
     width = function.bit_width
+    bits = range(width)
+    columns = _Columns(ranked=False)
+    registers = {}      # name -> column index
+    windows = {}        # pp -> register indices of its live windows
     for cycle, pp in enumerate(trace.executed):
-        for reg in liveness.live_windows(pp):
-            for bit in range(width):
-                yield PlannedRun(Injection(cycle, reg, bit), pp, None, None)
+        if max_runs is not None and len(columns) >= max_runs:
+            break
+        regs = windows.get(pp)
+        if regs is None:
+            regs = windows[pp] = [registers.setdefault(reg, len(registers))
+                                  for reg in liveness.live_windows(pp)]
+        for reg in regs:
+            columns.cycle.extend(itertools.repeat(cycle, width))
+            columns.pp.extend(itertools.repeat(pp, width))
+            columns.reg.extend(itertools.repeat(reg, width))
+            columns.bit.extend(bits)
+    columns.names = tuple(registers)
+    plan = Plan(columns)
+    return plan if max_runs is None else plan[:max_runs]
 
 
-def iter_plan_bec(function, trace, bec):
+def plan_instances(instances, max_runs=None):
+    """One row per :class:`repro.fi.accounting.BitInstance` of
+    *instances*, rep and epoch included, in order; with *max_runs*
+    *instances* is drawn no further than the first that many."""
+    columns = _Columns()
+    registers = {}      # name -> column index
+    cycles, pps, regs, bits, reps, epochs = (
+        column.append for column in (columns.cycle, columns.pp,
+                                     columns.reg, columns.bit, columns.rep,
+                                     columns.epoch))
+    for cycle, pp, reg, bit, rep, _, epoch in itertools.islice(
+            instances, max_runs):
+        cycles(cycle)
+        pps(pp)
+        regs(registers.setdefault(reg, len(registers)))
+        bits(bit)
+        reps(rep)
+        epochs(-1 if epoch is None else epoch)
+    columns.names = tuple(registers)
+    return Plan(columns)
+
+
+def plan_bec(function, trace, bec, max_runs=None):
     """The BEC-pruned plan, in plan order: only class-leader instances
-    are injected.  The trace is walked only as far as the runs taken,
-    so ``islice(iter_plan_bec(...), n)`` costs the first *n* runs."""
-    for instance in iter_bit_instances(function, trace, bec):
-        if instance.emit:
-            yield PlannedRun(
-                Injection(instance.cycle, instance.reg, instance.bit),
-                instance.pp, instance.rep, instance.epoch)
+    are injected.  With *max_runs* the trace is walked only as far as
+    the first that many runs."""
+    return plan_instances(
+        (instance for instance in iter_bit_instances(function, trace, bec)
+         if instance.emit), max_runs)
 
 
-def plan_exhaustive(function, trace, registers=None):
-    """:func:`iter_plan_exhaustive` as a list."""
-    return list(iter_plan_exhaustive(function, trace, registers))
-
-
-def plan_inject_on_read(function, trace):
-    """:func:`iter_plan_inject_on_read` as a list."""
-    return list(iter_plan_inject_on_read(function, trace))
-
-
-def plan_bec(function, trace, bec):
-    """:func:`iter_plan_bec` as a list."""
-    return list(iter_plan_bec(function, trace, bec))
-
-
-#: Mode -> lazy planner over (function, golden trace, BEC analysis).
+#: Mode -> planner over (function, golden trace, BEC analysis,
+#: max_runs); ``max_runs=None`` plans every run.
 PLANNERS = {
-    "bec": iter_plan_bec,
-    "ior": lambda function, golden, bec: iter_plan_inject_on_read(
-        function, golden, liveness=bec.liveness),
-    "exhaustive": lambda function, golden, bec: iter_plan_exhaustive(
-        function, golden),
+    "bec": plan_bec,
+    "ior": lambda function, golden, bec, max_runs=None: plan_inject_on_read(
+        function, golden, liveness=bec.liveness, max_runs=max_runs),
+    "exhaustive": lambda function, golden, bec, max_runs=None:
+        plan_exhaustive(function, golden)[:max_runs],
 }
 
 

@@ -482,12 +482,15 @@ class CampaignEngine:
     checkpoint_interval=64)`` returns the same :class:`CampaignResult`
     (modulo ``wall_time``) as the serial, uncheckpointed
     ``CampaignEngine(machine, plan).run()`` on a threaded machine.
+    *plan* is any sequence of :class:`repro.fi.campaign.PlannedRun`
+    (a :class:`repro.fi.campaign.Plan` or a list); the engine indexes
+    it and never copies it.
     """
 
     def __init__(self, machine, plan, regs=None, golden=None,
                  max_cycles=None):
         self.machine = machine
-        self.plan = list(plan)
+        self.plan = plan
         self.regs = regs
         self.golden = golden if golden is not None \
             else machine.run(regs=regs)

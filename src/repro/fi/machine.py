@@ -85,6 +85,15 @@ class Injection:
     def __repr__(self):
         return f"Injection(cycle={self.cycle}, reg={self.reg!r}, bit={self.bit})"
 
+    def __eq__(self, other):
+        if type(other) is not Injection:
+            return NotImplemented
+        return (self.cycle, self.reg, self.bit) == \
+            (other.cycle, other.reg, other.bit)
+
+    def __hash__(self):
+        return hash((Injection, self.cycle, self.reg, self.bit))
+
 
 class MemoryInjection:
     """A single-event upset in memory: flip bit *bit* of the word at
@@ -113,6 +122,15 @@ class MemoryInjection:
     def __repr__(self):
         return (f"MemoryInjection(cycle={self.cycle}, "
                 f"address={self.address}, bit={self.bit})")
+
+    def __eq__(self, other):
+        if type(other) is not MemoryInjection:
+            return NotImplemented
+        return (self.cycle, self.address, self.bit) == \
+            (other.cycle, other.address, other.bit)
+
+    def __hash__(self):
+        return hash((MemoryInjection, self.cycle, self.address, self.bit))
 
 
 class Snapshot:

@@ -30,11 +30,9 @@ from collections import namedtuple
 
 from repro import obs
 from repro.fi.accounting import iter_bit_instances
-from repro.fi.campaign import (EFFECT_MASKED, PlannedRun,
-                               iter_plan_inject_on_read,
+from repro.fi.campaign import (EFFECT_MASKED, PlannedRun, plan_instances,
                                plan_inject_on_read)
 from repro.fi.engine import CampaignEngine
-from repro.fi.machine import Injection
 from repro.fi.sink import CollectSink
 
 AVFEstimate = namedtuple(
@@ -114,31 +112,43 @@ def wilson_interval(successes, trials, confidence=0.95):
 SampledSite = namedtuple("SampledSite", ["injection", "key", "masked"])
 
 
+class _Population:
+    """One :class:`SampledSite` per row of *plan*, built when read.
+    With *classed* the rows carry their walk's class and epoch."""
+
+    def __init__(self, plan, classed):
+        self.plan = plan
+        self.classed = classed
+
+    def __len__(self):
+        return len(self.plan)
+
+    def __getitem__(self, index):
+        index = range(len(self.plan))[index]
+        run = self.plan[index]
+        if not self.classed:
+            return SampledSite(run.injection, ("site", index), False)
+        if run.rep == 0:
+            return SampledSite(run.injection, ("masked",), True)
+        return SampledSite(run.injection, ("class", run.rep, run.epoch),
+                           False)
+
+
 def inject_on_read_population(function, trace, bec=None):
-    """The sampling population: one :class:`SampledSite` per bit of every
-    dynamic live window in *trace*.
+    """The sampling population: a sequence of one :class:`SampledSite`
+    per bit of every dynamic live window in *trace*.
 
     With *bec*, each site carries the ``(class, epoch)`` key the
     coalescing analysis proved outcome-equivalent, and statically masked
     sites are marked so the estimator can skip their simulator runs.
     Without it the sites are the runs of
-    :func:`repro.fi.campaign.iter_plan_inject_on_read`, in plan order,
+    :func:`repro.fi.campaign.plan_inject_on_read`, in plan order,
     each with a unique key (plain uniform sampling).
     """
     if bec is None:
-        return [SampledSite(run.injection, ("site", index), False)
-                for index, run in enumerate(
-                    iter_plan_inject_on_read(function, trace))]
-    population = []
-    for instance in iter_bit_instances(function, trace, bec):
-        if instance.rep == 0:
-            key = ("masked",)
-        else:
-            key = ("class", instance.rep, instance.epoch)
-        population.append(SampledSite(
-            Injection(instance.cycle, instance.reg, instance.bit),
-            key, instance.rep == 0))
-    return population
+        return _Population(plan_inject_on_read(function, trace), False)
+    return _Population(
+        plan_instances(iter_bit_instances(function, trace, bec)), True)
 
 
 # -- estimators ----------------------------------------------------------------

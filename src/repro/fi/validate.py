@@ -26,9 +26,8 @@ import itertools
 from collections import namedtuple
 
 from repro.fi.accounting import iter_bit_instances
-from repro.fi.campaign import PlannedRun
+from repro.fi.campaign import plan_instances
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
-from repro.fi.machine import Injection
 from repro.fi.sink import RunSink
 
 ValidationReport = namedtuple("ValidationReport", [
@@ -123,9 +122,10 @@ class ValidationSink(RunSink):
 
 
 def validation_plan(function, golden, bec, cycle_limit=None):
-    """One :class:`PlannedRun` per window-bit instance of *golden*
-    (killed windows included), in non-decreasing cycle order; with
-    ``cycle_limit`` only the instances of the first N cycles."""
+    """A :class:`repro.fi.campaign.Plan` of one row per window-bit
+    instance of *golden* (killed windows included), in non-decreasing
+    cycle order; with ``cycle_limit`` only the instances of the first
+    N cycles."""
     instances = iter_bit_instances(function, golden, bec,
                                    include_killed=True)
     if cycle_limit is not None:
@@ -133,9 +133,7 @@ def validation_plan(function, golden, bec, cycle_limit=None):
         # the first instance past the limit ends the plan.
         instances = itertools.takewhile(
             lambda instance: instance.cycle < cycle_limit, instances)
-    return [PlannedRun(Injection(instance.cycle, instance.reg, instance.bit),
-                       instance.pp, instance.rep, instance.epoch)
-            for instance in instances]
+    return plan_instances(instances)
 
 
 def validate_bec(function, machine, bec, regs=None, golden=None,

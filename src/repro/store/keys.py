@@ -30,6 +30,7 @@ written before the bump still serves hits instead of re-simulating.
 """
 
 import hashlib
+import itertools
 import json
 
 from repro.errors import SimulationError
@@ -89,9 +90,22 @@ def plan_rows(plan):
             for planned in plan]
 
 
+#: Plan rows encoded per step while a key is hashed.
+KEY_ROWS_PER_STEP = 4096
+
+
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def campaign_key(function, plan, regs=None, memory_image=None,
                  memory_size=1 << 16, config=None):
-    """Hex digest addressing one campaign cell in the store."""
+    """Hex digest addressing one campaign cell in the store.
+
+    The digested bytes are the canonical JSON of the whole payload
+    (sorted keys, no spaces), but the plan's rows are encoded and
+    hashed :data:`KEY_ROWS_PER_STEP` at a time, so the key of a
+    million-run plan holds one step of rows at once."""
     payload = {
         "schema": KEY_VERSION,
         "function": format_function(function),
@@ -99,9 +113,23 @@ def campaign_key(function, plan, regs=None, memory_image=None,
         "memory_size": memory_size,
         "regs": sorted((reg, int(value))
                        for reg, value in (regs or {}).items()),
-        "plan": plan_rows(plan),
         "config": canonical_config(config),
     }
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
-    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+    # Keys sort around "plan": the prefix object ends just before it,
+    # the suffix object starts just after it.
+    before = _dumps({key: value for key, value in payload.items()
+                     if key < "plan"})
+    after = _dumps({key: value for key, value in payload.items()
+                    if key > "plan"})
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(before[:-1].encode() + b',"plan":[')
+    runs = iter(plan)
+    separator = b""
+    while True:
+        rows = plan_rows(itertools.islice(runs, KEY_ROWS_PER_STEP))
+        if not rows:
+            break
+        digest.update(separator + _dumps(rows)[1:-1].encode())
+        separator = b","
+    digest.update(b"]," + after[1:].encode())
+    return digest.hexdigest()

@@ -96,7 +96,6 @@ class CachingRunner:
         if self.store is not None:
             if sink is not None and golden is None:
                 raise ValueError("CachingRunner.run(sink=...) needs golden=")
-            plan = list(plan)
             key = self.key_for(machine, plan, regs=regs, prune=prune,
                                harden=harden, budget=budget,
                                max_cycles=max_cycles)

@@ -22,7 +22,6 @@ smoke grids in CI and tests can sweep tiny programs.
 
 import time
 from collections import namedtuple
-from itertools import islice
 
 from repro import obs
 from repro.bec.analysis import run_bec
@@ -137,13 +136,14 @@ class SweepRunner:
         return variant
 
     def _plan(self, cell, variant):
-        """The cell's plan, capped at ``max_runs``: only the kept prefix
-        is ever built (``islice`` with ``None`` takes the whole plan)."""
+        """The cell's plan, capped at ``max_runs``: the planner walks
+        the trace no further than the kept prefix (``None`` takes the
+        whole plan)."""
         key = (cell.kernel, cell.harden, cell.budget, cell.mode)
         if key not in self._plans:
-            runs = PLANNERS[cell.mode](variant["function"],
-                                       variant["golden"], variant["bec"])
-            self._plans[key] = list(islice(runs, self.spec.max_runs))
+            self._plans[key] = PLANNERS[cell.mode](
+                variant["function"], variant["golden"], variant["bec"],
+                self.spec.max_runs)
         return self._plans[key]
 
     def cell_setup(self, cell):

@@ -1,4 +1,6 @@
-"""Tests for benchmarks/bench_campaign.py's exhaustive slices.
+"""Tests for the exhaustive slices benchmarks/bench_campaign.py runs:
+``sliced`` over the index-arithmetic ``plan_exhaustive`` must keep the
+runs a materialised full plan would have given.
 
 The script is not part of the installed package (it lives next to the
 benchmarks), so it is loaded by file path.
@@ -33,9 +35,17 @@ def bench():
 
 
 def rows(plan):
-    """Plan entries by value (an ``Injection`` compares by identity)."""
+    """Plan entries as plain tuples."""
     return [(run.injection.cycle, run.injection.reg, run.injection.bit,
              run.pp, run.rep, run.epoch) for run in plan]
+
+
+def materialised_exhaustive(function, golden):
+    """Every (cycle, register, bit) row, built one by one."""
+    return [(cycle, reg, bit, pp, None, None)
+            for cycle, pp in enumerate(golden.executed)
+            for reg in function.registers()
+            for bit in range(function.bit_width)]
 
 
 @pytest.fixture(scope="module")
@@ -46,18 +56,19 @@ def program():
 
 
 class TestSlicedExhaustive:
-    def test_runs_is_plan_length(self, bench, program):
+    def test_runs_is_plan_length(self, program):
         function, golden = program
-        assert bench.exhaustive_runs(function, golden) == \
-            len(plan_exhaustive(function, golden))
+        assert len(plan_exhaustive(function, golden)) == \
+            len(golden.executed) * len(function.registers()) \
+            * function.bit_width
 
     @pytest.mark.parametrize("excess", [-900, -1, 0, 1, 500],
                              ids=["below", "just-below", "exact",
                                   "just-above", "above"])
     def test_equals_strided_full_plan(self, bench, program, excess):
         function, golden = program
-        full = plan_exhaustive(function, golden)
+        full = materialised_exhaustive(function, golden)
         target = len(full) + excess
         stride = max(1, len(full) // target)
-        assert rows(bench.sliced_exhaustive(function, golden, target)) == \
-            rows(full[::stride])
+        assert rows(bench.sliced(plan_exhaustive(function, golden),
+                                 target)) == full[::stride]

@@ -283,7 +283,7 @@ class TestBoundedMemory:
         # A large exhaustive plan: the full register file × cycle grid,
         # tiled (duplicate injections are legal planned runs), so plan
         # length grows without changing per-run simulation cost.
-        return plan_exhaustive(function, golden) * factor
+        return list(plan_exhaustive(function, golden)) * factor
 
     def _peak(self, machine, golden, plan, chunk_size):
         engine = CampaignEngine(machine, plan, golden=golden)

@@ -1,14 +1,22 @@
 """Tests for the content-address recipe (repro.store.keys)."""
 
+import hashlib
+import json
+import random
+
 import pytest
+
+import repro.store.keys
 
 from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years, count_years_scheduled
 from repro.errors import SimulationError
-from repro.fi.campaign import plan_bec, plan_exhaustive
-from repro.fi.machine import Machine
+from repro.ir.printer import format_function
+from repro.fi.campaign import PlannedRun, plan_bec, plan_exhaustive
+from repro.fi.machine import Injection, Machine
 from repro.store import campaign_key, canonical_config
-from repro.store.keys import KEY_KNOBS, PARITY_KNOBS
+from repro.store.keys import (KEY_KNOBS, KEY_VERSION, PARITY_KNOBS,
+                              plan_rows)
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +102,67 @@ class TestCampaignKey:
     def test_reg_order_is_canonical(self, function, plan):
         assert campaign_key(function, plan, regs={"a": 1, "b": 2}) \
             == campaign_key(function, plan, regs={"b": 2, "a": 1})
+
+
+def one_shot_key(function, plan, regs=None, memory_image=None,
+                 memory_size=1 << 16, config=None):
+    """The key recipe as one ``json.dumps`` of the whole payload."""
+    payload = {
+        "schema": KEY_VERSION,
+        "function": format_function(function),
+        "memory_image": bytes(memory_image or b"").hex(),
+        "memory_size": memory_size,
+        "regs": sorted((reg, int(value))
+                       for reg, value in (regs or {}).items()),
+        "plan": plan_rows(plan),
+        "config": canonical_config(config),
+    }
+    blob = json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode()
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+#: Register names JSON must escape: quotes, backslashes, control and
+#: non-ASCII characters.
+AWKWARD_NAMES = ("v1", 'q"uote', "back\\slash", "tab\there", "caf\u00e9",
+                 "\u2603", '"plan":[]', "nl\n")
+
+
+def random_plan(rng, length):
+    plan = []
+    for _ in range(length):
+        ranked = rng.random() < 0.5
+        plan.append(PlannedRun(
+            Injection(rng.randrange(10_000), rng.choice(AWKWARD_NAMES),
+                      rng.randrange(64)),
+            rng.randrange(500),
+            rng.randrange(1, 1 << 20) if ranked else None,
+            rng.choice([None, rng.randrange(1 << 30)]) if ranked else None))
+    return plan
+
+
+class TestStreamedKey:
+    """The streamed key digests the very bytes of the one-shot recipe."""
+
+    def test_empty_plan(self, function):
+        assert campaign_key(function, []) == one_shot_key(function, [])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_plans(self, function, monkeypatch, seed):
+        monkeypatch.setattr(repro.store.keys, "KEY_ROWS_PER_STEP", 5)
+        rng = random.Random(seed)
+        plan = random_plan(rng, rng.choice([1, 4, 5, 6, 17, 300]))
+        regs = {name: rng.randrange(256) for name in
+                rng.sample(AWKWARD_NAMES, 3)}
+        config = {"core": rng.choice(["threaded", "batched"]),
+                  "harden": rng.choice(["none", "bec"]), "budget": 0.3}
+        assert campaign_key(function, plan, regs=regs,
+                            memory_image=b"\x00\xff", config=config) \
+            == one_shot_key(function, plan, regs=regs,
+                            memory_image=b"\x00\xff", config=config)
+
+    def test_plans(self, function, golden, plan):
+        exhaustive = plan_exhaustive(function, golden)
+        for each in (plan, exhaustive, exhaustive[::7], plan[3:40]):
+            assert campaign_key(function, each) == \
+                one_shot_key(function, list(each))
