@@ -10,7 +10,10 @@ machine-readable report produced on a quiet box:
                             coverage vs dynamic overhead);
 * ``BENCH_campaign.json`` — lockstep-vectorized campaign core
                             (campaign-level speedup over the
-                            checkpointed threaded engine).
+                            checkpointed threaded engine);
+* ``BENCH_plan.json``     — planning: the template-compiled
+                            bit-instance walk, Table III accounting
+                            and content keys (timings, not gated).
 
 Sweep reports (``SWEEP_*.json``, written by ``repro sweep --json``)
 are rendered alongside them: grid shape, cache behaviour and the
@@ -131,6 +134,23 @@ def report_campaign(data):
               f"-> {verdict}")
 
 
+def report_plan(data):
+    total = data.get("total", {})
+    rows = data.get("programs", [])
+    print(f"  planning over {len(rows)} kernels' whole traces "
+          f"({total.get('cycles', 0)} cycles, "
+          f"{total.get('instances', 0)} window bits, "
+          f"{data.get('mode', '?')} mode): BEC walk "
+          f"{total.get('walk_s', 0.0):.2f}s, validation walk "
+          f"{total.get('validation_walk_s', 0.0):.2f}s, accounting "
+          f"{total.get('accounting_s', 0.0):.2f}s, keys "
+          f"{total.get('key_s', 0.0):.2f}s")
+    if rows:
+        most = max(rows, key=lambda row: row["templates"])
+        print(f"  most templates: {most['program']} {most['templates']} "
+              f"for {most['instructions']} instructions")
+
+
 def report_sweep(data):
     totals = data.get("totals", {})
     print(f"  spec {data.get('spec', '?')}: {totals.get('cells', 0)} "
@@ -169,7 +189,8 @@ def report_sweep(data):
         print(f"    ... and {len(cells) - 8} more cells")
 
 
-#: filename -> (PR label, headline, renderer)
+#: filename -> (label, headline, renderer); labels order the
+#: trajectory.
 KNOWN = {
     "BENCH_interp.json": ("PR 2", "threaded-code execution core",
                           report_interp),
@@ -177,6 +198,8 @@ KNOWN = {
                           report_harden),
     "BENCH_campaign.json": ("PR 4", "lockstep-vectorized campaign core",
                             report_campaign),
+    "BENCH_plan.json": ("planning", "template-compiled bit-instance walk",
+                        report_plan),
 }
 
 #: Sweep reports are named by their spec, so they are matched by

@@ -16,10 +16,18 @@ exhaustive plan is index arithmetic over (cycle, register, bit) on the
 golden path and stores nothing, so slicing a few thousand runs out of
 millions costs only the kept runs.  The other plans keep compact int
 columns, a few bytes per run; a slice of one copies its kept rows, so
-it does not hold on to the plan it came from.  ``max_runs`` caps a
-plan at its first runs: the BEC and inject-on-read planners then walk
-the trace no further than that prefix, and group ids come from one
-monotonic counter, so the capped plan equals ``plan[:max_runs]``.
+it does not hold on to the plan it came from.  :meth:`Plan.tuples`
+reads rows as plain tuples straight from the source, which is what
+the store's content key hashes.
+
+The BEC plan, the validation plan and the sampling population all come
+from :func:`plan_walk`: one :class:`repro.fi.accounting.BitWalk` that
+appends each cycle's rows to the columns from a compiled template.
+``max_runs`` caps a plan at its first runs: the BEC planner then walks
+the trace only to the end of the cycle that reaches the cap, the
+inject-on-read planner no further than the prefix, and group ids come
+from one monotonic counter, so the capped plan equals
+``plan[:max_runs]``.
 
 :class:`repro.fi.engine.CampaignEngine` executes a plan against the
 machine; :func:`classify_effect` sorts each injected run against the
@@ -32,7 +40,9 @@ from array import array
 from collections import namedtuple
 
 from repro.ir.liveness import compute_liveness
-from repro.fi.accounting import iter_bit_instances
+from repro.fi.accounting import BitWalk
+# ``iter_bit_instances`` stays bound here: perfbench/layers.py patches it.
+from repro.fi.accounting import iter_bit_instances  # noqa: F401
 from repro.fi.machine import Injection
 from repro.fi.trace import OUTCOME_OK, OUTCOME_TRAP, TRAP_DETECTED
 
@@ -71,6 +81,12 @@ class Plan:
         return [self._source.row(index)
                 for index in self._indices[start:stop]]
 
+    def tuples(self, start, stop):
+        """The rows of ``plan[start:stop]`` as plain ``(cycle, reg, bit,
+        pp, rep, epoch)`` tuples, read from the source with no
+        :class:`PlannedRun` per row (the store's key hashes these)."""
+        return self._source.tuples(self._indices[start:stop])
+
     def __iter__(self):
         for start in range(0, len(self), ROWS_PER_STEP):
             yield from self.rows(start, start + ROWS_PER_STEP)
@@ -106,8 +122,23 @@ class _Exhaustive:
         return PlannedRun(Injection(cycle, self.registers[reg], bit),
                           self.executed[cycle], None, None)
 
+    def tuples(self, indices):
+        registers, width, executed = (self.registers, self.width,
+                                      self.executed)
+        return [(cycle, registers[rest // width], rest % width,
+                 executed[cycle], None, None)
+                for cycle, rest in map(divmod, indices,
+                                       itertools.repeat(self.per_cycle))]
+
     def take(self, indices):
         return Plan(self, indices)
+
+
+def _as_slice(indices):
+    """The slice that cuts a non-empty range *indices* out of a column
+    (a descending range may stop at -1, which slices as "last")."""
+    return slice(indices.start, None if indices.stop < 0 else indices.stop,
+                 indices.step)
 
 
 class _Columns:
@@ -139,14 +170,26 @@ class _Columns:
                       self.bit[index]),
             self.pp[index], rep, epoch)
 
+    def tuples(self, indices):
+        if not indices:
+            return []
+        key = _as_slice(indices)
+        regs = map(self.names.__getitem__, self.reg[key])
+        if self.rep is None:
+            reps = epochs = itertools.repeat(None)
+        else:
+            reps = self.rep[key]
+            epochs = self.epoch[key]
+            if min(epochs) < 0:
+                epochs = [None if epoch < 0 else epoch for epoch in epochs]
+        return list(zip(self.cycle[key], regs, self.bit[key], self.pp[key],
+                        reps, epochs))
+
     def take(self, indices):
         """The rows at *indices* (a range) as a plan of their own."""
         taken = _Columns(self.names, self.rep is not None)
         if indices:
-            # A descending range may stop at -1, which slices as "last".
-            key = slice(indices.start,
-                        None if indices.stop < 0 else indices.stop,
-                        indices.step)
+            key = _as_slice(indices)
             for name in ("cycle", "pp", "reg", "bit", "rep", "epoch"):
                 column = getattr(self, name)
                 if column is not None:
@@ -202,35 +245,26 @@ def plan_inject_on_read(function, trace, liveness=None, max_runs=None):
     return plan if max_runs is None else plan[:max_runs]
 
 
-def plan_instances(instances, max_runs=None):
-    """One row per :class:`repro.fi.accounting.BitInstance` of
-    *instances*, rep and epoch included, in order; with *max_runs*
-    *instances* is drawn no further than the first that many."""
+def plan_walk(function, executed, bec, include_killed=False,
+              emitted_only=False, max_runs=None):
+    """One row per window-bit instance of the walk over the program
+    points *executed* (:class:`repro.fi.accounting.BitWalk`), rep and
+    epoch included (epoch ``None`` for a masked row), in walk order;
+    with *emitted_only* only the instances that open a group.  With
+    *max_runs* the walk stops at the end of the cycle that reaches that
+    many rows."""
     columns = _Columns()
-    registers = {}      # name -> column index
-    cycles, pps, regs, bits, reps, epochs = (
-        column.append for column in (columns.cycle, columns.pp,
-                                     columns.reg, columns.bit, columns.rep,
-                                     columns.epoch))
-    for cycle, pp, reg, bit, rep, _, epoch in itertools.islice(
-            instances, max_runs):
-        cycles(cycle)
-        pps(pp)
-        regs(registers.setdefault(reg, len(registers)))
-        bits(bit)
-        reps(rep)
-        epochs(-1 if epoch is None else epoch)
-    columns.names = tuple(registers)
+    BitWalk(function, bec, include_killed=include_killed,
+            emitted_only=emitted_only).fill(columns, executed, max_runs)
     return Plan(columns)
 
 
 def plan_bec(function, trace, bec, max_runs=None):
     """The BEC-pruned plan, in plan order: only class-leader instances
     are injected.  With *max_runs* the trace is walked only as far as
-    the first that many runs."""
-    return plan_instances(
-        (instance for instance in iter_bit_instances(function, trace, bec)
-         if instance.emit), max_runs)
+    the cycle that reaches the first that many runs."""
+    return plan_walk(function, trace.executed, bec, emitted_only=True,
+                     max_runs=max_runs)
 
 
 #: Mode -> planner over (function, golden trace, BEC analysis,

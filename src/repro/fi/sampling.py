@@ -29,9 +29,8 @@ import random
 from collections import namedtuple
 
 from repro import obs
-from repro.fi.accounting import iter_bit_instances
-from repro.fi.campaign import (EFFECT_MASKED, PlannedRun, plan_instances,
-                               plan_inject_on_read)
+from repro.fi.campaign import (EFFECT_MASKED, PlannedRun,
+                               plan_inject_on_read, plan_walk)
 from repro.fi.engine import CampaignEngine
 from repro.fi.sink import CollectSink
 
@@ -147,8 +146,7 @@ def inject_on_read_population(function, trace, bec=None):
     """
     if bec is None:
         return _Population(plan_inject_on_read(function, trace), False)
-    return _Population(
-        plan_instances(iter_bit_instances(function, trace, bec)), True)
+    return _Population(plan_walk(function, trace.executed, bec), True)
 
 
 # -- estimators ----------------------------------------------------------------

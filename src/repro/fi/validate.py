@@ -12,7 +12,9 @@ then checked:
   produce identical traces are *sound but imprecise* (expected, e.g.
   when dynamic information such as inputs is unavailable statically).
 
-Validation is an ordinary campaign: the instances become a plan, the
+Validation is an ordinary campaign: :func:`validation_plan` walks the
+instances into a plan (one :class:`repro.fi.accounting.BitWalk` with
+killed windows included, cut at the cycle limit), the
 :class:`repro.fi.engine.CampaignEngine` executes it (snapshot resume,
 golden reconvergence, whichever core the machine has), and a streaming
 :class:`ValidationSink` checks the claims as the plan-ordered records
@@ -22,11 +24,11 @@ The paper reports zero unsound cases; the test suite asserts the same
 for every program it validates.
 """
 
-import itertools
 from collections import namedtuple
 
-from repro.fi.accounting import iter_bit_instances
-from repro.fi.campaign import plan_instances
+# ``iter_bit_instances`` stays bound here: perfbench/layers.py patches it.
+from repro.fi.accounting import iter_bit_instances  # noqa: F401
+from repro.fi.campaign import plan_walk
 from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.sink import RunSink
 
@@ -125,15 +127,9 @@ def validation_plan(function, golden, bec, cycle_limit=None):
     """A :class:`repro.fi.campaign.Plan` of one row per window-bit
     instance of *golden* (killed windows included), in non-decreasing
     cycle order; with ``cycle_limit`` only the instances of the first
-    N cycles."""
-    instances = iter_bit_instances(function, golden, bec,
-                                   include_killed=True)
-    if cycle_limit is not None:
-        # The walk yields instances in non-decreasing cycle order, so
-        # the first instance past the limit ends the plan.
-        instances = itertools.takewhile(
-            lambda instance: instance.cycle < cycle_limit, instances)
-    return plan_instances(instances)
+    N cycles, and the walk stops there."""
+    return plan_walk(function, golden.executed[:cycle_limit], bec,
+                     include_killed=True)
 
 
 def validate_bec(function, machine, bec, regs=None, golden=None,

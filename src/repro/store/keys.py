@@ -34,6 +34,7 @@ import itertools
 import json
 
 from repro.errors import SimulationError
+from repro.fi.campaign import Plan
 from repro.ir.printer import format_function
 
 #: Version stamp of the key recipe (the digested payload below).
@@ -94,6 +95,22 @@ def plan_rows(plan):
 KEY_ROWS_PER_STEP = 4096
 
 
+def _row_steps(plan):
+    """The plan's canonical rows, :data:`KEY_ROWS_PER_STEP` at a time: a
+    :class:`repro.fi.campaign.Plan` reads them straight from its
+    columns, any other sequence of runs goes through :func:`plan_rows`."""
+    if isinstance(plan, Plan):
+        for start in range(0, len(plan), KEY_ROWS_PER_STEP):
+            yield plan.tuples(start, start + KEY_ROWS_PER_STEP)
+        return
+    runs = iter(plan)
+    while True:
+        rows = plan_rows(itertools.islice(runs, KEY_ROWS_PER_STEP))
+        if not rows:
+            return
+        yield rows
+
+
 def _dumps(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -123,12 +140,8 @@ def campaign_key(function, plan, regs=None, memory_image=None,
                     if key > "plan"})
     digest = hashlib.blake2b(digest_size=16)
     digest.update(before[:-1].encode() + b',"plan":[')
-    runs = iter(plan)
     separator = b""
-    while True:
-        rows = plan_rows(itertools.islice(runs, KEY_ROWS_PER_STEP))
-        if not rows:
-            break
+    for rows in _row_steps(plan):
         digest.update(separator + _dumps(rows)[1:-1].encode())
         separator = b","
     digest.update(b"]," + after[1:].encode())

@@ -63,6 +63,18 @@ def populated(tmp_path):
              "trace_cycles": 900},
         ],
     })
+    write(tmp_path / "BENCH_plan.json", {
+        "mode": "full",
+        "programs": [
+            {"program": "CRC32", "cycles": 23184, "instructions": 47,
+             "templates": 50, "instances": 520512},
+            {"program": "AES", "cycles": 8911, "instructions": 315,
+             "templates": 326, "instances": 295872},
+        ],
+        "total": {"cycles": 32095, "instances": 816384, "walk_s": 0.21,
+                  "validation_walk_s": 0.33, "accounting_s": 0.14,
+                  "key_s": 0.59},
+    })
     write(tmp_path / "SWEEP_nightly.json", {
         "kind": "sweep", "spec": "nightly",
         "totals": {"cells": 3, "cells_run": 1, "cells_cached": 2,
@@ -100,6 +112,9 @@ class TestSchemaParsing:
         assert "PR 5 · content-addressed campaign store sweep" in output
         assert "3 cells (1 executed, 2 from cache)" in output
         assert "120 simulator runs" in output
+        assert "planning · template-compiled bit-instance walk" in output
+        assert "BEC walk 0.21s" in output
+        assert "most templates: AES 326 for 315 instructions" in output
 
     def test_sweep_cells_capped(self, report, tmp_path, capsys):
         cells = [{"kernel": f"k{i}", "mode": "bec", "harden": "none",

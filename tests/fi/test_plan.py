@@ -16,7 +16,6 @@ from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years
 from repro.bench.programs import (BENCHMARK_ORDER, compile_benchmark,
                                   get_benchmark)
-from repro.fi.accounting import iter_bit_instances
 from repro.fi.campaign import (PLANNERS, Plan, PlannedRun, plan_bec,
                                plan_exhaustive, plan_inject_on_read)
 from repro.fi.machine import Injection, Machine, MemoryInjection
@@ -25,6 +24,8 @@ from repro.fi.validate import validation_plan
 from repro.ir.liveness import compute_liveness
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
 from repro.store import campaign_key
+
+from tests.fi.walks import instances_walked, oracle_bit_instances
 
 #: Cycles of each kernel's golden trace the kernel tests plan over.
 PREFIX_CYCLES = 400
@@ -53,13 +54,13 @@ def reference_inject_on_read(function, trace):
 
 def reference_bec(function, trace, bec):
     return [(i.cycle, i.reg, i.bit, i.pp, i.rep, i.epoch)
-            for i in iter_bit_instances(function, trace, bec) if i.emit]
+            for i in oracle_bit_instances(function, trace, bec) if i.emit]
 
 
 def reference_validation(function, trace, bec):
     return [(i.cycle, i.reg, i.bit, i.pp, i.rep, i.epoch)
-            for i in iter_bit_instances(function, trace, bec,
-                                        include_killed=True)]
+            for i in oracle_bit_instances(function, trace, bec,
+                                          include_killed=True)]
 
 
 def assert_planners_match(function, trace, bec):
@@ -178,23 +179,17 @@ class TestCappedPlanners:
         for cap in (0, 1, 37, len(full), len(full) + 5):
             assert PLANNERS[mode](function, golden, bec, cap) == full[:cap]
 
-    def test_capped_bec_walks_only_its_prefix(self, motivating,
-                                              monkeypatch):
+    def test_capped_bec_walks_only_its_prefix(self, motivating):
         function, golden, bec = motivating
-        walk = list(iter_bit_instances(function, golden, bec))
-        emits = [index for index, instance in enumerate(walk)
-                 if instance.emit]
-        pulled = []
-
-        def counted(*args, **kwargs):
-            for instance in walk:
-                pulled.append(instance)
-                yield instance
-
-        monkeypatch.setattr(repro.fi.campaign, "iter_bit_instances",
-                            counted)
-        plan_bec(function, golden, bec, max_runs=10)
-        assert len(pulled) == emits[9] + 1
+        walk = list(oracle_bit_instances(function, golden, bec))
+        tenth = [instance for instance in walk if instance.emit][9]
+        # The walk ends with the cycle that reaches the cap.
+        through = sum(1 for instance in walk
+                      if instance.cycle <= tenth.cycle)
+        assert through < len(walk)
+        _, walked = instances_walked(plan_bec, function, golden, bec,
+                                     max_runs=10)
+        assert walked == through
 
 
 class TestInjectionEquality:

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.fi.validate
 from repro.ir.parser import parse_function
 from repro.bec.analysis import run_bec
 from repro.experiments.common import benchmark_run
@@ -10,6 +9,7 @@ from repro.fi.machine import Machine
 from repro.fi.validate import validate_bec
 
 from tests.bec.program_gen import random_function
+from tests.fi.walks import instances_walked
 
 
 class TestTableTwoRow:
@@ -25,23 +25,13 @@ class TestTableTwoRow:
             "sound_precise_pairs": 732, "imprecise_pairs": 5047,
             "runs": 5248}
 
-    def test_walk_stops_at_cycle_limit(self, monkeypatch):
-        walked = []
-        walk = repro.fi.validate.iter_bit_instances
-
-        def counting_walk(*args, **kwargs):
-            for instance in walk(*args, **kwargs):
-                walked.append(instance)
-                yield instance
-
-        monkeypatch.setattr(repro.fi.validate, "iter_bit_instances",
-                            counting_walk)
+    def test_walk_stops_at_cycle_limit(self):
         run = benchmark_run("bitcount")
-        report = validate_bec(run.function, run.machine, run.bec,
-                              regs=run.regs, golden=run.golden,
-                              cycle_limit=10)
+        report, walked = instances_walked(
+            validate_bec, run.function, run.machine, run.bec,
+            regs=run.regs, golden=run.golden, cycle_limit=10)
         assert report.instances > 0
-        assert len(walked) <= report.instances + 1
+        assert walked == report.instances
 
 
 class TestCoreParity:

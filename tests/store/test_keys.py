@@ -12,8 +12,10 @@ from repro.bec.analysis import run_bec
 from repro.bench.motivating import count_years, count_years_scheduled
 from repro.errors import SimulationError
 from repro.ir.printer import format_function
-from repro.fi.campaign import PlannedRun, plan_bec, plan_exhaustive
+from repro.fi.campaign import (PlannedRun, plan_bec, plan_exhaustive,
+                               plan_inject_on_read)
 from repro.fi.machine import Injection, Machine
+from repro.fi.validate import validation_plan
 from repro.store import campaign_key, canonical_config
 from repro.store.keys import (KEY_KNOBS, KEY_VERSION, PARITY_KNOBS,
                               plan_rows)
@@ -166,3 +168,18 @@ class TestStreamedKey:
         for each in (plan, exhaustive, exhaustive[::7], plan[3:40]):
             assert campaign_key(function, each) == \
                 one_shot_key(function, list(each))
+
+    @pytest.mark.parametrize("step", [5, 4096])
+    def test_plans_are_encoded_from_their_columns(self, function, golden,
+                                                 plan, monkeypatch, step):
+        monkeypatch.setattr(repro.store.keys, "KEY_ROWS_PER_STEP", step)
+        validation = validation_plan(function, golden, run_bec(function))
+        inject_on_read = plan_inject_on_read(function, golden)
+        assert any(run.epoch is None for run in validation)
+        assert all(run.rep is None for run in inject_on_read)
+        for each in (plan, validation, inject_on_read,
+                     plan_exhaustive(function, golden)):
+            for variant in (each, each[::7], each[3:40], each[::-3],
+                            each[:0], list(each[5:60])):
+                assert campaign_key(function, variant) == \
+                    one_shot_key(function, list(variant))

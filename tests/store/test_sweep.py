@@ -459,28 +459,16 @@ class TestCappedPlans:
                            store)
         assert report.outcomes[0].key == key
 
-    def test_capped_cell_walks_a_small_prefix(self, store, monkeypatch):
-        import repro.fi.campaign
+    def test_capped_cell_walks_a_small_prefix(self, store):
         from repro.store.sweep import SweepRunner
+        from tests.fi.walks import instances_walked
 
-        walked = [0]
-        walk = repro.fi.campaign.iter_bit_instances
-
-        def counting(*args, **kwargs):
-            for instance in walk(*args, **kwargs):
-                walked[0] += 1
-                yield instance
-
-        monkeypatch.setattr(repro.fi.campaign, "iter_bit_instances",
-                            counting)
         counts = {}
         for max_runs in (40, None):
             spec = spec_for(["bitcount"], max_runs=max_runs)
             (cell,) = spec.cells()
-            walked[0] = 0
-            _machine, plan, _variant = \
-                SweepRunner(spec, store).cell_setup(cell)
-            counts[max_runs] = walked[0]
+            (_machine, plan, _variant), counts[max_runs] = instances_walked(
+                SweepRunner(spec, store).cell_setup, cell)
         assert len(plan) > 40
         assert 0 < counts[40] < 0.05 * counts[None]
 
