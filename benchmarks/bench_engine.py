@@ -3,8 +3,10 @@
 Measures wall-clock for the same exhaustive-plan slice executed three
 ways on the ``motivating``, ``CRC32`` and ``bitcount`` programs:
 
-* ``reference``    — the retained reference interpreter, serial, from
-                     cycle 0 (the pre-engine, pre-threaded-core state);
+* ``reference``    — the reference interpreter (the test-local oracle
+                     ``tests/fi/reference.py``, imported from this
+                     checkout), serial, from cycle 0 (the pre-engine,
+                     pre-threaded-core state);
 * ``serial``       — ``CampaignEngine.run()`` with no knobs on the
                      threaded core (from cycle 0, one process);
 * ``checkpointed`` — snapshot/resume only (one process);
@@ -28,7 +30,9 @@ measured — :func:`report.provenance`)::
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
 from repro.bench.motivating import count_years
 from repro.fi.campaign import plan_exhaustive
@@ -36,11 +40,17 @@ from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
 from repro.fi.machine import Machine
 from report import provenance
 
+# The oracle lives in the checkout's tests/ package, which is not
+# installed: put the checkout root on the path to import it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.fi.reference import ReferenceMachine  # noqa: E402
+
 
 def reference_machine(machine):
-    """A reference-core twin of *machine*."""
-    return Machine(machine.function, memory_size=machine.memory_size,
-                   memory_image=machine.memory_image, core="reference")
+    """A reference-interpreter twin of *machine*."""
+    return ReferenceMachine(machine.function,
+                            memory_size=machine.memory_size,
+                            memory_image=machine.memory_image)
 
 WORKERS = 4
 

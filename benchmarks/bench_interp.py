@@ -1,6 +1,8 @@
 """Interpreter-core benchmark: threaded code vs the reference interpreter.
 
-Measures single-run wall-clock for both execution cores on the paper's
+Measures single-run wall-clock for the threaded core and for the
+original tuple-tag interpreter — kept as the test-local oracle
+``tests/fi/reference.py``, imported from this checkout — on the paper's
 evaluation kernels, plus the *compounded* campaign-level speedup of the
 threaded core on top of the engine knobs (checkpointing + workers) from
 the campaign engine.  Emits a machine-readable ``BENCH_interp.json`` so
@@ -11,14 +13,14 @@ CI can track the perf trajectory:
 * ``geomean_speedup`` — the gate: the threaded core must keep a >= 3x
                    geometric-mean single-run speedup (full mode only);
 * ``campaign``   — wall-clock for the same campaign plan executed the
-                   pre-engine way (reference core, serial, no
+                   pre-engine way (reference interpreter, serial, no
                    checkpoints) vs the full stack (threaded core,
                    workers + checkpoints), with identical aggregates
                    asserted;
 * ``resume_parity`` — injected runs resumed from golden snapshots
                    (``run_from`` with reconvergence) on the warmed
                    threaded core, asserted trace-identical to the
-                   reference core's full runs;
+                   reference interpreter's full runs;
 * ``provenance`` — where the numbers come from: git SHA, Python and
                    NumPy versions, CPU count and mode.
 
@@ -36,7 +38,9 @@ gate on the speedup (shared CI runners are too noisy for that).
 import argparse
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 from repro.bench.programs import compile_benchmark, get_benchmark
 from repro.fi.campaign import plan_exhaustive
@@ -44,6 +48,11 @@ from repro.fi.engine import (CampaignEngine, auto_checkpoint_interval,
                              pick_snapshot)
 from repro.fi.machine import Injection, Machine
 from report import provenance
+
+# The oracle lives in the checkout's tests/ package, which is not
+# installed: put the checkout root on the path to import it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.fi.reference import ReferenceMachine  # noqa: E402
 
 #: The single-run subjects (paper §VI kernels, presentation order).
 PROGRAMS = ("bitcount", "dijkstra", "CRC32", "AES", "RSA", "SHA")
@@ -67,8 +76,8 @@ def prepare(name):
     program = compile_benchmark(name)
     regs = program.initial_regs(*benchmark.args)
     machines = {
-        "reference": Machine(program.function, core="reference",
-                             memory_image=program.memory_image),
+        "reference": ReferenceMachine(program.function,
+                                      memory_image=program.memory_image),
         "threaded": Machine(program.function,
                             memory_image=program.memory_image),
     }
@@ -93,7 +102,7 @@ def measure(machine, regs, min_seconds):
 def check_resume_parity(machines, regs, golden):
     """Injected ``run_from`` runs (resumed from golden snapshots, with
     reconvergence) on the threaded core must match the reference
-    core's full runs; returns how many were checked."""
+    interpreter's full runs; returns how many were checked."""
     threaded, reference = machines["threaded"], machines["reference"]
     _, snapshots = threaded.run_with_snapshots(
         regs=regs, interval=auto_checkpoint_interval(golden))
@@ -208,7 +217,7 @@ def main(argv=None):
           f"threaded+engine {campaign['threaded_engine_s']:.3f}s — "
           f"{campaign['compound_speedup']:.2f}x compounded")
     print(f"resume parity: {parity} injected run_from runs identical to "
-          f"the reference core")
+          f"the reference interpreter")
 
     report = {
         "mode": mode,

@@ -7,7 +7,7 @@ Usage (``python -m repro <command> ...``)::
     analyze  FILE.{mc,ir}                      BEC report per window
     campaign FILE.{mc,ir} [--mode bec|ior|exhaustive] [--execute N]
              [--harden none|full|bec] [--budget F]
-             [--core threaded|reference|batched] [--prune liveness]
+             [--core threaded|batched] [--prune liveness]
     harden   FILE.{mc,ir} [--strategy none|full|bec] [--budget F]
                                                selective redundancy -> IR
     validate FILE.{mc,ir} [--cycles N]         paper §V soundness check
@@ -820,10 +820,8 @@ def build_parser():
     sub.add_argument("--budget", type=float, default=0.3,
                      help="dynamic instruction overhead budget for "
                           "--harden bec (0.3 = at most 30%% extra)")
-    sub.add_argument("--core", choices=("threaded", "reference", "batched"),
-                     default="threaded",
+    sub.add_argument("--core", choices=Machine.CORES, default="threaded",
                      help="execution core (results are bit-identical; "
-                          "'reference' is the differential oracle, "
                           "'batched' runs the campaign SIMD-across-"
                           "faults with NumPy lockstep lanes)")
     sub.add_argument("--execute", type=int, default=0,
@@ -888,9 +886,7 @@ def build_parser():
     sub.add_argument("--confidence", type=float, default=0.95)
     sub.add_argument("--bec", action="store_true",
                      help="collapse simulator runs per BEC class")
-    sub.add_argument("--core", choices=("threaded", "reference",
-                                        "batched"),
-                     default="threaded",
+    sub.add_argument("--core", choices=Machine.CORES, default="threaded",
                      help="execution core; 'batched' classifies all "
                           "unique sampled sites in one lockstep pass")
     sub.add_argument("--checkpoint-interval", type=int, default=0,

@@ -46,7 +46,8 @@ signature and byte size a scalar run of the same trace hashes to, and
 every divergent run is produced by the unmodified threaded core — so
 ``CampaignResult`` aggregates are bit-identical to the scalar engine,
 which the parity suite (``tests/fi/test_batch.py``) and the three-way
-differential fuzzer enforce.
+differential fuzzer enforce against the reference interpreter in
+``tests/fi/reference.py``.
 
 NumPy is optional: :func:`numpy_available` gates the whole module and
 the engine falls back to the scalar threaded path when it is missing.

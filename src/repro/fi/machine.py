@@ -7,7 +7,7 @@ register is flipped after a given dynamic cycle, exactly the model the
 paper uses for its campaigns (one fault per run, faults persist until
 overwritten).
 
-Three execution cores share the machine's public API and produce
+Two execution cores share the machine's public API and produce
 bit-identical traces:
 
 * the **threaded core** (the default): registers live in a dense
@@ -19,13 +19,6 @@ bit-identical traces:
   checks and the cycle budget are handled at precomputed cycle
   boundaries, and between two of them the loop runs the largest tier
   that fits — else a single step;
-* the **reference core** (``core="reference"``): the original
-  tuple-tag interpreter over a ``{name: value}`` register file, kept as
-  the differential-testing oracle
-  (``tests/fuzz/test_interp_differential.py``) and as the host of
-  ``record_registers`` runs, whose per-cycle register dictionaries it
-  defines.  It resumes from a snapshot by re-executing the whole tail,
-  so it checks convergence splicing instead of using it;
 * the **batched core** (``core="batched"``): a campaign-level core —
   :class:`repro.fi.engine.CampaignEngine` executes the whole plan with
   NumPy-vectorized lockstep lanes (:mod:`repro.fi.batch`, one lane per
@@ -37,22 +30,24 @@ bit-identical traces:
 The slot table is fixed at decode: slot 0 is ``zero``, then the
 parameters, then every register an instruction names.  An injection or
 input naming a register outside it has no slot; no instruction reads
-such a register, so the threaded core drops it, the batched core runs
-its plan entry on the scalar path, and the reference core keeps it in
-its dict.  Every snapshot is a slot list in this layout, whichever core
-the machine uses: snapshots are always captured on the threaded core.
+such a register, so the threaded core drops it and the batched core
+runs its plan entry on the scalar path.  Every snapshot is a slot list
+in this layout, whichever core the machine uses: snapshots are always
+captured on the threaded core.
 
-All arithmetic is bit-accurate; the reference core routes it through
-:mod:`repro.ir.concrete`, the same definitions the static analyses use,
-and the threaded core inlines those semantics in the code it generates.
+All arithmetic is bit-accurate: the threaded core inlines the
+semantics of :mod:`repro.ir.concrete`, the same definitions the static
+analyses use, in the code it generates.  The original tuple-tag
+interpreter, which calls those definitions directly, is kept as a
+test-local oracle (``tests/fi/reference.py``); the differential suites
+check both cores against it trace for trace.
 """
 
-from repro.errors import MachineTrap, SimulationError
+from repro.errors import SimulationError
 from repro.fi import threaded
-from repro.fi.trace import (OUTCOME_OK, OUTCOME_TIMEOUT, OUTCOME_TRAP,
-                            TRAP_DETECTED, Trace)
-from repro.ir.concrete import alu, branch_taken, mask, unary
-from repro.ir.instructions import Format, Opcode
+from repro.fi.trace import OUTCOME_OK, OUTCOME_TIMEOUT, OUTCOME_TRAP, Trace
+from repro.ir.concrete import mask
+from repro.ir.instructions import Opcode
 from repro.ir.registers import ZERO
 
 #: Default dynamic instruction budget per run.
@@ -185,16 +180,6 @@ class Snapshot:
                 f"regs={len(self.registers)}>")
 
 
-def _apply_upset(upset, registers, memory, value_mask):
-    """Flip the bit named by *upset* in a dict register file or memory
-    (the reference core's variant; sites are validated up front)."""
-    if isinstance(upset, MemoryInjection):
-        memory[upset.address + upset.bit // 8] ^= 1 << (upset.bit % 8)
-    else:
-        registers[upset.reg] = (registers.get(upset.reg, 0)
-                                ^ (1 << upset.bit)) & value_mask
-
-
 def _apply_slot_upset(upset, slot_of, registers, memory):
     """Flip the bit named by *upset* in a slot-indexed register file or
     memory.  Validation guarantees the bit is inside the register width
@@ -230,15 +215,16 @@ def _snapshot_image(memory, previous):
 class Machine:
     """Executable image of one function plus a memory.
 
-    ``core`` selects the execution core: ``"threaded"`` (default),
-    ``"reference"`` (the retained tuple-tag interpreter) or
+    ``core`` selects the execution core: ``"threaded"`` (default) or
     ``"batched"`` (lockstep-vectorized *campaign* execution — single
-    runs on such a machine use the threaded core).  All cores produce
-    bit-identical traces and campaign aggregates.
+    runs on such a machine use the threaded core).  Both produce
+    bit-identical traces and campaign aggregates, which the test suite
+    checks against the reference interpreter in
+    ``tests/fi/reference.py``.
     """
 
     #: Valid ``core`` arguments.
-    CORES = ("threaded", "reference", "batched")
+    CORES = ("threaded", "batched")
 
     def __init__(self, function, memory_size=1 << 16, memory_image=None,
                  core="threaded"):
@@ -270,12 +256,7 @@ class Machine:
             names += instruction.writes() + instruction.reads()
         self._reg_of = tuple(dict.fromkeys(names))
         self._slot_of = {reg: slot for slot, reg in enumerate(self._reg_of)}
-        # Each core's program is compiled on first use: a reference
-        # machine never pays for the threaded tiers and vice versa
-        # (record_registers runs and snapshot capture pull in the other
-        # core on demand).
-        self._tiers = None
-        self._program = None
+        self._tiers = None      # built on first run
 
     def _threaded_ops(self):
         """The threaded core's :class:`~repro.fi.threaded.Tiers`,
@@ -285,60 +266,6 @@ class Machine:
                                          self._slot_of.__getitem__,
                                          self._first_pp, self.memory_size)
         return self._tiers
-
-    def _reference_program(self):
-        """The original tuple-tag decode, kept for the reference core
-        (compiled on first use)."""
-        if self._program is None:
-            self._decode_reference()
-        return self._program
-
-    def _decode_reference(self):
-        function = self.function
-        program = []
-        total = len(function.instructions)
-        for instruction in function.instructions:
-            pp = instruction.pp
-            opcode = instruction.opcode
-            fmt = instruction.format
-            next_pp = pp + 1 if pp + 1 < total else None
-            if fmt is Format.BRANCH or fmt is Format.BRANCHZ:
-                target = self._first_pp[instruction.label]
-                program.append(("branch", opcode, instruction.rs1,
-                                instruction.rs2, target, next_pp))
-            elif fmt is Format.JUMP:
-                program.append(("jump", self._first_pp[instruction.label]))
-            elif opcode is Opcode.RET:
-                program.append(("ret", instruction.rs1))
-            elif opcode is Opcode.OUT:
-                program.append(("out", instruction.rs1, next_pp))
-            elif opcode is Opcode.CHECK:
-                program.append(("check", instruction.rs1,
-                                instruction.rs2, next_pp))
-            elif opcode is Opcode.LI:
-                program.append(("li", instruction.rd,
-                                instruction.imm & mask(self.width), next_pp))
-            elif fmt is Format.RR:
-                program.append(("unary", opcode, instruction.rd,
-                                instruction.rs1, next_pp))
-            elif fmt is Format.RRR:
-                program.append(("alu", opcode, instruction.rd,
-                                instruction.rs1, instruction.rs2, next_pp))
-            elif fmt is Format.RRI:
-                program.append(("alui", opcode, instruction.rd,
-                                instruction.rs1,
-                                instruction.imm & mask(self.width), next_pp))
-            elif instruction.is_load:
-                program.append(("load", opcode, instruction.rd,
-                                instruction.rs1, instruction.imm, next_pp))
-            elif instruction.is_store:
-                program.append(("store", opcode, instruction.rs2,
-                                instruction.rs1, instruction.imm, next_pp))
-            elif opcode is Opcode.NOP:
-                program.append(("nop", next_pp))
-            else:
-                raise SimulationError(f"cannot decode {instruction}")
-        self._program = program
 
     # -- fault-site validation ---------------------------------------------------
 
@@ -364,27 +291,20 @@ class Machine:
     # -- execution ---------------------------------------------------------------
 
     def run(self, regs=None, injection=None, max_cycles=DEFAULT_MAX_CYCLES,
-            record_registers=False, snapshot_interval=None, snapshots=None):
+            snapshot_interval=None, snapshots=None):
         """Execute from the entry block; returns a :class:`Trace`.
 
         ``regs`` provides initial register values (parameters).
         ``injection``, if given, is a single :class:`Injection` /
         :class:`MemoryInjection` or a sequence of them — multi-event
         upsets model the double-bit flips that exceed EDAC's correction
-        capability (paper §I), each applied at its own cycle.  With
-        ``record_registers`` the trace carries one register-file
-        snapshot per executed instruction (taken right after it
-        completes, before any injection fires) — the oracle the
-        bit-value soundness fuzzer compares against; such runs always
-        execute on the reference core, whose per-cycle dictionaries
-        define ``Trace.register_log``.
+        capability (paper §I), each applied at its own cycle.
 
         With ``snapshot_interval=N`` (clean runs only — snapshots of a
         faulted run would poison every resumed tail) a :class:`Snapshot`
         is appended to the ``snapshots`` list every N executed
-        instructions, starting at cycle 0.  Snapshots are captured on
-        the threaded core whichever core the machine uses (a
-        ``record_registers`` run takes none).
+        instructions, starting at cycle 0.  Runs execute on the threaded
+        core whichever core the machine uses.
         """
         upsets = self._prepare_upsets(injection)
         if upsets:
@@ -392,10 +312,6 @@ class Machine:
             # upset would otherwise leave `upsets` empty by the time
             # the interpreter checks, poisoning every resumed tail.
             snapshot_interval = snapshots = None
-        if record_registers or (self.core == "reference"
-                                and snapshot_interval is None):
-            return self._run_reference(regs, upsets, max_cycles,
-                                       record_registers)
         self._threaded_ops()
         registers = [0] * len(self._reg_of)
         slot_of = self._slot_of
@@ -414,20 +330,6 @@ class Machine:
                                       upsets, max_cycles,
                                       snapshot_interval=snapshot_interval,
                                       snapshots=snapshots)
-
-    def _run_reference(self, regs, upsets, max_cycles, record_registers):
-        value_mask = self._value_mask
-        registers = {}
-        if regs:
-            for reg, value in regs.items():
-                registers[reg] = value & value_mask
-        memory = bytearray(self.memory_size)
-        memory[:len(self.memory_image)] = self.memory_image
-        trace = Trace()
-        while upsets and upsets[0].cycle == -1:
-            _apply_upset(upsets.pop(0), registers, memory, value_mask)
-        return self._execute_reference(registers, memory, trace, 0, 0,
-                                       upsets, max_cycles, record_registers)
 
     def run_with_snapshots(self, regs=None, interval=64,
                            max_cycles=DEFAULT_MAX_CYCLES):
@@ -471,9 +373,10 @@ class Machine:
         of the trace is that run's: the run stops there and the
         returned trace carries the earlier run's ``(effect, signature,
         byte_size)`` record in ``reused`` (its own fields then end at
-        the stop).  The reference core ignores ``converge`` and
-        ``tails`` and re-executes the whole tail, so its traces check
-        both shortcuts instead of using them.
+        the stop).  The test-local reference interpreter
+        (``tests/fi/reference.py``) ignores ``converge`` and ``tails``
+        and re-executes the whole tail, so its traces check both
+        shortcuts instead of using them.
         """
         upsets = self._prepare_upsets(injection)
         if upsets and upsets[0].cycle < snapshot.cycle \
@@ -489,14 +392,6 @@ class Machine:
         trace.outputs = source.outputs[:snapshot.n_outputs]
         trace.stores = source.stores[:snapshot.n_stores]
         trace.loads = source.loads[:snapshot.n_loads]
-        if self.core == "reference":
-            registers = snapshot.register_dict()
-            while upsets and upsets[0].cycle == -1:
-                _apply_upset(upsets.pop(0), registers, memory,
-                             self._value_mask)
-            return self._execute_reference(registers, memory, trace,
-                                           snapshot.pc, snapshot.cycle,
-                                           upsets, max_cycles, False)
         horizon = max([upset.cycle for upset in upsets] + [snapshot.cycle])
         converge = [candidate for candidate in converge or ()
                     if candidate.cycle > horizon]
@@ -534,8 +429,9 @@ class Machine:
         """The threaded-code interpreter loop.
 
         Everything that is *conditional* per cycle in the reference
-        core — injections, the cycle budget, snapshot capture,
-        convergence checks — is turned into a precomputed stop cycle,
+        interpreter (``tests/fi/reference.py``) — injections, the cycle
+        budget, snapshot capture, convergence checks — is turned into a
+        precomputed stop cycle,
         and the inner loop runs check-free up to it.  Between stops it
         runs the largest tier that fits before the stop: a hot start's
         superblock, else its basic block, else the single step of the
@@ -588,10 +484,11 @@ class Machine:
                         break
                 if pc is None:
                     break
-                # Event order matches the reference core: upsets fire at
-                # the tail of the previous cycle, then the budget check;
-                # capture and convergence follow, all before the
-                # instruction at `cycle` executes.
+                # Event order matches the reference interpreter
+                # (tests/fi/reference.py): upsets fire at the tail of the
+                # previous cycle, then the budget check; capture and
+                # convergence follow, all before the instruction at
+                # `cycle` executes.
                 while upsets and upsets[0].cycle + 1 == cycle:
                     _apply_slot_upset(upsets.pop(0), slot_of, registers,
                                       memory)
@@ -634,157 +531,9 @@ class Machine:
                 and ended_at is not None \
                 and self.function.instruction_at(ended_at).opcode \
                 is Opcode.RET:
-            # The reference core classifies a `ret` on exactly the last
-            # budgeted cycle as a timeout (its loop re-enters the budget
-            # check before noticing the return); match it bit-for-bit.
+            # The reference interpreter (tests/fi/reference.py)
+            # classifies a `ret` on exactly the last budgeted cycle as a
+            # timeout (its loop re-enters the budget check before
+            # noticing the return); match it bit-for-bit.
             trace.outcome = OUTCOME_TIMEOUT
         return trace
-
-    # -- the reference core ------------------------------------------------------
-
-    def _execute_reference(self, registers, memory, trace, pc, cycle,
-                           upsets, max_cycles, record_registers):
-        """The original tuple-tag interpreter loop, retained as the
-        differential oracle; mutates and returns *trace*."""
-        width = self.width
-        value_mask = self._value_mask
-        program = self._reference_program()
-        executed = trace.executed
-        outputs = trace.outputs
-        stores = trace.stores
-        register_log = None
-        if record_registers:
-            register_log = trace.register_log = []
-        inject_cycle = upsets[0].cycle if upsets else None
-
-        def read(reg):
-            if reg == ZERO:
-                return 0
-            try:
-                return registers[reg]
-            except KeyError:
-                # Reading a never-written register models an unknown
-                # power-on value; zero keeps runs deterministic.
-                return 0
-
-        memory_size = self.memory_size
-        try:
-            while pc is not None:
-                if cycle >= max_cycles:
-                    trace.outcome = OUTCOME_TIMEOUT
-                    break
-                decoded = program[pc]
-                kind = decoded[0]
-                executed.append(pc)
-                if kind == "alu":
-                    _, opcode, rd, rs1, rs2, next_pp = decoded
-                    value = alu(opcode, read(rs1), read(rs2), width)
-                    if rd != ZERO:
-                        registers[rd] = value
-                    pc = next_pp
-                elif kind == "alui":
-                    _, opcode, rd, rs1, imm, next_pp = decoded
-                    value = alu(opcode, read(rs1), imm, width)
-                    if rd != ZERO:
-                        registers[rd] = value
-                    pc = next_pp
-                elif kind == "li":
-                    _, rd, imm, next_pp = decoded
-                    if rd != ZERO:
-                        registers[rd] = imm
-                    pc = next_pp
-                elif kind == "unary":
-                    _, opcode, rd, rs1, next_pp = decoded
-                    value = unary(opcode, read(rs1), width)
-                    if rd != ZERO:
-                        registers[rd] = value
-                    pc = next_pp
-                elif kind == "branch":
-                    _, opcode, rs1, rs2, target, next_pp = decoded
-                    b = read(rs2) if rs2 is not None else 0
-                    if branch_taken(opcode, read(rs1), b, width):
-                        pc = target
-                    else:
-                        pc = next_pp
-                elif kind == "jump":
-                    pc = decoded[1]
-                elif kind == "load":
-                    _, opcode, rd, base, offset, next_pp = decoded
-                    address = (read(base) + offset) & value_mask
-                    value = self._load(memory, memory_size, opcode, address)
-                    trace.loads.append(
-                        (cycle, pc, address,
-                         4 if opcode is Opcode.LW else 1, rd))
-                    if rd != ZERO:
-                        registers[rd] = value & value_mask
-                    pc = next_pp
-                elif kind == "store":
-                    _, opcode, src, base, offset, next_pp = decoded
-                    address = (read(base) + offset) & value_mask
-                    value = read(src)
-                    self._store(memory, memory_size, opcode, address, value)
-                    stores.append((address, value,
-                                   4 if opcode is Opcode.SW else 1))
-                    pc = next_pp
-                elif kind == "out":
-                    _, rs, next_pp = decoded
-                    outputs.append(read(rs))
-                    pc = next_pp
-                elif kind == "check":
-                    _, rs1, rs2, next_pp = decoded
-                    if read(rs1) != read(rs2):
-                        raise MachineTrap(TRAP_DETECTED,
-                                          f"{rs1} != {rs2}")
-                    pc = next_pp
-                elif kind == "ret":
-                    rs = decoded[1]
-                    trace.returned = read(rs) if rs is not None else None
-                    cycle += 1
-                    if register_log is not None:
-                        register_log.append(dict(registers))
-                    if inject_cycle is not None and cycle - 1 == inject_cycle:
-                        pass  # flip after ret has no observable effect
-                    break
-                else:  # nop
-                    pc = decoded[1]
-                if register_log is not None:
-                    register_log.append(dict(registers))
-                cycle += 1
-                while inject_cycle is not None and cycle - 1 == inject_cycle:
-                    _apply_upset(upsets.pop(0), registers, memory,
-                                 value_mask)
-                    inject_cycle = upsets[0].cycle if upsets else None
-        except MachineTrap as trap:
-            trace.outcome = OUTCOME_TRAP
-            trace.trap_kind = trap.kind
-        trace.cycles = cycle
-        if trace.outcome == OUTCOME_OK and pc is not None \
-                and cycle >= max_cycles:
-            trace.outcome = OUTCOME_TIMEOUT
-        return trace
-
-    def _load(self, memory, size, opcode, address):
-        if opcode is Opcode.LW:
-            if address + 4 > size:
-                raise MachineTrap("load-oob", f"address {address}")
-            return int.from_bytes(memory[address:address + 4], "little")
-        if address >= size:
-            raise MachineTrap("load-oob", f"address {address}")
-        byte = memory[address]
-        if opcode is Opcode.LB and byte >= 0x80:
-            # Sign-extend to the machine's actual width (a hard-coded
-            # 32-bit fill would be wrong for any other bit_width).
-            return byte | (self._value_mask & ~0xFF)
-        return byte
-
-    @staticmethod
-    def _store(memory, size, opcode, address, value):
-        if opcode is Opcode.SW:
-            if address + 4 > size:
-                raise MachineTrap("store-oob", f"address {address}")
-            memory[address:address + 4] = (value & 0xFFFFFFFF).to_bytes(
-                4, "little")
-        else:
-            if address >= size:
-                raise MachineTrap("store-oob", f"address {address}")
-            memory[address] = value & 0xFF

@@ -26,8 +26,9 @@ equal machine states at ``c``; the tail is determined by that state
 (and the campaign's fixed cycle budget), so the whole trace — and with
 it the ``(effect, signature, byte_size)`` record — is the same.  A
 :class:`~repro.fi.machine.MemoryInjection` changes memory without a
-store record, so such runs never use the memo; the reference core
-never probes it, and stays the oracle that checks this shortcut.
+store record, so such runs never use the memo; the test-local
+reference interpreter (``tests/fi/reference.py``) never probes it, and
+stays the oracle that checks this shortcut.
 
 **Bound.**  Before each run the memo drops every entry whose stop
 cycle is at or below the run's resume cycle: the run cannot probe

@@ -1,9 +1,10 @@
 """Threaded-code compilation for the ISA simulator.
 
-The reference interpreter in :mod:`repro.fi.machine` pays a per-cycle
-tax for decisions that never change between cycles: a ``kind`` string
-compare per instruction, a ``read()`` closure call (with a zero-register
-test and a dict lookup) per operand, and :func:`repro.ir.concrete.alu`'s
+The original tuple-tag interpreter (kept as the test-local oracle
+``tests/fi/reference.py``) pays a per-cycle tax for decisions that
+never change between cycles: a ``kind`` string compare per
+instruction, a ``read()`` closure call (with a zero-register test and
+a dict lookup) per operand, and :func:`repro.ir.concrete.alu`'s
 per-call opcode dispatch.  This module removes that tax with one code
 generator, :func:`_tier_source`, which turns a path of program points
 into one Python function of straight-line code (a *tier*):
@@ -31,8 +32,8 @@ a stop, on its own :data:`HOT_ENTRIES`-th use.  Straight-line code that
 runs only a few times is never compiled beyond single steps.
 
 Bit-for-bit equivalence with :mod:`repro.ir.concrete` — and hence with
-the retained reference interpreter — is enforced by the differential
-suites in ``tests/fuzz/test_interp_differential.py`` and
+the reference interpreter in ``tests/fi/reference.py`` — is enforced by
+the differential suites in ``tests/fuzz/test_interp_differential.py`` and
 ``tests/fi/test_superblocks.py``.
 """
 
@@ -216,7 +217,8 @@ def _register_events(instruction, slot):
             slot(written[0]) if written else None)
 
 
-#: The detail expression of an out-of-bounds trap (as in the reference core).
+#: The detail expression of an out-of-bounds trap (as in the reference
+#: interpreter, ``tests/fi/reference.py``).
 _ADDRESS = 'f"address {address}"'
 
 _NAMES = re.compile(r"\b(a|b|m|sign|shift_mask|width)\b")

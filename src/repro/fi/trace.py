@@ -104,8 +104,8 @@ class Trace:
     """Record of one (possibly fault-injected) program execution."""
 
     __slots__ = ("executed", "outputs", "stores", "loads", "returned",
-                 "outcome", "trap_kind", "cycles", "register_log",
-                 "resumed_from", "spliced_at", "reused", "_images")
+                 "outcome", "trap_kind", "cycles", "resumed_from",
+                 "spliced_at", "reused", "_images")
 
     def __init__(self):
         self.executed = []      # program points in execution order
@@ -118,8 +118,6 @@ class Trace:
         self.outcome = OUTCOME_OK
         self.trap_kind = None
         self.cycles = 0
-        self.register_log = None  # with record_registers: one register-
-        #                           file snapshot per executed instruction
         self.resumed_from = None  # Snapshot a resumed run started from
         self.spliced_at = None    # Snapshot whose golden suffix it spliced
         self.reused = None        # record of an earlier run whose state

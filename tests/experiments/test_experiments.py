@@ -94,6 +94,43 @@ class TestTable4:
     def test_improvements_positive_on_average(self, result):
         assert result["average_improvement_percent"] > 0
 
+    # One test per sentence of the Table IV note in
+    # repro.experiments.markdown; "mid-table" is neither of the top two
+    # nor of the bottom two of eight.
+
+    @staticmethod
+    def _ranked(result, key):
+        """Benchmarks by *key*, biggest improvement first."""
+        rows = sorted(result["rows"], key=lambda row: row[key],
+                      reverse=True)
+        return [row["benchmark"] for row in rows]
+
+    def test_average_of_the_papers_order(self, result):
+        paper = result["paper_average_improvement_percent"]
+        assert paper / 2 <= result["average_improvement_percent"] \
+            <= paper * 2
+
+    def test_crypto_kernels_improve_the_most(self, result):
+        ranked = self._ranked(result, "worst_over_best_percent")
+        paper = self._ranked(result, "paper_worst_over_best_percent")
+        assert set(ranked[:2]) == {"AES", "SHA"}
+        assert paper.index("SHA") == 2 and paper.index("AES") == 3
+
+    def test_crc32_least_and_bitcount_mid_table(self, result):
+        ranked = self._ranked(result, "worst_over_best_percent")
+        paper = self._ranked(result, "paper_worst_over_best_percent")
+        assert ranked[-1] == "CRC32"
+        assert 2 <= ranked.index("bitcount") <= 5
+        assert paper[:2] == ["CRC32", "bitcount"]
+
+    def test_adpcm_codecs_mid_table(self, result):
+        ranked = self._ranked(result, "worst_over_best_percent")
+        paper = self._ranked(result, "paper_worst_over_best_percent")
+        assert set(paper[-2:]) == {"adpcm_enc", "adpcm_dec"}
+        assert all(2 <= ranked.index(name) <= 5
+                   for name in ("adpcm_enc", "adpcm_dec"))
+        assert ranked.index("adpcm_dec") == 2
+
     def test_render(self, result):
         assert "Worst/Best" in table4.render(result)
 

@@ -5,8 +5,8 @@ aggregates — run order, per-run effects, trace signatures,
 ``effect_counts()``, ``vulnerable_runs()``, ``distinct_traces``,
 ``archived_bytes`` — must be bit-identical to the scalar cores for
 every composition of lanes, workers, checkpoint intervals and the
-liveness prune.  The scalar ``reference`` core is the oracle
-throughout.
+liveness prune.  The scalar reference interpreter
+(:mod:`tests.fi.reference`) is the oracle throughout.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
                               MemoryInjection)
 from repro.fi.prune import LivenessPruner
 from repro.fi.sampling import estimate_avf
+from tests.fi.reference import ReferenceMachine
 from tests.fi.test_engine import (assert_identical, collected,
                                   strided_exhaustive_plan)
 
@@ -36,8 +37,7 @@ def motivating_batched(motivating_function):
 @pytest.fixture(scope="module")
 def motivating_reference_result(motivating_function, motivating_golden):
     plan = plan_exhaustive(motivating_function, motivating_golden)
-    machine = Machine(motivating_function, memory_size=256,
-                      core="reference")
+    machine = ReferenceMachine(motivating_function, memory_size=256)
     return plan, collected(CampaignEngine(machine, plan,
                                           golden=motivating_golden))
 
@@ -135,8 +135,7 @@ class TestBatchedEngineParity:
                        None, None, None),
             PlannedRun(MemoryInjection(-1, 0, 0), None, None, None),
         ]
-        reference = Machine(motivating_function, memory_size=256,
-                            core="reference")
+        reference = ReferenceMachine(motivating_function, memory_size=256)
         base = collected(CampaignEngine(reference, plan,
                                         golden=motivating_golden))
         engine = CampaignEngine(motivating_batched, plan,
@@ -248,8 +247,11 @@ class TestLivenessPrune:
                                        motivating_reference_result,
                                        core):
         plan, base = motivating_reference_result
-        machine = Machine(motivating_function, memory_size=256,
-                          core=core)
+        if core == "reference":
+            machine = ReferenceMachine(motivating_function, memory_size=256)
+        else:
+            machine = Machine(motivating_function, memory_size=256,
+                              core=core)
         engine = CampaignEngine(machine, plan, golden=motivating_golden)
         pruned = collected(engine, prune="liveness")
         assert pruned[0].pruned_runs > 0

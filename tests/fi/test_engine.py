@@ -16,6 +16,7 @@ from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine
 from repro.fi.sink import CollectSink
 from repro.experiments.common import benchmark_run
+from tests.fi.reference import ReferenceMachine
 
 
 def strided_exhaustive_plan(function, golden, cycle_stride, registers,
@@ -201,14 +202,14 @@ class TestEngineParityBenchmarks:
 class TestEngineParityAcrossCores:
     """The engine's bit-identical-aggregates contract must hold across
     execution cores too: a campaign run on the threaded core (with all
-    engine knobs on) equals the same campaign on the retained reference
-    interpreter."""
+    engine knobs on) equals the same campaign on the reference
+    interpreter (:mod:`tests.fi.reference`)."""
 
     def test_motivating_campaign_identical_across_cores(
             self, motivating_function, motivating_golden):
         plan = plan_exhaustive(motivating_function, motivating_golden)
-        reference_machine = Machine(motivating_function, memory_size=256,
-                                    core="reference")
+        reference_machine = ReferenceMachine(motivating_function,
+                                             memory_size=256)
         fast_machine = Machine(motivating_function, memory_size=256)
         base = collected(CampaignEngine(reference_machine, plan,
                                         golden=motivating_golden))
@@ -229,8 +230,8 @@ class TestEngineParityAcrossCores:
         registers = run.function.registers()[::5]
         plan = strided_exhaustive_plan(run.function, run.golden, 97,
                                        registers, (0, 13))
-        reference_machine = Machine(run.function, core="reference",
-                                    memory_image=run.machine.memory_image)
+        reference_machine = ReferenceMachine(
+            run.function, memory_image=run.machine.memory_image)
         base = collected(CampaignEngine(reference_machine, plan,
                                         regs=run.regs, golden=run.golden))
         fast = CampaignEngine(run.machine, plan, regs=run.regs,
@@ -271,8 +272,8 @@ class TestHardenedEngineParity:
         assert_identical(base, collected(engine, workers=4))
         assert_identical(base, collected(engine, workers=4,
                                          checkpoint_interval=interval))
-        reference = Machine(result.function, core="reference",
-                            memory_image=run.machine.memory_image)
+        reference = ReferenceMachine(result.function,
+                                     memory_image=run.machine.memory_image)
         reference_golden = reference.run(regs=run.regs)
         assert reference_golden.key() == golden.key()
         assert_identical(base, collected(CampaignEngine(

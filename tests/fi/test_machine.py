@@ -6,6 +6,7 @@ from repro.errors import SimulationError
 from repro.ir.parser import parse_function
 from repro.fi.machine import Injection, Machine
 from repro.ir.registers import ZERO
+from tests.fi.reference import ReferenceMachine
 
 
 def run_source(source, regs=None, injection=None, **kwargs):
@@ -236,17 +237,17 @@ class TestDeterminism:
 
 
 class TestExecutionCores:
-    """The threaded core and the retained reference interpreter must be
-    trace-for-trace interchangeable (the fuzz suite widens this to
-    random programs; here the fixed subjects keep failures readable)."""
+    """The threaded core and the reference interpreter
+    (:mod:`tests.fi.reference`) must be trace-for-trace interchangeable
+    (the fuzz suite widens this to random programs; here the fixed
+    subjects keep failures readable)."""
 
     def test_unknown_core_rejected(self, motivating_function):
         with pytest.raises(SimulationError):
             Machine(motivating_function, core="jit")
 
     def test_clean_parity_on_motivating(self, motivating_function):
-        reference = Machine(motivating_function, memory_size=256,
-                            core="reference")
+        reference = ReferenceMachine(motivating_function, memory_size=256)
         fast = Machine(motivating_function, memory_size=256)
         expected = reference.run()
         actual = fast.run()
@@ -256,8 +257,7 @@ class TestExecutionCores:
 
     def test_injected_parity_on_motivating(self, motivating_function,
                                            motivating_golden):
-        reference = Machine(motivating_function, memory_size=256,
-                            core="reference")
+        reference = ReferenceMachine(motivating_function, memory_size=256)
         fast = Machine(motivating_function, memory_size=256)
         for cycle in (-1, 0, 17, motivating_golden.cycles - 1):
             for bit in range(motivating_function.bit_width):
@@ -267,26 +267,15 @@ class TestExecutionCores:
                 assert actual.key() == expected.key(), (cycle, bit)
                 assert actual.cycles == expected.cycles
 
-    def test_register_log_matches_reference_core(self, motivating_function):
-        """record_registers runs carry the reference core's per-cycle
-        dictionaries regardless of the machine's configured core."""
-        reference = Machine(motivating_function, memory_size=256,
-                            core="reference")
-        fast = Machine(motivating_function, memory_size=256)
-        expected = reference.run(record_registers=True)
-        actual = fast.run(record_registers=True)
-        assert actual.register_log == expected.register_log
-        assert actual.key() == expected.key()
-
     def test_snapshot_register_dict(self, motivating_machine):
-        """Snapshots are threaded-core slot lists whichever core the
-        machine uses, and register_dict names them as the reference
-        core's register file at that cycle."""
+        """Snapshots are threaded-core slot lists whichever machine
+        takes them, and register_dict names them as the reference
+        interpreter's register file at that cycle."""
         _, snapshots = motivating_machine.run_with_snapshots(interval=8)
-        reference = Machine(motivating_machine.function, memory_size=256,
-                            core="reference")
+        reference = ReferenceMachine(motivating_machine.function,
+                                     memory_size=256)
         _, reference_snapshots = reference.run_with_snapshots(interval=8)
-        log = reference.run(record_registers=True).register_log
+        _, log = reference.run_with_register_log()
         assert len(reference_snapshots) == len(snapshots)
         for fast_snapshot, reference_snapshot in zip(snapshots,
                                                      reference_snapshots):
@@ -305,8 +294,9 @@ class TestExecutionCores:
     @pytest.mark.parametrize("budget", [3, 4, 5, 6, 100])
     def test_budget_boundary_outcomes_match(self, budget):
         """A run that returns on exactly the last budgeted cycle
-        classifies as a timeout on both cores (the reference core's
-        budget check fires before it notices the return)."""
+        classifies as a timeout on the threaded core as on the
+        reference interpreter (whose budget check fires before it
+        notices the return)."""
         source = """
 func f width=8
 bb.entry:
@@ -316,8 +306,8 @@ bb.entry:
     ret c
 """
         function = parse_function(source)
-        expected = Machine(function, memory_size=64,
-                           core="reference").run(max_cycles=budget)
+        expected = ReferenceMachine(function,
+                                    memory_size=64).run(max_cycles=budget)
         actual = Machine(function, memory_size=64).run(max_cycles=budget)
         assert actual.outcome == expected.outcome, budget
         assert actual.key() == expected.key(), budget
@@ -331,15 +321,19 @@ bb.entry:
         first = Machine(motivating_function, memory_size=256)
         second = Machine(motivating_function, memory_size=256)
         assert first._reg_of == second._reg_of
-        for core in Machine.CORES:
-            machine = Machine(motivating_function, memory_size=256,
-                              core=core)
+        machines = [Machine(motivating_function, memory_size=256, core=core)
+                    for core in Machine.CORES]
+        machines.append(ReferenceMachine(motivating_function,
+                                         memory_size=256))
+        for machine in machines:
+            label = type(machine).__name__, machine.core
             for cycle in (-1, 0, 17):
                 trace = machine.run(injection=Injection(cycle, "offprogram",
                                                         1))
-                assert trace.key() == motivating_golden.key(), (core, cycle)
+                assert trace.key() == motivating_golden.key(), (label,
+                                                                cycle)
             assert machine.run(regs={"offprogram": 5}).key() \
-                == motivating_golden.key(), core
+                == motivating_golden.key(), label
             assert machine._reg_of == first._reg_of
             assert "offprogram" not in machine._slot_of
         golden, snapshots = first.run_with_snapshots(interval=8)
@@ -351,12 +345,13 @@ bb.entry:
                                   converge=snapshots)
         assert resumed.key() == expected.key()
 
-    @pytest.mark.parametrize("core", ["threaded", "reference"])
+    @pytest.mark.parametrize("make", [Machine, ReferenceMachine],
+                             ids=["threaded", "reference"])
     def test_snapshots_share_unchanged_memory(self, motivating_function,
-                                              core):
+                                              make):
         """A run without stores keeps one memory image for all of its
         snapshots, and resuming from any of them is unchanged."""
-        machine = Machine(motivating_function, memory_size=256, core=core)
+        machine = make(motivating_function, memory_size=256)
         golden, snapshots = machine.run_with_snapshots(interval=8)
         assert not golden.stores
         assert len(snapshots) > 2
@@ -367,8 +362,9 @@ bb.entry:
                                        converge=snapshots)
             assert resumed.key() == machine.run(injection=injection).key()
 
-    @pytest.mark.parametrize("core", ["threaded", "reference"])
-    def test_snapshots_copy_changed_memory(self, core):
+    @pytest.mark.parametrize("make", [Machine, ReferenceMachine],
+                             ids=["threaded", "reference"])
+    def test_snapshots_copy_changed_memory(self, make):
         """Each store gives the following snapshot its own image, equal
         to memory at that cycle."""
         function = parse_function("""
@@ -383,7 +379,7 @@ bb.entry:
     add e, c, d
     ret e
 """)
-        machine = Machine(function, memory_size=64, core=core)
+        machine = make(function, memory_size=64)
         golden, snapshots = machine.run_with_snapshots(interval=1)
         images = [snapshot.memory for snapshot in snapshots]
         # A snapshot at cycle N precedes instruction N: cycles 0-1 see
@@ -399,12 +395,11 @@ bb.entry:
 
     def test_cross_core_snapshot_restore(self, motivating_function,
                                          motivating_golden):
-        """Either core resumes either machine's snapshots.  A reference
-        run_from re-executes the whole tail (it never splices) and
-        matches a full reference run, as the threaded core's spliced
-        resumes do."""
-        reference = Machine(motivating_function, memory_size=256,
-                            core="reference")
+        """The threaded core and the reference interpreter each resume
+        either machine's snapshots.  A reference run_from re-executes
+        the whole tail (it never splices) and matches a full reference
+        run, as the threaded core's spliced resumes do."""
+        reference = ReferenceMachine(motivating_function, memory_size=256)
         fast = Machine(motivating_function, memory_size=256)
         _, fast_snapshots = fast.run_with_snapshots(interval=8)
         _, reference_snapshots = reference.run_with_snapshots(interval=8)

@@ -4,7 +4,8 @@ All threaded code is generated straight-line code from one generator
 (:mod:`repro.fi.threaded`): single steps (one-instruction tiers), and
 for hot block starts superblocks along the statically predicted path
 and plain basic blocks near a stop.  Every test here compares the
-threaded core against the reference interpreter trace for trace:
+threaded core against the reference interpreter
+(:mod:`tests.fi.reference`) trace for trace:
 executed path, side effects, loads, outcome, trap kind, cycle count
 and signature.  Most tests compile every block start on its first
 entry (``HOT_ENTRIES = 1``), so superblocks and basic blocks execute
@@ -27,6 +28,7 @@ from repro.fi.trace import SignatureForge, Trace, pack_path, pack_stores
 from repro.ir.parser import parse_function
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
 from repro.ir.registers import ZERO
+from tests.fi.reference import ReferenceMachine
 
 from hypothesis import given, settings, strategies as st
 
@@ -114,7 +116,7 @@ def hot(monkeypatch):
 
 def _machines(source):
     function = parse_function(source)
-    return (Machine(function, memory_size=MEMORY, core="reference"),
+    return (ReferenceMachine(function, memory_size=MEMORY),
             Machine(function, memory_size=MEMORY))
 
 
@@ -277,8 +279,7 @@ class TestStops:
     def test_checkpoint_intervals_with_reconvergence(self, hot, interval):
         function = parse_function(BRANCHY)
         regs = {"n": 8}
-        reference = Machine(function, memory_size=MEMORY,
-                            core="reference")
+        reference = ReferenceMachine(function, memory_size=MEMORY)
         fast = Machine(function, memory_size=MEMORY)
         golden = reference.run(regs=regs)
         plan = [PlannedRun(Injection(cycle, register, bit), None, None,
@@ -305,7 +306,7 @@ class TestStops:
             assert_identical(reference.run(regs=regs, max_cycles=budget),
                              fast.run(regs=regs, max_cycles=budget),
                              budget)
-        # The reference core times out a `ret` on exactly the last
+        # The reference interpreter times out a `ret` on exactly the last
         # budgeted cycle; the tier ending in that `ret` must as well.
         assert fast.run(regs=regs,
                         max_cycles=golden.cycles).outcome == "timeout"
@@ -343,9 +344,8 @@ bb.exit:
 """
         function = parse_function(source)
         image = bytes([0x81, 0xF7, 0xFF, 0x7F, 0x90, 0xFE, 0xC3, 0x5A])
-        machines = [Machine(function, memory_size=MEMORY,
-                            memory_image=image, core=core)
-                    for core in ("reference", "threaded")]
+        machines = [make(function, memory_size=MEMORY, memory_image=image)
+                    for make in (ReferenceMachine, Machine)]
         regs = {"n": 3}
         expected, actual = (machine.run(regs=regs) for machine in machines)
         assert actual.outcome == "ok"
@@ -493,7 +493,7 @@ _RANDOM = (GeneratorConfig(width=8, registers=5, params=2, structures=3,
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_random_programs_identical(seed):
     """Random programs with every start compiled on first entry:
-    clean, injected and resumed runs match the reference core."""
+    clean, injected and resumed runs match the reference interpreter."""
     original = threaded.HOT_ENTRIES
     threaded.HOT_ENTRIES = 1
     try:
@@ -505,7 +505,7 @@ def test_random_programs_identical(seed):
 
 def _assert_random_program(seed, config):
     function = generate_function(seed, config)
-    reference = Machine(function, memory_size=4096, core="reference")
+    reference = ReferenceMachine(function, memory_size=4096)
     fast = Machine(function, memory_size=4096)
     regs = random_inputs(seed, function)
     golden, snapshots = fast.run_with_snapshots(regs=regs, interval=7,

@@ -3,7 +3,8 @@
 A run answered from the campaign's tail memo takes the record of an
 earlier run that reached the same state with the same trace so far.
 Every record must stay exactly what a full simulation gives: the
-reference core (which never probes the memo) is the oracle.
+reference interpreter (:mod:`tests.fi.reference`, which never probes
+the memo) is the oracle.
 """
 
 import pytest
@@ -21,6 +22,7 @@ from repro.bec.analysis import run_bec
 from repro.ir.parser import parse_function
 from repro.ir.randgen import generate_function, random_inputs
 
+from tests.fi.reference import ReferenceMachine
 from tests.fuzz.test_soundness_fuzz import _SMALL
 
 #: Flipping bit 0 or bit 1 of ``t`` after cycle 0 gives the same state
@@ -123,8 +125,8 @@ def engine_records(machine, plan, regs=None, golden=None, interval=4):
 
 def reference_records(function, plan, regs=None, memory_image=None,
                       memory_size=1 << 16, interval=4):
-    machine = Machine(function, memory_image=memory_image,
-                      memory_size=memory_size, core="reference")
+    machine = ReferenceMachine(function, memory_image=memory_image,
+                               memory_size=memory_size)
     return engine_records(machine, plan, regs=regs, interval=interval)[0]
 
 
@@ -238,9 +240,9 @@ class TestRecordsMatchReference:
                                               run.golden, interval)
         assert hits
         # Every run answered from the memo gets exactly the record a
-        # full reference-core run gives ...
-        reference = Machine(run.function, memory_image=run.memory_image,
-                            core="reference")
+        # full reference-interpreter run gives ...
+        reference = ReferenceMachine(run.function,
+                                     memory_image=run.memory_image)
         budget = max(4 * run.golden.cycles + 256, 1024)
         for injection, record in hits:
             injected = reference.run(regs=run.regs, injection=injection,

@@ -9,6 +9,7 @@ from repro.fi.machine import Machine
 from repro.fi.validate import validate_bec
 
 from tests.bec.program_gen import random_function
+from tests.fi.reference import ReferenceMachine
 from tests.fi.walks import instances_walked
 
 
@@ -35,19 +36,21 @@ class TestTableTwoRow:
 
 
 class TestCoreParity:
-    """Validation runs on the caller's core; every core must give the
+    """Validation runs on the caller's core; every core, and the
+    reference interpreter (:mod:`tests.fi.reference`), must give the
     same report."""
 
     @staticmethod
     def _reports(function, memory_size):
         bec = run_bec(function)
-        return [validate_bec(function,
-                             Machine(function, memory_size=memory_size,
-                                     core=core), bec)
-                for core in Machine.CORES]
+        machines = [Machine(function, memory_size=memory_size, core=core)
+                    for core in Machine.CORES]
+        machines.append(ReferenceMachine(function, memory_size=memory_size))
+        return [validate_bec(function, machine, bec)
+                for machine in machines]
 
     def test_motivating(self, motivating_function):
-        threaded, reference, batched = self._reports(motivating_function,
+        threaded, batched, reference = self._reports(motivating_function,
                                                      256)
         assert threaded.instances == 348
         assert reference == threaded
@@ -55,7 +58,7 @@ class TestCoreParity:
 
     @pytest.mark.parametrize("seed", [27, 73, 148])
     def test_random_programs(self, seed):
-        threaded, reference, batched = self._reports(random_function(seed),
+        threaded, batched, reference = self._reports(random_function(seed),
                                                      64)
         assert threaded.instances > 0
         assert reference == threaded

@@ -2,18 +2,19 @@
 
 The threaded core (slot-indexed registers, code generated as
 straight-line tiers: single steps, basic blocks and superblocks) must
-be *trace-for-trace* identical to the retained reference interpreter —
-same executed path, side effects, loads, outcome and cycle count — on
-arbitrary programs, clean and faulted.  Random programs from
-:mod:`repro.ir.randgen` exercise every opcode family; injections
-corrupt address and counter registers, so the trap and timeout paths
-are covered as well.
+be *trace-for-trace* identical to the reference interpreter
+(:mod:`tests.fi.reference`) — same executed path, side effects, loads,
+outcome and cycle count — on arbitrary programs, clean and faulted.
+Random programs from :mod:`repro.ir.randgen` exercise every opcode
+family; injections corrupt address and counter registers, so the trap
+and timeout paths are covered as well.
 
 The campaign fuzzer extends the comparison **three ways**: whole
-fault-injection campaigns are executed on the reference, threaded and
-batched (lockstep-vectorized) cores — with checkpointing, golden
-reconvergence splicing and hardened ``check`` instructions in play —
-and the per-run ``(effect, signature)`` records must agree exactly.
+fault-injection campaigns are executed on the reference interpreter and
+on the threaded and batched (lockstep-vectorized) cores — with
+checkpointing, golden reconvergence splicing and hardened ``check``
+instructions in play — and the per-run ``(effect, signature)`` records
+must agree exactly.
 """
 
 import random
@@ -27,6 +28,7 @@ from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.fi.sink import CollectSink
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
+from tests.fi.reference import ReferenceMachine
 
 from hypothesis import given, settings, strategies as st
 
@@ -39,8 +41,7 @@ _MEMORY_SIZE = 4096
 
 
 def _machines(function):
-    reference = Machine(function, memory_size=_MEMORY_SIZE,
-                        core="reference")
+    reference = ReferenceMachine(function, memory_size=_MEMORY_SIZE)
     fast = Machine(function, memory_size=_MEMORY_SIZE)
     return reference, fast
 
@@ -226,8 +227,8 @@ def assert_campaigns_identical(function, plan, regs, memory_image=b"",
                                seed=None):
     """Reference (serial, uncheckpointed) vs threaded (checkpointed)
     vs batched (lockstep + reconvergence splicing + scalar escapes)."""
-    reference = Machine(function, memory_size=_MEMORY_SIZE,
-                        memory_image=memory_image, core="reference")
+    reference = ReferenceMachine(function, memory_size=_MEMORY_SIZE,
+                                 memory_image=memory_image)
     threaded = Machine(function, memory_size=_MEMORY_SIZE,
                        memory_image=memory_image)
     batched = Machine(function, memory_size=_MEMORY_SIZE,
@@ -295,8 +296,8 @@ def test_hardened_campaigns_identical_three_ways(seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_snapshot_resume_identical_across_cores(seed):
-    """Each core's checkpoint/resume must agree with the other core's
-    full run — the property the campaign engine's snapshots rely on."""
+    """The threaded core's checkpoint/resume must agree with the
+    reference interpreter's full run — the property the campaign engine's snapshots rely on."""
     function = generate_function(seed, _CFG)
     reference, fast = _machines(function)
     regs = random_inputs(seed, function)

@@ -20,6 +20,7 @@ from repro.bitvalue.analysis import compute_bit_values
 from repro.fi.machine import Machine
 from repro.fi.validate import validate_bec
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
+from tests.fi.reference import ReferenceMachine
 
 #: Compact programs keep exhaustive injection per example affordable.
 _SMALL = GeneratorConfig(width=4, registers=4, params=1, structures=2,
@@ -28,9 +29,9 @@ _MEDIUM = GeneratorConfig(width=8, registers=5, params=2, structures=3,
                           max_ops=4)
 
 
-def assert_bits_compatible(values, trace, seed):
+def assert_bits_compatible(values, trace, log, seed):
     """Every concrete register value must refine the abstract one."""
-    for pp, snapshot in zip(trace.executed, trace.register_log):
+    for pp, snapshot in zip(trace.executed, log):
         for reg, value in snapshot.items():
             abstract = values.after(pp, reg)
             assert abstract.ones & ~value == 0, \
@@ -44,13 +45,13 @@ def assert_bits_compatible(values, trace, seed):
 def test_bit_value_analysis_is_sound(seed):
     function = generate_function(seed, _MEDIUM)
     values = compute_bit_values(function)
-    machine = Machine(function)
+    machine = ReferenceMachine(function)
     for input_seed in (0, 1):
-        trace = machine.run(
+        trace, log = machine.run_with_register_log(
             regs=random_inputs(seed + input_seed, function),
-            record_registers=True, max_cycles=50_000)
+            max_cycles=50_000)
         assert trace.outcome == "ok"
-        assert_bits_compatible(values, trace, seed)
+        assert_bits_compatible(values, trace, log, seed)
 
 
 @settings(max_examples=40, deadline=None)

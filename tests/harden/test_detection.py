@@ -18,6 +18,7 @@ from repro.harden import harden
 from repro.harden.evaluate import (count_conversions, ladder_comparison,
                                    run_variant, strided_plan)
 from repro.ir.parser import parse_function
+from tests.fi.reference import ReferenceMachine
 
 ACCUMULATE = """
 func acc width=8 params=n
@@ -34,10 +35,12 @@ bb.exit:
 
 
 class TestCheckSemantics:
-    """Trap semantics of the ``check`` instruction on both cores."""
+    """Trap semantics of the ``check`` instruction on the threaded core
+    and on the reference interpreter."""
 
-    @pytest.mark.parametrize("core", ["threaded", "reference"])
-    def test_equal_operands_fall_through(self, core):
+    @pytest.mark.parametrize("make", [Machine, ReferenceMachine],
+                             ids=["threaded", "reference"])
+    def test_equal_operands_fall_through(self, make):
         function = parse_function("""
             func f width=8 params=a
             bb.entry:
@@ -45,19 +48,20 @@ class TestCheckSemantics:
                 check a, b
                 ret a
         """)
-        trace = Machine(function, core=core).run(regs={"a": 7})
+        trace = make(function).run(regs={"a": 7})
         assert trace.outcome == "ok"
         assert trace.returned == 7
 
-    @pytest.mark.parametrize("core", ["threaded", "reference"])
-    def test_differing_operands_trap_detected(self, core):
+    @pytest.mark.parametrize("make", [Machine, ReferenceMachine],
+                             ids=["threaded", "reference"])
+    def test_differing_operands_trap_detected(self, make):
         function = parse_function("""
             func f width=8 params=a,b
             bb.entry:
                 check a, b
                 ret a
         """)
-        trace = Machine(function, core=core).run(regs={"a": 1, "b": 2})
+        trace = make(function).run(regs={"a": 1, "b": 2})
         assert trace.outcome == "trap"
         assert trace.trap_kind == TRAP_DETECTED
         assert trace.returned is None
@@ -127,7 +131,8 @@ class TestDeterministicConversion:
 
 class TestCampaignAggregates:
     """Bit-identical aggregates: serial vs workers, threaded vs
-    reference, on a hardened binary under a mapped fault plan."""
+    the reference interpreter, on a hardened binary under a mapped
+    fault plan."""
 
     @pytest.fixture(scope="class")
     def hardened_setup(self, motivating_function, motivating_golden,
@@ -155,8 +160,8 @@ class TestCampaignAggregates:
 
     def test_threaded_equals_reference(self, hardened_setup):
         result, machine, golden, mapped = hardened_setup
-        reference_machine = Machine(result.function, memory_size=256,
-                                    core="reference")
+        reference_machine = ReferenceMachine(result.function,
+                                             memory_size=256)
         reference_golden = reference_machine.run()
         assert reference_golden.key() == golden.key()
         base_records, fast_records = CollectSink(), CollectSink()

@@ -80,7 +80,7 @@ class TestSpec:
     def test_grid_is_a_product(self):
         spec = parse_spec({"grid": {
             "kernels": ["a", "b"], "modes": ["bec", "ior"],
-            "cores": ["threaded", "reference"]}})
+            "cores": ["threaded", "batched"]}})
         assert len(spec.cells()) == 8
 
     @pytest.mark.parametrize("broken", [
@@ -95,10 +95,17 @@ class TestSpec:
         {"grid": {"kernels": ["k"]}, "engine": {"max_runs": 0}},
         {"grid": {"kernels": ["k"]}, "engine": {"prune": "psychic"}},
         {"grid": {"kernels": ["k"]}, "typo": {}},
+        {"grid": {"kernels": ["k"], "cores": ["reference"]}},
     ])
     def test_validation(self, broken):
         with pytest.raises(SweepSpecError):
             parse_spec(broken)
+
+    def test_unknown_core_names_the_cores(self):
+        # The reference interpreter is a test oracle, not a grid core.
+        with pytest.raises(SweepSpecError,
+                           match=r"\['threaded', 'batched'\]"):
+            parse_spec({"grid": {"kernels": ["k"], "cores": ["reference"]}})
 
     @pytest.mark.parametrize("key", ["batch_lanes", "chunk_size"])
     def test_engine_constants_are_not_spec_keys(self, key):
@@ -196,14 +203,14 @@ class TestSweep:
 
     def test_cores_are_distinct_cells_with_identical_aggregates(
             self, tiny_ir, store):
-        spec = spec_for([tiny_ir], cores=["threaded", "reference"],
+        spec = spec_for([tiny_ir], cores=["threaded", "batched"],
                         max_runs=40)
         report = run_sweep(spec, store)
         assert report.cells_run == 2
-        threaded, reference = report.outcomes
-        assert threaded.key != reference.key
-        assert threaded.effects == reference.effects
-        assert threaded.distinct_traces == reference.distinct_traces
+        threaded, batched = report.outcomes
+        assert threaded.key != batched.key
+        assert threaded.effects == batched.effects
+        assert threaded.distinct_traces == batched.distinct_traces
 
     def test_report_json_and_markdown(self, tiny_ir, store):
         spec = spec_for([tiny_ir], max_runs=40)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.fi.campaign import PLANNERS
+from repro.fi.machine import Machine
 
 MINIC = """
 int main() {
@@ -119,14 +122,25 @@ class TestCampaign:
 
     def test_cores_agree(self, minic_file, capsys):
         outputs = []
-        for core in ("threaded", "reference", "batched"):
+        for core in Machine.CORES:
             assert main(["campaign", minic_file, "--mode", "exhaustive",
                          "--execute", "60", "--core", core]) == 0
             lines = capsys.readouterr().out.splitlines()
             outputs.append([line.split(": ", 1)[1] for line in lines
                             if "executed 60 runs" in line
                             or "distinguishable traces" in line])
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["campaign", "sample"])
+    def test_reference_core_is_not_an_option(self, minic_file, command):
+        # The reference interpreter is a test oracle, not a user core.
+        with pytest.raises(SystemExit) as error:
+            main([command, minic_file, "--core", "reference"])
+        assert error.value.code == 2
+
+    def test_usage_lists_the_choices(self):
+        assert f"[--core {'|'.join(Machine.CORES)}]" in cli.__doc__
+        assert f"[--mode {'|'.join(PLANNERS)}]" in cli.__doc__
 
     def test_batched_with_prune_and_lanes(self, minic_file, capsys,
                                           monkeypatch):
@@ -324,7 +338,7 @@ class TestHarden:
         overhead = float(err.split("dynamic overhead: +")[1].split("%")[0])
         assert overhead <= 25.0
 
-    @pytest.mark.parametrize("core", ["threaded", "reference"])
+    @pytest.mark.parametrize("core", Machine.CORES)
     def test_roundtrip_campaign_on_hardened_ir(self, harden_minic_file,
                                                tmp_path, capsys, core):
         """`repro harden -o x.ir` then `repro campaign x.ir` — the
@@ -341,7 +355,7 @@ class TestHarden:
         detected = int(output.split("'detected': ")[1].split(",")[0])
         assert detected > 0
 
-    @pytest.mark.parametrize("core", ["threaded", "reference"])
+    @pytest.mark.parametrize("core", Machine.CORES)
     def test_campaign_harden_flag(self, harden_minic_file, capsys, core):
         assert main(["campaign", harden_minic_file, "--harden", "bec",
                      "--budget", "0.3", "--execute", "32",
@@ -352,7 +366,7 @@ class TestHarden:
 
     def test_campaign_harden_cores_agree(self, harden_minic_file, capsys):
         runs = {}
-        for core in ("threaded", "reference"):
+        for core in Machine.CORES:
             assert main(["campaign", harden_minic_file, "--harden",
                          "full", "--execute", "64", "--core", core,
                          "--args", "5"]) == 0
@@ -362,7 +376,7 @@ class TestHarden:
             distinct = [line for line in output.splitlines()
                         if "distinguishable" in line]
             runs[core] = (effects, distinct)
-        assert runs["threaded"] == runs["reference"]
+        assert runs["threaded"] == runs["batched"]
 
 
 class TestSchedulePolicies:
