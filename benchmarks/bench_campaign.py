@@ -2,7 +2,9 @@
 predecessors, across the six evaluation kernels and two plan families.
 
 Four engine generations are timed on identical plans, with identical
-aggregates asserted on every row:
+aggregates asserted on every run.  The last three run in
+:data:`REPEATS` interleaved repeats; their columns are medians and the
+speedup is the median of the per-repeat ratios:
 
 * ``serial``        — ``CampaignEngine.run()`` on the threaded core,
                       from cycle 0, no knobs;
@@ -81,6 +83,12 @@ GATE = {"full": 4.0, "smoke": 2.0}
 #: peak lands in the report's ``peak_mem_bytes`` column.
 PEAK_CHUNK_SIZE = 256
 
+#: Interleaved repeats of the engine, batched and batched+prune sides
+#: of a row.  The order alternates from repeat to repeat so drift
+#: cancels, and the speedup is the median of the per-repeat ratios: one
+#: slow side spoils one repeat, not the gate.
+REPEATS = 5
+
 
 def prepare(name):
     benchmark = get_benchmark(name)
@@ -128,28 +136,41 @@ def bench_row(name, family, mode):
     interval = auto_checkpoint_interval(golden)
 
     # Every timed run collects its records (the same small cost in
-    # each), so the parity check below compares whole record streams.
-    sinks = [CollectSink() for _ in range(4)]
+    # each), so the parity check compares whole record streams.
+    serial_sink = CollectSink()
     engine = CampaignEngine(threaded, plan, regs=regs, golden=golden)
-    base, serial_s = timed(lambda: engine.run(sink=sinks[0]))
-    engined, engine_s = timed(lambda: engine.run(
-        checkpoint_interval=interval, sink=sinks[1]))
+    base, serial_s = timed(lambda: engine.run(sink=serial_sink))
     vector = CampaignEngine(batched, plan, regs=regs, golden=golden)
-    batchd, batched_s = timed(lambda: vector.run(
-        checkpoint_interval=interval, sink=sinks[2]))
-    pruned, batched_prune_s = timed(lambda: vector.run(
-        checkpoint_interval=interval, prune="liveness", sink=sinks[3]))
-
-    for other, sink in zip((engined, batchd, pruned), sinks[1:]):
-        assert other.effect_counts() == base.effect_counts(), name
-        assert other.distinct_traces == base.distinct_traces, name
-        assert other.archived_bytes == base.archived_bytes, name
-        assert sink.records == sinks[0].records, name
+    sides = {
+        "engine": lambda sink: engine.run(
+            checkpoint_interval=interval, sink=sink),
+        "batched": lambda sink: vector.run(
+            checkpoint_interval=interval, sink=sink),
+        "batched_prune": lambda sink: vector.run(
+            checkpoint_interval=interval, prune="liveness", sink=sink),
+    }
+    seconds = {side: [] for side in sides}
+    last = {}
+    for repeat in range(REPEATS):
+        order = list(sides) if repeat % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            sink = CollectSink()
+            other, side_s = timed(lambda: sides[side](sink))
+            seconds[side].append(side_s)
+            last[side] = other
+            assert other.effect_counts() == base.effect_counts(), name
+            assert other.distinct_traces == base.distinct_traces, name
+            assert other.archived_bytes == base.archived_bytes, name
+            assert sink.records == serial_sink.records, name
+    ratios = [engine_s / min(batched_s, prune_s)
+              for engine_s, batched_s, prune_s in zip(
+                  seconds["engine"], seconds["batched"],
+                  seconds["batched_prune"])]
+    engine_s = statistics.median(seconds["engine"])
 
     peak = traced_peak(lambda: vector.run(
         checkpoint_interval=interval, chunk_size=PEAK_CHUNK_SIZE))
 
-    best = min(batched_s, batched_prune_s)
     return {
         "program": name,
         "family": family,
@@ -157,13 +178,14 @@ def bench_row(name, family, mode):
         "full_plan_runs": len(full_plan),
         "trace_cycles": golden.cycles,
         "checkpoint_interval": interval,
+        "repeats": REPEATS,
         "serial_s": serial_s,
         "engine_s": engine_s,
-        "batched_s": batched_s,
-        "batched_prune_s": batched_prune_s,
-        "pruned_runs": pruned.pruned_runs,
+        "batched_s": statistics.median(seconds["batched"]),
+        "batched_prune_s": statistics.median(seconds["batched_prune"]),
+        "pruned_runs": last["batched_prune"].pruned_runs,
         "speedup_engine_vs_serial": serial_s / engine_s,
-        "speedup_batched_vs_engine": engine_s / best,
+        "speedup_batched_vs_engine": statistics.median(ratios),
         "peak_chunk_size": PEAK_CHUNK_SIZE,
         "peak_mem_bytes": peak,
         "effects": base.effect_counts(),

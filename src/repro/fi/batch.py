@@ -438,24 +438,24 @@ class _SweepContext:
 
 
 class BatchClassifier:
-    """Classifies a fault-injection plan with the lockstep core.
+    """Classifies planned runs with the lockstep core.
 
     Built once per campaign (and inherited by forked workers): holds
     the compiled op table, the golden per-cycle event records and the
-    snapshot join points.  :meth:`classify_indices` then classifies any
-    subset of the plan — masked runs on the vector path, everything
-    else through the scalar escape queue — returning records
-    bit-identical to the scalar engine's.
+    snapshot join points, but not the plan.  :meth:`classify` then
+    classifies the rows it is handed — one engine chunk at a time —
+    masked runs on the vector path, everything else through the scalar
+    escape queue, returning records bit-identical to the scalar
+    engine's.
     """
 
-    def __init__(self, machine, plan, regs, golden, snapshots, max_cycles,
+    def __init__(self, machine, regs, golden, snapshots, max_cycles,
                  tails=None):
         if _np is None:
             raise SimulationError("the batched core requires NumPy")
         if not batchable(machine, golden, snapshots, max_cycles):
             raise SimulationError("campaign setup is not batchable")
         self.machine = machine
-        self.plan = plan
         self.regs = regs
         self.golden = golden
         self.snapshots = snapshots
@@ -463,7 +463,6 @@ class BatchClassifier:
         self.tails = tails              # the campaign's TailMemo or None
         self._masked_record = (EFFECT_MASKED, golden.signature(),
                                golden.byte_size())
-        self._decode_entries()
         self.ops = compile_batch_ops(machine.function,
                                      machine._slot_of.__getitem__,
                                      machine._first_pp,
@@ -480,32 +479,12 @@ class BatchClassifier:
                                      golden.trap_kind)
         self.snap_cycles = [snapshot.cycle for snapshot in snapshots]
         self._snap_cols = {}
-        # Per-classify_indices tallies, flushed to the metrics registry
-        # once per call (ROADMAP item 3: escape attribution).
+        # Per-classify tallies, flushed to the metrics registry once
+        # per call (escape attribution).
         self._escape_counts = {}         # divergence pp -> lanes escaped
         self._retired = {"masked": 0, "sdc": 0}
 
     # -- setup ----------------------------------------------------------------
-
-    def _decode_entries(self):
-        """Validate every planned site (loudly, like the scalar path)
-        and give each one a lockstep lane can run its entry."""
-        machine = self.machine
-        slot_of = machine._slot_of
-        n_cycles = self.golden.cycles
-        # Memory faults, multi-event upsets, post-trace flips and
-        # registers outside the slot table get no entry: they keep the
-        # scalar resume protocol.
-        self._entries = {}               # plan index -> (cycle, slot, bit)
-        for index, planned in enumerate(self.plan):
-            injection = planned.injection
-            machine._prepare_upsets(injection)
-            if (type(injection) is Injection
-                    and -1 <= injection.cycle < n_cycles
-                    and injection.reg in slot_of):
-                self._entries[index] = (injection.cycle,
-                                        slot_of[injection.reg],
-                                        1 << injection.bit)
 
     def _build_meta(self):
         """Per-golden-cycle event records for the step closures."""
@@ -572,37 +551,38 @@ class BatchClassifier:
                              self.regs, self.snapshots, self.max_cycles,
                              self.tails)
 
-    def classify_indices(self, indices, progress=None):
-        """Classify the plan entries at *indices*; returns one
-        ``(effect, signature, byte_size)`` record per index, in the
-        given order, bit-identical to the scalar engine's records."""
-        indices = list(indices)
-        results = {}
-        queue = sorted(((self._entries[index][0], index)
-                        for index in indices if index in self._entries))
-        queue = [(cycle, index) + self._entries[index][1:]
-                 for cycle, index in queue]
-        done = [0, 0]                   # retired, last reported
-        total = len(indices)
-
-        def retire(count):
-            done[0] += count
-            if progress is not None and (done[0] - done[1] >= 64
-                                         or done[0] == total):
-                done[1] = done[0]
-                progress(done[0], total)
-
+    def classify(self, rows):
+        """Classify the planned runs *rows*; returns one ``(effect,
+        signature, byte_size)`` record per row, in order, bit-identical
+        to the scalar engine's records.  Every site is validated first,
+        with the simulator's message."""
+        machine = self.machine
+        slot_of = machine._slot_of
+        n_cycles = self.golden.cycles
+        # Lane entries are keyed by position in *rows*, not by row: a
+        # plan may repeat a row.  Memory faults, multi-event upsets,
+        # post-trace flips and registers outside the slot table get no
+        # lane: they keep the scalar resume protocol.
+        queue = []
+        for position, planned in enumerate(rows):
+            injection = planned.injection
+            machine._prepare_upsets(injection)
+            if (type(injection) is Injection
+                    and -1 <= injection.cycle < n_cycles
+                    and injection.reg in slot_of):
+                queue.append((injection.cycle, position,
+                              slot_of[injection.reg], 1 << injection.bit))
+        queue.sort()
+        results = [None] * len(rows)
         while queue:
-            queue = self._sweep(queue, results, retire)
+            queue = self._sweep(queue, rows, results)
         scalar_direct = 0
-        for index in indices:
-            if index not in results:
+        for position, planned in enumerate(rows):
+            if results[position] is None:
                 scalar_direct += 1
-                results[index] = self._classify_scalar(
-                    self.plan[index].injection)
-                retire(1)
+                results[position] = self._classify_scalar(planned.injection)
         self._flush_metrics(scalar_direct)
-        return [results[index] for index in indices]
+        return results
 
     def _flush_metrics(self, scalar_direct):
         """Fold this call's tallies into the metrics registry: lanes
@@ -630,11 +610,12 @@ class BatchClassifier:
         self._escape_counts = {}
         self._retired = {"masked": 0, "sdc": 0}
 
-    def _sweep(self, queue, results, retire):
+    def _sweep(self, queue, rows, results):
         """One rolling pass down the golden trace.  Consumes as many
         queue entries as lane capacity allows (joining each at its
-        window's snapshot, refilling as lanes retire) and returns the
-        entries that must wait for the next pass."""
+        window's snapshot, refilling as lanes retire), stores each
+        record at its position in *results* and returns the entries
+        that must wait for the next pass."""
         np = _np
         machine = self.machine
         golden = self.golden
@@ -650,7 +631,7 @@ class BatchClassifier:
         active = np.zeros(lanes, dtype=bool)
         ctx = _SweepContext(self.taken_at, self.out_at, self.store_at,
                             np.ones(lanes, dtype=bool))
-        lane_plan = [-1] * lanes
+        lane_row = [-1] * lanes         # position in rows per lane
         lane_join_out = [0] * lanes     # out-event index at lane join
         lane_fire = np.full(lanes, -2, dtype=np.int64)
         free = list(range(lanes))
@@ -675,7 +656,7 @@ class BatchClassifier:
             end = window_end(snap_index)
             column = None
             while qi < n_queue:
-                cycle, index, slot, bit = queue[qi]
+                cycle, position, slot, bit = queue[qi]
                 joined = max(cycle, 0)
                 if joined < start:
                     leftovers.append(queue[qi])
@@ -689,7 +670,7 @@ class BatchClassifier:
                     column = self._snap_col(snap_index)
                 lane = free.pop()
                 R[:, lane] = column
-                lane_plan[lane] = index
+                lane_row[lane] = position
                 lane_join_out[lane] = snapshots[snap_index].n_outputs
                 lane_fire[lane] = cycle
                 ctx.clean[lane] = True
@@ -714,11 +695,10 @@ class BatchClassifier:
             return self._onpath_sdc_record(outputs, returned)
 
         def retire_lanes(mask, retire_event, at_end=False):
-            count = 0
             for lane in np.nonzero(mask)[0]:
                 lane = int(lane)
                 if retire_event is None:          # escape to scalar core
-                    escapes.append(lane_plan[lane])
+                    escapes.append(lane_row[lane])
                     pp = int(executed[cycle])     # divergence site
                     escape_counts[pp] = escape_counts.get(pp, 0) + 1
                 else:
@@ -733,13 +713,10 @@ class BatchClassifier:
                         record = dirty_record(lane, retire_event,
                                               golden.returned)
                         retired_counts["sdc"] += 1
-                    results[lane_plan[lane]] = record
-                    count += 1
+                    results[lane_row[lane]] = record
                 active[lane] = False
                 lane_fire[lane] = -2
                 free.append(lane)
-            if count:
-                retire(count)
 
         while qi < n_queue or active.any():
             if not active.any():
@@ -801,9 +778,8 @@ class BatchClassifier:
         # Scalar-escape time in its own span, apart from the lockstep
         # pass that nests it (`repro obs summarize`).
         with obs.tracer().span("batch.escape_queue", lanes=len(escapes)):
-            for index in escapes:
-                results[index] = self._classify_scalar(
-                    self.plan[index].injection)
-                retire(1)
+            for position in escapes:
+                results[position] = self._classify_scalar(
+                    rows[position].injection)
         leftovers.extend(queue[qi:])
         return leftovers

@@ -50,10 +50,13 @@ it without changing a single record:
   core and reconverged lanes retiring as masked.  Requires NumPy and
   snapshots; the engine auto-enables checkpointing and silently falls
   back to the scalar threaded path when NumPy is missing.
-* **Liveness pre-classification** (``prune="liveness"``, opt-in): an
-  injection whose register is overwritten on the golden path before it
-  is next read is provably masked and recorded without simulation
-  (:mod:`repro.fi.prune`); ``CampaignResult.pruned_runs`` counts them.
+* **Liveness pruning** (``prune="liveness"``, opt-in): an injection
+  whose register is overwritten on the golden path before it is next
+  read is provably masked (:mod:`repro.fi.prune`).  Each chunk's step
+  — in the worker that runs it — records such rows as the golden
+  masked run without simulating them and hands the rest to the core;
+  the chunk's pruned count travels back with its records, so
+  ``CampaignResult.pruned_runs`` is exact under every schedule.
 * **Streaming sinks** (``sink=...``, ``chunk_size=N``): records are
   pushed to :mod:`repro.fi.sink` consumers in plan-ordered chunks as
   they retire instead of being materialized first.  The engine's own
@@ -72,8 +75,11 @@ it without changing a single record:
   above is exercised by tests instead of merely claimed.
 
 All knobs compose and every combination preserves bit-identical
-aggregates; snapshots and the batch classifier are built in the parent
-before the workers fork, so they inherit them for free.
+aggregates; snapshots, the pruner and the batch classifier are built in
+the parent before the workers fork, so they inherit them for free.
+Every schedule reads the plan one chunk at a time: nothing the engine
+holds grows with plan length, and an invalid site fails when its chunk
+runs, with the simulator's message on either core.
 """
 
 import multiprocessing
@@ -168,38 +174,51 @@ class _WorkerContext:
     """Everything a forked worker needs, inherited by reference."""
 
     def __init__(self, machine, plan, regs, golden, snapshots, max_cycles,
-                 todo, tails=None, classifier=None):
+                 pruner=None, tails=None, classifier=None):
         self.machine = machine
         self.plan = plan
         self.regs = regs
         self.golden = golden
         self.snapshots = snapshots
         self.max_cycles = max_cycles
-        self.todo = todo                # plan indices left to classify
+        self.pruner = pruner            # LivenessPruner or None
+        self.masked = None              # the record of a pruned run
+        if pruner is not None:
+            self.masked = (EFFECT_MASKED, golden.signature(),
+                           golden.byte_size())
         self.tails = tails              # the campaign's TailMemo or None
         self.classifier = classifier    # BatchClassifier or None
 
-    def classify(self, planned):
-        return run_injection(self.machine, self.golden, planned.injection,
-                             self.regs, self.snapshots, self.max_cycles,
-                             self.tails)
-
-    def classify_indices(self, indices, progress=None):
-        """Records for the plan entries at *indices* (in order)."""
+    def classify_indices(self, indices):
+        """``(records, pruned)`` for the plan entries at *indices*: one
+        record per entry, in order, and how many of them liveness
+        pruning recorded as the golden masked run."""
+        rows = [self.plan[index] for index in indices]
+        live = range(len(rows))
+        if self.pruner is not None:
+            masked = self.pruner.provably_masked
+            live = [position for position, planned in enumerate(rows)
+                    if not masked(planned.injection)]
         # The one choke point every execution schedule funnels through
         # (serial, forked workers, lockstep lanes): counting here gives
         # `engine.runs_executed` exactly once per simulated injection,
         # and worker-side increments merge back over the result pipe.
-        obs.metrics().counter("engine.runs_executed").inc(len(indices))
+        obs.metrics().counter("engine.runs_executed").inc(len(live))
         if self.classifier is not None:
-            return self.classifier.classify_indices(indices,
-                                                    progress=progress)
-        records = []
-        for count, index in enumerate(indices):
-            records.append(self.classify(self.plan[index]))
-            if progress is not None and (count + 1) % 64 == 0:
-                progress(count + 1, len(indices))
-        return records
+            classified = self.classifier.classify(
+                [rows[position] for position in live])
+        else:
+            classified = [
+                run_injection(self.machine, self.golden,
+                              rows[position].injection, self.regs,
+                              self.snapshots, self.max_cycles, self.tails)
+                for position in live]
+        if len(live) == len(rows):
+            return classified, 0
+        records = [self.masked] * len(rows)
+        for position, record in zip(live, classified):
+            records[position] = record
+        return records, len(rows) - len(live)
 
 
 #: Seconds the supervisor waits on the worker pipes before polling
@@ -220,8 +239,9 @@ RETRY_BACKOFF = 0.05
 def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
                  segments, attempt, chaos):
     """One forked worker: classify the listed ``chunk_size`` segments
-    of strided chunk ``todo[chunk_index::n_chunks]`` and stream each
-    back as a ``("segment", index, records)`` message on *conn*.
+    of strided chunk ``plan[chunk_index::n_chunks]`` and stream each
+    back as a ``("segment", index, records, pruned)`` message on
+    *conn*.
 
     A clean exit ends with ``("done",)``; a Python exception is
     reported as ``("error", message)`` (deterministic failures are not
@@ -238,15 +258,15 @@ def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
     stream itself stays bit-identical."""
     registry = obs.metrics()
     fork_mark = registry.mark()
-    mine = context.todo[chunk_index::n_chunks]
+    mine = range(len(context.plan))[chunk_index::n_chunks]
     try:
         for segment_index in segments:
             if chaos is not None:
                 chaos.fire("worker.segment", chunk=chunk_index,
                            segment=segment_index, attempt=attempt)
             low = segment_index * chunk_size
-            records = context.classify_indices(mine[low:low + chunk_size])
-            conn.send(("segment", segment_index, records))
+            conn.send(("segment", segment_index)
+                      + context.classify_indices(mine[low:low + chunk_size]))
         conn.send(("metrics", registry.delta_since(fork_mark)))
         conn.send(("done",))
     except Exception as exc:
@@ -304,9 +324,10 @@ class _Supervisor:
         self.undealer = undealer
         self.chaos = chaos
         self.mp = multiprocessing.get_context("fork")
+        self.pruned = 0                 # pruned runs of drained segments
         self.chunks = []
         for index in range(n_chunks):
-            mine = context.todo[index::n_chunks]
+            mine = range(len(context.plan))[index::n_chunks]
             self.chunks.append(_ChunkState(
                 index, -(-len(mine) // chunk_size)))
 
@@ -382,11 +403,9 @@ class _Supervisor:
             return
         kind = message[0]
         if kind == "segment":
-            _, segment_index, records = message
+            _, segment_index, records, pruned = message
             if segment_index not in state.received:
-                state.received.add(segment_index)
-                self.assembler.push(self.undealer.add(
-                    state.index, segment_index, records))
+                self._received(state, segment_index, records, pruned)
         elif kind == "metrics":
             obs.metrics().merge(message[1])
         elif kind == "done":
@@ -449,16 +468,21 @@ class _Supervisor:
         obs.logger().warning("engine.serial_degrade", chunk=state.index,
                              attempts=state.attempt,
                              missing_segments=len(state.missing))
-        mine = self.context.todo[state.index::self.n_chunks]
+        mine = range(len(self.context.plan))[state.index::self.n_chunks]
         for segment_index in state.missing:
             low = segment_index * self.chunk_size
             with obs.tracer().span("engine.chunk", chunk=state.index,
                                    segment=segment_index, serial=True):
-                records = self.context.classify_indices(
+                records, pruned = self.context.classify_indices(
                     mine[low:low + self.chunk_size])
-            state.received.add(segment_index)
-            self.assembler.push(self.undealer.add(
-                state.index, segment_index, records))
+            self._received(state, segment_index, records, pruned)
+
+    def _received(self, state, segment_index, records, pruned):
+        """Take in one finished segment, exactly once."""
+        state.received.add(segment_index)
+        self.pruned += pruned
+        self.assembler.push(self.undealer.add(
+            state.index, segment_index, records))
 
     def _shutdown(self):
         for state in self.chunks:
@@ -504,8 +528,8 @@ class CampaignEngine:
         ``workers`` > 1 forks that many supervised processes;
         ``checkpoint_interval`` enables snapshot/resume at that cycle
         granularity (auto-enabled on a batched machine, which needs the
-        snapshots as lane join points); ``prune="liveness"``
-        pre-classifies provably overwritten-before-read injections
+        snapshots as lane join points); ``prune="liveness"`` records
+        provably overwritten-before-read injections, chunk by chunk,
         without simulation; ``progress`` is an optional
         ``callable(done, total)`` invoked as chunks retire; ``sink`` is
         an optional extra :class:`repro.fi.sink.RunSink` receiving the
@@ -547,40 +571,27 @@ class CampaignEngine:
                     regs=self.regs, interval=checkpoint_interval,
                     max_cycles=self.max_cycles)
         total = len(self.plan)
-        # A range, not a list: the pending-index set is O(1) resident
-        # until pruning actually filters it, keeping the streamed
-        # engine's footprint free of O(plan) index storage.
-        todo = range(total)
-        pruned = 0
-        masked = None
-        if prune == "liveness" and todo:
+        pruner = None
+        if prune == "liveness":
             pruner = LivenessPruner(self.machine.function, self.golden)
-            masked = (EFFECT_MASKED, self.golden.signature(),
-                      self.golden.byte_size())
-            todo = [index for index in todo
-                    if not pruner.provably_masked(
-                        self.plan[index].injection)]
-            pruned = total - len(todo)
-            if pruned:
-                obs.metrics().counter("engine.runs_pruned").inc(pruned)
         tails = None
         if snapshots and self.machine.width <= 64:
             # The memo's keys pack registers as 64-bit words.
             tails = TailMemo(len(self.machine._reg_of))
         classifier = None
-        if batched and todo and batch.batchable(
+        if batched and total and batch.batchable(
                 self.machine, self.golden, snapshots, self.max_cycles):
             classifier = batch.BatchClassifier(
-                self.machine, self.plan, self.regs, self.golden,
-                snapshots, self.max_cycles, tails)
+                self.machine, self.regs, self.golden, snapshots,
+                self.max_cycles, tails)
         # Distinguishes the lockstep core actually engaging from the
         # silent scalar fallback (NumPy missing, non-batchable setup).
-        # A plan fully pre-classified by pruning left nothing to
-        # vectorize, which is not a fallback.
-        vectorized = classifier is not None or (batched and not todo)
+        # An empty plan left nothing to vectorize, which is not a
+        # fallback.
+        vectorized = classifier is not None or (batched and not total)
         context = _WorkerContext(self.machine, self.plan, self.regs,
                                  self.golden, snapshots, self.max_cycles,
-                                 todo, tails, classifier)
+                                 pruner, tails, classifier)
         aggregate = AggregateSink()
         sinks = [aggregate]
         if progress is not None:
@@ -592,41 +603,46 @@ class CampaignEngine:
 
             sinks.append(ChaosSink(chaos))
         tee = TeeSink(sinks)
-        tee.begin({"total_runs": total, "pruned_runs": pruned,
-                   "vectorized": vectorized, "chunk_size": chunk_size,
-                   "plan": self.plan, "golden": self.golden})
-        assembler = ChunkAssembler(self.plan, todo, masked, tee,
-                                   chunk_size)
-        if workers and workers > 1 and len(todo) > 1 \
+        tee.begin({"total_runs": total, "vectorized": vectorized,
+                   "chunk_size": chunk_size, "plan": self.plan,
+                   "golden": self.golden})
+        assembler = ChunkAssembler(self.plan, tee, chunk_size)
+        if workers and workers > 1 and total > 1 \
                 and "fork" in multiprocessing.get_all_start_methods():
-            self._run_parallel(context, workers, chunk_size, assembler,
-                               chaos)
+            pruned = self._run_parallel(context, workers, chunk_size,
+                                        assembler, chaos)
         else:
-            self._run_serial(context, chunk_size, assembler)
+            pruned = self._run_serial(context, chunk_size, assembler)
         assembler.close()
+        if pruned:
+            obs.metrics().counter("engine.runs_pruned").inc(pruned)
         result = CampaignResult(self.golden, aggregates=aggregate.aggregates)
         result.pruned_runs = pruned
         result.vectorized = vectorized
         result.wall_time = time.perf_counter() - start
-        tee.finish({"wall_time": result.wall_time})
+        tee.finish({"wall_time": result.wall_time, "pruned_runs": pruned})
         return result
 
     def _run_serial(self, context, chunk_size, assembler):
-        todo = context.todo
         tracer = obs.tracer()
-        for low in range(0, len(todo), chunk_size):
-            indices = todo[low:low + chunk_size]
+        pruned = 0
+        for low in range(0, len(self.plan), chunk_size):
+            indices = range(low, min(low + chunk_size, len(self.plan)))
             with tracer.span("engine.chunk", low=low, size=len(indices)):
-                assembler.push(context.classify_indices(indices))
+                records, chunk_pruned = context.classify_indices(indices)
+                assembler.push(records)
+            pruned += chunk_pruned
+        return pruned
 
     def _run_parallel(self, context, workers, chunk_size, assembler,
                       chaos):
-        pending = len(context.todo)
-        n_chunks = max(1, min(workers, pending))
+        total = len(self.plan)
+        n_chunks = max(1, min(workers, total))
         # Segments arrive out of order across workers; the un-dealer
         # buffers them and releases maximal plan-order runs, keeping
         # the parent's residency at O(chunk_size × workers).
-        undealer = StridedUndealer(pending, n_chunks, chunk_size)
+        undealer = StridedUndealer(total, n_chunks, chunk_size)
         supervisor = _Supervisor(context, n_chunks, chunk_size,
                                  assembler, undealer, chaos=chaos)
         supervisor.run()
+        return supervisor.pruned

@@ -19,9 +19,11 @@ trace.)  This is the dynamic, trace-level counterpart of the paper's
 ``kill(p)`` masking rule, applied per *cycle* instead of per window,
 and it is independent of which bit was flipped.
 
-``prune="liveness"`` on the campaign engine is opt-in; the parity suite
-asserts that pruned campaigns produce bit-identical aggregates to full
-simulation.
+``prune="liveness"`` on the campaign engine is opt-in.  The engine asks
+the pruner about each row of a chunk as that chunk runs, in whichever
+worker runs it, and hands the core only the rows it cannot prove
+masked; the parity suite asserts that pruned campaigns produce
+bit-identical aggregates to full simulation.
 """
 
 import bisect

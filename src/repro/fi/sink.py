@@ -19,15 +19,17 @@ The protocol is three calls, in order::
     sink.finish(summary)    # once, after the last record
 
 *meta* describes the campaign before execution: ``total_runs``,
-``pruned_runs``, ``vectorized``, ``chunk_size``, plus the resident
-``plan`` and ``golden`` trace for sinks that want them.  Each *chunk*
-is a list of ``(planned, effect, signature, byte_size)`` tuples —
-consecutive plan entries, at most ``chunk_size`` of them — and chunks
+``vectorized``, ``chunk_size``, plus the resident ``plan`` and
+``golden`` trace for sinks that want them.  Each *chunk* is a list of
+``(planned, effect, signature, byte_size)`` tuples — consecutive plan
+entries, at most ``chunk_size`` of them — and chunks
 arrive strictly in plan order regardless of the execution schedule
 (serial, forked workers, lockstep lanes): the engine's round-robin
 un-deal happens *before* the sink boundary, so every sink observes the
 same byte-identical record stream the serial engine produces.
-*summary* carries post-execution facts (``wall_time``).
+*summary* carries post-execution facts: ``wall_time`` and
+``pruned_runs`` (known only once every chunk has run, since liveness
+pruning happens chunk by chunk).
 
 Memory model: a sink that retains nothing per-run (like
 :class:`AggregateSink`) gives the whole pipeline O(chunk_size) peak
@@ -113,8 +115,8 @@ class ProgressSink(RunSink):
     """Adapts the chunk stream to a ``callable(done, total)``.
 
     ``done`` counts every retired record — simulated, vectorized and
-    liveness-pruned alike, since pruned entries are interleaved into
-    the stream at their plan positions — so the callback advances
+    liveness-pruned alike, since pruned entries sit in the stream at
+    their plan positions — so the callback advances
     monotonically from 0 to ``total_runs`` and always ends on
     ``(total, total)`` (also for an empty plan).
     """
@@ -156,63 +158,43 @@ class CollectSink(RunSink):
 
 
 class ChunkAssembler:
-    """Reassembles retiring records into plan-ordered, fixed-size
-    chunks and feeds them to a sink.
+    """Re-blocks plan-ordered records into fixed-size chunks, each
+    record led by its plan row, and feeds them to a sink.  Every
+    emitted chunk holds exactly ``chunk_size`` records except the
+    last."""
 
-    The engine classifies only the ``todo`` plan indices (liveness
-    pruning may have pre-classified the rest); :meth:`push` accepts
-    their records *in todo order* and interleaves the pruned plan
-    positions back in as copies of ``pruned_record``, so the sink
-    observes one uninterrupted plan-ordered stream.  Every emitted
-    chunk holds exactly ``chunk_size`` records except the last.
-    """
-
-    def __init__(self, plan, todo, pruned_record, sink, chunk_size):
+    def __init__(self, plan, sink, chunk_size):
         self._plan = plan
-        self._todo = todo
-        self._pruned_record = pruned_record
         self._sink = sink
         self._chunk_size = chunk_size
-        self._todo_pos = 0
-        self._next = 0                  # next plan index to emit
+        self._next = 0                  # plan index of the next record
         self._buffer = []
 
-    def _emit(self, plan_index, record):
-        self._buffer.append((self._plan[plan_index],) + record)
-        if len(self._buffer) >= self._chunk_size:
-            self._sink.consume(self._buffer)
-            self._buffer = []
-
     def push(self, records):
-        """Consume records for ``todo[pos:pos+len(records)]``."""
+        """Consume the records of the next ``len(records)`` plan rows."""
         for record in records:
-            todo_index = self._todo[self._todo_pos]
-            self._todo_pos += 1
-            while self._next < todo_index:
-                self._emit(self._next, self._pruned_record)
-                self._next += 1
-            self._emit(todo_index, record)
-            self._next = todo_index + 1
+            self._buffer.append((self._plan[self._next],) + record)
+            self._next += 1
+            if len(self._buffer) >= self._chunk_size:
+                self._sink.consume(self._buffer)
+                self._buffer = []
 
     def close(self):
-        """Flush trailing pruned positions and the partial last chunk."""
-        while self._next < len(self._plan):
-            self._emit(self._next, self._pruned_record)
-            self._next += 1
+        """Flush the partial last chunk."""
         if self._buffer:
             self._sink.consume(self._buffer)
             self._buffer = []
 
 
 class StridedUndealer:
-    """Restores todo order from the workers' strided segment stream.
+    """Restores plan order from the workers' strided segment stream.
 
-    The parallel engine deals ``todo`` round-robin into ``n_chunks``
-    strided chunks (``todo[k::n_chunks]``) and each worker retires its
+    The parallel engine deals the plan round-robin into ``n_chunks``
+    strided chunks (``plan[k::n_chunks]``) and each worker retires its
     chunk in ``chunk_size`` segments, pushed to the parent as they
     complete — out of order across workers.  ``add`` buffers arriving
     segments and returns the maximal run of records now contiguous in
-    todo order; todo position ``t`` lives in chunk ``t % n_chunks`` at
+    plan order; plan position ``t`` lives in chunk ``t % n_chunks`` at
     within-chunk offset ``t // n_chunks``, i.e. segment
     ``offset // chunk_size``, slot ``offset % chunk_size``.  Segments
     are freed as soon as their last record is emitted, bounding the
@@ -223,7 +205,7 @@ class StridedUndealer:
         self._n_items = n_items
         self._n_chunks = n_chunks
         self._chunk_size = chunk_size
-        self._next = 0                  # next todo position to emit
+        self._next = 0                  # next plan position to emit
         self._segments = {}             # (chunk, segment) -> records
 
     def add(self, chunk_index, segment_index, records):

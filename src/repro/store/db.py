@@ -450,7 +450,8 @@ class ResultStore:
         into *sink* as the engine streamed it: ``begin`` with the
         engine's meta keys (the caller's *plan* and *golden*), one
         ``consume`` per archived chunk in plan order, each chunk
-        digest-checked, then ``finish`` with the archived wall time.
+        digest-checked, then ``finish`` with the archived wall time
+        and pruned count.
         Each record carries the caller's own *plan* entry (the key
         covers the plan, so position ``i`` of the archive is
         ``plan[i]``) and the ``byte_size`` of its signature from the
@@ -460,7 +461,6 @@ class ResultStore:
         meta, sizes, n_runs, wall_time = self._read_meta(key)
         planned_runs = iter(plan)
         sink.begin({"total_runs": n_runs,
-                    "pruned_runs": meta["pruned_runs"],
                     "vectorized": meta["vectorized"],
                     "chunk_size": meta["chunk_size"],
                     "plan": plan, "golden": golden})
@@ -471,7 +471,8 @@ class ResultStore:
             sink.consume([(next(planned_runs), effect, signature,
                            sizes[signature])
                           for _, effect, signature in records])
-        sink.finish({"wall_time": wall_time})
+        sink.finish({"wall_time": wall_time,
+                     "pruned_runs": meta["pruned_runs"]})
 
     def _checked_chunk(self, key, chunk_index, decode=True):
         """Fetch one archived chunk and check it: present, its digest

@@ -11,14 +11,14 @@ liveness prune.  The scalar reference interpreter
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.experiments.common import benchmark_run
 from repro.fi import batch
 from repro.fi.campaign import (EFFECT_MASKED, PlannedRun, plan_bec,
                                plan_exhaustive)
 from repro.fi.engine import CampaignEngine
-from repro.fi.machine import (DEFAULT_MAX_CYCLES, Injection, Machine,
-                              MemoryInjection)
+from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.fi.prune import LivenessPruner
 from repro.fi.sampling import estimate_avf
 from tests.fi.reference import ReferenceMachine
@@ -58,13 +58,23 @@ class TestBatchedMachine:
             Machine(motivating_function, core="simd")
 
     def test_invalid_site_fails_loudly(self, motivating_function,
-                                       motivating_golden,
-                                       motivating_batched):
-        plan = [PlannedRun(Injection(3, "v", 99), None, None, None)]
-        engine = CampaignEngine(motivating_batched, plan,
-                                golden=motivating_golden)
-        with pytest.raises(SimulationError):
-            engine.run()
+                                       motivating_golden):
+        """A bad site fails when its chunk runs, with the simulator's
+        message on every core."""
+        plan = list(plan_exhaustive(motivating_function,
+                                    motivating_golden))[:20]
+        plan.append(PlannedRun(Injection(3, "v", 99), None, None, None))
+        messages = set()
+        for core in Machine.CORES:
+            machine = Machine(motivating_function, memory_size=256,
+                              core=core)
+            engine = CampaignEngine(machine, plan,
+                                    golden=motivating_golden)
+            with pytest.raises(SimulationError) as failure:
+                engine.run(chunk_size=8)
+            messages.add(str(failure.value))
+        assert messages == {"injection bit 99 is outside the 4-bit "
+                            "register 'v'"}
 
 
 class TestBatchedEngineParity:
@@ -162,16 +172,15 @@ class TestBatchedEngineParity:
                    for _, effect, _, _ in base[1][1::2])
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
+        registry = obs.metrics()
+        mark = registry.mark()
         result = collected(engine)
+        totals = registry.totals(registry.delta_since(mark))
         assert result[0].vectorized
+        assert totals.get("batch.scalar_direct", 0) == 5
         assert_identical(base, result)
         assert_identical(base, collected(engine, checkpoint_interval=8,
                                          prune="liveness"))
-        _, snapshots = motivating_batched.run_with_snapshots(interval=8)
-        classifier = batch.BatchClassifier(
-            motivating_batched, plan, None, motivating_golden, snapshots,
-            DEFAULT_MAX_CYCLES)
-        assert sorted(classifier._entries) == list(range(0, len(plan), 2))
 
     def test_hardened_detected_class(self):
         """`check` traps (the hardened `detected` class) divergence-

@@ -328,6 +328,35 @@ class TestKillRecoveryParity:
         assert deltas["engine.recoveries"] >= 1
         assert_identical(base, healed)
 
+    @pytest.mark.parametrize("attempt,counter", [
+        (0, "engine.recoveries"),
+        (None, "engine.serial_degraded_chunks"),
+    ])
+    def test_pruned_runs_exact_under_recovery(
+            self, motivating_function, motivating_machine,
+            motivating_golden, monkeypatch, attempt, counter):
+        """A killed worker's segments are re-run by a respawned worker
+        (``attempt=0``) or serially in the parent (``attempt=None``
+        kills every retry); either way each segment's pruned count is
+        taken exactly once."""
+        from repro.fi import engine as engine_module
+        from repro.fi.chaos import ChaosPolicy
+
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.01)
+
+        plan = plan_exhaustive(motivating_function, motivating_golden)
+        engine = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden)
+        base = collected(engine, prune="liveness")
+        assert base[0].pruned_runs > 0
+        policy = ChaosPolicy().kill_worker(chunk=1, segment=0,
+                                           attempt=attempt)
+        healed, deltas = supervised(engine, workers=4, chunk_size=16,
+                                    prune="liveness", chaos=policy)
+        assert deltas[counter] >= 1
+        assert_identical(base, healed)
+        assert healed[0].pruned_runs == base[0].pruned_runs
+
 
 class TestSamplingCheckpointParity:
     def test_estimate_avf_checkpointed_is_identical(self,

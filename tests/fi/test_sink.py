@@ -16,6 +16,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.fi.campaign import plan_exhaustive
 from repro.fi.engine import CampaignEngine
+from repro.fi.machine import Machine
 from repro.fi.sink import (AggregateSink, ChunkAssembler, CollectSink,
                            ProgressSink, RunSink, StridedUndealer, TeeSink)
 from tests.fi.test_engine import assert_identical, collected
@@ -48,47 +49,26 @@ def fake_record(value):
 
 
 class TestChunkAssembler:
-    def _assemble(self, n_plan, todo, chunk_size, pruned_record=None):
-        plan = [f"planned-{index}" for index in range(n_plan)]
+    def test_exact_chunking_without_pruning(self):
+        plan = [f"planned-{index}" for index in range(10)]
         sink = RecordingSink()
-        assembler = ChunkAssembler(plan, todo, pruned_record, sink,
-                                   chunk_size)
-        for index in todo:
+        assembler = ChunkAssembler(plan, sink, 4)
+        for index in range(10):
             assembler.push([fake_record(index)])
         assembler.close()
-        return plan, sink
-
-    def test_exact_chunking_without_pruning(self):
-        plan, sink = self._assemble(10, list(range(10)), 4)
         assert [len(chunk) for chunk in sink.chunks] == [4, 4, 2]
         assert [record[0] for record in sink.records] == plan
-
-    def test_pruned_gaps_are_interleaved_in_plan_order(self):
-        pruned = ("masked", b"\x00", 0)
-        todo = [1, 4, 5, 8]
-        plan, sink = self._assemble(10, todo, 3, pruned_record=pruned)
-        records = sink.records
-        assert [record[0] for record in records] == plan
-        for index, record in enumerate(records):
-            if index in todo:
-                assert record[1:] == fake_record(index)
-            else:
-                assert record[1:] == pruned
-        assert [len(chunk) for chunk in sink.chunks] == [3, 3, 3, 1]
+        assert [record[1:] for record in sink.records] \
+            == [fake_record(index) for index in range(10)]
 
     def test_batched_push(self):
         plan = [f"planned-{index}" for index in range(7)]
         sink = RecordingSink()
-        assembler = ChunkAssembler(plan, list(range(7)), None, sink, 3)
+        assembler = ChunkAssembler(plan, sink, 3)
         assembler.push([fake_record(index) for index in range(5)])
         assembler.push([fake_record(index) for index in range(5, 7)])
         assembler.close()
         assert [record[0] for record in sink.records] == plan
-
-    def test_all_pruned(self):
-        pruned = ("masked", b"\x00", 0)
-        plan, sink = self._assemble(5, [], 2, pruned_record=pruned)
-        assert [record[1:] for record in sink.records] == [pruned] * 5
 
 
 class TestStridedUndealer:
@@ -118,7 +98,7 @@ class TestStridedUndealer:
 
     def test_streams_in_order_arrival_immediately(self):
         undealer = StridedUndealer(4, 2, 2)
-        # Chunk 0 holds todo positions 0 and 2: position 0 releases at
+        # Chunk 0 holds plan positions 0 and 2: position 0 releases at
         # once, position 2 must wait for position 1 (chunk 1).
         assert undealer.add(0, 0, [fake_record(0), fake_record(2)]) \
             == [fake_record(0)]
@@ -267,8 +247,9 @@ class TestStreamingParity:
         result = engine.run(workers=2, chunk_size=50, sink=sink,
                             prune="liveness")
         assert sink.meta["total_runs"] == len(plan)
-        assert sink.meta["pruned_runs"] == result.pruned_runs
-        assert sink.summary == {"wall_time": result.wall_time}
+        assert result.pruned_runs > 0
+        assert sink.summary == {"wall_time": result.wall_time,
+                                "pruned_runs": result.pruned_runs}
         assert all(len(chunk) <= 50 for chunk in sink.chunks)
         assert [planned for planned, _, _, _ in sink.records] == plan
         _, serial = collected(engine, chunk_size=len(plan))
@@ -277,7 +258,8 @@ class TestStreamingParity:
 
 class TestBoundedMemory:
     """The tentpole's acceptance bound: peak resident per-run records
-    are O(chunk_size), independent of plan length."""
+    are O(chunk_size), independent of plan length, on both cores and
+    with or without liveness pruning."""
 
     def _tiled_plan(self, function, golden, factor):
         # A large exhaustive plan: the full register file × cycle grid,
@@ -285,38 +267,45 @@ class TestBoundedMemory:
         # length grows without changing per-run simulation cost.
         return list(plan_exhaustive(function, golden)) * factor
 
-    def _peak(self, machine, golden, plan, chunk_size):
+    def _peak(self, machine, golden, plan, chunk_size, prune):
         engine = CampaignEngine(machine, plan, golden=golden)
         tracemalloc.start()
-        engine.run(checkpoint_interval=8, chunk_size=chunk_size)
+        engine.run(checkpoint_interval=8, chunk_size=chunk_size,
+                   prune=prune)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return peak
 
+    @pytest.mark.parametrize("prune", [None, "liveness"])
+    @pytest.mark.parametrize("core", Machine.CORES)
     def test_streamed_peak_is_bounded_by_chunk_size_not_plan(
-            self, motivating_function, motivating_machine,
-            motivating_golden):
+            self, motivating_function, motivating_golden, core, prune):
+        machine = Machine(motivating_function, memory_size=256, core=core)
         small = self._tiled_plan(motivating_function, motivating_golden,
                                  4)
         large = self._tiled_plan(motivating_function, motivating_golden,
                                  16)
-        peak_small_plan = self._peak(motivating_machine,
-                                     motivating_golden, small, 64)
-        peak_large_plan = self._peak(motivating_machine,
-                                     motivating_golden, large, 64)
+        # Unmeasured warm-up: one-time compilation (the threaded tiers,
+        # the batched op table) must not inflate the small plan's peak.
+        self._peak(machine, motivating_golden, small, 64, prune)
+        peak_small_plan = self._peak(machine, motivating_golden, small,
+                                     64, prune)
+        peak_large_plan = self._peak(machine, motivating_golden, large,
+                                     64, prune)
         # 4x the plan must not grow the streamed peak materially (the
         # generous factor absorbs allocator noise, not a linear term:
         # a materializing engine would grow ~4x here).
         assert peak_large_plan < 2 * peak_small_plan
         # The one-chunk (fully resident) run of the same large plan
         # costs a multiple of the streamed peak.
-        peak_resident = self._peak(motivating_machine, motivating_golden,
-                                   large, len(large))
+        peak_resident = self._peak(machine, motivating_golden, large,
+                                   len(large), prune)
         assert peak_large_plan < peak_resident / 2
         # Outside the measured window: the streamed run's record
         # stream equals the one-chunk run's, in plan order.
-        engine = CampaignEngine(motivating_machine, large,
-                                golden=motivating_golden)
+        engine = CampaignEngine(machine, large, golden=motivating_golden)
         assert_identical(
-            collected(engine, checkpoint_interval=8, chunk_size=len(large)),
-            collected(engine, checkpoint_interval=8, chunk_size=64))
+            collected(engine, checkpoint_interval=8, chunk_size=len(large),
+                      prune=prune),
+            collected(engine, checkpoint_interval=8, chunk_size=64,
+                      prune=prune))

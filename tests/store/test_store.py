@@ -180,12 +180,13 @@ class TestCachingRunner:
         assert not fresh.cached and cached.cached
         assert len(executed.chunks) > 1
         assert replayed.chunks == executed.chunks
-        for field in ("total_runs", "pruned_runs", "vectorized",
-                      "chunk_size"):
+        for field in ("total_runs", "vectorized", "chunk_size"):
             assert replayed.meta[field] == executed.meta[field]
         assert replayed.meta["plan"] == plan
         assert replayed.meta["golden"] is golden
-        assert replayed.summary == {"wall_time": fresh.wall_time}
+        assert replayed.summary == {"wall_time": fresh.wall_time,
+                                    "pruned_runs": fresh.pruned_runs}
+        assert executed.summary == replayed.summary
         assert cached.n_runs == len(plan)
 
     def test_parity_knobs_share_one_cell(self, store, machine, plan,
