@@ -7,10 +7,12 @@ ways on the ``motivating``, ``CRC32`` and ``bitcount`` programs:
                      ``tests/fi/reference.py``, imported from this
                      checkout), serial, from cycle 0 (the pre-engine,
                      pre-threaded-core state);
-* ``serial``       — ``CampaignEngine.run()`` with no knobs on the
-                     threaded core (from cycle 0, one process);
-* ``checkpointed`` — snapshot/resume only (one process);
-* ``parallel``     — ``workers=4`` only;
+* ``serial``       — ``CampaignEngine.run()`` on the threaded core
+                     with one snapshot, at cycle 0, so every run
+                     executes its whole trace (one process);
+* ``checkpointed`` — snapshot/resume at the auto interval only (one
+                     process);
+* ``parallel``     — ``workers=4`` only (one snapshot, at cycle 0);
 * ``combined``     — both knobs.
 
 The gap between ``reference`` and ``combined`` is the compounded
@@ -86,13 +88,16 @@ def execute(mode, machine, regs, golden, plan):
     if mode == "reference":
         machine = reference_machine(machine)
     engine = CampaignEngine(machine, plan, regs=regs, golden=golden)
+    # An interval past the trace leaves the one cycle-0 snapshot: every
+    # run then executes from cycle 0, as before the engine existed.
+    whole_trace = golden.cycles + 1
     if mode in ("reference", "serial"):
-        return engine.run()
+        return engine.run(checkpoint_interval=whole_trace)
     if mode == "checkpointed":
         return engine.run(
             checkpoint_interval=auto_checkpoint_interval(golden))
     if mode == "parallel":
-        return engine.run(workers=WORKERS)
+        return engine.run(workers=WORKERS, checkpoint_interval=whole_trace)
     return engine.run(workers=WORKERS,
                       checkpoint_interval=auto_checkpoint_interval(golden))
 

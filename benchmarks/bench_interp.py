@@ -161,9 +161,12 @@ def bench_campaign(mode):
     plan = full[::max(1, len(full) // CAMPAIGN_RUNS[mode])]
     interval = auto_checkpoint_interval(golden)
 
+    # An interval past the trace leaves the one cycle-0 snapshot, so
+    # the baseline executes every run from cycle 0.
     start = time.perf_counter()
     base = CampaignEngine(reference, plan, regs=regs,
-                          golden=golden).run()
+                          golden=golden).run(
+        checkpoint_interval=golden.cycles + 1)
     baseline_s = time.perf_counter() - start
 
     engine = CampaignEngine(fast, plan, regs=regs, golden=golden)

@@ -184,7 +184,7 @@ def cmd_campaign(options):
     if options.workers < 1:
         raise SystemExit("--workers must be >= 1")
     if options.checkpoint_interval < 0:
-        raise SystemExit("--checkpoint-interval must be >= 0 (0 = off)")
+        raise SystemExit("--checkpoint-interval must be >= 0 (0 = auto)")
     program = load_program(options.file, optimize=_opt_level(options))
     machine, golden = _golden(program, options.args, core=options.core)
     function = program.function
@@ -239,7 +239,7 @@ def cmd_campaign(options):
             core_label = "batched (scalar fallback: NumPy unavailable " \
                          "or setup not batchable)"
         mode = (f"core={core_label}, workers={options.workers}, "
-                f"checkpoint-interval={options.checkpoint_interval or 'off'}")
+                f"checkpoint-interval={options.checkpoint_interval or 'auto'}")
         if prune:
             mode += (f", prune={prune} "
                      f"({result.pruned_runs} runs pre-classified)")
@@ -316,7 +316,7 @@ def cmd_harden(options):
 
 def cmd_sample(options):
     if options.checkpoint_interval < 0:
-        raise SystemExit("--checkpoint-interval must be >= 0 (0 = off)")
+        raise SystemExit("--checkpoint-interval must be >= 0 (0 = auto)")
     program = load_program(options.file, optimize=_opt_level(options))
     machine, golden = _golden(program, options.args, core=options.core)
     bec = run_bec(program.function) if options.bec else None
@@ -833,8 +833,7 @@ def build_parser():
                      metavar="CYCLES",
                      help="resume injected runs from golden-run "
                           "snapshots taken every CYCLES instructions "
-                          "(0 = off; the batched core auto-enables "
-                          "checkpointing)")
+                          "(0 = auto: about 32 snapshots per trace)")
     sub.add_argument("--prune", choices=("none", "liveness"),
                      default="none",
                      help="pre-classify injections provably overwritten"
@@ -892,8 +891,8 @@ def build_parser():
     sub.add_argument("--checkpoint-interval", type=int, default=0,
                      metavar="CYCLES",
                      help="resume sampled runs from golden-run "
-                          "snapshots (0 = off; the batched core picks "
-                          "an interval itself)")
+                          "snapshots taken every CYCLES instructions "
+                          "(0 = auto: about 32 snapshots per trace)")
     add_obs_arguments(sub)
     sub.add_argument("--args", nargs="*", type=lambda v: int(v, 0),
                      default=[])

@@ -83,20 +83,19 @@ def numpy_available():
     return _np is not None
 
 
-def batchable(machine, golden, snapshots, max_cycles):
+def batchable(machine, golden, max_cycles):
     """Whether the lockstep core applies to this campaign setup.
 
     Requires NumPy, a register width the uint64 lane arithmetic is
-    exact for, a clean golden run that fits the cycle budget (so a
-    bit-identical run classifies ``ok``, never ``timeout``), and
-    snapshots starting at cycle 0 (the join points of the windows).
+    exact for, and a clean golden run that fits the cycle budget (so a
+    bit-identical run classifies ``ok``, never ``timeout``).  The
+    engine's golden snapshots, which start at cycle 0, are the join
+    points of the windows.
     """
     return (_np is not None
             and machine.width <= MAX_BATCH_WIDTH
             and golden.outcome == OUTCOME_OK
-            and golden.cycles < max_cycles
-            and bool(snapshots)
-            and snapshots[0].cycle == 0)
+            and golden.cycles < max_cycles)
 
 
 # -- vectorized expression tables ---------------------------------------------
@@ -449,14 +448,12 @@ class BatchClassifier:
     engine's.
     """
 
-    def __init__(self, machine, regs, golden, snapshots, max_cycles,
-                 tails=None):
+    def __init__(self, machine, golden, snapshots, max_cycles, tails=None):
         if _np is None:
             raise SimulationError("the batched core requires NumPy")
-        if not batchable(machine, golden, snapshots, max_cycles):
+        if not batchable(machine, golden, max_cycles):
             raise SimulationError("campaign setup is not batchable")
         self.machine = machine
-        self.regs = regs
         self.golden = golden
         self.snapshots = snapshots
         self.max_cycles = max_cycles
@@ -548,8 +545,7 @@ class BatchClassifier:
         from repro.fi.engine import run_injection
 
         return run_injection(self.machine, self.golden, injection,
-                             self.regs, self.snapshots, self.max_cycles,
-                             self.tails)
+                             self.snapshots, self.max_cycles, self.tails)
 
     def classify(self, rows):
         """Classify the planned runs *rows*; returns one ``(effect,

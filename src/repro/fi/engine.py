@@ -2,69 +2,67 @@
 
 :class:`CampaignEngine` is the one executor every campaign runs on:
 ``repro campaign``, ``repro memory``, ``repro sample``, sweep cells,
-Table II validation and the benchmarks.  With no options it executes
-every planned injection serially and from cycle 0 — O(runs ×
-trace-length) simulator work even though every injected run shares the
-golden prefix up to its injection cycle.  The options below accelerate
-it without changing a single record:
+Table II validation and the benchmarks.  Every injected run shares the
+golden prefix up to its injection cycle, so the engine never replays
+it:
 
-* **Checkpointing** (``checkpoint_interval=N``): the golden run is
-  re-executed once with :meth:`Machine.run_with_snapshots`; each
-  injected run then restores the deepest snapshot at or before its
-  injection cycle and executes only the tail, cutting the campaign to
-  O(runs × avg-tail).  This is the standard acceleration campaign tools
-  built around SPIKE-style ISA simulators use to make exhaustive
-  register-file sweeps (the paper's Table I baseline) tractable.
-  A resumed run that reaches a later snapshot with the golden state
-  splices the golden suffix; one that reaches a state an earlier run
-  of the campaign already had takes that run's record from the
-  campaign's :class:`repro.fi.tails.TailMemo` instead of simulating
-  its tail.  ``engine.runs_executed`` counts every run classified;
-  ``engine.tails_reused`` counts those answered from the memo, so a
-  ``--trace``/``repro obs summarize`` reading shows how much of the
-  campaign was reused rather than simulated.
-* **Supervised parallelism** (``workers=N``): the plan is dealt into
-  strided (round-robin) chunks executed by ``fork``-ed worker
-  processes, so the expensive early-cycle injections — whose resumed
-  tails span nearly the whole trace — spread evenly across workers
-  instead of serializing in the first contiguous chunk.  Each worker
-  streams finished ``chunk_size`` segments back over its own pipe;
-  the parent *supervises* while it drains — multiplexing the pipes
-  with a timeout, polling worker exitcodes, and detecting a worker
-  that died without finishing (SIGKILL, OOM, a crashed interpreter).
-  A dead worker's unfinished segments are re-assigned to a respawned
-  worker with bounded retries and exponential backoff; when respawn
-  keeps failing the engine degrades gracefully and finishes the
-  missing segments serially in the parent.  Every recovery path
-  re-enters the same plan-order un-deal
-  (:class:`repro.fi.sink.StridedUndealer`), so the record stream and
-  the resulting :class:`CampaignResult` — ``effect_counts()``,
-  ``vulnerable_runs()``, ``distinct_traces`` — are bit-identical to
-  the serial baseline no matter which workers survived.  Platforms
-  without the ``fork`` start method fall back to serial execution
-  (same results, no speedup).
+* **Checkpointing**: the golden run is re-executed once with
+  :meth:`Machine.run_with_snapshots`, taking a snapshot every
+  ``checkpoint_interval`` cycles (by default
+  :func:`auto_checkpoint_interval`, about 32 per trace); each injected
+  run restores the deepest snapshot at or before its injection cycle
+  and executes only the tail, cutting the campaign from O(runs ×
+  trace-length) to O(runs × avg-tail).  This is the standard
+  acceleration campaign tools built around SPIKE-style ISA simulators
+  use to make exhaustive register-file sweeps (the paper's Table I
+  baseline) tractable.  A resumed run that reaches a later snapshot
+  with the golden state splices the golden suffix; one that reaches a
+  state an earlier run of the campaign already had takes that run's
+  record from the campaign's :class:`repro.fi.tails.TailMemo` instead
+  of simulating its tail.  ``engine.runs_executed`` counts every run
+  classified; ``engine.tails_reused`` counts those answered from the
+  memo, so a ``--trace``/``repro obs summarize`` reading shows how
+  much of the campaign was reused rather than simulated.
+* **One block schedule, supervised workers** (``workers=N``): the plan
+  is cut into blocks of ``n × chunk_size`` consecutive rows, and part
+  ``k`` of each block, ``block[k::n]``, goes to ``fork``-ed worker
+  ``k`` (``n`` is 1 on the serial path), so the expensive early-cycle
+  injections — whose resumed tails span nearly the whole trace —
+  spread evenly across workers.  Each worker streams its finished
+  parts back over its own pipe; the parent *supervises* while it
+  drains — multiplexing the pipes with a timeout, polling worker
+  exitcodes, and detecting a worker that died without finishing
+  (SIGKILL, OOM, a crashed interpreter).  A dead worker's unfinished
+  parts are re-assigned to a respawned worker with bounded retries and
+  exponential backoff; when respawn keeps failing the engine finishes
+  them serially in the parent.  The serial loop, the workers and that
+  serial degrade all feed the one :class:`BlockEmitter`, which
+  interleaves each complete block back into plan order and passes it
+  on in ``chunk_size`` pieces, so the record stream, its chunk
+  boundaries and the :class:`CampaignResult` are bit-identical to the
+  serial baseline no matter which workers survived.  Platforms without
+  the ``fork`` start method fall back to serial execution.
 * **Lockstep vectorization** (a machine built with
   ``core="batched"``): the plan is executed SIMD-across-faults by
   :mod:`repro.fi.batch` — one NumPy lane per planned injection running
-  along the golden path, with divergent lanes escaping to the threaded
-  core and reconverged lanes retiring as masked.  Requires NumPy and
-  snapshots; the engine auto-enables checkpointing and silently falls
-  back to the scalar threaded path when NumPy is missing.
+  along the golden path from its window's snapshot, with divergent
+  lanes escaping to the threaded core and reconverged lanes retiring
+  as masked.  The engine silently falls back to the scalar threaded
+  path when NumPy is missing or the golden run is not batchable.
 * **Liveness pruning** (``prune="liveness"``, opt-in): an injection
   whose register is overwritten on the golden path before it is next
-  read is provably masked (:mod:`repro.fi.prune`).  Each chunk's step
+  read is provably masked (:mod:`repro.fi.prune`).  Each part's step
   — in the worker that runs it — records such rows as the golden
   masked run without simulating them and hands the rest to the core;
-  the chunk's pruned count travels back with its records, so
+  the part's pruned count travels back with its records, so
   ``CampaignResult.pruned_runs`` is exact under every schedule.
 * **Streaming sinks** (``sink=...``, ``chunk_size=N``): records are
   pushed to :mod:`repro.fi.sink` consumers in plan-ordered chunks as
   they retire instead of being materialized first.  The engine's own
   aggregates ride the same stream and the :class:`CampaignResult`
   keeps nothing per run, so peak resident per-run records are
-  O(chunk_size) on the serial path and O(chunk_size × workers) on the
-  parallel path — independent of plan length.  A caller that wants
-  the records attaches a sink that keeps them
+  O(chunk_size × parts) — independent of plan length.  A caller that
+  wants the records attaches a sink that keeps them
   (:class:`repro.fi.sink.CollectSink`).  A sink that raises mid-stream
   (disk full, say) fails the campaign; no sink holds a resource that
   outlives it.
@@ -77,8 +75,8 @@ it without changing a single record:
 All knobs compose and every combination preserves bit-identical
 aggregates; snapshots, the pruner and the batch classifier are built in
 the parent before the workers fork, so they inherit them for free.
-Every schedule reads the plan one chunk at a time: nothing the engine
-holds grows with plan length, and an invalid site fails when its chunk
+Every schedule reads the plan one part at a time: nothing the engine
+holds grows with plan length, and an invalid site fails when its part
 runs, with the simulator's message on either core.
 """
 
@@ -93,8 +91,7 @@ from repro.fi.campaign import (EFFECT_MASKED, CampaignResult,
                                classify_effect)
 from repro.fi.machine import Injection
 from repro.fi.prune import LivenessPruner
-from repro.fi.sink import (AggregateSink, ChunkAssembler, ProgressSink,
-                           StridedUndealer, TeeSink)
+from repro.fi.sink import AggregateSink, ProgressSink, TeeSink
 from repro.fi.tails import TailMemo
 
 #: Records per streamed chunk when the caller does not choose.  Large
@@ -139,26 +136,23 @@ def pick_snapshot(snapshots, cycle):
     return snapshots[low - 1] if low else None
 
 
-def run_injection(machine, golden, injection, regs, snapshots, max_cycles,
+def run_injection(machine, golden, injection, snapshots, max_cycles,
                   tails=None):
     """The ``(effect, signature, byte_size)`` record of one injected
-    run, resuming from the deepest usable snapshot when there is one
-    (the single resume protocol shared by the engine's scalar path and
-    the batched core's escape queue).  A resumed register injection
-    probes and fills the campaign's :class:`repro.fi.tails.TailMemo`
-    *tails*; a memory injection never does."""
+    run, resumed from the deepest of the golden *snapshots* (which
+    start at cycle 0) at or before its injection (the single resume
+    protocol shared by the engine's scalar path and the batched core's
+    escape queue).  A register injection probes and fills the
+    campaign's :class:`repro.fi.tails.TailMemo` *tails*; a memory
+    injection never does."""
     snapshot = pick_snapshot(snapshots, injection.cycle)
-    if snapshot is None or not isinstance(injection, Injection):
+    if not isinstance(injection, Injection):
         tails = None
-    if snapshot is None:
-        injected = machine.run(regs=regs, injection=injection,
-                               max_cycles=max_cycles)
-    else:
-        if tails is not None:
-            tails.begin(snapshot)
-        injected = machine.run_from(snapshot, injection=injection,
-                                    max_cycles=max_cycles,
-                                    converge=snapshots, tails=tails)
+    if tails is not None:
+        tails.begin(snapshot)
+    injected = machine.run_from(snapshot, injection=injection,
+                                max_cycles=max_cycles, converge=snapshots,
+                                tails=tails)
     record = injected.reused
     if record is None:
         record = (classify_effect(golden, injected), injected.signature(),
@@ -170,14 +164,78 @@ def run_injection(machine, golden, injection, regs, snapshots, max_cycles,
     return record
 
 
+class BlockEmitter:
+    """The engine's one schedule and the one way its records reach the
+    sinks.
+
+    The plan is cut into blocks of ``n_parts × chunk_size`` consecutive
+    rows; part ``k`` of block ``s`` is ``block[k::n_parts]``
+    (:meth:`rows`).  Whoever classifies a part — the serial loop, a
+    forked worker, the supervisor finishing a dead worker's parts —
+    hands its records to :meth:`add`.  Once every part of the next
+    block has arrived, the emitter interleaves them back into plan
+    order, leads each record with its plan row and passes the block to
+    *sink* in ``chunk_size`` pieces: every chunk but the last holds
+    exactly ``chunk_size`` records, whatever ``n_parts`` is.  It also
+    sums the parts' pruned counts.
+    """
+
+    def __init__(self, plan, sink, chunk_size, n_parts=1):
+        self.plan = plan
+        self.sink = sink
+        self.chunk_size = chunk_size
+        self.n_parts = n_parts
+        self.block_size = n_parts * chunk_size
+        self.n_blocks = -(-len(plan) // self.block_size)
+        self.pruned = 0                 # pruned runs of the parts added
+        self._next = 0                  # the next block to emit
+        self._arrived = {}              # block -> {part: records}
+
+    def block(self, index):
+        """Plan indices of block *index*."""
+        low = index * self.block_size
+        return range(low, min(low + self.block_size, len(self.plan)))
+
+    def rows(self, part, block):
+        """Plan indices of part *part* of block *block*."""
+        return self.block(block)[part::self.n_parts]
+
+    def blocks(self, part):
+        """The blocks in which *part* has rows."""
+        return [index for index in range(self.n_blocks)
+                if part < len(self.block(index))]
+
+    def add(self, part, block, records, pruned=0):
+        """Take part *part* of block *block* (one record per row of
+        :meth:`rows`, *pruned* of them liveness-pruned) and emit every
+        block now complete, in plan order."""
+        self._arrived.setdefault(block, {})[part] = records
+        self.pruned += pruned
+        while self._next < self.n_blocks:
+            rows = self.block(self._next)
+            parts = self._arrived.get(self._next, {})
+            if len(parts) < min(self.n_parts, len(rows)):
+                return
+            del self._arrived[self._next]
+            self._next += 1
+            merged = [None] * len(rows)
+            for index, records in parts.items():
+                merged[index::self.n_parts] = records
+            plan = self.plan
+            size = self.chunk_size
+            for low in range(0, len(rows), size):
+                self.sink.consume([
+                    (plan[index],) + record for index, record
+                    in zip(rows[low:low + size], merged[low:low + size])])
+
+
 class _WorkerContext:
     """Everything a forked worker needs, inherited by reference."""
 
-    def __init__(self, machine, plan, regs, golden, snapshots, max_cycles,
+    def __init__(self, machine, plan, golden, snapshots, max_cycles,
                  pruner=None, tails=None, classifier=None):
         self.machine = machine
         self.plan = plan
-        self.regs = regs
         self.golden = golden
         self.snapshots = snapshots
         self.max_cycles = max_cycles
@@ -210,8 +268,8 @@ class _WorkerContext:
         else:
             classified = [
                 run_injection(self.machine, self.golden,
-                              rows[position].injection, self.regs,
-                              self.snapshots, self.max_cycles, self.tails)
+                              rows[position].injection, self.snapshots,
+                              self.max_cycles, self.tails)
                 for position in live]
         if len(live) == len(rows):
             return classified, 0
@@ -227,21 +285,19 @@ class _WorkerContext:
 #: pathological cases.
 SUPERVISOR_POLL_INTERVAL = 0.25
 
-#: Respawn budget per strided chunk before the supervisor degrades
-#: that chunk to serial in-parent execution.
+#: Respawn budget per part before the supervisor degrades that part to
+#: serial in-parent execution.
 WORKER_RETRIES = 2
 
 #: Base of the exponential respawn backoff, in seconds (doubles per
-#: retry of the same chunk).
+#: retry of the same part).
 RETRY_BACKOFF = 0.05
 
 
-def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
-                 segments, attempt, chaos):
-    """One forked worker: classify the listed ``chunk_size`` segments
-    of strided chunk ``plan[chunk_index::n_chunks]`` and stream each
-    back as a ``("segment", index, records, pruned)`` message on
-    *conn*.
+def _worker_main(context, conn, part, work, attempt, chaos):
+    """One forked worker: classify part *part* of each block in *work*,
+    a list of ``(block, plan indices)``, and stream each back as a
+    ``("segment", block, records, pruned)`` message on *conn*.
 
     A clean exit ends with ``("done",)``; a Python exception is
     reported as ``("error", message)`` (deterministic failures are not
@@ -253,20 +309,18 @@ def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
     ``("metrics", delta)`` message just before ``("done",)``, so the
     parent's registry absorbs worker-side counts (runs executed,
     batch escape attribution) exactly once.  A worker that dies loses
-    its un-shipped delta — the re-dispatched segments count again, so
+    its un-shipped delta — the re-dispatched parts count again, so
     metrics stay best-effort-accurate under recovery while the record
     stream itself stays bit-identical."""
     registry = obs.metrics()
     fork_mark = registry.mark()
-    mine = range(len(context.plan))[chunk_index::n_chunks]
     try:
-        for segment_index in segments:
+        for block, indices in work:
             if chaos is not None:
-                chaos.fire("worker.segment", chunk=chunk_index,
-                           segment=segment_index, attempt=attempt)
-            low = segment_index * chunk_size
-            conn.send(("segment", segment_index)
-                      + context.classify_indices(mine[low:low + chunk_size]))
+                chaos.fire("worker.segment", chunk=part, segment=block,
+                           attempt=attempt)
+            conn.send(("segment", block)
+                      + context.classify_indices(indices))
         conn.send(("metrics", registry.delta_since(fork_mark)))
         conn.send(("done",))
     except Exception as exc:
@@ -279,16 +333,16 @@ def _worker_main(context, conn, chunk_index, n_chunks, chunk_size,
         conn.close()
 
 
-class _ChunkState:
-    """Supervisor-side bookkeeping for one strided chunk."""
+class _PartState:
+    """Supervisor-side bookkeeping for one worker's part."""
 
-    __slots__ = ("index", "n_segments", "received", "attempt", "process",
+    __slots__ = ("index", "blocks", "received", "attempt", "process",
                  "conn", "span")
 
-    def __init__(self, index, n_segments):
+    def __init__(self, index, blocks):
         self.index = index
-        self.n_segments = n_segments
-        self.received = set()           # segment indices already drained
+        self.blocks = blocks            # blocks in which the part has rows
+        self.received = set()           # blocks already drained
         self.attempt = 0                # times a worker was started
         self.process = None
         self.conn = None
@@ -296,46 +350,38 @@ class _ChunkState:
 
     @property
     def missing(self):
-        return [segment for segment in range(self.n_segments)
-                if segment not in self.received]
+        return [block for block in self.blocks
+                if block not in self.received]
 
     @property
     def complete(self):
-        return len(self.received) == self.n_segments
+        return len(self.received) == len(self.blocks)
 
 
 class _Supervisor:
-    """Spawns, monitors and heals the strided campaign workers.
+    """Spawns, monitors and heals the campaign workers.
 
-    One worker per chunk, one pipe per worker: a SIGKILLed worker
+    One worker per part, one pipe per worker: a SIGKILLed worker
     closes its pipe, so death is observed as an EOF (or a truncated
     message) rather than an eternal ``queue.get()``.  Unfinished
-    segments of a dead worker are re-run by a respawned worker —
+    blocks of a dead worker are re-run by a respawned worker —
     :data:`WORKER_RETRIES` times with exponential backoff — and finally
     in-parent, serially, so the campaign always terminates with the
     full plan-ordered record stream intact."""
 
-    def __init__(self, context, n_chunks, chunk_size, assembler,
-                 undealer, chaos=None):
+    def __init__(self, context, emitter, chaos=None):
         self.context = context
-        self.n_chunks = n_chunks
-        self.chunk_size = chunk_size
-        self.assembler = assembler
-        self.undealer = undealer
+        self.emitter = emitter
         self.chaos = chaos
         self.mp = multiprocessing.get_context("fork")
-        self.pruned = 0                 # pruned runs of drained segments
-        self.chunks = []
-        for index in range(n_chunks):
-            mine = range(len(context.plan))[index::n_chunks]
-            self.chunks.append(_ChunkState(
-                index, -(-len(mine) // chunk_size)))
+        self.parts = [_PartState(index, emitter.blocks(index))
+                      for index in range(emitter.n_parts)]
 
     # -- lifecycle ---------------------------------------------------------
 
     def run(self):
         try:
-            for state in self.chunks:
+            for state in self.parts:
                 self._spawn(state)
             self._drain()
         finally:
@@ -343,14 +389,15 @@ class _Supervisor:
 
     def _spawn(self, state):
         """Start (or restart) the worker for *state*, handing it the
-        still-missing segments.  Falls back to in-parent execution when
+        still-missing blocks.  Falls back to in-parent execution when
         process creation itself is refused."""
         parent_conn, child_conn = self.mp.Pipe(duplex=False)
         process = self.mp.Process(
             target=_worker_main,
-            args=(self.context, child_conn, state.index, self.n_chunks,
-                  self.chunk_size, state.missing, state.attempt,
-                  self.chaos))
+            args=(self.context, child_conn, state.index,
+                  [(block, self.emitter.rows(state.index, block))
+                   for block in state.missing],
+                  state.attempt, self.chaos))
         try:
             process.start()
         except OSError:
@@ -377,10 +424,10 @@ class _Supervisor:
 
     def _drain(self):
         while True:
-            active = {state.conn: state for state in self.chunks
+            active = {state.conn: state for state in self.parts
                       if state.conn is not None}
             if not active:
-                if all(state.complete for state in self.chunks):
+                if all(state.complete for state in self.parts):
                     return
                 raise SimulationError(
                     "campaign supervisor lost workers without "
@@ -403,14 +450,14 @@ class _Supervisor:
             return
         kind = message[0]
         if kind == "segment":
-            _, segment_index, records, pruned = message
-            if segment_index not in state.received:
-                self._received(state, segment_index, records, pruned)
+            _, block, records, pruned = message
+            if block not in state.received:
+                self._received(state, block, records, pruned)
         elif kind == "metrics":
             obs.metrics().merge(message[1])
         elif kind == "done":
             self._retire(state)
-            if not state.complete:      # claimed done but segments miss
+            if not state.complete:      # claimed done but blocks miss
                 self._recover(state)
         elif kind == "error":
             raise SimulationError(f"campaign worker failed: {message[1]}")
@@ -451,7 +498,7 @@ class _Supervisor:
             state.span = None
 
     def _recover(self, state):
-        """Re-assign a dead worker's missing segments: bounded respawn
+        """Re-assign a dead worker's missing blocks: bounded respawn
         with exponential backoff, then serial in-parent execution."""
         obs.metrics().counter("engine.recoveries").inc()
         if state.attempt > WORKER_RETRIES:
@@ -461,31 +508,27 @@ class _Supervisor:
         self._spawn(state)
 
     def _finish_serially(self, state):
-        """Last resort (and the no-fork fallback): classify the
-        chunk's missing segments in the parent.  Identical records by
-        construction — same indices, same classifier."""
+        """Last resort (and the no-fork fallback): classify the part's
+        missing blocks in the parent.  Identical records by
+        construction — same rows, same classifier."""
         obs.metrics().counter("engine.serial_degraded_chunks").inc()
         obs.logger().warning("engine.serial_degrade", chunk=state.index,
                              attempts=state.attempt,
                              missing_segments=len(state.missing))
-        mine = range(len(self.context.plan))[state.index::self.n_chunks]
-        for segment_index in state.missing:
-            low = segment_index * self.chunk_size
+        for block in state.missing:
             with obs.tracer().span("engine.chunk", chunk=state.index,
-                                   segment=segment_index, serial=True):
+                                   segment=block, serial=True):
                 records, pruned = self.context.classify_indices(
-                    mine[low:low + self.chunk_size])
-            self._received(state, segment_index, records, pruned)
+                    self.emitter.rows(state.index, block))
+            self._received(state, block, records, pruned)
 
-    def _received(self, state, segment_index, records, pruned):
-        """Take in one finished segment, exactly once."""
-        state.received.add(segment_index)
-        self.pruned += pruned
-        self.assembler.push(self.undealer.add(
-            state.index, segment_index, records))
+    def _received(self, state, block, records, pruned):
+        """Take in one finished part of *block*, exactly once."""
+        state.received.add(block)
+        self.emitter.add(state.index, block, records, pruned)
 
     def _shutdown(self):
-        for state in self.chunks:
+        for state in self.parts:
             if state.conn is not None:
                 state.conn.close()
                 state.conn = None
@@ -504,11 +547,11 @@ class CampaignEngine:
 
     ``CampaignEngine(machine, plan).run(workers=4,
     checkpoint_interval=64)`` returns the same :class:`CampaignResult`
-    (modulo ``wall_time``) as the serial, uncheckpointed
-    ``CampaignEngine(machine, plan).run()`` on a threaded machine.
-    *plan* is any sequence of :class:`repro.fi.campaign.PlannedRun`
-    (a :class:`repro.fi.campaign.Plan` or a list); the engine indexes
-    it and never copies it.
+    (modulo ``wall_time``) as the serial ``CampaignEngine(machine,
+    plan).run()`` on a threaded machine.  *plan* is any sequence of
+    :class:`repro.fi.campaign.PlannedRun` (a
+    :class:`repro.fi.campaign.Plan` or a list); the engine indexes it
+    and never copies it.
     """
 
     def __init__(self, machine, plan, regs=None, golden=None,
@@ -526,23 +569,23 @@ class CampaignEngine:
         """Execute the whole plan; returns a :class:`CampaignResult`.
 
         ``workers`` > 1 forks that many supervised processes;
-        ``checkpoint_interval`` enables snapshot/resume at that cycle
-        granularity (auto-enabled on a batched machine, which needs the
-        snapshots as lane join points); ``prune="liveness"`` records
-        provably overwritten-before-read injections, chunk by chunk,
-        without simulation; ``progress`` is an optional
-        ``callable(done, total)`` invoked as chunks retire; ``sink`` is
-        an optional extra :class:`repro.fi.sink.RunSink` receiving the
-        plan-ordered record stream (e.g. the store's chunk capture);
-        ``chunk_size`` bounds resident records per streamed chunk
-        (default :data:`DEFAULT_CHUNK_SIZE`) — a parity knob, never an
-        aggregate-changing one.  ``chaos`` threads a deterministic
-        :class:`repro.fi.chaos.ChaosPolicy` through the workers and the
-        sink fan-out.  A dead worker's chunk is respawned up to
-        :data:`WORKER_RETRIES` times (with :data:`RETRY_BACKOFF`-second
-        exponential backoff) before the engine finishes it serially
-        in-parent; the batched core runs :data:`repro.fi.batch.LANES`
-        lockstep lanes.  Neither changes aggregates.
+        ``checkpoint_interval`` sets the cycles between golden
+        snapshots (``None`` or 0: :func:`auto_checkpoint_interval`);
+        ``prune="liveness"`` records provably overwritten-before-read
+        injections, part by part, without simulation; ``progress`` is
+        an optional ``callable(done, total)`` invoked as chunks retire;
+        ``sink`` is an optional extra :class:`repro.fi.sink.RunSink`
+        receiving the plan-ordered record stream (e.g. the store's
+        chunk capture); ``chunk_size`` bounds resident records per
+        streamed chunk (default :data:`DEFAULT_CHUNK_SIZE`) — a parity
+        knob, never an aggregate-changing one.  ``chaos`` threads a
+        deterministic :class:`repro.fi.chaos.ChaosPolicy` through the
+        workers and the sink fan-out.  A dead worker's part is
+        respawned up to :data:`WORKER_RETRIES` times (with
+        :data:`RETRY_BACKOFF`-second exponential backoff) before the
+        engine finishes it serially in-parent; the batched core runs
+        :data:`repro.fi.batch.LANES` lockstep lanes.  Neither changes
+        aggregates.
         """
         if prune not in PRUNE_MODES:
             raise SimulationError(f"unknown prune mode {prune!r}")
@@ -559,39 +602,37 @@ class CampaignEngine:
     def _run(self, workers, checkpoint_interval, progress, prune, sink,
              chunk_size, chaos):
         start = time.perf_counter()
-        batched = (self.machine.core == "batched"
-                   and batch.numpy_available())
-        if batched and not checkpoint_interval:
+        if not checkpoint_interval:
             checkpoint_interval = auto_checkpoint_interval(self.golden)
-        snapshots = None
-        if checkpoint_interval:
-            with obs.tracer().span("engine.golden_snapshots",
-                                   interval=checkpoint_interval):
-                _, snapshots = self.machine.run_with_snapshots(
-                    regs=self.regs, interval=checkpoint_interval,
-                    max_cycles=self.max_cycles)
+        with obs.tracer().span("engine.golden_snapshots",
+                               interval=checkpoint_interval):
+            _, snapshots = self.machine.run_with_snapshots(
+                regs=self.regs, interval=checkpoint_interval,
+                max_cycles=self.max_cycles)
         total = len(self.plan)
         pruner = None
         if prune == "liveness":
             pruner = LivenessPruner(self.machine.function, self.golden)
         tails = None
-        if snapshots and self.machine.width <= 64:
+        if self.machine.width <= 64:
             # The memo's keys pack registers as 64-bit words.
             tails = TailMemo(len(self.machine._reg_of))
+        batched = (self.machine.core == "batched"
+                   and batch.numpy_available())
         classifier = None
         if batched and total and batch.batchable(
-                self.machine, self.golden, snapshots, self.max_cycles):
+                self.machine, self.golden, self.max_cycles):
             classifier = batch.BatchClassifier(
-                self.machine, self.regs, self.golden, snapshots,
-                self.max_cycles, tails)
+                self.machine, self.golden, snapshots, self.max_cycles,
+                tails)
         # Distinguishes the lockstep core actually engaging from the
         # silent scalar fallback (NumPy missing, non-batchable setup).
         # An empty plan left nothing to vectorize, which is not a
         # fallback.
         vectorized = classifier is not None or (batched and not total)
-        context = _WorkerContext(self.machine, self.plan, self.regs,
-                                 self.golden, snapshots, self.max_cycles,
-                                 pruner, tails, classifier)
+        context = _WorkerContext(self.machine, self.plan, self.golden,
+                                 snapshots, self.max_cycles, pruner, tails,
+                                 classifier)
         aggregate = AggregateSink()
         sinks = [aggregate]
         if progress is not None:
@@ -606,14 +647,20 @@ class CampaignEngine:
         tee.begin({"total_runs": total, "vectorized": vectorized,
                    "chunk_size": chunk_size, "plan": self.plan,
                    "golden": self.golden})
-        assembler = ChunkAssembler(self.plan, tee, chunk_size)
         if workers and workers > 1 and total > 1 \
                 and "fork" in multiprocessing.get_all_start_methods():
-            pruned = self._run_parallel(context, workers, chunk_size,
-                                        assembler, chaos)
+            emitter = BlockEmitter(self.plan, tee, chunk_size,
+                                   min(workers, total))
+            _Supervisor(context, emitter, chaos=chaos).run()
         else:
-            pruned = self._run_serial(context, chunk_size, assembler)
-        assembler.close()
+            emitter = BlockEmitter(self.plan, tee, chunk_size)
+            for block in range(emitter.n_blocks):
+                rows = emitter.rows(0, block)
+                with obs.tracer().span("engine.chunk", low=rows.start,
+                                       size=len(rows)):
+                    emitter.add(0, block,
+                                *context.classify_indices(rows))
+        pruned = emitter.pruned
         if pruned:
             obs.metrics().counter("engine.runs_pruned").inc(pruned)
         result = CampaignResult(self.golden, aggregates=aggregate.aggregates)
@@ -622,27 +669,3 @@ class CampaignEngine:
         result.wall_time = time.perf_counter() - start
         tee.finish({"wall_time": result.wall_time, "pruned_runs": pruned})
         return result
-
-    def _run_serial(self, context, chunk_size, assembler):
-        tracer = obs.tracer()
-        pruned = 0
-        for low in range(0, len(self.plan), chunk_size):
-            indices = range(low, min(low + chunk_size, len(self.plan)))
-            with tracer.span("engine.chunk", low=low, size=len(indices)):
-                records, chunk_pruned = context.classify_indices(indices)
-                assembler.push(records)
-            pruned += chunk_pruned
-        return pruned
-
-    def _run_parallel(self, context, workers, chunk_size, assembler,
-                      chaos):
-        total = len(self.plan)
-        n_chunks = max(1, min(workers, total))
-        # Segments arrive out of order across workers; the un-dealer
-        # buffers them and releases maximal plan-order runs, keeping
-        # the parent's residency at O(chunk_size × workers).
-        undealer = StridedUndealer(total, n_chunks, chunk_size)
-        supervisor = _Supervisor(context, n_chunks, chunk_size,
-                                 assembler, undealer, chaos=chaos)
-        supervisor.run()
-        return supervisor.pruned

@@ -162,10 +162,11 @@ def estimate_avf(machine, function, trace, budget, seed=0, regs=None,
     once and reused (and masked sites are free), which cuts simulator
     runs without changing the estimator's distribution.  The first
     sampled injection of every unmasked key runs as one
-    :class:`repro.fi.engine.CampaignEngine` campaign, so
-    *checkpoint_interval* (snapshot resume) and a ``core="batched"``
-    machine (lockstep lanes) accelerate it exactly as they do any other
-    campaign; the estimate and ``simulator_runs`` never depend on them.
+    :class:`repro.fi.engine.CampaignEngine` campaign, so snapshot
+    resume (every *checkpoint_interval* cycles; ``None``: the engine's
+    auto interval) and a ``core="batched"`` machine (lockstep lanes)
+    accelerate it exactly as they do any other campaign; the estimate
+    and ``simulator_runs`` never depend on them.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")

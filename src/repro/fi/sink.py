@@ -22,14 +22,16 @@ The protocol is three calls, in order::
 ``vectorized``, ``chunk_size``, plus the resident ``plan`` and
 ``golden`` trace for sinks that want them.  Each *chunk* is a list of
 ``(planned, effect, signature, byte_size)`` tuples — consecutive plan
-entries, at most ``chunk_size`` of them — and chunks
-arrive strictly in plan order regardless of the execution schedule
-(serial, forked workers, lockstep lanes): the engine's round-robin
-un-deal happens *before* the sink boundary, so every sink observes the
-same byte-identical record stream the serial engine produces.
+entries, exactly ``chunk_size`` of them but in the last chunk — and
+chunks arrive strictly in plan order regardless of the execution
+schedule (serial, forked workers, lockstep lanes): every schedule
+feeds the engine's one :class:`repro.fi.engine.BlockEmitter`, which
+restores plan order *before* the sink boundary, so every sink
+observes the same byte-identical record stream, cut at the same
+chunk boundaries, as the serial engine produces.
 *summary* carries post-execution facts: ``wall_time`` and
-``pruned_runs`` (known only once every chunk has run, since liveness
-pruning happens chunk by chunk).
+``pruned_runs`` (known only once every record has retired, since
+liveness pruning happens as each part of the plan runs).
 
 Memory model: a sink that retains nothing per-run (like
 :class:`AggregateSink`) gives the whole pipeline O(chunk_size) peak
@@ -155,78 +157,3 @@ class CollectSink(RunSink):
 
     def consume(self, chunk):
         self.records.extend(chunk)
-
-
-class ChunkAssembler:
-    """Re-blocks plan-ordered records into fixed-size chunks, each
-    record led by its plan row, and feeds them to a sink.  Every
-    emitted chunk holds exactly ``chunk_size`` records except the
-    last."""
-
-    def __init__(self, plan, sink, chunk_size):
-        self._plan = plan
-        self._sink = sink
-        self._chunk_size = chunk_size
-        self._next = 0                  # plan index of the next record
-        self._buffer = []
-
-    def push(self, records):
-        """Consume the records of the next ``len(records)`` plan rows."""
-        for record in records:
-            self._buffer.append((self._plan[self._next],) + record)
-            self._next += 1
-            if len(self._buffer) >= self._chunk_size:
-                self._sink.consume(self._buffer)
-                self._buffer = []
-
-    def close(self):
-        """Flush the partial last chunk."""
-        if self._buffer:
-            self._sink.consume(self._buffer)
-            self._buffer = []
-
-
-class StridedUndealer:
-    """Restores plan order from the workers' strided segment stream.
-
-    The parallel engine deals the plan round-robin into ``n_chunks``
-    strided chunks (``plan[k::n_chunks]``) and each worker retires its
-    chunk in ``chunk_size`` segments, pushed to the parent as they
-    complete — out of order across workers.  ``add`` buffers arriving
-    segments and returns the maximal run of records now contiguous in
-    plan order; plan position ``t`` lives in chunk ``t % n_chunks`` at
-    within-chunk offset ``t // n_chunks``, i.e. segment
-    ``offset // chunk_size``, slot ``offset % chunk_size``.  Segments
-    are freed as soon as their last record is emitted, bounding the
-    parent's buffer at O(chunk_size × n_chunks).
-    """
-
-    def __init__(self, n_items, n_chunks, chunk_size):
-        self._n_items = n_items
-        self._n_chunks = n_chunks
-        self._chunk_size = chunk_size
-        self._next = 0                  # next plan position to emit
-        self._segments = {}             # (chunk, segment) -> records
-
-    def add(self, chunk_index, segment_index, records):
-        self._segments[(chunk_index, segment_index)] = records
-        out = []
-        while self._next < self._n_items:
-            position = self._next
-            chunk = position % self._n_chunks
-            offset = position // self._n_chunks
-            key = (chunk, offset // self._chunk_size)
-            segment = self._segments.get(key)
-            if segment is None:
-                break
-            slot = offset % self._chunk_size
-            out.append(segment[slot])
-            self._next += 1
-            if slot == len(segment) - 1:
-                del self._segments[key]
-        return out
-
-    @property
-    def pending(self):
-        """Buffered segments awaiting earlier records (diagnostics)."""
-        return len(self._segments)

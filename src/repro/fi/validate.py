@@ -29,7 +29,7 @@ from collections import namedtuple
 # ``iter_bit_instances`` stays bound here: perfbench/layers.py patches it.
 from repro.fi.accounting import iter_bit_instances  # noqa: F401
 from repro.fi.campaign import plan_walk
-from repro.fi.engine import CampaignEngine, auto_checkpoint_interval
+from repro.fi.engine import CampaignEngine
 from repro.fi.sink import RunSink
 
 ValidationReport = namedtuple("ValidationReport", [
@@ -147,6 +147,5 @@ def validate_bec(function, machine, bec, regs=None, golden=None,
         golden = machine.run(regs=regs)
     plan = validation_plan(function, golden, bec, cycle_limit)
     sink = ValidationSink()
-    CampaignEngine(machine, plan, regs=regs, golden=golden).run(
-        checkpoint_interval=auto_checkpoint_interval(golden), sink=sink)
+    CampaignEngine(machine, plan, regs=regs, golden=golden).run(sink=sink)
     return sink.report

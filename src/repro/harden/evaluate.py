@@ -26,7 +26,6 @@ from collections import namedtuple
 
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import EFFECT_DETECTED, EFFECT_SDC, plan_inject_on_read
-from repro.fi.engine import auto_checkpoint_interval
 from repro.fi.sink import CollectSink
 from repro.harden import eligible_pps, harden_checked
 from repro.store import CachingRunner
@@ -112,11 +111,9 @@ def ladder_comparison(function, golden, regs=None, memory_image=None,
     protocol.
     """
     bec = bec or run_bec(function)
-    checkpoint_interval = auto_checkpoint_interval(golden)
     plan = strided_plan(function, golden, target_runs)
     common = dict(regs=regs, memory_image=memory_image,
                   memory_size=memory_size, bec=bec, workers=workers,
-                  checkpoint_interval=checkpoint_interval,
                   runner=runner)
     baseline = run_variant(function, "none", plan, golden, **common)
     full = run_variant(function, "full", plan, golden, **common)

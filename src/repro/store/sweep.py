@@ -168,7 +168,7 @@ class SweepRunner:
         result = self.runner.run(
             machine, plan, regs=variant["regs"],
             golden=variant["golden"], workers=self.workers,
-            checkpoint_interval=self.spec.checkpoint_interval or None,
+            checkpoint_interval=self.spec.checkpoint_interval,
             prune=self.spec.prune, harden=cell.harden, budget=cell.budget,
             progress=progress, commit=False)
         overhead = None

@@ -1,11 +1,11 @@
 """Tests for the streaming sink protocol and the bounded-memory bound.
 
-Three layers: unit tests of the sink building blocks (chunk assembly,
-strided un-dealing, progress adaptation, collection), parity of the
-streamed engine across chunk sizes × workers × pruning (aggregates and
-run order must be bit-identical to the one-chunk path), and the
-tentpole's acceptance bound — peak resident memory under tracemalloc
-is governed by ``chunk_size``, not plan length.
+Three layers: unit tests of the sink building blocks (the engine's
+block emitter, progress adaptation, collection), parity of the
+streamed engine across chunk sizes × workers × pruning (aggregates,
+run order and chunk boundaries must be bit-identical to the serial
+path), and the bounded-memory bound — peak resident memory under
+tracemalloc is governed by ``chunk_size``, not plan length.
 """
 
 import tempfile
@@ -13,12 +13,13 @@ import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.fi.campaign import plan_exhaustive
-from repro.fi.engine import CampaignEngine
+from repro.fi.engine import BlockEmitter, CampaignEngine
 from repro.fi.machine import Machine
-from repro.fi.sink import (AggregateSink, ChunkAssembler, CollectSink,
-                           ProgressSink, RunSink, StridedUndealer, TeeSink)
+from repro.fi.sink import (AggregateSink, CollectSink, ProgressSink,
+                           RunSink, TeeSink)
 from tests.fi.test_engine import assert_identical, collected
 
 
@@ -48,64 +49,83 @@ def fake_record(value):
     return (f"effect-{value}", bytes([value % 251]), value)
 
 
-class TestChunkAssembler:
-    def test_exact_chunking_without_pruning(self):
+class TestBlockEmitter:
+    """The engine's one schedule: part ``k`` of each block of
+    ``n_parts × chunk_size`` rows is ``block[k::n_parts]``, and the
+    emitter merges the parts back into plan order and re-cuts them at
+    ``chunk_size`` boundaries."""
+
+    @staticmethod
+    def _dealt(emitter):
+        """Every ``(part, block, records)`` the schedule deals, each
+        row's record standing in for its classification."""
+        return [(part, block,
+                 [fake_record(index) for index in emitter.rows(part, block)])
+                for part in range(emitter.n_parts)
+                for block in emitter.blocks(part)]
+
+    def test_parts_are_strided_segments(self):
+        """Part ``k`` of block ``s`` holds the rows of segment ``s`` of
+        the strided deal ``plan[k::n_parts]`` cut into ``chunk_size``
+        segments, which is what ``ChaosPolicy.kill_worker(chunk=k,
+        segment=s)`` names."""
+        for n_items in range(1, 40):
+            for n_parts in range(1, 5):
+                for chunk_size in range(1, 8):
+                    emitter = BlockEmitter(range(n_items), None,
+                                           chunk_size, n_parts)
+                    for part in range(n_parts):
+                        mine = range(n_items)[part::n_parts]
+                        assert [emitter.rows(part, block)
+                                for block in emitter.blocks(part)] == [
+                            mine[low:low + chunk_size]
+                            for low in range(0, len(mine), chunk_size)]
+
+    def test_one_part_emits_chunk_size_pieces(self):
         plan = [f"planned-{index}" for index in range(10)]
         sink = RecordingSink()
-        assembler = ChunkAssembler(plan, sink, 4)
-        for index in range(10):
-            assembler.push([fake_record(index)])
-        assembler.close()
+        emitter = BlockEmitter(plan, sink, 4)
+        for part, block, records in self._dealt(emitter):
+            emitter.add(part, block, records)
         assert [len(chunk) for chunk in sink.chunks] == [4, 4, 2]
         assert [record[0] for record in sink.records] == plan
         assert [record[1:] for record in sink.records] \
             == [fake_record(index) for index in range(10)]
 
-    def test_batched_push(self):
-        plan = [f"planned-{index}" for index in range(7)]
-        sink = RecordingSink()
-        assembler = ChunkAssembler(plan, sink, 3)
-        assembler.push([fake_record(index) for index in range(5)])
-        assembler.push([fake_record(index) for index in range(5, 7)])
-        assembler.close()
-        assert [record[0] for record in sink.records] == plan
-
-
-class TestStridedUndealer:
     @pytest.mark.parametrize("n_items,n_chunks,chunk_size", [
         (1, 1, 1), (10, 3, 2), (17, 4, 3), (16, 4, 4), (23, 5, 7),
         (8, 8, 1),
     ])
-    def test_restores_todo_order_for_any_arrival_order(
+    def test_restores_plan_order_for_any_arrival_order(
             self, n_items, n_chunks, chunk_size):
-        # Build each worker's segment stream, then deliver the segments
-        # in an adversarial (reversed round-robin) order.
-        segments = []
-        for chunk_index in range(n_chunks):
-            mine = list(range(n_items))[chunk_index::n_chunks]
-            for segment_index, low in enumerate(
-                    range(0, len(mine), chunk_size)):
-                segments.append(
-                    (chunk_index, segment_index,
-                     [fake_record(item)
-                      for item in mine[low:low + chunk_size]]))
-        out = []
-        undealer = StridedUndealer(n_items, n_chunks, chunk_size)
-        for chunk_index, segment_index, records in reversed(segments):
-            out.extend(undealer.add(chunk_index, segment_index, records))
-        assert out == [fake_record(item) for item in range(n_items)]
-        assert undealer.pending == 0
+        # Deliver the parts in an adversarial (reversed) order.
+        plan = [f"planned-{index}" for index in range(n_items)]
+        sink = RecordingSink()
+        emitter = BlockEmitter(plan, sink, chunk_size, n_chunks)
+        for part, block, records in reversed(self._dealt(emitter)):
+            emitter.add(part, block, records, pruned=1)
+        assert sink.records == [(plan[index],) + fake_record(index)
+                                for index in range(n_items)]
+        assert [len(chunk) for chunk in sink.chunks] == [
+            len(plan[low:low + chunk_size])
+            for low in range(0, n_items, chunk_size)]
+        assert emitter.pruned == len(self._dealt(emitter))
 
-    def test_streams_in_order_arrival_immediately(self):
-        undealer = StridedUndealer(4, 2, 2)
-        # Chunk 0 holds plan positions 0 and 2: position 0 releases at
-        # once, position 2 must wait for position 1 (chunk 1).
-        assert undealer.add(0, 0, [fake_record(0), fake_record(2)]) \
-            == [fake_record(0)]
-        assert undealer.pending == 1
-        released = undealer.add(1, 0, [fake_record(1), fake_record(3)])
-        assert released == [fake_record(item) for item in range(1, 4)]
-        assert undealer.pending == 0
+    def test_emits_a_block_once_all_its_parts_arrive(self):
+        plan = [f"planned-{index}" for index in range(4)]
+        sink = RecordingSink()
+        # Two parts of one-row chunks: blocks [0, 1] and [2, 3].
+        emitter = BlockEmitter(plan, sink, 1, 2)
+        emitter.add(0, 0, [fake_record(0)])
+        emitter.add(1, 1, [fake_record(3)])
+        assert sink.chunks == []
+        emitter.add(1, 0, [fake_record(1)])
+        assert sink.records == [(plan[index],) + fake_record(index)
+                                for index in range(2)]
+        emitter.add(0, 1, [fake_record(2)])
+        assert [len(chunk) for chunk in sink.chunks] == [1, 1, 1, 1]
+        assert sink.records == [(plan[index],) + fake_record(index)
+                                for index in range(4)]
 
 
 class TestProgressSink:
@@ -254,6 +274,56 @@ class TestStreamingParity:
         assert [planned for planned, _, _, _ in sink.records] == plan
         _, serial = collected(engine, chunk_size=len(plan))
         assert sink.records == serial
+
+
+    #: No block size (``workers × 7``) divides the 944-row plan.
+    BOUNDARY_CHUNK = 7
+
+    def _chunked(self, function, golden, core, **kwargs):
+        """``(chunk lengths, records)`` of the motivating exhaustive
+        campaign on *core* with ``BOUNDARY_CHUNK``-record chunks."""
+        machine = Machine(function, memory_size=256, core=core)
+        plan = plan_exhaustive(function, golden)
+        assert all(len(plan) % (workers * self.BOUNDARY_CHUNK)
+                   for workers in (1, 2, 3))
+        sink = RecordingSink()
+        CampaignEngine(machine, plan, golden=golden).run(
+            chunk_size=self.BOUNDARY_CHUNK, sink=sink, **kwargs)
+        return [len(chunk) for chunk in sink.chunks], sink.records
+
+    @pytest.mark.parametrize("core", Machine.CORES)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunk_boundaries_equal_serial(
+            self, motivating_function, motivating_golden, core, workers):
+        """The sink's chunk lengths, which the archive's bytes depend
+        on, not only its records, are the serial run's."""
+        serial = self._chunked(motivating_function, motivating_golden,
+                               core)
+        lengths, _ = serial
+        assert set(lengths[:-1]) == {self.BOUNDARY_CHUNK}
+        assert 0 < lengths[-1] < self.BOUNDARY_CHUNK
+        assert self._chunked(motivating_function, motivating_golden,
+                             core, workers=workers) == serial
+
+    @pytest.mark.parametrize("core", Machine.CORES)
+    def test_chunk_boundaries_survive_serial_degrade(
+            self, motivating_function, motivating_golden, core,
+            monkeypatch):
+        from repro.fi import engine as engine_module
+        from repro.fi.chaos import ChaosPolicy
+
+        monkeypatch.setattr(engine_module, "RETRY_BACKOFF", 0.01)
+        serial = self._chunked(motivating_function, motivating_golden,
+                               core)
+        registry = obs.metrics()
+        mark = registry.mark()
+        policy = ChaosPolicy().kill_worker(chunk=1, segment=3,
+                                           attempt=None)
+        degraded = self._chunked(motivating_function, motivating_golden,
+                                 core, workers=3, chaos=policy)
+        totals = registry.totals(registry.delta_since(mark))
+        assert totals.get("engine.serial_degraded_chunks", 0) >= 1
+        assert degraded == serial
 
 
 class TestBoundedMemory:

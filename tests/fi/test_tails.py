@@ -188,7 +188,7 @@ class TestEviction:
             injection = entry.injection
             window = pick_snapshot(snapshots, injection.cycle).cycle
             per_window[window] = per_window.get(window, 0) + 1
-            run_injection(motivating_machine, golden, injection, None,
+            run_injection(motivating_machine, golden, injection,
                           snapshots, budget, memo)
             sizes.append(len(memo))
         # A run resumed from window k files keys at its first
