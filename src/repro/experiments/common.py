@@ -67,14 +67,16 @@ class BenchmarkRun:
                 f"{name}: golden run failed ({self.golden.outcome})")
         self.bec = run_bec(self.function)
 
-    def run_plan(self, plan):
+    def run_plan(self, plan, checkpoint_interval=None):
         """Execute *plan* against this benchmark's golden run through
         the process-wide :func:`campaign_runner`: with a bound result
         store (``REPRO_STORE`` / :func:`set_store`) the plan is served
         from the store when its cell is archived.
+        *checkpoint_interval* is the engine's (``None``: auto).
         """
         return campaign_runner().run(self.machine, plan, regs=self.regs,
-                                     golden=self.golden)
+                                     golden=self.golden,
+                                     checkpoint_interval=checkpoint_interval)
 
 
 _cache = {}

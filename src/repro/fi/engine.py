@@ -115,10 +115,10 @@ def pick_snapshot(snapshots, cycle):
     """Deepest snapshot usable for an injection at *cycle*.
 
     *snapshots* must be sorted by cycle (as produced by
-    :meth:`Machine.run_with_snapshots`).  Returns ``None`` when no
-    snapshot precedes the injection (then the caller must run from
-    cycle 0).  A pre-execution upset (``cycle=-1``) can only reuse the
-    cycle-0 snapshot.
+    :meth:`Machine.run_with_snapshots`, whose list starts at cycle 0).
+    A pre-execution upset (``cycle=-1``) can only reuse the cycle-0
+    snapshot.  Returns ``None`` only when there is no usable snapshot:
+    *snapshots* is empty or *cycle* is below -1.
     """
     if not snapshots:
         return None
@@ -146,6 +146,10 @@ def run_injection(machine, golden, injection, snapshots, max_cycles,
     campaign's :class:`repro.fi.tails.TailMemo` *tails*; a memory
     injection never does."""
     snapshot = pick_snapshot(snapshots, injection.cycle)
+    if snapshot is None:
+        raise SimulationError(
+            f"no golden snapshot at or before injection cycle "
+            f"{injection.cycle}")
     if not isinstance(injection, Injection):
         tails = None
     if tails is not None:

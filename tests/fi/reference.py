@@ -37,6 +37,15 @@ from repro.ir.instructions import Format, Opcode
 from repro.ir.registers import ZERO
 
 
+def whole_trace_interval(golden):
+    """A checkpoint interval past *golden*'s last cycle.  A campaign run
+    with it takes the one cycle-0 snapshot, so every injected run
+    executes from cycle 0, with no later snapshot to reconverge at and
+    no convergence stop at which to probe the tail memo: the baseline
+    side of the parity tests, which the checkpointed runs must equal."""
+    return golden.cycles + 1
+
+
 def _apply_upset(upset, registers, memory, value_mask):
     """Flip the bit named by *upset* in a dict register file or memory
     (sites are validated up front)."""

@@ -21,7 +21,7 @@ from repro.fi.engine import CampaignEngine
 from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.fi.prune import LivenessPruner
 from repro.fi.sampling import estimate_avf
-from tests.fi.reference import ReferenceMachine
+from tests.fi.reference import ReferenceMachine, whole_trace_interval
 from tests.fi.test_engine import (assert_identical, collected,
                                   strided_exhaustive_plan)
 
@@ -39,7 +39,9 @@ def motivating_reference_result(motivating_function, motivating_golden):
     plan = plan_exhaustive(motivating_function, motivating_golden)
     machine = ReferenceMachine(motivating_function, memory_size=256)
     return plan, collected(CampaignEngine(machine, plan,
-                                          golden=motivating_golden))
+                                          golden=motivating_golden),
+                           checkpoint_interval=whole_trace_interval(
+                               motivating_golden))
 
 
 class TestBatchedMachine:
@@ -109,7 +111,9 @@ class TestBatchedEngineParity:
         plan = strided_exhaustive_plan(run.function, run.golden, 97,
                                        registers, (0, 13))
         base = collected(CampaignEngine(run.machine, plan, regs=run.regs,
-                                        golden=run.golden))
+                                        golden=run.golden),
+                         checkpoint_interval=whole_trace_interval(
+                             run.golden))
         batched = Machine(run.function, core="batched",
                           memory_image=run.machine.memory_image)
         engine = CampaignEngine(batched, plan, regs=run.regs,
@@ -126,7 +130,9 @@ class TestBatchedEngineParity:
         run = benchmark_run("bitcount")
         plan = plan_bec(run.function, run.golden, run.bec)[::97]
         base = collected(CampaignEngine(run.machine, plan, regs=run.regs,
-                                        golden=run.golden))
+                                        golden=run.golden),
+                         checkpoint_interval=whole_trace_interval(
+                             run.golden))
         batched = Machine(run.function, core="batched",
                           memory_image=run.machine.memory_image)
         assert_identical(base, collected(CampaignEngine(
@@ -147,7 +153,9 @@ class TestBatchedEngineParity:
         ]
         reference = ReferenceMachine(motivating_function, memory_size=256)
         base = collected(CampaignEngine(reference, plan,
-                                        golden=motivating_golden))
+                                        golden=motivating_golden),
+                         checkpoint_interval=whole_trace_interval(
+                             motivating_golden))
         engine = CampaignEngine(motivating_batched, plan,
                                 golden=motivating_golden)
         assert_identical(base, collected(engine))
@@ -167,7 +175,9 @@ class TestBatchedEngineParity:
                                    None, None, None))
         threaded = Machine(motivating_function, memory_size=256)
         base = collected(CampaignEngine(threaded, plan,
-                                        golden=motivating_golden))
+                                        golden=motivating_golden),
+                         checkpoint_interval=whole_trace_interval(
+                             motivating_golden))
         assert all(effect == EFFECT_MASKED
                    for _, effect, _, _ in base[1][1::2])
         engine = CampaignEngine(motivating_batched, plan,
@@ -197,7 +207,8 @@ class TestBatchedEngineParity:
         plan = result.map_plan(
             strided_plan(run.function, run.golden, 48), golden)
         base = collected(CampaignEngine(machine, plan, regs=run.regs,
-                                        golden=golden))
+                                        golden=golden),
+                         checkpoint_interval=whole_trace_interval(golden))
         assert base[0].effect_counts()["detected"] > 0
         batched = Machine(result.function, core="batched",
                           memory_image=run.machine.memory_image)

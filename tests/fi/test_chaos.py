@@ -17,6 +17,7 @@ from repro.fi.chaos import (ChaosError, ChaosPolicy, ChaosSink,
 from repro.fi import engine as engine_module
 from repro.fi.engine import CampaignEngine
 from repro.store.db import ChunkCapture, archive_meta, encode_chunk
+from tests.fi.reference import whole_trace_interval
 from tests.fi.test_engine import assert_identical, collected, supervised
 
 
@@ -95,7 +96,8 @@ def baseline(motivating_function, motivating_machine, motivating_golden):
     plan = plan_exhaustive(motivating_function, motivating_golden)
     engine = CampaignEngine(motivating_machine, plan,
                             golden=motivating_golden)
-    return engine, collected(engine)
+    return engine, collected(engine, checkpoint_interval=whole_trace_interval(
+        motivating_golden))
 
 
 class TestWorkerKill:

@@ -10,13 +10,13 @@ import pytest
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.fi.campaign import (Aggregates, CampaignResult,
+from repro.fi.campaign import (Aggregates, CampaignResult, PlannedRun,
                                classify_effect, plan_exhaustive, plan_bec)
 from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine
 from repro.fi.sink import CollectSink
 from repro.experiments.common import benchmark_run
-from tests.fi.reference import ReferenceMachine
+from tests.fi.reference import ReferenceMachine, whole_trace_interval
 
 
 def strided_exhaustive_plan(function, golden, cycle_stride, registers,
@@ -120,6 +120,34 @@ class TestSnapshots:
         assert pick_snapshot(snapshots, 8).cycle == 8
         assert pick_snapshot(snapshots, 1000).cycle == snapshots[-1].cycle
         assert pick_snapshot([], 5) is None
+        assert pick_snapshot(snapshots, -2) is None
+
+    def test_injection_without_snapshot_fails_cleanly(
+            self, motivating_machine, motivating_golden):
+        plan = [PlannedRun(Injection(-2, "v", 0), None, None, None)]
+        engine = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden)
+        with pytest.raises(SimulationError, match="no golden snapshot"):
+            engine.run()
+
+    def test_whole_trace_interval_runs_from_cycle_0(
+            self, motivating_function, motivating_machine,
+            motivating_golden):
+        """The parity baselines' interval leaves only the cycle-0
+        snapshot, so no run reconverges or reuses a tail."""
+        interval = whole_trace_interval(motivating_golden)
+        _, snapshots = motivating_machine.run_with_snapshots(
+            interval=interval)
+        assert [snapshot.cycle for snapshot in snapshots] == [0]
+        plan = plan_exhaustive(motivating_function, motivating_golden)
+        engine = CampaignEngine(motivating_machine, plan,
+                                golden=motivating_golden)
+        reused = obs.metrics().counter("engine.tails_reused")
+        before = reused.value
+        collected(engine, checkpoint_interval=interval)
+        assert reused.value == before
+        collected(engine)
+        assert reused.value > before
 
 
 class TestEngineParityMotivating:
@@ -155,7 +183,9 @@ class TestEngineParityMotivating:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        assert_identical(collected(engine), collected(engine, **kwargs))
+        base = collected(engine, checkpoint_interval=whole_trace_interval(
+            motivating_golden))
+        assert_identical(base, collected(engine, **kwargs))
 
     def test_progress_callback(self, motivating_function,
                                motivating_machine, motivating_golden):
@@ -190,8 +220,10 @@ class TestEngineParityBenchmarks:
         run, plan = self._plans(name, cycle_stride, bits)
         engine = CampaignEngine(run.machine, plan, regs=run.regs,
                                 golden=run.golden)
-        base = collected(engine)
+        base = collected(engine, checkpoint_interval=whole_trace_interval(
+            run.golden))
         interval = max(1, run.golden.cycles // 16)
+        assert_identical(base, collected(engine))
         assert_identical(base, collected(engine, workers=4))
         assert_identical(base, collected(engine,
                                          checkpoint_interval=interval))
@@ -212,7 +244,9 @@ class TestEngineParityAcrossCores:
                                              memory_size=256)
         fast_machine = Machine(motivating_function, memory_size=256)
         base = collected(CampaignEngine(reference_machine, plan,
-                                        golden=motivating_golden))
+                                        golden=motivating_golden),
+                         checkpoint_interval=whole_trace_interval(
+                             motivating_golden))
         fast = CampaignEngine(fast_machine, plan,
                               golden=motivating_golden)
         assert_identical(base, collected(fast))
@@ -233,7 +267,9 @@ class TestEngineParityAcrossCores:
         reference_machine = ReferenceMachine(
             run.function, memory_image=run.machine.memory_image)
         base = collected(CampaignEngine(reference_machine, plan,
-                                        regs=run.regs, golden=run.golden))
+                                        regs=run.regs, golden=run.golden),
+                         checkpoint_interval=whole_trace_interval(
+                             run.golden))
         fast = CampaignEngine(run.machine, plan, regs=run.regs,
                               golden=run.golden)
         interval = max(1, run.golden.cycles // 16)
@@ -266,9 +302,11 @@ class TestHardenedEngineParity:
         run, result, machine, golden, plan = hardened_bitcount
         engine = CampaignEngine(machine, plan, regs=run.regs,
                                 golden=golden)
-        base = collected(engine)
+        base = collected(engine, checkpoint_interval=whole_trace_interval(
+            golden))
         assert base[0].effect_counts()["detected"] > 0
         interval = max(1, golden.cycles // 16)
+        assert_identical(base, collected(engine))
         assert_identical(base, collected(engine, workers=4))
         assert_identical(base, collected(engine, workers=4,
                                          checkpoint_interval=interval))
@@ -276,8 +314,10 @@ class TestHardenedEngineParity:
                                      memory_image=run.machine.memory_image)
         reference_golden = reference.run(regs=run.regs)
         assert reference_golden.key() == golden.key()
-        assert_identical(base, collected(CampaignEngine(
-            reference, plan, regs=run.regs, golden=reference_golden)))
+        assert_identical(base, collected(
+            CampaignEngine(reference, plan, regs=run.regs,
+                           golden=reference_golden),
+            checkpoint_interval=whole_trace_interval(reference_golden)))
 
 
 class TestKillRecoveryParity:
@@ -299,7 +339,8 @@ class TestKillRecoveryParity:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        base = collected(engine)
+        base = collected(engine, checkpoint_interval=whole_trace_interval(
+            motivating_golden))
         policy = ChaosPolicy().kill_worker(chunk=1, segment=2)
         healed, deltas = supervised(engine, workers=4, chunk_size=16,
                                     chaos=policy)
@@ -319,7 +360,8 @@ class TestKillRecoveryParity:
                                        registers, (0, 13))
         engine = CampaignEngine(run.machine, plan, regs=run.regs,
                                 golden=run.golden)
-        base = collected(engine)
+        base = collected(engine, checkpoint_interval=whole_trace_interval(
+            run.golden))
         interval = max(1, run.golden.cycles // 16)
         policy = ChaosPolicy().kill_worker(chunk=0, segment=0)
         healed, deltas = supervised(engine, workers=4, chunk_size=8,
@@ -347,7 +389,9 @@ class TestKillRecoveryParity:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        base = collected(engine, prune="liveness")
+        base = collected(engine, prune="liveness",
+                         checkpoint_interval=whole_trace_interval(
+                             motivating_golden))
         assert base[0].pruned_runs > 0
         policy = ChaosPolicy().kill_worker(chunk=1, segment=0,
                                            attempt=attempt)

@@ -20,6 +20,7 @@ from repro.fi.engine import BlockEmitter, CampaignEngine
 from repro.fi.machine import Machine
 from repro.fi.sink import (AggregateSink, CollectSink, ProgressSink,
                            RunSink, TeeSink)
+from tests.fi.reference import whole_trace_interval
 from tests.fi.test_engine import assert_identical, collected
 
 
@@ -237,7 +238,9 @@ class TestStreamingParity:
         plan = plan_exhaustive(motivating_function, motivating_golden)
         engine = CampaignEngine(motivating_machine, plan,
                                 golden=motivating_golden)
-        return engine, collected(engine, chunk_size=len(plan))
+        return engine, collected(
+            engine, chunk_size=len(plan),
+            checkpoint_interval=whole_trace_interval(motivating_golden))
 
     @pytest.mark.parametrize("kwargs", [
         {"chunk_size": 1},

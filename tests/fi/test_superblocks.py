@@ -28,7 +28,7 @@ from repro.fi.trace import SignatureForge, Trace, pack_path, pack_stores
 from repro.ir.parser import parse_function
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
 from repro.ir.registers import ZERO
-from tests.fi.reference import ReferenceMachine
+from tests.fi.reference import ReferenceMachine, whole_trace_interval
 
 from hypothesis import given, settings, strategies as st
 
@@ -289,7 +289,9 @@ class TestStops:
                 for bit in (0, 5)]
         expected_records, actual_records = CollectSink(), CollectSink()
         expected = CampaignEngine(reference, plan, regs=regs,
-                                  golden=golden).run(sink=expected_records)
+                                  golden=golden).run(
+            checkpoint_interval=whole_trace_interval(golden),
+            sink=expected_records)
         CampaignEngine(fast, plan, regs=regs, golden=golden).run(
             checkpoint_interval=interval, sink=actual_records)
         assert actual_records.records == expected_records.records
@@ -402,6 +404,7 @@ class TestHotness:
         serial_records, parallel_records = CollectSink(), CollectSink()
         serial = CampaignEngine(Machine(function, memory_size=MEMORY),
                                 plan, regs=regs, golden=golden).run(
+            checkpoint_interval=whole_trace_interval(golden),
             sink=serial_records)
         parallel = CampaignEngine(fast, plan, regs=regs,
                                   golden=golden).run(

@@ -28,7 +28,7 @@ from repro.fi.engine import CampaignEngine, pick_snapshot
 from repro.fi.machine import Injection, Machine, MemoryInjection
 from repro.fi.sink import CollectSink
 from repro.ir.randgen import GeneratorConfig, generate_function, random_inputs
-from tests.fi.reference import ReferenceMachine
+from tests.fi.reference import ReferenceMachine, whole_trace_interval
 
 from hypothesis import given, settings, strategies as st
 
@@ -225,7 +225,7 @@ def _campaign_records(machine, plan, regs, golden, **kwargs):
 
 def assert_campaigns_identical(function, plan, regs, memory_image=b"",
                                seed=None):
-    """Reference (serial, uncheckpointed) vs threaded (checkpointed)
+    """Reference (serial, from cycle 0) vs threaded (checkpointed)
     vs batched (lockstep + reconvergence splicing + scalar escapes)."""
     reference = ReferenceMachine(function, memory_size=_MEMORY_SIZE,
                                  memory_image=memory_image)
@@ -235,7 +235,9 @@ def assert_campaigns_identical(function, plan, regs, memory_image=b"",
                       memory_image=memory_image, core="batched")
     golden = threaded.run(regs=regs, max_cycles=_MAX_CYCLES)
     interval = max(1, golden.cycles // 7)
-    expected = _campaign_records(reference, plan, regs, golden)
+    expected = _campaign_records(
+        reference, plan, regs, golden,
+        checkpoint_interval=whole_trace_interval(golden))
     assert _campaign_records(
         threaded, plan, regs, golden,
         checkpoint_interval=interval) == expected, seed

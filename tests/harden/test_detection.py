@@ -18,7 +18,7 @@ from repro.harden import harden
 from repro.harden.evaluate import (count_conversions, ladder_comparison,
                                    run_variant, strided_plan)
 from repro.ir.parser import parse_function
-from tests.fi.reference import ReferenceMachine
+from tests.fi.reference import ReferenceMachine, whole_trace_interval
 
 ACCUMULATE = """
 func acc width=8 params=n
@@ -149,7 +149,8 @@ class TestCampaignAggregates:
         _, machine, golden, mapped = hardened_setup
         engine = CampaignEngine(machine, mapped, golden=golden)
         serial_records, parallel_records = CollectSink(), CollectSink()
-        serial = engine.run(sink=serial_records)
+        serial = engine.run(checkpoint_interval=whole_trace_interval(golden),
+                            sink=serial_records)
         parallel = engine.run(workers=4, checkpoint_interval=8,
                               sink=parallel_records)
         assert [record[1:] for record in serial_records.records] \
@@ -167,6 +168,7 @@ class TestCampaignAggregates:
         base_records, fast_records = CollectSink(), CollectSink()
         base = CampaignEngine(reference_machine, mapped,
                               golden=reference_golden).run(
+            checkpoint_interval=whole_trace_interval(reference_golden),
             sink=base_records)
         fast = CampaignEngine(machine, mapped, golden=golden).run(
             workers=4, checkpoint_interval=8, sink=fast_records)
