@@ -648,8 +648,7 @@ def cmd_client_submit(options):
 
     client = _service_client(options)
     try:
-        result = client.submit(options.spec, name=options.name,
-                               webhook_url=options.webhook)
+        result = client.submit(options.spec, name=options.name)
         job = result["job_id"]
         print(f"job {job}: {result['enqueued']} cells enqueued, "
               f"{result['already_queued']} already queued"
@@ -1087,7 +1086,7 @@ def build_parser():
                      help="per-cell wall-clock deadline (default: the "
                           "spec's engine.max_wall_seconds)")
     sub.add_argument("--secret", default=None,
-                     help="envelope/webhook signing secret (default: "
+                     help="envelope signing secret (default: "
                           "$REPRO_DIST_SECRET, else a dev constant)")
 
     client_cmd = commands.add_parser(
@@ -1113,9 +1112,6 @@ def build_parser():
     add_client_arguments(sub)
     sub.add_argument("--name", default=None,
                      help="job display name (default: spec filename)")
-    sub.add_argument("--webhook", metavar="URL", default=None,
-                     help="POST an HMAC-signed completion callback "
-                          "here when the job drains")
     sub.add_argument("--wait", action="store_true",
                      help="poll until the job drains (exit 1 if any "
                           "cell poisoned)")

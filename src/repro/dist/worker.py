@@ -121,8 +121,8 @@ class DistWorker:
         #: Optional ``callable(kind, **fields)`` observing this
         #: worker's cell lifecycle (``cell_claimed`` /
         #: ``cell_progress`` / ``cell_done`` / ``cell_superseded`` /
-        #: ``cell_rejected`` / ``cell_failed``) — the campaign
-        #: service's progress-stream and audit-trail hook.
+        #: ``cell_rejected`` / ``cell_failed``) — how a local sweep
+        #: builds its report and progress lines.
         #: The events of an executed cell (``cell_done`` /
         #: ``cell_superseded`` / ``cell_rejected``) also carry its
         #: :class:`repro.store.sweep.CellOutcome` as ``outcome``.

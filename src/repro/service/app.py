@@ -1,6 +1,6 @@
 """The campaign service: wiring, lifecycle, threads.
 
-``repro serve`` is this class.  One process hosts four kinds of
+``repro serve`` is this class.  One process hosts three kinds of
 thread, stitched together by the queue file:
 
 * the **HTTP loop** (asyncio, stdlib server) owning its own
@@ -8,8 +8,6 @@ thread, stitched together by the queue file:
   handler runs here, serialized by the event loop;
 * the **worker pool** (optional, ``--workers N``) — unmodified
   :class:`~repro.dist.worker.DistWorker` drain loops;
-* the **webhook notifier** — polls for drained jobs with pending
-  callbacks;
 * the caller's thread, which only starts and stops the rest.
 
 External ``repro dist work`` processes pointed at the same queue DB
@@ -26,12 +24,9 @@ from repro.dist.queue import (DEFAULT_LEASE_SECONDS,
 from repro.store.db import ResultStore
 
 from repro.service import httpd
-from repro.service.audit import AuditLog
 from repro.service.auth import Authenticator
-from repro.service.events import EventBroker
 from repro.service.jobs import JobService, JobsTable
 from repro.service.routes import build_router
-from repro.service.webhooks import WebhookNotifier
 from repro.service.workers import WorkerPool
 
 
@@ -43,7 +38,7 @@ class ServiceConfig:
                  engine_workers=1, secret=None,
                  lease_seconds=DEFAULT_LEASE_SECONDS,
                  max_attempts=DEFAULT_MAX_ATTEMPTS,
-                 cell_timeout=None, webhook_deliver=None):
+                 cell_timeout=None):
         self.queue_path = queue_path
         self.store_path = store_path
         self.host = host
@@ -56,7 +51,6 @@ class ServiceConfig:
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
         self.cell_timeout = cell_timeout
-        self.webhook_deliver = webhook_deliver
 
 
 class CampaignService:
@@ -68,39 +62,19 @@ class CampaignService:
         # socket binds (no accidental wide-open service).
         self.authenticator = Authenticator(config.api_keys,
                                            dev=config.dev)
-        self.broker = EventBroker()
-        self.audit = AuditLog(config.store_path)
         self.jobs_table = JobsTable(config.queue_path)
         self.pool = WorkerPool(
             config.queue_path, config.store_path,
             count=config.workers, secret=config.secret,
             lease_seconds=config.lease_seconds,
             engine_workers=config.engine_workers,
-            events=self._worker_event,
             cell_timeout=config.cell_timeout)
-        self.notifier = WebhookNotifier(
-            config.queue_path, self.jobs_table, self.audit,
-            self.broker, secret=config.secret,
-            deliver=config.webhook_deliver)
         self.job_service = None      # built on the loop thread
         self.port = None             # bound port (resolves :0)
         self._loop = None
         self._loop_thread = None
         self._ready = threading.Event()
         self._startup_error = None
-
-    # -- worker events -> broker + audit -----------------------------------
-
-    def _worker_event(self, kind, worker=None, cell_id=None,
-                      spec_digest=None, outcome=None, **fields):
-        # *outcome* (a CellOutcome) is for in-process observers; the
-        # service's events and audit rows stay JSON fields.
-        if spec_digest is not None:
-            self.broker.publish(spec_digest, kind, worker=worker,
-                                cell_id=cell_id, **fields)
-        if kind in ("cell_done", "cell_failed", "cell_rejected"):
-            self.audit.append(kind, actor=worker, job_id=spec_digest,
-                              cell_id=cell_id, **fields)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -111,7 +85,6 @@ class CampaignService:
         HTTP loop failed to come up.
         """
         self.pool.start()
-        self.notifier.start()
         self._loop_thread = threading.Thread(
             target=self._serve, name="repro-serve", daemon=True)
         self._loop_thread.start()
@@ -119,27 +92,14 @@ class CampaignService:
             raise RuntimeError("service failed to start in time")
         if self._startup_error is not None:
             raise self._startup_error
-        self.audit.append(
-            "service_started", actor="service",
-            host=self.config.host, port=self.port,
-            workers=self.config.workers,
-            dev=self.authenticator.dev,
-            keys=self.authenticator.n_keys)
         return self.port
 
     def stop(self):
-        self.broker.close()
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._loop_thread is not None:
             self._loop_thread.join(timeout=10.0)
-        self.notifier.stop()
         self.pool.stop()
-        try:
-            self.audit.append("service_stopped", actor="service")
-        except Exception:
-            pass
-        self.audit.close()
         self.jobs_table.close()
 
     def _serve(self):
@@ -154,12 +114,10 @@ class CampaignService:
             queue = WorkQueue(self.config.queue_path)
             store = ResultStore(self.config.store_path)
             self.job_service = JobService(
-                queue, store, self.jobs_table, self.audit,
-                self.broker, wake=self.pool.wake,
+                queue, store, self.jobs_table, wake=self.pool.wake,
                 max_attempts=self.config.max_attempts)
-            self.broker.bind(loop)
-            dispatcher = httpd.Dispatcher(
-                build_router(self), self.authenticator, self.audit)
+            dispatcher = httpd.Dispatcher(build_router(self),
+                                          self.authenticator)
             server = loop.run_until_complete(httpd.serve(
                 dispatcher, self.config.host, self.config.port))
             self.port = server.sockets[0].getsockname()[1]

@@ -10,14 +10,14 @@ whole backend — is designed out here:
   per client, per CI lane, per teammate), so rotating one caller never
   locks out the rest.
 * **Hashed at the edge.**  Keys are blake2b-hashed the moment they
-  enter the process; neither the authenticator nor the audit log ever
-  holds a plaintext key after startup, and verification compares
-  digests with :func:`hmac.compare_digest`.
+  enter the process; nothing in the service holds a plaintext key
+  after startup, and verification compares digests with
+  :func:`hmac.compare_digest`.
 
 A client presents its key as ``Authorization: Bearer <key>`` or
 ``X-API-Key: <key>``.  On success the caller is identified by the
-key's *key id* (a short digest prefix) — what audit entries record as
-the actor, so the trail names who did what without storing secrets.
+key's *key id* (a short digest prefix) — what a job's ``actor``
+records, so a job names its submitter without storing secrets.
 """
 
 import hashlib
@@ -44,7 +44,7 @@ def hash_key(key):
 
 
 def key_id(key):
-    """Short non-reversible identifier of a key (audit actor)."""
+    """Short non-reversible identifier of a key (a job's actor)."""
     return "key:" + hash_key(key)[:12]
 
 

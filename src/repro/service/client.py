@@ -71,14 +71,7 @@ class ServiceClient:
 
     # -- endpoints ---------------------------------------------------------
 
-    def health(self):
-        return self.request("GET", "/health")
-
-    def metrics(self):
-        """The raw Prometheus exposition text."""
-        return self.request("GET", "/metrics")
-
-    def submit(self, spec, name=None, webhook_url=None):
+    def submit(self, spec, name=None):
         """Submit a sweep: *spec* is a path (``.toml``/``.json``) or
         an already-decoded spec dict."""
         if isinstance(spec, str):
@@ -87,31 +80,13 @@ class ServiceClient:
         else:
             data, default_name = spec, "sweep"
         body = {"spec": data, "name": name or default_name}
-        if webhook_url:
-            body["webhook_url"] = webhook_url
         return self.request("POST", "/v1/sweeps", body)
-
-    def submit_campaign(self, body):
-        return self.request("POST", "/v1/campaigns", body)
-
-    def jobs(self):
-        return self.request("GET", "/v1/sweeps")
 
     def status(self, job_id):
         return self.request("GET", "/v1/sweeps/%s" % job_id)
 
     def report(self, job_id):
         return self.request("GET", "/v1/sweeps/%s/report" % job_id)
-
-    def cell(self, job_id, cell_id):
-        return self.request(
-            "GET", "/v1/sweeps/%s/cells/%s" % (job_id, cell_id))
-
-    def audit(self, job_id, limit=None):
-        path = "/v1/sweeps/%s/audit" % job_id
-        if limit is not None:
-            path += "?limit=%d" % limit
-        return self.request("GET", path)
 
     def wait(self, job_id, timeout=600.0, poll=0.5, progress=None):
         """Poll until the job's queue scope drains; returns the final

@@ -4,16 +4,11 @@ The built-in :func:`serve` speaks just enough HTTP/1.1 — one request
 per connection, ``Connection: close`` — to run the whole campaign
 service with no framework installed at all.  Requests funnel through
 one :class:`Dispatcher`, which owns auth, routing, metrics and error
-shaping.
-
-Server-sent events: a handler may return an :class:`EventStream`
-instead of a :class:`Response`; its async generator yields
-``(event, data)`` pairs that are written incrementally as a
-``text/event-stream`` body.
+shaping.  Every handler is a plain function returning a
+:class:`Response`.
 """
 
 import asyncio
-import inspect
 import json
 import re
 
@@ -47,12 +42,11 @@ class Request:
     """One parsed HTTP request, transport-agnostic."""
 
     def __init__(self, method, path, headers=None, body=b"",
-                 query=None, params=None, principal=None):
+                 params=None, principal=None):
         self.method = method
         self.path = path
         self.headers = headers or {}    # lower-cased names
         self.body = body
-        self.query = query or {}
         self.params = params or {}      # router path captures
         self.principal = principal
 
@@ -80,16 +74,6 @@ class Response:
     def json(cls, payload, status=200):
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return cls(status, body, "application/json")
-
-
-class EventStream:
-    """A server-sent-events response; *events* is an async generator
-    of ``(event_name, payload_dict)`` pairs."""
-
-    def __init__(self, events):
-        self.events = events
-        self.status = 200
-        self.headers = {"Cache-Control": "no-store"}
 
 
 class Route:
@@ -137,32 +121,16 @@ class Router:
         raise HTTPError(404, "no such resource: %s" % path)
 
 
-def _parse_query(raw):
-    query = {}
-    for pair in raw.split("&"):
-        if not pair:
-            continue
-        name, _, value = pair.partition("=")
-        query[_unquote(name)] = _unquote(value)
-    return query
-
-
-def _unquote(text):
-    from urllib.parse import unquote_plus
-    return unquote_plus(text)
-
-
 class Dispatcher:
     """Auth + routing + metrics, shared by every transport."""
 
-    def __init__(self, router, authenticator, audit=None):
+    def __init__(self, router, authenticator):
         self.router = router
         self.authenticator = authenticator
-        self.audit = audit
 
-    async def dispatch(self, request):
+    def dispatch(self, request):
         """Run *request* through auth and its handler; always returns
-        a :class:`Response` or :class:`EventStream`."""
+        a :class:`Response`."""
         route_label = request.path
         try:
             route, params = self.router.resolve(request.method,
@@ -174,11 +142,6 @@ class Dispatcher:
                 if principal is None:
                     obs.metrics().counter(
                         "service.auth_failures").inc()
-                    if self.audit is not None:
-                        self.audit.append(
-                            "auth_denied", actor="anonymous",
-                            path=request.path,
-                            method=request.method)
                     response = Response.json(
                         {"error": "missing or invalid API key"}, 401)
                     response.headers["WWW-Authenticate"] = \
@@ -187,8 +150,6 @@ class Dispatcher:
                 request.principal = principal
             request.params = params
             result = route.handler(request)
-            if inspect.isawaitable(result):
-                result = await result
         except _Shortcut as shortcut:
             result = shortcut.response
         except HTTPError as error:
@@ -211,15 +172,10 @@ class _Shortcut(Exception):
         self.response = response
 
 
-def _sse_chunk(event, payload):
-    data = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":"))
-    return ("event: %s\ndata: %s\n\n" % (event, data)).encode()
-
-
 async def _read_request(reader):
-    head = await reader.readuntil(b"\r\n\r\n")
-    if len(head) > MAX_HEAD:
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.LimitOverrunError:
         raise HTTPError(413, "request head too large")
     lines = head.decode("latin-1").split("\r\n")
     try:
@@ -232,13 +188,15 @@ async def _read_request(reader):
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0) or 0)
+    raw_length = headers.get("content-length") or "0"
+    if not re.fullmatch("[0-9]+", raw_length):
+        raise HTTPError(400, "invalid Content-Length: %r" % raw_length)
+    length = int(raw_length)
     if length > MAX_BODY:
         raise HTTPError(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
-    path, _, raw_query = target.partition("?")
-    return Request(method, path, headers, body,
-                   _parse_query(raw_query))
+    path = target.partition("?")[0]
+    return Request(method, path, headers, body)
 
 
 def _head_bytes(status, headers):
@@ -249,15 +207,6 @@ def _head_bytes(status, headers):
 
 
 async def _write_response(writer, result):
-    if isinstance(result, EventStream):
-        headers = {"Content-Type": "text/event-stream",
-                   "Connection": "close", **result.headers}
-        writer.write(_head_bytes(result.status, headers))
-        await writer.drain()
-        async for event, payload in result.events:
-            writer.write(_sse_chunk(event, payload))
-            await writer.drain()
-        return
     headers = {"Content-Type": result.content_type,
                "Content-Length": str(len(result.body)),
                "Connection": "close", **result.headers}
@@ -277,10 +226,9 @@ def connection_handler(dispatcher):
                 await _write_response(writer, Response.json(
                     {"error": error.message}, error.status))
                 return
-            except (asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError, ConnectionError):
+            except (asyncio.IncompleteReadError, ConnectionError):
                 return
-            result = await dispatcher.dispatch(request)
+            result = dispatcher.dispatch(request)
             await _write_response(writer, result)
         except (ConnectionError, asyncio.CancelledError):
             pass

@@ -11,7 +11,8 @@ Everything here is derived state: the queue rows are the source of
 truth for progress, the content-addressed store for results, and the
 ``service_jobs`` table (in the queue DB, beside the rows it
 describes) only records submission metadata the queue cannot —
-submission counts, timestamps, webhooks.
+submission counts, timestamps, the submitting key.  A table created
+with more columns still opens; the extra columns are ignored.
 """
 
 import threading
@@ -30,15 +31,12 @@ CREATE TABLE IF NOT EXISTS service_jobs (
     actor             TEXT,
     created_at        REAL NOT NULL,
     submissions       INTEGER NOT NULL,
-    last_submitted_at REAL NOT NULL,
-    webhook_url       TEXT,
-    webhook_state     TEXT
+    last_submitted_at REAL NOT NULL
 )
 """
 
 _JOB_FIELDS = ("job_id", "name", "kind", "actor", "created_at",
-               "submissions", "last_submitted_at", "webhook_url",
-               "webhook_state")
+               "submissions", "last_submitted_at")
 
 
 class JobNotFound(KeyError):
@@ -59,25 +57,18 @@ class JobsTable:
         with self._lock:
             self._connection.close()
 
-    def record_submission(self, job_id, name, kind, actor=None,
-                          webhook_url=None):
+    def record_submission(self, job_id, name, kind, actor=None):
         """Upsert one submission; returns the job row after it."""
         now = time.time()
         with self._lock:
             self._connection.execute(
                 "INSERT INTO service_jobs (job_id, name, kind, actor, "
-                "created_at, submissions, last_submitted_at, "
-                "webhook_url, webhook_state) "
-                "VALUES (?, ?, ?, ?, ?, 1, ?, ?, ?) "
+                "created_at, submissions, last_submitted_at) "
+                "VALUES (?, ?, ?, ?, ?, 1, ?) "
                 "ON CONFLICT(job_id) DO UPDATE SET "
                 "submissions = submissions + 1, last_submitted_at = ?, "
-                "actor = ?, "
-                "webhook_url = COALESCE(?, webhook_url), "
-                "webhook_state = CASE WHEN ? IS NULL "
-                "THEN webhook_state ELSE 'pending' END",
-                (job_id, name, kind, actor, now, now, webhook_url,
-                 "pending" if webhook_url else None,
-                 now, actor, webhook_url, webhook_url))
+                "actor = ?",
+                (job_id, name, kind, actor, now, now, now, actor))
         return self.get(job_id)
 
     def get(self, job_id):
@@ -95,23 +86,6 @@ class JobsTable:
                 "SELECT %s FROM service_jobs ORDER BY created_at"
                 % ", ".join(_JOB_FIELDS)).fetchall()
         return [dict(zip(_JOB_FIELDS, row)) for row in rows]
-
-    def pending_webhooks(self):
-        """Jobs whose webhook has not fired for the latest
-        submission."""
-        with self._lock:
-            rows = self._connection.execute(
-                "SELECT %s FROM service_jobs "
-                "WHERE webhook_url IS NOT NULL "
-                "AND webhook_state = 'pending' ORDER BY created_at"
-                % ", ".join(_JOB_FIELDS)).fetchall()
-        return [dict(zip(_JOB_FIELDS, row)) for row in rows]
-
-    def mark_webhook(self, job_id, state):
-        with self._lock:
-            self._connection.execute(
-                "UPDATE service_jobs SET webhook_state = ? "
-                "WHERE job_id = ?", (state, job_id))
 
 
 def campaign_spec(body):
@@ -133,24 +107,20 @@ class JobService:
 
     Lives on the HTTP loop thread and owns that thread's
     :class:`~repro.dist.queue.WorkQueue` / store handles; the shared
-    pieces (:class:`JobsTable`, audit log, event broker) are
-    internally locked.
+    :class:`JobsTable` is internally locked.
     """
 
-    def __init__(self, queue, store, jobs, audit, broker,
-                 wake=None, max_attempts=None):
+    def __init__(self, queue, store, jobs, wake=None,
+                 max_attempts=None):
         self.queue = queue
         self.store = store
         self.jobs = jobs
-        self.audit = audit
-        self.broker = broker
         self.wake = wake or (lambda: None)
         self.max_attempts = max_attempts
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, data, name="sweep", kind="sweep", actor=None,
-               webhook_url=None):
+    def submit(self, data, name="sweep", kind="sweep", actor=None):
         """Parse, enqueue, and record one spec submission.
 
         Raises :class:`repro.store.spec.SweepSpecError` on a malformed
@@ -165,17 +135,8 @@ class JobService:
             inserted = self.queue.enqueue(
                 spec, max_attempts=self.max_attempts)
         job_id = spec_digest(spec)
-        job = self.jobs.record_submission(
-            job_id, name, kind, actor=actor, webhook_url=webhook_url)
-        self.audit.append(
-            "job_submitted", actor=actor, job_id=job_id,
-            name=name, kind=kind, cells=len(cells),
-            enqueued=len(inserted),
-            submission=job["submissions"])
-        self.broker.publish(
-            job_id, "job_submitted", name=name,
-            cells=len(cells), enqueued=len(inserted),
-            submission=job["submissions"])
+        job = self.jobs.record_submission(job_id, name, kind,
+                                          actor=actor)
         if inserted:
             self.wake()
         return {
@@ -190,7 +151,6 @@ class JobService:
             "links": {
                 "status": "/v1/sweeps/%s" % job_id,
                 "report": "/v1/sweeps/%s/report" % job_id,
-                "events": "/v1/sweeps/%s/events" % job_id,
             },
         }
 
@@ -295,7 +255,3 @@ class JobService:
                     if row["result_key"] else None)
                 return payload
         raise JobNotFound("%s/%s" % (job_id, identity))
-
-    def audit_entries(self, job_id, limit=None):
-        self._job(job_id)
-        return self.audit.entries(job_id=job_id, limit=limit)

@@ -8,19 +8,13 @@ services layer (:mod:`repro.service.jobs`); all transport in
 only unauthenticated routes (probes and scrapers don't carry keys).
 """
 
-import asyncio
 import json
 
 import repro
 from repro import obs
-from repro.service import events as events_module
-from repro.service.httpd import (EventStream, HTTPError, Response,
-                                 Router)
+from repro.service.httpd import HTTPError, Response, Router
 from repro.service.jobs import JobNotFound, campaign_spec
 from repro.store.spec import SweepSpecError
-
-#: Seconds between drain re-checks while an SSE stream is quiet.
-STREAM_POLL = 1.0
 
 
 def build_router(state):
@@ -39,10 +33,6 @@ def build_router(state):
                    handlers.report)
         router.add("GET", prefix + "/{job_id}/cells/{cell_id}",
                    handlers.cell)
-        router.add("GET", prefix + "/{job_id}/audit",
-                   handlers.audit)
-        router.add("GET", prefix + "/{job_id}/events",
-                   handlers.events)
     return router
 
 
@@ -93,8 +83,7 @@ class Handlers:
         result = _wrap(
             self.service.submit, body["spec"],
             name=str(body.get("name", "sweep")), kind="sweep",
-            actor=request.principal,
-            webhook_url=body.get("webhook_url"))
+            actor=request.principal)
         return Response.json(result,
                              200 if result["idempotent"] else 201)
 
@@ -105,8 +94,7 @@ class Handlers:
         result = _wrap(
             self.service.submit, campaign_spec(body),
             name=str(body.get("name", "campaign")), kind="campaign",
-            actor=request.principal,
-            webhook_url=body.get("webhook_url"))
+            actor=request.principal)
         return Response.json(result,
                              200 if result["idempotent"] else 201)
 
@@ -128,45 +116,3 @@ class Handlers:
                         request.params["cell_id"])
         return Response.json(json.loads(json.dumps(payload,
                                                    default=str)))
-
-    def audit(self, request):
-        limit = request.query.get("limit")
-        return Response.json({"entries": _wrap(
-            self.service.audit_entries, request.params["job_id"],
-            int(limit) if limit else None)})
-
-    # -- streaming ---------------------------------------------------------
-
-    def events(self, request):
-        """SSE: snapshot, history replay, live events, completion."""
-        job_id = request.params["job_id"]
-        snapshot = _wrap(self.service.status, job_id)
-        return EventStream(self._stream(job_id, snapshot))
-
-    async def _stream(self, job_id, snapshot):
-        service = self.service
-        broker = self.state.broker
-        yield "snapshot", snapshot
-        # Even a drained job replays its retained history (a late
-        # subscriber still sees the whole story) before the final
-        # completion event.
-        queue = broker.subscribe(job_id)
-        try:
-            while True:
-                try:
-                    event = await asyncio.wait_for(queue.get(),
-                                                   STREAM_POLL)
-                except asyncio.TimeoutError:
-                    if service.queue.drained(job_id):
-                        yield ("job_completed",
-                               service.status(job_id))
-                        return
-                    continue
-                if event is events_module.CLOSED:
-                    return
-                yield event["event"], event
-                if queue.empty() and service.queue.drained(job_id):
-                    yield "job_completed", service.status(job_id)
-                    return
-        finally:
-            broker.unsubscribe(job_id, queue)

@@ -33,14 +33,13 @@ class WorkerPool:
 
     def __init__(self, queue_path, store_path, count=1, secret=None,
                  lease_seconds=DEFAULT_LEASE_SECONDS, engine_workers=1,
-                 events=None, cell_timeout=None, name="serve"):
+                 cell_timeout=None, name="serve"):
         self.queue_path = queue_path
         self.store_path = store_path
         self.count = count
         self.secret = secret
         self.lease_seconds = lease_seconds
         self.engine_workers = engine_workers
-        self.events = events
         self.cell_timeout = cell_timeout
         self.name = name
         self._wake = threading.Event()
@@ -75,7 +74,7 @@ class WorkerPool:
             # Idle exits return to the pool's wake wait, not the
             # drain loop's own long poll.
             max_idle_seconds=IDLE_WAIT,
-            cell_timeout=self.cell_timeout, events=self.events)
+            cell_timeout=self.cell_timeout)
         try:
             while not self._stop.is_set():
                 try:

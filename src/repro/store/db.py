@@ -94,7 +94,7 @@ def default_busy_timeout():
 
 def connect(path, **sqlite_options):
     """Open the SQLite database at *path* the way every repro database
-    opens (result store, dist queue, service jobs and audit tables):
+    opens (result store, dist queue, service jobs table):
     parent directory created, :func:`default_busy_timeout` applied as
     both the connect timeout and ``PRAGMA busy_timeout``, WAL journaling
     where the filesystem supports it.  *sqlite_options*

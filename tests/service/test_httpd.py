@@ -1,4 +1,5 @@
-"""The dependency-free HTTP layer: router and dispatcher."""
+"""The dependency-free HTTP layer: router, dispatcher and the
+server's request parsing."""
 
 import asyncio
 import json
@@ -6,13 +7,8 @@ import json
 import pytest
 
 from repro.service.auth import Authenticator
-from repro.service.httpd import (Dispatcher, HTTPError, Request,
-                                 Response, Router)
-
-
-def run(coroutine):
-    return asyncio.get_event_loop_policy().new_event_loop() \
-        .run_until_complete(coroutine)
+from repro.service.httpd import (MAX_HEAD, Dispatcher, HTTPError,
+                                 Request, Response, Router, serve)
 
 
 class TestRouter:
@@ -79,48 +75,70 @@ def make_dispatcher(dev=False, keys=("k1",)):
     router.add("GET", "/locked",
                lambda r: Response.json({"actor": r.principal}))
     router.add("GET", "/boom", lambda r: 1 / 0)
-
-    async def async_handler(request):
-        return Response.json({"via": "async"})
-
-    router.add("GET", "/async", async_handler)
     return Dispatcher(router, Authenticator(list(keys), dev=dev))
 
 
 class TestDispatcher:
     def test_open_route_needs_no_key(self):
-        result = run(make_dispatcher().dispatch(
-            Request("GET", "/open")))
+        result = make_dispatcher().dispatch(Request("GET", "/open"))
         assert result.status == 200
 
     def test_locked_route_401_without_key(self):
-        result = run(make_dispatcher().dispatch(
-            Request("GET", "/locked")))
+        result = make_dispatcher().dispatch(Request("GET", "/locked"))
         assert result.status == 401
         assert "WWW-Authenticate" in result.headers
 
     def test_locked_route_passes_principal(self):
         request = Request("GET", "/locked",
                           headers={"x-api-key": "k1"})
-        result = run(make_dispatcher().dispatch(request))
+        result = make_dispatcher().dispatch(request)
         assert result.status == 200
         assert json.loads(result.body)["actor"].startswith("key:")
 
     def test_handler_exception_is_500_not_crash(self):
         request = Request("GET", "/boom",
                           headers={"x-api-key": "k1"})
-        result = run(make_dispatcher().dispatch(request))
+        result = make_dispatcher().dispatch(request)
         assert result.status == 500
 
-    def test_async_handlers_awaited(self):
-        request = Request("GET", "/async",
-                          headers={"x-api-key": "k1"})
-        result = run(make_dispatcher().dispatch(request))
-        assert json.loads(result.body) == {"via": "async"}
-
     def test_unknown_path_shaped_as_json_404(self):
-        result = run(make_dispatcher().dispatch(
-            Request("GET", "/nope")))
+        result = make_dispatcher().dispatch(Request("GET", "/nope"))
         assert result.status == 404
         assert "error" in json.loads(result.body)
 
+
+def exchange(raw):
+    """Send *raw* bytes to a fresh server over a plain socket and
+    return everything it answers before closing."""
+
+    async def talk():
+        server = await serve(make_dispatcher(), "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(raw)
+            await writer.drain()
+            answer = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return answer
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(talk())
+
+
+class TestRequestHead:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400(self, length):
+        answer = exchange(b"POST /open HTTP/1.1\r\nContent-Length: "
+                          + length + b"\r\n\r\nbody")
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"Content-Length" in answer
+
+    def test_oversized_head_is_413(self):
+        padding = b"a" * (MAX_HEAD + 6 * 1024)
+        answer = exchange(b"GET /open HTTP/1.1\r\nX-Pad: " + padding
+                          + b"\r\n\r\n")
+        assert answer.startswith(b"HTTP/1.1 413 ")

@@ -1,11 +1,11 @@
 """The services layer in isolation: jobs table, submission,
 report accounting — no HTTP, no threads."""
 
+import sqlite3
+
 import pytest
 
 from repro.dist.queue import WorkQueue
-from repro.service.audit import AuditLog
-from repro.service.events import EventBroker
 from repro.service.jobs import (JobNotFound, JobService, JobsTable,
                                 campaign_spec)
 from repro.store import ResultStore
@@ -24,13 +24,11 @@ def harness(tmp_path):
     queue = WorkQueue(queue_path)
     store = ResultStore(store_path)
     jobs = JobsTable(queue_path)
-    audit = AuditLog(store_path)
     woken = []
-    service = JobService(queue, store, jobs, audit, EventBroker(),
+    service = JobService(queue, store, jobs,
                          wake=lambda: woken.append(True))
     yield service, queue, woken
     jobs.close()
-    audit.close()
     queue.close()
     store.close()
 
@@ -53,6 +51,41 @@ class TestJobsTable:
         with pytest.raises(JobNotFound):
             jobs.get("missing")
         jobs.close()
+
+    def test_opens_a_table_with_retired_columns(self, tmp_path):
+        """A jobs table created with the retired webhook columns still
+        opens; its rows read back without them."""
+        path = str(tmp_path / "old.sqlite")
+        seed = sqlite3.connect(path)
+        seed.executescript("""
+            CREATE TABLE service_jobs (
+                job_id TEXT PRIMARY KEY, name TEXT NOT NULL,
+                kind TEXT NOT NULL, actor TEXT,
+                created_at REAL NOT NULL, submissions INTEGER NOT NULL,
+                last_submitted_at REAL NOT NULL,
+                webhook_url TEXT, webhook_state TEXT);
+            INSERT INTO service_jobs VALUES
+                ('old', 'nightly', 'sweep', 'key:abc', 1.0, 1, 1.0,
+                 'http://127.0.0.1:9/hook', 'pending');
+        """)
+        seed.close()
+        jobs = JobsTable(path)
+        try:
+            again = jobs.record_submission("old", "nightly", "sweep",
+                                           actor="key:def")
+            fresh = jobs.record_submission("new", "grid", "sweep")
+            assert again["submissions"] == 2
+            assert again["actor"] == "key:def"
+            assert fresh["submissions"] == 1
+            assert jobs.get("old") == again
+            listed = jobs.jobs()
+            assert [job["job_id"] for job in listed] == ["old", "new"]
+            for job in listed:
+                assert set(job) == {"job_id", "name", "kind", "actor",
+                                    "created_at", "submissions",
+                                    "last_submitted_at"}
+        finally:
+            jobs.close()
 
 
 class TestCampaignSpec:

@@ -482,18 +482,16 @@ class TestStoreKnobs:
         with ResultStore(str(tmp_path / "env.sqlite")) as store:
             assert pragmas(store._connection) == ("wal", 12500)
 
-    @pytest.mark.parametrize("opener", ["queue", "jobs", "audit"])
+    @pytest.mark.parametrize("opener", ["queue", "jobs"])
     def test_every_database_opens_alike(self, tmp_path, monkeypatch,
                                         opener):
         """The dist queue and the service tables open through the same
         ``connect`` as the store: WAL, and $REPRO_STORE_TIMEOUT."""
         from repro.dist.queue import WorkQueue
-        from repro.service.audit import AuditLog
         from repro.service.jobs import JobsTable
 
         monkeypatch.setenv("REPRO_STORE_TIMEOUT", "7.25")
-        cls = {"queue": WorkQueue, "jobs": JobsTable,
-               "audit": AuditLog}[opener]
+        cls = {"queue": WorkQueue, "jobs": JobsTable}[opener]
         table = cls(str(tmp_path / "sub" / f"{opener}.sqlite"))
         try:
             assert pragmas(table._connection) == ("wal", 7250)
