@@ -2,7 +2,7 @@
 
 Usage (``python -m repro <command> ...``)::
 
-    compile  FILE.mc [-o OUT.ir] [-O{0,1,2}]   mini-C -> textual IR
+    compile  FILE.mc [-o OUT.ir] [-O{0,1}]     mini-C -> textual IR
     run      FILE.{mc,ir} [--args N ...]       simulate, print outputs
     analyze  FILE.{mc,ir}                      BEC report per window
     campaign FILE.{mc,ir} [--mode bec|ior|exhaustive] [--execute N]
@@ -35,9 +35,9 @@ budgets × cores) against a content-addressed result store
 (:mod:`repro.store`): cells already archived are skipped, the rest are
 sharded across processes, and interrupted sweeps resume.  ``campaign
 --store DB`` gives a single campaign the same treatment.  ``run``, ``analyze``,
-``campaign``, ``sample`` and ``harden`` accept the same ``-O{0,1,2}`` /
-``--no-opt`` optimization knobs as ``compile``, so analyses and
-campaigns can run at a matching optimization level.
+``campaign``, ``sample`` and ``harden`` accept the same ``-O{0,1}``
+optimization level as ``compile``, so analyses and campaigns can run
+at a matching optimization level.
 
 ``dist`` runs the same grids across processes and hosts: ``enqueue``
 fills a lease-based work queue (one SQLite file), any number of
@@ -109,11 +109,6 @@ def _initial_regs(program, args):
     return dict(zip(program.param_regs, args))
 
 
-def _opt_level(options):
-    """Optimization level from the shared ``-O``/``--no-opt`` options."""
-    return 0 if getattr(options, "no_opt", False) else options.level
-
-
 def _golden(program, args, core="threaded"):
     machine = Machine(program.function,
                       memory_image=program.memory_image, core=core)
@@ -139,7 +134,7 @@ def _harden_checked(program, strategy, budget, golden, args,
 
 
 def cmd_compile(options):
-    program = load_program(options.file, optimize=_opt_level(options))
+    program = load_program(options.file, optimize=options.level)
     text = format_function(program.function)
     if options.output:
         with open(options.output, "w") as handle:
@@ -152,7 +147,7 @@ def cmd_compile(options):
 
 
 def cmd_run(options):
-    program = load_program(options.file, optimize=_opt_level(options))
+    program = load_program(options.file, optimize=options.level)
     _, trace = _golden(program, options.args)
     for value in trace.outputs:
         print(f"out: {value} ({value:#x})")
@@ -162,7 +157,7 @@ def cmd_run(options):
 
 
 def cmd_analyze(options):
-    program = load_program(options.file, optimize=_opt_level(options))
+    program = load_program(options.file, optimize=options.level)
     bec = run_bec(program.function)
     summary = bec.summary()
     print(f"function {program.function.name}: "
@@ -185,7 +180,7 @@ def cmd_campaign(options):
         raise SystemExit("--workers must be >= 1")
     if options.checkpoint_interval < 0:
         raise SystemExit("--checkpoint-interval must be >= 0 (0 = auto)")
-    program = load_program(options.file, optimize=_opt_level(options))
+    program = load_program(options.file, optimize=options.level)
     machine, golden = _golden(program, options.args, core=options.core)
     function = program.function
     if options.harden != "none":
@@ -282,7 +277,7 @@ POLICIES = {
 
 
 def cmd_harden(options):
-    program = load_program(options.file, optimize=_opt_level(options))
+    program = load_program(options.file, optimize=options.level)
     _, golden = _golden(program, options.args)
     result, _, hardened_golden = _harden_checked(
         program, options.strategy, options.budget, golden, options.args)
@@ -317,7 +312,7 @@ def cmd_harden(options):
 def cmd_sample(options):
     if options.checkpoint_interval < 0:
         raise SystemExit("--checkpoint-interval must be >= 0 (0 = auto)")
-    program = load_program(options.file, optimize=_opt_level(options))
+    program = load_program(options.file, optimize=options.level)
     machine, golden = _golden(program, options.args, core=options.core)
     bec = run_bec(program.function) if options.bec else None
     estimate = estimate_avf(machine, program.function, golden,
@@ -774,12 +769,10 @@ def build_parser():
         return sub
 
     def add_opt_arguments(sub):
-        sub.add_argument("-O", dest="level", type=int, choices=(0, 1, 2),
+        sub.add_argument("-O", dest="level", type=int, choices=(0, 1),
                          default=1,
                          help="optimization level for .mc input "
                               "(default 1: copyprop+DCE)")
-        sub.add_argument("--no-opt", action="store_true",
-                         help="alias for -O0")
 
     def add_obs_arguments(sub):
         sub.add_argument("--trace", metavar="FILE.json", default=None,

@@ -59,21 +59,18 @@ def compile_source(source, entry="main", bit_width=32, pool=None,
                    optimize=True):
     """Compile mini-C *source*; returns a :class:`CompiledProgram`.
 
-    ``optimize`` selects the optimization level (see
-    :mod:`repro.opt.pipeline`): ``False``/``0`` leaves the raw codegen
-    output, ``True``/``1`` runs copy coalescing + DCE (the paper-faithful
-    default — post-regalloc LLVM code contains no redundant copies), and
-    ``2`` adds constant folding, strength reduction, peepholes and CFG
-    cleanup.
+    ``optimize`` (a bool) runs copy coalescing + DCE
+    (:func:`repro.opt.optimize` at level 1), the paper-faithful default:
+    post-regalloc LLVM code contains no redundant copies.  ``False``
+    leaves the raw codegen output.
     """
-    level = int(optimize)
     program = parse_source(source)
     analyzed = analyze(program, entry=entry)
     generator = CodeGenerator(analyzed, entry=entry, bit_width=bit_width)
     virtual_function, image, layout = generator.generate()
     validate_function(virtual_function)
-    if level:
-        virtual_function = optimize_function(virtual_function, level=level)
+    if optimize:
+        virtual_function = optimize_function(virtual_function)
         validate_function(virtual_function)
     allocation = allocate_registers(virtual_function, pool=pool,
                                     spill_base=generator.data_end)

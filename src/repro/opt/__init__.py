@@ -1,27 +1,29 @@
 """IR-level optimizations applied between codegen and register
-allocation (the moral equivalent of LLVM's mid-end + pre-RA cleanups).
+allocation (the moral equivalent of LLVM's pre-RA cleanups).
 
-:func:`optimize` is the main entry point; see :mod:`repro.opt.pipeline`
-for the pass registry and the predefined optimization levels.
+:func:`optimize` is the entry point.  Two levels exist:
+
+====== =======================================================
+Level  Passes
+====== =======================================================
+``0``  nothing (raw codegen output)
+``1``  copy coalescing, then DCE — what post-regalloc LLVM code
+       looks like; this is the paper-faithful default
+====== =======================================================
 """
 
-from repro.opt.constfold import fold_constants
 from repro.opt.copyprop import coalesce_copies
 from repro.opt.dce import eliminate_dead_code
-from repro.opt.peephole import run_peephole
-from repro.opt.pipeline import LEVELS, PASSES, optimize, run_pipeline
-from repro.opt.simplify_cfg import simplify_cfg
-from repro.opt.strength import reduce_strength
 
-__all__ = [
-    "LEVELS",
-    "PASSES",
-    "coalesce_copies",
-    "eliminate_dead_code",
-    "fold_constants",
-    "optimize",
-    "reduce_strength",
-    "run_peephole",
-    "run_pipeline",
-    "simplify_cfg",
-]
+
+def optimize(function, level=1):
+    """Optimize *function* at the given level (see module docstring)."""
+    if level == 0:
+        return function
+    if level == 1:
+        return eliminate_dead_code(coalesce_copies(function))
+    raise ValueError(
+        f"unknown optimization level {level!r}; choose from [0, 1]")
+
+
+__all__ = ["coalesce_copies", "eliminate_dead_code", "optimize"]

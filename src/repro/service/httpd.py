@@ -20,11 +20,15 @@ MAX_HEAD = 64 * 1024
 #: Largest accepted request body (sweep specs are a few KB).
 MAX_BODY = 8 * 1024 * 1024
 
+#: Seconds a client may take to send its request head and body; a
+#: slower request gets a 408.
+READ_TIMEOUT = 30.0
+
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted", 204: "No Content",
     400: "Bad Request", 401: "Unauthorized", 403: "Forbidden",
     404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 413: "Payload Too Large",
+    408: "Request Timeout", 409: "Conflict", 413: "Payload Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -215,16 +219,47 @@ async def _write_response(writer, result):
     await writer.drain()
 
 
+async def _reject(reader, writer, error):
+    """Answer a request that was not read in full with *error*.
+
+    Closing a socket with request bytes still unread makes the kernel
+    reset the connection, and the client may lose the response.  So
+    half-close after the response and discard what the client still
+    sends (at most ``MAX_BODY`` bytes, within ``READ_TIMEOUT``).
+    """
+    await _write_response(writer, Response.json(
+        {"error": error.message}, error.status))
+    writer.write_eof()
+
+    async def discard():
+        left = MAX_BODY
+        while left > 0:
+            chunk = await reader.read(MAX_HEAD)
+            if not chunk:
+                return
+            left -= len(chunk)
+
+    try:
+        await asyncio.wait_for(discard(), READ_TIMEOUT)
+    except asyncio.TimeoutError:
+        pass
+
+
 def connection_handler(dispatcher):
     """The ``asyncio.start_server`` callback for *dispatcher*."""
 
     async def handle(reader, writer):
         try:
             try:
-                request = await _read_request(reader)
+                request = await asyncio.wait_for(_read_request(reader),
+                                                 READ_TIMEOUT)
+            except asyncio.TimeoutError:
+                await _reject(reader, writer, HTTPError(
+                    408, "request not received within %g s"
+                    % READ_TIMEOUT))
+                return
             except HTTPError as error:
-                await _write_response(writer, Response.json(
-                    {"error": error.message}, error.status))
+                await _reject(reader, writer, error)
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 return

@@ -126,20 +126,3 @@ def test_memory_fault_pruning_is_sound(seed):
     for signature in pruned_out:
         assert signature == golden_signature or \
             signature in kept_signatures, seed
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_optimization_pipeline_preserves_semantics(seed):
-    """Level-2 optimization on random programs is a differential test of
-    constant folding, strength reduction, peepholes and CFG cleanup."""
-    from repro.opt import optimize
-
-    function = generate_function(seed, _MEDIUM)
-    optimized = optimize(function.copy(), level=2)
-    regs = random_inputs(seed, function)
-    original = Machine(function).run(regs=regs, max_cycles=50_000)
-    transformed = Machine(optimized).run(regs=regs, max_cycles=50_000)
-    assert original.outputs == transformed.outputs
-    assert original.returned == transformed.returned
-    assert original.stores == transformed.stores

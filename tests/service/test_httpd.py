@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.service import httpd
 from repro.service.auth import Authenticator
 from repro.service.httpd import (MAX_HEAD, Dispatcher, HTTPError,
                                  Request, Response, Router, serve)
@@ -137,8 +138,21 @@ class TestRequestHead:
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b"Content-Length" in answer
 
-    def test_oversized_head_is_413(self):
-        padding = b"a" * (MAX_HEAD + 6 * 1024)
+    @pytest.mark.parametrize("size", [70 * 1024, 200 * 1024, 1024 * 1024],
+                             ids=["70KB", "200KB", "1MB"])
+    def test_oversized_head_is_413(self, size):
+        # Heads past the reader's buffer leave bytes unread in the
+        # socket; the server must drain them before closing, or the
+        # kernel resets the connection before the 413 is read.
+        assert size > MAX_HEAD
+        padding = b"a" * size
         answer = exchange(b"GET /open HTTP/1.1\r\nX-Pad: " + padding
                           + b"\r\n\r\n")
         assert answer.startswith(b"HTTP/1.1 413 ")
+
+    def test_stalled_request_is_408(self, monkeypatch):
+        # Declares five body bytes, sends two and keeps the socket open.
+        monkeypatch.setattr(httpd, "READ_TIMEOUT", 0.5)
+        answer = exchange(b"POST /open HTTP/1.1\r\nContent-Length: 5"
+                          b"\r\n\r\nab")
+        assert answer.startswith(b"HTTP/1.1 408 ")
