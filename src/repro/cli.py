@@ -42,9 +42,11 @@ at a matching optimization level.
 ``dist`` runs the same grids across processes and hosts: ``enqueue``
 fills a lease-based work queue (one SQLite file), any number of
 ``work`` processes drain it — each cell executed through the same
-cached engine, returned as an HMAC-signed result envelope, and
-committed only after verification — and ``status``/``reap`` report and
-groom the queue from its state alone.
+cached engine, archived into the store, and only then marked done in
+the queue — and ``status``/``reap`` report and groom the queue from
+its state alone.  The read-only commands (``dist status``, ``dist
+reap``, ``store verify``) refuse a database file that does not exist
+instead of creating an empty one.
 
 ``campaign``, ``sample`` and ``sweep`` also accept the telemetry
 flags: ``--trace FILE.json`` records the invocation's spans and writes
@@ -491,8 +493,17 @@ def cmd_obs_summarize(options):
     return 0
 
 
+def _existing_database(path):
+    """*path* when it names an existing file; otherwise exit nonzero
+    before anything opens it (opening would create an empty database,
+    which a read-only command would then report as healthy)."""
+    if not os.path.isfile(path):
+        raise SystemExit(f"no such file: {path}")
+    return path
+
+
 def cmd_store_verify(options):
-    with ResultStore(options.db) as store:
+    with ResultStore(_existing_database(options.db)) as store:
         report = store.verify(
             clear_quarantine=options.clear_quarantine)
     if options.clear_quarantine and report["cleared"]:
@@ -515,20 +526,22 @@ def cmd_store_verify(options):
 
 
 def cmd_dist_enqueue(options):
-    from repro.dist.coordinator import enqueue_spec
-    from repro.dist.queue import WorkQueue
+    from repro.dist.queue import (DEFAULT_MAX_ATTEMPTS, WorkQueue,
+                                  spec_digest)
     from repro.store import load_spec
 
     try:
         spec = load_spec(options.spec)
     except (OSError, ValueError) as error:
         raise SystemExit(f"cannot load sweep spec: {error}")
+    max_attempts = options.max_attempts \
+        if options.max_attempts is not None else DEFAULT_MAX_ATTEMPTS
     with WorkQueue(options.queue) as queue:
-        summary = enqueue_spec(queue, spec,
-                               max_attempts=options.max_attempts)
-    print(f"queue {options.queue}: spec {summary['spec']} "
-          f"({summary['digest'][:12]}): {summary['enqueued']} cells "
-          f"enqueued, {summary['already_queued']} already queued")
+        inserted = queue.enqueue(spec, max_attempts=max_attempts)
+    print(f"queue {options.queue}: spec {spec.name} "
+          f"({spec_digest(spec)[:12]}): {len(inserted)} cells "
+          f"enqueued, {len(spec.cells()) - len(inserted)} already "
+          f"queued")
     return 0
 
 
@@ -551,38 +564,34 @@ def cmd_dist_work(options):
             ResultStore(options.store) as store:
         worker = DistWorker(
             queue, store, worker_id=options.worker_id,
-            lease_seconds=lease_seconds,
-            secret=options.secret, engine_workers=options.workers,
+            lease_seconds=lease_seconds, engine_workers=options.workers,
             max_cells=options.max_cells,
             max_idle_seconds=max_idle, chaos=policy,
             cell_timeout=options.cell_timeout)
         stats = worker.run()
     print(f"worker {worker.worker_id}: {stats['done']} cells done, "
-          f"{stats['superseded']} superseded, {stats['failed']} failed, "
-          f"{stats['rejected']} envelopes rejected")
+          f"{stats['superseded']} superseded, {stats['failed']} failed")
     return 0
 
 
 def cmd_dist_status(options):
-    from repro.dist.coordinator import status_payload
     from repro.dist.queue import WorkQueue
 
-    with WorkQueue(options.queue) as queue:
-        status = status_payload(queue)
+    with WorkQueue(_existing_database(options.queue)) as queue:
+        status = queue.status()
+        poisoned = [row for row in queue.cells()
+                    if row["state"] == "poisoned"]
     states = status["states"]
-    quarantine = status["quarantine"]
     print(f"queue {options.queue}: {status['cells']} cells — "
           f"{states['done']} done, {states['pending']} pending, "
           f"{states['leased']} leased ({status['stale_leases']} stale), "
           f"{states['poisoned']} poisoned")
     for worker, done in status["workers"].items():
         print(f"  {worker}: {done} cells")
-    if quarantine:
-        print(f"  quarantine events: {len(quarantine)}")
-        for entry in quarantine:
-            print(f"    {entry['cell_id'][:12]} "
-                  f"({entry['worker'] or '-'}): {entry['reason']}",
-                  file=sys.stderr)
+    for row in poisoned:
+        print(f"  poisoned {row['cell_id'][:12]} after "
+              f"{row['attempts']} attempts: {row['last_error']}",
+              file=sys.stderr)
     _write_json(options.json, status)
     healthy = status["drained"] and not states["poisoned"]
     return 0 if healthy else 1
@@ -591,7 +600,7 @@ def cmd_dist_status(options):
 def cmd_dist_reap(options):
     from repro.dist.queue import WorkQueue
 
-    with WorkQueue(options.queue) as queue:
+    with WorkQueue(_existing_database(options.queue)) as queue:
         report = queue.reap()
     print(f"queue {options.queue}: {report['expired']} leases expired "
           f"back to pending, {report['poisoned']} cells poisoned")
@@ -609,7 +618,6 @@ def cmd_serve(options):
             port=options.port, api_keys=keys, dev=options.dev,
             workers=options.workers,
             engine_workers=options.engine_workers,
-            secret=options.secret,
             cell_timeout=options.cell_timeout))
     except AuthConfigError as error:
         raise SystemExit(f"serve: {error}")
@@ -985,8 +993,8 @@ def build_parser():
 
     sub = dist_sub.add_parser(
         "work",
-        help="drain the queue: lease cells, execute, commit signed "
-             "result envelopes")
+        help="drain the queue: lease cells, execute, archive each "
+             "result and complete its lease")
     sub.set_defaults(handler=cmd_dist_work)
     add_queue_argument(sub)
     sub.add_argument("--store", metavar="DB",
@@ -994,7 +1002,7 @@ def build_parser():
                      help="content-addressed result store "
                           "(default: .repro-store.sqlite)")
     sub.add_argument("--worker-id", default=None,
-                     help="worker identity in leases and envelopes "
+                     help="worker identity in leases "
                           "(default: host-pid)")
     sub.add_argument("--lease-seconds", type=float, default=None,
                      metavar="S",
@@ -1014,14 +1022,10 @@ def build_parser():
                      metavar="SECONDS",
                      help="per-cell wall-clock deadline (default: the "
                           "spec's engine.max_wall_seconds)")
-    sub.add_argument("--secret", default=None,
-                     help="envelope signing secret (default: "
-                          "$REPRO_DIST_SECRET, else a dev constant)")
     sub.add_argument("--chaos", action="append", default=[],
                      metavar="FAULT=N",
                      help="inject a host-level fault: kill_cell=N, "
-                          "kill_claim=N, expire_lease=N, "
-                          "forge_envelope=N, corrupt_envelope=N "
+                          "kill_claim=N, expire_lease=N "
                           "(N = this worker's N-th claimed cell), "
                           "skew_clock=SECONDS (repeatable)")
     add_obs_arguments(sub)
@@ -1078,9 +1082,6 @@ def build_parser():
                      metavar="SECONDS",
                      help="per-cell wall-clock deadline (default: the "
                           "spec's engine.max_wall_seconds)")
-    sub.add_argument("--secret", default=None,
-                     help="envelope signing secret (default: "
-                          "$REPRO_DIST_SECRET, else a dev constant)")
 
     client_cmd = commands.add_parser(
         "client", help="talk to a running campaign service")

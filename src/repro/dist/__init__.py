@@ -1,23 +1,19 @@
 """Distributed, crash-tolerant sweep execution.
 
-The package splits ROADMAP item 2 into four small pieces:
+The package is two small pieces:
 
-- :mod:`repro.dist.queue` — the lease-based work queue (SQLite);
-- :mod:`repro.dist.envelope` — HMAC-signed result envelopes;
-- :mod:`repro.dist.worker` — the lease→execute→prove→commit loop;
-- :mod:`repro.dist.coordinator` — enqueue/commit/status/reap, the
-  functions ``repro dist`` drives.
+- :mod:`repro.dist.queue` — the lease-based work queue (SQLite); its
+  state is the coordinator's whole state, so there is no coordinator
+  process;
+- :mod:`repro.dist.worker` — the lease→execute→archive→complete loop.
 
 The design inherits the store's central invariant: results are
 content-addressed and schedule-independent, so *any* worker's result
-is valid for everyone, duplicate commits are idempotent overwrites of
+is valid for everyone, duplicate archives are idempotent overwrites of
 identical bytes, and at-least-once delivery is safe by construction.
 """
 
-from repro.dist.coordinator import status_payload
-from repro.dist.envelope import ResultEnvelope
 from repro.dist.queue import WorkQueue
 from repro.dist.worker import DistWorker
 
-__all__ = ["ResultEnvelope", "WorkQueue", "DistWorker",
-           "status_payload"]
+__all__ = ["WorkQueue", "DistWorker"]

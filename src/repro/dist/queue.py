@@ -86,18 +86,11 @@ CREATE TABLE IF NOT EXISTS dist_queue (
     sim_runs      INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS dist_queue_state
-    ON dist_queue (state, lease_expires);
-CREATE TABLE IF NOT EXISTS dist_quarantine (
-    event_id    INTEGER PRIMARY KEY AUTOINCREMENT,
-    cell_id     TEXT NOT NULL,
-    worker      TEXT,
-    reason      TEXT NOT NULL,
-    detected_at TEXT NOT NULL
-)
+    ON dist_queue (state, lease_expires)
 """
 
 #: One granted lease: everything a worker needs to execute the cell
-#: and prove, at commit time, that it was the leaseholder.
+#: and prove, at completion, that it was the leaseholder.
 Lease = namedtuple("Lease", ["cell_id", "token", "spec_digest", "cell",
                              "attempts", "expires"])
 
@@ -336,13 +329,13 @@ class WorkQueue:
         (or ``"superseded"`` when the token no longer held the lease).
         """
         row = self._connection.execute(
-            "SELECT cell_id, attempts, max_attempts FROM dist_queue "
+            "SELECT attempts, max_attempts FROM dist_queue "
             "WHERE lease_token = ? AND state = 'leased'",
             (token,)).fetchone()
         if row is None:
             obs.metrics().counter("dist.superseded").inc()
             return "superseded"
-        identity, attempts, max_attempts = row
+        attempts, max_attempts = row
         state = "poisoned" if attempts >= max_attempts else "pending"
         cursor = self._connection.execute(
             "UPDATE dist_queue SET state = ?, worker = NULL, "
@@ -354,9 +347,6 @@ class WorkQueue:
             return "superseded"
         if state == "poisoned":
             obs.metrics().counter("dist.poisoned").inc()
-            self.quarantine_event(identity, None,
-                                  f"poisoned after {attempts} attempts: "
-                                  f"{error}")
         return state
 
     # -- maintenance -------------------------------------------------------
@@ -386,25 +376,6 @@ class WorkQueue:
         if poisoned:
             registry.counter("dist.poisoned").inc(poisoned)
         return {"expired": expired, "poisoned": poisoned}
-
-    # -- quarantine --------------------------------------------------------
-
-    def quarantine_event(self, identity, worker, reason):
-        """Record a protocol violation (forged envelope, poisoned
-        cell) in the queue's event log — evidence, not state."""
-        self._connection.execute(
-            "INSERT INTO dist_quarantine "
-            "(cell_id, worker, reason, detected_at) VALUES (?, ?, ?, ?)",
-            (identity, worker, reason,
-             datetime.now(timezone.utc).isoformat()))
-        obs.logger().warning("dist.quarantine", cell=identity,
-                             worker=worker, reason=reason)
-
-    def quarantined(self):
-        """Every quarantine event as ``(cell_id, worker, reason)``."""
-        return [tuple(row) for row in self._connection.execute(
-            "SELECT cell_id, worker, reason FROM dist_quarantine "
-            "ORDER BY event_id")]
 
     # -- introspection -----------------------------------------------------
 
@@ -453,20 +424,11 @@ class WorkQueue:
                 f"WHERE state = 'done' AND worker IS NOT NULL{scope} "
                 f"GROUP BY worker ORDER BY worker", params):
             workers[worker] = done
-        if spec_digest is None:
-            (quarantine_events,) = self._connection.execute(
-                "SELECT COUNT(*) FROM dist_quarantine").fetchone()
-        else:
-            (quarantine_events,) = self._connection.execute(
-                "SELECT COUNT(*) FROM dist_quarantine WHERE cell_id IN "
-                "(SELECT cell_id FROM dist_queue WHERE spec_digest = ?)",
-                (spec_digest,)).fetchone()
         total = sum(counts.values())
         return {"cells": total, "states": counts,
                 "stale_leases": stale,
                 "drained": self.drained(spec_digest),
-                "workers": workers,
-                "quarantine_events": quarantine_events}
+                "workers": workers}
 
     def cells(self, spec_digest=None):
         """Every queue row, decoded — tests, debugging, and the

@@ -1,4 +1,4 @@
-"""The distributed sweep worker: lease, execute, prove, commit.
+"""The distributed sweep worker: lease, execute, archive, complete.
 
 One ``repro dist work`` process is a loop over
 :meth:`repro.dist.queue.WorkQueue.claim`:
@@ -14,13 +14,15 @@ One ``repro dist work`` process is a loop over
    :class:`repro.store.db.ChunkCapture` (empty on a cache hit).  The
    engine's per-chunk progress callback doubles as the **heartbeat**,
    renewing the lease at a third of its duration.
-3. **Prove**: wrap the capture in a signed
-   :class:`repro.dist.envelope.ResultEnvelope` binding content (chunk
-   digests + the :func:`repro.store.db.archive_meta` dict) to identity
-   (worker, lease token).
-4. **Commit** through :func:`repro.dist.coordinator.commit_envelope`,
-   which verifies everything before
-   :meth:`repro.store.db.ResultStore.archive` writes a byte.
+3. **Archive** an executed cell's capture with
+   :meth:`repro.store.db.ResultStore.archive` — the same call a direct
+   caller's miss makes, so both paths store identical bytes.  A cache
+   hit archives nothing.
+4. **Complete** the lease (:meth:`repro.dist.queue.WorkQueue.complete`,
+   token-guarded) only after the archive commit, so a crash between
+   the two leaves a committed result and a reclaimable lease: the
+   re-executing worker's archive is an idempotent overwrite of
+   identical bytes.
 
 Failure modes map onto queue states: an execution error (including a
 :class:`repro.fi.deadline.CellTimeout`) fails the lease back to
@@ -28,16 +30,15 @@ Failure modes map onto queue states: an execution error (including a
 leaves the lease to expire and be reclaimed; a lost lease (heartbeat
 returns False) finishes anyway and takes
 ``superseded`` — the archive write is idempotent, the state
-transition just happened elsewhere.  A rejected envelope also fails
-the lease, so the cell retries promptly instead of waiting out the
-lease clock; so does an archive the store stayed locked for (unlike a
-direct caller's miss, a sweep cell is not done until it is archived).
+transition just happened elsewhere.  An archive the store stayed
+locked for also fails the lease (unlike a direct caller's miss, a
+sweep cell is not done until it is archived).
 
 Chaos points (see :mod:`repro.fi.chaos`) are consulted at each step —
-``dist.cell`` (claim/run phases, kill action), ``dist.expire_lease``,
-``dist.forge_envelope``, ``dist.corrupt_envelope`` — making the whole
-host-level protocol fault-injectable from the CLI
-(``repro dist work --chaos kill_cell=1 ...``).
+``dist.cell`` (claim/run phases, kill action) and
+``dist.expire_lease`` — making the host-level protocol
+fault-injectable from the CLI (``repro dist work --chaos kill_cell=1
+...``).
 """
 
 import os
@@ -47,12 +48,9 @@ import time
 from repro import obs
 from repro.fi.chaos import ChaosPolicy
 from repro.fi.deadline import wall_clock_deadline
-from repro.store.db import archive_meta, chunk_digest
+from repro.store.db import archive_meta
 from repro.store.sweep import SweepRunner
 
-from repro.dist import envelope as envelope_module
-from repro.dist.coordinator import commit_envelope
-from repro.dist.envelope import ResultEnvelope
 from repro.dist.queue import DEFAULT_LEASE_SECONDS
 
 #: Seconds between claim attempts while the queue has unfinished but
@@ -72,9 +70,9 @@ def policy_from_specs(specs):
     """Build a :class:`ChaosPolicy` from CLI ``--chaos`` strings.
 
     Each spec is ``name=value``: ``kill_cell=N`` / ``kill_claim=N``
-    (SIGKILL around the N-th claimed cell), ``expire_lease=N``,
-    ``forge_envelope=N``, ``corrupt_envelope=N`` (ordinals), and
-    ``skew_clock=S`` (seconds, float).  Returns ``None`` for no specs.
+    (SIGKILL around the N-th claimed cell), ``expire_lease=N``
+    (ordinal), and ``skew_clock=S`` (seconds, float).  Returns
+    ``None`` for no specs.
     """
     if not specs:
         return None
@@ -89,10 +87,6 @@ def policy_from_specs(specs):
             policy.kill_dist_worker(int(value), phase="claim")
         elif name == "expire_lease":
             policy.expire_lease(int(value))
-        elif name == "forge_envelope":
-            policy.forge_envelope(int(value))
-        elif name == "corrupt_envelope":
-            policy.corrupt_envelope(int(value))
         elif name == "skew_clock":
             policy.skew_clock(float(value))
         else:
@@ -104,15 +98,14 @@ class DistWorker:
     """One worker process draining one queue into one store."""
 
     def __init__(self, queue, store, worker_id=None,
-                 lease_seconds=DEFAULT_LEASE_SECONDS, secret=None,
-                 engine_workers=1, max_cells=None,
+                 lease_seconds=DEFAULT_LEASE_SECONDS, engine_workers=1,
+                 max_cells=None,
                  max_idle_seconds=DEFAULT_MAX_IDLE_SECONDS, chaos=None,
                  cell_timeout=None, events=None):
         self.queue = queue
         self.store = store
         self.worker_id = worker_id or default_worker_id()
         self.lease_seconds = lease_seconds
-        self.secret = secret
         self.engine_workers = engine_workers
         self.max_cells = max_cells
         self.max_idle_seconds = max_idle_seconds
@@ -121,10 +114,10 @@ class DistWorker:
         #: Optional ``callable(kind, **fields)`` observing this
         #: worker's cell lifecycle (``cell_claimed`` /
         #: ``cell_progress`` / ``cell_done`` / ``cell_superseded`` /
-        #: ``cell_rejected`` / ``cell_failed``) — how a local sweep
-        #: builds its report and progress lines.
+        #: ``cell_failed``) — how a local sweep builds its report and
+        #: progress lines.
         #: The events of an executed cell (``cell_done`` /
-        #: ``cell_superseded`` / ``cell_rejected``) also carry its
+        #: ``cell_superseded``) also carry its
         #: :class:`repro.store.sweep.CellOutcome` as ``outcome``.
         #: Event delivery must never sink a cell, so callback errors
         #: are swallowed.
@@ -132,8 +125,7 @@ class DistWorker:
         #: spec digest -> the :class:`SweepRunner` executing its cells
         #: (a local sweep seeds its own runner here).
         self.runners = {}
-        self.stats = {"done": 0, "superseded": 0, "failed": 0,
-                      "rejected": 0}
+        self.stats = {"done": 0, "superseded": 0, "failed": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -160,8 +152,9 @@ class DistWorker:
     # -- one cell ----------------------------------------------------------
 
     def _execute(self, lease, ordinal):
-        """Run one leased cell; returns ``(commit, outcome)``: the
-        :func:`commit_envelope` dict and the cell's
+        """Run one leased cell, archive it and settle its lease;
+        returns ``(state, outcome)``: the :meth:`WorkQueue.complete`
+        state (``"done"`` or ``"superseded"``) and the cell's
         :class:`repro.store.sweep.CellOutcome`."""
         runner = self._sweep_runner(lease.spec_digest)
 
@@ -200,42 +193,28 @@ class DistWorker:
         # worst crash point the reclaim path must absorb.
         self._fire("dist.cell", ordinal=ordinal, phase="run")
 
-        capture = runner.runner.last_capture
-        chunks = capture.chunks
-        meta = archive_meta(result, capture.chunk_size)
-        digests = [chunk_digest(blob) for blob, _, _ in chunks]
-        envelope = ResultEnvelope(
-            cell_id=lease.cell_id,
-            result_key=runner.runner.last_key,
-            worker=self.worker_id, lease_token=lease.token,
-            payload_digest=envelope_module.payload_digest(digests, meta),
-            n_runs=result.n_runs, n_chunks=len(chunks), meta=meta,
-            cached=result.cached)
-
-        secret = self.secret
-        if self._fire("dist.forge_envelope", ordinal=ordinal):
-            secret = envelope_module.resolve_secret(self.secret) \
-                + b"-forged"
-        envelope.seal(secret)
-
-        if self._fire("dist.corrupt_envelope", ordinal=ordinal) \
-                and chunks:
-            blob, n_records, raw_size = chunks[0]
-            corrupted = bytearray(blob)
-            corrupted[len(corrupted) // 2] ^= 0xFF
-            chunks[0] = (bytes(corrupted), n_records, raw_size)
-
-        commit = commit_envelope(self.store, self.queue, envelope,
-                                 chunks, secret=self.secret)
-        return commit, outcome
+        key = runner.runner.last_key
+        if result.cached:
+            sim_runs = 0
+        else:
+            capture = runner.runner.last_capture
+            self.store.archive(key, capture.chunks,
+                               archive_meta(result, capture.chunk_size))
+            sim_runs = max(0, result.n_runs - result.pruned_runs)
+        state = self.queue.complete(lease.token, result_key=key,
+                                    cached=result.cached,
+                                    sim_runs=sim_runs)
+        obs.logger().info("dist.cell_committed", cell=lease.cell_id,
+                          worker=self.worker_id, state=state, key=key)
+        return state, outcome
 
     def _attempt(self, lease, ordinal):
-        """Execute and commit one leased cell, settling its queue row;
+        """Execute and archive one leased cell, settling its queue row;
         returns the ``sweep.cells`` status (``hit``/``run``/
         ``failed``)."""
         registry = obs.metrics()
         try:
-            commit, outcome = self._execute(lease, ordinal)
+            state, outcome = self._execute(lease, ordinal)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             state = self.queue.fail(lease.token, error)
@@ -249,26 +228,18 @@ class DistWorker:
                        spec_digest=lease.spec_digest, state=state,
                        error=error)
             return "failed"
-        status = commit["status"]
-        if status == "rejected":
-            # Fail the lease so the cell retries promptly instead of
-            # waiting out the lease clock.
-            self.queue.fail(lease.token,
-                            f"envelope rejected: {commit['reason']}")
-            self.stats["rejected"] += 1
-        elif status == "superseded":
+        if state == "superseded":
             self.stats["superseded"] += 1
+            status, event = "superseded", "cell_superseded"
         else:
             self.stats["done"] += 1
+            status, event = "committed", "cell_done"
         registry.counter("dist.cells", status=status,
                          worker=self.worker_id).inc()
-        self._emit(f"cell_{status}" if status != "committed"
-                   else "cell_done",
-                   cell_id=lease.cell_id, spec_digest=lease.spec_digest,
-                   key=commit.get("key"), outcome=outcome)
-        if status == "rejected":
-            return "failed"
-        return "hit" if commit["cached"] else "run"
+        self._emit(event, cell_id=lease.cell_id,
+                   spec_digest=lease.spec_digest, key=outcome.key,
+                   outcome=outcome)
+        return "hit" if outcome.cached else "run"
 
     # -- the loop ----------------------------------------------------------
 

@@ -31,7 +31,7 @@ the policy at well-defined moments:
     each leased cell (context: ``ordinal``, the 0-based count of cells
     this worker has claimed, and ``phase`` — ``"claim"`` right after
     the lease is granted, ``"run"`` right before the result is
-    committed).  The ``kill`` action models a host vanishing mid-cell;
+    archived).  The ``kill`` action models a host vanishing mid-cell;
     the lease must expire and another worker must reclaim the cell.
 
 ``dist.expire_lease``
@@ -40,18 +40,6 @@ the policy at well-defined moments:
     the deadline into the past — so another worker reclaims the cell
     while this one keeps computing (the stale-token / superseded-commit
     path).
-
-``dist.forge_envelope``
-    Fired as the worker seals its result envelope (context:
-    ``ordinal``).  A firing rule signs the envelope with the wrong
-    secret; the coordinator must reject it before any store commit and
-    record a quarantine event.
-
-``dist.corrupt_envelope``
-    Fired alongside sealing (context: ``ordinal``).  A firing rule
-    flips a byte of the captured chunk stream *after* sealing, so the
-    signature verifies but the payload digest does not — the
-    tampered-content (as opposed to tampered-identity) rejection path.
 
 ``dist.skew_clock``
     Consulted via :meth:`ChaosPolicy.fire_value` by the work queue's
@@ -181,16 +169,6 @@ class ChaosPolicy:
         heartbeats stop and the deadline is forced into the past — so
         the cell is reclaimed while the original worker keeps going."""
         return self.on("dist.expire_lease", match={"ordinal": ordinal})
-
-    def forge_envelope(self, ordinal=0):
-        """Sign the *ordinal*-th result envelope with the wrong secret;
-        the coordinator must reject it before any store commit."""
-        return self.on("dist.forge_envelope", match={"ordinal": ordinal})
-
-    def corrupt_envelope(self, ordinal=0):
-        """Flip a byte of the *ordinal*-th captured chunk stream after
-        sealing: the signature verifies, the payload digest does not."""
-        return self.on("dist.corrupt_envelope", match={"ordinal": ordinal})
 
     def skew_clock(self, seconds):
         """Skew the work queue's clock by *seconds* (positive = fast):

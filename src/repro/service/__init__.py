@@ -3,10 +3,11 @@
 The service is a thin, authenticated front door to machinery that
 already exists: submissions enqueue cells into the
 :mod:`repro.dist` lease queue, workers (in-process or external
-``repro dist work`` hosts) drain them through the signed-envelope
-commit path, and reads decode the content-addressed store.  Job ids
-*are* spec content digests, so resubmission is idempotent by
-construction.  It serves submit, status and report; callers poll.
+``repro dist work`` hosts) drain them through the same
+lease→execute→archive→complete loop, and reads decode the
+content-addressed store.  Job ids *are* spec content digests, so
+resubmission is idempotent by construction.  It serves submit, status
+and report; callers poll.
 
 Layering (routers/handlers vs. services):
 

@@ -35,8 +35,7 @@ class ServiceConfig:
 
     def __init__(self, queue_path, store_path, host="127.0.0.1",
                  port=8035, api_keys=(), dev=False, workers=1,
-                 engine_workers=1, secret=None,
-                 lease_seconds=DEFAULT_LEASE_SECONDS,
+                 engine_workers=1, lease_seconds=DEFAULT_LEASE_SECONDS,
                  max_attempts=DEFAULT_MAX_ATTEMPTS,
                  cell_timeout=None):
         self.queue_path = queue_path
@@ -47,7 +46,6 @@ class ServiceConfig:
         self.dev = dev
         self.workers = workers
         self.engine_workers = engine_workers
-        self.secret = secret
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
         self.cell_timeout = cell_timeout
@@ -65,8 +63,7 @@ class CampaignService:
         self.jobs_table = JobsTable(config.queue_path)
         self.pool = WorkerPool(
             config.queue_path, config.store_path,
-            count=config.workers, secret=config.secret,
-            lease_seconds=config.lease_seconds,
+            count=config.workers, lease_seconds=config.lease_seconds,
             engine_workers=config.engine_workers,
             cell_timeout=config.cell_timeout)
         self.job_service = None      # built on the loop thread

@@ -18,7 +18,6 @@ with more columns still opens; the extra columns are ignored.
 import threading
 import time
 
-from repro.dist.coordinator import status_payload
 from repro.dist.queue import cell_id, spec_digest
 from repro.store.db import connect
 from repro.store.spec import parse_spec
@@ -167,7 +166,7 @@ class JobService:
         ``repro dist status --json`` shape, plus submission
         metadata."""
         job = self._job(job_id)
-        payload = status_payload(self.queue, job_id)
+        payload = self.queue.status(job_id)
         payload["job"] = job
         return payload
 

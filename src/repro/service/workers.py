@@ -3,10 +3,10 @@
 A small deployment should not need a second command: ``repro serve
 --workers N`` runs N drain loops inside the service process, each an
 unmodified :class:`repro.dist.worker.DistWorker` — the same lease /
-execute / sign / commit protocol an external ``repro dist work`` host
-speaks, against the same queue file.  Scaling out later is therefore
-zero-migration: point external workers at the queue DB and start the
-service with ``--workers 0``.
+execute / archive / complete protocol an external ``repro dist work``
+host speaks, against the same queue file.  Scaling out later is
+therefore zero-migration: point external workers at the queue DB and
+start the service with ``--workers 0``.
 
 Each pool thread opens its own :class:`~repro.dist.queue.WorkQueue`
 and :class:`~repro.store.db.ResultStore` (SQLite connections are
@@ -31,13 +31,12 @@ IDLE_WAIT = 2.0
 class WorkerPool:
     """N daemon drain-loops over one queue/store pair."""
 
-    def __init__(self, queue_path, store_path, count=1, secret=None,
+    def __init__(self, queue_path, store_path, count=1,
                  lease_seconds=DEFAULT_LEASE_SECONDS, engine_workers=1,
                  cell_timeout=None, name="serve"):
         self.queue_path = queue_path
         self.store_path = store_path
         self.count = count
-        self.secret = secret
         self.lease_seconds = lease_seconds
         self.engine_workers = engine_workers
         self.cell_timeout = cell_timeout
@@ -69,7 +68,7 @@ class WorkerPool:
         store = ResultStore(self.store_path)
         worker = DistWorker(
             queue, store, worker_id=worker_id,
-            lease_seconds=self.lease_seconds, secret=self.secret,
+            lease_seconds=self.lease_seconds,
             engine_workers=self.engine_workers,
             # Idle exits return to the pool's wake wait, not the
             # drain loop's own long poll.

@@ -9,10 +9,10 @@ in ``campaign_chunks`` (``(key, chunk_index)`` rows, payload layout
 v2).  Every write takes one path: a :class:`ChunkCapture` sink
 compresses the engine's chunk stream as it retires, and
 :meth:`ResultStore.archive` commits the captured blobs plus the
-:func:`archive_meta` row in one transaction (the caching runner does
-so directly, a distributed sweep after verifying the worker's signed
-envelope).  A hit is read in two steps: :meth:`ResultStore.get`
-restores the aggregates from the meta row alone, and
+:func:`archive_meta` row in one transaction (the caching runner on a
+direct caller's miss, the sweep worker once its cell has run).  A hit
+is read in two steps: :meth:`ResultStore.get` restores the aggregates
+from the meta row alone, and
 :meth:`ResultStore.replay` streams the archived chunks into a caller's
 :class:`repro.fi.sink.RunSink` exactly as the engine streamed them, so
 per-run records stay O(chunk_size) on both paths; a writer holds only
@@ -221,10 +221,10 @@ def decode_chunk(blob):
 
 
 def archive_meta(result, chunk_size):
-    """The meta dict *result* archives under (and a distributed worker
-    signs): aggregates — the sizes map and effect counts, so cached
-    hits restore them without a run scan — provenance and the chunk
-    size its records were captured in."""
+    """The meta dict *result* archives under: aggregates — the sizes
+    map and effect counts, so cached hits restore them without a run
+    scan — provenance and the chunk size its records were captured
+    in."""
     return {
         "effects": result.effect_counts(),
         "vulnerable": result.vulnerable_runs(),
@@ -242,9 +242,8 @@ class ChunkCapture(RunSink):
 
     Each retired chunk is compressed with the store's own codec
     (:func:`encode_chunk`) into a ``(blob, n_records, raw_size)``
-    triple, the input of :meth:`ResultStore.archive` — and of a
-    distributed worker's signed envelope, whose blobs are archived
-    byte for byte, never re-encoded.
+    triple, the input of :meth:`ResultStore.archive`, which stores the
+    blobs byte for byte, never re-encoded.
     """
 
     def __init__(self):

@@ -84,7 +84,7 @@ class CachingRunner:
         a hit.
         ``commit=False`` executes a miss without touching the store and
         leaves its chunk stream in :attr:`last_capture` — the caller
-        owns archiving (the distributed worker's signed envelope).  A
+        owns archiving (the sweep worker's ``ResultStore.archive``).  A
         committed miss whose store stays locked past the commit retries
         is not archived: the computed result stands, the cell simply
         misses next time (a warning and ``store.archives_dropped``).

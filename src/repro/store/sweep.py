@@ -163,7 +163,7 @@ class SweepRunner:
         The one engine call every sweep cell makes, local or not.  The
         cell is not archived here: the queue worker takes the chunk
         capture from ``self.runner.last_capture`` and archives it
-        through a signed envelope."""
+        before completing the cell's lease."""
         machine, plan, variant = self.cell_setup(cell)
         result = self.runner.run(
             machine, plan, regs=variant["regs"],

@@ -150,8 +150,10 @@ class TestCompletion:
         assert queue.fail(queue.claim("w0").token, "boom 2") \
             == "poisoned"
         assert queue.counts()["poisoned"] == 1
-        assert any("poisoned after 2 attempts" in reason
-                   for _, _, reason in queue.quarantined())
+        (row,) = queue.cells()
+        assert row["state"] == "poisoned"
+        assert row["attempts"] == 2
+        assert row["last_error"] == "boom 2"
 
     def test_stale_fail_is_superseded(self, queue):
         queue.enqueue(make_spec(harden=("none",)))
@@ -180,13 +182,6 @@ class TestReapAndStatus:
         assert status["states"]["pending"] == 1
         assert status["workers"] == {"w0": 1}
         assert not status["drained"]
-
-    def test_quarantine_events_accumulate(self, queue):
-        queue.quarantine_event("cell-x", "w0", "bad signature")
-        assert queue.quarantined() == [("cell-x", "w0",
-                                        "bad signature")]
-        status = queue.status()
-        assert status["quarantine_events"] == 1
 
 
 class TestClockSkew:

@@ -5,7 +5,6 @@ import sqlite3
 
 import pytest
 
-from repro.dist.coordinator import status_payload
 from repro.dist.queue import WorkQueue, spec_digest
 from repro.store.spec import parse_spec
 
@@ -24,34 +23,29 @@ def queue(tmp_path):
 
 
 class TestStatusPayload:
-    def test_shape_matches_queue_status_plus_quarantine(self, queue):
+    def test_shape_is_queue_state_only(self, queue):
+        """The status carries queue state only, with no quarantine
+        list: a poisoned row already holds its attempts and last
+        error."""
         queue.enqueue(make_spec())
-        payload = status_payload(queue)
-        base = queue.status()
-        for key, value in base.items():
-            assert payload[key] == value
-        assert payload["quarantine"] == []
-
-    def test_quarantine_entries_are_dicts(self, queue):
-        queue.enqueue(make_spec())
-        identity = queue.cells()[0]["cell_id"]
-        queue.quarantine_event(identity, "w0", "digest mismatch")
-        payload = status_payload(queue)
-        assert payload["quarantine"] == [
-            {"cell_id": identity, "worker": "w0",
-             "reason": "digest mismatch"}]
+        status = queue.status()
+        assert set(status) == {"cells", "states", "stale_leases",
+                               "drained", "workers"}
+        assert "quarantine" not in status
 
     def test_spec_scoping(self, queue):
         spec_a, spec_b = make_spec(10), make_spec(20)
         queue.enqueue(spec_a)
         queue.enqueue(spec_b)
         digest_a = spec_digest(spec_a)
-        other = queue.cells(spec_digest(spec_b))[0]["cell_id"]
-        queue.quarantine_event(other, "w0", "other spec's trouble")
-        scoped = status_payload(queue, digest_a)
+        other = queue.claim("w0")
+        assert other.spec_digest == digest_a
+        queue.complete(other.token, result_key="k")
+        scoped = queue.status(digest_a)
         assert scoped["cells"] == 2
-        assert scoped["quarantine"] == []
-        assert status_payload(queue)["cells"] == 4
+        assert scoped["states"]["done"] == 1
+        assert queue.status(spec_digest(spec_b))["states"]["done"] == 0
+        assert queue.status()["cells"] == 4
 
     def test_completion_accounting_lands_in_cells(self, queue):
         queue.enqueue(make_spec())
@@ -93,3 +87,34 @@ class TestSchemaMigration:
             done = [row for row in reopened.cells()
                     if row["state"] == "done"]
             assert done[0]["sim_runs"] == 3
+
+    def test_old_quarantine_table_is_ignored(self, tmp_path):
+        """A queue file that still holds the retired dist_quarantine
+        event log opens, drains and reports as usual; the table is
+        left alone."""
+        path = str(tmp_path / "old.sqlite")
+        with WorkQueue(path) as queue:
+            queue.enqueue(make_spec())
+        connection = sqlite3.connect(path)
+        connection.executescript("""
+            CREATE TABLE dist_quarantine (
+                event_id INTEGER PRIMARY KEY AUTOINCREMENT,
+                cell_id TEXT NOT NULL, worker TEXT,
+                reason TEXT NOT NULL, detected_at TEXT NOT NULL);
+            INSERT INTO dist_quarantine (cell_id, worker, reason,
+                                         detected_at)
+                VALUES ('cell-x', 'w0', 'bad signature', 'then');
+        """)
+        connection.close()
+        with WorkQueue(path) as reopened:
+            while (lease := reopened.claim("w0")) is not None:
+                reopened.complete(lease.token, result_key="k")
+            status = reopened.status()
+            assert status["drained"]
+            assert status["states"]["done"] == 2
+            assert "quarantine" not in status
+        connection = sqlite3.connect(path)
+        (events,) = connection.execute(
+            "SELECT COUNT(*) FROM dist_quarantine").fetchone()
+        connection.close()
+        assert events == 1

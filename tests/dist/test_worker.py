@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.dist.coordinator import enqueue_spec
 from repro.dist.queue import WorkQueue
 from repro.dist.worker import DistWorker, policy_from_specs
+from repro.fi.chaos import ChaosPolicy
 from repro.store import ResultStore, parse_spec, run_sweep
+from repro.store.db import COMMIT_RETRIES
 
 SPEC_DATA = {
     "grid": {"kernels": ["bitcount"], "modes": ["bec", "ior"],
@@ -55,33 +56,40 @@ class TestWorkerLoop:
                                                     store, tmp_path):
         spec = make_spec()
         with ResultStore(str(tmp_path / "serial.sqlite")) as serial:
-            run_sweep(spec, serial)
-            summary = enqueue_spec(queue, spec)
-            assert summary["enqueued"] == len(spec.cells())
+            report = run_sweep(spec, serial)
+            assert len(queue.enqueue(spec)) == len(spec.cells())
             stats = drain(queue, store)
             assert stats["done"] == len(spec.cells())
-            assert stats["failed"] == stats["rejected"] == 0
+            assert stats["failed"] == stats["superseded"] == 0
             assert queue.drained()
             assert archive_rows(store) == archive_rows(serial)
         assert store.verify()["ok"]
         status = queue.status()
         assert status["workers"] == {"w0": len(spec.cells())}
+        # Executed cells record the runs they simulated (plan runs
+        # minus pruned ones), summing to the serial sweep's count.
+        rows = queue.cells()
+        assert not any(row["cached"] for row in rows)
+        assert sum(row["sim_runs"] for row in rows) \
+            == report.simulator_runs > 0
 
     def test_warm_store_commits_via_cached_envelopes(self, queue,
                                                      store):
         spec = make_spec()
         run_sweep(spec, store)
         warm_rows = archive_rows(store)
-        enqueue_spec(queue, spec)
+        queue.enqueue(spec)
         stats = drain(queue, store)
         assert stats["done"] == len(spec.cells())
         assert queue.drained()
         # Cached completion re-writes nothing: the rows are untouched.
         assert archive_rows(store) == warm_rows
+        assert all(row["cached"] and row["sim_runs"] == 0
+                   for row in queue.cells())
 
     def test_max_cells_bounds_one_pass(self, queue, store):
         spec = make_spec()
-        enqueue_spec(queue, spec)
+        queue.enqueue(spec)
         stats = drain(queue, store, max_cells=1)
         assert stats["done"] == 1
         assert not queue.drained()
@@ -90,46 +98,33 @@ class TestWorkerLoop:
                                                     store):
         spec = make_spec({"grid": {"kernels": ["no-such-kernel"]},
                           "engine": {"max_runs": 5}})
-        enqueue_spec(queue, spec, max_attempts=2)
+        queue.enqueue(spec, max_attempts=2)
         stats = drain(queue, store)
         assert stats["failed"] == 2
         assert stats["done"] == 0
         assert queue.counts()["poisoned"] == 1
         assert queue.drained()
-        (cell, _worker, reason) = queue.quarantined()[-1]
-        assert "poisoned" in reason
+        (row,) = queue.cells()
+        assert row["state"] == "poisoned"
+        assert row["attempts"] == 2
+        assert "no-such-kernel" in row["last_error"]
 
 
 class TestWorkerChaos:
-    def test_forged_envelope_rejected_then_retried(self, queue,
-                                                   store, tmp_path):
-        spec = make_spec()
-        with ResultStore(str(tmp_path / "serial.sqlite")) as serial:
-            run_sweep(spec, serial)
-            enqueue_spec(queue, spec)
-            policy = policy_from_specs(["forge_envelope=0"])
-            stats = drain(queue, store, chaos=policy)
-            assert stats["rejected"] == 1
-            assert stats["done"] == len(spec.cells())
-            assert queue.drained()
-            # The forged payload never reached the archive; the retry
-            # (and every clean cell) matches the serial sweep exactly.
-            assert archive_rows(store) == archive_rows(serial)
-        assert any("bad signature" in reason
-                   for _, _, reason in queue.quarantined())
-        assert store.verify()["ok"]
-
-    def test_corrupt_envelope_rejected_then_retried(self, queue,
-                                                    store):
-        spec = make_spec()
-        enqueue_spec(queue, spec)
-        policy = policy_from_specs(["corrupt_envelope=0"])
-        stats = drain(queue, store, chaos=policy)
-        assert stats["rejected"] == 1
-        assert stats["done"] == len(spec.cells())
-        assert any("payload digest" in reason
-                   for _, _, reason in queue.quarantined())
-        assert store.verify()["ok"]
+    def test_store_that_stays_locked_fails_the_lease(self, queue,
+                                                     tmp_path):
+        spec = make_spec({"grid": {"kernels": ["bitcount"]},
+                          "engine": {"max_runs": 5}})
+        queue.enqueue(spec, max_attempts=1)
+        policy = ChaosPolicy().lock_store(times=COMMIT_RETRIES + 10)
+        with ResultStore(str(tmp_path / "locked.sqlite"),
+                         chaos=policy) as locked:
+            stats = drain(queue, locked)
+            assert len(locked) == 0
+        assert stats["failed"] == 1
+        (row,) = queue.cells()
+        assert row["state"] == "poisoned"
+        assert "locked" in row["last_error"]
 
     def test_forfeited_lease_still_commits_idempotently(self, queue,
                                                         store):
@@ -138,7 +133,7 @@ class TestWorkerChaos:
         'done'; the superseded path needs a second worker (soak
         test)."""
         spec = make_spec()
-        enqueue_spec(queue, spec)
+        queue.enqueue(spec)
         policy = policy_from_specs(["expire_lease=0"])
         stats = drain(queue, store, chaos=policy)
         assert policy.fired >= 1
@@ -155,12 +150,12 @@ class TestPolicyFromSpecs:
     def test_all_faults_parse(self):
         policy = policy_from_specs(
             ["kill_cell=1", "kill_claim=2", "expire_lease=0",
-             "forge_envelope=0", "corrupt_envelope=3",
              "skew_clock=120.5"])
-        assert len(policy.rules) == 6
+        assert len(policy.rules) == 4
 
     @pytest.mark.parametrize("bad", [
         "torch_the_queue=1",        # unknown fault
+        "forge_envelope=0",         # not a fault point
         "kill_cell",                # missing value
         "kill_cell=",               # empty value
     ])

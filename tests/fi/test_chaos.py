@@ -75,13 +75,12 @@ class TestChaosPolicy:
         assert policy.fired >= 1
 
     def test_dist_fault_points_match_their_ordinals(self):
-        policy = (ChaosPolicy().expire_lease(1)
-                  .forge_envelope(0).corrupt_envelope(2))
+        policy = ChaosPolicy().expire_lease(1).expire_lease(3)
         assert not policy.fire("dist.expire_lease", ordinal=0)
         assert policy.fire("dist.expire_lease", ordinal=1)
-        assert policy.fire("dist.forge_envelope", ordinal=0)
-        assert policy.fire("dist.corrupt_envelope", ordinal=2)
-        assert policy.fired == 3
+        assert not policy.fire("dist.expire_lease", ordinal=2)
+        assert policy.fire("dist.expire_lease", ordinal=3)
+        assert policy.fired == 2
 
     def test_kill_dist_worker_matches_phase(self):
         policy = ChaosPolicy().kill_dist_worker(0, phase="claim")

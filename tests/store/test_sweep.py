@@ -503,7 +503,7 @@ def direct_run(runner, cell):
 
 class TestArchiveIdentity:
     """A direct caller's miss (``CachingRunner.run``, committed) and a
-    sweep cell (worker capture → signed envelope → commit) archive
+    sweep cell (the worker archiving its chunk capture) archive
     through the same ``ResultStore.archive`` call, so they store
     byte-identical rows."""
 

@@ -293,9 +293,17 @@ class TestOptLevelThreading:
         assert cycles(raw) > cycles(opt)
 
     def test_sample_accepts_level(self, minic_file, capsys):
-        assert main(["sample", minic_file, "--budget", "40",
-                     "-O", "1"]) == 0
-        assert "AVF estimate" in capsys.readouterr().out
+        populations = {}
+        for level in ("0", "1"):
+            assert main(["sample", minic_file, "--budget", "40",
+                         "-O", level]) == 0
+            out = capsys.readouterr().out
+            assert "AVF estimate" in out
+            populations[level] = int(
+                out.split(" fault sites")[0].rsplit(" ", 1)[-1])
+        # Unoptimized code has more live register bits to sample; a
+        # dropped -O would make the two populations equal.
+        assert populations["0"] > populations["1"]
 
 
 HARDEN_MINIC = """
@@ -638,11 +646,24 @@ class TestStoreVerify:
         assert "OK" in out
 
     def test_verify_fresh_store_is_ok(self, tmp_path, capsys):
-        # A nonexistent path is simply an empty store — verify reports
-        # it OK with zero results rather than crashing.
-        assert main(["store", "verify",
-                     str(tmp_path / "fresh.sqlite")]) == 0
+        # An empty store — created, never written — verifies OK with
+        # zero results rather than crashing.
+        from repro.store import ResultStore
+
+        fresh = str(tmp_path / "fresh.sqlite")
+        ResultStore(fresh).close()
+        assert main(["store", "verify", fresh]) == 0
         assert "0 results" in capsys.readouterr().out
+
+    def test_verify_missing_store_exits(self, tmp_path):
+        """A mistyped path is an error, not an empty store: verify
+        exits nonzero and creates neither the file nor its
+        directory."""
+        missing = tmp_path / "nope" / "typo-store.sqlite"
+        with pytest.raises(SystemExit, match="no such file") as error:
+            main(["store", "verify", str(missing)])
+        assert error.value.code != 0
+        assert not missing.parent.exists()
 
 
 class TestCampaignStore:
