@@ -32,8 +32,9 @@ Usage (``python -m repro <command> ...``)::
 entry function's parameter registers.  ``sweep`` expands a declarative
 TOML/JSON grid spec (kernels × fault models × protection policies ×
 budgets × cores) against a content-addressed result store
-(:mod:`repro.store`): cells already archived are skipped, the rest are
-sharded across processes, and interrupted sweeps resume.  ``campaign
+(:mod:`repro.store`): cells already archived are skipped, the rest run
+whole in kernel-affine queue worker processes, and interrupted sweeps
+resume.  ``campaign
 --store DB`` gives a single campaign the same treatment.  ``run``, ``analyze``,
 ``campaign``, ``sample`` and ``harden`` accept the same ``-O{0,1}``
 optimization level as ``compile``, so analyses and campaigns can run
@@ -761,6 +762,16 @@ def _package_version():
         return repro.__version__
 
 
+def _at_least_one(text):
+    """argparse type of a count below which nothing could run: a
+    smaller value is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -923,8 +934,10 @@ def build_parser():
                      help="content-addressed result store "
                           "(default: .repro-store.sqlite)")
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes for cache misses "
-                          "(default: the spec's engine.workers)")
+                     help="processes for the sweep: whole cells run in "
+                          "min(N, kernels) queue workers, each cell's "
+                          "engine gets the rest (default: the spec's "
+                          "engine.workers)")
     sub.add_argument("--force", action="store_true",
                      help="re-execute every cell even on a warm store "
                           "(results are re-archived)")
@@ -986,10 +999,10 @@ def build_parser():
     sub.set_defaults(handler=cmd_dist_enqueue)
     sub.add_argument("spec", help="grid spec (.toml / .json)")
     add_queue_argument(sub)
-    sub.add_argument("--max-attempts", type=int, default=None,
+    sub.add_argument("--max-attempts", type=_at_least_one, default=None,
                      metavar="N",
                      help="claims a cell may consume before it is "
-                          "poisoned (default 3)")
+                          "poisoned (at least 1; default 3)")
 
     sub = dist_sub.add_parser(
         "work",

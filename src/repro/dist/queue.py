@@ -26,6 +26,13 @@ killing its workers ends up **poisoned** (excluded from claims,
 reported by ``repro dist status``) instead of looping forever — the
 host-level analogue of PR 7's bounded worker retries.
 
+Claims are **kernel-affine**, so one worker computes each kernel's
+compile, hardened variants, BEC analyses, golden runs and plans: a
+worker *holds* a kernel while it has an unexpired lease on one of its
+cells or completed one less than a lease duration ago.  A claim takes
+the next eligible cell of a kernel the claimant holds; failing that,
+the first eligible cell of a kernel no other worker holds.
+
 Completion is token-guarded: ``complete`` succeeds only for the
 *current* leaseholder.  A worker whose lease expired mid-cell and was
 re-leased elsewhere gets ``"superseded"`` back — its result bytes were
@@ -202,17 +209,25 @@ class WorkQueue:
         payload = json.loads(row[0])
         return parse_spec(payload["data"], name=payload["name"])
 
-    def enqueue(self, spec, max_attempts=DEFAULT_MAX_ATTEMPTS):
-        """Register *spec* and enqueue every cell of its grid.
+    def enqueue(self, spec, max_attempts=DEFAULT_MAX_ATTEMPTS,
+                cells=None):
+        """Register *spec* and enqueue every cell of its grid, in the
+        order of *cells* (default: spec order), which is the order
+        claims take them in.
 
         Idempotent: a cell already queued (any state) is left alone,
         so re-enqueueing a partially drained spec only tops up what is
-        missing.  Returns the cell ids actually inserted.
+        missing.  Returns the cell ids actually inserted.  Raises
+        ``ValueError`` when *max_attempts* is below 1: such a cell
+        could never be claimed.
         """
+        if max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {max_attempts}")
         digest = self.add_spec(spec)
         inserted = []
         now = self.now()
-        for cell in spec.cells():
+        for cell in spec.cells() if cells is None else cells:
             identity = cell_id(digest, cell)
             cursor = self._connection.execute(
                 "INSERT OR IGNORE INTO dist_queue "
@@ -228,28 +243,44 @@ class WorkQueue:
     # -- leasing -----------------------------------------------------------
 
     def claim(self, worker, lease_seconds=DEFAULT_LEASE_SECONDS):
-        """Atomically lease the oldest eligible cell to *worker*
-        (insertion order breaks ties, so one spec's cells are claimed
-        in spec order).
+        """Atomically lease an eligible cell to *worker*: the oldest of
+        a kernel *worker* holds, else the oldest of a kernel no other
+        worker holds (see the module docstring; insertion order breaks
+        ties, so one spec's cells are claimed in enqueue order).
+        *lease_seconds* is both the new lease's length and how long a
+        completion keeps its kernel held.
 
         Eligible: pending, or leased past its deadline — both only
         while attempts remain.  Returns a :class:`Lease` or ``None``
         when nothing is claimable right now (which is not the same as
-        the queue being drained: cells leased to live workers are
-        ineligible but unfinished — see :meth:`drained`).
+        the queue being drained: cells leased to live workers, and
+        cells of kernels they hold, are unfinished — see
+        :meth:`drained`).
         """
         token = uuid.uuid4().hex
         now = self.now()
         eligible = ("(state = 'pending' OR (state = 'leased' "
-                    "AND lease_expires < ?)) AND attempts < max_attempts")
+                    "AND lease_expires < :now)) "
+                    "AND attempts < max_attempts")
+        kernel = "json_extract(cell, '$.kernel')"
+
+        def held(by):
+            return (f"(SELECT {kernel} FROM dist_queue WHERE worker {by} "
+                    f":worker AND ((state = 'leased' AND lease_expires "
+                    f">= :now) OR (state = 'done' AND completed_at > "
+                    f":held_since)))")
         cursor = self._connection.execute(
-            f"UPDATE dist_queue SET state = 'leased', worker = ?, "
-            f"lease_token = ?, lease_expires = ?, "
+            f"UPDATE dist_queue SET state = 'leased', worker = :worker, "
+            f"lease_token = :token, lease_expires = :expires, "
             f"attempts = attempts + 1 "
             f"WHERE cell_id = (SELECT cell_id FROM dist_queue "
-            f"WHERE {eligible} ORDER BY enqueued_at, rowid LIMIT 1) "
-            f"AND {eligible}",
-            (worker, token, now + lease_seconds, now, now))
+            f"WHERE {eligible} AND ({kernel} IN {held('=')} "
+            f"OR {kernel} NOT IN {held('!=')}) "
+            f"ORDER BY {kernel} IN {held('=')} DESC, enqueued_at, rowid "
+            f"LIMIT 1) AND {eligible}",
+            {"worker": worker, "token": token,
+             "expires": now + lease_seconds, "now": now,
+             "held_since": now - lease_seconds})
         if not cursor.rowcount:
             return None
         row = self._connection.execute(
@@ -289,6 +320,20 @@ class WorkQueue:
         if cursor.rowcount:
             obs.metrics().counter("dist.lease_expiries").inc()
         return bool(cursor.rowcount)
+
+    def expire_worker(self, worker):
+        """Expire every lease *worker* holds, as :meth:`force_expire`
+        does one: for a worker known to be dead, whose cells should not
+        wait out their leases.  Returns the number of leases expired."""
+        now = self.now()
+        cursor = self._connection.execute(
+            "UPDATE dist_queue SET lease_expires = ? "
+            "WHERE worker = ? AND state = 'leased' AND lease_expires >= ?",
+            (now - 1.0, worker, now))
+        if cursor.rowcount:
+            obs.metrics().counter("dist.lease_expiries").inc(
+                cursor.rowcount)
+        return cursor.rowcount
 
     # -- completion --------------------------------------------------------
 

@@ -7,7 +7,9 @@ One ``repro dist work`` process is a loop over
    worker's proof of ownership).
 2. **Execute** it through :meth:`repro.store.sweep.SweepRunner.run_cell`,
    the one engine call every sweep cell makes (a local ``repro sweep``
-   is this loop with one worker over an in-memory queue), so a
+   is this loop: one worker over an in-memory queue, or
+   ``min(workers, kernels)`` forked workers over a temporary queue
+   file), so a
    distributed sweep's keys and aggregates are bit-identical to a
    serial one's.  ``run_cell`` does not archive: the caching runner
    leaves the compressed chunk stream in its

@@ -181,7 +181,8 @@ class BlockEmitter:
     order, leads each record with its plan row and passes the block to
     *sink* in ``chunk_size`` pieces: every chunk but the last holds
     exactly ``chunk_size`` records, whatever ``n_parts`` is.  It also
-    sums the parts' pruned counts.
+    sums the parts' pruned counts.  A caller that has read a part's
+    plan rows already hands them over, so no row is built twice.
     """
 
     def __init__(self, plan, sink, chunk_size, n_parts=1):
@@ -209,11 +210,12 @@ class BlockEmitter:
         return [index for index in range(self.n_blocks)
                 if part < len(self.block(index))]
 
-    def add(self, part, block, records, pruned=0):
+    def add(self, part, block, records, pruned=0, planned=None):
         """Take part *part* of block *block* (one record per row of
-        :meth:`rows`, *pruned* of them liveness-pruned) and emit every
+        :meth:`rows`, *pruned* of them liveness-pruned; *planned*: the
+        part's plan rows, when the caller has them) and emit every
         block now complete, in plan order."""
-        self._arrived.setdefault(block, {})[part] = records
+        self._arrived.setdefault(block, {})[part] = (records, planned)
         self.pruned += pruned
         while self._next < self.n_blocks:
             rows = self.block(self._next)
@@ -223,14 +225,18 @@ class BlockEmitter:
             del self._arrived[self._next]
             self._next += 1
             merged = [None] * len(rows)
-            for index, records in parts.items():
-                merged[index::self.n_parts] = records
-            plan = self.plan
+            leads = [None] * len(rows)
+            for index, (part_records, part_rows) in parts.items():
+                merged[index::self.n_parts] = part_records
+                if part_rows is None:
+                    part_rows = [self.plan[row]
+                                 for row in rows[index::self.n_parts]]
+                leads[index::self.n_parts] = part_rows
             size = self.chunk_size
             for low in range(0, len(rows), size):
                 self.sink.consume([
-                    (plan[index],) + record for index, record
-                    in zip(rows[low:low + size], merged[low:low + size])])
+                    (lead,) + record for lead, record
+                    in zip(leads[low:low + size], merged[low:low + size])])
 
 
 class _WorkerContext:
@@ -255,7 +261,10 @@ class _WorkerContext:
         """``(records, pruned)`` for the plan entries at *indices*: one
         record per entry, in order, and how many of them liveness
         pruning recorded as the golden masked run."""
-        rows = [self.plan[index] for index in indices]
+        return self.classify([self.plan[index] for index in indices])
+
+    def classify(self, rows):
+        """:meth:`classify_indices` for plan rows already read."""
         live = range(len(rows))
         if self.pruner is not None:
             masked = self.pruner.provably_masked
@@ -659,11 +668,12 @@ class CampaignEngine:
         else:
             emitter = BlockEmitter(self.plan, tee, chunk_size)
             for block in range(emitter.n_blocks):
-                rows = emitter.rows(0, block)
-                with obs.tracer().span("engine.chunk", low=rows.start,
-                                       size=len(rows)):
-                    emitter.add(0, block,
-                                *context.classify_indices(rows))
+                indices = emitter.rows(0, block)
+                with obs.tracer().span("engine.chunk", low=indices.start,
+                                       size=len(indices)):
+                    rows = [self.plan[index] for index in indices]
+                    emitter.add(0, block, *context.classify(rows),
+                                planned=rows)
         pruned = emitter.pruned
         if pruned:
             obs.metrics().counter("engine.runs_pruned").inc(pruned)

@@ -21,7 +21,11 @@ Fork safety: a forked child inherits an enabled tracer, but
 ``span()`` checks the recording pid and degrades to the no-op
 singleton in children — worker-side work is visible as the parent's
 ``engine.worker`` lanes, and child processes never write to a ring
-they cannot ship back.
+they cannot ship back.  A child that can ship records back (a sweep's
+queue workers) calls :meth:`Tracer.follow_fork`, sends what
+:meth:`Tracer.take` returns, and the parent adds them to its ring
+with :meth:`Tracer.extend`: the spans keep the child's pid, so each
+child renders as its own process row.
 
 :func:`to_chrome` converts the ring to Chrome trace-event JSON
 (``"X"`` complete events, microsecond ``ts``/``dur``) that loads
@@ -139,6 +143,29 @@ class Tracer:
     def clear(self):
         self._records.clear()
 
+    def follow_fork(self):
+        """Call in a forked child: the ring restarts empty, and if the
+        parent was recording, the child records under its own pid with
+        the parent's epoch, so its spans line up with the parent's once
+        they are shipped back.  The child does not write the parent's
+        stream."""
+        self._records = collections.deque(maxlen=self._records.maxlen)
+        self._pid = os.getpid()
+        self._stream = None
+        self._owns_stream = False
+
+    def take(self):
+        """The completed spans, oldest first, removed from the ring."""
+        records = list(self._records)
+        self._records.clear()
+        return records
+
+    def extend(self, records):
+        """Add spans another process recorded (see
+        :meth:`follow_fork`), streaming them like this process's own."""
+        for record in records:
+            self._append(record)
+
     # -- span creation -----------------------------------------------------
 
     def span(self, name, tid=None, **args):
@@ -175,6 +202,9 @@ class Tracer:
             "parent": span._parent,
             "args": span.args,
         }
+        self._append(record)
+
+    def _append(self, record):
         self._records.append(record)
         if self._stream is not None:
             self._stream.write(json.dumps(record, sort_keys=True,

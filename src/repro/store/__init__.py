@@ -12,8 +12,8 @@ so they are stored once under a content address
 * :class:`SweepSpec` / :func:`load_spec` — declarative TOML/JSON grid
   specs;
 * :func:`run_sweep` / :class:`SweepReport` — the ``repro sweep``
-  orchestrator: expand the grid, skip hits, shard misses, emit a
-  consolidated report.
+  orchestrator: expand the grid, skip hits, run misses in
+  kernel-affine queue workers, emit a consolidated report.
 """
 
 from repro.store.db import ResultStore

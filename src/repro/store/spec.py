@@ -14,7 +14,9 @@ canonical shape::
     cores   = ["threaded"]                 # execution cores
 
     [engine]                               # all optional
-    workers = 2                            # processes for cache misses
+    workers = 2                            # processes: min(workers, kernels)
+                                           # queue workers run whole cells,
+                                           # each cell's engine gets the rest
     checkpoint_interval = 64               # snapshot/resume granularity
     prune = "none"                         # or "liveness"
     max_runs = 200                         # cap each cell's plan

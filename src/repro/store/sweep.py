@@ -3,13 +3,18 @@
 Expands a :class:`repro.store.spec.SweepSpec` into cells
 (kernel × fault model × protection policy × budget × core), computes
 each cell's content address, returns archived results for hits and
-shards the misses across processes through the campaign engine
-(:class:`repro.store.runner.CachingRunner`).  A local sweep is the
-one-worker case of :mod:`repro.dist`: the grid is enqueued into an
-in-memory lease queue and drained by one
-:class:`repro.dist.worker.DistWorker`, so ``repro sweep``,
+runs the misses through the campaign engine
+(:class:`repro.store.runner.CachingRunner`).  A local sweep drains a
+:mod:`repro.dist` lease queue with
+:class:`repro.dist.worker.DistWorker` loops, so ``repro sweep``,
 ``repro dist work`` and ``repro serve`` execute, retry and fail cells
-the same way.  Because every finished cell is committed to the store
+the same way.  ``workers`` is the sweep's process budget: with one
+worker (or one kernel) a single in-process worker drains an in-memory
+queue, and each cell's engine gets every worker; otherwise
+``min(workers, kernels)`` forked queue workers run whole cells, each
+holding whole kernels (the queue's claims are kernel-affine), and each
+cell's engine gets ``workers // processes`` of them.  Because every
+finished cell is committed to the store
 individually, an interrupted sweep resumes for free: re-running the
 same spec against the same store re-executes only the missing cells,
 and a fully warm store re-runs zero
@@ -20,6 +25,10 @@ Kernels are either names from the evaluation-benchmark registry
 smoke grids in CI and tests can sweep tiny programs.
 """
 
+import contextlib
+import gc
+import os
+import tempfile
 import time
 from collections import namedtuple
 
@@ -129,9 +138,10 @@ class SweepRunner:
                 budget=0.3 if budget is None else budget, bec=base["bec"],
                 regs=regs, memory_image=memory_image)
             function = result.function
+        with obs.tracer().span("bec", kernel=name, harden=strategy):
+            bec = run_bec(function)
         variant = {"function": function, "memory_image": memory_image,
-                   "regs": regs, "golden": golden,
-                   "bec": run_bec(function)}
+                   "regs": regs, "golden": golden, "bec": bec}
         self._variants[key] = variant
         return variant
 
@@ -188,13 +198,18 @@ class SweepRunner:
         return result, outcome
 
     def run(self, progress=None, run_progress=None):
-        """Execute every cell: enqueue the grid into an in-memory
-        :class:`repro.dist.queue.WorkQueue` and drain it with one
-        :class:`repro.dist.worker.DistWorker` that shares this runner
-        (its caches, ``force`` and hit/miss/run counters).
+        """Execute every cell through :mod:`repro.dist` queue workers
+        and return the :class:`SweepReport`, cells in spec order.
+
+        With one worker, a grid of one kernel or a store that is not a
+        file, one in-process :class:`repro.dist.worker.DistWorker`
+        that shares this runner (its caches, ``force`` and hit/miss/run
+        counters) drains an in-memory queue, and each cell's engine
+        gets every worker.  Otherwise :meth:`_drain_forked` runs whole
+        cells in ``min(workers, kernels)`` forked queue workers.
 
         ``progress(done, total, outcome)`` fires per finished or
-        poisoned cell, in spec order; ``run_progress(cell, done,
+        poisoned cell, in completion order; ``run_progress(cell, done,
         total)`` streams run-level advancement *within* each executing
         cell (the worker's heartbeat, fed by the engine's
         :class:`repro.fi.sink.ProgressSink`).  Both are delivered as
@@ -212,31 +227,49 @@ class SweepRunner:
         by_id = {cell_id(digest, cell): cell for cell in cells}
         finished = {}        # cell id -> CellOutcome
 
+        def settle(identity, outcome):
+            finished[identity] = outcome
+            if progress is not None:
+                with contextlib.suppress(Exception):
+                    progress(len(finished), len(cells), outcome)
+
         def on_event(kind, cell_id=None, done=None, total=None,
                      state=None, error=None, outcome=None, **_fields):
-            cell = by_id[cell_id]
             if kind == "cell_progress":
                 if run_progress is not None:
-                    run_progress(cell, done, total)
-                return
-            if kind == "cell_failed" and state == "poisoned":
-                outcome = CellOutcome(
-                    cell=cell, key=None, cached=False, plan_runs=0,
-                    pruned_runs=0, effects={}, distinct_traces=0,
-                    archived_bytes=0, wall_time=0.0, golden_cycles=None,
-                    overhead=None, error=error)
-            elif kind != "cell_done":
-                return
-            finished[cell_id] = outcome
-            if progress is not None:
-                progress(len(finished), len(cells), outcome)
+                    with contextlib.suppress(Exception):
+                        run_progress(by_id[cell_id], done, total)
+            elif kind == "cell_done":
+                settle(cell_id, outcome)
+            elif kind == "cell_failed" and state == "poisoned":
+                settle(cell_id, _failed_outcome(by_id[cell_id], error))
 
-        with WorkQueue(":memory:") as queue, obs.tracer().span(
-                "sweep", spec=self.spec.name, cells=len(cells)):
-            queue.enqueue(self.spec, max_attempts=self.max_retries + 1)
-            worker = DistWorker(queue, self.store, events=on_event)
-            worker.runners[digest] = self
-            worker.run()
+        processes = min(self.workers,
+                        len({cell.kernel for cell in cells}))
+        forked = processes > 1 and self.store.path != ":memory:"
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(obs.tracer().span(
+                "sweep", spec=self.spec.name, cells=len(cells)))
+            path = ":memory:"
+            if forked:
+                directory = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-sweep-"))
+                path = os.path.join(directory, "queue.sqlite")
+                cells = self._largest_kernels_first(cells)
+            queue = stack.enter_context(WorkQueue(path))
+            queue.enqueue(self.spec, max_attempts=self.max_retries + 1,
+                          cells=cells)
+            if forked:
+                self._drain_forked(queue, processes, on_event)
+            else:
+                worker = DistWorker(queue, self.store, events=on_event)
+                worker.runners[digest] = self
+                worker.run()
+            for row in queue.cells():       # cells no worker settled
+                if row["cell_id"] not in finished:
+                    settle(row["cell_id"], _failed_outcome(
+                        row["cell"], row["last_error"]
+                        or f"left {row['state']} by every worker"))
         return SweepReport(
             spec_name=self.spec.name, store_path=self.store.path,
             outcomes=[finished[identity] for identity in by_id],
@@ -245,6 +278,146 @@ class SweepRunner:
             wall_time=time.perf_counter() - start,
             store_stats=self.store.stats(),
             metrics=registry.totals(registry.delta_since(mark)))
+
+    def _largest_kernels_first(self, cells):
+        """*cells* grouped by kernel, the largest compiled program
+        first (spec order between equal sizes and within a group), so
+        the longest kernel starts first.  A kernel that does not load
+        goes last; its cells fail in the worker that claims them."""
+        def size(label):
+            try:
+                return len(self._kernel(label)[0])
+            except Exception:
+                return -1
+        labels = dict.fromkeys(cell.kernel for cell in cells)
+        rank = {label: (-size(label), index)
+                for index, label in enumerate(labels)}
+        return sorted(cells, key=lambda cell: rank[cell.kernel])
+
+    def _drain_forked(self, queue, processes, on_event):
+        """Drain *queue* with *processes* forked queue workers; this
+        process only collects.
+
+        Each child is an unmodified :class:`repro.dist.worker.DistWorker`
+        with its own connections to the queue file and the store, and a
+        :class:`SweepRunner` whose engine gets ``workers // processes``
+        workers (see :meth:`_serve_queue`).  A child sends each worker
+        event of a settled cell together with its hit/miss/run counts,
+        metrics delta and tracer records since its last message; they
+        are folded in here, and the event goes to *on_event*.  A child
+        that dies has its leases expired at once and is started again
+        under the same worker id, which still holds its kernels, so its
+        cell is re-leased without waiting out the lease; there is at
+        most one restart per possible claim.  Children are forked, not
+        spawned: they inherit the spec, this runner's compiled kernels
+        and the caller's process state.
+        """
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        context = multiprocessing.get_context("fork")
+        engine_workers = self.workers // processes
+        registry = obs.metrics()
+        tracer = obs.tracer()
+        children = {}        # pipe -> (worker id, process)
+
+        def spawn(worker_id):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(
+                target=self._serve_queue,
+                args=(send, queue.path, worker_id, engine_workers))
+            # The child's collector then leaves the inherited objects
+            # alone instead of touching (and copying) their pages.
+            gc.freeze()
+            try:
+                process.start()
+            finally:
+                gc.unfreeze()
+            send.close()
+            children[receive] = (worker_id, process)
+
+        restarts = queue.counts()["pending"] * (self.max_retries + 1)
+        try:
+            for slot in range(processes):
+                spawn(f"sweep-{slot}")
+            while children:
+                for pipe in wait(list(children)):
+                    worker_id, process = children[pipe]
+                    try:
+                        kind, fields, counts, metrics, spans = pipe.recv()
+                    except EOFError:
+                        del children[pipe]
+                        pipe.close()
+                        process.join()
+                        if process.exitcode and not queue.drained():
+                            queue.expire_worker(worker_id)
+                            if restarts:
+                                restarts -= 1
+                                spawn(worker_id)
+                        continue
+                    self.runner.hits += counts[0]
+                    self.runner.misses += counts[1]
+                    self.runner.simulator_runs += counts[2]
+                    registry.merge(metrics)
+                    tracer.extend(spans)
+                    if kind is not None:
+                        on_event(kind, **fields)
+        finally:
+            for pipe, (_, process) in children.items():
+                process.terminate()
+                process.join()
+                pipe.close()
+
+    def _serve_queue(self, pipe, queue_path, worker_id, engine_workers):
+        """The body of one forked sweep worker: drain the queue file
+        into the store with a :class:`repro.dist.worker.DistWorker`,
+        sending what :meth:`_drain_forked` collects down *pipe*."""
+        from repro.dist.queue import WorkQueue, spec_digest
+        from repro.dist.worker import DistWorker
+        from repro.store.db import ResultStore
+
+        tracer = obs.tracer()
+        tracer.follow_fork()
+        registry = obs.metrics()
+        mark, sent = registry.mark(), (0, 0, 0)
+        with ResultStore(self.store.path, chaos=self.store.chaos) \
+                as store, WorkQueue(queue_path) as queue:
+            runner = SweepRunner(
+                self.spec, store, workers=engine_workers,
+                force=self.runner.force, max_retries=self.max_retries,
+                max_wall_seconds=self.max_wall_seconds)
+            runner._kernels = self._kernels   # compiled before the fork
+
+            def send(kind, fields):
+                nonlocal mark, sent
+                counts = (runner.runner.hits, runner.runner.misses,
+                          runner.runner.simulator_runs)
+                pipe.send((kind, fields,
+                           [now - before for now, before
+                            in zip(counts, sent)],
+                           registry.delta_since(mark), tracer.take()))
+                mark, sent = registry.mark(), counts
+
+            def on_event(kind, **fields):
+                if kind == "cell_progress":
+                    pipe.send((kind, fields, (0, 0, 0), {}, []))
+                elif kind != "cell_claimed":
+                    send(kind, fields)
+
+            worker = DistWorker(queue, store, worker_id=worker_id,
+                                events=on_event)
+            worker.runners[spec_digest(self.spec)] = runner
+            worker.run()
+            send(None, None)
+        pipe.close()
+
+
+def _failed_outcome(cell, error):
+    """The :class:`CellOutcome` of a cell whose every attempt failed."""
+    return CellOutcome(
+        cell=cell, key=None, cached=False, plan_runs=0, pruned_runs=0,
+        effects={}, distinct_traces=0, archived_bytes=0, wall_time=0.0,
+        golden_cycles=None, overhead=None, error=error)
 
 
 def run_sweep(spec, store, workers=None, force=False, progress=None,

@@ -56,6 +56,16 @@ class TestDistCli:
         assert "2 done" in capsys.readouterr().out
         assert dist("reap", paths) == 0
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_enqueue_rejects_max_attempts_below_one(self, spec_file,
+                                                    paths, value,
+                                                    capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["dist", "enqueue", spec_file, "--queue",
+                  paths["queue"], "--max-attempts", value])
+        assert exited.value.code == 2
+        assert "--max-attempts" in capsys.readouterr().err
+
     def test_enqueue_is_idempotent(self, spec_file, paths, capsys):
         main(["dist", "enqueue", spec_file, "--queue", paths["queue"]])
         capsys.readouterr()

@@ -49,6 +49,23 @@ class TestEnqueue:
         with pytest.raises(KeyError):
             queue.load_spec("feedfacedeadbeef")
 
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_max_attempts_below_one_is_rejected(self, queue,
+                                                max_attempts):
+        """Such a cell could never be claimed: workers would idle and
+        ``dist status`` would report it pending forever."""
+        with pytest.raises(ValueError, match="max_attempts"):
+            queue.enqueue(make_spec(), max_attempts=max_attempts)
+        assert queue.counts()["pending"] == 0
+
+    def test_cells_set_the_claim_order(self, queue):
+        spec = make_spec(kernels=("bitcount", "CRC32"),
+                         harden=("none",))
+        order = spec.cells()[::-1]
+        queue.enqueue(spec, cells=order)
+        assert [row["cell"] for row in queue.cells()] == order
+        assert queue.claim("w0").cell == order[0]
+
     def test_cell_identity_is_stable(self):
         spec = make_spec()
         digest = spec_digest(spec)
@@ -70,7 +87,8 @@ class TestLeasing:
         assert queue.counts()["leased"] == 1
 
     def test_two_claims_take_distinct_cells(self, queue):
-        queue.enqueue(make_spec())
+        queue.enqueue(make_spec(kernels=("bitcount", "CRC32"),
+                                harden=("none",)))
         first = queue.claim("w0")
         second = queue.claim("w1")
         assert first.cell_id != second.cell_id
@@ -123,6 +141,71 @@ class TestLeasing:
         assert report["poisoned"] == 1
         assert queue.counts()["poisoned"] == 1
         assert queue.drained()
+
+
+class TestKernelAffinity:
+    """One worker computes each kernel: a claim takes the next cell of
+    a kernel the claimant holds, else the first cell of a kernel no
+    other worker holds."""
+
+    def test_workers_never_interleave_kernels(self, queue):
+        spec = make_spec(kernels=("bitcount", "CRC32"))
+        queue.enqueue(spec)
+        kernels = {"w0": [], "w1": []}
+        while True:
+            claimed = False
+            for worker in kernels:
+                lease = queue.claim(worker, lease_seconds=30)
+                if lease is not None:
+                    kernels[worker].append(lease.cell.kernel)
+                    queue.complete(lease.token)
+                    claimed = True
+            if not claimed:
+                break
+        assert queue.drained()
+        assert kernels == {"w0": ["bitcount", "bitcount"],
+                           "w1": ["CRC32", "CRC32"]}
+
+    def test_holder_takes_its_kernel_before_older_cells(self, queue):
+        queue.enqueue(make_spec(kernels=("bitcount", "CRC32")))
+        queue.claim("w0", lease_seconds=30)            # bitcount
+        crc = queue.claim("w1", lease_seconds=30)      # CRC32
+        queue.complete(crc.token)
+        # bitcount's second cell is older, but w0 holds bitcount.
+        assert queue.claim("w1", lease_seconds=30).cell.kernel == "CRC32"
+
+    def test_kernel_is_claimable_once_the_hold_lapses(self, tmp_path):
+        """A holder's completion and its live lease both hold the
+        kernel; once the lease has been expired for *lease_seconds*
+        (and so has the completion), another worker takes it."""
+        path = str(tmp_path / "queue.sqlite")
+        with WorkQueue(path) as queue:
+            queue.enqueue(make_spec())
+            queue.complete(queue.claim("w0", lease_seconds=30).token)
+            held = queue.claim("w0", lease_seconds=30)
+            assert queue.claim("w1", lease_seconds=30) is None
+            queue.force_expire(held.token)
+            # The lease is expired, but the completion still holds.
+            assert queue.claim("w1", lease_seconds=30) is None
+        with WorkQueue(path, chaos=ChaosPolicy().skew_clock(15.0)) \
+                as early:
+            assert early.claim("w1", lease_seconds=30) is None
+        with WorkQueue(path, chaos=ChaosPolicy().skew_clock(31.0)) \
+                as late:
+            lease = late.claim("w1", lease_seconds=30)
+        assert lease.cell_id == held.cell_id
+        assert lease.attempts == 2
+
+    def test_expire_worker_releases_a_dead_workers_leases(self, queue):
+        queue.enqueue(make_spec(kernels=("bitcount", "CRC32"),
+                                harden=("none",)))
+        lease = queue.claim("w0", lease_seconds=60)
+        queue.claim("w1", lease_seconds=60)
+        assert queue.expire_worker("w0") == 1
+        assert queue.expire_worker("w0") == 0
+        reclaimed = queue.claim("w2", lease_seconds=60)
+        assert reclaimed.cell_id == lease.cell_id
+        assert queue.claim("w2", lease_seconds=60) is None
 
 
 class TestCompletion:

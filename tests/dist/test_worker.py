@@ -1,12 +1,16 @@
 """Tests for the distributed worker loop (repro.dist.worker)."""
 
+import multiprocessing
+import os
+
 import pytest
 
-from repro.dist.queue import WorkQueue
+from repro.dist.queue import DEFAULT_LEASE_SECONDS, WorkQueue
 from repro.dist.worker import DistWorker, policy_from_specs
 from repro.fi.chaos import ChaosPolicy
 from repro.store import ResultStore, parse_spec, run_sweep
 from repro.store.db import COMMIT_RETRIES
+from tests.store.test_sweep import outcome_fields
 
 SPEC_DATA = {
     "grid": {"kernels": ["bitcount"], "modes": ["bec", "ior"],
@@ -140,6 +144,80 @@ class TestWorkerChaos:
         assert stats["done"] == len(spec.cells())
         assert queue.drained()
         assert store.verify()["ok"]
+
+
+def _drain_files(queue_path, store_path, worker_id):
+    with WorkQueue(queue_path) as queue, \
+            ResultStore(store_path) as store:
+        drain(queue, store, worker_id=worker_id)
+
+
+TWO_KERNELS = {
+    "grid": {"kernels": ["bitcount", "CRC32"], "modes": ["bec", "ior"]},
+    "engine": {"max_runs": 20},
+}
+
+
+class TestKernelAffineWorkers:
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_workers_never_interleave_kernels(self, tmp_path, count):
+        spec = make_spec(TWO_KERNELS)
+        queue_path = str(tmp_path / "queue.sqlite")
+        store_path = str(tmp_path / "store.sqlite")
+        with WorkQueue(queue_path) as queue:
+            queue.enqueue(spec)
+        context = multiprocessing.get_context("fork")
+        workers = [context.Process(target=_drain_files,
+                                   args=(queue_path, store_path, f"w{index}"))
+                   for index in range(count)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0] * count
+        with WorkQueue(queue_path) as queue:
+            rows = queue.cells()
+            assert queue.drained()
+        holders = {}
+        for row in rows:
+            assert row["state"] == "done"
+            holders.setdefault(row["cell"].kernel, set()).add(
+                row["worker"])
+        assert sorted(holders) == ["CRC32", "bitcount"]
+        assert all(len(ids) == 1 for ids in holders.values())
+
+    def test_killed_sweep_child_is_replaced_at_once(self, tmp_path,
+                                                    monkeypatch):
+        """A chaos kill of one forked sweep worker mid-cell (computed,
+        not archived): its lease is expired at once and a replacement
+        under the same worker id, which still holds the kernel,
+        re-runs the cell; the report is the serial one."""
+        spec = make_spec(TWO_KERNELS)
+        with ResultStore(str(tmp_path / "serial.sqlite")) as serial:
+            expected = run_sweep(spec, serial, workers=1, max_retries=1)
+        marker = str(tmp_path / "killed")
+        parent = os.getpid()
+        init = DistWorker.__init__
+
+        def arm_one_child(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if os.getpid() == parent:
+                return
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return
+            self.chaos = ChaosPolicy().kill_dist_worker(1)
+
+        monkeypatch.setattr(DistWorker, "__init__", arm_one_child)
+        with ResultStore(str(tmp_path / "forked.sqlite")) as forked:
+            report = run_sweep(spec, forked, workers=2, max_retries=1)
+            assert forked.verify()["ok"]
+        assert os.path.exists(marker)
+        assert outcome_fields(report) == outcome_fields(expected)
+        assert not report.failed
+        assert report.metrics["dist.lease_reclaims"] == 1
+        assert report.wall_time < DEFAULT_LEASE_SECONDS / 2
 
 
 class TestPolicyFromSpecs:

@@ -6,9 +6,12 @@ on run order, per-run effects, ``effect_counts()``,
 ``vulnerable_runs()`` and trace signatures.
 """
 
+from collections.abc import Sequence
+
 import pytest
 
 from repro import obs
+from repro.fi import batch
 from repro.errors import SimulationError
 from repro.fi.campaign import (Aggregates, CampaignResult, PlannedRun,
                                classify_effect, plan_exhaustive, plan_bec)
@@ -32,6 +35,21 @@ def strided_exhaustive_plan(function, golden, cycle_stride, registers,
     assert len({run.injection.cycle for run in plan}) > 2
     del width
     return plan
+
+
+class CountingPlan(Sequence):
+    """A plan that counts the rows built from it."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.built = 0
+
+    def __len__(self):
+        return len(self.plan)
+
+    def __getitem__(self, index):
+        self.built += 1
+        return self.plan[index]
 
 
 def collected(engine, **kwargs):
@@ -186,6 +204,26 @@ class TestEngineParityMotivating:
         base = collected(engine, checkpoint_interval=whole_trace_interval(
             motivating_golden))
         assert_identical(base, collected(engine, **kwargs))
+
+    @pytest.mark.parametrize("prune", [None, "liveness"])
+    @pytest.mark.parametrize("core", Machine.CORES)
+    def test_serial_path_builds_each_row_once(
+            self, motivating_function, motivating_golden, core, prune):
+        """The serial schedule hands the rows it classified to the
+        emitter instead of building them again to lead each record."""
+        if core == "batched" and not batch.numpy_available():
+            pytest.skip("NumPy not installed")
+        plan = CountingPlan(plan_exhaustive(motivating_function,
+                                            motivating_golden))
+        machine = Machine(motivating_function, memory_size=256, core=core)
+        base = collected(CampaignEngine(machine, list(plan.plan),
+                                        golden=motivating_golden),
+                         prune=prune)
+        counted = collected(CampaignEngine(machine, plan,
+                                           golden=motivating_golden),
+                            prune=prune)
+        assert_identical(base, counted)
+        assert plan.built == len(plan)
 
     def test_progress_callback(self, motivating_function,
                                motivating_machine, motivating_golden):

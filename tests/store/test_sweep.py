@@ -1,6 +1,7 @@
 """Tests for the sweep spec and orchestrator (repro.store.sweep)."""
 
 import json
+import os
 
 import pytest
 
@@ -582,3 +583,102 @@ class TestLockPolicy:
             assert failed.error == \
                 "OperationalError: database is locked"
             assert len(store) == 0
+
+
+def outcome_fields(report):
+    """What a sweep computed, per cell and in total, without timings."""
+    cells = [(outcome.cell, outcome.key, outcome.cached, outcome.effects,
+              outcome.distinct_traces, outcome.plan_runs,
+              outcome.archived_bytes, outcome.error)
+             for outcome in report.outcomes]
+    return cells, (report.hits, report.misses, report.simulator_runs)
+
+
+class TestForkedSweep:
+    """With two workers and two kernels, whole cells run in two forked
+    queue workers, one per kernel, and the report is the serial one."""
+
+    @staticmethod
+    def two_kernel_spec(tiny_ir, loop_mc):
+        return spec_for([tiny_ir, loop_mc], modes=["bec", "exhaustive"],
+                        max_runs=40)
+
+    def test_two_workers_equal_one_cold_and_warm(self, tiny_ir, loop_mc,
+                                                 tmp_path):
+        spec = self.two_kernel_spec(tiny_ir, loop_mc)
+        with ResultStore(str(tmp_path / "one.sqlite")) as one, \
+                ResultStore(str(tmp_path / "two.sqlite")) as two:
+            for warm in (False, True):
+                serial = run_sweep(spec, one, workers=1)
+                forked = run_sweep(spec, two, workers=2)
+                assert outcome_fields(forked) == outcome_fields(serial)
+                assert forked.cells_cached == (4 if warm else 0)
+                assert (forked.simulator_runs == 0) == warm
+            assert two.verify()["ok"]
+
+    def test_progress_fires_once_per_cell(self, tiny_ir, loop_mc, store):
+        spec = self.two_kernel_spec(tiny_ir, loop_mc)
+        seen, runs = [], []
+        report = run_sweep(
+            spec, store, workers=2,
+            progress=lambda done, total, outcome: seen.append(
+                (done, total, outcome.cell)),
+            run_progress=lambda cell, done, total: runs.append(cell))
+        assert [(done, total) for done, total, _ in seen] \
+            == [(index, 4) for index in range(1, 5)]
+        assert sorted(cell for _, _, cell in seen) \
+            == sorted(outcome.cell for outcome in report.outcomes)
+        assert set(runs) == {outcome.cell for outcome in report.outcomes}
+
+    def test_traced_sweep_ships_child_spans(self, tiny_ir, loop_mc,
+                                            store):
+        from repro import obs
+
+        spec = self.two_kernel_spec(tiny_ir, loop_mc)
+        tracer = obs.tracer()
+        tracer.start()
+        try:
+            run_sweep(spec, store, workers=2)
+        finally:
+            tracer.stop()
+        records = tracer.records()
+        names = [record["name"] for record in records]
+        assert names.count("sweep") == 1
+        assert names.count("sweep.cell") == 4
+        assert {"bec", "engine.campaign"} <= set(names)
+        children = {record["pid"] for record in records
+                    if record["name"] == "sweep.cell"}
+        assert len(children) == 2 and os.getpid() not in children
+
+    def test_metrics_include_the_children(self, tiny_ir, loop_mc,
+                                          tmp_path):
+        from repro import obs
+        from repro.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            self.two_kernel_spec(tiny_ir, loop_mc).data))
+        store_path = str(tmp_path / "store.sqlite")
+        totals = {}
+        for name in ("cold", "warm"):
+            before = obs.metrics().totals()
+            assert main(["sweep", str(spec_path), "--store", store_path,
+                         "--workers", "2", "--json",
+                         str(tmp_path / f"{name}.json"), "--metrics",
+                         str(tmp_path / f"{name}-metrics.json")]) == 0
+            after = json.loads((tmp_path / f"{name}-metrics.json")
+                               .read_text())["totals"]
+            totals[name] = {metric: after.get(metric, 0)
+                            - before.get(metric, 0) for metric in (
+                                "store.hits", "store.misses",
+                                "engine.runs_executed", "sweep.cells")}
+        cold = json.loads((tmp_path / "cold.json").read_text())["totals"]
+        warm = json.loads((tmp_path / "warm.json").read_text())["totals"]
+        assert totals["cold"] == {
+            "store.hits": 0, "store.misses": 4, "sweep.cells": 4,
+            "engine.runs_executed": cold["simulator_runs"]}
+        assert cold["simulator_runs"] > 0
+        assert totals["warm"] == {
+            "store.hits": 4, "store.misses": 0, "sweep.cells": 4,
+            "engine.runs_executed": 0}
+        assert warm["simulator_runs"] == warm["cells_run"] == 0
