@@ -26,12 +26,16 @@ killing its workers ends up **poisoned** (excluded from claims,
 reported by ``repro dist status``) instead of looping forever — the
 host-level analogue of PR 7's bounded worker retries.
 
-Claims are **kernel-affine**, so one worker computes each kernel's
-compile, hardened variants, BEC analyses, golden runs and plans: a
-worker *holds* a kernel while it has an unexpired lease on one of its
-cells or completed one less than a lease duration ago.  A claim takes
-the next eligible cell of a kernel the claimant holds; failing that,
-the first eligible cell of a kernel no other worker holds.
+Claims are **kernel-affine**, so as a rule one worker computes each
+kernel's compile, hardened variants, BEC analyses, golden runs and
+plans: a worker *holds* a spec's kernel while it has an unexpired lease
+on one of its cells or completed one less than a lease duration ago.
+A claim takes the next eligible cell of a kernel the claimant holds;
+failing that, the first eligible cell of a kernel no other worker
+holds.  A worker that holds no kernel of the spec then takes the first
+eligible cell even of a held kernel, so a one-kernel spec keeps every
+fresh worker busy; a worker that holds one waits instead of repeating
+another's set-up (at most a lease duration, until the hold lapses).
 
 Completion is token-guarded: ``complete`` succeeds only for the
 *current* leaseholder.  A worker whose lease expired mid-cell and was
@@ -245,8 +249,9 @@ class WorkQueue:
     def claim(self, worker, lease_seconds=DEFAULT_LEASE_SECONDS):
         """Atomically lease an eligible cell to *worker*: the oldest of
         a kernel *worker* holds, else the oldest of a kernel no other
-        worker holds (see the module docstring; insertion order breaks
-        ties, so one spec's cells are claimed in enqueue order).
+        worker holds, else — only when *worker* holds no kernel of that
+        spec — the oldest (see the module docstring; insertion order
+        breaks ties, so one spec's cells are claimed in enqueue order).
         *lease_seconds* is both the new lease's length and how long a
         completion keeps its kernel held.
 
@@ -262,21 +267,23 @@ class WorkQueue:
         eligible = ("(state = 'pending' OR (state = 'leased' "
                     "AND lease_expires < :now)) "
                     "AND attempts < max_attempts")
-        kernel = "json_extract(cell, '$.kernel')"
+        holding = ("((state = 'leased' AND lease_expires >= :now) "
+                   "OR (state = 'done' AND completed_at > :held_since))")
+        kernel = "spec_digest, json_extract(cell, '$.kernel')"
 
         def held(by):
-            return (f"(SELECT {kernel} FROM dist_queue WHERE worker {by} "
-                    f":worker AND ((state = 'leased' AND lease_expires "
-                    f">= :now) OR (state = 'done' AND completed_at > "
-                    f":held_since)))")
+            return (f"({kernel}) IN (SELECT {kernel} FROM dist_queue "
+                    f"WHERE worker {by} :worker AND {holding})")
+        mine, others = held("="), held("!=")
         cursor = self._connection.execute(
             f"UPDATE dist_queue SET state = 'leased', worker = :worker, "
             f"lease_token = :token, lease_expires = :expires, "
             f"attempts = attempts + 1 "
             f"WHERE cell_id = (SELECT cell_id FROM dist_queue "
-            f"WHERE {eligible} AND ({kernel} IN {held('=')} "
-            f"OR {kernel} NOT IN {held('!=')}) "
-            f"ORDER BY {kernel} IN {held('=')} DESC, enqueued_at, rowid "
+            f"WHERE {eligible} AND ({mine} OR NOT {others} OR "
+            f"spec_digest NOT IN (SELECT spec_digest FROM dist_queue "
+            f"WHERE worker = :worker AND {holding})) "
+            f"ORDER BY {mine} DESC, {others}, enqueued_at, rowid "
             f"LIMIT 1) AND {eligible}",
             {"worker": worker, "token": token,
              "expires": now + lease_seconds, "now": now,

@@ -87,8 +87,7 @@ class TestLeasing:
         assert queue.counts()["leased"] == 1
 
     def test_two_claims_take_distinct_cells(self, queue):
-        queue.enqueue(make_spec(kernels=("bitcount", "CRC32"),
-                                harden=("none",)))
+        queue.enqueue(make_spec())
         first = queue.claim("w0")
         second = queue.claim("w1")
         assert first.cell_id != second.cell_id
@@ -144,9 +143,9 @@ class TestLeasing:
 
 
 class TestKernelAffinity:
-    """One worker computes each kernel: a claim takes the next cell of
-    a kernel the claimant holds, else the first cell of a kernel no
-    other worker holds."""
+    """A claim takes the next cell of a kernel the claimant holds, else
+    the first cell of a kernel no other worker holds, else, when the
+    claimant holds no kernel of the spec, the first claimable cell."""
 
     def test_workers_never_interleave_kernels(self, queue):
         spec = make_spec(kernels=("bitcount", "CRC32"))
@@ -174,27 +173,65 @@ class TestKernelAffinity:
         # bitcount's second cell is older, but w0 holds bitcount.
         assert queue.claim("w1", lease_seconds=30).cell.kernel == "CRC32"
 
-    def test_kernel_is_claimable_once_the_hold_lapses(self, tmp_path):
-        """A holder's completion and its live lease both hold the
-        kernel; once the lease has been expired for *lease_seconds*
-        (and so has the completion), another worker takes it."""
+    def test_fresh_worker_takes_a_held_kernel(self, queue):
+        """A one-kernel spec keeps every fresh worker busy."""
+        queue.enqueue(make_spec())
+        first = queue.claim("w0", lease_seconds=30)
+        second = queue.claim("w1", lease_seconds=30)
+        assert second.cell.kernel == first.cell.kernel
+        assert second.cell_id != first.cell_id
+
+    def test_holder_leaves_another_workers_kernel_alone(self, queue):
+        """A worker done with its own kernels does not repeat another
+        worker's set-up for that worker's last cells."""
+        queue.enqueue(make_spec(kernels=("bitcount", "CRC32")))
+        assert queue.claim("w0", lease_seconds=30).cell.kernel \
+            == "bitcount"
+        for _ in range(2):
+            lease = queue.claim("w1", lease_seconds=30)
+            assert lease.cell.kernel == "CRC32"
+            queue.complete(lease.token)
+        assert queue.claim("w1", lease_seconds=30) is None
+        assert queue.claim("w2", lease_seconds=30).cell.kernel \
+            == "bitcount"
+
+    def test_hold_is_per_spec(self, queue):
+        """Another spec's cells of the same kernel share no compiled
+        kernel, variants or analyses, so a hold does not cover them."""
+        queue.enqueue(make_spec())
+        other = parse_spec({"grid": {"kernels": ["bitcount"]},
+                            "engine": {"max_runs": 20}}, name="qtest")
+        queue.enqueue(other)
+        first = queue.claim("w0", lease_seconds=30)
+        second = queue.claim("w1", lease_seconds=30)
+        assert first.spec_digest == spec_digest(make_spec())
+        assert second.spec_digest == spec_digest(other)
+
+    @pytest.mark.parametrize("skew, claimable", [(0.0, False),
+                                                 (15.0, False),
+                                                 (31.0, True)])
+    def test_kernel_is_claimable_once_the_hold_lapses(self, tmp_path,
+                                                      skew, claimable):
+        """w0 completed one bitcount cell and let the lease on the
+        next one expire; w1 ran both CRC32 cells.  w0's completion
+        holds bitcount for *lease_seconds*, so only then does w1 take
+        the cell w0 left."""
         path = str(tmp_path / "queue.sqlite")
         with WorkQueue(path) as queue:
-            queue.enqueue(make_spec())
+            queue.enqueue(make_spec(kernels=("bitcount", "CRC32")))
             queue.complete(queue.claim("w0", lease_seconds=30).token)
             held = queue.claim("w0", lease_seconds=30)
-            assert queue.claim("w1", lease_seconds=30) is None
             queue.force_expire(held.token)
-            # The lease is expired, but the completion still holds.
-            assert queue.claim("w1", lease_seconds=30) is None
-        with WorkQueue(path, chaos=ChaosPolicy().skew_clock(15.0)) \
-                as early:
-            assert early.claim("w1", lease_seconds=30) is None
-        with WorkQueue(path, chaos=ChaosPolicy().skew_clock(31.0)) \
-                as late:
-            lease = late.claim("w1", lease_seconds=30)
-        assert lease.cell_id == held.cell_id
-        assert lease.attempts == 2
+            for _ in range(2):
+                queue.complete(queue.claim("w1", lease_seconds=30).token)
+        with WorkQueue(path, chaos=ChaosPolicy().skew_clock(skew)) \
+                as later:
+            lease = later.claim("w1", lease_seconds=30)
+        if not claimable:
+            assert lease is None
+        else:
+            assert lease.cell_id == held.cell_id
+            assert lease.attempts == 2
 
     def test_expire_worker_releases_a_dead_workers_leases(self, queue):
         queue.enqueue(make_spec(kernels=("bitcount", "CRC32"),

@@ -159,13 +159,14 @@ TWO_KERNELS = {
 
 
 class TestKernelAffineWorkers:
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_workers_never_interleave_kernels(self, tmp_path, count):
-        spec = make_spec(TWO_KERNELS)
+    @staticmethod
+    def _drain_forked(tmp_path, count):
+        """*count* forked workers drain the two-kernel spec; returns
+        the queue rows."""
         queue_path = str(tmp_path / "queue.sqlite")
         store_path = str(tmp_path / "store.sqlite")
         with WorkQueue(queue_path) as queue:
-            queue.enqueue(spec)
+            queue.enqueue(make_spec(TWO_KERNELS))
         context = multiprocessing.get_context("fork")
         workers = [context.Process(target=_drain_files,
                                    args=(queue_path, store_path, f"w{index}"))
@@ -176,22 +177,34 @@ class TestKernelAffineWorkers:
             worker.join(timeout=120)
         assert [worker.exitcode for worker in workers] == [0] * count
         with WorkQueue(queue_path) as queue:
-            rows = queue.cells()
             assert queue.drained()
-        holders = {}
-        for row in rows:
-            assert row["state"] == "done"
-            holders.setdefault(row["cell"].kernel, set()).add(
-                row["worker"])
-        assert sorted(holders) == ["CRC32", "bitcount"]
-        assert all(len(ids) == 1 for ids in holders.values())
+            rows = queue.cells()
+        assert all(row["state"] == "done" for row in rows)
+        with ResultStore(store_path) as store:
+            assert store.verify()["ok"]
+        return rows
+
+    def test_two_workers_start_on_distinct_kernels(self, tmp_path):
+        """A worker runs one cell at a time, so its earliest completed
+        cell is its first claim; the second claimant prefers the
+        kernel the first does not hold."""
+        firsts = {}
+        for row in sorted(self._drain_forked(tmp_path, 2),
+                          key=lambda row: row["completed_at"]):
+            firsts.setdefault(row["worker"], row["cell"].kernel)
+        assert len(set(firsts.values())) == len(firsts)
+
+    def test_more_workers_than_kernels_drain_the_queue(self, tmp_path):
+        rows = self._drain_forked(tmp_path, 4)
+        assert sorted({row["cell"].kernel for row in rows}) == [
+            "CRC32", "bitcount"]
 
     def test_killed_sweep_child_is_replaced_at_once(self, tmp_path,
                                                     monkeypatch):
-        """A chaos kill of one forked sweep worker mid-cell (computed,
-        not archived): its lease is expired at once and a replacement
-        under the same worker id, which still holds the kernel,
-        re-runs the cell; the report is the serial one."""
+        """A chaos kill of one forked sweep worker in its first cell
+        (computed, not archived): its lease is expired at once, the
+        cell is re-leased without waiting out the lease, and the
+        report is the serial one."""
         spec = make_spec(TWO_KERNELS)
         with ResultStore(str(tmp_path / "serial.sqlite")) as serial:
             expected = run_sweep(spec, serial, workers=1, max_retries=1)
@@ -207,7 +220,7 @@ class TestKernelAffineWorkers:
                 os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
                 return
-            self.chaos = ChaosPolicy().kill_dist_worker(1)
+            self.chaos = ChaosPolicy().kill_dist_worker(0)
 
         monkeypatch.setattr(DistWorker, "__init__", arm_one_child)
         with ResultStore(str(tmp_path / "forked.sqlite")) as forked:
