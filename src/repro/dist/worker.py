@@ -103,7 +103,7 @@ class DistWorker:
                  lease_seconds=DEFAULT_LEASE_SECONDS, engine_workers=1,
                  max_cells=None,
                  max_idle_seconds=DEFAULT_MAX_IDLE_SECONDS, chaos=None,
-                 cell_timeout=None, events=None):
+                 cell_timeout=None, events=None, wait=time.sleep):
         self.queue = queue
         self.store = store
         self.worker_id = worker_id or default_worker_id()
@@ -124,6 +124,11 @@ class DistWorker:
         #: Event delivery must never sink a cell, so callback errors
         #: are swallowed.
         self.events = events
+        #: ``callable(seconds)`` the loop idles with while the queue has
+        #: unfinished cells this worker cannot claim; a local sweep's
+        #: forked workers pass one that returns as soon as the queue
+        #: drains, so the last idle worker exits with the last cell.
+        self.wait = wait
         #: spec digest -> the :class:`SweepRunner` executing its cells
         #: (a local sweep seeds its own runner here).
         self.runners = {}
@@ -267,7 +272,7 @@ class DistWorker:
                                          worker=self.worker_id)
                     break
                 self.queue.reap()
-                time.sleep(POLL_SECONDS)
+                self.wait(POLL_SECONDS)
                 continue
             last_progress = time.monotonic()
             self._fire("dist.cell", ordinal=ordinal, phase="claim")

@@ -308,9 +308,12 @@ class SweepRunner:
         that dies has its leases expired at once and is started again
         under the same worker id, which still holds its kernels, so its
         cell is re-leased without waiting out the lease; there is at
-        most one restart per possible claim.  Children are forked, not
-        spawned: they inherit the spec, this runner's compiled kernels
-        and the caller's process state.
+        most one restart per possible claim.  Once a settled cell
+        leaves the queue drained, a shared event wakes the children
+        that idle between claims, so the sweep ends with its last cell
+        rather than up to a poll interval later.  Children are forked,
+        not spawned: they inherit the spec, this runner's compiled
+        kernels and the caller's process state.
         """
         import multiprocessing
         from multiprocessing.connection import wait
@@ -320,12 +323,14 @@ class SweepRunner:
         registry = obs.metrics()
         tracer = obs.tracer()
         children = {}        # pipe -> (worker id, process)
+        drained = context.Event()
 
         def spawn(worker_id):
             receive, send = context.Pipe(duplex=False)
             process = context.Process(
                 target=self._serve_queue,
-                args=(send, queue.path, worker_id, engine_workers))
+                args=(send, drained, queue.path, worker_id,
+                      engine_workers))
             # The child's collector then leaves the inherited objects
             # alone instead of touching (and copying) their pages.
             gc.freeze()
@@ -362,16 +367,21 @@ class SweepRunner:
                     tracer.extend(spans)
                     if kind is not None:
                         on_event(kind, **fields)
+                    if kind not in (None, "cell_progress") \
+                            and queue.drained():
+                        drained.set()
         finally:
             for pipe, (_, process) in children.items():
                 process.terminate()
                 process.join()
                 pipe.close()
 
-    def _serve_queue(self, pipe, queue_path, worker_id, engine_workers):
+    def _serve_queue(self, pipe, drained, queue_path, worker_id,
+                     engine_workers):
         """The body of one forked sweep worker: drain the queue file
         into the store with a :class:`repro.dist.worker.DistWorker`,
-        sending what :meth:`_drain_forked` collects down *pipe*."""
+        sending what :meth:`_drain_forked` collects down *pipe*; the
+        worker idles on the *drained* event instead of sleeping."""
         from repro.dist.queue import WorkQueue, spec_digest
         from repro.dist.worker import DistWorker
         from repro.store.db import ResultStore
@@ -405,7 +415,7 @@ class SweepRunner:
                     send(kind, fields)
 
             worker = DistWorker(queue, store, worker_id=worker_id,
-                                events=on_event)
+                                events=on_event, wait=drained.wait)
             worker.runners[spec_digest(self.spec)] = runner
             worker.run()
             send(None, None)

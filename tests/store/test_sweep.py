@@ -616,6 +616,31 @@ class TestForkedSweep:
                 assert (forked.simulator_runs == 0) == warm
             assert two.verify()["ok"]
 
+    def test_idle_worker_exits_with_the_last_cell(self, tiny_ir, loop_mc,
+                                                  store, monkeypatch):
+        import time as time_module
+
+        import repro.dist.worker as worker_module
+        from repro.store.sweep import SweepRunner
+
+        # One kernel's cells are slow, so the other kernel's worker
+        # idles between claims until the queue drains; it must not
+        # sleep out a poll interval.
+        monkeypatch.setattr(worker_module, "POLL_SECONDS", 60.0)
+        run_cell = SweepRunner.run_cell
+
+        def slow_loop(self, cell, progress=None):
+            if cell.kernel == loop_mc:
+                time_module.sleep(0.5)
+            return run_cell(self, cell, progress=progress)
+
+        monkeypatch.setattr(SweepRunner, "run_cell", slow_loop)
+        spec = self.two_kernel_spec(tiny_ir, loop_mc)
+        started = time_module.monotonic()
+        report = run_sweep(spec, store, workers=2)
+        assert time_module.monotonic() - started < 30.0
+        assert report.cells_run == 4 and not report.failed
+
     def test_progress_fires_once_per_cell(self, tiny_ir, loop_mc, store):
         spec = self.two_kernel_spec(tiny_ir, loop_mc)
         seen, runs = [], []
