@@ -156,10 +156,6 @@ class BitVector:
             return Bit.BOT
         return Bit.TOP
 
-    def bits(self):
-        """All bits, LSB first."""
-        return [self.bit(i) for i in range(self.width)]
-
     def min_unsigned(self):
         """Smallest unsigned value compatible with the known bits
         (bottom/unknown bits resolve to 0)."""

@@ -25,23 +25,25 @@ it:
   much of the campaign was reused rather than simulated.
 * **One block schedule, supervised workers** (``workers=N``): the plan
   is cut into blocks of ``n × chunk_size`` consecutive rows, and part
-  ``k`` of each block, ``block[k::n]``, goes to ``fork``-ed worker
-  ``k`` (``n`` is 1 on the serial path), so the expensive early-cycle
+  ``k`` of each block, ``block[k::n]``, goes to forked worker ``k``
+  (``n`` is 1 on the serial path), so the expensive early-cycle
   injections — whose resumed tails span nearly the whole trace —
-  spread evenly across workers.  Each worker streams its finished
-  parts back over its own pipe; the parent *supervises* while it
-  drains — multiplexing the pipes with a timeout, polling worker
-  exitcodes, and detecting a worker that died without finishing
-  (SIGKILL, OOM, a crashed interpreter).  A dead worker's unfinished
-  parts are re-assigned to a respawned worker with bounded retries and
-  exponential backoff; when respawn keeps failing the engine finishes
-  them serially in the parent.  The serial loop, the workers and that
-  serial degrade all feed the one :class:`BlockEmitter`, which
-  interleaves each complete block back into plan order and passes it
-  on in ``chunk_size`` pieces, so the record stream, its chunk
-  boundaries and the :class:`CampaignResult` are bit-identical to the
-  serial baseline no matter which workers survived.  Platforms without
-  the ``fork`` start method fall back to serial execution.
+  spread evenly across workers.  Workers fork through
+  :class:`repro.fork.ForkPool`, the one fork path of the package: each
+  finished part goes home over the worker's own pipe together with the
+  metrics and ``engine.chunk`` span it produced, so counts and traces
+  stay exact whichever workers die.  The parent *supervises* while it
+  drains: a worker whose pipe closes with parts still missing died
+  (SIGKILL, OOM, a crashed interpreter), and its missing parts go to a
+  respawned worker with bounded retries and exponential backoff; when
+  respawn keeps failing the engine finishes them serially in the
+  parent.  The serial loop, the workers and that serial degrade all
+  feed the one :class:`BlockEmitter`, which interleaves each complete
+  block back into plan order and passes it on in ``chunk_size``
+  pieces, so the record stream, its chunk boundaries and the
+  :class:`CampaignResult` are bit-identical to the serial baseline no
+  matter which workers survived.  Platforms without the ``fork``
+  start method fall back to serial execution.
 * **Lockstep vectorization** (a machine built with
   ``core="batched"``): the plan is executed SIMD-across-faults by
   :mod:`repro.fi.batch` — one NumPy lane per planned injection running
@@ -80,11 +82,9 @@ holds grows with plan length, and an invalid site fails when its part
 runs, with the simulator's message on either core.
 """
 
-import multiprocessing
 import time
-from multiprocessing import connection as mp_connection
 
-from repro import obs
+from repro import fork, obs
 from repro.errors import SimulationError
 from repro.fi import batch
 from repro.fi.campaign import (EFFECT_MASKED, CampaignResult,
@@ -292,12 +292,6 @@ class _WorkerContext:
         return records, len(rows) - len(live)
 
 
-#: Seconds the supervisor waits on the worker pipes before polling
-#: exitcodes.  Death is normally detected event-driven (a dead worker's
-#: pipe reads EOF immediately), so this only bounds the poll latency of
-#: pathological cases.
-SUPERVISOR_POLL_INTERVAL = 0.25
-
 #: Respawn budget per part before the supervisor degrades that part to
 #: serial in-parent execution.
 WORKER_RETRIES = 2
@@ -307,251 +301,119 @@ WORKER_RETRIES = 2
 RETRY_BACKOFF = 0.05
 
 
-def _worker_main(context, conn, part, work, attempt, chaos):
-    """One forked worker: classify part *part* of each block in *work*,
-    a list of ``(block, plan indices)``, and stream each back as a
-    ``("segment", block, records, pruned)`` message on *conn*.
-
-    A clean exit ends with ``("done",)``; a Python exception is
-    reported as ``("error", message)`` (deterministic failures are not
-    worth retrying).  Death by signal sends nothing — the supervisor
-    detects the EOF/exitcode and re-assigns whatever is missing.
-
-    Telemetry: the worker inherits the parent's metrics registry by
-    fork-copy, marks it at entry and ships the delta back as a
-    ``("metrics", delta)`` message just before ``("done",)``, so the
-    parent's registry absorbs worker-side counts (runs executed,
-    batch escape attribution) exactly once.  A worker that dies loses
-    its un-shipped delta — the re-dispatched parts count again, so
-    metrics stay best-effort-accurate under recovery while the record
-    stream itself stays bit-identical."""
-    registry = obs.metrics()
-    fork_mark = registry.mark()
-    try:
+def _worker_main(send, context, part, work, attempt, chaos):
+    """One forked worker (a :class:`repro.fork.ForkPool` child):
+    classify part *part* of each block in *work*, a list of ``(block,
+    plan indices)``, and send each home as ``("segment", block,
+    records, pruned)``.  The pool ships the runs each segment counted
+    and its ``engine.chunk`` span with it, so a worker that dies later
+    has still reported everything it delivered."""
+    tracer = obs.tracer()
+    with tracer.span("engine.worker", chunk=part, attempt=attempt + 1,
+                     segments=len(work)):
         for block, indices in work:
             if chaos is not None:
                 chaos.fire("worker.segment", chunk=part, segment=block,
                            attempt=attempt)
-            conn.send(("segment", block)
-                      + context.classify_indices(indices))
-        conn.send(("metrics", registry.delta_since(fork_mark)))
-        conn.send(("done",))
-    except Exception as exc:
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass                        # parent gone; nothing to report
-        raise
-    finally:
-        conn.close()
-
-
-class _PartState:
-    """Supervisor-side bookkeeping for one worker's part."""
-
-    __slots__ = ("index", "blocks", "received", "attempt", "process",
-                 "conn", "span")
-
-    def __init__(self, index, blocks):
-        self.index = index
-        self.blocks = blocks            # blocks in which the part has rows
-        self.received = set()           # blocks already drained
-        self.attempt = 0                # times a worker was started
-        self.process = None
-        self.conn = None
-        self.span = None                # live engine.worker trace span
-
-    @property
-    def missing(self):
-        return [block for block in self.blocks
-                if block not in self.received]
-
-    @property
-    def complete(self):
-        return len(self.received) == len(self.blocks)
+            with tracer.span("engine.chunk", chunk=part, segment=block):
+                records, pruned = context.classify_indices(indices)
+            send("segment", block, records, pruned)
 
 
 class _Supervisor:
-    """Spawns, monitors and heals the campaign workers.
+    """Runs each part of the block schedule in its own forked worker
+    and heals the ones that die.
 
-    One worker per part, one pipe per worker: a SIGKILLed worker
-    closes its pipe, so death is observed as an EOF (or a truncated
-    message) rather than an eternal ``queue.get()``.  Unfinished
-    blocks of a dead worker are re-run by a respawned worker —
-    :data:`WORKER_RETRIES` times with exponential backoff — and finally
-    in-parent, serially, so the campaign always terminates with the
-    full plan-ordered record stream intact."""
+    A worker whose pipe closes with blocks of its part still missing
+    died (SIGKILL, OOM, a crashed interpreter): its missing blocks go
+    to a respawned worker — :data:`WORKER_RETRIES` times with
+    exponential backoff — and finally to the parent, serially, so the
+    campaign always ends with the full plan-ordered record stream."""
 
     def __init__(self, context, emitter, chaos=None):
         self.context = context
         self.emitter = emitter
         self.chaos = chaos
-        self.mp = multiprocessing.get_context("fork")
-        self.parts = [_PartState(index, emitter.blocks(index))
-                      for index in range(emitter.n_parts)]
-
-    # -- lifecycle ---------------------------------------------------------
+        self.pool = fork.ForkPool()
+        #: part -> its blocks not yet received, in block order
+        self.missing = [dict.fromkeys(emitter.blocks(part))
+                        for part in range(emitter.n_parts)]
+        self.attempts = [0] * emitter.n_parts   # workers started per part
 
     def run(self):
-        try:
-            for state in self.parts:
-                self._spawn(state)
-            self._drain()
-        finally:
-            self._shutdown()
+        with self.pool:
+            for part in range(self.emitter.n_parts):
+                self._spawn(part)
+            self.pool.drain(self._message, self._ended)
+        if any(self.missing):
+            raise SimulationError(
+                "campaign supervisor lost workers without completing "
+                "the plan")                 # unreachable by design
 
-    def _spawn(self, state):
-        """Start (or restart) the worker for *state*, handing it the
-        still-missing blocks.  Falls back to in-parent execution when
-        process creation itself is refused."""
-        parent_conn, child_conn = self.mp.Pipe(duplex=False)
-        process = self.mp.Process(
-            target=_worker_main,
-            args=(self.context, child_conn, state.index,
-                  [(block, self.emitter.rows(state.index, block))
-                   for block in state.missing],
-                  state.attempt, self.chaos))
+    def _spawn(self, part):
+        """Start (or restart) the worker of *part* on its missing
+        blocks; finish them in-parent when process creation is
+        refused."""
+        missing = list(self.missing[part])
         try:
-            process.start()
+            self.pool.spawn(part, _worker_main, self.context, part,
+                            [(block, self.emitter.rows(part, block))
+                             for block in missing],
+                            self.attempts[part], self.chaos)
         except OSError:
             # Process creation refused (sandbox, rlimits): same
             # results, just without the speedup.
-            parent_conn.close()
-            child_conn.close()
-            self._finish_serially(state)
+            self._finish_serially(part)
             return
-        child_conn.close()              # let a dead worker read as EOF
-        state.process = process
-        state.conn = parent_conn
-        state.attempt += 1
+        self.attempts[part] += 1
         obs.metrics().counter("engine.worker_spawns").inc()
-        obs.logger().debug("engine.worker_spawned", chunk=state.index,
-                           attempt=state.attempt,
-                           segments=len(state.missing))
-        # Worker attempts overlap in wall time, so each renders on its
-        # own synthetic trace lane instead of the caller's span stack.
-        state.span = obs.tracer().span(
-            "engine.worker", tid=1000 + state.index, chunk=state.index,
-            attempt=state.attempt, segments=len(state.missing))
-        state.span.__enter__()
+        obs.logger().debug("engine.worker_spawned", chunk=part,
+                           attempt=self.attempts[part],
+                           segments=len(missing))
 
-    def _drain(self):
-        while True:
-            active = {state.conn: state for state in self.parts
-                      if state.conn is not None}
-            if not active:
-                if all(state.complete for state in self.parts):
-                    return
-                raise SimulationError(
-                    "campaign supervisor lost workers without "
-                    "completing the plan")   # unreachable by design
-            ready = mp_connection.wait(list(active),
-                                       timeout=SUPERVISOR_POLL_INTERVAL)
-            if not ready:
-                self._poll_exitcodes(active.values())
-                continue
-            for conn in ready:
-                self._service(active[conn])
-
-    def _service(self, state):
-        """Read one message from a ready worker pipe; an EOF or a
-        truncated/undecodable message means the worker is gone."""
-        try:
-            message = state.conn.recv()
-        except (EOFError, OSError):
-            self._worker_ended(state)
-            return
-        kind = message[0]
-        if kind == "segment":
-            _, block, records, pruned = message
-            if block not in state.received:
-                self._received(state, block, records, pruned)
-        elif kind == "metrics":
-            obs.metrics().merge(message[1])
-        elif kind == "done":
-            self._retire(state)
-            if not state.complete:      # claimed done but blocks miss
-                self._recover(state)
-        elif kind == "error":
+    def _message(self, part, message):
+        if message[0] == "error":           # deterministic: no retry
             raise SimulationError(f"campaign worker failed: {message[1]}")
+        _, block, records, pruned = message
+        self._received(part, block, records, pruned)
 
-    def _poll_exitcodes(self, states):
-        """Timeout path: reap workers that exited without their pipe
-        reporting ready (belt and braces — exit normally closes the
-        pipe and wakes the drain loop)."""
-        for state in list(states):
-            process = state.process
-            if process is not None and process.exitcode is not None \
-                    and not state.conn.poll(0):
-                self._worker_ended(state)
-
-    def _worker_ended(self, state):
-        """The worker's pipe hit EOF (or went unreadable): reap it and
-        recover whatever it left unfinished."""
-        process = state.process
-        self._retire(state)
-        exitcode = process.exitcode if process is not None else None
+    def _ended(self, part, exitcode):
+        """The worker of *part* is gone: if it left blocks missing,
+        respawn it with backoff or, past the budget, finish serially."""
+        if not self.missing[part]:
+            return
         obs.metrics().counter("engine.worker_deaths").inc()
         obs.logger().warning(
-            "engine.worker_died", chunk=state.index,
-            attempt=state.attempt, exitcode=exitcode,
-            missing_segments=len(state.missing))
-        if not state.complete:
-            self._recover(state)
-
-    def _retire(self, state):
-        if state.conn is not None:
-            state.conn.close()
-            state.conn = None
-        if state.process is not None:
-            state.process.join()
-            state.process = None
-        if state.span is not None:
-            state.span.__exit__(None, None, None)
-            state.span = None
-
-    def _recover(self, state):
-        """Re-assign a dead worker's missing blocks: bounded respawn
-        with exponential backoff, then serial in-parent execution."""
+            "engine.worker_died", chunk=part, attempt=self.attempts[part],
+            exitcode=exitcode, missing_segments=len(self.missing[part]))
         obs.metrics().counter("engine.recoveries").inc()
-        if state.attempt > WORKER_RETRIES:
-            self._finish_serially(state)
+        if self.attempts[part] > WORKER_RETRIES:
+            self._finish_serially(part)
             return
-        time.sleep(RETRY_BACKOFF * (1 << (state.attempt - 1)))
-        self._spawn(state)
+        time.sleep(RETRY_BACKOFF * (1 << (self.attempts[part] - 1)))
+        self._spawn(part)
 
-    def _finish_serially(self, state):
-        """Last resort (and the no-fork fallback): classify the part's
-        missing blocks in the parent.  Identical records by
-        construction — same rows, same classifier."""
+    def _finish_serially(self, part):
+        """Last resort: classify the part's missing blocks in the
+        parent.  Identical records by construction — same rows, same
+        classifier."""
         obs.metrics().counter("engine.serial_degraded_chunks").inc()
-        obs.logger().warning("engine.serial_degrade", chunk=state.index,
-                             attempts=state.attempt,
-                             missing_segments=len(state.missing))
-        for block in state.missing:
-            with obs.tracer().span("engine.chunk", chunk=state.index,
+        obs.logger().warning("engine.serial_degrade", chunk=part,
+                             attempts=self.attempts[part],
+                             missing_segments=len(self.missing[part]))
+        for block in list(self.missing[part]):
+            with obs.tracer().span("engine.chunk", chunk=part,
                                    segment=block, serial=True):
                 records, pruned = self.context.classify_indices(
-                    self.emitter.rows(state.index, block))
-            self._received(state, block, records, pruned)
+                    self.emitter.rows(part, block))
+            self._received(part, block, records, pruned)
 
-    def _received(self, state, block, records, pruned):
+    def _received(self, part, block, records, pruned):
         """Take in one finished part of *block*, exactly once."""
-        state.received.add(block)
-        self.emitter.add(state.index, block, records, pruned)
-
-    def _shutdown(self):
-        for state in self.parts:
-            if state.conn is not None:
-                state.conn.close()
-                state.conn = None
-            if state.process is not None:
-                state.process.terminate()
-                state.process.join()
-                state.process = None
-            if state.span is not None:
-                state.span.__exit__(None, None, None)
-                state.span = None
+        missing = self.missing[part]
+        if block in missing:
+            del missing[block]
+            self.emitter.add(part, block, records, pruned)
 
 
 class CampaignEngine:
@@ -660,8 +522,7 @@ class CampaignEngine:
         tee.begin({"total_runs": total, "vectorized": vectorized,
                    "chunk_size": chunk_size, "plan": self.plan,
                    "golden": self.golden})
-        if workers and workers > 1 and total > 1 \
-                and "fork" in multiprocessing.get_all_start_methods():
+        if workers and workers > 1 and total > 1 and fork.available():
             emitter = BlockEmitter(self.plan, tee, chunk_size,
                                    min(workers, total))
             _Supervisor(context, emitter, chaos=chaos).run()

@@ -137,9 +137,10 @@ class ProgressSink(RunSink):
         self.callback(self._done, self._total)
 
     def finish(self, summary):
-        if self._done != self._total or self._total == 0:
-            self._done = self._total
-        self.callback(self._total, self._total)
+        # The last chunk already reported (total, total), except on an
+        # empty plan, which has no chunks.
+        if self._done != self._total or not self._total:
+            self.callback(self._total, self._total)
 
 
 class CollectSink(RunSink):

@@ -37,13 +37,6 @@ class BasicBlock:
         for instruction in instructions:
             self.append(instruction)
 
-    @property
-    def terminator(self):
-        """The terminator instruction, or None if the block falls through."""
-        if self.instructions and self.instructions[-1].is_terminator:
-            return self.instructions[-1]
-        return None
-
     def __iter__(self):
         return iter(self.instructions)
 

@@ -17,11 +17,14 @@ Concurrency model:
 
 * **Threads** share one registry; every mutation takes the registry
   lock, so concurrent increments never lose updates.
-* **Forked workers** inherit the registry by copy.  A worker takes a
-  :meth:`MetricsRegistry.dump` mark right after the fork, does its
-  work, and ships :meth:`delta_since` that mark back over its result
-  pipe; the parent :meth:`merge`\\ s the delta.  Counter and histogram
-  deltas add exactly.
+* **Forked workers** inherit the registry by copy.  Every worker the
+  package forks goes through :class:`repro.fork.ForkPool`, whose child
+  wrapper takes a :meth:`MetricsRegistry.mark` right after the fork
+  and ships :meth:`delta_since` its previous mark with each message;
+  the parent :meth:`merge`\\ s each delta before it reads the message.
+  Counter and histogram deltas add exactly, so what a worker counted
+  for the work it delivered reaches the parent even when the worker
+  dies later.
 
 Export surfaces:
 

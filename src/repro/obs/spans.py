@@ -12,20 +12,17 @@ the lexical parent span's name, and free-form args — into a bounded
 in-memory ring, optionally streaming each record as a JSONL line.
 
 Nesting is tracked per thread with an explicit stack, so parentage is
-deterministic (lexical, not inferred from timestamps).  Spans opened
-with an explicit ``tid=`` — the supervisor's per-worker-attempt lanes,
-which overlap in wall time — bypass the thread stack entirely and
-render as their own trace rows.
+deterministic (lexical, not inferred from timestamps).
 
 Fork safety: a forked child inherits an enabled tracer, but
 ``span()`` checks the recording pid and degrades to the no-op
-singleton in children — worker-side work is visible as the parent's
-``engine.worker`` lanes, and child processes never write to a ring
-they cannot ship back.  A child that can ship records back (a sweep's
-queue workers) calls :meth:`Tracer.follow_fork`, sends what
-:meth:`Tracer.take` returns, and the parent adds them to its ring
-with :meth:`Tracer.extend`: the spans keep the child's pid, so each
-child renders as its own process row.
+singleton in a child that has not called :meth:`Tracer.follow_fork`,
+so no process writes to a ring it cannot ship back.  Every worker the
+package forks goes through :class:`repro.fork.ForkPool`, whose child
+wrapper calls :meth:`Tracer.follow_fork` and sends what
+:meth:`Tracer.take` returns with each message; the parent adds the
+spans to its ring with :meth:`Tracer.extend`.  They keep the child's
+pid, so each worker renders as its own process row.
 
 :func:`to_chrome` converts the ring to Chrome trace-event JSON
 (``"X"`` complete events, microsecond ``ts``/``dur``) that loads
@@ -63,14 +60,12 @@ NULL_SPAN = _NullSpan()
 class Span:
     """One live span; records itself to the tracer on ``__exit__``."""
 
-    __slots__ = ("_tracer", "name", "args", "_tid", "_start_ns",
-                 "_parent")
+    __slots__ = ("_tracer", "name", "args", "_start_ns", "_parent")
 
-    def __init__(self, tracer, name, tid, args):
+    def __init__(self, tracer, name, args):
         self._tracer = tracer
         self.name = name
         self.args = args
-        self._tid = tid
         self._start_ns = None
         self._parent = None
 
@@ -80,19 +75,17 @@ class Span:
         return self
 
     def __enter__(self):
-        if self._tid is None:
-            stack = self._tracer._stack()
-            self._parent = stack[-1].name if stack else None
-            stack.append(self)
+        stack = self._tracer._stack()
+        self._parent = stack[-1].name if stack else None
+        stack.append(self)
         self._start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         end_ns = time.perf_counter_ns()
-        if self._tid is None:
-            stack = self._tracer._stack()
-            if stack and stack[-1] is self:
-                stack.pop()
+        stack = self._tracer._stack()
+        if stack and stack[-1] is self:
+            stack.pop()
         self._tracer._record_span(self, end_ns)
         return False
 
@@ -168,12 +161,13 @@ class Tracer:
 
     # -- span creation -----------------------------------------------------
 
-    def span(self, name, tid=None, **args):
+    def span(self, name, **args):
         """A context-manager span, or the shared no-op singleton when
-        recording is off (or this is a forked child)."""
+        recording is off (or this is a forked child that did not
+        :meth:`follow_fork`)."""
         if not self.enabled or os.getpid() != self._pid:
             return NULL_SPAN
-        return Span(self, name, tid, args)
+        return Span(self, name, args)
 
     def _stack(self):
         stack = getattr(self._local, "stack", None)
@@ -197,8 +191,7 @@ class Tracer:
             "ts": (span._start_ns - self._epoch_ns) / 1000.0,
             "dur": (end_ns - span._start_ns) / 1000.0,
             "pid": self._pid,
-            "tid": span._tid if span._tid is not None
-            else self._thread_tid(),
+            "tid": self._thread_tid(),
             "parent": span._parent,
             "args": span.args,
         }

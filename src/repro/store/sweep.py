@@ -11,9 +11,13 @@ runs the misses through the campaign engine
 the same way.  ``workers`` is the sweep's process budget: with one
 worker (or one kernel) a single in-process worker drains an in-memory
 queue, and each cell's engine gets every worker; otherwise
-``min(workers, kernels)`` forked queue workers run whole cells, each
-holding whole kernels (the queue's claims are kernel-affine), and each
-cell's engine gets ``workers // processes`` of them.  Because every
+``min(workers, kernels)`` queue workers run whole cells, each holding
+whole kernels (the queue's claims are kernel-affine), and each cell's
+engine gets ``workers // processes`` of them.  The queue workers fork
+through :class:`repro.fork.ForkPool`, the same pool the campaign
+engine's workers fork through, and ship their metrics and spans home
+with every event; where the platform cannot fork or refuses a process,
+the in-process worker drains what they leave.  Because every
 finished cell is committed to the store
 individually, an interrupted sweep resumes for free: re-running the
 same spec against the same store re-executes only the missing cells,
@@ -26,13 +30,12 @@ smoke grids in CI and tests can sweep tiny programs.
 """
 
 import contextlib
-import gc
 import os
 import tempfile
 import time
 from collections import namedtuple
 
-from repro import obs
+from repro import fork, obs
 from repro.bec.analysis import run_bec
 from repro.fi.campaign import PLANNERS
 # Bound for callers that patch this module's planner name
@@ -206,7 +209,9 @@ class SweepRunner:
         that shares this runner (its caches, ``force`` and hit/miss/run
         counters) drains an in-memory queue, and each cell's engine
         gets every worker.  Otherwise :meth:`_drain_forked` runs whole
-        cells in ``min(workers, kernels)`` forked queue workers.
+        cells in ``min(workers, kernels)`` forked queue workers, and
+        the in-process worker drains the queue file instead where the
+        platform cannot fork or refuses a process.
 
         ``progress(done, total, outcome)`` fires per finished or
         poisoned cell, in completion order; ``run_progress(cell, done,
@@ -246,7 +251,8 @@ class SweepRunner:
 
         processes = min(self.workers,
                         len({cell.kernel for cell in cells}))
-        forked = processes > 1 and self.store.path != ":memory:"
+        forked = (processes > 1 and self.store.path != ":memory:"
+                  and fork.available())
         with contextlib.ExitStack() as stack:
             stack.enter_context(obs.tracer().span(
                 "sweep", spec=self.spec.name, cells=len(cells)))
@@ -260,8 +266,8 @@ class SweepRunner:
             queue.enqueue(self.spec, max_attempts=self.max_retries + 1,
                           cells=cells)
             if forked:
-                self._drain_forked(queue, processes, on_event)
-            else:
+                forked = self._drain_forked(queue, processes, on_event)
+            if not forked:
                 worker = DistWorker(queue, self.store, events=on_event)
                 worker.runners[digest] = self
                 worker.run()
@@ -296,100 +302,76 @@ class SweepRunner:
 
     def _drain_forked(self, queue, processes, on_event):
         """Drain *queue* with *processes* forked queue workers; this
-        process only collects.
+        process only collects.  Returns ``False`` when process creation
+        was refused: what the children left is then this process's to
+        drain.
 
-        Each child is an unmodified :class:`repro.dist.worker.DistWorker`
-        with its own connections to the queue file and the store, and a
+        The children fork through :class:`repro.fork.ForkPool`.  Each
+        is an unmodified :class:`repro.dist.worker.DistWorker` with its
+        own connections to the queue file and the store, and a
         :class:`SweepRunner` whose engine gets ``workers // processes``
         workers (see :meth:`_serve_queue`).  A child sends each worker
-        event of a settled cell together with its hit/miss/run counts,
-        metrics delta and tracer records since its last message; they
-        are folded in here, and the event goes to *on_event*.  A child
-        that dies has its leases expired at once and is started again
-        under the same worker id, which still holds its kernels, so its
-        cell is re-leased without waiting out the lease; there is at
-        most one restart per possible claim.  Once a settled cell
+        event with its hit/miss/run counts since its last message; the
+        pool brings the child's metrics and spans home with it, the
+        counts are folded in here and the event goes to *on_event*.  A
+        child that dies has its leases expired at once and is started
+        again under the same worker id, which still holds its kernels,
+        so its cell is re-leased without waiting out the lease; there
+        is at most one restart per possible claim.  Once a settled cell
         leaves the queue drained, a shared event wakes the children
         that idle between claims, so the sweep ends with its last cell
-        rather than up to a poll interval later.  Children are forked,
-        not spawned: they inherit the spec, this runner's compiled
-        kernels and the caller's process state.
+        rather than up to a poll interval later.
         """
-        import multiprocessing
-        from multiprocessing.connection import wait
-
-        context = multiprocessing.get_context("fork")
         engine_workers = self.workers // processes
-        registry = obs.metrics()
-        tracer = obs.tracer()
-        children = {}        # pipe -> (worker id, process)
-        drained = context.Event()
-
-        def spawn(worker_id):
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(
-                target=self._serve_queue,
-                args=(send, drained, queue.path, worker_id,
-                      engine_workers))
-            # The child's collector then leaves the inherited objects
-            # alone instead of touching (and copying) their pages.
-            gc.freeze()
-            try:
-                process.start()
-            finally:
-                gc.unfreeze()
-            send.close()
-            children[receive] = (worker_id, process)
-
         restarts = queue.counts()["pending"] * (self.max_retries + 1)
-        try:
-            for slot in range(processes):
-                spawn(f"sweep-{slot}")
-            while children:
-                for pipe in wait(list(children)):
-                    worker_id, process = children[pipe]
-                    try:
-                        kind, fields, counts, metrics, spans = pipe.recv()
-                    except EOFError:
-                        del children[pipe]
-                        pipe.close()
-                        process.join()
-                        if process.exitcode and not queue.drained():
-                            queue.expire_worker(worker_id)
-                            if restarts:
-                                restarts -= 1
-                                spawn(worker_id)
-                        continue
-                    self.runner.hits += counts[0]
-                    self.runner.misses += counts[1]
-                    self.runner.simulator_runs += counts[2]
-                    registry.merge(metrics)
-                    tracer.extend(spans)
-                    if kind is not None:
-                        on_event(kind, **fields)
-                    if kind not in (None, "cell_progress") \
-                            and queue.drained():
-                        drained.set()
-        finally:
-            for pipe, (_, process) in children.items():
-                process.terminate()
-                process.join()
-                pipe.close()
+        refused = False
+        with fork.ForkPool() as pool:
+            drained = pool.event()
 
-    def _serve_queue(self, pipe, drained, queue_path, worker_id,
+            def start(worker_id):
+                nonlocal refused
+                try:
+                    pool.spawn(worker_id, self._serve_queue, drained,
+                               queue.path, worker_id, engine_workers)
+                except OSError:             # sandbox, rlimits
+                    refused = True
+
+            def on_message(worker_id, message):
+                if message[0] == "error":   # its end restarts it
+                    obs.logger().error("sweep.worker_failed",
+                                       worker=worker_id, error=message[1])
+                    return
+                kind, fields, counts = message
+                self.runner.hits += counts[0]
+                self.runner.misses += counts[1]
+                self.runner.simulator_runs += counts[2]
+                on_event(kind, **fields)
+                if kind != "cell_progress" and queue.drained():
+                    drained.set()
+
+            def on_end(worker_id, exitcode):
+                nonlocal restarts
+                if exitcode and not queue.drained():
+                    queue.expire_worker(worker_id)
+                    if restarts:
+                        restarts -= 1
+                        start(worker_id)
+
+            for slot in range(processes):
+                start(f"sweep-{slot}")
+            pool.drain(on_message, on_end)
+        return not refused
+
+    def _serve_queue(self, send, drained, queue_path, worker_id,
                      engine_workers):
         """The body of one forked sweep worker: drain the queue file
         into the store with a :class:`repro.dist.worker.DistWorker`,
-        sending what :meth:`_drain_forked` collects down *pipe*; the
-        worker idles on the *drained* event instead of sleeping."""
+        sending what :meth:`_drain_forked` collects; the worker idles
+        on the *drained* event instead of sleeping."""
         from repro.dist.queue import WorkQueue, spec_digest
         from repro.dist.worker import DistWorker
         from repro.store.db import ResultStore
 
-        tracer = obs.tracer()
-        tracer.follow_fork()
-        registry = obs.metrics()
-        mark, sent = registry.mark(), (0, 0, 0)
         with ResultStore(self.store.path, chaos=self.store.chaos) \
                 as store, WorkQueue(queue_path) as queue:
             runner = SweepRunner(
@@ -397,29 +379,22 @@ class SweepRunner:
                 force=self.runner.force, max_retries=self.max_retries,
                 max_wall_seconds=self.max_wall_seconds)
             runner._kernels = self._kernels   # compiled before the fork
-
-            def send(kind, fields):
-                nonlocal mark, sent
-                counts = (runner.runner.hits, runner.runner.misses,
-                          runner.runner.simulator_runs)
-                pipe.send((kind, fields,
-                           [now - before for now, before
-                            in zip(counts, sent)],
-                           registry.delta_since(mark), tracer.take()))
-                mark, sent = registry.mark(), counts
+            sent = (0, 0, 0)
 
             def on_event(kind, **fields):
-                if kind == "cell_progress":
-                    pipe.send((kind, fields, (0, 0, 0), {}, []))
-                elif kind != "cell_claimed":
-                    send(kind, fields)
+                nonlocal sent
+                if kind == "cell_claimed":
+                    return
+                counts = (runner.runner.hits, runner.runner.misses,
+                          runner.runner.simulator_runs)
+                send(kind, fields, [now - before for now, before
+                                    in zip(counts, sent)])
+                sent = counts
 
             worker = DistWorker(queue, store, worker_id=worker_id,
                                 events=on_event, wait=drained.wait)
             worker.runners[spec_digest(self.spec)] = runner
             worker.run()
-            send(None, None)
-        pipe.close()
 
 
 def _failed_outcome(cell, error):

@@ -141,12 +141,26 @@ class TestProgressSink:
 
     def test_monotone_and_final(self):
         seen = self._drive(10, [4, 4, 2])
-        assert seen == [(4, 10), (8, 10), (10, 10), (10, 10)]
+        assert seen == [(4, 10), (8, 10), (10, 10)]
         assert [done for done, _ in seen] \
             == sorted(done for done, _ in seen)
 
     def test_empty_campaign_still_reports_completion(self):
         assert self._drive(0, []) == [(0, 0)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_reports_its_final_count_once(
+            self, motivating_function, motivating_machine,
+            motivating_golden, workers):
+        plan = plan_exhaustive(motivating_function, motivating_golden)
+        seen = []
+        CampaignEngine(motivating_machine, plan,
+                       golden=motivating_golden).run(
+            workers=workers, chunk_size=64,
+            progress=lambda done, total: seen.append((done, total)))
+        assert seen[-1] == (len(plan), len(plan))
+        assert seen.count(seen[-1]) == 1
+        assert len(seen) == -(-len(plan) // 64)
 
 
 class TestCollectSink:

@@ -46,6 +46,21 @@ def test_campaign_trace_and_metrics_artifacts(minic_file, tmp_path,
         == "counter"
 
 
+def test_forked_campaign_traces_every_worker(minic_file, tmp_path):
+    """Each forked worker ships its own ``engine.worker`` span and its
+    ``engine.chunk`` spans home, under its own pid."""
+    trace_path = tmp_path / "trace.json"
+    assert main(["campaign", minic_file, "--execute", "200",
+                 "--workers", "2", "--trace", str(trace_path)]) == 0
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    parent = {e["pid"] for e in events if e["name"] == "engine.campaign"}
+    workers = [e["pid"] for e in events if e["name"] == "engine.worker"]
+    chunks = {e["pid"] for e in events if e["name"] == "engine.chunk"}
+    assert len(workers) == len(set(workers)) == 2
+    assert chunks == set(workers)
+    assert not parent & chunks and len(parent) == 1
+
+
 def test_metrics_dash_prints_to_stdout(minic_file, capsys):
     assert main(["campaign", minic_file, "--execute", "5",
                  "--metrics", "-"]) == 0

@@ -60,7 +60,9 @@ class TestEngineMetrics:
         """Supervision telemetry lives only in the registry: a clean
         campaign adds nothing to ``engine.recoveries`` /
         ``engine.serial_degraded_chunks``, a killed worker adds to
-        the former."""
+        the former, and either way every run is counted once: the
+        killed worker's delivered blocks were counted as they went
+        home."""
         from repro.fi import engine as engine_module
         from repro.fi.chaos import ChaosPolicy
 
@@ -71,12 +73,14 @@ class TestEngineMetrics:
         totals = delta_totals(mark)
         assert totals.get("engine.recoveries", 0) == 0
         assert totals.get("engine.serial_degraded_chunks", 0) == 0
+        assert totals["engine.runs_executed"] == len(small_plan)
         healed_mark = obs.metrics().mark()
         engine.run(workers=2, chunk_size=8,
                    chaos=ChaosPolicy().kill_worker(chunk=0, segment=1))
         totals = delta_totals(healed_mark)
         assert totals["engine.recoveries"] >= 1
         assert totals.get("engine.serial_degraded_chunks", 0) == 0
+        assert totals["engine.runs_executed"] == len(small_plan)
 
     def test_campaign_spans_nest(self, motivating_machine,
                                  motivating_golden, small_plan):

@@ -45,15 +45,6 @@ class TestTracer:
             assert inner["ts"] + inner["dur"] \
                 <= outer["ts"] + outer["dur"] + 1e-6
 
-    def test_explicit_tid_bypasses_the_stack(self, tracer):
-        with tracer.span("outer"):
-            with tracer.span("worker", tid=1003) as span:
-                span.set("chunk", 3)
-        worker = tracer.records()[0]
-        assert worker["tid"] == 1003
-        assert worker["parent"] is None
-        assert worker["args"] == {"chunk": 3}
-
     def test_ring_capacity_bounds_memory(self):
         tracer = Tracer()
         tracer.start(capacity=4)

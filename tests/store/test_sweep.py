@@ -616,6 +616,33 @@ class TestForkedSweep:
                 assert (forked.simulator_runs == 0) == warm
             assert two.verify()["ok"]
 
+    @pytest.mark.parametrize("refusal", ["no_fork", "start_refused"])
+    def test_without_fork_drains_in_process(self, tiny_ir, loop_mc,
+                                            tmp_path, monkeypatch,
+                                            refusal):
+        """A platform without fork, or one that refuses to create a
+        process, gets the serial report instead of an exception."""
+        import multiprocessing.process
+
+        from repro import fork
+
+        spec = self.two_kernel_spec(tiny_ir, loop_mc)
+        with ResultStore(str(tmp_path / "one.sqlite")) as one:
+            serial = run_sweep(spec, one, workers=1)
+        if refusal == "no_fork":
+            monkeypatch.setattr(fork, "available", lambda: False)
+        else:
+            def refuse(process):
+                raise OSError("process creation refused")
+
+            monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                                "start", refuse)
+        with ResultStore(str(tmp_path / "two.sqlite")) as two:
+            report = run_sweep(spec, two, workers=2)
+            assert two.verify()["ok"]
+        assert outcome_fields(report) == outcome_fields(serial)
+        assert not report.failed
+
     def test_idle_worker_exits_with_the_last_cell(self, tiny_ir, loop_mc,
                                                   store, monkeypatch):
         import time as time_module
